@@ -29,7 +29,7 @@ use mpint::modpow::{mod_pow_ct, mod_pow_ctx, window_size_for};
 use mpint::prime::{generate_prime_pair, DEFAULT_MR_ROUNDS};
 use mpint::random::random_coprime;
 use mpint::straus;
-use mpint::{mod_inv, MontgomeryCtx, Natural};
+use mpint::{mod_inv, Limb, MontAcc, MontgomeryCtx, Natural};
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
@@ -645,7 +645,8 @@ impl PaillierPublicKey {
             let window = straus::straus_window_for(max_bits);
             straus::multi_exp_mont(&self.ctx_n2, &bases_m, weights, window)
         } else {
-            spans
+            let width = self.ctx_n2.width();
+            let mut partials = spans
                 .par_iter()
                 .with_max_len(1)
                 .map(|span| {
@@ -661,11 +662,20 @@ impl PaillierPublicKey {
                         .collect();
                     let window = straus::straus_window_for_arity(max_bits, span.len());
                     straus::multi_exp_mont(&self.ctx_n2, &bases_m, span_weights, window)
+                        .to_padded_limbs(width)
                 })
-                .collect::<Vec<Natural>>()
-                .into_iter()
-                .reduce(|a, b| self.ctx_n2.mont_mul(&a, &b))
-                .unwrap_or_else(|| self.ctx_n2.one_mont())
+                .collect::<Vec<Vec<Limb>>>()
+                .into_iter();
+            // Streaming merge in span order through one fixed-width
+            // accumulator; this branch always has two or more partials.
+            let first = partials
+                .next()
+                .unwrap_or_else(|| self.ctx_n2.one_mont().to_padded_limbs(width));
+            let mut merged = MontAcc::new(&self.ctx_n2, first);
+            for partial in partials {
+                merged.mul(&partial);
+            }
+            merged.into_natural()
         };
         Ok(Ciphertext {
             value: self.ctx_n2.from_mont(&product),

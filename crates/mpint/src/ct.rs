@@ -13,10 +13,6 @@
 //! `flcheck`'s ct-discipline rule recognises the `// flcheck: ct-fn`
 //! marker on these functions and verifies the bodies stay branch-free.
 
-// flcheck: allow-file(pf-index) — limb indices run over `0..t.len()`; the
-// masked passes must touch every word unconditionally, which is exactly
-// what the indexed loops express.
-
 use crate::limb::{sbb, Limb, LIMB_BITS};
 
 /// Returns `1` if `x == 0`, else `0`, without branching on `x`.
@@ -91,49 +87,48 @@ pub fn ct_select_limbs(mask: Limb, dst: &mut [Limb], src: &[Limb]) {
     }
 }
 
+/// `n` zero-extended without bound: zipped against a wider `t`, it lines
+/// `n`'s limbs up with `t`'s low words and feeds zeros to the rest.
+fn zero_extended(n: &[Limb]) -> impl Iterator<Item = Limb> + '_ {
+    n.iter().copied().chain(std::iter::repeat(0))
+}
+
+/// Masked subtraction `t ← t − (n & mask)` over `t`'s full (public)
+/// width, `n` virtually zero-extended: a no-op pass when `mask` is
+/// all-zeros, the same instruction sequence either way. Returns the
+/// borrow out of the top word (the split accumulator of [`crate::cios`]
+/// cancels it against its top bit).
+// flcheck: ct-fn
+// flcheck: secret(t, mask)
+pub fn ct_sub_masked(t: &mut [Limb], n: &[Limb], mask: Limb) -> Limb {
+    debug_assert!(t.len() >= n.len(), "t must be at least as wide as n");
+    let mut borrow: Limb = 0;
+    for (ti, ni) in t.iter_mut().zip(zero_extended(n)) {
+        (*ti, borrow) = sbb(*ti, ni & mask, borrow);
+    }
+    borrow
+}
+
 /// Constant-time final reduction: subtracts `n` from `t` exactly when
 /// `t >= n`, returning `1` if the subtraction happened and `0` otherwise.
 ///
 /// `n` is virtually zero-extended to `t.len()`; the caller guarantees
 /// `t < 2n` so a single conditional subtraction fully reduces. Two full
 /// passes run for every input: a borrow-only probe that decides the mask,
-/// then a masked subtraction — the sequence of executed instructions and
+/// then [`ct_sub_masked`] — the sequence of executed instructions and
 /// touched addresses depends only on the public lengths.
 // flcheck: ct-fn
 // flcheck: secret(t)
 pub fn ct_ge_then_sub(t: &mut [Limb], n: &[Limb]) -> Limb {
     debug_assert!(t.len() >= n.len(), "t must be at least as wide as n");
-    let ext = |i: usize| -> Limb {
-        // Public-index bounds handling: `n` zero-extended to t's width.
-        // Both `i` and `n.len()` are public lengths, so this comparison
-        // cannot leak secret data.
-        // flcheck: allow(ct-compare)
-        let in_range = ct_is_zero((i >= n.len()) as Limb);
-        // i < n.len() is a public condition; the multiply keeps the
-        // access pattern uniform without an `if`.
-        n.get(i).copied().unwrap_or(0) & ct_mask(in_range)
-    };
-    // Pass 1: probe borrow of t - n over the full width.
+    // Probe the borrow of t - n over the full width: none ⟺ t >= n.
     let mut borrow: Limb = 0;
-    // t's width is the caller's public padded length, not a secret.
-    // flcheck: allow(ct-taint)
-    for i in 0..t.len() {
-        let (_, br) = sbb(t[i], ext(i), borrow);
-        borrow = br;
+    for (&ti, ni) in t.iter().zip(zero_extended(n)) {
+        (_, borrow) = sbb(ti, ni, borrow);
     }
-    // borrow == 0  ⟺  t >= n. sub_mask is all-ones exactly when we subtract.
     let did_sub = ct_is_zero(borrow);
-    let sub_mask = ct_mask(did_sub);
-    // Pass 2: masked subtraction; a no-op (t - 0) when sub_mask is zero.
-    let mut borrow2: Limb = 0;
-    // Same public padded width as pass 1.
-    // flcheck: allow(ct-taint)
-    for i in 0..t.len() {
-        let (d, br) = sbb(t[i], ext(i) & sub_mask, borrow2);
-        t[i] = d;
-        borrow2 = br;
-    }
-    debug_assert_eq!(borrow2, 0, "caller must guarantee t < 2n");
+    let borrow = ct_sub_masked(t, n, ct_mask(did_sub));
+    debug_assert_eq!(borrow, 0, "caller must guarantee t < 2n");
     did_sub
 }
 

@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod barrett;
 mod bits;
 pub mod cios;
 mod convert;
@@ -56,10 +55,9 @@ pub mod random;
 mod shift;
 pub mod straus;
 
-pub use barrett::BarrettCtx;
 pub use ct::{ct_eq, ct_ge_then_sub, ct_lt, ct_select};
 pub use error::{Error, Result};
 pub use gcd::{gcd, lcm, mod_inv, ExtendedGcd};
 pub use limb::{Limb, LIMB_BITS};
-pub use montgomery::MontgomeryCtx;
+pub use montgomery::{MontAcc, MontgomeryCtx};
 pub use natural::Natural;

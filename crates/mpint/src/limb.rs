@@ -50,8 +50,11 @@ pub fn sbb(a: Limb, b: Limb, borrow: Limb) -> (Limb, Limb) {
 // flcheck: ct-fn
 #[inline(always)]
 pub fn mac(a: Limb, b: Limb, c: Limb, carry: Limb) -> (Limb, Limb) {
-    let t = a as DoubleLimb * b as DoubleLimb + c as DoubleLimb + carry as DoubleLimb;
-    (t as Limb, (t >> LIMB_BITS) as Limb)
+    // The product and addend are summed first, off the carry chain: a row
+    // of MACs then waits on `carry` for one add and one increment only.
+    let p = a as DoubleLimb * b as DoubleLimb + c as DoubleLimb;
+    let (lo, k) = (p as Limb).overflowing_add(carry);
+    (lo, ((p >> LIMB_BITS) as Limb).wrapping_add(k as Limb))
 }
 
 /// Full `w x w -> 2w` multiplication, returning `(low, high)`.

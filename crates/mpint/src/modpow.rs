@@ -14,11 +14,9 @@
 //! [`mod_pow_ct`] provides a square-and-multiply-always ladder whose
 //! operation count depends only on the public bit-width.
 
-// flcheck: allow-file(pf-index) — window-table and exponent-limb indices are
-// bounded by construction (table_len = 2^(w-1); bit index < padded width).
-
-use crate::limb::LIMB_BITS;
-use crate::montgomery::MontgomeryCtx;
+use crate::cios;
+use crate::limb::{Limb, LIMB_BITS};
+use crate::montgomery::{MontAcc, MontgomeryCtx};
 use crate::natural::Natural;
 use crate::{Error, Result};
 
@@ -52,7 +50,7 @@ pub fn mod_pow_ctx(ctx: &MontgomeryCtx, base: &Natural, exp: &Natural) -> Natura
         // x^0 = 1 for all x, including 0^0 by the usual crypto convention.
         return &Natural::one() % ctx.modulus();
     }
-    let base_m = ctx.to_mont(&(base % ctx.modulus()));
+    let base_m = ctx.to_mont(&ctx.reduce(base));
     let result_m = mod_pow_mont(ctx, &base_m, exp, window_size_for(exp.bit_len()));
     ctx.from_mont(&result_m)
 }
@@ -60,30 +58,42 @@ pub fn mod_pow_ctx(ctx: &MontgomeryCtx, base: &Natural, exp: &Natural) -> Natura
 /// Core sliding-window loop over a Montgomery-form base; returns a
 /// Montgomery-form result. Exposed so batch GPU dispatch can share
 /// precomputation.
+///
+/// The odd-power table is one flat buffer of `2^(w-1)` fixed-width
+/// entries and the running product a [`MontAcc`]: the number of
+/// allocations is fixed, whatever the exponent length.
 pub fn mod_pow_mont(ctx: &MontgomeryCtx, base_m: &Natural, exp: &Natural, window: u32) -> Natural {
     debug_assert!(window >= 1 && window <= 12);
     if exp.is_zero() {
         return ctx.one_mont();
     }
-    // Precompute odd powers base^1, base^3, ..., base^(2^w - 1).
+    let s = ctx.width();
+    let (n, n0_inv) = (ctx.modulus().limbs(), ctx.n0_inv());
+    // Odd powers base^1, base^3, ..., base^(2^w - 1), entry k at
+    // table[k·s..(k+1)·s]; each is the previous one times base².
     let table_len = 1usize << (window - 1);
-    let mut table = Vec::with_capacity(table_len);
-    table.push(base_m.clone());
+    let mut table = base_m.to_padded_limbs(s);
     if table_len > 1 {
-        let base_sq = ctx.mont_sqr(base_m);
-        for i in 1..table_len {
-            let prev: &Natural = &table[i - 1];
-            table.push(ctx.mont_mul(prev, &base_sq));
+        let mut base_sq = vec![0; s];
+        let mut scratch = vec![0; cios::scratch_len(s)];
+        cios::mont_sqr_into(&mut base_sq, &mut scratch, &table, n, n0_inv);
+        table.resize(table_len * s, 0);
+        let (base, powers) = table.split_at_mut(s);
+        let mut prev: &[Limb] = base;
+        for entry in powers.chunks_exact_mut(s) {
+            cios::mont_mul_into(entry, prev, &base_sq, n, n0_inv);
+            prev = entry;
         }
     }
 
-    let mut acc = ctx.one_mont();
-    let mut started = false;
+    // The top exponent bit is set, so the first loop pass opens a window
+    // and seeds the accumulator straight from the table.
+    let mut acc: Option<MontAcc<'_>> = None;
     let mut i = exp.bit_len() as i64 - 1;
     while i >= 0 {
         if !exp.bit(i as u32) {
-            if started {
-                acc = ctx.mont_sqr(&acc);
+            if let Some(acc) = acc.as_mut() {
+                acc.sqr();
             }
             i -= 1;
             continue;
@@ -95,28 +105,32 @@ pub fn mod_pow_mont(ctx: &MontgomeryCtx, base_m: &Natural, exp: &Natural, window
             j += 1;
         }
         let width = (i - j + 1) as u32;
-        // Window value: bits [j, i] inclusive — always odd.
+        // Window value: bits [j, i] inclusive — always odd, so value/2
+        // indexes the odd-power table (value < 2^w ⇒ value/2 < table_len).
         let value = exp.extract_bits(j as u32, width);
         debug_assert!(value & 1 == 1);
-        if started {
-            for _ in 0..width {
-                acc = ctx.mont_sqr(&acc);
+        let k = (value >> 1) as usize;
+        // flcheck: allow(pf-index)
+        let entry = &table[k * s..(k + 1) * s];
+        match acc.as_mut() {
+            Some(acc) => {
+                for _ in 0..width {
+                    acc.sqr();
+                }
+                acc.mul(entry);
             }
-            acc = ctx.mont_mul(&acc, &table[(value >> 1) as usize]);
-        } else {
-            acc = table[(value >> 1) as usize].clone();
-            started = true;
+            None => acc = Some(MontAcc::new(ctx, entry.to_vec())),
         }
         i = j - 1;
     }
-    acc
+    acc.map_or_else(|| ctx.one_mont(), MontAcc::into_natural)
 }
 
 /// Constant-time `base^exp mod n` for secret exponents: left-to-right
 /// square-and-multiply-**always** over exactly `exp_bits` ladder steps.
 ///
 /// Every step performs one squaring (through the dedicated
-/// [`crate::cios::mont_sqr`] kernel — squarings happen on *every* ladder
+/// [`cios::mont_sqr_into`] kernel — squarings happen on *every* ladder
 /// step regardless of the exponent bit, so the cheaper schedule is
 /// data-independent and CT-safe) and one multiplication through the
 /// fixed-width CIOS kernel, then keeps or discards the multiplied value
@@ -125,7 +139,8 @@ pub fn mod_pow_mont(ctx: &MontgomeryCtx, base_m: &Natural, exp: &Natural, window
 /// depends only on the public bound `exp_bits` (a key-size parameter such
 /// as `n.bit_len()`), never on the exponent's bit pattern. Compare the
 /// sliding-window path, whose multiply schedule mirrors the exponent's
-/// windows.
+/// windows. The ladder's three buffers and the squaring scratch are
+/// allocated once, before the first step.
 ///
 /// `base` may be unreduced (it is public in the decryption use-cases);
 /// `exp.bit_len()` must not exceed `exp_bits`. Returns the result in
@@ -139,23 +154,24 @@ pub fn mod_pow_ct(ctx: &MontgomeryCtx, base: &Natural, exp: &Natural, exp_bits: 
         "exp_bits must bound the secret exponent"
     );
     let s = ctx.width();
-    let n_limbs = ctx.modulus().to_padded_limbs(s);
-    let n0 = ctx.n0_inv();
-    let base_m = ctx.to_mont(&(base % ctx.modulus())).to_padded_limbs(s);
-    // One spare limb keeps the width nonzero for exp_bits == 0; bit
-    // indices never reach it. Padding copies the exponent into a buffer
-    // of *public* width; the copy length is bounded by exp_bits, which
-    // the caller supplies as a key-size parameter.
+    let (n, n0_inv) = (ctx.modulus().limbs(), ctx.n0_inv());
+    let base_m = ctx.to_mont(&ctx.reduce(base)).to_padded_limbs(s);
+    // Padding copies the exponent into a buffer of *public* width; the
+    // copy length is bounded by exp_bits, which the caller supplies as a
+    // key-size parameter.
     // flcheck: allow(ct-taint)
-    let e = exp.to_padded_limbs(exp_bits.div_ceil(LIMB_BITS) as usize + 1);
+    let e = exp.to_padded_limbs(exp_bits.div_ceil(LIMB_BITS) as usize);
     let mut acc = ctx.one_mont().to_padded_limbs(s);
+    let mut squared = vec![0; s];
+    let mut scratch = vec![0; cios::scratch_len(s)];
     for i in (0..exp_bits).rev() {
-        acc = crate::cios::mont_sqr(&acc, &n_limbs, n0);
-        let mut stepped = crate::cios::mont_mul(&acc, &base_m, &n_limbs, n0);
-        let bit = (e[(i / LIMB_BITS) as usize] >> (i % LIMB_BITS)) & 1;
-        // bit == 1 keeps `stepped`; bit == 0 rolls back to `acc`.
-        crate::ct::ct_select_limbs(crate::ct::ct_mask(bit), &mut stepped, &acc);
-        acc = stepped;
+        cios::mont_sqr_into(&mut squared, &mut scratch, &acc, n, n0_inv);
+        cios::mont_mul_into(&mut acc, &squared, &base_m, n, n0_inv);
+        let word: Limb = e.get((i / LIMB_BITS) as usize).copied().unwrap_or(0);
+        let bit = (word >> (i % LIMB_BITS)) & 1;
+        // bit == 1 keeps the multiplied `acc`; bit == 0 rolls back to
+        // `squared`.
+        crate::ct::ct_select_limbs(crate::ct::ct_mask(bit), &mut acc, &squared);
     }
     ctx.from_mont(&Natural::from_limbs(acc))
 }
@@ -167,15 +183,15 @@ pub fn mod_pow_binary(base: &Natural, exp: &Natural, n: &Natural) -> Result<Natu
     if exp.is_zero() {
         return Ok(&Natural::one() % n);
     }
-    let base_m = ctx.to_mont(&(base % n));
-    let mut acc = ctx.one_mont();
+    let base_m = ctx.to_mont(&ctx.reduce(base)).to_padded_limbs(ctx.width());
+    let mut acc = MontAcc::new(&ctx, ctx.one_mont().to_padded_limbs(ctx.width()));
     for i in (0..exp.bit_len()).rev() {
-        acc = ctx.mont_mul(&acc, &acc);
+        acc.sqr();
         if exp.bit(i) {
-            acc = ctx.mont_mul(&acc, &base_m);
+            acc.mul(&base_m);
         }
     }
-    Ok(ctx.from_mont(&acc))
+    Ok(ctx.from_mont(&acc.into_natural()))
 }
 
 /// Counts the Montgomery multiplications each method would perform for an

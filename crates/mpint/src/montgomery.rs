@@ -1,10 +1,9 @@
-//! Montgomery multiplication — the paper's Algorithm 1 and the reusable
-//! domain context.
+//! The reusable Montgomery domain context.
 //!
 //! Montgomery's trick (paper Sec. III-B) replaces the expensive modular
 //! reduction in `a*b mod n` with shifts and masks by working in the residue
 //! representation `aR mod n` where `R = 2^{w·s}` is a power of the limb
-//! base. Algorithm 1 computes `A·B·R^{-1} mod n` as:
+//! base. The paper's Algorithm 1 states it over whole integers:
 //!
 //! ```text
 //! T ← A·B mod R;  M ← T·N' mod R        (mask — the paper's "AND")
@@ -12,11 +11,15 @@
 //! return U - N if U ≥ N else U
 //! ```
 //!
-//! `N' = -N^{-1} mod R` is precomputed once per modulus and reused for all
-//! multiplications, exactly as the paper notes. The word-interleaved CIOS
-//! variant (Algorithm 2) lives in [`crate::cios`] and is property-tested to
-//! agree with this reference.
+//! and Algorithm 2 (CIOS) interleaves it word by word, which is what
+//! runs: every method of [`MontgomeryCtx`] is a thin wrapper over the
+//! fused kernels in [`crate::cios`], and [`MontAcc`] threads their
+//! fixed-width buffers through an exponentiation. Algorithm 1 itself
+//! survives as the test-only reference the kernels are checked against.
 
+use std::borrow::Cow;
+
+use crate::cios;
 use crate::limb::{mont_neg_inv, Limb, LIMB_BITS};
 use crate::natural::Natural;
 use crate::{Error, Result};
@@ -32,8 +35,6 @@ pub struct MontgomeryCtx {
     width: usize,
     /// `-n^{-1} mod 2^64` — the single-limb `n'_0` of Algorithm 2.
     n0_inv: Limb,
-    /// `-n^{-1} mod R` — the full-width `N'` of Algorithm 1.
-    n_prime: Natural,
     /// `R mod n` (the Montgomery form of 1).
     r_mod_n: Natural,
     /// `R² mod n` (converts values *into* the domain with one mont-mul).
@@ -50,25 +51,16 @@ impl MontgomeryCtx {
             return Err(Error::EvenModulus);
         }
         let width = n.limb_len();
-        let r_bits = (width as u32) * LIMB_BITS;
-        let r = Natural::one().shl_bits(r_bits);
+        let r = Natural::one().shl_bits((width as u32) * LIMB_BITS);
         // Non-empty: the zero modulus was rejected above.
         // flcheck: allow(pf-index)
         let n0_inv = mont_neg_inv(n.limbs()[0]);
-        // N' = -n^{-1} mod R = R - n^{-1} mod R. `mod_inv` returns a value
-        // reduced mod R, so the subtraction cannot underflow.
-        let n_inv_mod_r = crate::gcd::mod_inv(n, &r)?;
-        let n_prime = r
-            .checked_sub(&n_inv_mod_r)
-            .unwrap_or_default()
-            .low_bits(r_bits);
         let r_mod_n = &r % n;
         let r2_mod_n = &(&r_mod_n * &r_mod_n) % n;
         Ok(MontgomeryCtx {
             n: n.clone(),
             width,
             n0_inv,
-            n_prime,
             r_mod_n,
             r2_mod_n,
         })
@@ -110,9 +102,17 @@ impl MontgomeryCtx {
         &self.r2_mod_n
     }
 
+    /// `a mod n`, skipping the division when `a` is already reduced.
+    pub(crate) fn reduce<'a>(&self, a: &'a Natural) -> Cow<'a, Natural> {
+        if a < &self.n {
+            Cow::Borrowed(a)
+        } else {
+            Cow::Owned(a % &self.n)
+        }
+    }
+
     /// Converts `a < n` into the Montgomery domain: `aR mod n`.
     pub fn to_mont(&self, a: &Natural) -> Natural {
-        debug_assert!(a < &self.n, "operand must be reduced");
         self.mont_mul(a, &self.r2_mod_n)
     }
 
@@ -122,57 +122,121 @@ impl MontgomeryCtx {
         self.redc(a.clone())
     }
 
-    /// Algorithm 1: `A·B·R^{-1} mod n` for `A, B < n`.
+    /// `A·B·R^{-1} mod n` for `A, B < n`, through
+    /// [`cios::mont_mul_into`].
     pub fn mont_mul(&self, a: &Natural, b: &Natural) -> Natural {
-        debug_assert!(a < &self.n && b < &self.n);
-        self.redc(a * b)
+        debug_assert!(a < &self.n && b < &self.n, "operands must be reduced");
+        let s = self.width;
+        Natural::from_limbs(cios::mont_mul(
+            &a.to_padded_limbs(s),
+            &b.to_padded_limbs(s),
+            self.n.limbs(),
+            self.n0_inv,
+        ))
     }
 
-    /// Montgomery reduction of `t < n·R`: returns `t·R^{-1} mod n`.
-    ///
-    /// Lines 1–6 of Algorithm 1; `mod R` is a mask and `/R` a shift since
-    /// `R = 2^{w·s}`. The final reduction (`U - N if U >= N`) uses the
-    /// constant-time conditional subtraction from [`crate::ct`]: `U` is
-    /// derived from secret operands, so branching on its value would leak
-    /// through timing (see the crate-level discussion in `ct`).
+    /// Montgomery reduction of `t < n·R`: returns `t·R^{-1} mod n`,
+    /// through [`cios::mont_reduce_into`] — `s²` MACs, half a multiply.
     // flcheck: ct-fn
     pub fn redc(&self, t: Natural) -> Natural {
-        let r_bits = self.r_bits();
-        // M ← (T mod R)·N' mod R
-        let m = (&t.low_bits(r_bits) * &self.n_prime).low_bits(r_bits);
-        // U ← (T + M·N) / R, with U < 2n: one masked subtraction reduces.
-        let u = (&t + &(&m * &self.n)).shr_bits(r_bits);
-        let mut limbs = u.to_padded_limbs(self.width + 1);
-        crate::ct::ct_ge_then_sub(&mut limbs, self.n.limbs());
-        let reduced = Natural::from_limbs(limbs);
-        debug_assert!(reduced < self.n);
-        reduced
+        let s = self.width;
+        let mut out = vec![0; s];
+        let mut t = t.to_padded_limbs(cios::scratch_len(s));
+        cios::mont_reduce_into(&mut out, &mut t, self.n.limbs(), self.n0_inv);
+        Natural::from_limbs(out)
     }
 
     /// Dedicated Montgomery squaring `A²·R^{-1} mod n` for `A < n`,
-    /// through the symmetric kernel in [`crate::cios::mont_sqr`] (~25%
-    /// fewer MACs than [`MontgomeryCtx::mont_mul`] on equal operands; the
-    /// result is bit-identical). Every squaring step of the
-    /// exponentiation ladders routes through here.
+    /// through [`cios::mont_sqr_into`] (~25% fewer MACs than
+    /// [`MontgomeryCtx::mont_mul`] on equal operands; the result is
+    /// bit-identical).
     // flcheck: ct-fn
     pub fn mont_sqr(&self, a: &Natural) -> Natural {
-        debug_assert!(a < &self.n);
-        crate::cios::mont_sqr_natural(self, a)
+        debug_assert!(a < &self.n, "operand must be reduced");
+        let a = a.to_padded_limbs(self.width);
+        Natural::from_limbs(cios::mont_sqr(&a, self.n.limbs(), self.n0_inv))
     }
 
-    /// Modular multiplication `a·b mod n` via one extra conversion:
-    /// `mont_mul(aR, bR) = abR`, then REDC. Provided for API completeness
-    /// (Table I `mod_mul`); batch users should stay in the domain.
+    /// Modular multiplication `a·b mod n` in two kernel calls:
+    /// `mont_mul(a, b) = ab·R^{-1}`, then `·R²` cancels the stray factor.
+    /// Operands may be unreduced (Table I `mod_mul`); batch users should
+    /// stay in the domain.
     pub fn mod_mul(&self, a: &Natural, b: &Natural) -> Natural {
-        let am = self.to_mont(&(a % &self.n));
-        let bm = self.to_mont(&(b % &self.n));
-        self.from_mont(&self.mont_mul(&am, &bm))
+        let ab_over_r = self.mont_mul(&self.reduce(a), &self.reduce(b));
+        self.mont_mul(&ab_over_r, &self.r2_mod_n)
     }
+}
+
+/// A running product in one Montgomery domain, held as fixed-width limbs.
+///
+/// Each step has the kernel write into a second buffer and swaps the two,
+/// so an exponentiation allocates its accumulator and squaring scratch
+/// once instead of once per multiply. Results are canonical residues,
+/// bit-identical to chaining [`MontgomeryCtx::mont_mul`] /
+/// [`MontgomeryCtx::mont_sqr`].
+#[derive(Debug)]
+pub struct MontAcc<'a> {
+    ctx: &'a MontgomeryCtx,
+    acc: Vec<Limb>,
+    next: Vec<Limb>,
+    scratch: Vec<Limb>,
+}
+
+impl<'a> MontAcc<'a> {
+    /// Starts from `value_m`: a Montgomery-form residue of exactly
+    /// `ctx.width()` limbs.
+    pub fn new(ctx: &'a MontgomeryCtx, value_m: Vec<Limb>) -> Self {
+        let s = ctx.width;
+        MontAcc {
+            ctx,
+            acc: value_m,
+            next: vec![0; s],
+            scratch: vec![0; cios::scratch_len(s)],
+        }
+    }
+
+    /// `acc ← acc²·R^{-1} mod n`.
+    pub fn sqr(&mut self) {
+        let (n, n0_inv) = (self.ctx.n.limbs(), self.ctx.n0_inv);
+        cios::mont_sqr_into(&mut self.next, &mut self.scratch, &self.acc, n, n0_inv);
+        std::mem::swap(&mut self.acc, &mut self.next);
+    }
+
+    /// `acc ← acc·b_m·R^{-1} mod n` for a `ctx.width()`-limb `b_m < n`.
+    pub fn mul(&mut self, b_m: &[Limb]) {
+        let (n, n0_inv) = (self.ctx.n.limbs(), self.ctx.n0_inv);
+        cios::mont_mul_into(&mut self.next, &self.acc, b_m, n, n0_inv);
+        std::mem::swap(&mut self.acc, &mut self.next);
+    }
+
+    /// The accumulated residue, still in Montgomery form.
+    pub fn into_natural(self) -> Natural {
+        Natural::from_limbs(self.acc)
+    }
+}
+
+/// The paper's Algorithm 1 as three whole-integer products (`A·B`, `·N'`,
+/// `·N`) with a compare-and-branch final subtraction: the reference the
+/// fused kernels are tested against. Test-only — nothing ships that runs it.
+#[cfg(test)]
+pub(crate) fn algorithm1_mont_mul(ctx: &MontgomeryCtx, a: &Natural, b: &Natural) -> Natural {
+    let (n, r_bits) = (ctx.modulus(), ctx.r_bits());
+    let r = Natural::one().shl_bits(r_bits);
+    // N' = -n^{-1} mod R.
+    let n_prime = r
+        .checked_sub(&crate::gcd::mod_inv(n, &r).unwrap())
+        .unwrap()
+        .low_bits(r_bits);
+    let t = a * b;
+    let m = (&t.low_bits(r_bits) * &n_prime).low_bits(r_bits);
+    let u = (&t + &(&m * n)).shr_bits(r_bits);
+    u.checked_sub(n).unwrap_or(u)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn n(v: u128) -> Natural {
         Natural::from(v)
@@ -239,6 +303,46 @@ mod tests {
         // Reference product via Natural arithmetic.
         let expected = &(&n(a) * &n(b)) % &n(p);
         assert_eq!(got, expected);
+    }
+
+    proptest! {
+        /// The fused kernels against the paper's Algorithm 1, operands and
+        /// moduli of 1..=33 limbs with the modulus' top limb saturated
+        /// half the time (the widths where the split accumulator's top
+        /// bit and the deferred reduction carry come into play).
+        #[test]
+        fn fused_kernels_match_algorithm1(
+            a in proptest::collection::vec(any::<u64>(), 0..=33),
+            b in proptest::collection::vec(any::<u64>(), 0..=33),
+            modulus in proptest::collection::vec(any::<u64>(), 1..=33),
+            saturate_top in any::<bool>(),
+        ) {
+            let mut modulus = modulus;
+            modulus[0] |= 1;
+            let last = modulus.len() - 1;
+            modulus[last] |= if saturate_top { u64::MAX } else { 1 << 63 };
+            let modulus = Natural::from_limbs(modulus);
+            let c = MontgomeryCtx::new(&modulus).unwrap();
+            let a = &Natural::from_limbs(a) % &modulus;
+            let b = &Natural::from_limbs(b) % &modulus;
+            prop_assert_eq!(c.mont_mul(&a, &b), algorithm1_mont_mul(&c, &a, &b));
+            prop_assert_eq!(c.mont_sqr(&a), algorithm1_mont_mul(&c, &a, &a));
+            prop_assert_eq!(c.from_mont(&a), algorithm1_mont_mul(&c, &a, &Natural::one()));
+        }
+    }
+
+    #[test]
+    fn acc_chain_matches_natural_chain() {
+        // 2^127 - 1: a 2-limb context, short residues get padded.
+        let c = ctx((1u128 << 127) - 1);
+        let s = c.width();
+        let (x, y) = (c.to_mont(&n(3)), c.to_mont(&n((1 << 100) + 7)));
+        let mut acc = MontAcc::new(&c, x.to_padded_limbs(s));
+        acc.sqr();
+        acc.mul(&y.to_padded_limbs(s));
+        acc.sqr();
+        let expected = c.mont_sqr(&c.mont_mul(&c.mont_sqr(&x), &y));
+        assert_eq!(acc.into_natural(), expected);
     }
 
     #[test]

@@ -17,9 +17,11 @@
 //! Exponents here are *public* aggregation weights (sample counts), so
 //! the digit-dependent multiply schedule leaks nothing; secret exponents
 //! must keep using [`crate::modpow::mod_pow_ct`]. Squarings route through
-//! the dedicated [`crate::cios::mont_sqr`] kernel.
+//! the dedicated [`crate::cios::mont_sqr_into`] kernel.
 
-use crate::montgomery::MontgomeryCtx;
+use crate::cios;
+use crate::limb::Limb;
+use crate::montgomery::{MontAcc, MontgomeryCtx};
 use crate::natural::Natural;
 
 /// Window width (bits per digit) for a Straus pass over `count` bases
@@ -132,70 +134,67 @@ pub fn multi_exp_mont(
     // 255+-entry tables and are rejected up front.
     // flcheck: allow(pf-assert)
     assert!((1..=8).contains(&window), "window must be in [1, 8]");
-    let mut acc = ctx.one_mont();
     let max_bits = exps.iter().map(Natural::bit_len).max().unwrap_or(0);
     if max_bits == 0 {
         // All exponents zero (or no bases): the empty product.
-        return acc;
+        return ctx.one_mont();
     }
+    let s = ctx.width();
+    let (n, n0_inv) = (ctx.modulus().limbs(), ctx.n0_inv());
 
-    // Per-base digit tables: tables[i][d-1] = bases_m[i]^d for
+    // Per-base digit tables in one flat buffer: base i owns chunk i of
+    // `table_len` fixed-width entries, entry d−1 = bases_m[i]^d for
     // d = 1..2^w − 1. Bases with a zero exponent never contribute a
     // nonzero digit, so their table build is skipped outright.
     let table_len = (1usize << window) - 1;
-    let tables: Vec<Vec<Natural>> = bases_m
-        .iter()
+    let mut tables = vec![0; bases_m.len() * table_len * s];
+    for ((table, b), e) in tables
+        .chunks_exact_mut(table_len * s)
+        .zip(bases_m)
         .zip(exps)
-        .map(|(b, e)| {
-            if e.is_zero() {
-                return Vec::new();
-            }
-            let mut t = Vec::with_capacity(table_len);
-            t.push(b.clone());
-            for d in 1..table_len {
-                // d ranges over 1..table_len and t holds d entries here,
-                // so t[d-1] is always the most recent push.
-                // flcheck: allow(pf-index)
-                t.push(ctx.mont_mul(&t[d - 1], b));
-            }
-            t
-        })
-        .collect();
+    {
+        if e.is_zero() {
+            continue;
+        }
+        let (base, powers) = table.split_at_mut(s);
+        base.copy_from_slice(&b.to_padded_limbs(s));
+        let mut prev: &[Limb] = base;
+        for entry in powers.chunks_exact_mut(s) {
+            cios::mont_mul_into(entry, prev, base, n, n0_inv);
+            prev = entry;
+        }
+    }
 
     // One shared squaring chain over the digit columns, most significant
     // first: w squarings per column, then one table multiply per base
     // whose digit is nonzero.
+    let mut acc = MontAcc::new(ctx, ctx.one_mont().to_padded_limbs(s));
     let columns = max_bits.div_ceil(window);
     for col in (0..columns).rev() {
         if col + 1 < columns {
             for _ in 0..window {
-                acc = ctx.mont_sqr(&acc);
+                acc.sqr();
             }
         }
-        for (table, e) in tables.iter().zip(exps) {
-            if table.is_empty() {
-                continue;
-            }
-            let digit = e.extract_bits(col * window, window);
+        for (table, e) in tables.chunks_exact(table_len * s).zip(exps) {
+            let digit = e.extract_bits(col * window, window) as usize;
             if digit != 0 {
                 // digit is a w-bit value in [1, 2^w - 1] and the table
-                // holds exactly 2^w - 1 entries, so digit-1 is in bounds.
+                // holds exactly 2^w - 1 entries, so entry digit-1 is in
+                // bounds.
                 // flcheck: allow(pf-index)
-                acc = ctx.mont_mul(&acc, &table[(digit - 1) as usize]);
+                acc.mul(&table[(digit - 1) * s..digit * s]);
             }
         }
     }
-    acc
+    acc.into_natural()
 }
 
 /// Convenience form over plain residues: reduces and converts each base
 /// into the Montgomery domain, runs [`multi_exp_mont`] with the window
 /// from [`straus_window_for`], and converts the product back out.
 pub fn multi_exp_ctx(ctx: &MontgomeryCtx, bases: &[Natural], exps: &[Natural]) -> Natural {
-    let bases_m: Vec<Natural> = bases
-        .iter()
-        .map(|b| ctx.to_mont(&(b % ctx.modulus())))
-        .collect();
+    let bases_m: Vec<Natural> = bases.iter().map(|b| ctx.to_mont(&ctx.reduce(b))).collect();
     let max_bits = exps.iter().map(Natural::bit_len).max().unwrap_or(0);
     let window = straus_window_for(max_bits);
     ctx.from_mont(&multi_exp_mont(ctx, &bases_m, exps, window))

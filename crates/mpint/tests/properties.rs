@@ -157,26 +157,30 @@ proptest! {
     }
 
     #[test]
-    fn cios_agrees_with_algorithm1(a in big_natural(), b in big_natural(), n in odd_modulus()) {
+    fn flat_and_partitioned_cios_agree_with_ctx(a in big_natural(), b in big_natural(), n in odd_modulus()) {
         let ctx = mpint::MontgomeryCtx::new(&n).unwrap();
         let am = ctx.to_mont(&(&a % &n));
         let bm = ctx.to_mont(&(&b % &n));
         let reference = ctx.mont_mul(&am, &bm);
-        let flat = cios::mont_mul_natural(&ctx, &am, &bm);
-        prop_assert_eq!(&flat, &reference);
-        // Partitioned kernel agrees for several lane counts.
         let s = ctx.width();
+        let (ap, bp) = (am.to_padded_limbs(s), bm.to_padded_limbs(s));
+        let flat = cios::mont_mul(&ap, &bp, n.limbs(), ctx.n0_inv());
+        prop_assert_eq!(&Natural::from_limbs(flat), &reference);
+        // Partitioned kernel agrees for several lane counts.
         for threads in [1usize, 2, 3, 8] {
-            let (part, stats) = cios::mont_mul_partitioned(
-                &am.to_padded_limbs(s),
-                &bm.to_padded_limbs(s),
-                &ctx.modulus().to_padded_limbs(s),
-                ctx.n0_inv(),
-                threads,
-            );
+            let (part, stats) =
+                cios::mont_mul_partitioned(&ap, &bp, n.limbs(), ctx.n0_inv(), threads);
             prop_assert_eq!(Natural::from_limbs(part), reference.clone());
             prop_assert_eq!(stats.mac_ops.len(), threads);
         }
+    }
+
+    #[test]
+    fn mod_mul_matches_naive_for_unreduced_inputs(a in wide_natural(), b in wide_natural(), n in odd_modulus()) {
+        // Operands up to 32 limbs against a modulus of at most 4: almost
+        // always unreduced, occasionally (short vectors) already below n.
+        let ctx = mpint::MontgomeryCtx::new(&n).unwrap();
+        prop_assert_eq!(ctx.mod_mul(&a, &b), &(&a * &b) % &n);
     }
 
     #[test]
@@ -217,6 +221,14 @@ proptest! {
         // The dedicated squaring kernel must agree bit-for-bit with the
         // general multiply on equal operands, at every limb width.
         prop_assert_eq!(ctx.mont_sqr(&am), ctx.mont_mul(&am, &am));
+        // ... and limb for limb in the caller-buffer forms.
+        let s = ctx.width();
+        let ap = am.to_padded_limbs(s);
+        let (mut via_mul, mut via_sqr) = (vec![0; s], vec![0; s]);
+        let mut scratch = vec![0; cios::scratch_len(s)];
+        cios::mont_mul_into(&mut via_mul, &ap, &ap, n.limbs(), ctx.n0_inv());
+        cios::mont_sqr_into(&mut via_sqr, &mut scratch, &ap, n.limbs(), ctx.n0_inv());
+        prop_assert_eq!(via_sqr, via_mul);
         // Boundary operands: zero and the maximal residue n-1.
         let zero = Natural::zero();
         prop_assert_eq!(ctx.mont_sqr(&zero), ctx.mont_mul(&zero, &zero));
@@ -247,5 +259,195 @@ proptest! {
             a.shr_bits(offset).low_bits(count).low_u64()
         });
         prop_assert_eq!(a.extract_bits(offset, count), expected);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Differential kernel tests: every Montgomery kernel and every
+// exponentiation built on them against whole-integer `(a·b) % n` /
+// square-and-multiply, at the limb widths where carries, the deferred
+// reduction bit and the masked final subtraction change behaviour.
+// ---------------------------------------------------------------------
+
+/// Limb widths on both sides of the 16/32-limb key sizes, plus the
+/// degenerate 1- and 2-limb moduli and the 4096-bit `n²` width.
+const WIDTHS: [usize; 8] = [1, 2, 15, 16, 17, 32, 33, 64];
+
+/// Deterministic limb source (splitmix64): fixtures, not randomness.
+fn limb_stream(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed;
+    move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+}
+
+/// Odd `s`-limb moduli: a generic one with the top bit set, one whose top
+/// limb is all ones, and `2^{64s} − 1` (every limb all ones — carries out
+/// of every word of every row).
+fn edge_moduli(s: usize) -> Vec<Natural> {
+    let mut next = limb_stream(s as u64);
+    let mut generic: Vec<u64> = (0..s).map(|_| next()).collect();
+    generic[0] |= 1;
+    generic[s - 1] |= 1 << 63;
+    let mut ones_top = generic.clone();
+    ones_top[s - 1] = u64::MAX;
+    vec![
+        Natural::from_limbs(generic),
+        Natural::from_limbs(ones_top),
+        Natural::from_limbs(vec![u64::MAX; s]),
+    ]
+}
+
+/// Residues below `n`: `0`, `1`, `n−1`, the widest all-ones value below
+/// `n`, the single top bit, and one generic value.
+fn edge_operands(n: &Natural) -> Vec<Natural> {
+    let one = Natural::one();
+    let top_bit = one.shl_bits(n.bit_len() - 1);
+    let mut next = limb_stream(n.bit_len() as u64 ^ 0xA5A5);
+    let generic = Natural::from_limbs((0..n.limb_len()).map(|_| next()).collect());
+    vec![
+        Natural::zero(),
+        one.clone(),
+        n.checked_sub(&one).unwrap(),
+        top_bit.checked_sub(&one).unwrap(),
+        top_bit,
+        &generic % n,
+    ]
+}
+
+/// Exponents around the limb boundary; wide moduli take the short list so
+/// the whole-integer reference stays affordable in debug builds.
+fn edge_exponents(s: usize) -> Vec<Natural> {
+    let mut next = limb_stream(s as u64 ^ 0xE);
+    let mut exps = vec![
+        Natural::zero(),
+        Natural::one(),
+        Natural::from(u64::MAX),
+        Natural::one().shl_bits(64),
+    ];
+    if s <= 17 {
+        exps.push(Natural::from_limbs(vec![next(), next(), 0b11]));
+    }
+    exps
+}
+
+fn naive_pow(base: &Natural, exp: &Natural, n: &Natural) -> Natural {
+    let mut acc = &Natural::one() % n;
+    for i in (0..exp.bit_len()).rev() {
+        acc = &(&acc * &acc) % n;
+        if exp.bit(i) {
+            acc = &(&acc * base) % n;
+        }
+    }
+    acc
+}
+
+#[test]
+fn multiply_kernels_match_naive_product_at_limb_boundaries() {
+    for s in WIDTHS {
+        for n in edge_moduli(s) {
+            let ctx = mpint::MontgomeryCtx::new(&n).unwrap();
+            assert_eq!(ctx.width(), s);
+            let n0 = ctx.n0_inv();
+            let operands = edge_operands(&n);
+            let in_domain: Vec<Natural> = operands.iter().map(|a| ctx.to_mont(a)).collect();
+            let mut scratch = vec![0; cios::scratch_len(s)];
+            for (a, am) in operands.iter().zip(&in_domain) {
+                assert_eq!(&ctx.from_mont(am), a, "{s} limbs: domain round trip of {a}");
+                let ap = am.to_padded_limbs(s);
+                for (b, bm) in operands.iter().zip(&in_domain) {
+                    let expected = &(a * b) % &n;
+                    let what = format!("{s} limbs: {a} * {b} mod {n}");
+                    let prod_m = ctx.mont_mul(am, bm);
+                    assert_eq!(ctx.from_mont(&prod_m), expected, "mont_mul, {what}");
+                    assert_eq!(ctx.mod_mul(a, b), expected, "mod_mul, {what}");
+                    let mut out = vec![u64::MAX; s]; // stale contents must not leak
+                    cios::mont_mul_into(&mut out, &ap, &bm.to_padded_limbs(s), n.limbs(), n0);
+                    assert_eq!(out, prod_m.to_padded_limbs(s), "mont_mul_into, {what}");
+                }
+                let expected = &(a * a) % &n;
+                let sq_m = ctx.mont_sqr(am);
+                assert_eq!(
+                    ctx.from_mont(&sq_m),
+                    expected,
+                    "mont_sqr, {s} limbs: {a}² mod {n}"
+                );
+                let mut out = vec![u64::MAX; s];
+                scratch.fill(u64::MAX);
+                cios::mont_sqr_into(&mut out, &mut scratch, &ap, n.limbs(), n0);
+                assert_eq!(
+                    out,
+                    sq_m.to_padded_limbs(s),
+                    "mont_sqr_into, {s} limbs: {a}²"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn exponentiations_match_square_and_multiply_at_limb_boundaries() {
+    for s in WIDTHS {
+        let exps = edge_exponents(s);
+        for n in edge_moduli(s) {
+            let ctx = mpint::MontgomeryCtx::new(&n).unwrap();
+            for base in edge_operands(&n) {
+                let base_m = ctx.to_mont(&base);
+                for exp in &exps {
+                    let expected = naive_pow(&base, exp, &n);
+                    let what = format!("{s} limbs: {base}^{exp} mod {n}");
+                    for window in [1, 4, modpow::window_size_for(exp.bit_len())] {
+                        let got = ctx.from_mont(&modpow::mod_pow_mont(&ctx, &base_m, exp, window));
+                        assert_eq!(got, expected, "mod_pow_mont w={window}, {what}");
+                    }
+                    // The ladder over the exact bound and over a padded one.
+                    for bits in [exp.bit_len(), exp.bit_len() + 3] {
+                        let got = modpow::mod_pow_ct(&ctx, &base, exp, bits);
+                        assert_eq!(got, expected, "mod_pow_ct over {bits} bits, {what}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn multi_exp_matches_naive_product_at_limb_boundaries() {
+    for s in WIDTHS {
+        let exp_pool = edge_exponents(s);
+        for n in edge_moduli(s) {
+            let ctx = mpint::MontgomeryCtx::new(&n).unwrap();
+            let bases = edge_operands(&n);
+            // Every base paired with a different exponent, zero included.
+            let exps: Vec<Natural> = (0..bases.len())
+                .map(|i| exp_pool[i % exp_pool.len()].clone())
+                .collect();
+            // The zero base meets the zero exponent here (0^0 = 1, the
+            // skipped-table path) and a live one in the rotation below.
+            let mut expected = &Natural::one() % &n;
+            for (b, e) in bases.iter().zip(&exps) {
+                expected = &(&expected * &naive_pow(b, e, &n)) % &n;
+            }
+            let bases_m: Vec<Natural> = bases.iter().map(|b| ctx.to_mont(b)).collect();
+            for window in [1, 4, straus::straus_window_for(65)] {
+                let got = ctx.from_mont(&straus::multi_exp_mont(&ctx, &bases_m, &exps, window));
+                assert_eq!(got, expected, "{s} limbs, window {window}, mod {n}");
+            }
+            assert_eq!(
+                straus::multi_exp_ctx(&ctx, &bases, &exps),
+                expected,
+                "{s} limbs, mod {n}"
+            );
+            let mut rotated = exps.clone();
+            rotated.rotate_left(1);
+            assert!(
+                straus::multi_exp_ctx(&ctx, &bases, &rotated).is_zero(),
+                "{s} limbs: a zero base with a nonzero exponent zeroes the product"
+            );
+        }
     }
 }

@@ -118,16 +118,17 @@ if ! ./target/release/bench_rounds $BR_ARGS 2>&1 | tee $R/bench_rounds.txt; then
 fi
 echo
 
-# Thread-count invariance gate: the tier-1 test suite must pass both
-# pinned to one worker and at the host's full width (the pool reads
-# RAYON_NUM_THREADS at first use).
+# Thread-count invariance gate: the tier-1 test suite — every crate of the
+# workspace, not just the root package — must pass both pinned to one
+# worker and at the host's full width (the pool reads RAYON_NUM_THREADS at
+# first use).
 echo "=== tier-1 tests: RAYON_NUM_THREADS=1 ==="
-if ! RAYON_NUM_THREADS=1 cargo test -q --release 2>&1 | tail -40; then
+if ! RAYON_NUM_THREADS=1 cargo test -q --release --workspace 2>&1 | tail -40; then
   echo "HARNESS_FAILED: tests under RAYON_NUM_THREADS=1"
   exit 1
 fi
 echo "=== tier-1 tests: unbounded pool ==="
-if ! cargo test -q --release 2>&1 | tail -40; then
+if ! cargo test -q --release --workspace 2>&1 | tail -40; then
   echo "HARNESS_FAILED: tests under unbounded pool"
   exit 1
 fi
