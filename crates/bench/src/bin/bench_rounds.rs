@@ -9,7 +9,7 @@
 //! same parties and seeds:
 //!
 //! * **sequential** — `EngineConfig::sequential()` on a single-stream
-//!   NIC: the classic loop's accounting (elapsed == work).
+//!   NIC: nothing overlaps (elapsed == work).
 //! * **pipelined** — `EngineConfig::default()` on a 4-stream duplex
 //!   NIC with mild compute heterogeneity: encrypts stagger, transfers
 //!   overlap, folds stream behind the uplink.

@@ -588,19 +588,6 @@ impl Accelerator {
         Ok(values)
     }
 
-    /// Full secure-aggregation round for one party's view: encrypt every
-    /// party's vector, aggregate, decrypt the averaged sum. Returns the
-    /// element-wise *sums* (caller divides for the mean).
-    pub fn secure_sum(&self, parties: &[Vec<f64>], seed: u64) -> Result<Vec<f64>> {
-        let encrypted: Result<Vec<EncryptedVector>> = parties
-            .iter()
-            .enumerate()
-            .map(|(k, v)| self.encrypt(v, seed.wrapping_add(k as u64)))
-            .collect();
-        let agg = self.aggregate(&encrypted?)?;
-        self.decrypt_sum(&agg, crate::count_u32(parties.len()))
-    }
-
     /// Accumulated backend timing since the last [`Accelerator::take_timing`].
     pub fn timing(&self) -> AccelTiming {
         *self.timing.lock()
@@ -715,21 +702,6 @@ mod tests {
             eb.ciphertext_count()
         );
         assert!(eb.bytes() < ef.bytes());
-    }
-
-    #[test]
-    fn secure_sum_matches_plain_sum() {
-        let keys = keys();
-        let acc = Accelerator::new(BackendKind::FlBooster, keys, 4).unwrap();
-        let parties: Vec<Vec<f64>> = (0..4).map(|k| grads(20 + k)).collect();
-        // Vectors of different lengths must panic in aggregate...
-        let same: Vec<Vec<f64>> = (0..4).map(|_| grads(20)).collect();
-        let sums = acc.secure_sum(&same, 3).unwrap();
-        for i in 0..20 {
-            let expected: f64 = same.iter().map(|p| p[i]).sum();
-            assert!((sums[i] - expected).abs() < 4e-8, "i={i}");
-        }
-        let _ = parties;
     }
 
     #[test]

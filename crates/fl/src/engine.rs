@@ -1,12 +1,14 @@
-//! Event-driven pipelined round engine.
+//! The secure-aggregation round: one event-driven loop for every model.
 //!
-//! The classic loop in [`FlEnv::aggregation_round`] runs one secure-
-//! aggregation round as four sequential barriers: *every* client
-//! encrypts, then *every* ciphertext crosses the wire, then the server
-//! folds, then the broadcast. Real deployments overlap those stages —
-//! client 0's ciphertext is folding at the server while client 7 is
-//! still encrypting. This module reproduces that overlap on a
-//! deterministic simulated timeline.
+//! One round (the paper's Fig. 2) has every client compute locally,
+//! encrypt its vector, and upload it; the server folds the ciphertexts
+//! homomorphically and broadcasts the aggregate; every client decrypts.
+//! [`run_round`] is the only implementation of that round — all four
+//! models enter it, configured by
+//! [`TrainConfig::engine`](crate::train::TrainConfig::engine). Real
+//! deployments overlap the stages — client 0's ciphertext is folding at
+//! the server while client 7 is still encrypting — and the engine
+//! reproduces that overlap on a deterministic simulated timeline.
 //!
 //! # Event model
 //!
@@ -34,22 +36,23 @@
 //!   ever depends on wall clock.
 //! - Paillier aggregation multiplies canonical residues mod `n²` — a
 //!   commutative, associative product — so folding ciphertexts in
-//!   *arrival* order is bit-identical to the sequential index-order
-//!   fold, and every add costs the same simulated seconds regardless of
-//!   order.
+//!   *arrival* order is bit-identical to an index-order fold, and every
+//!   add costs the same simulated seconds regardless of order.
 //!
 //! # Charging
 //!
-//! The engine charges exactly the component totals the sequential loop
-//! charges — work is invariant under reordering; only the *elapsed*
-//! [`round_seconds`](crate::metrics::EpochBreakdown::round_seconds)
-//! (the event timeline's critical path) shrinks when `pipelined` is
-//! set. With `pipelined` off the engine charges elapsed equal to the
-//! phase total, matching the classic loop bit-for-bit on the default
-//! flat topology. (On tree topologies the engine charges each hop at
-//! the *partial* aggregate's true wire size where the classic loop
-//! approximates every hop at the root aggregate's size — the engine is
-//! the more faithful account.)
+//! Every second goes through
+//! [`EpochBreakdown::charge_work`](crate::metrics::EpochBreakdown::charge_work).
+//! Clients run in parallel on their own machines and are symmetric, so
+//! client-side compute, encrypt, and decrypt are charged once (the
+//! survivor mean); server-side folds and all NIC traffic are serial and
+//! charged in full. Work is invariant under reordering: `pipelined`
+//! changes only the *elapsed*
+//! [`round_seconds`](crate::metrics::EpochBreakdown::round_seconds).
+//! With `pipelined` off every charge also elapses, so elapsed equals the
+//! work total; with it on the engine adds the event timeline's critical
+//! path once at the end of the round. Tree topologies charge each hop
+//! at the partial aggregate's true wire size.
 //!
 //! # Stragglers
 //!
@@ -77,7 +80,7 @@ use std::collections::BinaryHeap;
 use rayon::prelude::*;
 
 use crate::backend::EncryptedVector;
-use crate::metrics::EpochBreakdown;
+use crate::metrics::{Charge, EpochBreakdown};
 use crate::net::LinkSchedule;
 use crate::train::{FlEnv, TrainConfig};
 use crate::{Error, Result};
@@ -88,8 +91,7 @@ use crate::{Error, Result};
 pub struct EngineConfig {
     /// Overlap phases on the event timeline. When false the engine
     /// still runs the event machinery (and straggler semantics) but
-    /// charges elapsed time equal to the work total, reproducing the
-    /// sequential loop's accounting.
+    /// charges elapsed time equal to the work total.
     pub pipelined: bool,
     /// Local deadline in simulated seconds: a client whose
     /// `compute + encrypt` exceeds it is dropped from the round.
@@ -118,7 +120,8 @@ impl Default for EngineConfig {
 
 impl EngineConfig {
     /// A non-overlapping engine: same event machinery and straggler
-    /// rules, sequential-loop accounting.
+    /// rules, elapsed time equal to work. This is
+    /// [`TrainConfig`]'s default.
     pub fn sequential() -> Self {
         EngineConfig {
             pipelined: false,
@@ -241,91 +244,6 @@ impl RoundOutcome {
     }
 }
 
-/// Mean per-client local-compute seconds:
-/// `(Σ flops[k] · multipliers[k % len]) / n · sec_per_flop`.
-///
-/// Both the engine and the classic Homo LR loop charge local compute
-/// through this exact expression, so their "Others" attribution stays
-/// bit-identical when the engine runs with homogeneous clients.
-pub fn mean_compute_seconds(client_flops: &[u64], multipliers: &[f64], sec_per_flop: f64) -> f64 {
-    if client_flops.is_empty() {
-        return 0.0;
-    }
-    let mut sum = 0.0;
-    for (k, &flops) in client_flops.iter().enumerate() {
-        let m = if multipliers.is_empty() {
-            1.0
-        } else {
-            multipliers[k % multipliers.len()]
-        };
-        sum += flops as f64 * m;
-    }
-    sum / client_flops.len() as f64 * sec_per_flop
-}
-
-/// Which pipeline phase a charge belongs to.
-#[derive(Debug, Clone, Copy)]
-enum Phase {
-    Compute,
-    Encrypt,
-    Uplink,
-    Aggregate,
-    Downlink,
-    Decrypt,
-}
-
-/// Routes every simulated second to its component (HE / comm / other),
-/// its pipeline phase, and — in sequential mode — straight into
-/// `round_seconds`, preserving the classic loop's exact add order.
-struct Charger<'a> {
-    breakdown: &'a mut EpochBreakdown,
-    sequential: bool,
-    /// Total work charged (the sequential-mode elapsed time).
-    work: f64,
-}
-
-impl Charger<'_> {
-    // flcheck: charge-sink
-    fn he(&mut self, seconds: f64, phase: Phase) {
-        self.breakdown.he_seconds += seconds;
-        self.attribute(seconds, phase);
-    }
-
-    // flcheck: charge-sink
-    fn comm(&mut self, seconds: f64, phase: Phase) {
-        self.breakdown.comm_seconds += seconds;
-        self.attribute(seconds, phase);
-    }
-
-    // flcheck: charge-sink
-    fn other(&mut self, seconds: f64, phase: Phase) {
-        self.breakdown.other_seconds += seconds;
-        self.attribute(seconds, phase);
-    }
-
-    // flcheck: charge-sink
-    fn wire(&mut self, bytes: u64, ciphertexts: u64) {
-        self.breakdown.comm_bytes += bytes;
-        self.breakdown.ciphertexts += ciphertexts;
-    }
-
-    fn attribute(&mut self, seconds: f64, phase: Phase) {
-        let slot = match phase {
-            Phase::Compute => &mut self.breakdown.phases.compute_seconds,
-            Phase::Encrypt => &mut self.breakdown.phases.encrypt_seconds,
-            Phase::Uplink => &mut self.breakdown.phases.uplink_seconds,
-            Phase::Aggregate => &mut self.breakdown.phases.aggregate_seconds,
-            Phase::Downlink => &mut self.breakdown.phases.downlink_seconds,
-            Phase::Decrypt => &mut self.breakdown.phases.decrypt_seconds,
-        };
-        *slot += seconds;
-        self.work += seconds;
-        if self.sequential {
-            self.breakdown.round_seconds += seconds;
-        }
-    }
-}
-
 /// Who delivered a ciphertext to an aggregator node.
 #[derive(Debug, Clone, Copy)]
 enum Source {
@@ -418,12 +336,14 @@ fn internal_error(what: &str) -> Error {
     Error::BadConfig(format!("round engine internal invariant broken: {what}"))
 }
 
-/// Runs one pipelined secure-aggregation round over `parties` gradient
+/// Runs one secure-aggregation round over `parties` same-length
 /// vectors, charging `breakdown` and returning the surviving sums.
 ///
 /// `client_flops` holds each client's local-compute cost for the round
 /// (same length as `parties`); the engine scales it by the configured
-/// heterogeneity multipliers to stagger the timeline.
+/// heterogeneity multipliers to stagger the timeline and charges the
+/// survivor mean. A caller that charges its own local compute passes
+/// zeros.
 pub fn run_round(
     env: &FlEnv,
     engine: &EngineConfig,
@@ -443,6 +363,15 @@ pub fn run_round(
             "engine round: {} parties but {} flop counts",
             p,
             client_flops.len()
+        )));
+    }
+    // Slot-wise aggregation needs same-shaped vectors; reject a ragged
+    // round here, before any ciphertext reaches the fold.
+    let values = parties[0].len();
+    if let Some((k, v)) = parties.iter().enumerate().find(|(_, v)| v.len() != values) {
+        return Err(Error::BadConfig(format!(
+            "engine round: party {k} has {} values but party 0 has {values}",
+            v.len()
         )));
     }
 
@@ -497,13 +426,16 @@ pub fn run_round(
     }
     let n = survivors.len() as f64;
 
-    let mut charger = Charger {
-        breakdown,
-        sequential: !engine.pipelined,
-        work: 0.0,
+    // Every charge is work; with pipelining off it also elapses, so the
+    // round's elapsed time is the running work total.
+    let serial = !engine.pipelined;
+    let mut work = 0.0;
+    let mut charge = |b: &mut EpochBreakdown, kind: Charge, seconds: f64| {
+        b.charge_work(kind, seconds, serial);
+        work += seconds;
     };
 
-    // --- Client-side charges (survivor means, classic-loop order). ---
+    // --- Client-side charges (survivor means). ---
     let mut flops_sum = 0.0;
     let mut enc_he_sum = 0.0;
     let mut enc_codec_sum = 0.0;
@@ -512,22 +444,23 @@ pub fn run_round(
         enc_he_sum += enc_timings[k].he_seconds;
         enc_codec_sum += enc_timings[k].codec_seconds;
     }
-    charger.other(flops_sum / n * cfg.sec_per_flop, Phase::Compute);
-    charger.he(enc_he_sum / n, Phase::Encrypt);
-    charger.other(enc_codec_sum / n, Phase::Encrypt);
-    charger.breakdown.he_values += parties[0].len() as u64;
+    charge(breakdown, Charge::Compute, flops_sum / n * cfg.sec_per_flop);
+    charge(breakdown, Charge::EncryptHe, enc_he_sum / n);
+    charge(breakdown, Charge::EncryptCodec, enc_codec_sum / n);
+    breakdown.he_values += values as u64;
 
     // --- Uplink costs, charged in client index order (the network's
     // drop-retry randomness, when enabled, must consume its stream in
-    // the same order as the sequential loop). ---
+    // the same order at every thread count). ---
     let mut uplink_dur = vec![0.0f64; p];
     for &k in &survivors {
         let Some(ev) = client_cts[k].as_ref() else {
             return Err(internal_error("survivor ciphertext missing"));
         };
         let d = env.network.send(ev.ciphertext_count(), ev.bytes())?;
-        charger.comm(d, Phase::Uplink);
-        charger.wire(ev.bytes(), ev.ciphertext_count());
+        charge(breakdown, Charge::Uplink, d);
+        breakdown.comm_bytes += ev.bytes();
+        breakdown.ciphertexts += ev.ciphertext_count();
         uplink_dur[k] = d;
     }
 
@@ -647,8 +580,9 @@ pub fn run_round(
                     // Hop one level up: charged at the partial's true
                     // wire size, overlapped on the same link schedule.
                     let d = env.network.send(cts, bytes)?;
-                    charger.comm(d, Phase::Uplink);
-                    charger.wire(bytes, cts);
+                    charge(breakdown, Charge::Uplink, d);
+                    breakdown.comm_bytes += bytes;
+                    breakdown.ciphertexts += cts;
                     let (_start, finish) = link.admit(now, d);
                     queue.push(
                         finish,
@@ -678,7 +612,7 @@ pub fn run_round(
         (Some(a), Some(t)) => (a, t),
         _ => return Err(internal_error("aggregation never completed")),
     };
-    charger.he(agg_he_total, Phase::Aggregate);
+    charge(breakdown, Charge::Aggregate, agg_he_total);
 
     // --- Downlink: broadcast the aggregate to every survivor. ---
     let mut broadcast_total = 0.0;
@@ -692,19 +626,17 @@ pub fn run_round(
             last_downlink = finish;
         }
     }
-    charger.comm(broadcast_total, Phase::Downlink);
-    charger.wire(
-        survivors.len() as u64 * agg.bytes(),
-        survivors.len() as u64 * agg.ciphertext_count(),
-    );
+    charge(breakdown, Charge::Downlink, broadcast_total);
+    breakdown.comm_bytes += survivors.len() as u64 * agg.bytes();
+    breakdown.ciphertexts += survivors.len() as u64 * agg.ciphertext_count();
 
     // --- Real work, phase 3: decrypt (clients are symmetric; one
-    // client's cost is charged, as in the classic loop). ---
+    // client's cost is charged). ---
     let (sums, dec_t) = env
         .accel
         .decrypt_sum_timed(&agg, crate::count_u32(survivors.len()))?;
-    charger.he(dec_t.he_seconds, Phase::Decrypt);
-    charger.other(dec_t.codec_seconds, Phase::Decrypt);
+    charge(breakdown, Charge::DecryptHe, dec_t.he_seconds);
+    charge(breakdown, Charge::DecryptCodec, dec_t.codec_seconds);
     let decrypt_dur = dec_t.he_seconds + dec_t.codec_seconds;
     for &k in &survivors {
         timelines[k].decrypt_done = timelines[k].downlink_done + decrypt_dur;
@@ -712,13 +644,15 @@ pub fn run_round(
     }
 
     let round_seconds = if engine.pipelined {
-        last_downlink + decrypt_dur
+        // The one elapsed-time write outside `charge_work`: overlapped
+        // work was charged off the clock, so the critical path goes on
+        // it here, once.
+        let critical_path = last_downlink + decrypt_dur;
+        breakdown.round_seconds += critical_path;
+        critical_path
     } else {
-        charger.work
+        work
     };
-    if engine.pipelined {
-        charger.breakdown.round_seconds += round_seconds;
-    }
 
     Ok(RoundOutcome {
         sums,
@@ -817,29 +751,53 @@ mod tests {
 
     #[test]
     fn sequential_engine_matches_classic_loop_exactly() {
-        // Same keys, same seeds, same parties: the engine with
-        // pipelining off must reproduce the classic loop's sums and its
-        // breakdown bit-for-bit (components, phases, round_seconds).
+        // The barrier-by-barrier loop this engine replaced (every client
+        // encrypts, then every upload, then the fold, then the
+        // broadcast) charged this fixed 5-party round the values below,
+        // captured from it bit-for-bit before it was deleted. The engine
+        // with pipelining off must keep reproducing them: components,
+        // phases, round_seconds, wire counters, and the decrypted sums.
+        let s = f64::from_bits;
+        let golden = EpochBreakdown {
+            he_seconds: s(0x3e778f642238c62c),
+            comm_seconds: s(0x3f75ff1ad2bf2a22),
+            other_seconds: s(0x3f21f82dac3e3f8a),
+            comm_bytes: 1280,
+            ciphertexts: 40,
+            he_values: 12,
+            phases: crate::metrics::PhaseBreakdown {
+                compute_seconds: s(0x3ef1ed2c2c9d86a8),
+                encrypt_seconds: s(0x3f0f76ee79a085a3),
+                uplink_seconds: s(0x3f65ff1ad2bf2a22),
+                aggregate_seconds: s(0x3e51dedf9ae672d1),
+                downlink_seconds: s(0x3f65ff1ad2bf2a22),
+                decrypt_seconds: s(0x3f0f7cbdf72774c6),
+            },
+            round_seconds: s(0x3f768ef3cf853e58),
+        };
+        let golden_sums = [
+            0x3fae6eccd0f37680u64,
+            0x3fb087d6b8843ec0,
+            0x3fb044d7f88226c0,
+            0x3face99af0e74d00,
+            0x3fa687e810b43f80,
+            0x3f9c00aca0e00500,
+            0x3f808c3fc0846200,
+            0xbf887cb440c3e600,
+            0xbf9f980560fcc000,
+            0xbfa7f75170bfba80,
+            0xbfadd9ba70eece00,
+            0xbfb071d0c8838e80,
+        ];
+
         let grads = parties(5, 12);
         let flops: Vec<u64> = (0..5).map(|k| 4000 + 137 * k as u64).collect();
-        let tcfg = TrainConfig::default();
-
-        let classic_env = env_with(BackendKind::FlBooster, 1);
-        let mut classic = EpochBreakdown::default();
-        classic_env.charge_local_seconds(
-            mean_compute_seconds(&flops, &[], tcfg.sec_per_flop),
-            &mut classic,
-        );
-        let classic_sums = classic_env
-            .aggregation_round(&grads, 99, &mut classic)
-            .unwrap();
-
-        let engine_env = env_with(BackendKind::FlBooster, 1);
+        let env = env_with(BackendKind::FlBooster, 1);
         let mut engined = EpochBreakdown::default();
         let out = run_round(
-            &engine_env,
+            &env,
             &EngineConfig::sequential(),
-            &tcfg,
+            &TrainConfig::default(),
             &grads,
             &flops,
             99,
@@ -847,12 +805,64 @@ mod tests {
         )
         .unwrap();
 
-        assert_eq!(out.sums, classic_sums);
+        let sums: Vec<u64> = out.sums.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(sums, golden_sums);
         assert_eq!(out.survivors, vec![0, 1, 2, 3, 4]);
         assert!(out.dropped.is_empty());
-        assert_eq!(engined, classic);
-        assert_eq!(engine_env.network.stats(), classic_env.network.stats());
+        assert_eq!(engined, golden);
         assert_eq!(out.round_seconds, engined.round_seconds);
+        let net = env.network.stats();
+        assert_eq!((net.messages, net.ciphertexts, net.bytes), (10, 40, 1280));
+        assert_eq!((net.seconds, net.retries), (0.005370239999999999, 0));
+    }
+
+    #[test]
+    fn round_sums_match_plain_sums() {
+        let env = env_with(BackendKind::FlBooster, 1);
+        let same: Vec<Vec<f64>> = (0..4)
+            .map(|_| (0..20).map(|i| ((i as f64) * 0.37).sin() * 0.8).collect())
+            .collect();
+        let mut b = EpochBreakdown::default();
+        let out = run_round(
+            &env,
+            &EngineConfig::sequential(),
+            &TrainConfig::default(),
+            &same,
+            &[0; 4],
+            3,
+            &mut b,
+        )
+        .unwrap();
+        for i in 0..20 {
+            let expected: f64 = same.iter().map(|p| p[i]).sum();
+            assert!((out.sums[i] - expected).abs() < 4e-8, "i={i}");
+        }
+    }
+
+    #[test]
+    fn ragged_party_vectors_are_rejected_before_any_work() {
+        // Unequal lengths must never reach the fold, whose shape assert
+        // would panic mid-round: the round refuses them at entry.
+        let env = env_with(BackendKind::FlBooster, 1);
+        let mut ragged = parties(4, 20);
+        ragged[2].push(0.25);
+        let mut b = EpochBreakdown::default();
+        let err = run_round(
+            &env,
+            &EngineConfig::default(),
+            &TrainConfig::default(),
+            &ragged,
+            &[0; 4],
+            3,
+            &mut b,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "bad configuration: engine round: party 2 has 21 values but party 0 has 20"
+        );
+        assert_eq!(b, EpochBreakdown::default(), "nothing charged");
+        assert_eq!(env.network.stats().messages, 0, "nothing sent");
     }
 
     #[test]
@@ -1058,14 +1068,5 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, Error::BadConfig(_)));
-    }
-
-    #[test]
-    fn mean_compute_seconds_tiles_multipliers() {
-        assert_eq!(mean_compute_seconds(&[], &[], 1.0), 0.0);
-        assert_eq!(mean_compute_seconds(&[10, 10], &[], 0.5), 5.0);
-        // Multipliers tile: [2, 4, 2, 4].
-        let m = mean_compute_seconds(&[10, 10, 10, 10], &[2.0, 4.0], 1.0);
-        assert_eq!(m, 30.0);
     }
 }

@@ -15,14 +15,14 @@
 /// aggregation, downlink transfer, and client-side decrypt (incl.
 /// unpack).
 ///
-/// Every simulated second charged to the classic three-component split
-/// ([`EpochBreakdown::he_seconds`] / `comm_seconds` / `other_seconds`) is
-/// also charged to exactly one phase, so [`PhaseBreakdown::total`] always
-/// matches [`EpochBreakdown::total_seconds`] (up to f64 re-association)
-/// — pinned by a regression test. The phases exist so pipeline overlap is
-/// directly measurable: phase totals are *work*, while
-/// [`EpochBreakdown::round_seconds`] is *elapsed* simulated time, and the
-/// gap between them is exactly what the event-driven engine hides.
+/// [`EpochBreakdown::charge`] lands every simulated second in one
+/// component ([`EpochBreakdown::he_seconds`] / `comm_seconds` /
+/// `other_seconds`) and one phase, so [`PhaseBreakdown::total`] always
+/// matches [`EpochBreakdown::total_seconds`] (up to f64 re-association).
+/// The phases exist so pipeline overlap is directly measurable: phase
+/// totals are *work*, while [`EpochBreakdown::round_seconds`] is
+/// *elapsed* simulated time, and the gap between them is exactly what
+/// the event-driven engine hides.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseBreakdown {
     /// Local model computation (gradients, encode-side flops).
@@ -61,6 +61,33 @@ impl PhaseBreakdown {
     }
 }
 
+/// What a charged simulated second paid for.
+///
+/// The encrypt and decrypt phases each mix HE seconds with codec
+/// ("Others") seconds, so the Others / HE / Communication split is not a
+/// projection of the six phases: a kind names both, and
+/// [`EpochBreakdown::charge`] maps it to exactly one component and one
+/// phase.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Charge {
+    /// Local model computation.
+    Compute,
+    /// Client-side encryption (HE).
+    EncryptHe,
+    /// Client-side quantize + pack before encryption.
+    EncryptCodec,
+    /// Client → aggregator transfer (incl. edge-aggregator hops).
+    Uplink,
+    /// Homomorphic folding at the aggregator(s) (HE).
+    Aggregate,
+    /// Aggregator → client broadcast.
+    Downlink,
+    /// Client-side decryption (HE).
+    DecryptHe,
+    /// Client-side unpack + dequantize after decryption.
+    DecryptCodec,
+}
+
 /// Simulated seconds of one epoch, attributed to the paper's three
 /// components.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -78,21 +105,46 @@ pub struct EpochBreakdown {
     pub ciphertexts: u64,
     /// Gradient components that passed through HE.
     pub he_values: u64,
-    /// The same seconds re-attributed to the six pipeline phases. Every
-    /// slot is **simulated seconds** (never bytes, limb-mults, or
-    /// message counts — the `charge-unphased` unit-flow rule holds the
-    /// charging paths to this), and each charged second lands in exactly
-    /// one slot.
+    /// The same seconds re-attributed to the six pipeline phases: each
+    /// charged second lands in exactly one slot.
     pub phases: PhaseBreakdown,
     /// *Elapsed* simulated seconds: the critical path after the round
-    /// engine overlaps phases on the event timeline. Sequential paths
-    /// charge this equal to the phase total (no overlap), so
-    /// [`EpochBreakdown::overlap_speedup`] is 1.0 unless the pipelined
-    /// engine ran.
+    /// engine overlaps phases on the event timeline. Serial charges add
+    /// their seconds here too, so [`EpochBreakdown::overlap_speedup`] is
+    /// 1.0 unless the pipelined engine ran.
     pub round_seconds: f64,
 }
 
 impl EpochBreakdown {
+    /// Charges `seconds` of `kind` work that nothing overlaps: they
+    /// count as work and also elapse on the round clock.
+    pub fn charge(&mut self, kind: Charge, seconds: f64) {
+        self.charge_work(kind, seconds, true);
+    }
+
+    /// Charges `seconds` of `kind` work to its component and its phase —
+    /// the only place either attribution is written, so the two cannot
+    /// drift. When `serial`, the seconds also elapse on the round clock;
+    /// the pipelined round engine passes `false` and adds its critical
+    /// path to [`round_seconds`](Self::round_seconds) once per round.
+    pub fn charge_work(&mut self, kind: Charge, seconds: f64, serial: bool) {
+        let (component, phase) = match kind {
+            Charge::Compute => (&mut self.other_seconds, &mut self.phases.compute_seconds),
+            Charge::EncryptHe => (&mut self.he_seconds, &mut self.phases.encrypt_seconds),
+            Charge::EncryptCodec => (&mut self.other_seconds, &mut self.phases.encrypt_seconds),
+            Charge::Uplink => (&mut self.comm_seconds, &mut self.phases.uplink_seconds),
+            Charge::Aggregate => (&mut self.he_seconds, &mut self.phases.aggregate_seconds),
+            Charge::Downlink => (&mut self.comm_seconds, &mut self.phases.downlink_seconds),
+            Charge::DecryptHe => (&mut self.he_seconds, &mut self.phases.decrypt_seconds),
+            Charge::DecryptCodec => (&mut self.other_seconds, &mut self.phases.decrypt_seconds),
+        };
+        *component += seconds;
+        *phase += seconds;
+        if serial {
+            self.round_seconds += seconds;
+        }
+    }
+
     /// Total epoch seconds.
     pub fn total_seconds(&self) -> f64 {
         self.he_seconds + self.comm_seconds + self.other_seconds
@@ -279,6 +331,41 @@ mod tests {
         assert_eq!(a.he_values, 100);
         assert_eq!(a.phases.total(), 9.0);
         assert_eq!(a.round_seconds, 9.0);
+    }
+
+    #[test]
+    fn every_charge_kind_lands_in_one_component_and_one_phase() {
+        // (kind, component it must land in, phase slot it must land in)
+        let he = |b: &EpochBreakdown| b.he_seconds;
+        let comm = |b: &EpochBreakdown| b.comm_seconds;
+        let other = |b: &EpochBreakdown| b.other_seconds;
+        type Get = fn(&EpochBreakdown) -> f64;
+        let cases: [(Charge, Get, Get); 8] = [
+            (Charge::Compute, other, |b| b.phases.compute_seconds),
+            (Charge::EncryptHe, he, |b| b.phases.encrypt_seconds),
+            (Charge::EncryptCodec, other, |b| b.phases.encrypt_seconds),
+            (Charge::Uplink, comm, |b| b.phases.uplink_seconds),
+            (Charge::Aggregate, he, |b| b.phases.aggregate_seconds),
+            (Charge::Downlink, comm, |b| b.phases.downlink_seconds),
+            (Charge::DecryptHe, he, |b| b.phases.decrypt_seconds),
+            (Charge::DecryptCodec, other, |b| b.phases.decrypt_seconds),
+        ];
+        for (kind, component, phase) in cases {
+            let mut b = EpochBreakdown::default();
+            b.charge(kind, 1.5);
+            assert_eq!(component(&b), 1.5, "{kind:?} component");
+            assert_eq!(phase(&b), 1.5, "{kind:?} phase");
+            assert_eq!(b.total_seconds(), 1.5, "{kind:?}: one component only");
+            assert_eq!(b.phases.total(), 1.5, "{kind:?}: one phase only");
+            assert_eq!(b.round_seconds, 1.5, "{kind:?}: serial seconds elapse");
+
+            // Overlapped work is the same attribution off the round clock.
+            let mut w = EpochBreakdown::default();
+            w.charge_work(kind, 1.5, false);
+            assert_eq!(w.round_seconds, 0.0, "{kind:?}");
+            w.round_seconds = 1.5;
+            assert_eq!(w, b, "{kind:?}");
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 
 use crate::data::{vertical_split, Dataset, VerticalShard};
 use crate::metrics::{EpochBreakdown, EpochResult};
-use crate::models::{scale_down, scale_up};
+use crate::models::sum_scores;
 use crate::optim::{Adam, Optimizer};
 use crate::train::{logloss, sigmoid, FlEnv, FlModel, TrainConfig};
 use crate::{Error, Result};
@@ -123,11 +123,11 @@ impl FlModel for HeteroLr {
             let mut flops = 0u64;
             for k in 0..p {
                 let (u_k, f) = self.partial_scores(k, range);
-                score_parts.push(scale_down(&u_k));
+                score_parts.push(u_k);
                 flops += f;
             }
             env.charge_local_compute(flops / p as u64, cfg, &mut breakdown);
-            let u = scale_up(&env.aggregation_round(&score_parts, seed, &mut breakdown)?);
+            let u = sum_scores(env, cfg, &score_parts, seed, &mut breakdown)?;
 
             // (3) residuals, encrypted broadcast to the passive parties.
             let d: Vec<f64> = range

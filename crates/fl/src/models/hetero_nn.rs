@@ -28,7 +28,7 @@ use rand_chacha::ChaCha8Rng;
 
 use crate::data::{vertical_split, Dataset, VerticalShard};
 use crate::metrics::{EpochBreakdown, EpochResult};
-use crate::models::{scale_down, scale_up};
+use crate::models::{scale_down, scale_up, sum_scores};
 use crate::optim::{Adam, Optimizer};
 use crate::train::{logloss, sigmoid, FlEnv, FlModel, TrainConfig};
 use crate::{Error, Result};
@@ -168,11 +168,11 @@ impl FlModel for HeteroNn {
             let mut flops = 0u64;
             for k in 0..p {
                 let (zk, f) = self.partial_activations(k, &range);
-                parts.push(scale_down(&zk));
+                parts.push(zk);
                 flops += f;
             }
             env.charge_local_compute(flops / p as u64, cfg, &mut breakdown);
-            let z = scale_up(&env.aggregation_round(&parts, seed, &mut breakdown)?);
+            let z = sum_scores(env, cfg, &parts, seed, &mut breakdown)?;
 
             // (2) top model forward + output error (active party).
             let mut hidden = vec![0.0; b * HIDDEN];

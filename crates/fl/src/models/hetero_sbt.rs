@@ -27,7 +27,7 @@ use he::paillier::Ciphertext;
 use mpint::Natural;
 
 use crate::data::{vertical_split, Dataset, VerticalShard};
-use crate::metrics::{EpochBreakdown, EpochResult};
+use crate::metrics::{Charge, EpochBreakdown, EpochResult};
 use crate::train::{logloss, sigmoid, FlEnv, FlModel, TrainConfig};
 use crate::{Error, Result};
 
@@ -325,14 +325,9 @@ impl FlModel for HeteroSbt {
         // Direct he_backend() use must report back, or the accelerator's
         // own timing accumulator misses every SBT HE operation.
         env.accel.charge_external(&t, plaintexts.len());
-        breakdown.he_seconds += t.sim_seconds;
-        breakdown.phases.encrypt_seconds += t.sim_seconds;
-        breakdown.round_seconds += t.sim_seconds;
+        breakdown.charge(Charge::EncryptHe, t.sim_seconds);
         breakdown.he_values += 2 * n as u64;
-        let encode_t = n as f64 * 4.0e-8; // encode/pack
-        breakdown.other_seconds += encode_t;
-        breakdown.phases.encrypt_seconds += encode_t;
-        breakdown.round_seconds += encode_t;
+        breakdown.charge(Charge::EncryptCodec, n as f64 * 4.0e-8); // encode/pack
 
         let gh_bytes: u64 = gh_cts.iter().map(|c| c.wire_size_bytes() as u64).sum();
         let passive = self.shards.len().saturating_sub(1) as u32;
@@ -340,9 +335,7 @@ impl FlModel for HeteroSbt {
             let t = env
                 .network
                 .broadcast(passive, gh_cts.len() as u64, gh_bytes)?;
-            breakdown.comm_seconds += t;
-            breakdown.phases.downlink_seconds += t;
-            breakdown.round_seconds += t;
+            breakdown.charge(Charge::Downlink, t);
             breakdown.comm_bytes += passive as u64 * gh_bytes;
             breakdown.ciphertexts += passive as u64 * gh_cts.len() as u64;
         }
@@ -475,16 +468,12 @@ impl HeteroSbt {
                     .fold_groups(pk, &groups)
                     .map_err(flbooster_core::Error::from)?;
                 env.accel.charge_external(&t, 0);
-                breakdown.he_seconds += t.sim_seconds;
-                breakdown.phases.aggregate_seconds += t.sim_seconds;
-                breakdown.round_seconds += t.sim_seconds;
+                breakdown.charge(Charge::Aggregate, t.sim_seconds);
 
                 // Bucket sums travel back to the active party...
                 let bytes: u64 = folded.iter().map(|c| c.wire_size_bytes() as u64).sum();
                 let ts = env.network.send(folded.len() as u64, bytes)?;
-                breakdown.comm_seconds += ts;
-                breakdown.phases.uplink_seconds += ts;
-                breakdown.round_seconds += ts;
+                breakdown.charge(Charge::Uplink, ts);
                 breakdown.comm_bytes += bytes;
                 breakdown.ciphertexts += folded.len() as u64;
 
@@ -493,9 +482,7 @@ impl HeteroSbt {
                     .decrypt_batch(sk, &folded)
                     .map_err(flbooster_core::Error::from)?;
                 env.accel.charge_external(&t, words.len());
-                breakdown.he_seconds += t.sim_seconds;
-                breakdown.phases.decrypt_seconds += t.sim_seconds;
-                breakdown.round_seconds += t.sim_seconds;
+                breakdown.charge(Charge::DecryptHe, t.sim_seconds);
                 breakdown.he_values += (features.len() * self.bins * 2) as u64;
 
                 for (fi, per_bin) in bucket_members.iter().enumerate() {

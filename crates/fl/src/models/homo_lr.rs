@@ -11,6 +11,7 @@
 // `num_features` and indexed by validated feature ids.
 
 use crate::data::{horizontal_split, Dataset};
+use crate::engine::run_round;
 use crate::metrics::{EpochBreakdown, EpochResult};
 use crate::optim::{Adam, Optimizer};
 use crate::train::{logloss, sigmoid, FlEnv, FlModel, TrainConfig};
@@ -117,35 +118,13 @@ impl FlModel for HomoLr {
             }
 
             let seed = cfg.seed ^ ((epoch as u64) << 24) ^ (round as u64);
-            let grad: Vec<f64> = match &cfg.engine {
-                // Event-driven round: the engine charges local compute
-                // (with its heterogeneity multipliers), overlaps the
-                // phases, and may drop stragglers — average over the
-                // clients that actually made the round.
-                Some(ecfg) => {
-                    let out = crate::engine::run_round(
-                        env,
-                        ecfg,
-                        cfg,
-                        &grads,
-                        &flops,
-                        seed,
-                        &mut breakdown,
-                    )?;
-                    let n = out.survivors.len().max(1) as f64;
-                    out.sums.iter().map(|s| s / n).collect()
-                }
-                // Classic sequential round. Clients compute in parallel:
-                // charge the mean per-client cost.
-                None => {
-                    env.charge_local_seconds(
-                        crate::engine::mean_compute_seconds(&flops, &[], cfg.sec_per_flop),
-                        &mut breakdown,
-                    );
-                    let sums = env.aggregation_round(&grads, seed, &mut breakdown)?;
-                    sums.iter().map(|s| s / p as f64).collect()
-                }
-            };
+            // The engine charges local compute (clients run in parallel:
+            // the mean per-client cost, with its heterogeneity
+            // multipliers) and may drop stragglers — average over the
+            // clients that actually made the round.
+            let out = run_round(env, &cfg.engine, cfg, &grads, &flops, seed, &mut breakdown)?;
+            let n = out.survivors.len().max(1) as f64;
+            let grad: Vec<f64> = out.sums.iter().map(|s| s / n).collect();
             self.opt.step(&mut self.weights, &grad);
         }
 

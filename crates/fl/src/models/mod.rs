@@ -9,6 +9,11 @@
 //! VII) and every simulated second is attributed to HE / communication /
 //! other (paper Fig. 1, Table VI).
 
+use crate::engine::run_round;
+use crate::metrics::EpochBreakdown;
+use crate::train::{FlEnv, TrainConfig};
+use crate::Result;
+
 mod hetero_lr;
 mod hetero_nn;
 mod hetero_sbt;
@@ -32,6 +37,23 @@ pub(crate) fn scale_down(values: &[f64]) -> Vec<f64> {
 /// Inverse of [`scale_down`], applied after decryption.
 pub(crate) fn scale_up(values: &[f64]) -> Vec<f64> {
     values.iter().map(|v| v * SCORE_SCALE).collect()
+}
+
+/// The vertical models' secure-aggregation round: element-wise sum of
+/// every party's partial scores, so the active party learns only the
+/// total. The caller charges its own local compute (an integer per-party
+/// flop share), so the engine is handed zero flops.
+pub(crate) fn sum_scores(
+    env: &FlEnv,
+    cfg: &TrainConfig,
+    parts: &[Vec<f64>],
+    seed: u64,
+    breakdown: &mut EpochBreakdown,
+) -> Result<Vec<f64>> {
+    let scaled: Vec<Vec<f64>> = parts.iter().map(|p| scale_down(p)).collect();
+    let flops = vec![0; parts.len()];
+    let out = run_round(env, &cfg.engine, cfg, &scaled, &flops, seed, breakdown)?;
+    Ok(scale_up(&out.sums))
 }
 
 #[cfg(test)]

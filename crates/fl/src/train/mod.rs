@@ -1,16 +1,17 @@
 //! The federated training loop and its cost-accounted environment.
 //!
-//! [`FlEnv`] wraps an [`Accelerator`] and a [`Network`] and provides the
-//! communication patterns the four models share — secure aggregation
-//! rounds and pairwise encrypted exchanges — charging every simulated
-//! second to the proper component of the paper's Others / HE /
-//! Communication breakdown. [`train`] runs epochs until the paper's
-//! stopping rule ("if the loss difference between two successive epochs
-//! is less than 1e-6, the model reaches convergence") or an epoch cap.
+//! [`FlEnv`] pairs an [`Accelerator`] with a [`Network`]. Secure-
+//! aggregation rounds run through [`crate::engine::run_round`], configured
+//! by [`TrainConfig::engine`]; the pairwise encrypted exchange the vertical
+//! models also need lives here. Every simulated second enters the epoch's
+//! [`EpochBreakdown`] through [`EpochBreakdown::charge`]. [`train`] runs
+//! epochs until the paper's stopping rule ("if the loss difference between
+//! two successive epochs is less than 1e-6, the model reaches convergence")
+//! or an epoch cap.
 
-use crate::backend::{Accelerator, EncryptedVector};
+use crate::backend::Accelerator;
 use crate::engine::EngineConfig;
-use crate::metrics::{EpochBreakdown, EpochResult, TrainReport};
+use crate::metrics::{Charge, EpochBreakdown, EpochResult, TrainReport};
 use crate::net::Network;
 use crate::Result;
 
@@ -33,11 +34,10 @@ pub struct TrainConfig {
     /// model for the "Others" component (calibrated to FATE's effective
     /// local-compute rate).
     pub sec_per_flop: f64,
-    /// When set, models that support it (currently Homo LR) drive their
-    /// secure-aggregation rounds through the event-driven
-    /// [round engine](crate::engine) instead of the sequential in-process
-    /// loop. `None` (the default) keeps the classic loop untouched.
-    pub engine: Option<EngineConfig>,
+    /// How every model's secure-aggregation rounds run on the
+    /// [round engine](crate::engine). The default is
+    /// [`EngineConfig::sequential`]: no phase overlap, no stragglers.
+    pub engine: EngineConfig,
 }
 
 impl Default for TrainConfig {
@@ -50,7 +50,7 @@ impl Default for TrainConfig {
             tolerance: 1e-6,
             seed: 0xF1,
             sec_per_flop: 4.0e-9,
-            engine: None,
+            engine: EngineConfig::sequential(),
         }
     }
 }
@@ -70,101 +70,6 @@ impl FlEnv {
         FlEnv { accel, network }
     }
 
-    /// One secure-aggregation round (the paper's Fig. 2): every party
-    /// encrypts its vector and uploads it; the server folds them
-    /// homomorphically and broadcasts the result; each party decrypts.
-    ///
-    /// Clients run in parallel on their own machines, so client-side HE
-    /// is charged once (they are symmetric); server-side aggregation and
-    /// all NIC traffic are serial.
-    ///
-    /// Returns element-wise sums (divide by party count for the mean).
-    pub fn aggregation_round(
-        &self,
-        parties: &[Vec<f64>],
-        seed: u64,
-        breakdown: &mut EpochBreakdown,
-    ) -> Result<Vec<f64>> {
-        let p = parties.len();
-        if p == 0 {
-            return Ok(Vec::new());
-        }
-        // Non-empty: the p == 0 case returned above.
-        // flcheck: allow(pf-index)
-        let values = parties[0].len() as u64;
-
-        // Parallel client-side encryption: charge one client's share
-        // (clients are symmetric and run on their own machines).
-        self.accel.take_timing(); // drop any stale scratch
-        let encrypted: Result<Vec<EncryptedVector>> = parties
-            .iter()
-            .enumerate()
-            .map(|(k, v)| self.accel.encrypt(v, seed.wrapping_add(k as u64)))
-            .collect();
-        let encrypted = encrypted?;
-        let enc_t = self.accel.take_timing();
-        breakdown.he_seconds += enc_t.he_seconds / p as f64;
-        breakdown.other_seconds += enc_t.codec_seconds / p as f64;
-        breakdown.phases.encrypt_seconds += enc_t.he_seconds / p as f64;
-        breakdown.phases.encrypt_seconds += enc_t.codec_seconds / p as f64;
-        breakdown.round_seconds += enc_t.he_seconds / p as f64;
-        breakdown.round_seconds += enc_t.codec_seconds / p as f64;
-        breakdown.he_values += values;
-
-        // Uploads: p messages hit the server NIC serially.
-        for ev in &encrypted {
-            let t = self.network.send(ev.ciphertext_count(), ev.bytes())?;
-            breakdown.comm_seconds += t;
-            breakdown.phases.uplink_seconds += t;
-            breakdown.round_seconds += t;
-            breakdown.comm_bytes += ev.bytes();
-            breakdown.ciphertexts += ev.ciphertext_count();
-        }
-
-        // Server-side homomorphic fold (serial), routed through the
-        // backend's aggregation topology.
-        let agg = self.accel.aggregate(&encrypted)?;
-        let agg_t = self.accel.take_timing();
-        breakdown.he_seconds += agg_t.he_seconds;
-        breakdown.phases.aggregate_seconds += agg_t.he_seconds;
-        breakdown.round_seconds += agg_t.he_seconds;
-
-        // Tree topologies push each edge aggregator's partial one hop up
-        // the tree; every hop carries an aggregate-shaped message and is
-        // charged to communication like any other wire traffic. Flat
-        // topologies contribute zero hops here.
-        for _ in 0..self.accel.topology().uplink_messages(p) {
-            let t = self.network.send(agg.ciphertext_count(), agg.bytes())?;
-            breakdown.comm_seconds += t;
-            breakdown.phases.uplink_seconds += t;
-            breakdown.round_seconds += t;
-            breakdown.comm_bytes += agg.bytes();
-            breakdown.ciphertexts += agg.ciphertext_count();
-        }
-
-        // Broadcast the aggregate back to every party.
-        let t = self
-            .network
-            .broadcast(crate::count_u32(p), agg.ciphertext_count(), agg.bytes())?;
-        breakdown.comm_seconds += t;
-        breakdown.phases.downlink_seconds += t;
-        breakdown.round_seconds += t;
-        breakdown.comm_bytes += p as u64 * agg.bytes();
-        breakdown.ciphertexts += p as u64 * agg.ciphertext_count();
-
-        // Parallel client-side decryption: one client's cost.
-        let sums = self.accel.decrypt_sum(&agg, crate::count_u32(p))?;
-        let dec_t = self.accel.take_timing();
-        breakdown.he_seconds += dec_t.he_seconds;
-        breakdown.other_seconds += dec_t.codec_seconds;
-        breakdown.phases.decrypt_seconds += dec_t.he_seconds;
-        breakdown.phases.decrypt_seconds += dec_t.codec_seconds;
-        breakdown.round_seconds += dec_t.he_seconds;
-        breakdown.round_seconds += dec_t.codec_seconds;
-
-        Ok(sums)
-    }
-
     /// Pairwise encrypted exchange: one party encrypts `values` and sends
     /// them; the receiver (or arbiter) decrypts. Returns the values after
     /// their quantize→encrypt→decrypt round trip — the exact degradation
@@ -175,52 +80,28 @@ impl FlEnv {
         seed: u64,
         breakdown: &mut EpochBreakdown,
     ) -> Result<Vec<f64>> {
-        self.accel.take_timing(); // drop any stale scratch
-        let ev = self.accel.encrypt(values, seed)?;
-        let enc_t = self.accel.take_timing();
-        breakdown.he_seconds += enc_t.he_seconds;
-        breakdown.other_seconds += enc_t.codec_seconds;
-        breakdown.phases.encrypt_seconds += enc_t.he_seconds;
-        breakdown.phases.encrypt_seconds += enc_t.codec_seconds;
-        breakdown.round_seconds += enc_t.he_seconds;
-        breakdown.round_seconds += enc_t.codec_seconds;
+        let (ev, enc_t) = self.accel.encrypt_timed(values, seed)?;
+        breakdown.charge(Charge::EncryptHe, enc_t.he_seconds);
+        breakdown.charge(Charge::EncryptCodec, enc_t.codec_seconds);
         let t = self.network.send(ev.ciphertext_count(), ev.bytes())?;
-        breakdown.comm_seconds += t;
-        breakdown.phases.uplink_seconds += t;
-        breakdown.round_seconds += t;
+        breakdown.charge(Charge::Uplink, t);
         breakdown.comm_bytes += ev.bytes();
         breakdown.ciphertexts += ev.ciphertext_count();
-        let out = self.accel.decrypt_sum(&ev, 1)?;
-        let dec_t = self.accel.take_timing();
-        breakdown.he_seconds += dec_t.he_seconds;
-        breakdown.other_seconds += dec_t.codec_seconds;
-        breakdown.phases.decrypt_seconds += dec_t.he_seconds;
-        breakdown.phases.decrypt_seconds += dec_t.codec_seconds;
-        breakdown.round_seconds += dec_t.he_seconds;
-        breakdown.round_seconds += dec_t.codec_seconds;
+        let (out, dec_t) = self.accel.decrypt_sum_timed(&ev, 1)?;
+        breakdown.charge(Charge::DecryptHe, dec_t.he_seconds);
+        breakdown.charge(Charge::DecryptCodec, dec_t.codec_seconds);
         breakdown.he_values += values.len() as u64;
         Ok(out)
     }
 
     /// Charges `flops` of local model computation to "Others".
-    // flcheck: charge-sink
     pub fn charge_local_compute(
         &self,
         flops: u64,
         cfg: &TrainConfig,
         breakdown: &mut EpochBreakdown,
     ) {
-        self.charge_local_seconds(flops as f64 * cfg.sec_per_flop, breakdown);
-    }
-
-    /// Charges `seconds` of local model computation to "Others". The
-    /// seconds variant exists for callers (Homo LR, the round engine)
-    /// whose per-client mean is computed in f64 before charging.
-    // flcheck: charge-sink
-    pub fn charge_local_seconds(&self, seconds: f64, breakdown: &mut EpochBreakdown) {
-        breakdown.other_seconds += seconds;
-        breakdown.phases.compute_seconds += seconds;
-        breakdown.round_seconds += seconds;
+        breakdown.charge(Charge::Compute, flops as f64 * cfg.sec_per_flop);
     }
 }
 
@@ -266,3 +147,45 @@ pub fn train(model: &mut dyn FlModel, env: &FlEnv, cfg: &TrainConfig) -> Result<
 
 mod shared;
 pub use shared::{logloss, sigmoid};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backend::BackendKind;
+    use he::paillier::PaillierKeyPair;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+
+    #[test]
+    fn encrypted_exchange_round_trips_and_tolerates_an_empty_vector() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x7E);
+        let keys = PaillierKeyPair::generate(&mut rng, 128).unwrap();
+        for kind in [
+            BackendKind::Fate,
+            BackendKind::Haflo,
+            BackendKind::FlBooster,
+            BackendKind::WithoutGhe,
+            BackendKind::WithoutBc,
+        ] {
+            let env = FlEnv::new(Accelerator::new(kind, keys.clone(), 2).unwrap(), 1);
+            let values = [0.5, -0.25, 0.125];
+            let mut b = EpochBreakdown::default();
+            let back = env.encrypted_exchange(&values, 9, &mut b).unwrap();
+            let bound = env.accel.codec().quantizer().max_error();
+            for (a, r) in values.iter().zip(&back) {
+                assert!((a - r).abs() <= bound, "{kind:?}");
+            }
+            assert_eq!(b.he_values, 3, "{kind:?}");
+            assert!(b.he_seconds > 0.0 && b.comm_seconds > 0.0 && b.other_seconds > 0.0);
+            // Nothing overlaps: elapsed is the work, up to add order.
+            assert!((b.round_seconds - b.phases.total()).abs() <= 1e-12 * b.round_seconds);
+
+            // Nothing to protect is not an error (and never a panic): an
+            // empty message still crosses the wire and pays its latency.
+            let mut empty = EpochBreakdown::default();
+            assert_eq!(env.encrypted_exchange(&[], 9, &mut empty).unwrap(), []);
+            assert_eq!((empty.he_values, empty.ciphertexts), (0, 0), "{kind:?}");
+            assert_eq!(empty.total_seconds(), empty.phases.uplink_seconds);
+        }
+    }
+}

@@ -1,0 +1,174 @@
+//! Epoch 0 of each of the four models, pinned bit-for-bit.
+//!
+//! The constants were captured (128-bit test keys, FLBooster backend)
+//! from the hand-charged sequential round loop that `fl::engine` and
+//! `EpochBreakdown::charge` replaced, just before it was deleted: every
+//! `EpochBreakdown` field and the post-epoch loss, as `f64::to_bits`.
+//! They hold the float add order at every accumulator — a re-associated
+//! sum, a charge routed to the wrong component or phase, or a changed
+//! round shape moves at least one bit here.
+
+use fl::data::generators::DatasetSpec;
+use fl::data::Dataset;
+use fl::metrics::PhaseBreakdown;
+use fl::models::{HeteroLr, HeteroNn, HeteroSbt, HomoLr};
+use fl::train::{FlEnv, FlModel, TrainConfig};
+use fl::{Accelerator, BackendKind, EpochBreakdown};
+use he::paillier::PaillierKeyPair;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
+
+fn dataset() -> Dataset {
+    let mut spec = DatasetSpec::synthetic();
+    spec.features = 16;
+    spec.nnz_per_row = 16;
+    spec.instances = 120;
+    spec.generate(1.0)
+}
+
+fn cfg(batch_size: usize) -> TrainConfig {
+    TrainConfig {
+        batch_size,
+        ..TrainConfig::default()
+    }
+}
+
+/// `[he, comm, other, comm_bytes, ciphertexts, he_values, compute,
+/// encrypt, uplink, aggregate, downlink, decrypt, round, loss]`.
+type Golden = [u64; 14];
+
+fn assert_epoch_zero(model: &mut dyn FlModel, parties: u32, cfg: &TrainConfig, golden: Golden) {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x601D);
+    let keys = PaillierKeyPair::generate(&mut rng, 128).unwrap();
+    let env = FlEnv::new(
+        Accelerator::new(BackendKind::FlBooster, keys, parties).unwrap(),
+        1,
+    );
+    let result = model.run_epoch(&env, cfg, 0).unwrap();
+    let s = f64::from_bits;
+    let [he, comm, other, comm_bytes, ciphertexts, he_values, compute, encrypt, uplink, aggregate, downlink, decrypt, round, loss] =
+        golden;
+    let expected = EpochBreakdown {
+        he_seconds: s(he),
+        comm_seconds: s(comm),
+        other_seconds: s(other),
+        comm_bytes,
+        ciphertexts,
+        he_values,
+        phases: PhaseBreakdown {
+            compute_seconds: s(compute),
+            encrypt_seconds: s(encrypt),
+            uplink_seconds: s(uplink),
+            aggregate_seconds: s(aggregate),
+            downlink_seconds: s(downlink),
+            decrypt_seconds: s(decrypt),
+        },
+        round_seconds: s(round),
+    };
+    assert_eq!(result.breakdown, expected, "{}", model.name());
+    assert_eq!(result.loss.to_bits(), loss, "{} loss", model.name());
+}
+
+#[test]
+fn homo_lr_epoch_zero_matches_golden_bits() {
+    let cfg = cfg(32);
+    assert_epoch_zero(
+        &mut HomoLr::new(&dataset(), 4, &cfg),
+        4,
+        &cfg,
+        [
+            0x3e805e36456051e8,
+            0x3f771e7705e843c3,
+            0x3f261a9e91d0f856,
+            0x600,
+            0x30,
+            0x10,
+            0x3ee21e908ed8f651,
+            0x3f14fa1393160308,
+            0x3f671e7705e843c3,
+            0x3e50ed192548cd1e,
+            0x3f671e7705e843c3,
+            0x3f14fe77c8412a76,
+            0x3f77cf6cb6e35646,
+            0x3fe3e8582b93244a,
+        ],
+    );
+}
+
+#[test]
+fn hetero_lr_epoch_zero_matches_golden_bits() {
+    let cfg = cfg(40);
+    assert_epoch_zero(
+        &mut HeteroLr::new(&dataset(), 3, &cfg).unwrap(),
+        3,
+        &cfg,
+        [
+            0x3ec5e922b87f06e7,
+            0x3fa2a6822420e067,
+            0x3f70c0e9250355dc,
+            0x2c3e,
+            0x162,
+            0x198,
+            0x3ee570f7dc3c78ce,
+            0x3f60b73a695d66b8,
+            0x3f98962b726bfa9d,
+            0x3e6ed8df9f855869,
+            0x3f896db1abab8c59,
+            0x3f60ba82589b88c4,
+            0x3fa4bef6ed4c2d1c,
+            0x3fe13a60db92491c,
+        ],
+    );
+}
+
+#[test]
+fn hetero_nn_epoch_zero_matches_golden_bits() {
+    let cfg = cfg(40);
+    assert_epoch_zero(
+        &mut HeteroNn::new(&dataset(), 2, &cfg).unwrap(),
+        2,
+        &cfg,
+        [
+            0x3ef84e989e6f6cf2,
+            0x3fd180650c9688ba,
+            0x3fa3cf6ab6d818de,
+            0x1912b,
+            0xc8a,
+            0xf00,
+            0x3f33204341733ce4,
+            0x3f93aa55c7905582,
+            0x3fc50078f6b6d615,
+            0x3e97adf418f6ef23,
+            0x3fbc00a244ec76be,
+            0x3f93adfa914d9228,
+            0x3fd3fab39dd40592,
+            0x3fdc8122d2d61f29,
+        ],
+    );
+}
+
+#[test]
+fn hetero_sbt_epoch_zero_matches_golden_bits() {
+    let cfg = cfg(40);
+    assert_epoch_zero(
+        &mut HeteroSbt::new(&dataset(), 3, &cfg).unwrap(),
+        3,
+        &cfg,
+        [
+            0x3ef0539bc171e627,
+            0x3fb3476b09ca6a57,
+            0x3f14a2cf4d5aa6c1,
+            0x63db,
+            0x358,
+            0x5c0,
+            0x3f1360afee19ce89,
+            0x3ee11ddf8ef14a02,
+            0x3fabfff15ec9dc4f,
+            0x3ecc81c92f5c3d2f,
+            0x3f951dc96995f0c2,
+            0x3ee279e0a22234bd,
+            0x3fb34d98f759d81d,
+            0x3fe1d811ea234cbe,
+        ],
+    );
+}

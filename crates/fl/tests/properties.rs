@@ -3,7 +3,9 @@
 
 use fl::data::generators::DatasetSpec;
 use fl::data::{horizontal_split, vertical_split, Dataset, SparseRow};
-use fl::{Accelerator, BackendKind, Network, NetworkConfig};
+use fl::engine::{run_round, EngineConfig};
+use fl::train::{FlEnv, TrainConfig};
+use fl::{Accelerator, BackendKind, EpochBreakdown, Network, NetworkConfig};
 use he::paillier::PaillierKeyPair;
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -89,21 +91,38 @@ proptest! {
     }
 
     #[test]
-    fn secure_sum_is_correct_for_any_party_count(
+    fn engine_round_sum_is_correct_for_any_party_count(
         values in proptest::collection::vec(-0.9f64..0.9, 1..40),
         parties in 1usize..4,
     ) {
-        let acc = Accelerator::new(BackendKind::FlBooster, keys().clone(), 4).unwrap();
-        prop_assume!(parties <= 4);
+        let env = FlEnv::new(
+            Accelerator::new(BackendKind::FlBooster, keys().clone(), 4).unwrap(),
+            1,
+        );
         let vectors: Vec<Vec<f64>> = (0..parties)
             .map(|k| values.iter().map(|v| v * (k as f64 + 1.0) / parties as f64).collect())
             .collect();
-        let sums = acc.secure_sum(&vectors, 99).unwrap();
-        let bound = parties as f64 * acc.codec().quantizer().max_error() + 1e-12;
-        for (i, s) in sums.iter().enumerate() {
+        let mut breakdown = EpochBreakdown::default();
+        let out = run_round(
+            &env,
+            &EngineConfig::sequential(),
+            &TrainConfig::default(),
+            &vectors,
+            &vec![0; parties],
+            99,
+            &mut breakdown,
+        )
+        .unwrap();
+        let bound = parties as f64 * env.accel.codec().quantizer().max_error() + 1e-12;
+        for (i, s) in out.sums.iter().enumerate() {
             let expected: f64 = vectors.iter().map(|v| v[i]).sum();
             prop_assert!((s - expected).abs() <= bound, "component {}: {} vs {}", i, s, expected);
         }
+        // Every charged second sits in one component and one phase, and
+        // a sequential round's elapsed time is its work.
+        let total = breakdown.total_seconds();
+        prop_assert!((breakdown.phases.total() - total).abs() <= 1e-9 * total);
+        prop_assert!((breakdown.round_seconds - total).abs() <= 1e-9 * total);
     }
 
     #[test]

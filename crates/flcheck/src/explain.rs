@@ -27,22 +27,6 @@ pub struct RuleDoc {
 /// [`crate::report::ALL_RULES`]).
 pub const RULE_DOCS: &[RuleDoc] = &[
     RuleDoc {
-        rule: "charge-unphased",
-        family: "units",
-        since: 10,
-        summary: "reachable charge-sink whose seconds miss the phase slots",
-        detail: "A `charge-sink` fn reachable from `fl::engine` round execution \
-                 that takes a seconds-united amount must land it in exactly one \
-                 `EpochBreakdown` phase slot: either it takes a `phase` parameter \
-                 (the caller picks the slot) or it — or a transitive callee — \
-                 writes exactly one distinct `phases.*_seconds` field. Zero slots \
-                 is silently unattributed time (the per-phase breakdown no longer \
-                 sums to the totals); two or more is double-charging. Sinks whose \
-                 parameters carry no seconds unit (byte/ciphertext meters, \
-                 timing-struct ingestion) are exempt: they do not attribute time.",
-        example: "pub fn run_round() { charge_lost(1.0); }\n// flcheck: charge-sink\nfn charge_lost(seconds: f64) -> f64 {\n    seconds // charge-unphased: never lands in a phase slot\n}",
-    },
-    RuleDoc {
         rule: "ct-branch",
         family: "ct-discipline",
         since: 1,

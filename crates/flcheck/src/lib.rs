@@ -18,7 +18,7 @@
 //! | determinism     | `nondet-in-result` (source-to-result-sink flow)          |
 //! | races           | `race-shared-mut`, `race-unsynced-write`, `race-cell-steal` (closure captures crossing the pool) |
 //! | width           | `lossy-narrow` (narrowing casts reaching codec/cost/net sinks) |
-//! | units           | `unit-mismatch`, `unit-unconverted`, `charge-unphased` (dimensional analysis over charging) |
+//! | units           | `unit-mismatch`, `unit-unconverted` (dimensional analysis over charging) |
 //! | interprocedural | `ct-taint` (secret propagation), `pf-reach` (transitive panics) |
 //!
 //! The ct- and pf- families plus `ld-wait` are per-file lexer passes; the
@@ -133,8 +133,6 @@ pub struct ScanStats {
     pub width: Duration,
     /// Unit-flow pass (`unit-mismatch`, `unit-unconverted`).
     pub units: Duration,
-    /// Charge-phase pass (`charge-unphased`).
-    pub charge_phase: Duration,
     /// Whole scan, including sort.
     pub total: Duration,
 }
@@ -211,10 +209,6 @@ pub fn check_workspace_with_stats(inputs: &[(String, String)]) -> (Report, ScanS
     let t = Instant::now();
     units::check_units(&parsed, &graph, &mut report.findings);
     stats.units = t.elapsed();
-
-    let t = Instant::now();
-    units::check_charge_phase(&parsed, &graph, &mut report.findings);
-    stats.charge_phase = t.elapsed();
 
     report.sort();
     stats.total = start.elapsed();

@@ -1,7 +1,7 @@
 //! Findings and report serialization (human text + hand-rolled JSON —
 //! the crate carries no serde).
 //!
-//! The JSON report is **schema 6**: every finding carries a `chain`
+//! The JSON report is **schema 7**: every finding carries a `chain`
 //! array (empty for intraprocedural rules, the full call/lock chain for
 //! the interprocedural rules), findings are sorted by (file, line, rule,
 //! message) so output is byte-identical regardless of scan order or
@@ -12,20 +12,21 @@
 //! guard-escape rule `guard-escape`; schema 5 added the closure-capture
 //! race family (`race-shared-mut`, `race-unsynced-write`,
 //! `race-cell-steal`) and the integer-width rule `lossy-narrow`;
-//! schema 6 adds the unit-flow family (`unit-mismatch`,
-//! `unit-unconverted`, `charge-unphased`).
+//! schema 6 added the unit-flow family (`unit-mismatch`,
+//! `unit-unconverted`, `charge-unphased`); schema 7 retires
+//! `charge-unphased` (every charge now goes through one typed
+//! `EpochBreakdown::charge`, so a sink cannot miss or double a phase).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// JSON report schema version emitted by [`Report::render_json`].
-pub const SCHEMA_VERSION: u32 = 6;
+pub const SCHEMA_VERSION: u32 = 7;
 
-/// Every rule id the analyzer can emit, sorted. The schema-6 summary
+/// Every rule id the analyzer can emit, sorted. The schema-7 summary
 /// lists each with an explicit (possibly zero) count; keep in sync with
 /// the rule table in the crate docs.
 pub const ALL_RULES: &[&str] = &[
-    "charge-unphased",
     "ct-branch",
     "ct-compare",
     "ct-return",
@@ -229,7 +230,7 @@ mod tests {
         };
         r.sort();
         let j = r.render_json();
-        assert!(j.contains("\"schema\": 6"));
+        assert!(j.contains("\"schema\": 7"));
         assert!(j.contains("\"rule\": \"pf-unwrap\""));
         assert!(j.contains("a \\\"b\\\".rs"));
         assert!(j.contains("line1\\nline2"));
@@ -262,7 +263,6 @@ mod tests {
         assert!(j.contains("\"lossy-narrow\": 0"));
         assert!(j.contains("\"unit-mismatch\": 0"));
         assert!(j.contains("\"unit-unconverted\": 0"));
-        assert!(j.contains("\"charge-unphased\": 0"));
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!   converting bytes to seconds); its return value carries the target
 //!   unit.
 //!
-//! Three rules consume the table:
+//! Two rules consume the table:
 //!
 //! - **unit-mismatch** — two different known units meet in one additive
 //!   expression, comparison, assignment, or accumulation
@@ -34,14 +34,6 @@
 //!   callee parameter's unit: the value crosses dimensions without
 //!   passing through a declared `convert(..)` fn. The finding carries
 //!   the propagation chain when the parameter's unit was inherited.
-//! - **charge-unphased** — a `charge-sink` fn reachable from
-//!   `fl::engine` round execution takes a seconds-united amount but
-//!   never lands it in exactly one `EpochBreakdown` phase slot: zero
-//!   slots is silently unattributed time, two or more is
-//!   double-charging. A sink is phased when it takes a `phase`
-//!   parameter (the slot is the caller's choice) or when it (or a
-//!   transitive callee) writes exactly one distinct
-//!   `phases.*_seconds` slot.
 //!
 //! **Soundness boundary** (where the pass stays silent rather than
 //! guessing): multiplication/division/modulo legitimately change
@@ -52,7 +44,7 @@
 //! and macro bodies are likewise unknown. Mismatches need *two known*
 //! units, so unknowns silence a site rather than flagging it.
 
-use crate::callgraph::{hop, path_to, CallGraph, NodeId};
+use crate::callgraph::{hop, CallGraph, NodeId};
 use crate::lexer::{TokKind, Token};
 use crate::parse::{FnItem, ParsedFile};
 use crate::report::Finding;
@@ -866,161 +858,6 @@ pub fn check_units(files: &[ParsedFile], graph: &CallGraph, out: &mut Vec<Findin
     }
 }
 
-/// The six `EpochBreakdown` phase slots (all simulated seconds).
-const PHASE_SLOTS: &[&str] = &[
-    "compute_seconds",
-    "encrypt_seconds",
-    "uplink_seconds",
-    "aggregate_seconds",
-    "downlink_seconds",
-    "decrypt_seconds",
-];
-
-/// Forward closure over call edges (seeds included), skipping test fns.
-fn forward_reach(
-    files: &[ParsedFile],
-    graph: &CallGraph,
-    seed: &BTreeSet<NodeId>,
-) -> BTreeSet<NodeId> {
-    let mut set = seed.clone();
-    loop {
-        let mut grow: BTreeSet<NodeId> = BTreeSet::new();
-        for &n in &set {
-            for e in graph.out(n) {
-                if !set.contains(&e.to) && !files[e.to.0].fns[e.to.1].in_test {
-                    grow.insert(e.to);
-                }
-            }
-        }
-        if grow.is_empty() {
-            return set;
-        }
-        set.extend(grow);
-    }
-}
-
-/// Distinct `phases.*_seconds` slots written (`+=` or `=`) by fn `n`.
-fn slot_writes(files: &[ParsedFile], n: NodeId) -> BTreeSet<&'static str> {
-    let pf = &files[n.0];
-    let f = &pf.fns[n.1];
-    let toks = &pf.src.tokens;
-    let mut slots = BTreeSet::new();
-    let mut i = f.body_start;
-    while i < f.body_end {
-        if let Some(&(_, ne)) = f.nested.iter().find(|&&(ns, ne)| ns <= i && i < ne) {
-            i = ne;
-            continue;
-        }
-        let t = &toks[i];
-        if t.kind == TokKind::Op && (t.text == "+=" || t.text == "=") {
-            // Chain walk-back: does the lvalue end in a phase slot under
-            // a `phases` field?
-            let mut j = i;
-            let mut names: Vec<&str> = Vec::new();
-            while j > f.body_start {
-                let p = &toks[j - 1];
-                if p.kind == TokKind::Ident {
-                    names.push(p.text.as_str());
-                    j -= 1;
-                    if j > f.body_start && (toks[j - 1].is_op(".") || toks[j - 1].is_op("::")) {
-                        j -= 1;
-                    } else {
-                        break;
-                    }
-                } else {
-                    break;
-                }
-            }
-            if let (Some(first), true) = (names.first(), names.contains(&"phases")) {
-                if let Some(slot) = PHASE_SLOTS.iter().find(|s| *s == first) {
-                    slots.insert(*slot);
-                }
-            }
-        }
-        i += 1;
-    }
-    slots
-}
-
-/// Runs the `charge-unphased` rule: every charge-sink reachable from
-/// `fl::engine` round execution that takes a seconds amount must be
-/// *phased* — a `phase` parameter, or exactly one distinct
-/// `phases.*_seconds` slot written by the sink or its callees. Sinks
-/// whose parameters carry no seconds unit (byte/ciphertext meters,
-/// timing-struct ingestion) are exempt: they do not attribute time.
-/// Parameter units here are directive/name-seeded only — propagation
-/// would let an unannotated helper chain mask a sink's own contract.
-pub fn check_charge_phase(files: &[ParsedFile], graph: &CallGraph, out: &mut Vec<Finding>) {
-    let mut anchors: BTreeSet<NodeId> = BTreeSet::new();
-    for (fi, pf) in files.iter().enumerate() {
-        if !pf.src.rel_path.ends_with("fl/src/engine.rs") {
-            continue;
-        }
-        for (gi, f) in pf.fns.iter().enumerate() {
-            if f.name == "run_round" && !f.in_test {
-                anchors.insert((fi, gi));
-            }
-        }
-    }
-    if anchors.is_empty() {
-        return;
-    }
-    let units = seed_units(files);
-    let reach = forward_reach(files, graph, &anchors);
-    for &n in &reach {
-        let pf = &files[n.0];
-        let f = &pf.fns[n.1];
-        if !f.is_charge_sink || f.in_test {
-            continue;
-        }
-        let takes_seconds = units[n.0][n.1]
-            .params
-            .iter()
-            .any(|u| strict(*u) == Some(Unit::Seconds));
-        if !takes_seconds {
-            continue;
-        }
-        if f.params.iter().any(|p| p == "phase") {
-            continue;
-        }
-        let mut slots: BTreeSet<&'static str> = BTreeSet::new();
-        for &m in &forward_reach(files, graph, &BTreeSet::from([n])) {
-            slots.extend(slot_writes(files, m));
-        }
-        if slots.len() == 1 {
-            continue;
-        }
-        if pf.src.is_allowed("charge-unphased", f.line) {
-            continue;
-        }
-        let msg = if slots.is_empty() {
-            format!(
-                "charge-sink `{}` is reachable from round execution but its seconds never land in an `EpochBreakdown` phase slot (silently unattributed time)",
-                f.name
-            )
-        } else {
-            format!(
-                "charge-sink `{}` is reachable from round execution and lands its seconds in {} phase slots ({}): double-charged time",
-                f.name,
-                slots.len(),
-                slots.iter().copied().collect::<Vec<_>>().join(", "),
-            )
-        };
-        let chain = anchors
-            .iter()
-            .find_map(|&a| path_to(graph, a, |x| x == n))
-            .map(|nodes| nodes.iter().map(|&x| hop(files, x)).collect())
-            .unwrap_or_default();
-        out.push(Finding::with_chain(
-            "charge-unphased",
-            &pf.src.rel_path,
-            f.line,
-            msg,
-            chain,
-        ));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1030,7 +867,6 @@ mod tests {
         let graph = CallGraph::build(&parsed);
         let mut out = Vec::new();
         check_units(&parsed, &graph, &mut out);
-        check_charge_phase(&parsed, &graph, &mut out);
         out
     }
 
@@ -1186,47 +1022,6 @@ mod tests {
         let out = run(&[(
             "src/a.rs",
             "#[cfg(test)]\nmod tests {\n    fn f(payload_bytes: u64) {\n        let mut total_seconds = 0.0;\n        total_seconds += payload_bytes as f64;\n    }\n}\n",
-        )]);
-        assert_eq!(rules_lines(&out), vec![]);
-    }
-
-    const ENGINE: &str = "crates/fl/src/engine.rs";
-
-    #[test]
-    fn unphased_sink_reachable_from_round_execution_is_flagged() {
-        let out = run(&[(
-            ENGINE,
-            "pub fn run_round() {\n    charge_lost(1.0);\n}\n// flcheck: charge-sink\nfn charge_lost(seconds: f64) -> f64 {\n    seconds\n}\n",
-        )]);
-        assert_eq!(rules_lines(&out), vec![("charge-unphased".to_string(), 5)]);
-        assert!(out[0].message.contains("never land"));
-        assert_eq!(out[0].chain.len(), 2, "chain: {:?}", out[0].chain);
-    }
-
-    #[test]
-    fn double_charging_two_phase_slots_is_flagged() {
-        let out = run(&[(
-            ENGINE,
-            "pub fn run_round() {\n    charge_twice(1.0);\n}\n// flcheck: charge-sink\nfn charge_twice(seconds: f64) {\n    let mut b = new_breakdown();\n    b.phases.compute_seconds += seconds;\n    b.phases.encrypt_seconds += seconds;\n}\n",
-        )]);
-        assert_eq!(rules_lines(&out), vec![("charge-unphased".to_string(), 5)]);
-        assert!(out[0].message.contains("double-charged"));
-    }
-
-    #[test]
-    fn single_slot_phase_param_and_unitless_sinks_pass() {
-        let out = run(&[(
-            ENGINE,
-            "pub fn run_round() {\n    charge_ok(1.0);\n    charge_routed(1.0, 0);\n    meter(64, 2);\n}\n// flcheck: charge-sink\nfn charge_ok(seconds: f64) {\n    let mut b = new_breakdown();\n    b.phases.compute_seconds += seconds;\n}\n// flcheck: charge-sink\nfn charge_routed(seconds: f64, phase: u32) -> f64 {\n    seconds + phase as f64\n}\n// flcheck: charge-sink\nfn meter(bytes: u64, ciphertexts: u64) -> u64 {\n    bytes + ciphertexts\n}\n",
-        )]);
-        assert_eq!(rules_lines(&out), vec![]);
-    }
-
-    #[test]
-    fn sinks_not_reachable_from_run_round_are_ignored() {
-        let out = run(&[(
-            "crates/fl/src/train.rs",
-            "// flcheck: charge-sink\nfn charge_lost(seconds: f64) -> f64 {\n    seconds\n}\npub fn classic(seconds: f64) -> f64 {\n    charge_lost(seconds)\n}\n",
         )]);
         assert_eq!(rules_lines(&out), vec![]);
     }

@@ -688,11 +688,9 @@ fn width_fixture_reports_lossy_narrows_with_sink_chains() {
 }
 
 #[test]
-fn unit_fixture_reports_all_three_rules_at_pinned_lines() {
+fn unit_fixture_reports_both_rules_at_pinned_lines() {
     let src = include_str!("fixtures/unit_violations.rs");
-    // The synthetic path puts `run_round` where the charge-unphased
-    // anchor expects it: the round engine.
-    let path = "crates/fl/src/engine.rs";
+    let path = "crates/fl/src/unit_fixture.rs";
     let report = workspace(&[(path, src)]);
     let got: Vec<(String, u32)> = report
         .findings
@@ -700,65 +698,34 @@ fn unit_fixture_reports_all_three_rules_at_pinned_lines() {
         .map(|f| (f.rule.clone(), f.line))
         .collect();
     let want: Vec<(String, u32)> = [
-        ("charge-unphased", 14),  // charge_sleep: zero phase slots
-        ("charge-unphased", 19),  // charge_double: two phase slots
-        ("unit-mismatch", 35),    // total_seconds += payload_bytes
-        ("unit-mismatch", 37),    // deadline_seconds < payload_bytes
-        ("unit-unconverted", 42), // relay(payload_bytes): bytes into seconds
+        ("unit-mismatch", 19),    // total_seconds += payload_bytes
+        ("unit-mismatch", 21),    // deadline_seconds < payload_bytes
+        ("unit-unconverted", 25), // relay(payload_bytes): bytes into seconds
     ]
     .iter()
     .map(|(r, l)| (r.to_string(), *l))
     .collect();
     assert_eq!(got, want, "findings: {:#?}", report.findings);
 
-    // Zero-slot sink: the chain walks the round engine's call path.
-    let unphased = &report.findings[0];
-    assert!(
-        unphased
-            .message
-            .contains("never land in an `EpochBreakdown` phase slot"),
-        "unexpected message: {}",
-        unphased.message
-    );
-    assert_eq!(
-        unphased.chain,
-        vec![
-            format!("run_round ({path}:33)"),
-            format!("relay ({path}:29)"),
-            format!("charge_sleep ({path}:14)"),
-        ]
-    );
-
-    // Double-charged sink names both slots it writes.
-    let double = &report.findings[1];
-    assert!(
-        double.message.contains("2 phase slots")
-            && double.message.contains("compute_seconds")
-            && double.message.contains("encrypt_seconds")
-            && double.message.contains("double-charged"),
-        "unexpected message: {}",
-        double.message
-    );
-
     // The mismatches name both sides with their units.
     assert!(
-        report.findings[2]
+        report.findings[0]
             .message
             .contains("accumulates a bytes value into `total_seconds` (seconds)"),
         "unexpected message: {}",
-        report.findings[2].message
+        report.findings[0].message
     );
     assert!(
-        report.findings[3]
+        report.findings[1]
             .message
             .contains("compares `deadline_seconds` (seconds) with a bytes value"),
         "unexpected message: {}",
-        report.findings[3].message
+        report.findings[1].message
     );
 
     // The crossing names the declared converter and carries the
     // provenance chain down to where the propagated unit was seeded.
-    let crossing = &report.findings[4];
+    let crossing = &report.findings[2];
     assert!(
         crossing
             .message
@@ -772,16 +739,16 @@ fn unit_fixture_reports_all_three_rules_at_pinned_lines() {
     assert_eq!(
         crossing.chain,
         vec![
-            format!("run_round ({path}:33)"),
-            format!("relay ({path}:29)"),
-            format!("charge_sleep ({path}:14)"),
+            format!("run_round ({path}:17)"),
+            format!("relay ({path}:13)"),
+            format!("charge_sleep ({path}:9)"),
         ]
     );
 }
 
 #[test]
 fn unit_fixture_converted_path_is_silent() {
-    // Sanity inverse: rewarding the fixture's converted call (line 38)
+    // Sanity inverse: rewarding the fixture's converted call (line 22)
     // means a file that *only* routes bytes through the converter is
     // clean.
     let src = "// flcheck: convert(bytes->seconds)\n\
@@ -791,7 +758,10 @@ fn unit_fixture_converted_path_is_silent() {
                    total_seconds += transfer_seconds(payload_bytes);\n\
                    total_seconds\n\
                }\n";
-    assert_eq!(rules_and_lines("crates/fl/src/engine.rs", src), vec![]);
+    assert_eq!(
+        rules_and_lines("crates/fl/src/unit_fixture.rs", src),
+        vec![]
+    );
 }
 
 #[test]
@@ -806,19 +776,19 @@ fn workspace_report_is_deterministic_across_input_order() {
         ("crates/core/src/reach_fixture.rs", reach),
         ("crates/core/src/races_fixture.rs", races),
         ("crates/he/src/width_fixture.rs", width),
-        ("crates/fl/src/engine.rs", units),
+        ("crates/fl/src/unit_fixture.rs", units),
     ]);
     let rev = workspace(&[
-        ("crates/fl/src/engine.rs", units),
+        ("crates/fl/src/unit_fixture.rs", units),
         ("crates/he/src/width_fixture.rs", width),
         ("crates/core/src/races_fixture.rs", races),
         ("crates/core/src/reach_fixture.rs", reach),
         ("crates/mpint/src/taint_fixture.rs", taint),
     ]);
     assert_eq!(fwd.render_json(), rev.render_json());
-    assert!(fwd.render_json().contains("\"schema\": 6"));
+    assert!(fwd.render_json().contains("\"schema\": 7"));
     // Every rule in the registry is enumerated in the summary, found
-    // or not — schema-6 consumers key on the full table.
+    // or not — schema-7 consumers key on the full table.
     for rule in flcheck::report::ALL_RULES {
         assert!(
             fwd.render_json().contains(&format!("\"{rule}\"")),

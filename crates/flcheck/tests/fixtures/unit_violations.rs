@@ -1,43 +1,26 @@
-//! Unit-flow fixture: `unit-mismatch`, `unit-unconverted`, and
-//! `charge-unphased` at pinned lines.
-//!
-//! Analyzed under the synthetic path `crates/fl/src/engine.rs` so the
-//! `charge-unphased` anchor (`run_round`) resolves; like every
-//! fixture, never compiled.
+//! Unit-flow fixture: `unit-mismatch` and `unit-unconverted` at pinned
+//! lines. Like every fixture, never compiled.
 
 // flcheck: convert(bytes->seconds)
 fn transfer_seconds(bytes: f64) -> f64 {
     bytes / 1.0e9
 }
 
-// flcheck: charge-sink
 fn charge_sleep(seconds: f64) -> f64 {
     seconds
-}
-
-// flcheck: charge-sink
-fn charge_double(seconds: f64, b: &mut Breakdown) {
-    b.phases.compute_seconds += seconds;
-    b.phases.encrypt_seconds += seconds;
-}
-
-// flcheck: charge-sink
-fn charge_ok(seconds: f64, b: &mut Breakdown) {
-    b.phases.uplink_seconds += seconds;
 }
 
 fn relay(amount: f64) -> f64 {
     charge_sleep(amount)
 }
 
-pub fn run_round(payload_bytes: f64, b: &mut Breakdown) -> f64 {
+pub fn run_round(payload_bytes: f64) -> f64 {
     let mut total_seconds = 0.0;
     total_seconds += payload_bytes;
     let deadline_seconds = 1.0;
     if deadline_seconds < payload_bytes {
         total_seconds += transfer_seconds(payload_bytes);
     }
-    charge_double(total_seconds, b);
-    charge_ok(total_seconds, b);
+    charge_sleep(total_seconds);
     relay(payload_bytes)
 }

@@ -5,7 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use flbooster_core::FlBooster;
+use fl::{Accelerator, BackendKind};
+use he::paillier::PaillierKeyPair;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -14,17 +15,15 @@ fn main() {
     //    production), 4 participants, paper-default 32-bit quantization
     //    slots, batch compression on, simulated RTX 3090.
     let mut rng = ChaCha8Rng::seed_from_u64(42);
-    let platform = FlBooster::builder()
-        .key_bits(512)
-        .participants(4)
-        .build(&mut rng)
-        .expect("platform construction");
+    let keys = PaillierKeyPair::generate(&mut rng, 512).expect("key generation");
+    let platform =
+        Accelerator::new(BackendKind::FlBooster, keys, 4).expect("platform construction");
 
     println!("FLBooster quickstart");
-    println!("  key size: {} bits", platform.keys.public.key_bits);
+    println!("  key size: {} bits", platform.key_bits());
     println!(
         "  slots per ciphertext: {}",
-        platform.codec.slots_per_word()
+        platform.codec().slots_per_word()
     );
 
     // 2. Each participant encrypts its local gradients.
@@ -35,38 +34,34 @@ fn main() {
                 .collect()
         })
         .collect();
-    let mut batches = Vec::new();
+    let mut uploads = Vec::new();
     let mut upload_bytes = 0u64;
     for (k, grads) in gradients.iter().enumerate() {
-        let (cts, report) = platform
-            .encrypt_gradients(grads, k as u64)
-            .expect("encrypt");
-        upload_bytes += report.ciphertext_bytes;
+        let encrypted = platform.encrypt(grads, k as u64).expect("encrypt");
+        upload_bytes += encrypted.bytes();
         println!(
             "  participant {k}: {} values -> {} ciphertexts ({} bytes), HE {:.2} ms simulated",
             grads.len(),
-            report.ciphertexts,
-            report.ciphertext_bytes,
-            report.he.sim_seconds * 1e3,
+            encrypted.ciphertext_count(),
+            encrypted.bytes(),
+            platform.take_timing().he_seconds * 1e3,
         );
-        batches.push(cts);
+        uploads.push(encrypted);
     }
     println!(
         "  compression: {:.1}x fewer ciphertexts than one-per-value",
-        100.0 / batches[0].len() as f64
+        100.0 / uploads[0].ciphertext_count() as f64
     );
 
     // 3. The server folds the ciphertexts (it never sees plaintext).
-    let (aggregate, agg_report) = platform.aggregate(&batches).expect("aggregate");
+    let aggregate = platform.aggregate(&uploads).expect("aggregate");
     println!(
         "  server aggregated 4 batches homomorphically in {:.2} ms simulated",
-        agg_report.he.sim_seconds * 1e3
+        platform.take_timing().he_seconds * 1e3
     );
 
     // 4. Participants decrypt the element-wise sums.
-    let (sums, _) = platform
-        .decrypt_gradients(&aggregate, 100, 4)
-        .expect("decrypt");
+    let sums = platform.decrypt_sum(&aggregate, 4).expect("decrypt");
     let expected: Vec<f64> = (0..100)
         .map(|i| gradients.iter().map(|g| g[i]).sum())
         .collect();

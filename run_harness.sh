@@ -2,9 +2,10 @@
 # Final harness sequence: every table and figure, laptop-scaled.
 #
 # `./run_harness.sh --quick` keeps every gate (build, each experiment
-# binary, both bench gates, both tier-1 test runs, flcheck, fmt) but
-# trims sweep cardinality — fewer key sizes, datasets, models, epochs,
-# and bench iterations — for a fast full-pipeline smoke run.
+# binary, both bench gates, both tier-1 test runs, the benchmark-package
+# build, flcheck, fmt) but trims sweep cardinality — fewer key sizes,
+# datasets, models, epochs, and bench iterations — for a fast
+# full-pipeline smoke run.
 set -o pipefail
 cd /root/repo
 R=results
@@ -106,8 +107,8 @@ if ! ./target/release/bench_aggregate $BA_ARGS 2>&1 | tee $R/bench_aggregate.txt
 fi
 echo
 
-# Round-engine gate: event-driven pipelined rounds vs the sequential
-# loop over the same parties (results/BENCH_rounds.json). The binary
+# Round-engine gate: pipelined rounds vs the sequential engine over the
+# same parties (results/BENCH_rounds.json). The binary
 # exits non-zero unless the pipelined round's decrypted sums are
 # bit-identical to the sequential round's and the modeled round-time
 # reduction clears 1.5x at every swept client count (all >= 64).
@@ -133,8 +134,20 @@ if ! cargo test -q --release --workspace 2>&1 | tail -40; then
   exit 1
 fi
 
+# Benchmark-compatibility gate: `benchmark/` is its own cargo workspace
+# built against this product through `benchmark/.src/api.rs`. Build it
+# and run its unit tests here, so a product change that breaks that file
+# — or would rewrite `benchmark/Cargo.lock` (`--locked`) — fails in the
+# harness rather than when the benchmark is next run.
+echo "=== benchmark package: build + unit tests against this product ==="
+if ! cargo test --locked --offline --manifest-path benchmark/Cargo.toml \
+    --target-dir target/benchmark 2>&1 | tail -15; then
+  echo "HARNESS_FAILED: benchmark package no longer builds/passes against the product"
+  exit 1
+fi
+
 # Static-analysis gate: the tree must be clean under flcheck and rustfmt.
-# Single source of truth: the schema-6 JSON summary enumerates every rule
+# Single source of truth: the schema-7 JSON summary enumerates every rule
 # with an explicit count, so the gate loops over total plus each rule id
 # and fails if any count is missing (schema drift / crash / unwritable
 # report) or non-zero. The rule list comes from the binary itself
@@ -167,26 +180,25 @@ fi
 # Deliberate-finding smoke check: prove the unit-flow rules can fire at
 # all — a pass that silently returned zero findings would keep the gate
 # above green forever. The committed fixture is scanned from a scratch
-# root so its synthetic `crates/fl/src/engine.rs` path anchors
-# charge-unphased exactly as the real round engine would.
+# root (flcheck skips its own `tests/fixtures/` in a normal walk).
 echo "=== flcheck: unit-flow smoke check (deliberate findings) ==="
 SMOKE=target/unit_smoke
 rm -rf $SMOKE
 mkdir -p $SMOKE/crates/fl/src
-cp crates/flcheck/tests/fixtures/unit_violations.rs $SMOKE/crates/fl/src/engine.rs
+cp crates/flcheck/tests/fixtures/unit_violations.rs $SMOKE/crates/fl/src/unit_violations.rs
 if ./target/release/flcheck --root $SMOKE > $R/unit_smoke.txt 2>&1; then
   echo "HARNESS_FAILED: unit-flow smoke check (flcheck exited 0 on a violating tree)"
   cat $R/unit_smoke.txt
   exit 1
 fi
-for rule in unit-mismatch unit-unconverted charge-unphased; do
+for rule in unit-mismatch unit-unconverted; do
   if ! grep -q "\[$rule\]" $R/unit_smoke.txt; then
     echo "HARNESS_FAILED: unit-flow smoke check (no $rule finding)"
     cat $R/unit_smoke.txt
     exit 1
   fi
 done
-echo "  (all three unit-flow rules fired on the fixture)"
+echo "  (both unit-flow rules fired on the fixture)"
 rm -rf $SMOKE
 
 # Analyzer self-benchmark: files/sec and per-pass wall-clock

@@ -98,7 +98,7 @@ fn main() -> ExitCode {
     let _ = writeln!(json, "  \"findings\": {},", report.findings.len());
     let _ = writeln!(json, "  \"files_per_sec\": {files_per_sec:.1},");
     let _ = writeln!(json, "  \"wall_clock_seconds\": {{");
-    let passes: [(&str, Duration); 13] = [
+    let passes: [(&str, Duration); 12] = [
         ("per_file", stats.per_file),
         ("callgraph", stats.callgraph),
         ("taint", stats.taint),
@@ -110,7 +110,6 @@ fn main() -> ExitCode {
         ("races", stats.races),
         ("width", stats.width),
         ("units", stats.units),
-        ("charge_phase", stats.charge_phase),
         ("total", stats.total),
     ];
     for (i, (name, d)) in passes.iter().enumerate() {

@@ -10,8 +10,8 @@
 //! - [`gpu_sim`] — the GPU execution-model simulator and resource manager.
 //! - [`he`] — Paillier and RSA cryptosystems plus the GPU-HE batch layer.
 //! - [`codec`] — encoding-quantization and batch compression.
-//! - [`flbooster_core`] — the FLBooster platform: Table-I APIs, pipelines,
-//!   and the theoretical-analysis module.
+//! - [`flbooster_core`] — the FLBooster platform layer: Table-I APIs, the
+//!   theoretical-analysis module, and the platform error type.
 //! - [`fl`] — the federated-learning substrate: datasets, models, trainers,
 //!   the network simulator, and the FATE/HAFLO/FLBooster backends.
 

@@ -179,14 +179,14 @@ fn total_acceleration_is_product_of_modules() {
 fn committed_flcheck_report_matches_a_fresh_scan() {
     // `results/flcheck_report.json` is committed so reviewers can read
     // the analyzer's verdict without building; it must never drift from
-    // what the tree actually produces. A fresh scan at schema 6 has to
+    // what the tree actually produces. A fresh scan at schema 7 has to
     // reproduce the committed bytes exactly — zero findings included.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let committed = std::fs::read_to_string(root.join("results/flcheck_report.json"))
         .expect("results/flcheck_report.json is committed");
     assert!(
-        committed.contains("\"schema\": 6"),
-        "committed report is not at schema 6"
+        committed.contains("\"schema\": 7"),
+        "committed report is not at schema 7"
     );
     let fresh = flcheck::run(root).expect("workspace scan").render_json();
     assert_eq!(

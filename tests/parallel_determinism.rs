@@ -433,9 +433,10 @@ fn dataset_generation_and_pooled_blinding_are_hash_order_free() {
 
 #[test]
 fn round_engine_is_thread_count_invariant_and_matches_the_classic_loop() {
+    use fl::metrics::PhaseBreakdown;
     use fl::models::HomoLr;
     use fl::train::{FlEnv, FlModel, TrainConfig};
-    use fl::{Accelerator, BackendKind, EngineConfig};
+    use fl::{Accelerator, BackendKind, EngineConfig, EpochBreakdown};
 
     let keys = {
         let mut rng = ChaCha8Rng::seed_from_u64(0x40B);
@@ -447,7 +448,7 @@ fn round_engine_is_thread_count_invariant_and_matches_the_classic_loop() {
     spec.instances = 160;
     let data = spec.generate(1.0);
 
-    let run = |threads: Option<usize>, engine: Option<EngineConfig>| {
+    let run = |threads: Option<usize>, engine: EngineConfig| {
         let keys = keys.clone();
         let data = data.clone();
         let body = move || {
@@ -468,8 +469,48 @@ fn round_engine_is_thread_count_invariant_and_matches_the_classic_loop() {
         }
     };
 
-    // The classic sequential loop on one thread is the reference.
-    let (classic_w, classic_b) = run(Some(1), None);
+    // The reference is the barrier-by-barrier sequential loop the engine
+    // replaced: what it charged this epoch and the weights it reached,
+    // captured from it bit-for-bit before it was deleted.
+    let s = f64::from_bits;
+    let classic_b = EpochBreakdown {
+        he_seconds: s(0x3e805e36456051e8),
+        comm_seconds: s(0x3f771e6e6ee24fb0),
+        other_seconds: s(0x3f267b4194cad2cd),
+        comm_bytes: 0x5fc,
+        ciphertexts: 0x30,
+        he_values: 0x10,
+        phases: PhaseBreakdown {
+            compute_seconds: s(0x3ee828c0be769dc2),
+            encrypt_seconds: s(0x3f14fa1393160308),
+            uplink_seconds: s(0x3f671e7705e843c3),
+            aggregate_seconds: s(0x3e50ed192548cd1e),
+            downlink_seconds: s(0x3f671e65d7dc5b9c),
+            decrypt_seconds: s(0x3f14fe77c8412a76),
+        },
+        round_seconds: s(0x3f77d26937f53106),
+    };
+    let classic_w: Vec<f64> = [
+        0x3fb999996a833dc8u64,
+        0x3fb9996a0ab6552c,
+        0xbfb99997d1e081cc,
+        0xbfb99998a338e617,
+        0x3fb999996695e330,
+        0xbfb99998f6648961,
+        0xbfb9999946f77685,
+        0x3fb99998e04cfaf7,
+        0x3fb9999974b16762,
+        0x3fb99997f1e7340c,
+        0xbfb99995f1a791dd,
+        0xbfb99998af4acc6d,
+        0xbfb9999973e0d0b9,
+        0xbfb99996f64c54a9,
+        0x3fb9999971d4be7b,
+        0xbfb9999834976d19,
+    ]
+    .into_iter()
+    .map(f64::from_bits)
+    .collect();
 
     let sweeps: [Option<usize>; 4] = [Some(1), Some(2), Some(8), None];
     let mut pipelined_ref = None;
@@ -477,12 +518,12 @@ fn round_engine_is_thread_count_invariant_and_matches_the_classic_loop() {
         // Sequential engine: bit-identical weights AND bit-identical
         // breakdown (components, phases, round_seconds) to the classic
         // loop, at every thread count.
-        let (w, b) = run(threads, Some(EngineConfig::sequential()));
+        let (w, b) = run(threads, EngineConfig::sequential());
         assert_eq!(w, classic_w, "sequential engine weights, {threads:?}");
         assert_eq!(b, classic_b, "sequential engine breakdown, {threads:?}");
 
         // Pipelined engine: same weights and same work, shorter round.
-        let (w, b) = run(threads, Some(EngineConfig::default()));
+        let (w, b) = run(threads, EngineConfig::default());
         assert_eq!(w, classic_w, "pipelined engine weights, {threads:?}");
         assert_eq!(b.he_seconds, classic_b.he_seconds, "{threads:?}");
         assert_eq!(b.comm_seconds, classic_b.comm_seconds, "{threads:?}");
