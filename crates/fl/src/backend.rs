@@ -170,11 +170,14 @@ impl Accelerator {
 
         // Blinding-factor pre-generation is an FLBooster-family
         // optimization (and rides along in both ablations); the FATE and
-        // HAFLO baselines pay the full `r^n` on every encryption.
+        // HAFLO baselines pay the full `r^n` on every encryption. The
+        // accelerator holds the key pair, so its pool is the key owner's
+        // and computes `r^n` by the CRT route — same values, a third of
+        // the host work.
         let pool = match kind {
             BackendKind::Fate | BackendKind::Haflo => None,
             BackendKind::FlBooster | BackendKind::WithoutGhe | BackendKind::WithoutBc => {
-                Some(Arc::new(ObfuscatorPool::new(&keys.public)))
+                Some(Arc::new(ObfuscatorPool::for_owner(&keys.private)))
             }
         };
 
@@ -311,6 +314,14 @@ impl Accelerator {
     /// returning this call's cost alongside the ciphertexts instead of
     /// charging the shared accumulator.
     ///
+    /// On the FLBooster-family backends the call first refills the
+    /// blinding pool for exactly this batch — inside the call, on the
+    /// caller's wall clock — and then encrypts against the warm pool, so
+    /// the simulated charge is the pooled one while the host still pays
+    /// every `r^n`, by the key owner's CRT route (the accelerator holds
+    /// the key pair; a party holding the public key alone would build its
+    /// pool with [`ObfuscatorPool::new`] and pay the full-width power).
+    ///
     /// The round engine needs the *per-client* cost to lay client
     /// encrypts out on its simulated timeline, and it runs client
     /// encrypts concurrently on the work-stealing pool — a take-timing
@@ -344,10 +355,17 @@ impl Accelerator {
             // Pre-generate the batch's (r, r^n) pairs sized to the
             // gradient vector. The pairs use the same deterministic r
             // derivation as the inline path, so ciphertexts are
-            // unchanged; the r^n exponentiations are amortized background
-            // work (the paper's pooling argument) and not charged to the
-            // simulated epoch. Only the public batch *size* crosses into
-            // the refill; the plaintext values do not.
+            // unchanged. The refill runs here, inside this call and on
+            // its wall clock — nothing computes it in the background —
+            // while the *simulated* epoch is not charged for it (the
+            // paper's pooling argument: pre-generation is off the modeled
+            // hot path). What keeps it cheap on the host is the route:
+            // this pool was built `for_owner`, because the accelerator
+            // holds the private key, so each r^n is four half-length
+            // powers over half- and quarter-width operands instead of one
+            // full-length, full-width one. Only the public batch
+            // *size* crosses into the refill; the plaintext values do
+            // not.
             // flcheck: allow(ct-taint)
             pool.prefill_batch(&self.keys.public, seed, plaintexts.len())?;
         }

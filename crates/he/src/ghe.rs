@@ -130,9 +130,12 @@ fn blinding(pk: &PaillierPublicKey, seed: u64, index: usize) -> Natural {
 
 /// Encrypts one batch item, preferring a pool-precomputed `(r, r^n)`
 /// pair; on a pool miss it computes `r^n` inline from the same
-/// deterministically derived `r`, so the ciphertext is bit-identical
-/// either way. Returns whether the pool served the item (the pooled path
-/// skips the `bits(n)`-bit exponentiation, so it is charged differently).
+/// deterministically derived `r` — by the pool holder's route
+/// ([`ObfuscatorPool`]: the key owner's when the pool carries the private
+/// key, the public one otherwise, and the public one with no pool) — so
+/// the ciphertext is bit-identical either way. Returns whether the pool
+/// served the item (the pooled path skips the `bits(n)`-bit
+/// exponentiation, so it is charged differently).
 fn encrypt_item(
     pk: &PaillierPublicKey,
     pool: Option<&ObfuscatorPool>,
@@ -140,10 +143,15 @@ fn encrypt_item(
     seed: u64,
     index: usize,
 ) -> (Result<Ciphertext>, bool) {
-    match pool.and_then(|p| p.take(seed, index)) {
-        Some(obf) => (pk.encrypt_with_obfuscator(m, obf), true),
-        None => (pk.encrypt_with_r(m, &blinding(pk, seed, index)), false),
+    if let Some(obf) = pool.and_then(|p| p.take(seed, index)) {
+        return (pk.encrypt_with_obfuscator(m, obf), true);
     }
+    let r = blinding(pk, seed, index);
+    let obf = match pool {
+        Some(p) => p.blinding_power(pk, &r),
+        None => pk.precompute_obfuscator(&r),
+    };
+    (pk.encrypt_with_obfuscator(m, obf), false)
 }
 
 /// Shape-checks a weighted-aggregate call: one weight per batch, all

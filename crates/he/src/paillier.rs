@@ -12,15 +12,35 @@
 //!   exponentiation for `g^m` (the plaintext is secret), one extra modexp
 //!   per encryption, reflected in
 //!   [`PaillierPublicKey::encrypt_op_estimate`].
-//! - **Encryption** (paper Eq. 3): `E(m) = g^m · r^n mod n²`.
+//! - **Encryption** (paper Eq. 3): `E(m) = g^m · r^n mod n²`. The
+//!   blinding power `r^n mod n²` is the expensive half and does not
+//!   depend on the plaintext, so it is packaged as an [`Obfuscator`] and
+//!   can be computed ahead of the batch ([`ObfuscatorPool`]). There are
+//!   two routes to the same value: anyone holding the public key pays one
+//!   `bits(n)`-bit power over `n²`-wide operands
+//!   ([`PaillierPublicKey::precompute_obfuscator`]); the key owner pays,
+//!   for each prime, one half-length power modulo the prime and one
+//!   modulo its square, and recombines by CRT
+//!   ([`PaillierPrivateKey::precompute_obfuscator`]) — a third of the
+//!   work for the identical residue.
 //! - **Decryption** (paper Eq. 4): `D(c) = L(c^λ mod n²) / L(g^λ mod n²)
 //!   mod n`, with an optional CRT fast path that exponentiates modulo `p²`
 //!   and `q²` separately (≈4× fewer limb operations).
+//! - **Secret exponents** — `λ`, `p−1`, `q−1`, the owner route's
+//!   exponents, and the plaintext under a generic `g` — all go through
+//!   the one constant-time fixed-window exponentiation
+//!   ([`mpint::modpow::mod_pow_ct`]).
+//! - **Cost estimates** (`*_op_estimate`) price the *simulated device's*
+//!   schedule — a sliding window for public exponents, one squaring and
+//!   one multiply per exponent bit for secret ones — which is what
+//!   `calibrate_cost` conforms to. The host's own schedules (above) are
+//!   cheaper and do not enter the simulated seconds.
 //! - **Homomorphic addition** (paper Eq. 5): `E(m₁)·E(m₂) = E(m₁+m₂)`,
 //!   plus plaintext-scalar multiplication `E(m)^k = E(k·m)` used for
 //!   weighted gradient aggregation.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -76,8 +96,8 @@ pub struct PaillierPublicKey {
 }
 
 /// Private key: `(p, q)` with both the direct (`λ, μ`) and CRT decryption
-/// precomputations.
-#[derive(Debug, Clone)]
+/// precomputations. `Debug` prints the key size and fingerprint only.
+#[derive(Clone)]
 pub struct PaillierPrivateKey {
     /// Prime factor `p`.
     pub p: Natural,
@@ -102,10 +122,19 @@ pub struct PaillierPrivateKey {
     h_q: Natural,
     /// `p^{-1} mod q` for the CRT recombination.
     p_inv_q: Natural,
+    // Owner-route blinding precomputation (`r^n` mod `p²`, `q²`).
+    ctx_p: MontgomeryCtx,
+    ctx_q: MontgomeryCtx,
+    /// `q mod (p-1)`: the exponent of `r^q mod p`.
+    q_mod_p1: Natural,
+    /// `p mod (q-1)`.
+    p_mod_q1: Natural,
+    /// `(p²)^{-1} mod q²` for recombining the two blinding residues.
+    p2_inv_q2: Natural,
 }
 
-/// A generated key pair.
-#[derive(Debug, Clone)]
+/// A generated key pair. `Debug` prints the key size and fingerprint only.
+#[derive(Clone)]
 pub struct PaillierKeyPair {
     /// The public (encryption) key.
     pub public: PaillierPublicKey,
@@ -113,9 +142,38 @@ pub struct PaillierKeyPair {
     pub private: PaillierPrivateKey,
 }
 
+/// `Debug` body shared by everything that holds private-key material: the
+/// type name, the key size and the key fingerprint, and nothing a factor,
+/// exponent or blinding residue could be read from.
+pub(crate) fn fmt_redacted(
+    f: &mut fmt::Formatter<'_>,
+    name: &str,
+    key_bits: u32,
+    fingerprint: u64,
+) -> fmt::Result {
+    f.debug_struct(name)
+        .field("key_bits", &key_bits)
+        .field("fingerprint", &format_args!("{fingerprint:#018x}"))
+        .finish_non_exhaustive()
+}
+
+impl fmt::Debug for PaillierPrivateKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let pk = &self.public;
+        fmt_redacted(f, "PaillierPrivateKey", pk.key_bits, pk.key_id)
+    }
+}
+
+impl fmt::Debug for PaillierKeyPair {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let pk = &self.public;
+        fmt_redacted(f, "PaillierKeyPair", pk.key_bits, pk.key_id)
+    }
+}
+
 /// `L(x) = (x - 1) / n` — the paper's L function, defined on `x ≡ 1 mod n`.
-/// Callers pass exponentiation outputs, which are `>= 1` for `x` in
-/// `Z*_{n²}`; the (unreachable) `x = 0` case maps to `L(0) = 0`.
+/// Callers pass powers of a checked ciphertext, which lies in `[1, n²)`;
+/// `x = 0` (a ciphertext sharing a factor with `n`) maps to `L(0) = 0`.
 fn l_function(x: &Natural, n: &Natural) -> Natural {
     let (q, _r) = x
         .checked_sub(&Natural::one())
@@ -124,11 +182,12 @@ fn l_function(x: &Natural, n: &Natural) -> Natural {
     q
 }
 
-/// Secret-exponent exponentiation for decryption: `λ` and the CRT
-/// exponents `p-1`, `q-1` are private-key material, so they go through the
-/// square-and-multiply-always ladder with a public key-size step bound
-/// rather than the sliding-window path (whose multiply schedule mirrors
-/// the exponent bits).
+/// Secret-exponent exponentiation: `λ`, the CRT exponents `p-1`, `q-1`,
+/// the owner route's `q mod (p-1)`, `p` and their mirrors are private-key
+/// material (and the plaintext under a generic `g` is the secret itself),
+/// so they go through the constant-time fixed window with a public
+/// key-size bound rather than the sliding-window path (whose multiply
+/// schedule mirrors the exponent bits).
 // flcheck: ct-fn
 // flcheck: secret(exp)
 fn pow_secret(ctx: &MontgomeryCtx, base: &Natural, exp: &Natural, bits: u32) -> Natural {
@@ -136,14 +195,14 @@ fn pow_secret(ctx: &MontgomeryCtx, base: &Natural, exp: &Natural, bits: u32) -> 
 }
 
 /// Limb-op estimate of one sliding-window exponentiation (`mod_pow_ctx`)
-/// with a public `e_bits`-bit exponent over `s`-limb operands.
+/// with a public `e_bits`-bit exponent over `s`-limb operands, as the
+/// simulated device is charged for it.
 ///
 /// The simulator's historical unit charges one `s`-limb `mont_mul` as
 /// `s²` limb ops — half its 64×64 MAC count — so totals here are MAC
 /// counts halved. Squarings are charged at the dedicated
 /// [`mont_sqr`](mpint::cios::mont_sqr) kernel's cheaper rate (~¾ of a
-/// general multiply), which the exponentiation ladders now use for every
-/// squaring step.
+/// general multiply).
 fn window_pow_ops(s: usize, e_bits: u32) -> u64 {
     let w = window_size_for(e_bits) as u64;
     let e = e_bits as u64;
@@ -152,9 +211,11 @@ fn window_pow_ops(s: usize, e_bits: u32) -> u64 {
     (sqr_macs + mul_macs) / 2
 }
 
-/// Limb-op estimate of one square-and-multiply-always ladder
-/// (`mod_pow_ct`): exactly one squaring and one multiply per exponent
-/// step, regardless of the exponent bits. Same unit as
+/// Limb-op estimate of one secret-exponent power on the *simulated
+/// device*: one squaring and one multiply per exponent bit, regardless of
+/// the bits. This is the charged schedule `calibrate_cost` conforms to,
+/// not the host's — [`mod_pow_ct`] runs a fixed window
+/// ([`mpint::modpow::mod_pow_ct_counts`]) and does less. Same unit as
 /// [`window_pow_ops`].
 fn ladder_pow_ops(s: usize, e_bits: u32) -> u64 {
     (e_bits as u64) * (mont_sqr_mac_count(s) + mont_mul_mac_count(s)) / 2
@@ -236,7 +297,7 @@ impl PaillierKeyPair {
 
         // μ = L(g^λ mod n²)^{-1} mod n. With g = n+1,
         // g^λ mod n² = 1 + λ·n mod n², hence L(g^λ) = λ mod n; a generic g
-        // needs the exponentiation (λ is secret, so the ct ladder).
+        // needs the exponentiation (λ is secret, so the ct window).
         let l_g_lambda = if g_fast {
             &lambda % &n
         } else {
@@ -251,7 +312,7 @@ impl PaillierKeyPair {
         let ctx_p2 = MontgomeryCtx::new(&p_squared)?;
         let ctx_q2 = MontgomeryCtx::new(&q_squared)?;
         // With g = n+1: n² ≡ 0 (mod p²), so g^k mod p² = 1 + k·n mod p² —
-        // no exponentiation needed. Generic g goes through the ct ladder
+        // no exponentiation needed. Generic g goes through the ct window
         // (the exponent p-1 is private-key material).
         let g_p = if g_fast {
             &(&one + &(&p_minus_1 * &n)) % &p_squared
@@ -266,6 +327,19 @@ impl PaillierKeyPair {
         };
         let h_q = mod_inv(&(&l_function(&g_q, &q) % &q), &q)?;
         let p_inv_q = mod_inv(&(&p % &q), &q)?;
+
+        // Owner-route blinding precomputation.
+        let ctx_p = MontgomeryCtx::new(&p)?;
+        let ctx_q = MontgomeryCtx::new(&q)?;
+        let q_mod_p1 = &q % &p_minus_1;
+        let p_mod_q1 = &p % &q_minus_1;
+        // (p²)⁻¹ mod q² without a second inversion: one Newton step
+        // lifts u = p⁻¹ mod q to p⁻¹ mod q² = u·(2 − p·u), and the
+        // inverse of a square is the square of the inverse.
+        let two = Natural::from(2u64);
+        let p_u = &(&p * &p_inv_q) % &q_squared;
+        let p_inv_q2 = &(&p_inv_q * &two.mod_sub(&p_u, &q_squared)) % &q_squared;
+        let p2_inv_q2 = &p_inv_q2.square() % &q_squared;
 
         let private = PaillierPrivateKey {
             p,
@@ -282,6 +356,11 @@ impl PaillierKeyPair {
             h_p,
             h_q,
             p_inv_q,
+            ctx_p,
+            ctx_q,
+            q_mod_p1,
+            p_mod_q1,
+            p2_inv_q2,
         };
         Ok(PaillierKeyPair { public, private })
     }
@@ -291,7 +370,7 @@ impl PaillierKeyPair {
 /// in ciphertexts to catch cross-key mixing. Two keys sharing `n` but
 /// using different `g` decrypt each other's ciphertexts to garbage, so `g`
 /// is part of the identity.
-fn key_fingerprint(n: &Natural, g: &Natural) -> u64 {
+pub(crate) fn key_fingerprint(n: &Natural, g: &Natural) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for &l in n.limbs().iter().chain(g.limbs()) {
         h ^= l;
@@ -308,12 +387,20 @@ fn key_fingerprint(n: &Natural, g: &Natural) -> u64 {
 /// consumed **by value** in
 /// [`PaillierPublicKey::encrypt_with_obfuscator`], so each `r` blinds
 /// exactly one ciphertext; reusing `r` across two ciphertexts would let
-/// their quotient cancel the blinding.
-#[derive(Debug)]
+/// their quotient cancel the blinding. `Debug` prints the key fingerprint
+/// only: `r^n` unblinds the ciphertext it goes into.
 pub struct Obfuscator {
     /// `r^n mod n²`, ready to multiply onto `g^m`.
     r_n: Natural,
     key_id: u64,
+}
+
+impl fmt::Debug for Obfuscator {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Obfuscator")
+            .field("fingerprint", &format_args!("{:#018x}", self.key_id))
+            .finish_non_exhaustive()
+    }
 }
 
 /// Acquires a std mutex, recovering the data from a poisoned lock: pool
@@ -339,9 +426,24 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Each pair is handed out at most once (`take` removes it), preserving
 /// the one-ciphertext-per-`r` rule. Refills fan the `r^n` exponentiations
 /// out on the work-stealing pool and take each lock once, briefly, to
-/// deposit finished values.
+/// deposit finished values. A refill runs inside the call that asks for
+/// it, on the caller's clock: the pool decides *when* `r^n` is paid for,
+/// not whether.
+///
+/// What each `r^n` costs depends on who holds the pool. A pool built with
+/// [`for_owner`](Self::for_owner) carries the private key and computes
+/// its powers by the owner's CRT route
+/// ([`PaillierPrivateKey::precompute_obfuscator`]); one built with
+/// [`new`](Self::new) knows the public key only and pays the full-width
+/// power ([`PaillierPublicKey::precompute_obfuscator`]). The values — and
+/// so the ciphertexts, the hit/miss counts and every simulated charge —
+/// are the same either way. Only a party that already holds the private
+/// key can build the first kind; an encrypting party that was handed the
+/// public key alone keeps the second.
 pub struct ObfuscatorPool {
     key_id: u64,
+    /// The private key, when the holder is the key owner.
+    owner: Option<PaillierPrivateKey>,
     // BTreeMap, not HashMap: the pool sits on the ciphertext result path,
     // so any future iteration (eviction, draining, debug dumps) must come
     // out in key order rather than hash order.
@@ -354,6 +456,8 @@ pub struct ObfuscatorPool {
 impl std::fmt::Debug for ObfuscatorPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ObfuscatorPool")
+            .field("fingerprint", &format_args!("{:#018x}", self.key_id))
+            .field("owner", &self.owner.is_some())
             .field("indexed", &lock(&self.indexed).len())
             .field("anon", &lock(&self.anon).len())
             .field("hits", &self.hits.load(Ordering::Relaxed))
@@ -363,10 +467,23 @@ impl std::fmt::Debug for ObfuscatorPool {
 }
 
 impl ObfuscatorPool {
-    /// An empty pool bound to `pk`'s key identity.
+    /// An empty pool bound to `pk`'s key identity, for a holder of the
+    /// public key: blinding powers take the public route.
     pub fn new(pk: &PaillierPublicKey) -> Self {
+        Self::with_owner(pk, None)
+    }
+
+    /// An empty pool for the key owner: blinding powers take the owner's
+    /// CRT route, bit-identical to the public one and about a third of
+    /// its work.
+    pub fn for_owner(sk: &PaillierPrivateKey) -> Self {
+        Self::with_owner(&sk.public, Some(sk.clone()))
+    }
+
+    fn with_owner(pk: &PaillierPublicKey, owner: Option<PaillierPrivateKey>) -> Self {
         ObfuscatorPool {
             key_id: pk.key_id,
+            owner,
             indexed: Mutex::new(BTreeMap::new()),
             anon: Mutex::new(VecDeque::new()),
             hits: AtomicU64::new(0),
@@ -374,13 +491,25 @@ impl ObfuscatorPool {
         }
     }
 
+    /// `r^n mod n²` by the cheapest route this pool's holder has: the
+    /// owner's when the pool carries the private key, the public one
+    /// otherwise. Same value either way.
+    pub(crate) fn blinding_power(&self, pk: &PaillierPublicKey, r: &Natural) -> Obfuscator {
+        match &self.owner {
+            Some(sk) => sk.precompute_obfuscator(r),
+            None => pk.precompute_obfuscator(r),
+        }
+    }
+
     /// Precomputes the blinding pairs for items `0..count` of the batch
     /// identified by `seed`, in parallel. The `r` values are the same
     /// ones the inline path derives, so consuming these pairs changes
-    /// nothing about the ciphertexts — only when `r^n` is paid for.
-    // Pool refill runs off the training hot path; the cost lands when a
-    // pooled pair is consumed, which `encrypt_pooled_op_estimate` prices
-    // (that split is the point of the obfuscator pool).
+    /// nothing about the ciphertexts — only when `r^n` is paid for, and
+    /// (for the key owner) by which route.
+    // The simulated device is not charged for a refill; the cost model
+    // prices the consumption of a pooled pair
+    // (`encrypt_pooled_op_estimate`). On the host the refill runs inside
+    // this call.
     // flcheck: allow(uncharged-work) — off-path pool refill
     pub fn prefill_batch(&self, pk: &PaillierPublicKey, seed: u64, count: usize) -> Result<()> {
         if pk.key_id != self.key_id {
@@ -391,7 +520,7 @@ impl ObfuscatorPool {
             .with_max_len(1)
             .map(|i| {
                 let r = pk.batch_blinding(seed, i);
-                ((seed, i as u64), pk.precompute_obfuscator(&r))
+                ((seed, i as u64), self.blinding_power(pk, &r))
             })
             .collect();
         lock(&self.indexed).extend(pairs);
@@ -428,7 +557,7 @@ impl ObfuscatorPool {
         let obfs: Vec<Obfuscator> = rs
             .par_iter()
             .with_max_len(1)
-            .map(|r| pk.precompute_obfuscator(r))
+            .map(|r| self.blinding_power(pk, r))
             .collect();
         lock(&self.anon).extend(obfs);
         Ok(())
@@ -495,6 +624,9 @@ impl PaillierPublicKey {
     /// [`encrypt_with_obfuscator`](Self::encrypt_with_obfuscator). The
     /// exponent `n` is public; the base `r` is the blinding secret, but
     /// the sliding-window schedule depends only on the exponent bits.
+    /// This is the route open to anyone who can encrypt; the key owner
+    /// has a cheaper one to the same value,
+    /// [`PaillierPrivateKey::precompute_obfuscator`].
     // flcheck: secret(r)
     pub fn precompute_obfuscator(&self, r: &Natural) -> Obfuscator {
         // The window walk is driven by the public exponent n, not r.
@@ -530,7 +662,7 @@ impl PaillierPublicKey {
         }
         // Fast path (g = n+1): g^m mod n² = 1 + m·n — one multiplication.
         // Generic g pays a full exponentiation; the plaintext m is secret,
-        // so it goes through the constant-time ladder with the public
+        // so it goes through the constant-time window with the public
         // bound m < n.
         let g_m = if self.g_fast {
             &(&Natural::one() + &(m * &self.n)) % &self.n_squared
@@ -597,17 +729,24 @@ impl PaillierPublicKey {
 
     /// Validates a batch of aggregation inputs: every ciphertext must
     /// carry this key's fingerprint ([`Error::AggregandKeyMismatch`]
-    /// names the offending index) and lie inside the ciphertext space.
+    /// names the offending index) and lie in `[1, n²)`.
     fn check_aggregands(&self, cts: &[Ciphertext]) -> Result<()> {
         for (index, c) in cts.iter().enumerate() {
             if c.key_id != self.key_id {
                 return Err(Error::AggregandKeyMismatch { index });
             }
-            if c.value >= self.n_squared {
+            if !self.in_ciphertext_range(&c.value) {
                 return Err(Error::CiphertextOutOfRange);
             }
         }
         Ok(())
+    }
+
+    /// Whether `value` lies in `[1, n²)`, the range every element of the
+    /// ciphertext space `Z*_{n²}` falls in. Zero is outside it: it is no
+    /// unit, and it would "decrypt" to `0` as if it were `E(0)`.
+    fn in_ciphertext_range(&self, value: &Natural) -> bool {
+        !value.is_zero() && value < &self.n_squared
     }
 
     /// Sharded [`weighted_sum`](Self::weighted_sum): slices the
@@ -693,9 +832,12 @@ impl PaillierPublicKey {
     }
 
     /// Estimated limb-level operation count of one encryption with an
-    /// inline `r^n mod n²`: the `bits(n)`-bit sliding-window
-    /// exponentiation (squarings at the dedicated `mont_sqr` rate) plus
-    /// the pooled-path remainder.
+    /// inline `r^n mod n²`, as the *simulated device* is charged for it:
+    /// the `bits(n)`-bit sliding-window exponentiation (squarings at the
+    /// dedicated `mont_sqr` rate) plus the pooled-path remainder. It
+    /// prices the public route whichever route the host took — a key
+    /// owner's pool miss costs the host less than this and is charged
+    /// the same.
     // flcheck: estimates(encrypt, 3)
     // flcheck: estimates(encrypt_with_r, 3)
     // flcheck: estimates(precompute_obfuscator, 2)
@@ -708,7 +850,7 @@ impl PaillierPublicKey {
     /// `r^n` pair came precomputed from an [`ObfuscatorPool`]: only
     /// `g^m` and the blinding multiplication remain on the hot path.
     /// Keys with a generic generator (no `g = n+1` closed form) still pay
-    /// the constant-time `g^m` ladder per call.
+    /// the constant-time `g^m` power per call.
     // flcheck: estimates(encrypt_with_obfuscator, 3)
     pub fn encrypt_pooled_op_estimate(&self) -> u64 {
         let s = self.ctx_n2.width();
@@ -834,7 +976,7 @@ impl PaillierPrivateKey {
     // flcheck: secret(lambda)
     pub fn decrypt(&self, c: &Ciphertext) -> Result<Natural> {
         self.check(c)?;
-        // λ = lcm(p-1, q-1) < n: the public modulus size bounds the ladder.
+        // λ = lcm(p-1, q-1) < n: the public modulus size bounds the window.
         let u = pow_secret(
             &self.public.ctx_n2,
             &c.value,
@@ -842,7 +984,7 @@ impl PaillierPrivateKey {
             self.public.n.bit_len(),
         );
         // L(u) = (u-1)/n is variable-time in the *decryption output*, not
-        // in the λ bits the ladder above protects.
+        // in the λ bits the window above protects.
         // flcheck: allow(ct-taint)
         let l = l_function(&u, &self.public.n);
         Ok(&(&l * &self.mu) % &self.public.n)
@@ -865,14 +1007,14 @@ impl PaillierPrivateKey {
 
         let cq = &c.value % &self.q_squared;
         let uq = pow_secret(&self.ctx_q2, &cq, &self.q_minus_1, self.q.bit_len());
-        // Same as the p branch: post-ladder output processing.
+        // Same as the p branch: post-window output processing.
         // flcheck: allow(ct-taint)
         let m_q = &(&l_function(&uq, &self.q) * &self.h_q) % &self.q;
 
         // CRT: m = m_p + p·((m_q - m_p)·p^{-1} mod q), with m_p reduced
         // into [0, q) before the difference (p and q have no ordering).
         let m_p_mod_q = &m_p % &self.q;
-        // CRT recombination of the two plaintext residues; both ladders
+        // CRT recombination of the two plaintext residues; both windows
         // are already done and the arithmetic is width-bounded.
         // flcheck: allow(ct-taint)
         let diff = m_q.mod_sub(&m_p_mod_q, &self.q);
@@ -880,11 +1022,69 @@ impl PaillierPrivateKey {
         Ok(&m_p + &(&self.p * &t))
     }
 
-    /// Estimated limb-level op count of one CRT decryption: two
-    /// half-width square-and-multiply-always ladders (the exponents are
-    /// private-key material, so decryption pays the constant-time
-    /// schedule, not the sliding window) plus the L-function and CRT
-    /// recombination arithmetic.
+    /// The key owner's route to the blinding power `r^n mod n²`: the same
+    /// residue as [`PaillierPublicKey::precompute_obfuscator`] for every
+    /// `r ∈ Z*_n`, from half-width arithmetic.
+    ///
+    /// Modulo `p²`, `r^n = (r^q)^p`, and `x^p mod p²` depends on `x mod p`
+    /// alone (`(x + kp)^p ≡ x^p`), so
+    /// `r^n mod p² = ((r mod p)^(q mod (p−1)) mod p)^p mod p²`: one
+    /// half-length power over `p`-wide operands and one over `p²`-wide
+    /// ones. The same modulo `q²`, and the two residues recombine by CRT
+    /// with the precomputed `(p²)^{-1} mod q²`. All four exponents are key
+    /// material and go through the constant-time window.
+    // The simulated device is charged for blinding at consumption
+    // (`encrypt_op_estimate` on a pool miss, the pooled estimate on a
+    // hit), whichever host route produced the value.
+    // flcheck: allow(uncharged-work) — off-path pool refill (see prefill_batch).
+    // flcheck: secret(r)
+    pub fn precompute_obfuscator(&self, r: &Natural) -> Obfuscator {
+        // Delegation boundary: r enters the two powers as their base,
+        // which the window only ever handles as data; the exponents
+        // re-enter analysis through pow_secret's own secret(exp) seed.
+        // flcheck: allow(ct-taint)
+        let at_p = Self::pow_n_mod_square(r, &self.p, &self.q_mod_p1, &self.ctx_p, &self.ctx_p2);
+        // flcheck: allow(ct-taint)
+        let at_q = Self::pow_n_mod_square(r, &self.q, &self.p_mod_q1, &self.ctx_q, &self.ctx_q2);
+        // CRT: r^n = at_p + p²·((at_q − at_p)·(p²)^{-1} mod q²), with at_p
+        // reduced into [0, q²) before the difference (p² and q² have no
+        // ordering). Both windows are done; the arithmetic is
+        // width-bounded.
+        // flcheck: allow(ct-taint)
+        let at_p_mod_q2 = &at_p % &self.q_squared;
+        // flcheck: allow(ct-taint)
+        let diff = at_q.mod_sub(&at_p_mod_q2, &self.q_squared);
+        // flcheck: allow(ct-taint)
+        let t = self.ctx_q2.mod_mul(&diff, &self.p2_inv_q2);
+        Obfuscator {
+            r_n: &at_p + &(&self.p_squared * &t),
+            key_id: self.public.key_id,
+        }
+    }
+
+    /// `r^n mod s²` for the prime factor `s` of `n`, given
+    /// `cofactor_exp = (n/s) mod (s−1)` and the contexts modulo `s`, `s²`.
+    fn pow_n_mod_square(
+        r: &Natural,
+        prime: &Natural,
+        cofactor_exp: &Natural,
+        ctx_prime: &MontgomeryCtx,
+        ctx_square: &MontgomeryCtx,
+    ) -> Natural {
+        // Both exponents are key material bounded by the public half-key
+        // size.
+        let half_bits = prime.bit_len();
+        let x = pow_secret(ctx_prime, &(r % prime), cofactor_exp, half_bits);
+        pow_secret(ctx_square, &x, prime, half_bits)
+    }
+
+    /// Estimated limb-level op count of one CRT decryption as the
+    /// *simulated device* is charged for it: two half-width secret-exponent
+    /// powers at one squaring and one multiply per exponent bit (the
+    /// exponents are private-key material, so decryption pays a
+    /// constant-time schedule, not the sliding window) plus the L-function
+    /// and CRT recombination arithmetic. The host's `decrypt_crt` runs the
+    /// fixed window and does less; this estimate does not follow it.
     // flcheck: estimates(decrypt, 2)
     // flcheck: estimates(decrypt_crt, 2)
     pub fn decrypt_op_estimate(&self) -> u64 {
@@ -896,7 +1096,7 @@ impl PaillierPrivateKey {
         if c.key_id != self.public.key_id {
             return Err(Error::KeyMismatch);
         }
-        if c.value >= self.public.n_squared {
+        if !self.public.in_ciphertext_range(&c.value) {
             return Err(Error::CiphertextOutOfRange);
         }
         Ok(())
@@ -1026,6 +1226,138 @@ mod tests {
     }
 
     #[test]
+    fn zero_ciphertext_value_rejected_everywhere() {
+        // 0 is below n² but outside Z*_{n²}; it used to "decrypt" to 0.
+        let k = keys(128);
+        let zero = Ciphertext {
+            value: Natural::zero(),
+            key_id: k.public.key_id,
+        };
+        assert_eq!(k.private.decrypt(&zero), Err(Error::CiphertextOutOfRange));
+        assert_eq!(
+            k.private.decrypt_crt(&zero),
+            Err(Error::CiphertextOutOfRange)
+        );
+        let good = k.public.encrypt(&nat(5), &mut rng()).unwrap();
+        for shards in [1usize, 2] {
+            assert_eq!(
+                k.public.weighted_sum_sharded(
+                    &[good.clone(), zero.clone()],
+                    &[nat(1), nat(1)],
+                    shards
+                ),
+                Err(Error::CiphertextOutOfRange),
+                "{shards} shards"
+            );
+        }
+        assert_eq!(
+            Error::CiphertextOutOfRange.to_string(),
+            "ciphertext outside the ciphertext space"
+        );
+        // The smallest member of the range still goes through.
+        assert_eq!(
+            k.private.decrypt(&k.public.zero_ciphertext()).unwrap(),
+            nat(0)
+        );
+    }
+
+    #[test]
+    fn debug_output_shows_no_key_material() {
+        let k = keys(128);
+        let pool = ObfuscatorPool::for_owner(&k.private);
+        pool.prefill_batch(&k.public, 3, 2).unwrap();
+        let r = nat(987_654_321);
+        let obf = k.private.precompute_obfuscator(&r);
+        let r_n = obf.r_n.clone();
+        let rendered = [
+            format!("{k:?}"),
+            format!("{:?}", k.private),
+            format!("{pool:?}"),
+            format!("{obf:?}"),
+            format!("{k:#?}"),
+        ];
+        let sk = &k.private;
+        let secrets = [&sk.p, &sk.q, &sk.lambda, &sk.mu, &sk.p_squared, &r_n];
+        for text in &rendered {
+            for secret in secrets {
+                let hex = secret.to_hex();
+                assert!(!text.contains(&hex), "{hex} leaked in {text}");
+                assert!(!text.contains(&format!("{secret:?}")));
+                assert!(
+                    !text.contains(&secret.to_string()),
+                    "decimal leaked in {text}"
+                );
+            }
+            assert!(text.contains("fingerprint"), "{text}");
+        }
+        assert_eq!(
+            rendered[0],
+            format!(
+                "PaillierKeyPair {{ key_bits: 128, fingerprint: {:#018x}, .. }}",
+                k.public.key_id
+            )
+        );
+        assert!(rendered[2].contains("owner: true"), "{}", rendered[2]);
+    }
+
+    #[test]
+    fn owner_and_public_blinding_powers_are_the_same_residue() {
+        let fast = keys(128);
+        let swapped =
+            PaillierKeyPair::from_primes(fast.private.q.clone(), fast.private.p.clone(), 128)
+                .unwrap();
+        for k in [&fast, &swapped, &generic_g_keys(), &keys(64), &keys(256)] {
+            let n = &k.public.n;
+            let edge = [
+                Natural::one(),
+                nat(2),
+                n.checked_sub(&Natural::one()).unwrap(),
+                // Unreduced: r^n mod n² depends on r mod n alone, and
+                // both routes reduce.
+                n + &nat(2),
+            ];
+            let drawn = (0..4).map(|i| k.public.batch_blinding(0xB11D, i));
+            for r in edge.into_iter().chain(drawn) {
+                let public = k.public.precompute_obfuscator(&r);
+                let owner = k.private.precompute_obfuscator(&r);
+                assert_eq!(owner.r_n.limbs(), public.r_n.limbs(), "r = {r}, n = {n}");
+                assert_eq!(owner.key_id, public.key_id);
+            }
+        }
+    }
+
+    #[test]
+    fn owner_pool_matches_public_pool_on_hit_and_miss() {
+        let k = keys(128);
+        let owner = ObfuscatorPool::for_owner(&k.private);
+        let public = ObfuscatorPool::new(&k.public);
+        for pool in [&owner, &public] {
+            pool.prefill_batch(&k.public, 31, 2).unwrap();
+            pool.pregenerate(&k.public, &mut rng(), 1).unwrap();
+        }
+        for i in 0..2 {
+            let a = owner.take(31, i).unwrap();
+            let b = public.take(31, i).unwrap();
+            assert_eq!(a.r_n, b.r_n, "indexed {i}");
+        }
+        assert_eq!(
+            owner.take_anon().unwrap().r_n,
+            public.take_anon().unwrap().r_n
+        );
+        let r = k.public.batch_blinding(31, 9);
+        assert_eq!(
+            owner.blinding_power(&k.public, &r).r_n,
+            public.blinding_power(&k.public, &r).r_n
+        );
+        // A foreign key is still refused before any power is computed.
+        let other = PaillierKeyPair::generate(&mut ChaCha8Rng::seed_from_u64(2), 128).unwrap();
+        assert_eq!(
+            owner.prefill_batch(&other.public, 0, 1),
+            Err(Error::KeyMismatch)
+        );
+    }
+
+    #[test]
     fn key_size_floor_enforced() {
         assert!(matches!(
             PaillierKeyPair::generate(&mut rng(), 32),
@@ -1132,8 +1464,8 @@ mod tests {
     fn generic_g_costs_more_and_mixing_fails() {
         let fast = keys(128);
         let slow = generic_g_keys();
-        // Same modulus width, but the generic ladder adds 2·bits(n)
-        // Montgomery multiplications per encryption.
+        // Same modulus width, but the generic g^m is charged 2·bits(n)
+        // more Montgomery multiplications per encryption.
         assert!(slow.public.encrypt_op_estimate() > fast.public.encrypt_op_estimate());
         // Same n, different g: the fingerprint must differ so cross-g
         // mixing fails loudly instead of decrypting to garbage.

@@ -8,12 +8,15 @@
 //! padding — which is exactly what the homomorphic use case requires (and
 //! why it must never be used for general-purpose encryption).
 
+use std::fmt;
+
 use mpint::cios::{mont_mul_mac_count, mont_sqr_mac_count};
 use mpint::modpow::{mod_pow_ct, mod_pow_ctx};
 use mpint::prime::{generate_prime_pair, DEFAULT_MR_ROUNDS};
 use mpint::{mod_inv, MontgomeryCtx, Natural};
 use rand::Rng;
 
+use crate::paillier::{fmt_redacted, key_fingerprint};
 use crate::{Error, Result};
 
 /// Smallest accepted RSA modulus size.
@@ -34,8 +37,9 @@ pub struct RsaPublicKey {
     ctx_n: MontgomeryCtx,
 }
 
-/// RSA private key with CRT acceleration.
-#[derive(Debug, Clone)]
+/// RSA private key with CRT acceleration. `Debug` prints the key size and
+/// the fingerprint of `(n, e)` only.
+#[derive(Clone)]
 pub struct RsaPrivateKey {
     /// Private exponent `d = e^{-1} mod λ(n)`.
     pub d: Natural,
@@ -50,13 +54,33 @@ pub struct RsaPrivateKey {
     ctx_q: MontgomeryCtx,
 }
 
-/// A generated RSA key pair.
-#[derive(Debug, Clone)]
+/// A generated RSA key pair. `Debug` prints the key size and the
+/// fingerprint of `(n, e)` only.
+#[derive(Clone)]
 pub struct RsaKeyPair {
     /// Public key.
     pub public: RsaPublicKey,
     /// Private key.
     pub private: RsaPrivateKey,
+}
+
+impl fmt::Debug for RsaPrivateKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let pk = &self.public;
+        fmt_redacted(
+            f,
+            "RsaPrivateKey",
+            pk.key_bits,
+            key_fingerprint(&pk.n, &pk.e),
+        )
+    }
+}
+
+impl fmt::Debug for RsaKeyPair {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let pk = &self.public;
+        fmt_redacted(f, "RsaKeyPair", pk.key_bits, key_fingerprint(&pk.n, &pk.e))
+    }
 }
 
 impl RsaKeyPair {
@@ -150,7 +174,7 @@ impl RsaPublicKey {
 /// Secret-exponent exponentiation for decryption. The CRT shares of `d`
 /// must not leak through the multiply schedule (the sliding-window path's
 /// schedule mirrors the exponent bits), so decryption routes through the
-/// square-and-multiply-always ladder, bounded by the public prime size.
+/// constant-time fixed window, bounded by the public prime size.
 // flcheck: ct-fn
 // flcheck: secret(exp)
 fn pow_secret(ctx: &MontgomeryCtx, base: &Natural, exp: &Natural, bits: u32) -> Natural {
@@ -169,7 +193,7 @@ impl RsaPrivateKey {
         let m_q = pow_secret(&self.ctx_q, &(c % &self.q), &self.d_q, self.q.bit_len());
         // Garner: m = m_q + q·((m_p - m_q)·q^{-1} mod p); both operands of
         // the lifted difference are reduced mod p. Recombination works on
-        // the plaintext residues after both ladders complete.
+        // the plaintext residues after both windows complete.
         // flcheck: allow(ct-taint)
         let diff = m_p.mod_sub(&(&m_q % &self.p), &self.p);
         let h = &(&diff * &self.q_inv_p) % &self.p;
@@ -191,12 +215,14 @@ impl RsaPrivateKey {
         ))
     }
 
-    /// Estimated limb-level op count of one CRT decryption: two
-    /// half-width square-and-multiply-always ladders (the CRT exponent
-    /// shares are private-key material, so decryption pays the
+    /// Estimated limb-level op count of one CRT decryption as the
+    /// *simulated device* is charged for it: two half-width secret-exponent
+    /// powers at one squaring and one multiply per exponent bit (the CRT
+    /// exponent shares are private-key material, so decryption pays a
     /// constant-time schedule) plus the Garner recombination arithmetic.
-    /// Same unit as the Paillier estimates — MAC counts halved, squarings
-    /// at the dedicated `mont_sqr` rate.
+    /// The host runs the fixed window and does less; this estimate does
+    /// not follow it. Same unit as the Paillier estimates — MAC counts
+    /// halved, squarings at the dedicated `mont_sqr` rate.
     // flcheck: estimates(decrypt, 2)
     // flcheck: estimates(decrypt_direct, 2)
     pub fn decrypt_op_estimate(&self) -> u64 {
@@ -283,6 +309,20 @@ mod tests {
             k.private.decrypt(&k.public.n),
             Err(Error::CiphertextOutOfRange)
         ));
+    }
+
+    #[test]
+    fn debug_output_shows_no_key_material() {
+        let k = keys(128);
+        let sk = &k.private;
+        for text in [format!("{k:?}"), format!("{sk:?}"), format!("{k:#?}")] {
+            for secret in [&sk.d, &sk.p, &sk.q, &sk.d_p, &sk.d_q, &sk.q_inv_p] {
+                assert!(!text.contains(&secret.to_hex()), "leaked in {text}");
+                assert!(!text.contains(&secret.to_string()), "leaked in {text}");
+            }
+            assert!(text.contains("key_bits: 128"), "{text}");
+            assert!(text.contains("fingerprint"), "{text}");
+        }
     }
 
     #[test]

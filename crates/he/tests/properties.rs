@@ -3,10 +3,11 @@
 //! Keys are generated once (128-bit, seeded) and shared across cases; the
 //! properties quantify over plaintexts and blinding factors.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-use he::paillier::PaillierKeyPair;
+use he::paillier::{ObfuscatorPool, PaillierKeyPair};
 use he::rsa::RsaKeyPair;
+use he::{CpuHe, HeBackend};
 use mpint::Natural;
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -100,4 +101,84 @@ proptest! {
             &(&m1 * &m2) % &k.public.n
         );
     }
+}
+
+/// `r^n mod n²` as an obfuscator carries it: `E(0) = g^0 · r^n`, so the
+/// ciphertext value of a zero plaintext is the residue itself.
+fn residue(k: &PaillierKeyPair, obf: he::paillier::Obfuscator) -> Natural {
+    k.public
+        .encrypt_with_obfuscator(&Natural::zero(), obf)
+        .unwrap()
+        .value
+}
+
+/// Owner-route and public-route blinding for `items` draws of the batch
+/// `seed`: the powers agree limb for limb, and an owner's pool and a
+/// public-key pool give equal ciphertexts, counts and charges with the
+/// first `prefilled` items served from the pool and the rest missing.
+fn check_owner_route(k: &PaillierKeyPair, seed: u64, items: usize, prefilled: usize) {
+    for i in 0..items {
+        let r = k.public.batch_blinding(seed, i);
+        let public = residue(k, k.public.precompute_obfuscator(&r));
+        let owner = residue(k, k.private.precompute_obfuscator(&r));
+        assert_eq!(owner.limbs(), public.limbs(), "item {i} of batch {seed:#x}");
+    }
+    let ms: Vec<Natural> = (0..items as u64)
+        .map(|i| Natural::from(i * 977 + 5))
+        .collect();
+    let run = |pool: ObfuscatorPool| {
+        let pool = Arc::new(pool);
+        pool.prefill_batch(&k.public, seed, prefilled).unwrap();
+        let he = CpuHe::default().with_pool(Arc::clone(&pool));
+        let (cts, timing) = he.encrypt_batch(&k.public, &ms, seed).unwrap();
+        (cts, timing, pool.hits(), pool.misses())
+    };
+    let owner = run(ObfuscatorPool::for_owner(&k.private));
+    let public = run(ObfuscatorPool::new(&k.public));
+    assert_eq!(
+        owner, public,
+        "batch {seed:#x}, {prefilled} of {items} pooled"
+    );
+    assert_eq!(
+        (owner.2, owner.3),
+        (prefilled as u64, (items - prefilled) as u64)
+    );
+    let (inline, _) = CpuHe::default()
+        .encrypt_batch(&k.public, &ms, seed)
+        .unwrap();
+    assert_eq!(owner.0, inline, "pooled and unpooled ciphertexts");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Fresh keys of three sizes, each prime order.
+    #[test]
+    fn owner_route_matches_public_route_on_random_keys(
+        key_seed in any::<u64>(),
+        size in 0usize..3,
+        swap in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let bits = [128u32, 256, 512][size];
+        let k = PaillierKeyPair::generate(&mut ChaCha8Rng::seed_from_u64(key_seed), bits).unwrap();
+        let (p, q) = (k.private.p.clone(), k.private.q.clone());
+        let (p, q) = if (p < q) == swap { (q, p) } else { (p, q) };
+        // swap = true puts the larger prime first.
+        prop_assert_eq!(p > q, swap);
+        let k = PaillierKeyPair::from_primes(p, q, bits).unwrap();
+        check_owner_route(&k, seed, 4, 2);
+    }
+}
+
+#[test]
+fn owner_route_matches_public_route_under_a_generic_generator() {
+    let base = paillier();
+    let g = &Natural::one() + &(&Natural::from(2u64) * &base.public.n);
+    let (p, q) = (base.private.p.clone(), base.private.q.clone());
+    let k = PaillierKeyPair::from_primes_with_g(p, q, 128, g).unwrap();
+    // g ≠ n + 1, yet g^0 = 1: the zero plaintext still shows r^n.
+    check_owner_route(&k, 0x6E6E, 3, 1);
+    check_owner_route(&k, 0x6E6F, 3, 0);
+    check_owner_route(&k, 0x6E70, 3, 3);
 }

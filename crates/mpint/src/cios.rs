@@ -160,7 +160,7 @@ pub const fn scratch_len(s: usize) -> usize {
 /// off-diagonal pair is multiplied once into `scratch`, then one pass
 /// doubles the partial sum and adds the diagonal terms `a_i²`.
 /// [`mont_reduce_into`] finishes. Every loop bound is the public width
-/// `s` — squarings sit inside the constant-time ladder of
+/// `s` — squarings sit inside the constant-time window of
 /// [`crate::modpow::mod_pow_ct`], where the squared value derives from
 /// secret exponent bits.
 ///

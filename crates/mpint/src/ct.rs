@@ -87,6 +87,26 @@ pub fn ct_select_limbs(mask: Limb, dst: &mut [Limb], src: &[Limb]) {
     }
 }
 
+/// Masked table fetch: copies entry `index` of a flat table of
+/// `out.len()`-limb entries into `out`, reading **every** entry whatever
+/// `index` is — entry `k` is kept under the mask `k == index` and dropped
+/// under its complement, so neither the addresses touched nor the
+/// instructions run depend on the (secret) index. An `index` past the
+/// table yields zeros. The entry width and the table length are public.
+// flcheck: ct-fn
+// flcheck: secret(index)
+pub fn ct_lookup_limbs(out: &mut [Limb], table: &[Limb], index: Limb) {
+    debug_assert!(!out.is_empty(), "table entries are at least one limb");
+    debug_assert_eq!(table.len() % out.len(), 0, "table must be whole entries");
+    out.fill(0);
+    for (k, entry) in (0..).zip(table.chunks_exact(out.len())) {
+        let mask = ct_mask(ct_is_zero(k ^ index));
+        for (o, &e) in out.iter_mut().zip(entry) {
+            *o |= e & mask;
+        }
+    }
+}
+
 /// `n` zero-extended without bound: zipped against a wider `t`, it lines
 /// `n`'s limbs up with `t`'s low words and feeds zeros to the rest.
 fn zero_extended(n: &[Limb]) -> impl Iterator<Item = Limb> + '_ {
@@ -178,6 +198,29 @@ mod tests {
         for (a, b) in cases {
             let expected = Natural::from_limbs(a.to_vec()) < Natural::from_limbs(b.to_vec());
             assert_eq!(ct_lt(a, b), expected as Limb, "{a:?} < {b:?}");
+        }
+    }
+
+    #[test]
+    fn lookup_returns_entry_k_for_every_k() {
+        for width in [1usize, 2, 5] {
+            for entries in [1usize, 2, 3, 16, 64] {
+                // Entry k holds k·width+1 .. k·width+width: all distinct,
+                // none zero.
+                let table: Vec<Limb> = (1..=(entries * width) as Limb).collect();
+                for k in 0..entries {
+                    let mut out = vec![Limb::MAX; width]; // stale contents must not leak
+                    ct_lookup_limbs(&mut out, &table, k as Limb);
+                    assert_eq!(
+                        out,
+                        table[k * width..(k + 1) * width],
+                        "{entries}x{width}[{k}]"
+                    );
+                }
+                let mut out = vec![Limb::MAX; width];
+                ct_lookup_limbs(&mut out, &table, entries as Limb);
+                assert_eq!(out, vec![0; width], "index past the table");
+            }
         }
     }
 

@@ -1,5 +1,6 @@
-//! Modular exponentiation: binary square-and-multiply and the
-//! sliding-window method.
+//! Modular exponentiation: binary square-and-multiply, the sliding-window
+//! method for public exponents and a constant-time fixed window for secret
+//! ones.
 //!
 //! The paper integrates its GPU Montgomery multiplication with "an
 //! extension of the sliding window exponential method, successfully
@@ -9,12 +10,16 @@
 //! they are cross-checked against each other and against iterated
 //! multiplication in the tests.
 //!
-//! For *secret* exponents (RSA/Paillier decryption) the sliding-window
-//! schedule leaks the exponent's bit pattern through its multiply sequence;
-//! [`mod_pow_ct`] provides a square-and-multiply-always ladder whose
-//! operation count depends only on the public bit-width.
+//! For *secret* exponents (RSA/Paillier decryption, the key owner's
+//! blinding powers) the sliding-window schedule leaks the exponent's bit
+//! pattern through its multiply sequence; [`mod_pow_ct`] is the one
+//! secret-exponent path: a fixed-window exponentiation that multiplies on
+//! every digit and fetches its table entry by a masked scan, so the kernel
+//! calls it makes and the addresses it touches depend only on the public
+//! bit-width. [`mod_pow_ct_counts`] gives that schedule.
 
 use crate::cios;
+use crate::ct::ct_lookup_limbs;
 use crate::limb::{Limb, LIMB_BITS};
 use crate::montgomery::{MontAcc, MontgomeryCtx};
 use crate::natural::Natural;
@@ -126,26 +131,90 @@ pub fn mod_pow_mont(ctx: &MontgomeryCtx, base_m: &Natural, exp: &Natural, window
     acc.map_or_else(|| ctx.one_mont(), MontAcc::into_natural)
 }
 
-/// Constant-time `base^exp mod n` for secret exponents: left-to-right
-/// square-and-multiply-**always** over exactly `exp_bits` ladder steps.
+/// Window width (bits per digit) of the fixed-window schedule
+/// [`mod_pow_ct`] runs under a public exponent bound of `exp_bits` bits.
 ///
-/// Every step performs one squaring (through the dedicated
-/// [`cios::mont_sqr_into`] kernel — squarings happen on *every* ladder
-/// step regardless of the exponent bit, so the cheaper schedule is
-/// data-independent and CT-safe) and one multiplication through the
-/// fixed-width CIOS kernel, then keeps or discards the multiplied value
-/// with a masked limb-select — `exp_bits` squarings plus `exp_bits`
-/// multiplications run for *every* exponent, so the instruction trace
-/// depends only on the public bound `exp_bits` (a key-size parameter such
-/// as `n.bit_len()`), never on the exponent's bit pattern. Compare the
-/// sliding-window path, whose multiply schedule mirrors the exponent's
-/// windows. The ladder's three buffers and the squaring scratch are
-/// allocated once, before the first step.
+/// A fixed window pays one multiply per digit whatever the digit is, a
+/// table of all `2^w` powers rather than the odd ones, and a scan of the
+/// whole table per digit, so its break-even widths sit below
+/// [`window_size_for`]'s: `w` minimizes `⌈bits/w⌉ + 2^w` multiplies, with
+/// the upper thresholds pushed out by what the scans cost on the operand
+/// widths those exponent sizes come with.
+fn ct_window_size_for(exp_bits: u32) -> u32 {
+    match exp_bits {
+        0..=4 => 1,
+        5..=24 => 2,
+        25..=96 => 3,
+        97..=383 => 4,
+        384..=1535 => 5,
+        _ => 6,
+    }
+}
+
+/// What one [`mod_pow_ct`] pass over `limbs`-limb operands runs under the
+/// exponent bound `exp_bits`: the shape of its schedule and the kernel
+/// calls it makes. `mod_pow_ct` takes its loop bounds from here, so the
+/// counts are the schedule that runs; every field but `macs` is a function
+/// of `exp_bits` alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CtPowCounts {
+    /// Window width `w`: exponent bits consumed per digit.
+    pub window: u32,
+    /// Digits scanned, `⌈exp_bits / w⌉`.
+    pub windows: u32,
+    /// Squarings: `w` per digit after the first.
+    pub squarings: u64,
+    /// Multiplies: the base's conversion into the domain, `2^w − 2` table
+    /// entries, and one per digit after the first.
+    pub multiplies: u64,
+    /// MACs of all of the above plus the final conversion out of the
+    /// domain ([`cios::mont_reduce_into`], half a multiply).
+    pub macs: u64,
+}
+
+/// The schedule and kernel-call counts of [`mod_pow_ct`] at `limbs`-limb
+/// operands under the exponent bound `exp_bits` — see [`CtPowCounts`].
+pub fn mod_pow_ct_counts(limbs: usize, exp_bits: u32) -> CtPowCounts {
+    let window = ct_window_size_for(exp_bits);
+    let windows = exp_bits.div_ceil(window);
+    let after_first = u64::from(windows.saturating_sub(1));
+    let squarings = after_first * u64::from(window);
+    let multiplies = 1 + ((1u64 << window) - 2) + after_first;
+    let mul_macs = cios::mont_mul_mac_count(limbs);
+    CtPowCounts {
+        window,
+        windows,
+        squarings,
+        multiplies,
+        macs: squarings * cios::mont_sqr_mac_count(limbs) + multiplies * mul_macs + mul_macs / 2,
+    }
+}
+
+/// Constant-time `base^exp mod n` for secret exponents: fixed-window
+/// exponentiation over exactly `exp_bits` exponent bits.
 ///
-/// `base` may be unreduced (it is public in the decryption use-cases);
-/// `exp.bit_len()` must not exceed `exp_bits`. Returns the result in
-/// `[0, n)`, not in Montgomery form. Roughly 1.6–1.8× the cost of
-/// [`mod_pow_ctx`]; use this only when the exponent is secret.
+/// The exponent is cut into `⌈exp_bits/w⌉` digits of `w` bits, `w` chosen
+/// from `exp_bits` alone ([`mod_pow_ct_counts`]). A flat table holds
+/// `base^0 … base^(2^w − 1)` in Montgomery form. The top digit's power
+/// seeds the running product; every further digit costs `w` squarings
+/// (the dedicated [`cios::mont_sqr_into`] kernel) and **one multiply,
+/// always** — by `base^0 = 1` when the digit is zero — with the table
+/// entry fetched by [`ct_lookup_limbs`], a masked scan over *all*
+/// entries. No table index, branch or loop bound is derived from `exp`:
+/// the kernel calls made and the addresses touched depend only on the
+/// public bound `exp_bits` (a key-size parameter such as `n.bit_len()`)
+/// and the operand width. Compare the sliding-window path, whose multiply
+/// schedule mirrors the exponent's windows. The table and the working
+/// buffers are allocated once, before the first digit.
+///
+/// `base` may be unreduced. Bringing it below `n` is the one step that
+/// looks at its value — a comparison when it is already reduced, a
+/// division otherwise — so a caller whose base is itself secret (the
+/// owner's blinding route) passes a reduced one; after that the base is
+/// only ever data. `exp.bit_len()` must not exceed `exp_bits`. Returns
+/// the result in `[0, n)`, not in Montgomery form. Use this only when the
+/// exponent is secret: it scans the table on every digit and cannot skip
+/// zero digits, which [`mod_pow_ctx`] does.
 // flcheck: ct-fn
 // flcheck: secret(exp)
 pub fn mod_pow_ct(ctx: &MontgomeryCtx, base: &Natural, exp: &Natural, exp_bits: u32) -> Natural {
@@ -155,23 +224,53 @@ pub fn mod_pow_ct(ctx: &MontgomeryCtx, base: &Natural, exp: &Natural, exp_bits: 
     );
     let s = ctx.width();
     let (n, n0_inv) = (ctx.modulus().limbs(), ctx.n0_inv());
-    let base_m = ctx.to_mont(&ctx.reduce(base)).to_padded_limbs(s);
+    let CtPowCounts {
+        window, windows, ..
+    } = mod_pow_ct_counts(s, exp_bits);
+
+    // Entry k is base^k: 1, base, then each the previous one times base.
+    let mut table = ctx.one_mont().to_padded_limbs(s);
+    table.extend(ctx.to_mont(&ctx.reduce(base)).to_padded_limbs(s));
+    table.resize(s << window, 0);
+    let (fixed, powers) = table.split_at_mut(2 * s);
+    let (_, base_m) = fixed.split_at(s);
+    let mut prev = base_m;
+    for entry in powers.chunks_exact_mut(s) {
+        cios::mont_mul_into(entry, prev, base_m, n, n0_inv);
+        prev = entry;
+    }
+
     // Padding copies the exponent into a buffer of *public* width; the
     // copy length is bounded by exp_bits, which the caller supplies as a
     // key-size parameter.
     // flcheck: allow(ct-taint)
     let e = exp.to_padded_limbs(exp_bits.div_ceil(LIMB_BITS) as usize);
-    let mut acc = ctx.one_mont().to_padded_limbs(s);
-    let mut squared = vec![0; s];
+    // Digit i is exponent bits [i·w, i·w + w): read from the two limbs it
+    // can straddle, both at public positions (zero past the buffer).
+    let digit = |i: u32| -> Limb {
+        let (at, shift) = ((i * window / LIMB_BITS) as usize, i * window % LIMB_BITS);
+        let lo = e.get(at).copied().unwrap_or(0);
+        let hi = e.get(at + 1).copied().unwrap_or(0);
+        let pair = (lo as u128) | (hi as u128) << LIMB_BITS;
+        (pair >> shift) as Limb & ((1 << window) - 1)
+    };
+
+    let mut acc = vec![0; s];
+    let mut next = vec![0; s];
+    let mut entry = vec![0; s];
     let mut scratch = vec![0; cios::scratch_len(s)];
-    for i in (0..exp_bits).rev() {
-        cios::mont_sqr_into(&mut squared, &mut scratch, &acc, n, n0_inv);
-        cios::mont_mul_into(&mut acc, &squared, &base_m, n, n0_inv);
-        let word: Limb = e.get((i / LIMB_BITS) as usize).copied().unwrap_or(0);
-        let bit = (word >> (i % LIMB_BITS)) & 1;
-        // bit == 1 keeps the multiplied `acc`; bit == 0 rolls back to
-        // `squared`.
-        crate::ct::ct_select_limbs(crate::ct::ct_mask(bit), &mut acc, &squared);
+    // The top digit's power seeds the product; with no digits at all
+    // (exp_bits = 0) digit 0 reads as zero and seeds base^0.
+    let below_top = windows.saturating_sub(1);
+    ct_lookup_limbs(&mut acc, &table, digit(below_top));
+    for i in (0..below_top).rev() {
+        for _ in 0..window {
+            cios::mont_sqr_into(&mut next, &mut scratch, &acc, n, n0_inv);
+            std::mem::swap(&mut acc, &mut next);
+        }
+        ct_lookup_limbs(&mut entry, &table, digit(i));
+        cios::mont_mul_into(&mut next, &acc, &entry, n, n0_inv);
+        std::mem::swap(&mut acc, &mut next);
     }
     ctx.from_mont(&Natural::from_limbs(acc))
 }
@@ -338,14 +437,14 @@ mod tests {
         for (b, e) in cases {
             let exp = n(e);
             let got = mod_pow_ct(&ctx, &n(b), &exp, exp.bit_len().max(1));
-            assert_eq!(got, mod_pow_ctx(&ctx, &n(b), &exp), "{b}^{e} ct ladder");
+            assert_eq!(got, mod_pow_ctx(&ctx, &n(b), &exp), "{b}^{e} ct window");
         }
     }
 
     #[test]
     fn ct_ladder_padding_does_not_change_result() {
-        // Running the ladder over a wider public bound (leading zero bits)
-        // must not change the value — only the step count.
+        // Running over a wider public bound (leading zero bits) must not
+        // change the value — only the digit count.
         let p = 1_000_000_007u128;
         let ctx = MontgomeryCtx::new(&n(p)).unwrap();
         let exp = n(0xAB_CDEF);
@@ -354,7 +453,7 @@ mod tests {
             assert_eq!(
                 mod_pow_ct(&ctx, &n(12345), &exp, bits),
                 reference,
-                "{bits}-bit ladder"
+                "{bits}-bit bound"
             );
         }
     }
@@ -366,15 +465,48 @@ mod tests {
     }
 
     #[test]
-    fn window_sizes_monotone() {
-        let mut last = 0;
-        for bits in [1u32, 10, 50, 100, 500, 1024, 4096] {
-            let w = window_size_for(bits);
-            assert!(
-                w >= last,
-                "window size should not shrink with exponent size"
+    fn ct_counts_are_a_function_of_exp_bits_only() {
+        for bits in [0u32, 1, 4, 5, 96, 97, 512, 1024, 2048, 4100] {
+            let at = |limbs| mod_pow_ct_counts(limbs, bits);
+            let c = at(1);
+            for limbs in [2usize, 16, 64] {
+                let d = at(limbs);
+                assert_eq!(
+                    (d.window, d.windows, d.squarings, d.multiplies),
+                    (c.window, c.windows, c.squarings, c.multiplies),
+                    "{bits} bits at {limbs} limbs"
+                );
+                assert!(d.macs > c.macs, "MACs grow with the width");
+            }
+            assert_eq!(c.windows, bits.div_ceil(c.window));
+            assert!(c.windows * c.window >= bits, "the digits cover the bound");
+            assert_eq!(
+                c.squarings,
+                u64::from(c.windows.saturating_sub(1) * c.window)
             );
-            last = w;
+            assert_eq!(
+                c.multiplies,
+                (1 << c.window) - 1 + u64::from(c.windows.saturating_sub(1))
+            );
+        }
+        // One multiply per digit instead of one per bit: past a few dozen
+        // bits the schedule is well under the bit-serial 2·bits calls.
+        let c = mod_pow_ct_counts(16, 512);
+        assert!(c.squarings + c.multiplies < 2 * 512 * 2 / 3);
+    }
+
+    #[test]
+    fn window_sizes_monotone() {
+        for table in [window_size_for, ct_window_size_for] {
+            let mut last = 0;
+            for bits in [1u32, 10, 50, 100, 500, 1024, 4096] {
+                let w = table(bits);
+                assert!(
+                    w >= last,
+                    "window size should not shrink with exponent size"
+                );
+                last = w;
+            }
         }
     }
 

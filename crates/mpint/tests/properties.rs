@@ -404,10 +404,128 @@ fn exponentiations_match_square_and_multiply_at_limb_boundaries() {
                         let got = ctx.from_mont(&modpow::mod_pow_mont(&ctx, &base_m, exp, window));
                         assert_eq!(got, expected, "mod_pow_mont w={window}, {what}");
                     }
-                    // The ladder over the exact bound and over a padded one.
+                    // The fixed window over the exact bound and a padded one.
                     for bits in [exp.bit_len(), exp.bit_len() + 3] {
                         let got = modpow::mod_pow_ct(&ctx, &base, exp, bits);
                         assert_eq!(got, expected, "mod_pow_ct over {bits} bits, {what}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The square-and-multiply-always ladder `mod_pow_ct` ran before the
+/// fixed window: one squaring and one multiply on every bit of the bound,
+/// the multiplied value kept or rolled back by a masked limb-select. Kept
+/// here as the reference the window is checked against; nothing ships
+/// that runs it.
+fn ladder_mod_pow_ct(
+    ctx: &mpint::MontgomeryCtx,
+    base: &Natural,
+    exp: &Natural,
+    exp_bits: u32,
+) -> Natural {
+    let s = ctx.width();
+    let (n, n0_inv) = (ctx.modulus().limbs(), ctx.n0_inv());
+    let base_m = ctx.to_mont(&(base % ctx.modulus())).to_padded_limbs(s);
+    let e = exp.to_padded_limbs(exp_bits.div_ceil(mpint::LIMB_BITS) as usize);
+    let mut acc = ctx.one_mont().to_padded_limbs(s);
+    let mut squared = vec![0; s];
+    let mut scratch = vec![0; cios::scratch_len(s)];
+    for i in (0..exp_bits).rev() {
+        cios::mont_sqr_into(&mut squared, &mut scratch, &acc, n, n0_inv);
+        cios::mont_mul_into(&mut acc, &squared, &base_m, n, n0_inv);
+        let bit = (e[(i / mpint::LIMB_BITS) as usize] >> (i % mpint::LIMB_BITS)) & 1;
+        mpint::ct::ct_select_limbs(mpint::ct::ct_mask(bit), &mut acc, &squared);
+    }
+    ctx.from_mont(&Natural::from_limbs(acc))
+}
+
+/// Exponent bounds where the fixed-window schedule changes shape: every
+/// bound up to 8 (`w − 1`, `w`, `w + 1` and a non-multiple of `w` for the
+/// narrow windows), and each threshold of the window table with its two
+/// neighbours, found by scanning the public schedule up to `limit`.
+fn window_edge_bounds(limit: u32) -> Vec<u32> {
+    let window = |bits| modpow::mod_pow_ct_counts(1, bits).window;
+    let mut bounds: Vec<u32> = (0..=8).collect();
+    let mut thresholds = 0;
+    for bits in 9..=limit {
+        if window(bits) != window(bits - 1) {
+            bounds.extend([bits - 1, bits, bits + 1]);
+            thresholds += 1;
+        }
+    }
+    // The table widens one bit at a time, so the scan saw every step.
+    assert_eq!(thresholds, window(limit) - window(8));
+    for w in 1..=window(limit) {
+        // A few whole digits plus one bit: the top digit is partial.
+        bounds.extend([w - 1, w, w + 1, 7 * w + 1]);
+    }
+    bounds.sort_unstable();
+    bounds.dedup();
+    bounds
+}
+
+#[test]
+fn ct_window_matches_ladder_and_square_and_multiply_at_limb_boundaries() {
+    for s in WIDTHS {
+        // The references are quadratic in the width and linear in the
+        // bound, and the schedule does not depend on the width: only the
+        // narrow moduli go past the last threshold, the key-size ones stop
+        // after the 97-bit one, the wide ones after the 25-bit one.
+        let limit = if s <= 2 {
+            4200
+        } else if s <= 17 {
+            130
+        } else {
+            30
+        };
+        let bounds = window_edge_bounds(limit);
+        let moduli = edge_moduli(s);
+        for (mi, n) in moduli.iter().enumerate() {
+            let ctx = mpint::MontgomeryCtx::new(n).unwrap();
+            let operands = edge_operands(n);
+            // Every modulus meets the generic base; up to the key-size
+            // widths the generic modulus meets 0 and n − 1 as well.
+            let bases = if mi == 0 && s <= 17 {
+                vec![&operands[0], &operands[2], &operands[5]]
+            } else {
+                vec![&operands[5]]
+            };
+            let mut next = limb_stream(s as u64 ^ 0xC7);
+            for &bits in &bounds {
+                let all_ones = Natural::one()
+                    .shl_bits(bits)
+                    .checked_sub(&Natural::one())
+                    .unwrap();
+                let generic = Natural::from_limbs((0..bits.div_ceil(64)).map(|_| next()).collect())
+                    .low_bits(bits);
+                let mut exps = vec![generic, Natural::zero(), all_ones];
+                if bits >= 1 {
+                    exps.push(Natural::one());
+                    exps.push(Natural::one().shl_bits(bits - 1));
+                }
+                for base in &bases {
+                    for (ei, exp) in exps.iter().enumerate() {
+                        let what = format!("{s} limbs, {bits}-bit bound: {base}^{exp} mod {n}");
+                        let got = modpow::mod_pow_ct(&ctx, base, exp, bits);
+                        assert_eq!(
+                            got,
+                            ladder_mod_pow_ct(&ctx, base, exp, bits),
+                            "ladder, {what}"
+                        );
+                        assert_eq!(got, naive_pow(base, exp, n), "naive, {what}");
+                        if ei == 0 {
+                            // Leading zero bits change the schedule of the
+                            // generic exponent, not the value.
+                            let padded = exp.bit_len() + 70;
+                            assert_eq!(
+                                modpow::mod_pow_ct(&ctx, base, exp, padded),
+                                got,
+                                "{padded}-bit bound, {what}"
+                            );
+                        }
                     }
                 }
             }

@@ -113,7 +113,7 @@ fn live_counters(keys: &PaillierKeyPair) -> HashMap<&'static str, u64> {
     let s2 = ctx2.width();
     let (mul2, sqr2) = (mont_mul_mac_count(s2), mont_sqr_mac_count(s2));
     let n_bits = pk.n.bit_len() as u64;
-    // Constant-time ladder over n² with the dedicated squaring kernel,
+    // The charged per-bit schedule over n² with the dedicated squaring kernel,
     // plus the L-function's two multiplies — bench_hotpath's decrypt row.
     let decrypt = (n_bits * (sqr2 + mul2) + 2 * mul2) / 2;
     HashMap::from([

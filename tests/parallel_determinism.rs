@@ -173,6 +173,44 @@ fn pooled_encryption_is_bit_identical_to_inline_at_every_thread_count() {
 }
 
 #[test]
+fn owner_pool_backend_encrypts_the_poolless_baseline_ciphertexts() {
+    // `WithoutBc`: unpacked, behind an obfuscator pool whose holder is the
+    // key owner (CRT blinding route). `Fate`: unpacked, no pool, public
+    // route. Same `(values, seed)` must give the same ciphertexts, at any
+    // thread count.
+    use fl::{Accelerator, BackendKind};
+    let keys = {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x0B0E);
+        PaillierKeyPair::generate(&mut rng, 128).expect("keygen")
+    };
+    let values: Vec<f64> = (0..24).map(|i| ((i as f64) * 0.61).cos() * 0.9).collect();
+    let seed = 0x00C0_FFEE;
+    let both = || {
+        let baseline = Accelerator::new(BackendKind::Fate, keys.clone(), 4).expect("fate");
+        let pooled = Accelerator::new(BackendKind::WithoutBc, keys.clone(), 4).expect("w/o bc");
+        (
+            baseline.encrypt(&values, seed).expect("fate encrypt"),
+            pooled.encrypt(&values, seed).expect("w/o bc encrypt"),
+        )
+    };
+    let (reference, _) = in_pool(1, both);
+    assert_eq!(
+        reference.cts.len(),
+        values.len(),
+        "one ciphertext per value"
+    );
+    // `None` is the ambient pool: as many workers as the host offers.
+    for threads in [Some(1), Some(2), None] {
+        let (baseline, pooled) = match threads {
+            Some(t) => in_pool(t, both),
+            None => both(),
+        };
+        assert_eq!(baseline, reference, "FATE, threads={threads:?}");
+        assert_eq!(pooled, reference, "w/o BC, threads={threads:?}");
+    }
+}
+
+#[test]
 fn weighted_aggregate_matches_scalar_mul_add_loop_across_thread_counts() {
     let keys = {
         let mut rng = ChaCha8Rng::seed_from_u64(0x57A5);
