@@ -79,7 +79,7 @@ impl BackendKind {
 }
 
 /// An encrypted gradient vector in flight.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EncryptedVector {
     /// Ciphertexts (packed words or one per value).
     pub cts: Vec<Ciphertext>,
@@ -118,6 +118,12 @@ pub struct AccelTiming {
 /// the float↔multi-precision boundary crossing, calibrated so FATE's
 /// "Others" share lands near the paper's 0.1% and FLBooster's near 22%.
 const CODEC_SECONDS_PER_VALUE: f64 = 5.0e-6;
+
+/// Two encrypted vectors (or a vector list and its weights) that had to
+/// line up and did not.
+fn length_mismatch(left: usize, right: usize) -> crate::Error {
+    flbooster_core::Error::LengthMismatch { left, right }.into()
+}
 
 /// One acceleration system: HE engine + packing policy + transport
 /// profile.
@@ -389,177 +395,112 @@ impl Accelerator {
     }
 
     /// Homomorphically folds several participants' vectors into one,
-    /// routed through [`topology`](Self::topology): flat is one serial
-    /// fold at the server; a tree folds each edge aggregator's fan-in
-    /// first, then the partial aggregates level by level. Homomorphic
-    /// addition is a product of canonical residues mod `n²` —
-    /// associative — so the tree result is bit-identical to the flat
-    /// fold, and both charge the same `parties − 1` additions.
-    // flcheck: det-sink — aggregate EncryptedVector construction
+    /// routed through [`topology`](Self::topology): each edge
+    /// aggregator folds its fan-in, then the partial aggregates fold
+    /// level by level — flat is the tree with one group, a single serial
+    /// fold at the server. Homomorphic addition is a product of
+    /// canonical residues mod `n²` — associative — so every topology
+    /// yields the same bits and charges the same `parties − 1` additions.
     pub fn aggregate(&self, vectors: &[EncryptedVector]) -> Result<EncryptedVector> {
-        match self.topology {
-            AggregationTopology::Flat => self.fold_chain(vectors),
-            AggregationTopology::Tree { .. } => {
-                let mut level = self
-                    .topology
-                    .leaf_groups(vectors.len())
-                    .into_iter()
-                    // `leaf_groups` tiles `0..vectors.len()` exactly.
-                    // flcheck: allow(pf-index)
-                    .map(|g| self.fold_chain(&vectors[g]))
-                    .collect::<Result<Vec<_>>>()?;
-                while level.len() > 1 {
-                    level = self
-                        .topology
-                        .leaf_groups(level.len())
-                        .into_iter()
-                        // flcheck: allow(pf-index)
-                        .map(|g| self.fold_chain(&level[g]))
-                        .collect::<Result<Vec<_>>>()?;
-                }
-                match level.into_iter().next() {
-                    Some(v) => Ok(v),
-                    None => Ok(EncryptedVector {
-                        cts: Vec::new(),
-                        count: 0,
-                    }),
-                }
-            }
+        let leaves = self
+            .topology
+            .leaf_groups(vectors.len())
+            .into_iter()
+            // `leaf_groups` tiles `0..vectors.len()` exactly.
+            // flcheck: allow(pf-index)
+            .map(|g| self.fold_chain(&vectors[g]))
+            .collect::<Result<Vec<_>>>()?;
+        self.fold_levels(leaves)
+    }
+
+    /// Folds one level of partial aggregates into the next until the
+    /// root remains (nothing to do when the leaves were one group).
+    fn fold_levels(&self, mut level: Vec<EncryptedVector>) -> Result<EncryptedVector> {
+        while level.len() > 1 {
+            level = self
+                .topology
+                .leaf_groups(level.len())
+                .into_iter()
+                // flcheck: allow(pf-index)
+                .map(|g| self.fold_chain(&level[g]))
+                .collect::<Result<Vec<_>>>()?;
         }
+        Ok(level.pop().unwrap_or_default())
     }
 
     /// One aggregator node's serial fold over its fan-in.
     // flcheck: det-sink — aggregate EncryptedVector construction
     fn fold_chain(&self, vectors: &[EncryptedVector]) -> Result<EncryptedVector> {
         let mut iter = vectors.iter();
-        let first = match iter.next() {
-            Some(v) => v,
-            None => {
-                return Ok(EncryptedVector {
-                    cts: Vec::new(),
-                    count: 0,
-                })
-            }
+        let Some(first) = iter.next() else {
+            return Ok(EncryptedVector::default());
         };
-        let mut acc = first.cts.clone();
-        let count = first.count;
+        let mut acc = first.clone();
         for v in iter {
-            // Protocol invariant: every party submits same-shaped vectors.
-            // flcheck: allow(pf-assert)
-            assert_eq!(v.count, count, "aggregating vectors of different sizes");
-            let (next, t) = self.he.add_batch(&self.keys.public, &acc, &v.cts)?;
-            self.charge(&t, 0);
+            let (next, t) = self.add_timed(&acc, v)?;
+            self.charge_accel(&t);
             acc = next;
         }
-        Ok(EncryptedVector { cts: acc, count })
+        Ok(acc)
     }
 
     /// Weighted homomorphic aggregation: slot `j` of the result holds
     /// `E(Σᵢ weights[i] · mᵢⱼ)`. One Straus multi-exponentiation per slot
     /// replaces the per-party `scalar_mul` + `add` loop — a single
     /// shared squaring chain for the whole batch (see
-    /// [`he::paillier::PaillierPublicKey::weighted_sum`]). Key identity
-    /// is checked per ciphertext, so cross-key mixes fail loudly in
-    /// release builds too.
+    /// [`he::paillier::PaillierPublicKey::weighted_sum`]), split into
+    /// [`aggregation_shards`](Self::aggregation_shards) chains. The
+    /// weighted stage happens exactly once, at the leaves of the
+    /// [`topology`](Self::topology) — one group when flat — and upper
+    /// levels only add partials. Key identity is checked per ciphertext,
+    /// so cross-key mixes fail loudly in release builds too.
     // flcheck: det-sink — weighted aggregate construction
     pub fn aggregate_weighted(
         &self,
         vectors: &[EncryptedVector],
         weights: &[u64],
     ) -> Result<EncryptedVector> {
-        let count = match vectors.first() {
-            Some(v) => v.count,
-            None => {
-                return Ok(EncryptedVector {
-                    cts: Vec::new(),
-                    count: 0,
-                })
-            }
-        };
-        for v in vectors {
-            // Protocol invariant: every party submits same-shaped vectors.
-            // flcheck: allow(pf-assert)
-            assert_eq!(v.count, count, "aggregating vectors of different sizes");
+        if vectors.len() != weights.len() {
+            return Err(length_mismatch(vectors.len(), weights.len()));
+        }
+        let count = vectors.first().map_or(0, |v| v.count);
+        if let Some(v) = vectors.iter().find(|v| v.count != count) {
+            return Err(length_mismatch(count, v.count));
         }
         let batches: Vec<Vec<Ciphertext>> = vectors.iter().map(|v| v.cts.clone()).collect();
-        match self.topology {
-            AggregationTopology::Flat => {
-                let (cts, t) = if self.agg_shards > 1 {
-                    self.he.weighted_aggregate_sharded(
-                        &self.keys.public,
-                        &batches,
-                        weights,
-                        self.agg_shards,
-                    )?
-                } else {
-                    self.he
-                        .weighted_aggregate(&self.keys.public, &batches, weights)?
-                };
-                self.charge(&t, 0);
-                Ok(EncryptedVector { cts, count })
-            }
-            AggregationTopology::Tree { .. } => {
-                // Mirror the HE layer's shape contract before slicing.
-                // flcheck: allow(pf-assert)
-                assert_eq!(
-                    batches.len(),
-                    weights.len(),
-                    "weighted_aggregate requires one weight per batch"
-                );
-                // Edge aggregators: each folds its fan-in with a sharded
-                // Straus pass (the weighted stage happens exactly once,
-                // at the leaves — upper levels only add partials).
-                let mut level = Vec::new();
-                for g in self.topology.leaf_groups(batches.len()) {
-                    // `leaf_groups` tiles `0..batches.len()`, which the
-                    // assert above pins to `weights.len()`.
-                    // flcheck: allow(pf-index)
-                    let group = &batches[g.clone()];
-                    // flcheck: allow(pf-index)
-                    let group_weights = &weights[g];
-                    let (cts, t) = self.he.weighted_aggregate_sharded(
-                        &self.keys.public,
-                        group,
-                        group_weights,
-                        self.agg_shards,
-                    )?;
-                    self.charge(&t, 0);
-                    level.push(EncryptedVector { cts, count });
-                }
-                while level.len() > 1 {
-                    level = self
-                        .topology
-                        .leaf_groups(level.len())
-                        .into_iter()
-                        // flcheck: allow(pf-index)
-                        .map(|g| self.fold_chain(&level[g]))
-                        .collect::<Result<Vec<_>>>()?;
-                }
-                match level.into_iter().next() {
-                    Some(v) => Ok(v),
-                    None => Ok(EncryptedVector {
-                        cts: Vec::new(),
-                        count: 0,
-                    }),
-                }
-            }
+        let mut leaves = Vec::new();
+        for g in self.topology.leaf_groups(batches.len()) {
+            let (cts, t) = self.he.weighted_aggregate(
+                &self.keys.public,
+                // `leaf_groups` tiles `0..batches.len()`, which the check
+                // above pins to `weights.len()`.
+                // flcheck: allow(pf-index)
+                &batches[g.clone()],
+                // flcheck: allow(pf-index)
+                &weights[g],
+                self.agg_shards,
+            )?;
+            self.charge(&t, 0);
+            leaves.push(EncryptedVector { cts, count });
         }
+        self.fold_levels(leaves)
     }
 
     /// One homomorphic addition of two same-shaped encrypted vectors,
     /// returning the cost alongside the sum instead of charging the
     /// shared accumulator. This is the streaming-fold step the round
     /// engine performs each time a ciphertext arrives at an aggregator
-    /// node; the engine charges the returned timing itself.
+    /// node; the engine charges the returned timing itself. Vectors of
+    /// different sizes are a [`flbooster_core::Error::LengthMismatch`].
     // flcheck: det-sink — aggregate EncryptedVector construction
     pub fn add_timed(
         &self,
         acc: &EncryptedVector,
         v: &EncryptedVector,
     ) -> Result<(EncryptedVector, AccelTiming)> {
-        // Protocol invariant: every party submits same-shaped vectors.
-        // flcheck: allow(pf-assert)
-        assert_eq!(v.count, acc.count, "aggregating vectors of different sizes");
+        if v.count != acc.count {
+            return Err(length_mismatch(acc.count, v.count));
+        }
         let (cts, t) = self.he.add_batch(&self.keys.public, &acc.cts, &v.cts)?;
         Ok((
             EncryptedVector {
@@ -781,6 +722,40 @@ mod tests {
             .with_topology(AggregationTopology::tree(4));
         assert_eq!(tree.aggregate(&[]).unwrap().count, 0);
         assert_eq!(tree.aggregate_weighted(&[], &[]).unwrap().count, 0);
+    }
+
+    #[test]
+    fn misaligned_vectors_are_length_mismatch_errors_on_every_topology() {
+        let keys = keys();
+        for topology in [AggregationTopology::Flat, AggregationTopology::tree(2)] {
+            let acc = Accelerator::new(BackendKind::Fate, keys.clone(), 4)
+                .unwrap()
+                .with_topology(topology);
+            let (short, long) = (
+                acc.encrypt(&grads(3), 1).unwrap(),
+                acc.encrypt(&grads(5), 2).unwrap(),
+            );
+            let mismatch = |left, right| {
+                crate::Error::Platform(flbooster_core::Error::LengthMismatch { left, right })
+            };
+            let vectors = [short.clone(), short.clone(), long.clone()];
+            assert_eq!(acc.aggregate(&vectors).unwrap_err(), mismatch(3, 5));
+            assert_eq!(
+                acc.aggregate_weighted(&vectors, &[1, 2, 3]).unwrap_err(),
+                mismatch(3, 5)
+            );
+            // One weight per vector, checked before any slicing.
+            assert_eq!(
+                acc.aggregate_weighted(&vectors[..2], &[1]).unwrap_err(),
+                mismatch(2, 1)
+            );
+            let err = acc.add_timed(&long, &short).unwrap_err();
+            assert_eq!(err, mismatch(5, 3));
+            assert_eq!(
+                err.to_string(),
+                "platform: vectorized operands differ in length: 5 vs 3"
+            );
+        }
     }
 
     #[test]

@@ -1,12 +1,15 @@
 //! Epoch 0 of each of the four models, pinned bit-for-bit.
 //!
-//! The constants were captured (128-bit test keys, FLBooster backend)
-//! from the hand-charged sequential round loop that `fl::engine` and
+//! The FLBooster constants were captured (128-bit test keys) from the
+//! hand-charged sequential round loop that `fl::engine` and
 //! `EpochBreakdown::charge` replaced, just before it was deleted: every
 //! `EpochBreakdown` field and the post-epoch loss, as `f64::to_bits`.
 //! They hold the float add order at every accumulator — a re-associated
 //! sum, a charge routed to the wrong component or phase, or a changed
-//! round shape moves at least one bit here.
+//! round shape moves at least one bit here. The FATE and HAFLO pins were
+//! captured at the commit before `he::ghe` wrote each batched operation
+//! once: they hold the CPU schedule (SBT's skewed bucket folds included)
+//! and the fixed-block device manager to the same standard.
 
 use fl::data::generators::DatasetSpec;
 use fl::data::Dataset;
@@ -37,13 +40,16 @@ fn cfg(batch_size: usize) -> TrainConfig {
 /// encrypt, uplink, aggregate, downlink, decrypt, round, loss]`.
 type Golden = [u64; 14];
 
-fn assert_epoch_zero(model: &mut dyn FlModel, parties: u32, cfg: &TrainConfig, golden: Golden) {
+fn assert_epoch_zero(
+    kind: BackendKind,
+    model: &mut dyn FlModel,
+    parties: u32,
+    cfg: &TrainConfig,
+    golden: Golden,
+) {
     let mut rng = ChaCha8Rng::seed_from_u64(0x601D);
     let keys = PaillierKeyPair::generate(&mut rng, 128).unwrap();
-    let env = FlEnv::new(
-        Accelerator::new(BackendKind::FlBooster, keys, parties).unwrap(),
-        1,
-    );
+    let env = FlEnv::new(Accelerator::new(kind, keys, parties).unwrap(), 1);
     let result = model.run_epoch(&env, cfg, 0).unwrap();
     let s = f64::from_bits;
     let [he, comm, other, comm_bytes, ciphertexts, he_values, compute, encrypt, uplink, aggregate, downlink, decrypt, round, loss] =
@@ -65,7 +71,7 @@ fn assert_epoch_zero(model: &mut dyn FlModel, parties: u32, cfg: &TrainConfig, g
         },
         round_seconds: s(round),
     };
-    assert_eq!(result.breakdown, expected, "{}", model.name());
+    assert_eq!(result.breakdown, expected, "{} on {kind:?}", model.name());
     assert_eq!(result.loss.to_bits(), loss, "{} loss", model.name());
 }
 
@@ -73,6 +79,7 @@ fn assert_epoch_zero(model: &mut dyn FlModel, parties: u32, cfg: &TrainConfig, g
 fn homo_lr_epoch_zero_matches_golden_bits() {
     let cfg = cfg(32);
     assert_epoch_zero(
+        BackendKind::FlBooster,
         &mut HomoLr::new(&dataset(), 4, &cfg),
         4,
         &cfg,
@@ -99,6 +106,7 @@ fn homo_lr_epoch_zero_matches_golden_bits() {
 fn hetero_lr_epoch_zero_matches_golden_bits() {
     let cfg = cfg(40);
     assert_epoch_zero(
+        BackendKind::FlBooster,
         &mut HeteroLr::new(&dataset(), 3, &cfg).unwrap(),
         3,
         &cfg,
@@ -125,6 +133,7 @@ fn hetero_lr_epoch_zero_matches_golden_bits() {
 fn hetero_nn_epoch_zero_matches_golden_bits() {
     let cfg = cfg(40);
     assert_epoch_zero(
+        BackendKind::FlBooster,
         &mut HeteroNn::new(&dataset(), 2, &cfg).unwrap(),
         2,
         &cfg,
@@ -151,6 +160,7 @@ fn hetero_nn_epoch_zero_matches_golden_bits() {
 fn hetero_sbt_epoch_zero_matches_golden_bits() {
     let cfg = cfg(40);
     assert_epoch_zero(
+        BackendKind::FlBooster,
         &mut HeteroSbt::new(&dataset(), 3, &cfg).unwrap(),
         3,
         &cfg,
@@ -169,6 +179,60 @@ fn hetero_sbt_epoch_zero_matches_golden_bits() {
             0x3ee279e0a22234bd,
             0x3fb34d98f759d81d,
             0x3fe1d811ea234cbe,
+        ],
+    );
+}
+
+#[test]
+fn hetero_sbt_on_fate_epoch_zero_matches_golden_bits() {
+    let cfg = cfg(40);
+    assert_epoch_zero(
+        BackendKind::Fate,
+        &mut HeteroSbt::new(&dataset(), 3, &cfg).unwrap(),
+        3,
+        &cfg,
+        [
+            0x3f718fc1cbdf337a,
+            0x3fe8c4ae5f124dfa,
+            0x3f14a2cf4d5aa6c1,
+            0xc7ac,
+            0x6b0,
+            0x5c0,
+            0x3f1360afee19ce89,
+            0x3f51d20f81d3295d,
+            0x3fe1d6ed039b6268,
+            0x3f48ea06c46a52af,
+            0x3fcbb7056ddbae45,
+            0x3f64060b20b44459,
+            0x3fe8e872f9247738,
+            0x3fe1d811ea234cbe,
+        ],
+    );
+}
+
+#[test]
+fn homo_lr_on_haflo_epoch_zero_matches_golden_bits() {
+    let cfg = cfg(32);
+    assert_epoch_zero(
+        BackendKind::Haflo,
+        &mut HomoLr::new(&dataset(), 4, &cfg),
+        4,
+        &cfg,
+        [
+            0x3eb81eee9de69729,
+            0x3fae53c19e1a87c0,
+            0x3f261a9e91d0f856,
+            0xfff,
+            0x80,
+            0x10,
+            0x3ee21e908ed8f651,
+            0x3f1537b5083bb711,
+            0x3f9e53c15962581f,
+            0x3e6d0037b5989609,
+            0x3f9e53c1e2d2b761,
+            0x3f151691bd0c021b,
+            0x3fae6a0c7a899485,
+            0x3fe3e8582b93244a,
         ],
     );
 }

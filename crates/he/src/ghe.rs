@@ -2,19 +2,28 @@
 //!
 //! The paper's key observation is that HE operations over a gradient
 //! vector are *independent*, so encryption, decryption, and homomorphic
-//! computation parallelize perfectly across GPU threads. This module
-//! provides a [`HeBackend`] abstraction with two implementations:
+//! computation parallelize perfectly across GPU threads. This module is
+//! laid out the way that argument runs — **operations once, schedule
+//! twice**:
 //!
-//! - [`CpuHe`] — the FATE-style baseline: serial CPU loops, with simulated
-//!   time `n · β_cpu` per the paper's Eq. 10 numerator.
-//! - [`GpuHe`] — the GHE layer: every batch becomes one kernel launch on a
-//!   [`gpu_sim::Device`], with the kernel spec (lanes, registers) derived
-//!   from the key size, so occupancy and SM utilization respond to the key
-//!   size exactly as in the paper's Fig. 6.
+//! - Each batched operation of [`HeBackend`] is written exactly once, as
+//!   a provided method: its kernel name, its transfer bytes, its
+//!   divergence stride, and a per-item body returning the item's result
+//!   and the limb-level operations it cost. The body performs the *real*
+//!   cryptographic computation whatever runs it.
+//! - A [`Schedule`] is the single place the backends differ — how the
+//!   items are fanned out and how simulated time is charged for them:
+//!   - [`Schedule::Cpu`] — the FATE-style baseline: a serial per-value
+//!     loop, simulated time `Σops · β_cpu` per the paper's Eq. 10
+//!     numerator.
+//!   - [`Schedule::Gpu`] — the GHE layer: every batch becomes one kernel
+//!     launch on a [`gpu_sim::Device`], with the kernel spec (lanes,
+//!     registers) derived from the key size, so occupancy and SM
+//!     utilization respond to the key size exactly as in the paper's
+//!     Fig. 6.
 //!
-//! Both backends perform the *real* cryptographic computation — the
-//! backends differ only in parallel scheduling and in the simulated-time
-//! accounting the FL trainer consumes.
+//! [`CpuHe`] and [`GpuHe`] are a name, a schedule and an optional
+//! blinding pool; nothing else distinguishes them.
 
 use std::sync::Arc;
 
@@ -23,7 +32,7 @@ use mpint::Natural;
 use rayon::prelude::*;
 
 use crate::paillier::{Ciphertext, ObfuscatorPool, PaillierPrivateKey, PaillierPublicKey};
-use crate::Result;
+use crate::{Error, Result};
 
 /// Timing and volume accounting for one batched HE call.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -45,35 +54,101 @@ impl HeTiming {
     }
 }
 
-/// A batched homomorphic-encryption execution backend.
+/// A batched homomorphic-encryption execution backend: a
+/// [`name`](Self::name), a [`schedule`](Self::schedule) and an optional
+/// blinding [`pool`](Self::pool). The operations are provided methods,
+/// the same on every backend.
 pub trait HeBackend: Send + Sync {
     /// Backend name for reports ("cpu", "gpu").
     fn name(&self) -> &'static str;
 
+    /// Where this backend's batches run and how their time is charged.
+    fn schedule(&self) -> Schedule<'_>;
+
+    /// The blinding-factor pool batch encryption draws from, if any.
+    fn pool(&self) -> Option<&ObfuscatorPool>;
+
     /// Encrypts a batch of plaintexts. `seed` derives per-item blinding
     /// randomness deterministically (each item gets an independent
     /// stream, matching the paper's per-thread RNG).
+    // flcheck: det-sink — ciphertext bytes are result content
     fn encrypt_batch(
         &self,
         pk: &PaillierPublicKey,
         plaintexts: &[Natural],
         seed: u64,
-    ) -> Result<(Vec<Ciphertext>, HeTiming)>;
+    ) -> Result<(Vec<Ciphertext>, HeTiming)> {
+        let full_ops = pk.encrypt_op_estimate();
+        let pooled_ops = pk.encrypt_pooled_op_estimate();
+        let kernel = Kernel {
+            name: "paillier_encrypt",
+            key_bits: pk.key_bits,
+            // Plaintexts go up (quantized words), ciphertexts come back.
+            bytes_in: plaintexts
+                .iter()
+                .map(|m| m.wire_size_bytes().max(4) as u64)
+                .sum(),
+            bytes_out: ct_bytes(pk) * plaintexts.len() as u64,
+            divergence_stride: 2,
+        };
+        let pool = self.pool();
+        self.schedule().run(&kernel, plaintexts, |i, m| {
+            let (out, hit) = encrypt_item(pk, pool, m, seed, i);
+            (out, if hit { pooled_ops } else { full_ops })
+        })
+    }
 
     /// Decrypts a batch of ciphertexts (CRT fast path).
+    // flcheck: det-sink — decrypted plaintexts are result content
     fn decrypt_batch(
         &self,
         sk: &PaillierPrivateKey,
         ciphertexts: &[Ciphertext],
-    ) -> Result<(Vec<Natural>, HeTiming)>;
+    ) -> Result<(Vec<Natural>, HeTiming)> {
+        let per_item_ops = sk.decrypt_op_estimate();
+        let pt_bytes = (sk.public.n.bit_len() as u64).div_ceil(8);
+        let kernel = Kernel {
+            name: "paillier_decrypt",
+            key_bits: sk.public.key_bits,
+            bytes_in: ct_bytes(&sk.public) * ciphertexts.len() as u64,
+            bytes_out: pt_bytes * ciphertexts.len() as u64,
+            divergence_stride: 2,
+        };
+        self.schedule().run(&kernel, ciphertexts, |_, c| {
+            (sk.decrypt_crt(c), per_item_ops)
+        })
+    }
 
-    /// Pairwise homomorphic addition of two equal-length batches.
+    /// Pairwise homomorphic addition of two equal-length batches;
+    /// misaligned batches are an [`Error::InvalidParameter`].
+    // flcheck: det-sink — aggregate ciphertexts are result content
     fn add_batch(
         &self,
         pk: &PaillierPublicKey,
         a: &[Ciphertext],
         b: &[Ciphertext],
-    ) -> Result<(Vec<Ciphertext>, HeTiming)>;
+    ) -> Result<(Vec<Ciphertext>, HeTiming)> {
+        if a.len() != b.len() {
+            return Err(Error::InvalidParameter(
+                "add_batch requires equal-length batches",
+            ));
+        }
+        let per_item_ops = pk.add_op_estimate();
+        let kernel = Kernel {
+            name: "paillier_add",
+            key_bits: pk.key_bits,
+            // Homomorphic computation keeps data resident (paper Fig. 4
+            // phase ⑩–⑫): operands were already on-device from prior
+            // phases; only the key parameters move, and the result stays.
+            bytes_in: ct_bytes(pk),
+            bytes_out: 0,
+            divergence_stride: 4,
+        };
+        let pairs: Vec<(&Ciphertext, &Ciphertext)> = a.iter().zip(b).collect();
+        self.schedule().run(&kernel, &pairs, |_, (x, y)| {
+            (pk.checked_add(x, y), per_item_ops)
+        })
+    }
 
     /// Folds each group of ciphertexts into one by homomorphic addition —
     /// the gradient-histogram reduction of SecureBoost (one group per
@@ -82,35 +157,120 @@ pub trait HeBackend: Send + Sync {
         &self,
         pk: &PaillierPublicKey,
         groups: &[Vec<Ciphertext>],
-    ) -> Result<(Vec<Ciphertext>, HeTiming)>;
+    ) -> Result<(Vec<Ciphertext>, HeTiming)> {
+        let per_add_ops = pk.add_op_estimate();
+        let kernel = Kernel {
+            name: "paillier_fold",
+            key_bits: pk.key_bits,
+            // Operands are assumed device-resident (they arrive from a
+            // prior encrypt); only the folded buckets come back.
+            bytes_in: 0,
+            bytes_out: ct_bytes(pk) * groups.len() as u64,
+            divergence_stride: 2,
+        };
+        self.schedule().run(&kernel, groups, |_, group| {
+            let sum = group
+                .iter()
+                .try_fold(pk.zero_ciphertext(), |acc, c| pk.checked_add(&acc, c));
+            (sum, per_add_ops * group.len() as u64)
+        })
+    }
 
     /// Weighted aggregation across participant batches:
     /// `out[j] = ∏ᵢ batches[i][j] ^ weights[i] mod n²` — one Straus
-    /// multi-exponentiation per slot
-    /// ([`PaillierPublicKey::weighted_sum`]), parallel across slots.
-    /// Weights are public sample counts. All batches must share a length;
-    /// an empty batch list yields an empty output.
+    /// multi-exponentiation per slot, parallel across slots, each slot's
+    /// fold split into `shards` independent chains merged by a streaming
+    /// homomorphic addition
+    /// ([`PaillierPublicKey::weighted_sum_sharded`]; `shards ≤ 1` is the
+    /// flat single chain). Bit-identical at any shard or thread count;
+    /// timing is charged from the MAC-derived sharded estimate — every
+    /// chain plus the merge multiplies, per slot — which is the flat
+    /// estimate at one shard. Weights are public sample counts. A weight
+    /// count or batch length that does not line up is an
+    /// [`Error::InvalidParameter`]; an empty batch list yields an empty
+    /// output.
     fn weighted_aggregate(
         &self,
         pk: &PaillierPublicKey,
         batches: &[Vec<Ciphertext>],
         weights: &[u64],
-    ) -> Result<(Vec<Ciphertext>, HeTiming)>;
-
-    /// Sharded form of
-    /// [`weighted_aggregate`](Self::weighted_aggregate): each slot's
-    /// Straus fold is split into `shards` independent chains merged by a
-    /// streaming homomorphic addition
-    /// ([`PaillierPublicKey::weighted_sum_sharded`]). Bit-identical to
-    /// the flat fold at any shard or thread count; timing is charged from
-    /// the MAC-derived sharded estimate instead of the flat one.
-    fn weighted_aggregate_sharded(
-        &self,
-        pk: &PaillierPublicKey,
-        batches: &[Vec<Ciphertext>],
-        weights: &[u64],
         shards: usize,
-    ) -> Result<(Vec<Ciphertext>, HeTiming)>;
+    ) -> Result<(Vec<Ciphertext>, HeTiming)> {
+        if batches.len() != weights.len() {
+            return Err(Error::InvalidParameter(
+                "weighted_aggregate requires one weight per batch",
+            ));
+        }
+        let slots = batches.first().map_or(0, Vec::len);
+        if batches.iter().any(|b| b.len() != slots) {
+            return Err(Error::InvalidParameter(
+                "weighted_aggregate requires equal-length batches",
+            ));
+        }
+        let wnat: Vec<Natural> = weights.iter().map(|&w| Natural::from(w)).collect();
+        let max_weight_bits = weights
+            .iter()
+            .map(|&w| 64 - w.leading_zeros())
+            .max()
+            .unwrap_or(0);
+        let per_slot_ops =
+            pk.weighted_sum_sharded_op_estimate(batches.len(), max_weight_bits, shards);
+        let kernel = Kernel {
+            name: "paillier_weighted_sum",
+            key_bits: pk.key_bits,
+            // Participant ciphertexts are device-resident from prior
+            // phases (paper Fig. 4 ⑩–⑫); only the weights go up and the
+            // aggregated slots come back.
+            bytes_in: 8 * weights.len() as u64,
+            bytes_out: ct_bytes(pk) * slots as u64,
+            divergence_stride: 2,
+        };
+        let slot_indices: Vec<usize> = (0..slots).collect();
+        self.schedule().run(&kernel, &slot_indices, |_, &j| {
+            // In range: every batch was checked to hold `slots` items.
+            // flcheck: allow(pf-index)
+            let column: Vec<Ciphertext> = batches.iter().map(|b| b[j].clone()).collect();
+            (
+                pk.weighted_sum_sharded(&column, &wnat, shards),
+                per_slot_ops,
+            )
+        })
+    }
+}
+
+/// What one batched operation tells the [`Schedule`] about itself,
+/// beside its items and per-item body.
+struct Kernel {
+    name: &'static str,
+    key_bits: u32,
+    /// Bytes copied to the device before the launch.
+    bytes_in: u64,
+    /// Bytes copied back after it.
+    bytes_out: u64,
+    /// Every `divergence_stride`-th item takes the data-dependent branch.
+    divergence_stride: usize,
+}
+
+/// Wire bytes of one ciphertext under `pk`.
+fn ct_bytes(pk: &PaillierPublicKey) -> u64 {
+    (pk.n_squared.bit_len() as u64).div_ceil(8)
+}
+
+/// Where a batch runs and how its simulated time is charged — the one
+/// place the backends differ.
+pub enum Schedule<'a> {
+    /// The paper's FATE baseline. Simulated time charges `β_cpu` per
+    /// limb-level operation *serially* (FATE's per-value Python loop);
+    /// the computation itself runs on the host thread pool so that large
+    /// benchmark batches finish quickly — wall-clock and simulated time
+    /// are decoupled throughout the harness.
+    Cpu {
+        /// Seconds per limb-level operation (`β_cpu`).
+        seconds_per_op: f64,
+    },
+    /// The GHE layer: one kernel launch on the simulated device, charged
+    /// by [`timing_from`].
+    Gpu(&'a Device),
 }
 
 /// Chunk-granularity cap for HE batch loops: schedule every item as its
@@ -121,21 +281,66 @@ pub trait HeBackend: Send + Sync {
 /// histogram buckets) that coarse chunking would serialize.
 const HE_MAX_CHUNK: usize = 1;
 
-/// Derives the per-item blinding factor from a batch seed — delegated to
-/// the key so [`ObfuscatorPool::prefill_batch`] derives the *same* `r`
-/// values and pooled encryption stays bit-identical.
-fn blinding(pk: &PaillierPublicKey, seed: u64, index: usize) -> Natural {
-    pk.batch_blinding(seed, index)
+impl Schedule<'_> {
+    /// Runs `body(index, item)` over `items` and charges the limb-level
+    /// operations each item reports.
+    fn run<I: Sync, R: Send>(
+        &self,
+        kernel: &Kernel,
+        items: &[I],
+        body: impl Fn(usize, &I) -> (Result<R>, u64) + Sync,
+    ) -> Result<(Vec<R>, HeTiming)> {
+        match *self {
+            Schedule::Cpu { seconds_per_op } => {
+                let results: Vec<(Result<R>, u64)> = items
+                    .par_iter()
+                    .with_max_len(HE_MAX_CHUNK)
+                    .enumerate()
+                    .map(|(i, item)| body(i, item))
+                    .collect();
+                let ops: u64 = results.iter().map(|(_, ops)| ops).sum();
+                let out: Result<Vec<R>> = results.into_iter().map(|(r, _)| r).collect();
+                let timing = HeTiming {
+                    sim_seconds: ops as f64 * seconds_per_op,
+                    ops,
+                    items: items.len() as u64,
+                };
+                Ok((out?, timing))
+            }
+            Schedule::Gpu(device) => {
+                let spec = GpuHe::kernel_spec(kernel.name, kernel.key_bits, true);
+                let (results, report) = device.launch(
+                    &spec,
+                    items,
+                    kernel.bytes_in,
+                    kernel.bytes_out,
+                    |i, item| {
+                        let (out, ops) = body(i, item);
+                        // A launched thread does at least one op, even
+                        // over an empty group.
+                        gpu_sim::kernel::outcome_from_result(
+                            out,
+                            ops.max(1),
+                            i % kernel.divergence_stride == 0,
+                        )
+                    },
+                );
+                let out: Result<Vec<R>> = results.into_iter().collect();
+                Ok((out?, timing_from(&report, device.config())))
+            }
+        }
+    }
 }
 
 /// Encrypts one batch item, preferring a pool-precomputed `(r, r^n)`
-/// pair; on a pool miss it computes `r^n` inline from the same
-/// deterministically derived `r` — by the pool holder's route
-/// ([`ObfuscatorPool`]: the key owner's when the pool carries the private
-/// key, the public one otherwise, and the public one with no pool) — so
-/// the ciphertext is bit-identical either way. Returns whether the pool
-/// served the item (the pooled path skips the `bits(n)`-bit
-/// exponentiation, so it is charged differently).
+/// pair; on a pool miss it computes `r^n` inline from the same `r`
+/// ([`PaillierPublicKey::batch_blinding`], which the pool's refill also
+/// derives from) — by the pool holder's route ([`ObfuscatorPool`]: the
+/// key owner's when the pool carries the private key, the public one
+/// otherwise, and the public one with no pool) — so the ciphertext is
+/// bit-identical either way. Returns whether the pool served the item
+/// (the pooled path skips the `bits(n)`-bit exponentiation, so it is
+/// charged differently).
 fn encrypt_item(
     pk: &PaillierPublicKey,
     pool: Option<&ObfuscatorPool>,
@@ -146,7 +351,7 @@ fn encrypt_item(
     if let Some(obf) = pool.and_then(|p| p.take(seed, index)) {
         return (pk.encrypt_with_obfuscator(m, obf), true);
     }
-    let r = blinding(pk, seed, index);
+    let r = pk.batch_blinding(seed, index);
     let obf = match pool {
         Some(p) => p.blinding_power(pk, &r),
         None => pk.precompute_obfuscator(&r),
@@ -154,54 +359,10 @@ fn encrypt_item(
     (pk.encrypt_with_obfuscator(m, obf), false)
 }
 
-/// Shape-checks a weighted-aggregate call: one weight per batch, all
-/// batches the same length. Returns the slot count and the weights as
-/// [`Natural`]s.
-fn weighted_shape(batches: &[Vec<Ciphertext>], weights: &[u64]) -> (usize, Vec<Natural>) {
-    // Documented trait contract: misaligned batches are a caller bug.
-    // flcheck: allow(pf-assert)
-    assert_eq!(
-        batches.len(),
-        weights.len(),
-        "weighted_aggregate requires one weight per batch"
-    );
-    let slots = batches.first().map_or(0, Vec::len);
-    for b in batches {
-        // flcheck: allow(pf-assert)
-        assert_eq!(b.len(), slots, "weighted_aggregate requires equal lengths");
-    }
-    (slots, weights.iter().map(|&w| Natural::from(w)).collect())
-}
-
-/// Gathers slot `j` across every participant batch.
-fn slot_column(batches: &[Vec<Ciphertext>], j: usize) -> Vec<Ciphertext> {
-    // In range: weighted_shape verified every batch has `slots` items.
-    // flcheck: allow(pf-index)
-    batches.iter().map(|b| b[j].clone()).collect()
-}
-
-/// Bit length of the widest weight.
-fn max_weight_bits(weights: &[u64]) -> u32 {
-    weights
-        .iter()
-        .map(|&w| 64 - w.leading_zeros())
-        .max()
-        .unwrap_or(0)
-}
-
-// ---------------------------------------------------------------------
-// CPU baseline (FATE-style)
-// ---------------------------------------------------------------------
-
-/// CPU execution of HE batches — the paper's FATE baseline.
-///
-/// Simulated time charges `β_cpu` per limb-level operation *serially*
-/// (FATE's per-value Python loop); the computation itself runs on the
-/// host thread pool so that large benchmark batches finish quickly —
-/// wall-clock and simulated time are decoupled throughout the harness.
-/// The default `β_cpu` is calibrated so 1024-bit Paillier encryption
-/// throughput lands near the paper's Table IV FATE row (~360
-/// instances/s).
+/// CPU execution of HE batches — the paper's FATE baseline
+/// ([`Schedule::Cpu`]). The default `β_cpu` is calibrated so 1024-bit
+/// Paillier encryption throughput lands near the paper's Table IV FATE
+/// row (~360 instances/s).
 #[derive(Debug, Clone)]
 pub struct CpuHe {
     /// Seconds per limb-level operation (`β_cpu`).
@@ -235,136 +396,19 @@ impl HeBackend for CpuHe {
         "cpu"
     }
 
-    // flcheck: det-sink — ciphertext bytes are result content
-    fn encrypt_batch(
-        &self,
-        pk: &PaillierPublicKey,
-        plaintexts: &[Natural],
-        seed: u64,
-    ) -> Result<(Vec<Ciphertext>, HeTiming)> {
-        let results: Vec<(crate::Result<Ciphertext>, bool)> = plaintexts
-            .par_iter()
-            .with_max_len(HE_MAX_CHUNK)
-            .enumerate()
-            .map(|(i, m)| encrypt_item(pk, self.pool.as_deref(), m, seed, i))
-            .collect();
-        let pooled = results.iter().filter(|(_, hit)| *hit).count() as u64;
-        let out: crate::Result<Vec<Ciphertext>> = results.into_iter().map(|(r, _)| r).collect();
-        let out = out?;
-        let full = plaintexts.len() as u64 - pooled;
-        let ops = pk.encrypt_op_estimate() * full + pk.encrypt_pooled_op_estimate() * pooled;
-        Ok((out, self.timing(ops, plaintexts.len())))
-    }
-
-    // flcheck: det-sink — decrypted plaintexts are result content
-    fn decrypt_batch(
-        &self,
-        sk: &PaillierPrivateKey,
-        ciphertexts: &[Ciphertext],
-    ) -> Result<(Vec<Natural>, HeTiming)> {
-        let out: crate::Result<Vec<Natural>> = ciphertexts
-            .par_iter()
-            .with_max_len(HE_MAX_CHUNK)
-            .map(|c| sk.decrypt_crt(c))
-            .collect();
-        let out = out?;
-        let ops = sk.decrypt_op_estimate() * ciphertexts.len() as u64;
-        Ok((out, self.timing(ops, ciphertexts.len())))
-    }
-
-    // flcheck: det-sink — aggregate ciphertexts are result content
-    fn add_batch(
-        &self,
-        pk: &PaillierPublicKey,
-        a: &[Ciphertext],
-        b: &[Ciphertext],
-    ) -> Result<(Vec<Ciphertext>, HeTiming)> {
-        // Documented trait contract: misaligned batches are a caller bug.
-        // flcheck: allow(pf-assert)
-        assert_eq!(a.len(), b.len(), "add_batch requires equal lengths");
-        let out: crate::Result<Vec<Ciphertext>> = a
-            .par_iter()
-            .with_max_len(HE_MAX_CHUNK)
-            .zip(b.par_iter())
-            .map(|(x, y)| pk.checked_add(x, y))
-            .collect();
-        let ops = pk.add_op_estimate() * a.len() as u64;
-        Ok((out?, self.timing(ops, a.len())))
-    }
-
-    fn fold_groups(
-        &self,
-        pk: &PaillierPublicKey,
-        groups: &[Vec<Ciphertext>],
-    ) -> Result<(Vec<Ciphertext>, HeTiming)> {
-        let out: crate::Result<Vec<Ciphertext>> = groups
-            .par_iter()
-            .with_max_len(HE_MAX_CHUNK)
-            .map(|group| {
-                let mut acc = pk.zero_ciphertext();
-                for c in group {
-                    acc = pk.checked_add(&acc, c)?;
-                }
-                Ok(acc)
-            })
-            .collect();
-        let adds: u64 = groups.iter().map(|g| g.len() as u64).sum();
-        let ops = pk.add_op_estimate() * adds;
-        Ok((out?, self.timing(ops, groups.len())))
-    }
-
-    fn weighted_aggregate(
-        &self,
-        pk: &PaillierPublicKey,
-        batches: &[Vec<Ciphertext>],
-        weights: &[u64],
-    ) -> Result<(Vec<Ciphertext>, HeTiming)> {
-        let (slots, wnat) = weighted_shape(batches, weights);
-        let out: crate::Result<Vec<Ciphertext>> = (0..slots)
-            .into_par_iter()
-            .with_max_len(HE_MAX_CHUNK)
-            .map(|j| pk.weighted_sum(&slot_column(batches, j), &wnat))
-            .collect();
-        let per_slot = pk.weighted_sum_op_estimate(batches.len(), max_weight_bits(weights));
-        Ok((out?, self.timing(per_slot * slots as u64, slots)))
-    }
-
-    fn weighted_aggregate_sharded(
-        &self,
-        pk: &PaillierPublicKey,
-        batches: &[Vec<Ciphertext>],
-        weights: &[u64],
-        shards: usize,
-    ) -> Result<(Vec<Ciphertext>, HeTiming)> {
-        let (slots, wnat) = weighted_shape(batches, weights);
-        let out: crate::Result<Vec<Ciphertext>> = (0..slots)
-            .into_par_iter()
-            .with_max_len(HE_MAX_CHUNK)
-            .map(|j| pk.weighted_sum_sharded(&slot_column(batches, j), &wnat, shards))
-            .collect();
-        // The serial CPU baseline pays every shard's chain plus the
-        // merges — the *total* estimate, not the critical path.
-        let per_slot =
-            pk.weighted_sum_sharded_op_estimate(batches.len(), max_weight_bits(weights), shards);
-        Ok((out?, self.timing(per_slot * slots as u64, slots)))
-    }
-}
-
-impl CpuHe {
-    fn timing(&self, ops: u64, items: usize) -> HeTiming {
-        HeTiming {
-            sim_seconds: ops as f64 * self.seconds_per_op,
-            ops,
-            items: items as u64,
+    fn schedule(&self) -> Schedule<'_> {
+        Schedule::Cpu {
+            seconds_per_op: self.seconds_per_op,
         }
     }
+
+    fn pool(&self) -> Option<&ObfuscatorPool> {
+        self.pool.as_deref()
+    }
 }
 
-// ---------------------------------------------------------------------
-// GPU-HE (the paper's GHE layer)
-// ---------------------------------------------------------------------
-
-/// Batched HE dispatched through the GPU execution-model simulator.
+/// Batched HE dispatched through the GPU execution-model simulator — the
+/// paper's GHE layer ([`Schedule::Gpu`]).
 #[derive(Clone)]
 pub struct GpuHe {
     device: Arc<Device>,
@@ -419,190 +463,12 @@ impl HeBackend for GpuHe {
         "gpu"
     }
 
-    // flcheck: det-sink — ciphertext bytes are result content
-    fn encrypt_batch(
-        &self,
-        pk: &PaillierPublicKey,
-        plaintexts: &[Natural],
-        seed: u64,
-    ) -> Result<(Vec<Ciphertext>, HeTiming)> {
-        let spec = Self::kernel_spec("paillier_encrypt", pk.key_bits, true);
-        let full_ops = pk.encrypt_op_estimate();
-        let pooled_ops = pk.encrypt_pooled_op_estimate();
-        // Plaintexts go up (quantized words), ciphertexts come back.
-        let bytes_in: u64 = plaintexts
-            .iter()
-            .map(|m| m.wire_size_bytes().max(4) as u64)
-            .sum();
-        let ct_bytes = (pk.n_squared.bit_len() as u64).div_ceil(8);
-        let bytes_out = ct_bytes * plaintexts.len() as u64;
-
-        let (results, report) =
-            self.device
-                .launch(&spec, plaintexts, bytes_in, bytes_out, |i, m| {
-                    let (out, hit) = encrypt_item(pk, self.pool.as_deref(), m, seed, i);
-                    let ops = if hit { pooled_ops } else { full_ops };
-                    gpu_sim::kernel::outcome_from_result(out, ops, i % 2 == 0)
-                });
-        let out: Result<Vec<Ciphertext>> = results.into_iter().collect();
-        Ok((out?, timing_from(&report, self.device.config())))
+    fn schedule(&self) -> Schedule<'_> {
+        Schedule::Gpu(&self.device)
     }
 
-    // flcheck: det-sink — decrypted plaintexts are result content
-    fn decrypt_batch(
-        &self,
-        sk: &PaillierPrivateKey,
-        ciphertexts: &[Ciphertext],
-    ) -> Result<(Vec<Natural>, HeTiming)> {
-        let spec = Self::kernel_spec("paillier_decrypt", sk.public.key_bits, true);
-        let per_item_ops = sk.decrypt_op_estimate();
-        let ct_bytes = (sk.public.n_squared.bit_len() as u64).div_ceil(8);
-        let bytes_in = ct_bytes * ciphertexts.len() as u64;
-        let pt_bytes = (sk.public.n.bit_len() as u64).div_ceil(8);
-        let bytes_out = pt_bytes * ciphertexts.len() as u64;
-
-        let (results, report) =
-            self.device
-                .launch(&spec, ciphertexts, bytes_in, bytes_out, |i, c| {
-                    gpu_sim::kernel::outcome_from_result(
-                        sk.decrypt_crt(c),
-                        per_item_ops,
-                        i % 2 == 0,
-                    )
-                });
-        let out: Result<Vec<Natural>> = results.into_iter().collect();
-        Ok((out?, timing_from(&report, self.device.config())))
-    }
-
-    // flcheck: det-sink — aggregate ciphertexts are result content
-    fn add_batch(
-        &self,
-        pk: &PaillierPublicKey,
-        a: &[Ciphertext],
-        b: &[Ciphertext],
-    ) -> Result<(Vec<Ciphertext>, HeTiming)> {
-        // Documented trait contract: misaligned batches are a caller bug.
-        // flcheck: allow(pf-assert)
-        assert_eq!(a.len(), b.len(), "add_batch requires equal lengths");
-        let spec = Self::kernel_spec("paillier_add", pk.key_bits, true);
-        let per_item_ops = pk.add_op_estimate();
-        let ct_bytes = (pk.n_squared.bit_len() as u64).div_ceil(8);
-        // Homomorphic computation keeps data resident (paper Fig. 4 phase
-        // ⑩–⑫): operands were already on-device from prior phases; only
-        // parameters move. Charge one operand in, result stays.
-        let bytes_in = ct_bytes; // key parameters
-        let bytes_out = 0;
-
-        let pairs: Vec<(&Ciphertext, &Ciphertext)> = a.iter().zip(b.iter()).collect();
-        let (results, report) =
-            self.device
-                .launch(&spec, &pairs, bytes_in, bytes_out, |i, (x, y)| {
-                    gpu_sim::kernel::outcome_from_result(
-                        pk.checked_add(x, y),
-                        per_item_ops,
-                        i % 4 == 0,
-                    )
-                });
-        let out: Result<Vec<Ciphertext>> = results.into_iter().collect();
-        Ok((out?, timing_from(&report, self.device.config())))
-    }
-
-    fn fold_groups(
-        &self,
-        pk: &PaillierPublicKey,
-        groups: &[Vec<Ciphertext>],
-    ) -> Result<(Vec<Ciphertext>, HeTiming)> {
-        let spec = Self::kernel_spec("paillier_fold", pk.key_bits, true);
-        let per_add_ops = pk.add_op_estimate();
-        let ct_bytes = (pk.n_squared.bit_len() as u64).div_ceil(8);
-        // Operands are assumed device-resident (they arrive from a prior
-        // encrypt); only the folded buckets come back.
-        let bytes_out = ct_bytes * groups.len() as u64;
-        let (results, report) = self.device.launch(&spec, groups, 0, bytes_out, |i, group| {
-            let mut acc = pk.zero_ciphertext();
-            let mut err = None;
-            for c in group {
-                match pk.checked_add(&acc, c) {
-                    Ok(next) => acc = next,
-                    Err(e) => {
-                        err = Some(e);
-                        break;
-                    }
-                }
-            }
-            let ops = per_add_ops * group.len() as u64;
-            let out = match err {
-                Some(e) => Err(e),
-                None => Ok(acc),
-            };
-            gpu_sim::kernel::outcome_from_result(out, ops.max(1), i % 2 == 0)
-        });
-        let out: Result<Vec<Ciphertext>> = results.into_iter().collect();
-        Ok((out?, timing_from(&report, self.device.config())))
-    }
-
-    fn weighted_aggregate(
-        &self,
-        pk: &PaillierPublicKey,
-        batches: &[Vec<Ciphertext>],
-        weights: &[u64],
-    ) -> Result<(Vec<Ciphertext>, HeTiming)> {
-        let (slots, wnat) = weighted_shape(batches, weights);
-        let spec = Self::kernel_spec("paillier_weighted_sum", pk.key_bits, true);
-        let per_item_ops = pk
-            .weighted_sum_op_estimate(batches.len(), max_weight_bits(weights))
-            .max(1);
-        let ct_bytes = (pk.n_squared.bit_len() as u64).div_ceil(8);
-        // Participant ciphertexts are device-resident from prior phases
-        // (paper Fig. 4 ⑩–⑫); only the weights go up and the aggregated
-        // slots come back.
-        let bytes_in = 8 * weights.len() as u64;
-        let bytes_out = ct_bytes * slots as u64;
-
-        let items: Vec<usize> = (0..slots).collect();
-        let (results, report) = self
-            .device
-            .launch(&spec, &items, bytes_in, bytes_out, |i, &j| {
-                gpu_sim::kernel::outcome_from_result(
-                    pk.weighted_sum(&slot_column(batches, j), &wnat),
-                    per_item_ops,
-                    i % 2 == 0,
-                )
-            });
-        let out: Result<Vec<Ciphertext>> = results.into_iter().collect();
-        Ok((out?, timing_from(&report, self.device.config())))
-    }
-
-    fn weighted_aggregate_sharded(
-        &self,
-        pk: &PaillierPublicKey,
-        batches: &[Vec<Ciphertext>],
-        weights: &[u64],
-        shards: usize,
-    ) -> Result<(Vec<Ciphertext>, HeTiming)> {
-        let (slots, wnat) = weighted_shape(batches, weights);
-        let spec = Self::kernel_spec("paillier_weighted_sum_sharded", pk.key_bits, true);
-        // Edge devices are charged the MAC-derived *sharded* estimate:
-        // every chain plus the merge multiplies, per slot.
-        let per_item_ops = pk
-            .weighted_sum_sharded_op_estimate(batches.len(), max_weight_bits(weights), shards)
-            .max(1);
-        let ct_bytes = (pk.n_squared.bit_len() as u64).div_ceil(8);
-        let bytes_in = 8 * weights.len() as u64;
-        let bytes_out = ct_bytes * slots as u64;
-
-        let items: Vec<usize> = (0..slots).collect();
-        let (results, report) = self
-            .device
-            .launch(&spec, &items, bytes_in, bytes_out, |i, &j| {
-                gpu_sim::kernel::outcome_from_result(
-                    pk.weighted_sum_sharded(&slot_column(batches, j), &wnat, shards),
-                    per_item_ops,
-                    i % 2 == 0,
-                )
-            });
-        let out: Result<Vec<Ciphertext>> = results.into_iter().collect();
-        Ok((out?, timing_from(&report, self.device.config())))
+    fn pool(&self) -> Option<&ObfuscatorPool> {
+        self.pool.as_deref()
     }
 }
 
@@ -779,19 +645,19 @@ mod tests {
             .collect();
         let weights: Vec<u64> = (0..9u64).map(|p| p * 977 + 1).collect();
         let (flat, flat_t) = cpu
-            .weighted_aggregate(&k.public, &batches, &weights)
+            .weighted_aggregate(&k.public, &batches, &weights, 1)
             .unwrap();
-        for shards in [1usize, 2, 4, 9] {
+        for shards in [0usize, 2, 4, 9] {
             let (c, t) = cpu
-                .weighted_aggregate_sharded(&k.public, &batches, &weights, shards)
+                .weighted_aggregate(&k.public, &batches, &weights, shards)
                 .unwrap();
             assert_eq!(c, flat, "cpu shards {shards}");
             let (gc, _) = g
-                .weighted_aggregate_sharded(&k.public, &batches, &weights, shards)
+                .weighted_aggregate(&k.public, &batches, &weights, shards)
                 .unwrap();
             assert_eq!(gc, flat, "gpu shards {shards}");
-            if shards == 1 {
-                // Single shard is the flat pass: charged identically too.
+            if shards == 0 {
+                // Zero shards is the flat pass: charged identically too.
                 assert_eq!(t, flat_t);
             } else {
                 // Extra shards cost merge multiplies on a serial device.
@@ -801,11 +667,31 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "equal lengths")]
-    fn mismatched_add_batch_panics() {
+    fn misaligned_batches_are_typed_errors_on_both_backends() {
         let k = keys();
-        let g = gpu();
-        let (ca, _) = g.encrypt_batch(&k.public, &nats(&[1]), 0).unwrap();
-        let _ = g.add_batch(&k.public, &ca, &[]);
+        let backends: [&dyn HeBackend; 2] = [&CpuHe::default(), &gpu()];
+        for be in backends {
+            let (ca, _) = be.encrypt_batch(&k.public, &nats(&[1]), 0).unwrap();
+            let err = be.add_batch(&k.public, &ca, &[]).unwrap_err();
+            assert_eq!(
+                err,
+                Error::InvalidParameter("add_batch requires equal-length batches")
+            );
+            assert_eq!(
+                err.to_string(),
+                "invalid parameter: add_batch requires equal-length batches"
+            );
+            let two = vec![ca.clone(), ca.clone()];
+            assert_eq!(
+                be.weighted_aggregate(&k.public, &two, &[1], 1).unwrap_err(),
+                Error::InvalidParameter("weighted_aggregate requires one weight per batch")
+            );
+            let ragged = vec![ca.clone(), Vec::new()];
+            assert_eq!(
+                be.weighted_aggregate(&k.public, &ragged, &[1, 2], 1)
+                    .unwrap_err(),
+                Error::InvalidParameter("weighted_aggregate requires equal-length batches")
+            );
+        }
     }
 }

@@ -26,7 +26,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod damgard_jurik;
 pub mod error;
 pub mod ghe;
 pub mod paillier;

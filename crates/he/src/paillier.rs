@@ -39,7 +39,7 @@
 //!   plus plaintext-scalar multiplication `E(m)^k = E(k·m)` used for
 //!   weighted gradient aggregation.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -413,19 +413,15 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Pre-generated blinding pairs for batched encryption (HAFLO-style
 /// obfuscator pooling).
 ///
-/// Two stores, never locked together:
-///
-/// - an **indexed** store keyed by `(seed, index)`, filled by
-///   [`prefill_batch`](Self::prefill_batch) with the *same*
-///   deterministically derived `r` values the batch encrypt path would
-///   compute inline ([`PaillierPublicKey::batch_blinding`]) — so pooled
-///   and unpooled encryption are bit-identical;
-/// - an **anonymous** FIFO for callers without a batch schedule, filled
-///   by [`pregenerate`](Self::pregenerate) from caller randomness.
+/// One store, keyed by `(seed, index)` and filled by
+/// [`prefill_batch`](Self::prefill_batch) with the *same*
+/// deterministically derived `r` values the batch encrypt path would
+/// compute inline ([`PaillierPublicKey::batch_blinding`]) — so pooled and
+/// unpooled encryption are bit-identical.
 ///
 /// Each pair is handed out at most once (`take` removes it), preserving
 /// the one-ciphertext-per-`r` rule. Refills fan the `r^n` exponentiations
-/// out on the work-stealing pool and take each lock once, briefly, to
+/// out on the work-stealing pool and take the lock once, briefly, to
 /// deposit finished values. A refill runs inside the call that asks for
 /// it, on the caller's clock: the pool decides *when* `r^n` is paid for,
 /// not whether.
@@ -448,7 +444,6 @@ pub struct ObfuscatorPool {
     // so any future iteration (eviction, draining, debug dumps) must come
     // out in key order rather than hash order.
     indexed: Mutex<BTreeMap<(u64, u64), Obfuscator>>,
-    anon: Mutex<VecDeque<Obfuscator>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -459,7 +454,6 @@ impl std::fmt::Debug for ObfuscatorPool {
             .field("fingerprint", &format_args!("{:#018x}", self.key_id))
             .field("owner", &self.owner.is_some())
             .field("indexed", &lock(&self.indexed).len())
-            .field("anon", &lock(&self.anon).len())
             .field("hits", &self.hits.load(Ordering::Relaxed))
             .field("misses", &self.misses.load(Ordering::Relaxed))
             .finish()
@@ -485,7 +479,6 @@ impl ObfuscatorPool {
             key_id: pk.key_id,
             owner,
             indexed: Mutex::new(BTreeMap::new()),
-            anon: Mutex::new(VecDeque::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -540,42 +533,9 @@ impl ObfuscatorPool {
         taken
     }
 
-    /// Pre-generates `count` anonymous pairs from caller randomness: the
-    /// `r` draws are serial (deterministic for a seeded `rng`), the
-    /// `r^n` exponentiations run in parallel.
-    // flcheck: allow(uncharged-work) — off-path pool refill (see prefill_batch).
-    pub fn pregenerate<R: Rng + ?Sized>(
-        &self,
-        pk: &PaillierPublicKey,
-        rng: &mut R,
-        count: usize,
-    ) -> Result<()> {
-        if pk.key_id != self.key_id {
-            return Err(Error::KeyMismatch);
-        }
-        let rs: Vec<Natural> = (0..count).map(|_| random_coprime(rng, &pk.n)).collect();
-        let obfs: Vec<Obfuscator> = rs
-            .par_iter()
-            .with_max_len(1)
-            .map(|r| self.blinding_power(pk, r))
-            .collect();
-        lock(&self.anon).extend(obfs);
-        Ok(())
-    }
-
-    /// Takes the oldest anonymous pair, if any.
-    pub fn take_anon(&self) -> Option<Obfuscator> {
-        lock(&self.anon).pop_front()
-    }
-
     /// Pairs currently parked in the indexed store.
     pub fn indexed_len(&self) -> usize {
         lock(&self.indexed).len()
-    }
-
-    /// Pairs currently parked in the anonymous FIFO.
-    pub fn anon_len(&self) -> usize {
-        lock(&self.anon).len()
     }
 
     /// `take` calls served from the pool.
@@ -1333,17 +1293,12 @@ mod tests {
         let public = ObfuscatorPool::new(&k.public);
         for pool in [&owner, &public] {
             pool.prefill_batch(&k.public, 31, 2).unwrap();
-            pool.pregenerate(&k.public, &mut rng(), 1).unwrap();
         }
         for i in 0..2 {
             let a = owner.take(31, i).unwrap();
             let b = public.take(31, i).unwrap();
             assert_eq!(a.r_n, b.r_n, "indexed {i}");
         }
-        assert_eq!(
-            owner.take_anon().unwrap().r_n,
-            public.take_anon().unwrap().r_n
-        );
         let r = k.public.batch_blinding(31, 9);
         assert_eq!(
             owner.blinding_power(&k.public, &r).r_n,
@@ -1536,7 +1491,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_rejects_foreign_key_and_anon_fifo_works() {
+    fn pool_rejects_foreign_key() {
         let k1 = PaillierKeyPair::generate(&mut ChaCha8Rng::seed_from_u64(1), 128).unwrap();
         let k2 = PaillierKeyPair::generate(&mut ChaCha8Rng::seed_from_u64(2), 128).unwrap();
         let pool = ObfuscatorPool::new(&k1.public);
@@ -1544,16 +1499,7 @@ mod tests {
             pool.prefill_batch(&k2.public, 0, 1),
             Err(Error::KeyMismatch)
         );
-        assert_eq!(
-            pool.pregenerate(&k2.public, &mut rng(), 1),
-            Err(Error::KeyMismatch)
-        );
-        pool.pregenerate(&k1.public, &mut rng(), 2).unwrap();
-        assert_eq!(pool.anon_len(), 2);
-        let obf = pool.take_anon().unwrap();
-        let c = k1.public.encrypt_with_obfuscator(&nat(3), obf).unwrap();
-        assert_eq!(k1.private.decrypt(&c).unwrap(), nat(3));
-        assert_eq!(pool.anon_len(), 1);
+        assert_eq!(pool.indexed_len(), 0);
     }
 
     #[test]

@@ -1,0 +1,482 @@
+//! Every batched operation on every backend configuration, pinned
+//! bit-for-bit.
+//!
+//! The constants were captured (128-bit fixed-seed key) at the commit
+//! before `he::ghe` wrote each operation once over a two-arm schedule,
+//! when `CpuHe` and `GpuHe` each spelled out their own copy and the flat
+//! weighted fold was a separate method from the sharded one. A row is
+//! `(label, FNV-1a of the output limbs, sim_seconds.to_bits(), ops,
+//! items)`; the device rows are the simulated GPU's running totals after
+//! the same calls. A changed op count, a float product taken in another
+//! order, a transfer charged differently or a floor applied on the wrong
+//! arm moves at least one value here.
+
+use std::sync::Arc;
+
+use gpu_sim::{resource::ResourceManager, Device, DeviceConfig};
+use he::ghe::HeTiming;
+use he::paillier::{Ciphertext, ObfuscatorPool, PaillierKeyPair, PaillierPublicKey};
+use he::{CpuHe, GpuHe, HeBackend};
+use mpint::Natural;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
+
+type Row = (String, u64, u64, u64, u64);
+type GoldenRow = (&'static str, u64, u64, u64, u64);
+
+/// `[launches, items, bytes_in, bytes_out, thread_ops, h2d, kernel, d2h]`,
+/// the three times as `f64::to_bits`.
+type DeviceRow = (&'static str, [u64; 8]);
+
+fn fnv<'a>(values: impl Iterator<Item = &'a Natural>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |word: u64| {
+        for b in word.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for v in values {
+        eat(v.limbs().len() as u64);
+        v.limbs().iter().copied().for_each(&mut eat);
+    }
+    h
+}
+
+fn row(label: String, out: &[Ciphertext], t: &HeTiming) -> Row {
+    let h = fnv(out.iter().map(|c| &c.value));
+    (label, h, t.sim_seconds.to_bits(), t.ops, t.items)
+}
+
+fn weighted(
+    be: &dyn HeBackend,
+    pk: &PaillierPublicKey,
+    batches: &[Vec<Ciphertext>],
+    weights: &[u64],
+    shards: usize,
+) -> (Vec<Ciphertext>, HeTiming) {
+    be.weighted_aggregate(pk, batches, weights, shards).unwrap()
+}
+
+/// Runs every operation once on `be` and returns one row per call.
+fn exercise(name: &str, be: &dyn HeBackend, keys: &PaillierKeyPair) -> Vec<Row> {
+    let pk = &keys.public;
+    let ms: Vec<Natural> = [3u64, 1 << 40, 0, 977, u64::MAX]
+        .iter()
+        .map(|&v| Natural::from(v))
+        .collect();
+    let mut rows = Vec::new();
+
+    let (cts, t) = be.encrypt_batch(pk, &ms, 11).unwrap();
+    rows.push(row(format!("{name} encrypt"), &cts, &t));
+    let (plain, t) = be.decrypt_batch(&keys.private, &cts).unwrap();
+    assert_eq!(plain, ms, "{name}");
+    rows.push((
+        format!("{name} decrypt"),
+        fnv(plain.iter()),
+        t.sim_seconds.to_bits(),
+        t.ops,
+        t.items,
+    ));
+
+    // Operands for the folds come from the unpooled CPU path, so every
+    // configuration folds the same inputs.
+    let cpu = CpuHe::default();
+    let enc = |seed: u64, vals: &[u64]| {
+        let ms: Vec<Natural> = vals.iter().map(|&v| Natural::from(v)).collect();
+        cpu.encrypt_batch(pk, &ms, seed).unwrap().0
+    };
+    let a = enc(21, &[1, 2, 3, 4, 5]);
+    let b = enc(22, &[10, 20, 30, 40, 50]);
+    let (sum, t) = be.add_batch(pk, &a, &b).unwrap();
+    rows.push(row(format!("{name} add"), &sum, &t));
+
+    // A skewed histogram with one empty bucket.
+    let groups = vec![a[..3].to_vec(), Vec::new(), b[3..].to_vec()];
+    let (folded, t) = be.fold_groups(pk, &groups).unwrap();
+    rows.push(row(format!("{name} fold"), &folded, &t));
+
+    let batches: Vec<Vec<Ciphertext>> = (0..4u64)
+        .map(|p| enc(30 + p, &[p + 1, 100 * p + 7, p * p]))
+        .collect();
+    let weights = [1u64, 977, 65_536, 12];
+    for shards in [1usize, 2, 3] {
+        let (out, t) = weighted(be, pk, &batches, &weights, shards);
+        rows.push(row(format!("{name} weighted/{shards}"), &out, &t));
+    }
+    let empty = vec![Vec::new(), Vec::new()];
+    let (out, t) = weighted(be, pk, &empty, &[5, 6], 1);
+    rows.push(row(format!("{name} weighted/zero-slot"), &out, &t));
+    rows
+}
+
+fn device_row(device: &Device) -> [u64; 8] {
+    let s = device.stats();
+    [
+        s.launches,
+        s.items,
+        s.bytes_in,
+        s.bytes_out,
+        s.thread_ops,
+        s.sim_h2d_seconds.to_bits(),
+        s.sim_kernel_seconds.to_bits(),
+        s.sim_d2h_seconds.to_bits(),
+    ]
+}
+
+#[test]
+fn every_operation_on_every_backend_matches_golden_bits() {
+    let keys = PaillierKeyPair::generate(&mut ChaCha8Rng::seed_from_u64(0x5C4ED), 128).unwrap();
+    // The owner's pool, warmed for three of the five encrypt items, so a
+    // pooled batch pins both the hit and the miss charge.
+    let pool = || {
+        let pool = Arc::new(ObfuscatorPool::for_owner(&keys.private));
+        pool.prefill_batch(&keys.public, 11, 3).unwrap();
+        pool
+    };
+    let adaptive = || Arc::new(Device::new(DeviceConfig::rtx3090()));
+    let fixed = Arc::new(Device::with_manager(
+        DeviceConfig::rtx3090(),
+        ResourceManager::fixed(256),
+    ));
+    let (gpu_dev, pooled_dev) = (adaptive(), adaptive());
+
+    let mut rows = Vec::new();
+    rows.extend(exercise("cpu", &CpuHe::default(), &keys));
+    rows.extend(exercise(
+        "cpu+pool",
+        &CpuHe::default().with_pool(pool()),
+        &keys,
+    ));
+    rows.extend(exercise("gpu", &GpuHe::new(Arc::clone(&gpu_dev)), &keys));
+    rows.extend(exercise(
+        "gpu-fixed256",
+        &GpuHe::new(Arc::clone(&fixed)),
+        &keys,
+    ));
+    rows.extend(exercise(
+        "gpu+pool",
+        &GpuHe::new(Arc::clone(&pooled_dev)).with_pool(pool()),
+        &keys,
+    ));
+    let devices = [
+        ("gpu", device_row(&gpu_dev)),
+        ("gpu-fixed256", device_row(&fixed)),
+        ("gpu+pool", device_row(&pooled_dev)),
+    ];
+
+    let golden: Vec<Row> = GOLDEN
+        .iter()
+        .map(|&(l, h, s, o, i)| (l.to_string(), h, s, o, i))
+        .collect();
+    if rows != golden || devices[..] != *DEVICES {
+        for (l, h, s, o, i) in &rows {
+            println!("    ({l:?}, {h:#018x}, {s:#018x}, {o}, {i}),");
+        }
+        for (l, d) in &devices {
+            println!("    ({l:?}, {d:#x?}),");
+        }
+    }
+    assert_eq!(rows, golden);
+    assert_eq!(devices[..], *DEVICES);
+}
+
+const GOLDEN: &[GoldenRow] = &[
+    (
+        "cpu encrypt",
+        0xe764b49631df6f05,
+        0x3ef7a7e765297a78,
+        11280,
+        5,
+    ),
+    (
+        "cpu decrypt",
+        0x9333ee1624913449,
+        0x3ee4cdc26b1f07d8,
+        4960,
+        5,
+    ),
+    ("cpu add", 0x1f9e4cb2c0ac35a2, 0x3ea01b2b29a4692c, 240, 5),
+    ("cpu fold", 0xdab59bad4d51a466, 0x3ea01b2b29a4692c, 240, 3),
+    (
+        "cpu weighted/1",
+        0xbbf6035278ae127c,
+        0x3ed8f6e94d586fd1,
+        2976,
+        3,
+    ),
+    (
+        "cpu weighted/2",
+        0xbbf6035278ae127c,
+        0x3ede9a0535852e39,
+        3648,
+        3,
+    ),
+    (
+        "cpu weighted/3",
+        0xbbf6035278ae127c,
+        0x3ee21e908ed8f651,
+        4320,
+        3,
+    ),
+    (
+        "cpu weighted/zero-slot",
+        0xcbf29ce484222325,
+        0x0000000000000000,
+        0,
+        0,
+    ),
+    (
+        "cpu+pool encrypt",
+        0xe764b49631df6f05,
+        0x3ee3bae1ac9c9a6f,
+        4704,
+        5,
+    ),
+    (
+        "cpu+pool decrypt",
+        0x9333ee1624913449,
+        0x3ee4cdc26b1f07d8,
+        4960,
+        5,
+    ),
+    (
+        "cpu+pool add",
+        0x1f9e4cb2c0ac35a2,
+        0x3ea01b2b29a4692c,
+        240,
+        5,
+    ),
+    (
+        "cpu+pool fold",
+        0xdab59bad4d51a466,
+        0x3ea01b2b29a4692c,
+        240,
+        3,
+    ),
+    (
+        "cpu+pool weighted/1",
+        0xbbf6035278ae127c,
+        0x3ed8f6e94d586fd1,
+        2976,
+        3,
+    ),
+    (
+        "cpu+pool weighted/2",
+        0xbbf6035278ae127c,
+        0x3ede9a0535852e39,
+        3648,
+        3,
+    ),
+    (
+        "cpu+pool weighted/3",
+        0xbbf6035278ae127c,
+        0x3ee21e908ed8f651,
+        4320,
+        3,
+    ),
+    (
+        "cpu+pool weighted/zero-slot",
+        0xcbf29ce484222325,
+        0x0000000000000000,
+        0,
+        0,
+    ),
+    (
+        "gpu encrypt",
+        0xe764b49631df6f05,
+        0x3e82e4bc4aece526,
+        11280,
+        5,
+    ),
+    (
+        "gpu decrypt",
+        0x9333ee1624913449,
+        0x3e73451a06b07d71,
+        4960,
+        5,
+    ),
+    ("gpu add", 0x1f9e4cb2c0ac35a2, 0x3e3446d5a9b4dd11, 240, 5),
+    ("gpu fold", 0xdab59bad4d51a466, 0x3e42ec8c6ba84b1a, 241, 3),
+    (
+        "gpu weighted/1",
+        0xbbf6035278ae127c,
+        0x3e66a57009710cb3,
+        2976,
+        3,
+    ),
+    (
+        "gpu weighted/2",
+        0xbbf6035278ae127c,
+        0x3e6aca42784651e7,
+        3648,
+        3,
+    ),
+    (
+        "gpu weighted/3",
+        0xbbf6035278ae127c,
+        0x3e6eef14e71b9719,
+        4320,
+        3,
+    ),
+    (
+        "gpu weighted/zero-slot",
+        0xcbf29ce484222325,
+        0x3e112e0be826d695,
+        0,
+        0,
+    ),
+    (
+        "gpu-fixed256 encrypt",
+        0xe764b49631df6f05,
+        0x3e94f963d8f85181,
+        11280,
+        5,
+    ),
+    (
+        "gpu-fixed256 decrypt",
+        0x9333ee1624913449,
+        0x3e83c5c6adeb2374,
+        4960,
+        5,
+    ),
+    (
+        "gpu-fixed256 add",
+        0x1f9e4cb2c0ac35a2,
+        0x3e4053514411c8e2,
+        240,
+        5,
+    ),
+    (
+        "gpu-fixed256 fold",
+        0xdab59bad4d51a466,
+        0x3e4e1b6c6ef35af4,
+        241,
+        3,
+    ),
+    (
+        "gpu-fixed256 weighted/1",
+        0xbbf6035278ae127c,
+        0x3e7858bb17e916b4,
+        2976,
+        3,
+    ),
+    (
+        "gpu-fixed256 weighted/2",
+        0xbbf6035278ae127c,
+        0x3e7d5bfbb6c1c963,
+        3648,
+        3,
+    ),
+    (
+        "gpu-fixed256 weighted/3",
+        0xbbf6035278ae127c,
+        0x3e812f9e2acd3e08,
+        4320,
+        3,
+    ),
+    (
+        "gpu-fixed256 weighted/zero-slot",
+        0xcbf29ce484222325,
+        0x3e112e0be826d695,
+        0,
+        0,
+    ),
+    (
+        "gpu+pool encrypt",
+        0xe764b49631df6f05,
+        0x3e71830540b400d3,
+        4704,
+        5,
+    ),
+    (
+        "gpu+pool decrypt",
+        0x9333ee1624913449,
+        0x3e73451a06b07d71,
+        4960,
+        5,
+    ),
+    (
+        "gpu+pool add",
+        0x1f9e4cb2c0ac35a2,
+        0x3e3446d5a9b4dd11,
+        240,
+        5,
+    ),
+    (
+        "gpu+pool fold",
+        0xdab59bad4d51a466,
+        0x3e42ec8c6ba84b1a,
+        241,
+        3,
+    ),
+    (
+        "gpu+pool weighted/1",
+        0xbbf6035278ae127c,
+        0x3e66a57009710cb3,
+        2976,
+        3,
+    ),
+    (
+        "gpu+pool weighted/2",
+        0xbbf6035278ae127c,
+        0x3e6aca42784651e7,
+        3648,
+        3,
+    ),
+    (
+        "gpu+pool weighted/3",
+        0xbbf6035278ae127c,
+        0x3e6eef14e71b9719,
+        4320,
+        3,
+    ),
+    (
+        "gpu+pool weighted/zero-slot",
+        0xcbf29ce484222325,
+        0x3e112e0be826d695,
+        0,
+        0,
+    ),
+];
+
+const DEVICES: &[DeviceRow] = &[
+    (
+        "gpu",
+        [
+            0x8,
+            0x1b,
+            0x14a,
+            0x270,
+            0x6c11,
+            0x3e56255b5942109c,
+            0x3f34c84cc3b65c01,
+            0x3e64f01e82ef5586,
+        ],
+    ),
+    (
+        "gpu-fixed256",
+        [
+            0x8,
+            0x1b,
+            0x14a,
+            0x270,
+            0x6c11,
+            0x3e56255b5942109c,
+            0x3f407e1bd666f117,
+            0x3e64f01e82ef5586,
+        ],
+    ),
+    (
+        "gpu+pool",
+        [
+            0x8,
+            0x1b,
+            0x14a,
+            0x270,
+            0x5261,
+            0x3e56255b5942109c,
+            0x3f30e2c2995918e2,
+            0x3e64f01e82ef5586,
+        ],
+    ),
+];

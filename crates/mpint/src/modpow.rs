@@ -293,18 +293,6 @@ pub fn mod_pow_binary(base: &Natural, exp: &Natural, n: &Natural) -> Result<Natu
     Ok(ctx.from_mont(&acc.into_natural()))
 }
 
-/// Counts the Montgomery multiplications each method would perform for an
-/// exponent of `bits` uniformly-random bits — the `e` vs `log_{2^b} e`
-/// comparison the paper makes, used by the ablation bench report.
-pub fn expected_mult_counts(bits: u32) -> (f64, f64) {
-    // Binary: bits squarings + bits/2 multiplies.
-    let binary = bits as f64 + bits as f64 / 2.0;
-    // Sliding window w: bits squarings + bits/(w+1) multiplies + 2^(w-1) table.
-    let w = window_size_for(bits) as f64;
-    let sliding = bits as f64 + bits as f64 / (w + 1.0) + (2f64).powf(w - 1.0);
-    (binary, sliding)
-}
-
 /// `x^p % n` where `n` may be even: falls back to repeated
 /// square-and-multiply with full reductions (no Montgomery domain).
 /// Needed for Table-I `mod_pow` on arbitrary moduli.
@@ -507,14 +495,6 @@ mod tests {
                 );
                 last = w;
             }
-        }
-    }
-
-    #[test]
-    fn sliding_beats_binary_in_expected_ops() {
-        for bits in [256u32, 1024, 2048, 4096] {
-            let (bin, slide) = expected_mult_counts(bits);
-            assert!(slide < bin, "{bits}-bit: sliding {slide} !< binary {bin}");
         }
     }
 

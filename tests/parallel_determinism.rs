@@ -252,11 +252,11 @@ fn weighted_aggregate_matches_scalar_mul_add_loop_across_thread_counts() {
             let cpu = CpuHe::default();
             let gpu = GpuHe::new(Arc::new(Device::new(DeviceConfig::rtx3090())));
             let a = cpu
-                .weighted_aggregate(&keys.public, &batches, &weights)
+                .weighted_aggregate(&keys.public, &batches, &weights, 1)
                 .expect("cpu")
                 .0;
             let b = gpu
-                .weighted_aggregate(&keys.public, &batches, &weights)
+                .weighted_aggregate(&keys.public, &batches, &weights, 1)
                 .expect("gpu")
                 .0;
             (
@@ -298,7 +298,7 @@ fn sharded_and_tree_aggregation_bit_identical_at_any_thread_count() {
     // else must reproduce bit for bit.
     let flat: Vec<Natural> = in_pool(1, || {
         CpuHe::default()
-            .weighted_aggregate(&keys.public, &batches, &weights)
+            .weighted_aggregate(&keys.public, &batches, &weights, 1)
             .expect("flat")
             .0
             .iter()
@@ -313,11 +313,11 @@ fn sharded_and_tree_aggregation_bit_identical_at_any_thread_count() {
                 let cpu = CpuHe::default();
                 let gpu = GpuHe::new(Arc::new(Device::new(DeviceConfig::rtx3090())));
                 let a = cpu
-                    .weighted_aggregate_sharded(&keys.public, &batches, &weights, shards)
+                    .weighted_aggregate(&keys.public, &batches, &weights, shards)
                     .expect("cpu sharded")
                     .0;
                 let b = gpu
-                    .weighted_aggregate_sharded(&keys.public, &batches, &weights, shards)
+                    .weighted_aggregate(&keys.public, &batches, &weights, shards)
                     .expect("gpu sharded")
                     .0;
                 (
