@@ -1,4 +1,5 @@
-//! Workspace call graph and the interprocedural panic-propagation pass.
+//! Workspace call graph, the walks every interprocedural pass shares,
+//! and the panic-propagation pass built directly on them.
 //!
 //! [`CallGraph::build`] resolves every [`crate::parse::CallSite`] against
 //! the `fn` items of all parsed files by name: method calls (`x.f(..)`)
@@ -9,16 +10,21 @@
 //! no edge — the graph is a *may-call* over-approximation restricted to
 //! first-party code.
 //!
-//! [`check_reach`] closes the existing panic-freedom facts over that
-//! graph: a public fn in a panic-freedom crate whose transitive callees
-//! contain an unallowed `pf-*` site is flagged `pf-reach`, carrying the
-//! full call chain in the finding. The walk is a breadth-first search
-//! with a visited set, so recursive cycles terminate and reported chains
-//! are shortest paths.
+//! Walking is written once: [`CallGraph::bfs`] is the only breadth-first
+//! search (deterministic — seeds in slice order, edges in call-site
+//! order — so every reported chain is a reproducible shortest path), and
+//! [`CallGraph::forward_reach`] / [`CallGraph::backward_reach`] /
+//! [`CallGraph::path_to`] are views of its result. Passes differ only in
+//! their seeds and in which nodes they refuse to enter.
+//!
+//! [`check_reach`] closes the panic-freedom facts over the graph: a
+//! public fn in a panic-freedom crate whose transitive callees contain an
+//! unallowed `pf-*` site is flagged `pf-reach`, carrying the full call
+//! chain in the finding.
 
 use crate::parse::ParsedFile;
 use crate::report::Finding;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// Node id: (file index, fn index) into the parsed-file slice.
 pub type NodeId = (usize, usize);
@@ -38,6 +44,37 @@ pub struct CallGraph {
     /// `edges[file][fn]` = resolved out-edges, in call-site order (one
     /// edge per candidate when a name is ambiguous).
     pub edges: Vec<Vec<Vec<Edge>>>,
+    /// `callers[file][fn]` = the nodes with an edge into this one.
+    callers: Vec<Vec<Vec<NodeId>>>,
+}
+
+/// Which way a walk follows call edges.
+#[derive(Clone, Copy)]
+enum Dir {
+    Callees,
+    Callers,
+}
+
+/// Result of a breadth-first walk: discovery order (seeds first) and
+/// the predecessor of every non-seed node reached.
+pub(crate) struct Bfs {
+    /// Every node reached, in discovery order.
+    pub(crate) order: Vec<NodeId>,
+    pred: BTreeMap<NodeId, NodeId>,
+}
+
+impl Bfs {
+    /// The walked path `seed -> .. -> n`, both endpoints included.
+    pub(crate) fn path_from(&self, n: NodeId) -> Vec<NodeId> {
+        let mut path = vec![n];
+        let mut at = n;
+        while let Some(&p) = self.pred.get(&at) {
+            path.push(p);
+            at = p;
+        }
+        path.reverse();
+        path
+    }
 }
 
 impl CallGraph {
@@ -50,25 +87,101 @@ impl CallGraph {
             }
         }
         let mut edges = Vec::with_capacity(files.len());
+        let mut callers: Vec<Vec<Vec<NodeId>>> = files
+            .iter()
+            .map(|pf| vec![Vec::new(); pf.fns.len()])
+            .collect();
         for (fi, pf) in files.iter().enumerate() {
             let mut file_edges = Vec::with_capacity(pf.fns.len());
-            for f in &pf.fns {
+            for (gi, f) in pf.fns.iter().enumerate() {
                 let mut fn_edges = Vec::new();
                 for (ci, call) in f.calls.iter().enumerate() {
                     for to in resolve(files, &by_name, fi, call.is_method, &call.callee) {
                         fn_edges.push(Edge { call: ci, to });
+                        callers[to.0][to.1].push((fi, gi));
                     }
                 }
                 file_edges.push(fn_edges);
             }
             edges.push(file_edges);
         }
-        CallGraph { edges }
+        CallGraph { edges, callers }
     }
 
     /// Out-edges of one node.
     pub fn out(&self, n: NodeId) -> &[Edge] {
         &self.edges[n.0][n.1]
+    }
+
+    /// The one breadth-first search. Never enters a node `skip` rejects;
+    /// seeds are taken as given.
+    fn walk(&self, dir: Dir, seeds: &[NodeId], skip: impl Fn(NodeId) -> bool) -> Bfs {
+        let mut seen: BTreeSet<NodeId> = seeds.iter().copied().collect();
+        let mut order: Vec<NodeId> = seeds.to_vec();
+        let mut pred: BTreeMap<NodeId, NodeId> = BTreeMap::new();
+        let mut queue: VecDeque<NodeId> = seeds.iter().copied().collect();
+        while let Some(n) = queue.pop_front() {
+            let mut visit = |to: NodeId| {
+                if !skip(to) && seen.insert(to) {
+                    pred.insert(to, n);
+                    order.push(to);
+                    queue.push_back(to);
+                }
+            };
+            match dir {
+                Dir::Callees => self.out(n).iter().for_each(|e| visit(e.to)),
+                Dir::Callers => self.callers[n.0][n.1].iter().for_each(|&c| visit(c)),
+            }
+        }
+        Bfs { order, pred }
+    }
+
+    /// Breadth-first search down call edges from `seeds`, with the
+    /// predecessor tree.
+    pub(crate) fn bfs(&self, seeds: &[NodeId], skip: impl Fn(NodeId) -> bool) -> Bfs {
+        self.walk(Dir::Callees, seeds, skip)
+    }
+
+    /// Forward closure: the seeds plus everything they transitively
+    /// call, never entering a node `skip` rejects.
+    pub(crate) fn forward_reach(
+        &self,
+        seeds: &BTreeSet<NodeId>,
+        skip: impl Fn(NodeId) -> bool,
+    ) -> BTreeSet<NodeId> {
+        self.closure(Dir::Callees, seeds, skip)
+    }
+
+    /// Backward closure: the seeds plus every node whose call chain can
+    /// reach one, never entering a node `skip` rejects.
+    pub(crate) fn backward_reach(
+        &self,
+        seeds: &BTreeSet<NodeId>,
+        skip: impl Fn(NodeId) -> bool,
+    ) -> BTreeSet<NodeId> {
+        self.closure(Dir::Callers, seeds, skip)
+    }
+
+    fn closure(
+        &self,
+        dir: Dir,
+        seeds: &BTreeSet<NodeId>,
+        skip: impl Fn(NodeId) -> bool,
+    ) -> BTreeSet<NodeId> {
+        let seeds: Vec<NodeId> = seeds.iter().copied().collect();
+        self.walk(dir, &seeds, skip).order.into_iter().collect()
+    }
+
+    /// Shortest call path from `start` to the first node (in discovery
+    /// order) satisfying `target`, both endpoints included.
+    pub(crate) fn path_to(
+        &self,
+        start: NodeId,
+        target: impl Fn(NodeId) -> bool,
+    ) -> Option<Vec<NodeId>> {
+        let tree = self.bfs(&[start], |_| false);
+        let hit = tree.order.iter().copied().find(|&n| target(n))?;
+        Some(tree.path_from(hit))
     }
 }
 
@@ -106,69 +219,6 @@ fn resolve(
 pub(crate) fn hop(files: &[ParsedFile], n: NodeId) -> String {
     let f = &files[n.0].fns[n.1];
     format!("{} ({}:{})", f.name, files[n.0].src.rel_path, f.line)
-}
-
-/// Backward closure over call edges: every node whose call chain can reach
-/// a seed node (seeds included). A monotone fixpoint, so recursive cycles
-/// terminate.
-pub(crate) fn backward_reach(
-    files: &[ParsedFile],
-    graph: &CallGraph,
-    seed: std::collections::BTreeSet<NodeId>,
-) -> std::collections::BTreeSet<NodeId> {
-    let mut set = seed;
-    loop {
-        let mut changed = false;
-        for (fi, pf) in files.iter().enumerate() {
-            for gi in 0..pf.fns.len() {
-                let n = (fi, gi);
-                if !set.contains(&n) && graph.out(n).iter().any(|e| set.contains(&e.to)) {
-                    set.insert(n);
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            return set;
-        }
-    }
-}
-
-/// Shortest call path (BFS) from `start` to the first node satisfying
-/// `target`, both endpoints included. Deterministic: edges are visited in
-/// call-site order.
-pub(crate) fn path_to(
-    graph: &CallGraph,
-    start: NodeId,
-    target: impl Fn(NodeId) -> bool,
-) -> Option<Vec<NodeId>> {
-    if target(start) {
-        return Some(vec![start]);
-    }
-    let mut pred: BTreeMap<NodeId, NodeId> = BTreeMap::new();
-    let mut queue: VecDeque<NodeId> = VecDeque::new();
-    queue.push_back(start);
-    while let Some(n) = queue.pop_front() {
-        for e in graph.out(n) {
-            if e.to == start || pred.contains_key(&e.to) {
-                continue;
-            }
-            pred.insert(e.to, n);
-            if target(e.to) {
-                let mut path = vec![e.to];
-                while let Some(&p) = pred.get(path.last()?) {
-                    path.push(p);
-                    if p == start {
-                        break;
-                    }
-                }
-                path.reverse();
-                return Some(path);
-            }
-            queue.push_back(e.to);
-        }
-    }
-    None
 }
 
 /// Attributes a finding line to the innermost enclosing fn of a file.
@@ -224,45 +274,22 @@ pub fn check_reach(files: &[ParsedFile], graph: &CallGraph, out: &mut Vec<Findin
                 continue;
             }
             let start: NodeId = (fi, gi);
-            // BFS with predecessor tracking; the visited set terminates
-            // recursive cycles.
-            let mut pred: BTreeMap<NodeId, NodeId> = BTreeMap::new();
-            let mut queue: VecDeque<NodeId> = VecDeque::new();
-            queue.push_back(start);
-            let mut reached: Vec<NodeId> = Vec::new();
-            while let Some(n) = queue.pop_front() {
-                for e in graph.out(n) {
-                    if e.to == start || pred.contains_key(&e.to) {
-                        continue;
-                    }
-                    pred.insert(e.to, n);
-                    if facts.contains_key(&e.to) {
-                        reached.push(e.to);
-                    }
-                    queue.push_back(e.to);
-                }
-            }
-            for m in reached {
-                // Reconstruct start -> .. -> m.
-                let mut path = vec![m];
-                while let Some(&p) = pred.get(path.last().unwrap()) {
-                    path.push(p);
-                    if p == start {
-                        break;
-                    }
-                }
-                path.reverse();
+            let tree = graph.bfs(&[start], |_| false);
+            for &m in tree.order.iter().skip(1) {
+                let Some(fact) = facts.get(&m).and_then(|v| v.first()) else {
+                    continue;
+                };
+                let path = tree.path_from(m);
                 let first_callee = path[1];
                 let line = graph
                     .out(start)
                     .iter()
                     .find(|e| e.to == first_callee)
-                    .map(|e| pf.fns[gi].calls[e.call].line)
+                    .map(|e| f.calls[e.call].line)
                     .unwrap_or(f.line);
                 if pf.src.is_allowed("pf-reach", line) {
                     continue;
                 }
-                let fact = &facts[&m][0];
                 let mut chain: Vec<String> = path.iter().map(|&n| hop(files, n)).collect();
                 chain.push(format!("{} ({}:{})", fact.rule, fact.file, fact.line));
                 let target = &files[m.0].fns[m.1];

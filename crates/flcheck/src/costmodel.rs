@@ -25,7 +25,7 @@
 //!   from the code it models. Same-file kernels win over cross-file
 //!   namesakes, mirroring call-graph resolution.
 
-use crate::callgraph::{backward_reach, hop, path_to, CallGraph, NodeId};
+use crate::callgraph::{hop, CallGraph, NodeId};
 use crate::parse::ParsedFile;
 use crate::report::Finding;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -51,19 +51,19 @@ pub fn check_cost_model(files: &[ParsedFile], graph: &CallGraph, out: &mut Vec<F
             if f.in_test {
                 continue;
             }
-            if f.is_mac_prim {
+            if f.marks.is_mac_prim {
                 mac_seed.insert((fi, gi));
             }
-            if f.is_charge_sink {
+            if f.marks.is_charge_sink {
                 charge_seed.insert((fi, gi));
             }
-            for (kernel, _) in &f.estimates {
+            for (kernel, _) in &f.marks.estimates {
                 estimated.entry(fi).or_default().insert(kernel.as_str());
             }
         }
     }
-    let reaches_mac = backward_reach(files, graph, mac_seed);
-    let reaches_charge = backward_reach(files, graph, charge_seed);
+    let reaches_mac = graph.backward_reach(&mac_seed, |_| false);
+    let reaches_charge = graph.backward_reach(&charge_seed, |_| false);
 
     check_uncharged(files, graph, &reaches_mac, &reaches_charge, &estimated, out);
     check_stale(files, out);
@@ -85,8 +85,8 @@ fn check_uncharged(
             let n = (fi, gi);
             if !f.is_pub
                 || f.in_test
-                || f.is_mac_prim
-                || f.is_charge_sink
+                || f.marks.is_mac_prim
+                || f.marks.is_charge_sink
                 || is_accounting_name(&f.name)
                 || estimated
                     .get(&fi)
@@ -97,7 +97,7 @@ fn check_uncharged(
             {
                 continue;
             }
-            let Some(path) = path_to(graph, n, |m| files[m.0].fns[m.1].is_mac_prim) else {
+            let Some(path) = graph.path_to(n, |m| files[m.0].fns[m.1].marks.is_mac_prim) else {
                 continue;
             };
             let prim = &files[path[path.len() - 1].0].fns[path[path.len() - 1].1];
@@ -130,10 +130,10 @@ fn check_stale(files: &[ParsedFile], out: &mut Vec<Finding>) {
     }
     for (fi, pf) in files.iter().enumerate() {
         for f in &pf.fns {
-            if f.in_test || f.estimates.is_empty() {
+            if f.in_test || f.marks.estimates.is_empty() {
                 continue;
             }
-            for (kernel, arity) in &f.estimates {
+            for (kernel, arity) in &f.marks.estimates {
                 if pf.src.is_allowed("stale-estimate", f.line) {
                     continue;
                 }

@@ -36,14 +36,15 @@
 //! over-approximates (no per-value data flow: a timing that provably
 //! stays local to `A` still flags), which is the safe direction for a
 //! determinism gate; `det-absorb` and `allow(nondet-in-result)` are the
-//! pressure valves, and the soundness limits are documented in DESIGN §15.
+//! pressure valves, and the soundness limits are documented in DESIGN §10.
 
 use crate::callgraph::{hop, CallGraph, NodeId};
 use crate::lexer::TokKind;
 use crate::parse::{FnItem, ParsedFile};
 use crate::report::Finding;
+use crate::scan::let_name;
 use crate::source::SourceFile;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 
 /// Hash-collection methods whose visit order depends on the hasher.
 const HASH_ITER_METHODS: &[&str] = &[
@@ -78,10 +79,10 @@ pub fn check_detflow(files: &[ParsedFile], graph: &CallGraph, out: &mut Vec<Find
             if f.in_test {
                 continue;
             }
-            if f.is_det_sink {
+            if f.marks.is_det_sink {
                 sinks.insert((fi, gi));
             }
-            if f.is_det_absorb {
+            if f.marks.is_det_absorb {
                 absorb.insert((fi, gi));
             }
         }
@@ -91,42 +92,12 @@ pub fn check_detflow(files: &[ParsedFile], graph: &CallGraph, out: &mut Vec<Find
     }
 
     // Ancestors: nodes whose call chains reach a sink without passing
-    // through a det-absorb node.
-    let mut anc = sinks.clone();
-    loop {
-        let mut changed = false;
-        for (fi, pf) in files.iter().enumerate() {
-            for (gi, f) in pf.fns.iter().enumerate() {
-                let n = (fi, gi);
-                if f.in_test || anc.contains(&n) || absorb.contains(&n) {
-                    continue;
-                }
-                if graph.out(n).iter().any(|e| anc.contains(&e.to)) {
-                    anc.insert(n);
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // Relevant: ancestors plus everything they transitively call — a
-    // callee's return value can flow back up into a sink argument — again
-    // cut at det-absorb nodes.
-    let mut relevant = anc.clone();
-    let mut queue: VecDeque<NodeId> = anc.iter().copied().collect();
-    while let Some(n) = queue.pop_front() {
-        for e in graph.out(n) {
-            if absorb.contains(&e.to) || files[e.to.0].fns[e.to.1].in_test {
-                continue;
-            }
-            if relevant.insert(e.to) {
-                queue.push_back(e.to);
-            }
-        }
-    }
+    // through a det-absorb node. Relevant: ancestors plus everything
+    // they transitively call — a callee's return value can flow back up
+    // into a sink argument — again cut at det-absorb nodes.
+    let cut = |n: NodeId| absorb.contains(&n) || files[n.0].fns[n.1].in_test;
+    let anc = graph.backward_reach(&sinks, cut);
+    let relevant = graph.forward_reach(&anc, cut);
 
     // Per-file hash-typed identifier registries, built lazily: most files
     // never host a relevant source.
@@ -194,24 +165,8 @@ fn hash_idents(src: &SourceFile) -> BTreeSet<String> {
             out.insert(toks[k - 2].text.clone());
         }
         // Binding position: `let [mut] NAME = .. HashMap ..`.
-        let mut s = i;
-        while s > 0 {
-            let p = &toks[s - 1];
-            if (p.kind == TokKind::Op && p.text == ";") || p.text == "{" || p.text == "}" {
-                break;
-            }
-            s -= 1;
-        }
-        if toks.get(s).is_some_and(|t| t.is_ident("let")) {
-            let mut j = s + 1;
-            if toks.get(j).is_some_and(|t| t.is_ident("mut")) {
-                j += 1;
-            }
-            if let Some(name) = toks.get(j) {
-                if name.kind == TokKind::Ident {
-                    out.insert(name.text.clone());
-                }
-            }
+        if let Some(name) = let_name(toks, i) {
+            out.insert(name.to_string());
         }
     }
     out
@@ -342,7 +297,7 @@ fn direct_sources(pf: &ParsedFile, f: &FnItem, hashes: &BTreeSet<String>) -> Vec
         i = k.max(i + 1);
     }
 
-    for d in &f.nondets {
+    for d in &f.marks.nondets {
         out.push((f.line, format!("declared nondet source ({d})")));
     }
 
@@ -364,20 +319,28 @@ fn sink_context(
     absorb: &BTreeSet<NodeId>,
 ) -> (Vec<String>, String) {
     let name_of = |m: NodeId| files[m.0].fns[m.1].name.clone();
+    let cut = |m: NodeId| absorb.contains(&m);
+    // The sink a node feeds: the first one a walk from it discovers.
+    let sink_path = |from: NodeId| {
+        let tree = graph.bfs(&[from], cut);
+        let sink = tree.order.iter().copied().find(|m| sinks.contains(m))?;
+        Some(tree.path_from(sink))
+    };
     if anc.contains(&n) {
-        if let Some(path) = cut_path(graph, &[n], |m| sinks.contains(&m), absorb) {
-            let sink = *path.last().expect("non-empty path");
+        if let Some(path) = sink_path(n) {
+            let sink = path[path.len() - 1];
             return (path.iter().map(|&m| hop(files, m)).collect(), name_of(sink));
         }
     } else {
-        // Multi-source BFS from every ancestor down to `n`.
+        // Multi-source walk from every ancestor down to `n`.
         let seeds: Vec<NodeId> = anc.iter().copied().collect();
-        if let Some(path) = cut_path(graph, &seeds, |m| m == n, absorb) {
-            let a = path[0];
+        let tree = graph.bfs(&seeds, cut);
+        if tree.order.contains(&n) {
+            let path = tree.path_from(n);
             let mut chain: Vec<String> = path.iter().map(|&m| hop(files, m)).collect();
-            let sink_name = match cut_path(graph, &[a], |m| sinks.contains(&m), absorb) {
+            let sink_name = match sink_path(path[0]) {
                 Some(spath) => {
-                    let sink = *spath.last().expect("non-empty path");
+                    let sink = spath[spath.len() - 1];
                     chain.push(hop(files, sink));
                     name_of(sink)
                 }
@@ -387,47 +350,6 @@ fn sink_context(
         }
     }
     (vec![hop(files, n)], "?".to_string())
-}
-
-/// Deterministic BFS shortest path from any seed to the first node
-/// satisfying `target`, never entering `cut` nodes. Both endpoints
-/// included; seeds are visited in slice order, edges in call-site order.
-fn cut_path(
-    graph: &CallGraph,
-    seeds: &[NodeId],
-    target: impl Fn(NodeId) -> bool,
-    cut: &BTreeSet<NodeId>,
-) -> Option<Vec<NodeId>> {
-    for &s in seeds {
-        if target(s) {
-            return Some(vec![s]);
-        }
-    }
-    let mut pred: BTreeMap<NodeId, NodeId> = BTreeMap::new();
-    let mut queue: VecDeque<NodeId> = seeds.iter().copied().collect();
-    let seed_set: BTreeSet<NodeId> = seeds.iter().copied().collect();
-    while let Some(m) = queue.pop_front() {
-        for e in graph.out(m) {
-            if seed_set.contains(&e.to) || pred.contains_key(&e.to) || cut.contains(&e.to) {
-                continue;
-            }
-            pred.insert(e.to, m);
-            if target(e.to) {
-                let mut path = vec![e.to];
-                loop {
-                    let last = *path.last().expect("non-empty");
-                    if seed_set.contains(&last) {
-                        break;
-                    }
-                    path.push(*pred.get(&last)?);
-                }
-                path.reverse();
-                return Some(path);
-            }
-            queue.push_back(e.to);
-        }
-    }
-    None
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Guard-escape analysis (`guard-escape`) and the returned-guard map that
 //! lets the lock graph follow guards across call boundaries.
 //!
-//! DESIGN §14 documented the v3 held-set model's false-negative window: a
+//! A held-set model over per-fn token ranges has a false-negative window: a
 //! guard that *escapes* its binding scope — returned to the caller, stored
 //! in a struct, or passed by value — stays locked after the acquiring fn's
 //! ranges say it died, so the lock graph missed any cycle or hot-path hold
@@ -23,7 +23,7 @@
 //!   so the site must be rewritten (pass `&Mutex`, return the guard, or
 //!   scope it) or justified with `allow(guard-escape)`.
 //!
-//! Known limits (documented in DESIGN §15): rebinding (`let h = g;`),
+//! Known limits (DESIGN "Static analysis"): rebinding (`let h = g;`),
 //! guards smuggled inside constructed values (`Some(g)` is caught as
 //! pass-by-value into `Some`, but `(g, x)` tuples are not), and
 //! conditional tails (`match` arms) are followed only when the arm is a
@@ -36,6 +36,7 @@ use crate::lockgraph::crate_of;
 use crate::parse::{FnItem, ParsedFile};
 use crate::report::Finding;
 use crate::rules::{find_acquisitions, Acquisition};
+use crate::scan::stmt_start;
 use crate::source::match_brace;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -91,7 +92,9 @@ pub fn analyze(files: &[ParsedFile], graph: &CallGraph, out: &mut Vec<Finding>) 
                         if expr_is_prefixed(toks, a.idx) {
                             continue;
                         }
-                        if stmt_is_return(toks, a.idx) || expr_is_tail(toks, close, f.body_end) {
+                        if stmt_starts_with(toks, a.idx, "return")
+                            || expr_is_tail(toks, close, f.body_end)
+                        {
                             returned
                                 .entry((fi, gi))
                                 .or_default()
@@ -141,7 +144,8 @@ pub fn analyze(files: &[ParsedFile], graph: &CallGraph, out: &mut Vec<Finding>) 
                     if expr_is_prefixed(toks, cs.name_idx) {
                         continue; // `*b()` returns a deref copy, not the guard
                     }
-                    if !(stmt_is_return(toks, cs.name_idx) || expr_is_tail(toks, close, f.body_end))
+                    if !(stmt_starts_with(toks, cs.name_idx, "return")
+                        || expr_is_tail(toks, close, f.body_end))
                     {
                         continue;
                     }
@@ -277,23 +281,11 @@ fn returns_var(toks: &[Token], body_start: usize, body_end: usize, v: &str) -> b
     limit >= body_start + 2 && toks[limit - 2].is_ident(v)
 }
 
-/// True when the statement containing token `idx` starts with `return`.
-fn stmt_is_return(toks: &[Token], idx: usize) -> bool {
-    stmt_starts_with(toks, idx, "return")
-}
-
 /// True when the expression containing token `idx` starts with a prefix
 /// operator (`*`, `&`, `!`, `-`): its value is derived from the guard —
 /// a deref copy or a borrow — not the guard itself.
 fn expr_is_prefixed(toks: &[Token], idx: usize) -> bool {
-    let mut k = idx;
-    while k > 0 {
-        let t = &toks[k - 1];
-        if (t.kind == TokKind::Op && t.text == ";") || t.text == "{" || t.text == "}" {
-            break;
-        }
-        k -= 1;
-    }
+    let mut k = stmt_start(toks, idx);
     if toks.get(k).is_some_and(|t| t.is_ident("return")) {
         k += 1;
     }
@@ -339,22 +331,8 @@ fn whole_arg_callee<'a>(
 /// through a field access (`place.field = v`) rather than binding or
 /// re-assigning a plain local.
 fn assign_target_has_field(toks: &[Token], eq_idx: usize) -> bool {
-    let mut k = eq_idx;
-    let mut has_dot = false;
-    while k > 0 {
-        let t = &toks[k - 1];
-        if (t.kind == TokKind::Op && t.text == ";") || t.text == "{" || t.text == "}" {
-            break;
-        }
-        if t.is_op(".") {
-            has_dot = true;
-        }
-        if t.is_ident("let") {
-            return false;
-        }
-        k -= 1;
-    }
-    has_dot
+    let target = &toks[stmt_start(toks, eq_idx)..eq_idx];
+    !target.iter().any(|t| t.is_ident("let")) && target.iter().any(|t| t.is_op("."))
 }
 
 /// True when token `j` is a field-init shorthand inside a struct literal:
@@ -401,15 +379,8 @@ fn is_struct_shorthand(toks: &[Token], j: usize) -> bool {
 /// True when the statement containing token `idx` starts with keyword
 /// `kw` (tells a `let x: T = ..` ascription from a struct-literal field).
 fn stmt_starts_with(toks: &[Token], idx: usize, kw: &str) -> bool {
-    let mut k = idx;
-    while k > 0 {
-        let t = &toks[k - 1];
-        if (t.kind == TokKind::Op && t.text == ";") || t.text == "{" || t.text == "}" {
-            break;
-        }
-        k -= 1;
-    }
-    toks.get(k).is_some_and(|t| t.is_ident(kw))
+    toks.get(stmt_start(toks, idx))
+        .is_some_and(|t| t.is_ident(kw))
 }
 
 #[cfg(test)]

@@ -5,32 +5,35 @@
 //! paths in `he` process secret plaintexts and private exponents, the GPU
 //! simulator and pipeline are concurrent, and every library crate is
 //! consumed by long-running training jobs that must not abort mid-epoch.
-//! flcheck enforces three corresponding disciplines with a hand-rolled
-//! lexer and zero external dependencies (the build environment has no
-//! registry access):
+//! flcheck checks the disciplines rustc cannot — constant-time code,
+//! panic freedom, lock order, cost-model conformance, result
+//! determinism, integer width, physical units — with a hand-rolled lexer
+//! and zero external dependencies (the build environment has no registry
+//! access). What rustc *can* check it leaves to rustc: data-race freedom
+//! of closures crossing the work-stealing pool is the `Fn + Sync` bound
+//! on the rayon shim's entry points plus `forbid(unsafe_code)`, pinned by
+//! `compile_fail` doctests on the shim.
 //!
-//! | family          | rules                                                    |
-//! |-----------------|----------------------------------------------------------|
-//! | ct-discipline   | `ct-branch`, `ct-return`, `ct-compare`, `ct-shortcircuit`|
-//! | panic-freedom   | `pf-unwrap`, `pf-expect`, `pf-panic`, `pf-assert`, `pf-index` |
-//! | lock-discipline | `ld-wait` (per-file), `lock-cycle`, `lock-across-hotpath`, `guard-across-steal`, `guard-escape` |
-//! | cost-model      | `uncharged-work`, `stale-estimate`                       |
-//! | determinism     | `nondet-in-result` (source-to-result-sink flow)          |
-//! | races           | `race-shared-mut`, `race-unsynced-write`, `race-cell-steal` (closure captures crossing the pool) |
-//! | width           | `lossy-narrow` (narrowing casts reaching codec/cost/net sinks) |
-//! | units           | `unit-mismatch`, `unit-unconverted` (dimensional analysis over charging) |
-//! | interprocedural | `ct-taint` (secret propagation), `pf-reach` (transitive panics) |
+//! The design is three layers:
 //!
-//! The ct- and pf- families plus `ld-wait` are per-file lexer passes; the
-//! rest run on a workspace call graph built by the item-level parser
-//! ([`parse`], [`callgraph`], [`taint`], [`detflow`], [`escape`],
-//! [`lockgraph`], [`costmodel`], [`races`], [`width`], [`units`]) and
-//! report full call/lock/capture chains. See [`rules`] for rule
-//! semantics and [`source`] for the directive grammar (`ct-fn`,
-//! `secret(..)`, `lock(..)`, `mac-prim`, `charge-sink`,
-//! `estimates(..)`, `det-sink`, `det-absorb`, `nondet(..)`,
-//! `widen-ok(..)`, `narrow(..)`, `unit(..)`, and `convert(..)` markers,
-//! `allow` / `allow-file` suppressions, `lock-order` declarations).
+//! - [`registry::RULES`] is the one table of rules (id, family, PR,
+//!   emitting pass, documentation); `--rules`, `--explain`, the JSON
+//!   summary and the README table all derive from it.
+//! - [`PASSES`] is the one list of interprocedural passes;
+//!   [`check_workspace_with_stats`] runs the per-file phase
+//!   ([`check_file`]: the lexer-level ct-, pf- and `ld-wait` rules, see
+//!   [`rules`]), builds the [`callgraph`], then runs the list in order.
+//! - The passes ([`taint`], [`callgraph::check_reach`], [`detflow`],
+//!   [`lockgraph`] with [`escape`], [`costmodel`], [`width`], [`units`])
+//!   share one call-graph walk ([`callgraph::CallGraph::bfs`] and its
+//!   closures) and one token-statement scanner (`scan`), and report full
+//!   call/lock chains.
+//!
+//! See [`source`] for the directive grammar (`ct-fn`, `secret(..)`,
+//! `lock(..)`, `mac-prim`, `charge-sink`, `estimates(..)`, `det-sink`,
+//! `det-absorb`, `nondet(..)`, `widen-ok(..)`, `narrow(..)`, `unit(..)`,
+//! and `convert(..)` markers, `allow` / `allow-file` suppressions,
+//! `lock-order` declarations).
 //!
 //! The analyzer's own sources are excluded from the default walk: they
 //! discuss directives and violations in documentation and fixtures, and
@@ -47,18 +50,20 @@ pub mod callgraph;
 pub mod costmodel;
 pub mod detflow;
 pub mod escape;
-pub mod explain;
 pub mod lexer;
 pub mod lockgraph;
 pub mod parse;
-pub mod races;
+pub mod registry;
 pub mod report;
 pub mod rules;
+mod scan;
 pub mod source;
 pub mod taint;
 pub mod units;
 pub mod width;
 
+use callgraph::CallGraph;
+use parse::ParsedFile;
 use rayon::prelude::*;
 use report::{Finding, Report};
 use source::SourceFile;
@@ -101,6 +106,22 @@ pub fn check_file(rel_path: &str, src: &str) -> Vec<Finding> {
     out
 }
 
+/// An interprocedural pass: reads the parsed workspace and its call
+/// graph, appends findings.
+pub type Pass = fn(&[ParsedFile], &CallGraph, &mut Vec<Finding>);
+
+/// The interprocedural passes, in the order a scan runs them. Each
+/// rule's [`registry::Rule::pass`] names the entry that emits it.
+pub const PASSES: &[(&str, Pass)] = &[
+    ("taint", taint::check_taint),
+    ("reach", callgraph::check_reach),
+    ("detflow", detflow::check_detflow),
+    ("lockgraph", lockgraph::check_lock_graph),
+    ("costmodel", costmodel::check_cost_model),
+    ("width", width::check_width),
+    ("units", units::check_units),
+];
+
 /// Wall-clock timings for each analysis phase of a workspace scan, used
 /// by the self-benchmark (`bench_flcheck`) and available to any caller
 /// via [`check_workspace_with_stats`]. Timings never influence report
@@ -112,37 +133,16 @@ pub struct ScanStats {
     pub per_file: Duration,
     /// Call-graph construction.
     pub callgraph: Duration,
-    /// `ct-taint` secret-propagation pass.
-    pub taint: Duration,
-    /// `pf-reach` panic-propagation pass.
-    pub reach: Duration,
-    /// `nondet-in-result` determinism-flow pass.
-    pub detflow: Duration,
-    /// `guard-escape` pass (escape findings + the returned-guard map the
-    /// lock graph consumes).
-    pub escape: Duration,
-    /// Lock-graph pass (`lock-cycle`, `lock-across-hotpath`,
-    /// `guard-across-steal`).
-    pub lockgraph: Duration,
-    /// Cost-model pass (`uncharged-work`, `stale-estimate`).
-    pub costmodel: Duration,
-    /// Race pass (`race-shared-mut`, `race-unsynced-write`,
-    /// `race-cell-steal`).
-    pub races: Duration,
-    /// Width pass (`lossy-narrow`).
-    pub width: Duration,
-    /// Unit-flow pass (`unit-mismatch`, `unit-unconverted`).
-    pub units: Duration,
+    /// One entry per [`PASSES`] element, in run order.
+    pub passes: Vec<(&'static str, Duration)>,
     /// Whole scan, including sort.
     pub total: Duration,
 }
 
 /// Analyzes a whole workspace given as (workspace-relative path, source)
 /// pairs: the per-file rule families (fanned out over the rayon
-/// work-stealing pool), then the call graph and the interprocedural
-/// passes (`ct-taint`, `pf-reach`, `nondet-in-result`, `guard-escape`,
-/// the lock-graph rules, the cost-model rules, the race rules, the
-/// width rules, and the unit-flow rules) on top.
+/// work-stealing pool), then the call graph and every pass of
+/// [`PASSES`] on top.
 pub fn check_workspace(inputs: &[(String, String)]) -> Report {
     check_workspace_with_stats(inputs).0
 }
@@ -154,61 +154,38 @@ pub fn check_workspace(inputs: &[(String, String)]) -> Report {
 /// thread count.
 pub fn check_workspace_with_stats(inputs: &[(String, String)]) -> (Report, ScanStats) {
     let start = Instant::now();
-    let mut stats = ScanStats::default();
     let mut report = Report::default();
+    let mut lap = start;
+    // The single timing site: time since the previous call.
+    let mut split = || {
+        let now = Instant::now();
+        let took = now - lap;
+        lap = now;
+        took
+    };
 
-    let t = Instant::now();
-    let per_file: Vec<(Vec<Finding>, parse::ParsedFile)> = inputs
+    let per_file: Vec<(Vec<Finding>, ParsedFile)> = inputs
         .par_iter()
-        .map(|(rel, src)| (check_file(rel, src), parse::ParsedFile::parse(rel, src)))
+        .map(|(rel, src)| (check_file(rel, src), ParsedFile::parse(rel, src)))
         .collect();
-    stats.per_file = t.elapsed();
     let mut parsed = Vec::with_capacity(inputs.len());
     for (findings, file) in per_file {
         report.findings.extend(findings);
         parsed.push(file);
         report.files_scanned += 1;
     }
+    let mut stats = ScanStats {
+        per_file: split(),
+        ..ScanStats::default()
+    };
 
-    let t = Instant::now();
-    let graph = callgraph::CallGraph::build(&parsed);
-    stats.callgraph = t.elapsed();
+    let graph = CallGraph::build(&parsed);
+    stats.callgraph = split();
 
-    let t = Instant::now();
-    taint::check_taint(&parsed, &graph, &mut report.findings);
-    stats.taint = t.elapsed();
-
-    let t = Instant::now();
-    callgraph::check_reach(&parsed, &graph, &mut report.findings);
-    stats.reach = t.elapsed();
-
-    let t = Instant::now();
-    detflow::check_detflow(&parsed, &graph, &mut report.findings);
-    stats.detflow = t.elapsed();
-
-    let t = Instant::now();
-    let escape_info = escape::analyze(&parsed, &graph, &mut report.findings);
-    stats.escape = t.elapsed();
-
-    let t = Instant::now();
-    lockgraph::check_lock_graph(&parsed, &graph, &escape_info, &mut report.findings);
-    stats.lockgraph = t.elapsed();
-
-    let t = Instant::now();
-    costmodel::check_cost_model(&parsed, &graph, &mut report.findings);
-    stats.costmodel = t.elapsed();
-
-    let t = Instant::now();
-    races::check_races(&parsed, &graph, &mut report.findings);
-    stats.races = t.elapsed();
-
-    let t = Instant::now();
-    width::check_width(&parsed, &graph, &mut report.findings);
-    stats.width = t.elapsed();
-
-    let t = Instant::now();
-    units::check_units(&parsed, &graph, &mut report.findings);
-    stats.units = t.elapsed();
+    for &(name, pass) in PASSES {
+        pass(&parsed, &graph, &mut report.findings);
+        stats.passes.push((name, split()));
+    }
 
     report.sort();
     stats.total = start.elapsed();

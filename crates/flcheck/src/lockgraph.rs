@@ -18,7 +18,7 @@
 //! Guards that *escape* their acquiring fn by being returned are followed
 //! via [`crate::escape`]'s returned-guard map: each call site of a
 //! guard-returning fn synthesizes an acquisition with caller-side
-//! liveness, closing DESIGN §14's false-negative window.
+//! liveness.
 //!
 //! Three rules over that graph:
 //!
@@ -35,7 +35,7 @@
 //!   holding a deque guard across a park/steal operation, which stalls
 //!   every thief contending for that deque.
 
-use crate::callgraph::{backward_reach, hop, path_to, CallGraph, NodeId};
+use crate::callgraph::{hop, CallGraph, NodeId};
 use crate::escape::EscapeInfo;
 use crate::lexer::{TokKind, Token};
 use crate::parse::ParsedFile;
@@ -94,17 +94,13 @@ struct Site {
     declared: bool,
 }
 
-/// Runs all three lock-graph rules. `escape` is the returned-guard map
-/// from [`crate::escape::analyze`]: a call to a guard-returning fn is a
-/// live acquisition at the *call site*, so held sets survive the escape
-/// edge DESIGN §14 used to lose.
-pub fn check_lock_graph(
-    files: &[ParsedFile],
-    graph: &CallGraph,
-    escape: &EscapeInfo,
-    out: &mut Vec<Finding>,
-) {
-    let held = collect_held(files, graph, escape);
+/// Runs the guard-escape pass and then all three lock-graph rules on its
+/// returned-guard map: a call to a guard-returning fn is a live
+/// acquisition at the *call site*, so held sets survive the escape edge
+/// a per-fn range model would lose.
+pub fn check_lock_graph(files: &[ParsedFile], graph: &CallGraph, out: &mut Vec<Finding>) {
+    let escape = crate::escape::analyze(files, graph, out);
+    let held = collect_held(files, graph, &escape);
 
     // Transitive acquire sets: every lock a node may take, directly or via
     // any callee (monotone fixpoint; recursion terminates).
@@ -158,7 +154,7 @@ fn collect_held(
                 continue;
             }
             let mut hs: Vec<Held> = Vec::new();
-            for name in &f.locks {
+            for name in &f.marks.locks {
                 hs.push(Held {
                     qual: format!("{kr}::{name}"),
                     label: name.clone(),
@@ -322,8 +318,8 @@ fn check_cycles(
             }
             // Directive acquire effects hold for the whole body in listed
             // order: `lock(a, b)` means a is taken before b.
-            for (i, la) in f.locks.iter().enumerate() {
-                for lb in f.locks.iter().skip(i + 1) {
+            for (i, la) in f.marks.locks.iter().enumerate() {
+                for lb in f.marks.locks.iter().skip(i + 1) {
                     if la != lb {
                         let kr = crate_of(&pf.src.rel_path);
                         edges
@@ -517,7 +513,7 @@ fn check_hotpath(
             }
         }
     }
-    let hot = backward_reach(files, graph, seed);
+    let hot = graph.backward_reach(&seed, |_| false);
     for (fi, pf) in files.iter().enumerate() {
         for (gi, f) in pf.fns.iter().enumerate() {
             let n = (fi, gi);
@@ -536,7 +532,7 @@ fn check_hotpath(
                         continue;
                     }
                     let Some(path) =
-                        path_to(graph, e.to, |m| is_hot_name(&files[m.0].fns[m.1].name))
+                        graph.path_to(e.to, |m| is_hot_name(&files[m.0].fns[m.1].name))
                     else {
                         continue;
                     };
@@ -582,7 +578,7 @@ fn check_steal(
             }
         }
     }
-    let blocking = backward_reach(files, graph, seed);
+    let blocking = graph.backward_reach(&seed, |_| false);
 
     for (fi, pf) in files.iter().enumerate() {
         if !pf.src.rel_path.contains("shims/rayon") {
@@ -659,10 +655,9 @@ mod tests {
         let parsed: Vec<ParsedFile> = files.iter().map(|(p, s)| ParsedFile::parse(p, s)).collect();
         let graph = CallGraph::build(&parsed);
         let mut out = Vec::new();
-        // Escape findings are the escape pass's own tests' concern; only
-        // the returned-guard map feeds the lock graph here.
-        let escape = crate::escape::analyze(&parsed, &graph, &mut Vec::new());
-        check_lock_graph(&parsed, &graph, &escape, &mut out);
+        check_lock_graph(&parsed, &graph, &mut out);
+        // Escape findings are the escape pass's own tests' concern.
+        out.retain(|f| f.rule != "guard-escape");
         out
     }
 

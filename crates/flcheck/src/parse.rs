@@ -13,12 +13,6 @@
 //! - Turbofish calls (`collect::<Vec<_>>()`) are not recorded as calls.
 //! - Closures are not items; their bodies (and calls) belong to the
 //!   enclosing `fn`, and closure parameters may shadow outer names.
-//!   They *are* recorded as [`ClosureSite`]s with capture lists and
-//!   per-capture write classification for the race pass
-//!   ([`crate::races`]) — a capture is an identifier used in the body
-//!   that is bound in the enclosing fn and not rebound by the closure.
-//!   A closure-local binding that shadows an enclosing binding hides
-//!   the capture (accepted: the shadowed value is unreachable inside).
 //! - Narrowing `as`-casts (`as u8/u16/u32/i8/i16/i32`) are recorded as
 //!   [`CastSite`]s with the source-expression token range for the
 //!   width pass ([`crate::width`]); widening casts are not recorded.
@@ -28,7 +22,8 @@
 //!   reason.
 
 use crate::lexer::{TokKind, Token};
-use crate::source::{match_brace, SourceFile};
+use crate::scan::group_open;
+use crate::source::{match_brace, Markers, SourceFile};
 
 /// Rust keywords that can directly precede `(` without being a call.
 const KEYWORDS: &[&str] = &[
@@ -43,96 +38,6 @@ const KEYWORDS: &[&str] = &[
 /// `usize`/`u64`/`u128`/`i64`/`isize` and to floats are
 /// widening-or-same and never recorded.
 pub const NARROW_TARGETS: &[&str] = &["i16", "i32", "i8", "u16", "u32", "u8"];
-
-/// Mutating container/collection methods: a call `cap.m(..)` anywhere in
-/// a captured binding's selector chain counts as an interior write for
-/// the race pass. Atomic RMW ops (`store`, `fetch_*`, `swap` on atomics)
-/// are deliberately absent — they are synchronized by construction —
-/// except `swap`, which is kept because slice/`mem` swaps dominate the
-/// workspace and atomics are not used through captures here.
-pub const MUT_METHODS: &[&str] = &[
-    "append",
-    "clear",
-    "drain",
-    "extend",
-    "fill",
-    "insert",
-    "pop",
-    "pop_back",
-    "pop_front",
-    "push",
-    "push_back",
-    "push_front",
-    "remove",
-    "replace",
-    "resize",
-    "retain",
-    "set",
-    "sort",
-    "sort_by",
-    "sort_unstable",
-    "swap",
-    "truncate",
-];
-
-/// Compound-assignment operators the lexer emits as single tokens.
-const COMPOUND_ASSIGN: &[&str] = &["%=", "&=", "*=", "+=", "-=", "/=", "^=", "|="];
-
-/// One write to a captured binding inside a closure body.
-#[derive(Debug, Clone)]
-pub struct CaptureWrite {
-    /// 1-based line of the write.
-    pub line: u32,
-    /// Token index of the capture use the write goes through.
-    pub idx: usize,
-    /// Human-readable description, e.g. `` mutating call `.push(..)` ``.
-    pub desc: String,
-    /// A *binding* write (`x = ..`, `x += ..`, `&mut x`) as opposed to an
-    /// *interior* write through a selector chain (`x.field = ..`,
-    /// `x.push(..)`, `x[i] = ..`). Binding writes race even when every
-    /// access is individually synchronized; interior writes may be
-    /// exempted by a covering lock acquisition.
-    pub direct: bool,
-}
-
-/// One identifier captured by a closure from its enclosing fn.
-#[derive(Debug, Clone)]
-pub struct Capture {
-    /// Captured identifier.
-    pub name: String,
-    /// 1-based line of the first use inside the closure body.
-    pub line: u32,
-    /// Token index of the first use.
-    pub idx: usize,
-    /// Writes to this capture inside the closure body.
-    pub writes: Vec<CaptureWrite>,
-}
-
-/// One closure expression inside a function body.
-#[derive(Debug, Clone)]
-pub struct ClosureSite {
-    /// 1-based line of the opening `|` (or the `move` keyword).
-    pub line: u32,
-    /// Token index of the closure expression's first token (`move` or the
-    /// opening `|`), used to match the closure to a call argument span.
-    pub start: usize,
-    /// One past the closure expression's last token.
-    pub end: usize,
-    /// Declared with the `move` keyword.
-    pub is_move: bool,
-    /// Closure parameter names.
-    pub params: Vec<String>,
-    /// Token range `[body_start, body_end)` of the closure body.
-    pub body_start: usize,
-    /// End of the body range.
-    pub body_end: usize,
-    /// When the closure is the initializer of a `let` binding
-    /// (`let work = || ..;`), the bound name — so passing `work` by name
-    /// into a pool entry point can be traced.
-    pub bound_name: Option<String>,
-    /// Identifiers captured from the enclosing fn.
-    pub captures: Vec<Capture>,
-}
 
 /// One narrowing `as`-cast inside a function body.
 #[derive(Debug, Clone)]
@@ -175,45 +80,14 @@ pub struct FnItem {
     pub line: u32,
     /// Unrestricted `pub` (`pub(crate)` and friends do not count).
     pub is_pub: bool,
-    /// Marked `// flcheck: ct-fn`.
-    pub is_ct: bool,
     /// First parameter is `self` (an inherent/trait method).
     pub is_method: bool,
     /// Lives inside a `#[cfg(test)]` / `#[test]` region.
     pub in_test: bool,
     /// Parameter names in order (`self` included when present).
     pub params: Vec<String>,
-    /// Names marked secret by `// flcheck: secret(..)`.
-    pub secrets: Vec<String>,
-    /// Locks this fn acquires for its whole body (`// flcheck: lock(..)`).
-    pub locks: Vec<String>,
-    /// Marked `// flcheck: mac-prim` (performs Montgomery MACs).
-    pub is_mac_prim: bool,
-    /// Marked `// flcheck: charge-sink` (records simulated-time cost).
-    pub is_charge_sink: bool,
-    /// `// flcheck: estimates(kernel, arity)` pairings.
-    pub estimates: Vec<(String, usize)>,
-    /// Marked `// flcheck: det-sink` (produces result bytes that must be
-    /// deterministic at any thread count).
-    pub is_det_sink: bool,
-    /// Marked `// flcheck: det-absorb` (measures nondeterminism without
-    /// letting it reach result bytes).
-    pub is_det_absorb: bool,
-    /// `// flcheck: nondet(..)` descriptions: opaque nondeterminism
-    /// sources the token scan cannot see.
-    pub nondets: Vec<String>,
-    /// Identifiers sanctioned by `// flcheck: widen-ok(..)`: narrowing
-    /// casts whose source expression mentions one are value-range safe.
-    pub widen_ok: Vec<String>,
-    /// `// flcheck: narrow(..)` descriptions: the fn performs intentional
-    /// narrowing and all its narrowing casts are sanctioned.
-    pub narrows: Vec<String>,
-    /// `// flcheck: unit(name, dim)` declarations for params (or the
-    /// return value, under the name `return`).
-    pub units: Vec<(String, String)>,
-    /// `// flcheck: convert(from->to)` declarations: sanctioned dimension
-    /// conversions this fn performs.
-    pub converts: Vec<(String, String)>,
+    /// What the `flcheck:` directives above the fn declare about it.
+    pub marks: Markers,
     /// Token index range `[body_start, body_end)` of the body (inside the
     /// braces).
     pub body_start: usize,
@@ -225,9 +99,6 @@ pub struct FnItem {
     /// Calls made by this fn's own statements (nested fns excluded,
     /// `debug_assert*!` spans excluded).
     pub calls: Vec<CallSite>,
-    /// Closure expressions in this fn's own statements, with capture
-    /// lists and per-capture write classification.
-    pub closures: Vec<ClosureSite>,
     /// Narrowing `as`-casts in this fn's own statements
     /// (`debug_assert*!` spans excluded).
     pub casts: Vec<CastSite>,
@@ -262,34 +133,19 @@ impl ParsedFile {
                 name: span.name.clone(),
                 line: span.line,
                 is_pub: is_public(&src.tokens, span.line, span.body_start),
-                is_ct: span.is_ct,
                 is_method,
                 in_test: src.in_test_region(span.body_start),
                 params,
-                secrets: span.secrets.clone(),
-                locks: span.locks.clone(),
-                is_mac_prim: span.is_mac_prim,
-                is_charge_sink: span.is_charge_sink,
-                estimates: span.estimates.clone(),
-                is_det_sink: span.is_det_sink,
-                is_det_absorb: span.is_det_absorb,
-                nondets: span.nondets.clone(),
-                widen_ok: span.widen_ok.clone(),
-                narrows: span.narrows.clone(),
-                units: span.units.clone(),
-                converts: span.converts.clone(),
+                marks: span.marks.clone(),
                 body_start: span.body_start,
                 body_end: span.body_end,
                 nested,
                 calls: Vec::new(),
-                closures: Vec::new(),
                 casts: Vec::new(),
             });
         }
         for f in &mut fns {
             f.calls = collect_calls(&src.tokens, f.body_start, f.body_end, &f.nested);
-            f.closures =
-                collect_closures(&src.tokens, f.body_start, f.body_end, &f.nested, &f.params);
             f.casts = collect_casts(&src.tokens, f.body_start, f.body_end, &f.nested);
         }
         ParsedFile { src, fns }
@@ -486,20 +342,7 @@ fn receiver_range(toks: &[Token], method_idx: usize) -> Option<usize> {
         match toks[k].kind {
             TokKind::Close => {
                 // Jump back over the balanced group (`(..)` / `[..]`).
-                let mut depth = 0i32;
-                loop {
-                    match toks[k].kind {
-                        TokKind::Close => depth += 1,
-                        TokKind::Open => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    k = k.checked_sub(1)?;
-                }
+                k = group_open(toks, k)?;
                 start = k;
             }
             TokKind::Ident | TokKind::Num | TokKind::Lit => start = k,
@@ -532,342 +375,6 @@ fn receiver_range(toks: &[Token], method_idx: usize) -> Option<usize> {
             return Some(start);
         }
     }
-}
-
-/// True when a `|` / `||` token at `i` sits in expression position (a
-/// closure head) rather than being a binary-or / or-pattern. The
-/// preceding token decides: after a value (plain identifier, number,
-/// literal, or a closing bracket) the pipe is an operator; after an
-/// opening bracket, another operator, or a non-value keyword (`return`,
-/// `else`, `move`, ...) it starts a closure. `self`/`Self` count as
-/// values despite being keywords.
-fn pipe_is_closure(toks: &[Token], i: usize, lo: usize) -> bool {
-    if i == lo || i == 0 {
-        return true;
-    }
-    let prev = &toks[i - 1];
-    match prev.kind {
-        TokKind::Num | TokKind::Lit | TokKind::Close | TokKind::Lifetime => false,
-        TokKind::Ident => {
-            KEYWORDS.contains(&prev.text.as_str()) && prev.text != "self" && prev.text != "Self"
-        }
-        _ => true,
-    }
-}
-
-/// Collects binding-position identifiers in `[start, end)`: names bound
-/// by `let` (including `if let` / `while let` patterns, scanned up to
-/// the `=`), and `for` loop variables (scanned up to `in`). Uppercase
-/// identifiers (enum variants, types) and `mut`/`ref` are skipped.
-fn scan_bindings(toks: &[Token], start: usize, end: usize, out: &mut std::vec::Vec<String>) {
-    let mut i = start;
-    while i < end.min(toks.len()) {
-        let stop_kw: &str = if toks[i].is_ident("let") {
-            "="
-        } else if toks[i].is_ident("for") {
-            "in"
-        } else {
-            i += 1;
-            continue;
-        };
-        let mut j = i + 1;
-        while j < end.min(toks.len()) && j < i + 40 {
-            let t = &toks[j];
-            if (stop_kw == "=" && (t.is_op("=") || t.is_op(";")))
-                || (stop_kw == "in" && t.is_ident("in"))
-            {
-                break;
-            }
-            if t.kind == TokKind::Ident
-                && !KEYWORDS.contains(&t.text.as_str())
-                && !t.text.chars().next().is_some_and(|c| c.is_uppercase())
-            {
-                out.push(t.text.clone());
-            }
-            j += 1;
-        }
-        i = j;
-    }
-}
-
-/// Scans the selector chain after a capture use at `k` (`.field`,
-/// `.method(..)`, `[..]` steps) for an interior write: a terminal
-/// `=` / compound assignment, or a call to a [`MUT_METHODS`] method
-/// anywhere in the chain. Returns `(line, description)`.
-fn interior_write_after(toks: &[Token], k: usize, end: usize) -> Option<(u32, String)> {
-    let mut j = k + 1;
-    let mut selected = false;
-    while j < end.min(toks.len()) {
-        let t = &toks[j];
-        if t.is_op(".") {
-            let m = j + 1;
-            if m >= end || toks[m].kind != TokKind::Ident {
-                return None;
-            }
-            if toks.get(m + 1).is_some_and(|n| n.text == "(") {
-                if MUT_METHODS.contains(&toks[m].text.as_str()) {
-                    return Some((
-                        toks[m].line,
-                        format!("mutating call `.{}(..)`", toks[m].text),
-                    ));
-                }
-                // A lock acquisition in the chain means everything after
-                // it mutates the *guard*, under that very lock — e.g.
-                // `shared.deques[w].lock().pop_front()` is synchronized
-                // by construction, not a racy write to `shared`.
-                if matches!(toks[m].text.as_str(), "lock" | "read" | "write") {
-                    return None;
-                }
-                j = match_brace(toks, m + 1);
-            } else {
-                j = m + 1;
-            }
-            selected = true;
-        } else if t.kind == TokKind::Open && t.text == "[" {
-            j = match_brace(toks, j);
-            selected = true;
-        } else if selected
-            && (t.is_op("=")
-                || COMPOUND_ASSIGN.contains(&t.text.as_str())
-                || ((t.is_op("<<") || t.is_op(">>"))
-                    && toks.get(j + 1).is_some_and(|n| n.is_op("="))))
-        {
-            return Some((
-                toks[k].line,
-                "assignment through a selector chain".to_string(),
-            ));
-        } else {
-            return None;
-        }
-    }
-    None
-}
-
-/// Classifies the use of captured binding `name` at token `k`: a direct
-/// binding write (`x = ..`, `x += ..`, `&mut x`), an interior write
-/// through a selector chain, or a read.
-pub(crate) fn classify_capture_use(toks: &[Token], k: usize, end: usize) -> Option<CaptureWrite> {
-    let name = &toks[k].text;
-    // `&mut name`: a mutable reborrow hands out write access.
-    if k >= 2 && toks[k - 1].is_ident("mut") && toks[k - 2].is_op("&") {
-        return Some(CaptureWrite {
-            line: toks[k].line,
-            idx: k,
-            desc: format!("`&mut {name}` borrow"),
-            direct: true,
-        });
-    }
-    if let Some(next) = toks.get(k + 1) {
-        let compound_shift =
-            (next.is_op("<<") || next.is_op(">>")) && toks.get(k + 2).is_some_and(|n| n.is_op("="));
-        if next.is_op("=") || COMPOUND_ASSIGN.contains(&next.text.as_str()) || compound_shift {
-            return Some(CaptureWrite {
-                line: toks[k].line,
-                idx: k,
-                desc: format!("assignment `{name} {} ..`", next.text),
-                direct: true,
-            });
-        }
-    }
-    interior_write_after(toks, k, end).map(|(line, desc)| CaptureWrite {
-        line,
-        idx: k,
-        desc: format!("{desc} on `{name}`"),
-        direct: false,
-    })
-}
-
-/// Collects closure expressions in `[start, end)` (nested-fn ranges
-/// excluded), with capture lists. A capture is an identifier used in
-/// the closure body that is bound in the enclosing fn (parameter,
-/// `let`, or `for` binding) and not rebound by the closure itself.
-fn collect_closures(
-    toks: &[Token],
-    start: usize,
-    end: usize,
-    nested: &[(usize, usize)],
-    params: &[String],
-) -> Vec<ClosureSite> {
-    let mut enclosing: Vec<String> = params.to_vec();
-    scan_bindings(toks, start, end, &mut enclosing);
-    let mut out = Vec::new();
-    let mut i = start;
-    while i < end.min(toks.len()) {
-        if let Some(&(_, nend)) = nested.iter().find(|&&(ns, ne)| i >= ns && i < ne) {
-            i = nend;
-            continue;
-        }
-        let t = &toks[i];
-        let (pipe_idx, is_move) = if t.is_ident("move")
-            && toks
-                .get(i + 1)
-                .is_some_and(|n| n.is_op("|") || n.is_op("||"))
-        {
-            (i + 1, true)
-        } else if (t.is_op("|") || t.is_op("||")) && pipe_is_closure(toks, i, start) {
-            (i, false)
-        } else {
-            i += 1;
-            continue;
-        };
-        let expr_start = if is_move { i } else { pipe_idx };
-        // Parameter list: `||` carries none; otherwise scan to the
-        // closing `|` (bail on statement boundaries — a stray pipe).
-        let (cl_params, after_params) = if toks[pipe_idx].is_op("||") {
-            (Vec::new(), pipe_idx + 1)
-        } else {
-            let mut close = None;
-            let mut depth = 0i32;
-            let mut j = pipe_idx + 1;
-            while j < end.min(toks.len()) {
-                let t = &toks[j];
-                match t.kind {
-                    TokKind::Open => depth += 1,
-                    TokKind::Close => {
-                        if depth == 0 {
-                            break;
-                        }
-                        depth -= 1;
-                    }
-                    TokKind::Op if depth == 0 && t.text == "|" => {
-                        close = Some(j);
-                        break;
-                    }
-                    TokKind::Op if depth == 0 && (t.text == ";" || t.text == "=>") => break,
-                    _ => {}
-                }
-                j += 1;
-            }
-            let Some(close) = close else {
-                i = pipe_idx + 1;
-                continue;
-            };
-            let mut names = Vec::new();
-            let mut group: Vec<&Token> = Vec::new();
-            let mut depth = 0i32;
-            for t in &toks[pipe_idx + 1..close] {
-                match t.kind {
-                    TokKind::Open => depth += 1,
-                    TokKind::Close => depth -= 1,
-                    TokKind::Op if t.text == "," && depth == 0 => {
-                        if let Some(first) = first_binding_ident(&group) {
-                            names.push(first);
-                        }
-                        group.clear();
-                        continue;
-                    }
-                    _ => {}
-                }
-                group.push(t);
-            }
-            if let Some(first) = first_binding_ident(&group) {
-                names.push(first);
-            }
-            (names, close + 1)
-        };
-        // Body: a `{ .. }` block, or a bare expression up to a top-level
-        // `,` / `;` / closing bracket.
-        let (body_start, body_end) = if toks
-            .get(after_params)
-            .is_some_and(|t| t.kind == TokKind::Open && t.text == "{")
-        {
-            (after_params + 1, match_brace(toks, after_params) - 1)
-        } else {
-            let mut depth = 0i32;
-            let mut j = after_params;
-            while j < end.min(toks.len()) {
-                let t = &toks[j];
-                match t.kind {
-                    TokKind::Open => depth += 1,
-                    TokKind::Close => {
-                        if depth == 0 {
-                            break;
-                        }
-                        depth -= 1;
-                    }
-                    TokKind::Op if depth == 0 && (t.text == "," || t.text == ";") => break,
-                    _ => {}
-                }
-                j += 1;
-            }
-            (after_params, j)
-        };
-        let bound_name = if expr_start >= 2
-            && toks[expr_start - 1].is_op("=")
-            && toks[expr_start - 2].kind == TokKind::Ident
-            && expr_start >= 3
-            && (toks[expr_start - 3].is_ident("let") || toks[expr_start - 3].is_ident("mut"))
-        {
-            Some(toks[expr_start - 2].text.clone())
-        } else {
-            None
-        };
-        // Closure-local bindings shadow enclosing ones.
-        let mut locals: Vec<String> = cl_params.clone();
-        scan_bindings(toks, body_start, body_end, &mut locals);
-        let mut captures: Vec<Capture> = Vec::new();
-        let mut k = body_start;
-        while k < body_end.min(toks.len()) {
-            let u = &toks[k];
-            let is_use = u.kind == TokKind::Ident
-                && !KEYWORDS.contains(&u.text.as_str())
-                && !u.text.chars().next().is_some_and(|c| c.is_uppercase())
-                && enclosing.contains(&u.text)
-                && !locals.contains(&u.text)
-                && !(k > 0 && (toks[k - 1].is_op(".") || toks[k - 1].is_op("::")))
-                && !toks
-                    .get(k + 1)
-                    .is_some_and(|n| n.is_op("::") || n.text == "(");
-            if is_use {
-                let write = classify_capture_use(toks, k, body_end);
-                match captures.iter_mut().find(|c| c.name == u.text) {
-                    Some(c) => c.writes.extend(write),
-                    None => captures.push(Capture {
-                        name: u.text.clone(),
-                        line: u.line,
-                        idx: k,
-                        writes: write.into_iter().collect(),
-                    }),
-                }
-            }
-            k += 1;
-        }
-        out.push(ClosureSite {
-            line: toks[pipe_idx].line,
-            start: expr_start,
-            end: body_end + usize::from(toks.get(body_end).is_some_and(|t| t.text == "}")),
-            is_move,
-            params: cl_params,
-            body_start,
-            body_end,
-            bound_name,
-            captures,
-        });
-        // Continue inside the body so nested closures are recorded too.
-        i = body_start.max(pipe_idx + 1);
-    }
-    out
-}
-
-/// First binding-position identifier of a closure parameter group
-/// (mirrors the `flush` logic of [`parse_params`]).
-fn first_binding_ident(group: &[&Token]) -> Option<String> {
-    for t in group {
-        if t.kind == TokKind::Ident {
-            if matches!(t.text.as_str(), "mut" | "ref")
-                || t.text.chars().next().is_some_and(|c| c.is_uppercase())
-                || KEYWORDS.contains(&t.text.as_str())
-            {
-                continue;
-            }
-            return Some(t.text.clone());
-        }
-        // A `:` starts the type ascription — nothing binds after it.
-        if t.is_op(":") {
-            break;
-        }
-    }
-    None
 }
 
 /// Collects narrowing `as`-casts in `[start, end)` (nested-fn ranges and
@@ -921,26 +428,13 @@ fn cast_source_start(toks: &[Token], as_idx: usize, lo: usize) -> usize {
         match t.kind {
             TokKind::Close => {
                 // Jump back over the balanced group.
-                let mut depth = 0i32;
-                let mut k = j - 1;
-                loop {
-                    match toks[k].kind {
-                        TokKind::Close => depth += 1,
-                        TokKind::Open => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
+                match group_open(toks, j - 1) {
+                    Some(k) if k >= lo => {
+                        start = k;
+                        j = k;
                     }
-                    match k.checked_sub(1) {
-                        Some(p) if p >= lo => k = p,
-                        _ => return start,
-                    }
+                    _ => return start,
                 }
-                start = k;
-                j = k;
             }
             TokKind::Num | TokKind::Lit => {
                 start = j - 1;
@@ -1108,114 +602,6 @@ mod tests {
         let p = parsed(src);
         assert!(!p.fns.iter().find(|f| f.name == "lib").unwrap().in_test);
         assert!(p.fns.iter().find(|f| f.name == "t").unwrap().in_test);
-    }
-
-    #[test]
-    fn move_closure_records_capture_and_compound_write() {
-        let src = "\
-fn f(items: &[u64]) {
-    let mut total = 0u64;
-    run(move |x| {
-        total += x;
-    });
-}
-";
-        let p = parsed(src);
-        let f = &p.fns[0];
-        assert_eq!(f.closures.len(), 1);
-        let c = &f.closures[0];
-        assert!(c.is_move);
-        assert_eq!(c.params, vec!["x"]);
-        assert_eq!(c.captures.len(), 1);
-        let cap = &c.captures[0];
-        assert_eq!(cap.name, "total");
-        assert_eq!(cap.writes.len(), 1);
-        assert!(cap.writes[0].direct);
-        assert_eq!(cap.writes[0].desc, "assignment `total += ..`");
-    }
-
-    #[test]
-    fn binary_or_is_not_a_closure() {
-        let p = parsed("fn f(a: u64, b: u64) -> u64 { let c = a | b; c || a > 0; a }");
-        assert!(p.fns[0].closures.is_empty());
-    }
-
-    #[test]
-    fn closure_params_and_locals_are_not_captures() {
-        let src = "\
-fn f(seed: u64) {
-    run(|x, mut acc| {
-        let local = x + seed;
-        acc += local;
-    });
-}
-";
-        let p = parsed(src);
-        let c = &p.fns[0].closures[0];
-        assert_eq!(c.params, vec!["x", "acc"]);
-        let names: Vec<&str> = c.captures.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(names, vec!["seed"], "x/acc/local are closure-local");
-        assert!(c.captures[0].writes.is_empty(), "seed is only read");
-    }
-
-    #[test]
-    fn interior_writes_through_selector_chains_are_classified() {
-        let src = "\
-fn f() {
-    let mut table = Table::new();
-    run(|| {
-        table.rows.push(1);
-        table.count = 2;
-        table.name();
-    });
-}
-";
-        let p = parsed(src);
-        let cap = &p.fns[0].closures[0].captures[0];
-        assert_eq!(cap.name, "table");
-        let descs: Vec<&str> = cap.writes.iter().map(|w| w.desc.as_str()).collect();
-        assert_eq!(
-            descs,
-            vec![
-                "mutating call `.push(..)` on `table`",
-                "assignment through a selector chain on `table`",
-            ],
-            "the read-only `.name()` probe must not classify as a write"
-        );
-        assert!(cap.writes.iter().all(|w| !w.direct));
-    }
-
-    #[test]
-    fn mut_borrow_of_a_capture_is_a_direct_write() {
-        let src = "\
-fn f() {
-    let mut sums = Vec::new();
-    run(|| helper(&mut sums));
-}
-";
-        let p = parsed(src);
-        let cap = &p.fns[0].closures[0].captures[0];
-        assert_eq!(cap.writes.len(), 1);
-        assert!(cap.writes[0].direct);
-        assert_eq!(cap.writes[0].desc, "`&mut sums` borrow");
-    }
-
-    #[test]
-    fn let_bound_closures_record_their_binding_name() {
-        let src = "\
-fn f() {
-    let work = || step();
-    let mut again = move || step();
-    run(work);
-}
-";
-        let p = parsed(src);
-        let bounds: Vec<Option<&str>> = p.fns[0]
-            .closures
-            .iter()
-            .map(|c| c.bound_name.as_deref())
-            .collect();
-        assert_eq!(bounds, vec![Some("work"), Some("again")]);
     }
 
     #[test]

@@ -1,21 +1,25 @@
-//! Rule documentation: one entry per rule id for `flcheck --explain`
-//! and the README rule table.
+//! The rule registry: the one table every enumeration of rules derives
+//! from — `flcheck --rules`, `--explain`, the JSON summary's per-rule
+//! counts, `--rule` validation and the README all-rules table (checked
+//! against this table by `tests/analysis_consistency.rs`).
 //!
-//! Every rule in [`crate::report::ALL_RULES`] has exactly one
-//! [`RuleDoc`] here (enforced by test), so adding a rule without
-//! documenting it fails the build's own test suite — the same
-//! can't-forget property the harness gate gives the summary counts.
+//! Adding a rule means adding one row here and emitting its id from a
+//! pass in [`crate::PASSES`] (or from the per-file phase); nothing else
+//! lists rules by hand.
 
-/// Documentation for one rule id.
+/// One rule: identity, provenance and documentation.
 #[derive(Debug)]
-pub struct RuleDoc {
+pub struct Rule {
     /// Rule id, e.g. `pf-unwrap`.
-    pub rule: &'static str,
+    pub id: &'static str,
     /// Rule family, e.g. `panic-freedom`.
     pub family: &'static str,
     /// PR that introduced the rule (`1`-based growth sequence).
     pub since: u32,
-    /// One-line summary for the README table.
+    /// The pass that emits it: a [`crate::PASSES`] name, or `per_file`
+    /// for the lexer-level rules of [`crate::check_file`].
+    pub pass: &'static str,
+    /// One-line summary (the README table cell).
     pub summary: &'static str,
     /// One-paragraph description for `--explain`.
     pub detail: &'static str,
@@ -23,13 +27,13 @@ pub struct RuleDoc {
     pub example: &'static str,
 }
 
-/// All rule docs, sorted by rule id (same order as
-/// [`crate::report::ALL_RULES`]).
-pub const RULE_DOCS: &[RuleDoc] = &[
-    RuleDoc {
-        rule: "ct-branch",
+/// Every rule the analyzer can emit, sorted by id.
+pub const RULES: &[Rule] = &[
+    Rule {
+        id: "ct-branch",
         family: "ct-discipline",
         since: 1,
+        pass: "per_file",
         summary: "secret-dependent `if`/`match` inside a ct-fn",
         detail: "Inside a fn marked `// flcheck: ct-fn`, branching on a value \
                  derived from a secret leaks it through the timing/branch-predictor \
@@ -38,10 +42,11 @@ pub const RULE_DOCS: &[RuleDoc] = &[
                  branch with masked selection (e.g. `ct_select`).",
         example: "// flcheck: ct-fn\nfn cmp(secret: u64) -> u64 {\n    if secret == 0 { 1 } else { 0 } // ct-branch + ct-compare\n}",
     },
-    RuleDoc {
-        rule: "ct-compare",
+    Rule {
+        id: "ct-compare",
         family: "ct-discipline",
         since: 1,
+        pass: "per_file",
         summary: "variable-time comparison on secret data in a ct-fn",
         detail: "`==`, `!=`, `<`, `>`, `.min()`, `.max()` and friends on secret \
                  values compile to early-exit comparisons whose duration depends \
@@ -50,30 +55,33 @@ pub const RULE_DOCS: &[RuleDoc] = &[
                  every limb.",
         example: "// flcheck: ct-fn\nfn check(tag: &[u8], other: &[u8]) -> bool {\n    tag == other // ct-compare\n}",
     },
-    RuleDoc {
-        rule: "ct-return",
+    Rule {
+        id: "ct-return",
         family: "ct-discipline",
         since: 1,
+        pass: "per_file",
         summary: "early return inside a ct-fn",
         detail: "An early `return` inside a ct-fn makes execution time depend on \
                  which path ran — the classic padding-oracle shape. Constant-time \
                  fns compute both outcomes and select at the end.",
         example: "// flcheck: ct-fn\nfn reduce(x: u64, m: u64) -> u64 {\n    if x < m { return x; } // ct-return (after ct-branch)\n    x - m\n}",
     },
-    RuleDoc {
-        rule: "ct-shortcircuit",
+    Rule {
+        id: "ct-shortcircuit",
         family: "ct-discipline",
         since: 1,
+        pass: "per_file",
         summary: "short-circuiting `&&`/`||` in a ct-fn",
         detail: "`&&` and `||` skip evaluating their right operand depending on \
                  the left, so the time taken reveals the left operand. In a ct-fn \
                  use the bitwise `&`/`|` forms on fully-evaluated masks instead.",
         example: "// flcheck: ct-fn\nfn both(a: bool, b: bool) -> bool {\n    a && b // ct-shortcircuit\n}",
     },
-    RuleDoc {
-        rule: "ct-taint",
+    Rule {
+        id: "ct-taint",
         family: "ct-discipline",
         since: 3,
+        pass: "taint",
         summary: "secret value flowing into a variable-time operation",
         detail: "Interprocedural taint: values seeded by `// flcheck: secret(x)` \
                  are propagated through assignments, arithmetic, and resolved \
@@ -83,10 +91,11 @@ pub const RULE_DOCS: &[RuleDoc] = &[
                  propagation chain.",
         example: "// flcheck: secret(key)\nfn seal(key: u64) -> u64 { whiten(key) }\nfn whiten(x: u64) -> u64 {\n    if x == 0 { return 1; } // ct-taint: `key` reached a branch via `whiten`\n    x\n}",
     },
-    RuleDoc {
-        rule: "guard-across-steal",
+    Rule {
+        id: "guard-across-steal",
         family: "lock-discipline",
         since: 5,
+        pass: "lockgraph",
         summary: "pool worker holding its deque guard across park/steal",
         detail: "A work-stealing worker that parks or steals from another deque \
                  while still holding its own deque's guard can deadlock the pool: \
@@ -94,10 +103,11 @@ pub const RULE_DOCS: &[RuleDoc] = &[
                  in the rayon shim must be dropped before blocking or stealing.",
         example: "fn run(&self) {\n    let q = self.deques[w].lock();\n    park(); // guard-across-steal: `deques` held across blocking park\n}",
     },
-    RuleDoc {
-        rule: "guard-escape",
+    Rule {
+        id: "guard-escape",
         family: "lock-discipline",
         since: 6,
+        pass: "lockgraph",
         summary: "lock guard escaping the analyzer's tracking",
         detail: "The lock graph tracks guards from acquisition to drop. A guard \
                  stored into a struct field or passed by value into an untracked \
@@ -107,20 +117,23 @@ pub const RULE_DOCS: &[RuleDoc] = &[
                  justification.",
         example: "fn stash(&self) {\n    let g = self.inner.lock();\n    self.slot.guard = g; // guard-escape: stored in struct field\n}",
     },
-    RuleDoc {
-        rule: "ld-wait",
+    Rule {
+        id: "ld-wait",
         family: "lock-discipline",
         since: 1,
-        summary: "condvar wait while holding a second lock",
-        detail: "Waiting on a condition variable releases only the mutex passed \
-                 to `wait`; any other lock held at that point stays held for the \
-                 whole sleep, starving or deadlocking its other users.",
-        example: "let stats = self.stats.lock();\nlet q = self.queue.lock();\nself.cv.wait(q); // ld-wait: `stats` still held",
+        pass: "per_file",
+        summary: "guard held across a blocking `recv`/`join`",
+        detail: "A `let`-bound guard that is still live at a blocking `.recv()` / \
+                 `.recv_timeout()` / `.join()` keeps its lock held for the whole \
+                 wait, starving or deadlocking the lock's other users. Drop the \
+                 guard (scope it, or `drop(guard)`) before blocking.",
+        example: "let stats = self.stats.lock();\nlet msg = self.rx.recv(); // ld-wait: `stats` still held",
     },
-    RuleDoc {
-        rule: "lock-across-hotpath",
+    Rule {
+        id: "lock-across-hotpath",
         family: "lock-discipline",
         since: 5,
+        pass: "lockgraph",
         summary: "guard held across a call chain reaching a MAC kernel",
         detail: "Holding a lock across a call chain that reaches a `mac-prim` \
                  hot-path kernel (Montgomery multiply, CIOS squaring) serializes \
@@ -129,10 +142,11 @@ pub const RULE_DOCS: &[RuleDoc] = &[
                  Charge/record under the guard, compute outside it.",
         example: "fn hot(&self) {\n    let s = self.stats.lock();\n    helper(); // lock-across-hotpath: chain reaches mont_mul\n}",
     },
-    RuleDoc {
-        rule: "lock-cycle",
+    Rule {
+        id: "lock-cycle",
         family: "lock-discipline",
         since: 5,
+        pass: "lockgraph",
         summary: "cyclic lock-acquisition order across the workspace",
         detail: "Builds the workspace lock graph from guard bindings, \
                  `lock(a, b)` directives, and declared `lock-order` edges, \
@@ -141,10 +155,11 @@ pub const RULE_DOCS: &[RuleDoc] = &[
                  finding reports the cycle with each edge's acquisition site.",
         example: "// thread A: memory then stats; thread B: stats then memory\n// lock-cycle: gpu-sim::memory -> gpu-sim::stats -> gpu-sim::memory",
     },
-    RuleDoc {
-        rule: "lossy-narrow",
+    Rule {
+        id: "lossy-narrow",
         family: "width",
         since: 8,
+        pass: "width",
         summary: "narrowing cast reaching codec geometry, op-cost, or net accounting",
         detail: "An `as` cast down the width lattice (u8 < u16 < u32 < u64 ≈ \
                  usize < u128) silently truncates. On the scale-out paths — codec \
@@ -158,10 +173,11 @@ pub const RULE_DOCS: &[RuleDoc] = &[
                  fn (e.g. masked limb splits).",
         example: "fn pack(values: &[u64], slots: usize) -> u32 {\n    (slots * values.len()) as u32 // lossy-narrow: geometry overflows at scale\n}",
     },
-    RuleDoc {
-        rule: "nondet-in-result",
+    Rule {
+        id: "nondet-in-result",
         family: "determinism",
         since: 6,
+        pass: "detflow",
         summary: "nondeterminism source flowing into a result constructor",
         detail: "Hash-order iteration, wall-clock reads, thread identity, and \
                  declared `nondet(..)` sources are propagated over the call graph. \
@@ -171,29 +187,32 @@ pub const RULE_DOCS: &[RuleDoc] = &[
                  nondeterminism without letting it into results (e.g. stopwatches).",
         example: "fn summarize(m: &HashMap<u32, u64>) -> u64 {\n    m.values().sum() // nondet-in-result when this feeds a det-sink\n}",
     },
-    RuleDoc {
-        rule: "pf-assert",
+    Rule {
+        id: "pf-assert",
         family: "panic-freedom",
         since: 1,
+        pass: "per_file",
         summary: "assert!/assert_eq! on a library path",
         detail: "Asserts abort the process mid-epoch in a long-running training \
                  job. Library crates must return `Result` instead; \
                  `debug_assert!` stays allowed (compiled out in release).",
         example: "pub fn split(n: usize, k: usize) -> usize {\n    assert!(k > 0); // pf-assert\n    n / k\n}",
     },
-    RuleDoc {
-        rule: "pf-expect",
+    Rule {
+        id: "pf-expect",
         family: "panic-freedom",
         since: 1,
+        pass: "per_file",
         summary: "`.expect(..)` on a library path",
         detail: "Same failure mode as `pf-unwrap` with a nicer message — still a \
                  process abort. Convert to `ok_or`/`map_err` and propagate.",
         example: "pub fn parse(s: &str) -> u32 {\n    s.parse().expect(\"bad int\") // pf-expect\n}",
     },
-    RuleDoc {
-        rule: "pf-index",
+    Rule {
+        id: "pf-index",
         family: "panic-freedom",
         since: 1,
+        pass: "per_file",
         summary: "panicking slice/array index on a library path",
         detail: "`v[i]` panics on out-of-bounds. Library paths must bound-check \
                  (`get`, `get_mut`) or carry an inline \
@@ -201,20 +220,22 @@ pub const RULE_DOCS: &[RuleDoc] = &[
                  index is provably in range.",
         example: "pub fn first(v: &[u8]) -> u8 {\n    v[0] // pf-index\n}",
     },
-    RuleDoc {
-        rule: "pf-panic",
+    Rule {
+        id: "pf-panic",
         family: "panic-freedom",
         since: 1,
+        pass: "per_file",
         summary: "explicit panic!/unreachable!/todo! on a library path",
         detail: "An explicit panic is an abort by design; library code must \
                  surface an `Error` variant instead so the training loop can \
                  recover or report.",
         example: "pub fn select(mode: Mode) -> u8 {\n    match mode { Mode::A => 1, _ => panic!(\"bad mode\") } // pf-panic\n}",
     },
-    RuleDoc {
-        rule: "pf-reach",
+    Rule {
+        id: "pf-reach",
         family: "panic-freedom",
         since: 3,
+        pass: "reach",
         summary: "public API transitively reaching a panic site",
         detail: "Panic facts (the pf-* sites plus allows' residue) are closed \
                  over the workspace call graph by BFS. A public entry point whose \
@@ -223,63 +244,22 @@ pub const RULE_DOCS: &[RuleDoc] = &[
                  at whichever layer owns the invariant.",
         example: "pub fn api(v: &[u8]) -> u8 { middle(v) } // pf-reach: 2 calls deep\nfn middle(v: &[u8]) -> u8 { deep(v) }\nfn deep(v: &[u8]) -> u8 { v.first().unwrap() }",
     },
-    RuleDoc {
-        rule: "pf-unwrap",
+    Rule {
+        id: "pf-unwrap",
         family: "panic-freedom",
         since: 1,
+        pass: "per_file",
         summary: "`.unwrap()` on a library path",
         detail: "`unwrap` aborts the process on `None`/`Err`. Library crates in \
                  the panic-freedom perimeter must propagate errors; test code is \
                  exempt.",
         example: "pub fn head(v: &[u8]) -> u8 {\n    *v.first().unwrap() // pf-unwrap\n}",
     },
-    RuleDoc {
-        rule: "race-cell-steal",
-        family: "races",
-        since: 8,
-        summary: "Cell/RefCell/Rc capture crossing the work-stealing boundary",
-        detail: "`Cell`, `RefCell`, and `Rc` are single-threaded interior \
-                 mutability: they trade the `Sync` bound for zero-cost borrows. \
-                 A closure that captures one and is scheduled onto the \
-                 work-stealing pool moves that value across threads — in real \
-                 rayon this fails to compile, but the dependency-free shim's \
-                 looser bounds let it slip through to runtime corruption. Use \
-                 `Mutex`/`RwLock`/atomics, or keep the value thread-local.",
-        example: "let hits = RefCell::new(0u64);\nitems.par_iter().for_each(|x| {\n    hits.borrow(); // race-cell-steal\n});",
-    },
-    RuleDoc {
-        rule: "race-shared-mut",
-        family: "races",
-        since: 8,
-        summary: "captured binding mutated inside a pool-scheduled closure",
-        detail: "A closure scheduled onto the pool (`spawn`, the `par_iter` \
-                 family) runs concurrently with other instances of itself. \
-                 Writing a captured enclosing binding (`x = ..`, `x += ..`, \
-                 handing out `&mut x`) aliases it mutably across those \
-                 instances — a data race the shim's relaxed bounds won't reject \
-                 at compile time. Reduce with `fold`/`reduce`, or guard the \
-                 state with a lock.",
-        example: "let mut total = 0u64;\nitems.par_iter().for_each(|x| {\n    total += x; // race-shared-mut\n});",
-    },
-    RuleDoc {
-        rule: "race-unsynced-write",
-        family: "races",
-        since: 8,
-        summary: "unguarded interior write to captured state from the pool",
-        detail: "An interior write (`x.push(..)`, `x.field = ..`) to captured \
-                 shared state inside a pool-scheduled closure, with no lock \
-                 acquisition covering the write — neither the capture being the \
-                 lock itself (`stats.lock().push(..)`) nor a guard held around \
-                 the statement. The check follows captures passed whole-arg or \
-                 as receivers into resolved callees, so a helper that does the \
-                 unguarded write is reported with the capture-site → spawn-site \
-                 → write-site chain.",
-        example: "let mut log = Vec::new();\nspawn(move || {\n    log.push(1); // race-unsynced-write: no guard covers the write\n});",
-    },
-    RuleDoc {
-        rule: "stale-estimate",
+    Rule {
+        id: "stale-estimate",
         family: "cost-model",
         since: 5,
+        pass: "costmodel",
         summary: "estimates(..) pairing drifted from its kernel",
         detail: "`// flcheck: estimates(kernel, arity)` declares which kernel an \
                  op-cost estimator models and how many parameters that kernel \
@@ -288,10 +268,11 @@ pub const RULE_DOCS: &[RuleDoc] = &[
                  code and every simulated timing derived from it is wrong.",
         example: "// flcheck: estimates(kernel, 5)\npub fn kernel_op_estimate() -> u64 { .. } // stale-estimate if `kernel` now takes 2",
     },
-    RuleDoc {
-        rule: "uncharged-work",
+    Rule {
+        id: "uncharged-work",
         family: "cost-model",
         since: 5,
+        pass: "costmodel",
         summary: "public entry reaching MAC work with no charge-sink path",
         detail: "Public he/gpu-sim/core entry points whose call chains reach a \
                  `mac-prim` kernel must have some path into a `charge-sink` \
@@ -301,10 +282,11 @@ pub const RULE_DOCS: &[RuleDoc] = &[
                  exactly this).",
         example: "pub fn uncharged_entry(x: &N) -> N {\n    kernel(x) // uncharged-work: reaches mont_mul, never charges\n}",
     },
-    RuleDoc {
-        rule: "unit-mismatch",
+    Rule {
+        id: "unit-mismatch",
         family: "units",
         since: 10,
+        pass: "units",
         summary: "different physical units meeting in one expression",
         detail: "Every fn parameter, return value, and field access is assigned \
                  a unit from {seconds, bytes, limb_mults, messages, \
@@ -319,10 +301,11 @@ pub const RULE_DOCS: &[RuleDoc] = &[
                  boundary); `dimensionless` is the explicit opt-out.",
         example: "fn f(payload_bytes: u64) {\n    let mut total_seconds = 0.0;\n    total_seconds += payload_bytes as f64; // unit-mismatch\n}",
     },
-    RuleDoc {
-        rule: "unit-unconverted",
+    Rule {
+        id: "unit-unconverted",
         family: "units",
         since: 10,
+        pass: "units",
         summary: "call argument crossing dimensions without a converter",
         detail: "A call argument whose unit differs from the callee parameter's \
                  unit crosses dimensions without passing through a declared \
@@ -337,48 +320,60 @@ pub const RULE_DOCS: &[RuleDoc] = &[
     },
 ];
 
-/// Looks up the doc for a rule id.
-pub fn doc_for(rule: &str) -> Option<&'static RuleDoc> {
-    RULE_DOCS.iter().find(|d| d.rule == rule)
+/// Every rule id, in registry (sorted) order.
+pub fn ids() -> impl Iterator<Item = &'static str> {
+    RULES.iter().map(|r| r.id)
+}
+
+/// Looks up a rule by id.
+pub fn rule(id: &str) -> Option<&'static Rule> {
+    RULES.iter().find(|r| r.id == id)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::ALL_RULES;
 
     #[test]
-    fn every_rule_is_documented_exactly_once_in_order() {
-        let docs: Vec<&str> = RULE_DOCS.iter().map(|d| d.rule).collect();
-        assert_eq!(
-            docs, ALL_RULES,
-            "RULE_DOCS must cover ALL_RULES 1:1 in sorted order"
-        );
+    fn ids_are_sorted_and_unique() {
+        let ids: Vec<&str> = ids().collect();
+        let mut sorted = ids.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(ids, sorted);
     }
 
     #[test]
-    fn docs_have_substance() {
-        for d in RULE_DOCS {
-            assert!(!d.family.is_empty(), "{}: family", d.rule);
-            assert!(d.since >= 1 && d.since <= 10, "{}: since", d.rule);
+    fn every_row_is_documented_and_names_a_real_pass() {
+        for r in RULES {
+            assert!(!r.family.is_empty(), "{}: family", r.id);
+            assert!((1..=10).contains(&r.since), "{}: since", r.id);
             assert!(
-                d.summary.len() < 80,
+                !r.summary.is_empty() && r.summary.len() < 80,
                 "{}: summary must fit a table cell",
-                d.rule
+                r.id
             );
+            assert!(r.detail.len() > 100, "{}: detail is a paragraph", r.id);
+            assert!(!r.example.is_empty(), "{}: example", r.id);
             assert!(
-                d.detail.len() > 100,
-                "{}: detail must be a paragraph",
-                d.rule
+                r.pass == "per_file" || crate::PASSES.iter().any(|(name, _)| *name == r.pass),
+                "{}: unknown pass `{}`",
+                r.id,
+                r.pass
             );
-            assert!(!d.example.is_empty(), "{}: example", d.rule);
+        }
+        for (name, _) in crate::PASSES {
+            assert!(
+                RULES.iter().any(|r| r.pass == *name),
+                "pass `{name}` emits no registered rule"
+            );
         }
     }
 
     #[test]
     fn lookup_finds_known_and_rejects_unknown() {
-        assert_eq!(doc_for("pf-unwrap").unwrap().family, "panic-freedom");
-        assert_eq!(doc_for("lossy-narrow").unwrap().since, 8);
-        assert!(doc_for("no-such-rule").is_none());
+        assert_eq!(rule("pf-unwrap").unwrap().family, "panic-freedom");
+        assert_eq!(rule("lossy-narrow").unwrap().since, 8);
+        assert!(rule("no-such-rule").is_none());
     }
 }

@@ -1,58 +1,21 @@
 //! Findings and report serialization (human text + hand-rolled JSON —
 //! the crate carries no serde).
 //!
-//! The JSON report is **schema 7**: every finding carries a `chain`
+//! The JSON report is **schema 8**: every finding carries a `chain`
 //! array (empty for intraprocedural rules, the full call/lock chain for
 //! the interprocedural rules), findings are sorted by (file, line, rule,
 //! message) so output is byte-identical regardless of scan order or
-//! thread count, and the summary enumerates **every** known rule with an
-//! explicit count (zero included) — so a gate greping for one rule's
-//! count cannot silently miss a rule the analyzer stopped running.
-//! Schema 4 added the determinism-flow rule `nondet-in-result` and the
-//! guard-escape rule `guard-escape`; schema 5 added the closure-capture
-//! race family (`race-shared-mut`, `race-unsynced-write`,
-//! `race-cell-steal`) and the integer-width rule `lossy-narrow`;
-//! schema 6 added the unit-flow family (`unit-mismatch`,
-//! `unit-unconverted`, `charge-unphased`); schema 7 retires
-//! `charge-unphased` (every charge now goes through one typed
-//! `EpochBreakdown::charge`, so a sink cannot miss or double a phase).
+//! thread count, and the summary enumerates **every** rule of
+//! [`crate::registry::RULES`] with an explicit count (zero included) —
+//! so a gate greping for one rule's count cannot silently miss a rule
+//! the analyzer stopped running. Schema 8 retired the closure-capture
+//! race family (the compiler enforces it: DESIGN "Static analysis").
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// JSON report schema version emitted by [`Report::render_json`].
-pub const SCHEMA_VERSION: u32 = 7;
-
-/// Every rule id the analyzer can emit, sorted. The schema-7 summary
-/// lists each with an explicit (possibly zero) count; keep in sync with
-/// the rule table in the crate docs.
-pub const ALL_RULES: &[&str] = &[
-    "ct-branch",
-    "ct-compare",
-    "ct-return",
-    "ct-shortcircuit",
-    "ct-taint",
-    "guard-across-steal",
-    "guard-escape",
-    "ld-wait",
-    "lock-across-hotpath",
-    "lock-cycle",
-    "lossy-narrow",
-    "nondet-in-result",
-    "pf-assert",
-    "pf-expect",
-    "pf-index",
-    "pf-panic",
-    "pf-reach",
-    "pf-unwrap",
-    "race-cell-steal",
-    "race-shared-mut",
-    "race-unsynced-write",
-    "stale-estimate",
-    "uncharged-work",
-    "unit-mismatch",
-    "unit-unconverted",
-];
+pub const SCHEMA_VERSION: u32 = 8;
 
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -185,7 +148,7 @@ impl Report {
         }
         out.push_str("],\n  \"summary\": {");
         let _ = write!(out, "\"total\": {}", self.findings.len());
-        let mut counts: BTreeMap<&str, usize> = ALL_RULES.iter().map(|r| (*r, 0)).collect();
+        let mut counts: BTreeMap<&str, usize> = crate::registry::ids().map(|r| (r, 0)).collect();
         for (rule, count) in self.by_rule() {
             counts.insert(rule, count);
         }
@@ -230,7 +193,7 @@ mod tests {
         };
         r.sort();
         let j = r.render_json();
-        assert!(j.contains("\"schema\": 7"));
+        assert!(j.contains("\"schema\": 8"));
         assert!(j.contains("\"rule\": \"pf-unwrap\""));
         assert!(j.contains("a \\\"b\\\".rs"));
         assert!(j.contains("line1\\nline2"));
@@ -246,7 +209,7 @@ mod tests {
             files_scanned: 1,
         };
         let j = r.render_json();
-        for rule in ALL_RULES {
+        for rule in crate::registry::ids() {
             assert!(
                 j.contains(&format!("\"{rule}\": ")),
                 "summary missing {rule}: {j}"
@@ -257,9 +220,6 @@ mod tests {
         assert!(j.contains("\"ld-wait\": 0"));
         assert!(j.contains("\"nondet-in-result\": 0"));
         assert!(j.contains("\"guard-escape\": 0"));
-        assert!(j.contains("\"race-shared-mut\": 0"));
-        assert!(j.contains("\"race-unsynced-write\": 0"));
-        assert!(j.contains("\"race-cell-steal\": 0"));
         assert!(j.contains("\"lossy-narrow\": 0"));
         assert!(j.contains("\"unit-mismatch\": 0"));
         assert!(j.contains("\"unit-unconverted\": 0"));

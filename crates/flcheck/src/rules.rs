@@ -22,11 +22,12 @@
 
 use crate::lexer::{TokKind, Token};
 use crate::report::Finding;
+use crate::scan::{group_open, let_name};
 use crate::source::{match_brace, SourceFile};
 
 /// Runs the ct-discipline family over every `ct-fn` in the file.
 pub fn check_ct(file: &SourceFile, out: &mut Vec<Finding>) {
-    for f in file.fns.iter().filter(|f| f.is_ct) {
+    for f in file.fns.iter().filter(|f| f.marks.is_ct) {
         let toks = &file.tokens;
         let mut i = f.body_start;
         while i < f.body_end {
@@ -269,27 +270,10 @@ fn receiver_name(toks: &[Token], method_idx: usize) -> Option<(String, bool)> {
     if toks[k].kind == TokKind::Close {
         // `foo(..).lock()` / `deques[i].lock()` — name by the identifier
         // before the balanced group.
-        let close = &toks[k].text;
-        let open = match close.as_str() {
-            ")" => "(",
-            "]" => "[",
-            _ => return None,
-        };
-        let mut depth = 0i32;
-        loop {
-            match toks[k].text.as_str() {
-                t if t == close.as_str() => depth += 1,
-                t if t == open => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            k = k.checked_sub(1)?;
+        if !matches!(toks[k].text.as_str(), ")" | "]") {
+            return None;
         }
-        k = k.checked_sub(1)?;
+        k = group_open(toks, k)?.checked_sub(1)?;
     }
     if toks[k].kind != TokKind::Ident {
         return None;
@@ -308,24 +292,7 @@ pub(crate) fn guard_binding(toks: &[Token], i: usize, after: usize) -> Option<St
     if toks.get(after).is_some_and(|t| t.is_op(".")) {
         return None;
     }
-    // Scan back to the start of the statement.
-    let mut k = i;
-    while k > 0 {
-        let t = &toks[k - 1];
-        if (t.kind == TokKind::Op && t.text == ";") || t.text == "{" || t.text == "}" {
-            break;
-        }
-        k -= 1;
-    }
-    if !toks.get(k)?.is_ident("let") {
-        return None;
-    }
-    let mut j = k + 1;
-    if toks.get(j)?.is_ident("mut") {
-        j += 1;
-    }
-    let name = toks.get(j)?;
-    (name.kind == TokKind::Ident).then(|| name.text.clone())
+    let_name(toks, i).map(str::to_string)
 }
 
 /// Scans forward from a guard's acquisition for a blocking call while the

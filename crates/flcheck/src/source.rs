@@ -51,6 +51,67 @@
 use crate::lexer::{lex, Comment, TokKind, Token};
 use std::collections::{BTreeMap, BTreeSet};
 
+/// Everything fn-attached directives can say about the next `fn` item.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Markers {
+    /// `ct-fn`: a constant-time region.
+    pub is_ct: bool,
+    /// `secret(..)`: parameters or locals whose values are secret (taint
+    /// sources).
+    pub secrets: Vec<String>,
+    /// `lock(..)`: locks the fn acquires and holds for its whole body (an
+    /// acquire effect).
+    pub locks: Vec<String>,
+    /// `mac-prim`: performs Montgomery MACs.
+    pub is_mac_prim: bool,
+    /// `charge-sink`: records simulated-time cost.
+    pub is_charge_sink: bool,
+    /// `estimates(kernel, arity)` pairings: this fn estimates the op count
+    /// of `kernel`, which must exist with `arity` parameters.
+    pub estimates: Vec<(String, usize)>,
+    /// `det-sink`: produces result bytes that must be deterministic at
+    /// any thread count.
+    pub is_det_sink: bool,
+    /// `det-absorb`: measures nondeterminism without letting it reach
+    /// result bytes.
+    pub is_det_absorb: bool,
+    /// `nondet(..)` descriptions: opaque nondeterminism sources the token
+    /// scan cannot see.
+    pub nondets: Vec<String>,
+    /// `widen-ok(..)` identifiers: narrowing casts whose source
+    /// expression mentions one are exempt (the quantity is known to fit).
+    pub widen_ok: Vec<String>,
+    /// `narrow(..)` descriptions: the fn performs intentional narrowing
+    /// and all its narrowing casts are sanctioned.
+    pub narrows: Vec<String>,
+    /// `unit(name, dim)` declarations fixing the physical unit of a
+    /// parameter (or of the return value, under the name `return`).
+    /// Explicit declarations beat suffix inference.
+    pub units: Vec<(String, String)>,
+    /// `convert(from->to)` declarations: the fn is a sanctioned dimension
+    /// converter from `from`-united inputs to a `to`-united return value.
+    pub converts: Vec<(String, String)>,
+}
+
+impl Markers {
+    /// Accumulates another directive's facts onto the same fn.
+    fn merge(&mut self, o: Markers) {
+        self.is_ct |= o.is_ct;
+        self.is_mac_prim |= o.is_mac_prim;
+        self.is_charge_sink |= o.is_charge_sink;
+        self.is_det_sink |= o.is_det_sink;
+        self.is_det_absorb |= o.is_det_absorb;
+        self.secrets.extend(o.secrets);
+        self.locks.extend(o.locks);
+        self.estimates.extend(o.estimates);
+        self.nondets.extend(o.nondets);
+        self.widen_ok.extend(o.widen_ok);
+        self.narrows.extend(o.narrows);
+        self.units.extend(o.units);
+        self.converts.extend(o.converts);
+    }
+}
+
 /// A function item found in the token stream.
 #[derive(Debug, Clone)]
 pub struct FnSpan {
@@ -62,46 +123,8 @@ pub struct FnSpan {
     pub body_start: usize,
     /// Token index of the matching `}` (exclusive).
     pub body_end: usize,
-    /// Marked with `// flcheck: ct-fn`.
-    pub is_ct: bool,
-    /// Identifiers named by a `// flcheck: secret(..)` marker on this fn:
-    /// parameters or locals whose values are secret (taint sources).
-    pub secrets: Vec<String>,
-    /// Locks named by a `// flcheck: lock(..)` marker: the fn acquires and
-    /// holds each of them for its whole body (an acquire effect).
-    pub locks: Vec<String>,
-    /// Marked with `// flcheck: mac-prim` (performs Montgomery MACs).
-    pub is_mac_prim: bool,
-    /// Marked with `// flcheck: charge-sink` (records simulated-time cost).
-    pub is_charge_sink: bool,
-    /// `// flcheck: estimates(kernel, arity)` pairings: this fn estimates the
-    /// op count of `kernel`, which must exist with `arity` parameters.
-    pub estimates: Vec<(String, usize)>,
-    /// Marked with `// flcheck: det-sink` (produces result bytes that must
-    /// be deterministic at any thread count).
-    pub is_det_sink: bool,
-    /// Marked with `// flcheck: det-absorb` (measures nondeterminism
-    /// without letting it reach result bytes).
-    pub is_det_absorb: bool,
-    /// Descriptions from `// flcheck: nondet(..)` markers: opaque
-    /// nondeterminism sources the token scan cannot see.
-    pub nondets: Vec<String>,
-    /// Identifiers named by `// flcheck: widen-ok(..)` markers: narrowing
-    /// casts whose source expression mentions one of these are exempt
-    /// (the named quantity is known to fit the target width).
-    pub widen_ok: Vec<String>,
-    /// Descriptions from `// flcheck: narrow(..)` markers: the fn performs
-    /// intentional narrowing and all its narrowing casts are sanctioned.
-    pub narrows: Vec<String>,
-    /// `// flcheck: unit(name, dim)` declarations: `(name, dim)` pairs
-    /// fixing the physical unit of a parameter (or of the return value,
-    /// when `name` is `return`). Explicit declarations beat suffix
-    /// inference.
-    pub units: Vec<(String, String)>,
-    /// `// flcheck: convert(from->to)` declarations: the fn is a
-    /// sanctioned dimension converter from `from`-united inputs to a
-    /// `to`-united return value.
-    pub converts: Vec<(String, String)>,
+    /// What the `flcheck:` directives above the fn declare about it.
+    pub marks: Markers,
 }
 
 /// A declared lock-order chain with the line it was declared on.
@@ -146,7 +169,7 @@ impl SourceFile {
             test_regions: Vec::new(),
         };
         let markers = file.parse_directives(&lexed.comments);
-        file.extract_fns(&markers);
+        file.extract_fns(markers);
         file.extract_test_regions();
         file
     }
@@ -168,8 +191,8 @@ impl SourceFile {
     }
 
     /// Parses all directives out of the comments; returns the fn-attached
-    /// markers (`ct-fn`, `secret(..)`) with the lines they sit on.
-    fn parse_directives(&mut self, comments: &[Comment]) -> Vec<FnMarker> {
+    /// ones with the lines they sit on. Malformed directives drop silently.
+    fn parse_directives(&mut self, comments: &[Comment]) -> Vec<(u32, Markers)> {
         let mut markers = Vec::new();
         for c in comments {
             // Anchor at the start (after doc-comment markers) so prose that
@@ -181,134 +204,71 @@ impl SourceFile {
                 continue;
             };
             let body = body.trim();
-            if body.starts_with("ct-fn") {
-                markers.push(FnMarker {
-                    line: c.line,
-                    kind: MarkerKind::Ct,
-                });
-            } else if body.starts_with("mac-prim") {
-                markers.push(FnMarker {
-                    line: c.line,
-                    kind: MarkerKind::MacPrim,
-                });
-            } else if body.starts_with("charge-sink") {
-                markers.push(FnMarker {
-                    line: c.line,
-                    kind: MarkerKind::ChargeSink,
-                });
-            } else if body.starts_with("det-sink") {
-                markers.push(FnMarker {
-                    line: c.line,
-                    kind: MarkerKind::DetSink,
-                });
-            } else if body.starts_with("det-absorb") {
-                markers.push(FnMarker {
-                    line: c.line,
-                    kind: MarkerKind::DetAbsorb,
-                });
-            } else if let Some(args) = strip_call(body, "nondet") {
-                let desc = args.trim();
-                if !desc.is_empty() {
-                    markers.push(FnMarker {
-                        line: c.line,
-                        kind: MarkerKind::Nondet(desc.to_string()),
-                    });
-                }
-            } else if let Some(args) = strip_call(body, "widen-ok") {
-                let names = split_names(args);
-                if !names.is_empty() {
-                    markers.push(FnMarker {
-                        line: c.line,
-                        kind: MarkerKind::WidenOk(names),
-                    });
-                }
-            } else if let Some(args) = strip_call(body, "narrow") {
-                let desc = args.trim();
-                if !desc.is_empty() {
-                    markers.push(FnMarker {
-                        line: c.line,
-                        kind: MarkerKind::Narrow(desc.to_string()),
-                    });
-                }
-            } else if let Some(args) = strip_call(body, "unit") {
-                let parts: Vec<&str> = args.split(',').map(str::trim).collect();
-                if let [name, dim] = parts[..] {
-                    if !name.is_empty() && UNIT_DIMS.contains(&dim) {
-                        markers.push(FnMarker {
-                            line: c.line,
-                            kind: MarkerKind::Unit(name.to_string(), dim.to_string()),
-                        });
-                    }
-                }
-            } else if let Some(args) = strip_call(body, "convert") {
-                let parts: Vec<&str> = args.split("->").map(str::trim).collect();
-                if let [from, to] = parts[..] {
-                    if UNIT_DIMS.contains(&from) && UNIT_DIMS.contains(&to) && from != to {
-                        markers.push(FnMarker {
-                            line: c.line,
-                            kind: MarkerKind::Convert(from.to_string(), to.to_string()),
-                        });
-                    }
-                }
-            } else if let Some(args) = strip_call(body, "secret") {
-                let names = split_names(args);
-                if !names.is_empty() {
-                    markers.push(FnMarker {
-                        line: c.line,
-                        kind: MarkerKind::Secrets(names),
-                    });
-                }
-            } else if let Some(args) = strip_call(body, "estimates") {
-                let parts: Vec<&str> = args.split(',').map(str::trim).collect();
-                if let [kernel, arity] = parts[..] {
-                    if let Ok(arity) = arity.parse::<usize>() {
-                        if !kernel.is_empty() {
-                            markers.push(FnMarker {
-                                line: c.line,
-                                kind: MarkerKind::Estimates(kernel.to_string(), arity),
-                            });
-                        }
-                    }
-                }
-            } else if let Some(args) = strip_call(body, "allow-file") {
+            let call = |name: &str| strip_call(body, name);
+            let names = |name: &str| call(name).map(split_names).unwrap_or_default();
+            let described = |name: &str| {
+                let desc = call(name).map(str::trim).filter(|d| !d.is_empty());
+                Vec::from_iter(desc.map(str::to_string))
+            };
+            if let Some(args) = call("allow-file") {
+                self.allow_file
+                    .extend(args.split(',').map(|r| r.trim().to_string()));
+            } else if let Some(args) = call("allow") {
+                // Applies to the comment's own line (trailing comment)
+                // and the next line (standalone comment above code).
                 for rule in args.split(',') {
-                    self.allow_file.insert(rule.trim().to_string());
-                }
-            } else if let Some(args) = strip_call(body, "allow") {
-                for rule in args.split(',') {
-                    let rule = rule.trim().to_string();
-                    // Applies to the comment's own line (trailing comment)
-                    // and the next line (standalone comment above code).
                     for line in [c.line, c.line + 1] {
-                        self.allow_lines
-                            .entry(line)
-                            .or_default()
-                            .insert(rule.clone());
+                        let rules = self.allow_lines.entry(line).or_default();
+                        rules.insert(rule.trim().to_string());
                     }
                 }
-            } else if let Some(args) = strip_call(body, "lock-order") {
+            } else if let Some(args) = call("lock-order") {
                 let chain: Vec<String> = args.split('<').map(|s| s.trim().to_string()).collect();
                 if chain.len() >= 2 && chain.iter().all(|s| !s.is_empty()) {
-                    self.lock_orders.push(LockOrder {
-                        line: c.line,
-                        chain,
-                    });
+                    let line = c.line;
+                    self.lock_orders.push(LockOrder { line, chain });
                 }
-            } else if let Some(args) = strip_call(body, "lock") {
-                let names = split_names(args);
-                if !names.is_empty() {
-                    markers.push(FnMarker {
-                        line: c.line,
-                        kind: MarkerKind::Locks(names),
-                    });
+            }
+            let mut m = Markers {
+                is_ct: body.starts_with("ct-fn"),
+                is_mac_prim: body.starts_with("mac-prim"),
+                is_charge_sink: body.starts_with("charge-sink"),
+                is_det_sink: body.starts_with("det-sink"),
+                is_det_absorb: body.starts_with("det-absorb"),
+                secrets: names("secret"),
+                locks: names("lock"),
+                widen_ok: names("widen-ok"),
+                nondets: described("nondet"),
+                narrows: described("narrow"),
+                ..Markers::default()
+            };
+            if let Some((kernel, arity)) = call("estimates").and_then(|a| pair(a, ",")) {
+                match arity.parse() {
+                    Ok(arity) if !kernel.is_empty() => {
+                        m.estimates.push((kernel.to_string(), arity));
+                    }
+                    _ => {}
                 }
+            }
+            if let Some((name, dim)) = call("unit").and_then(|a| pair(a, ",")) {
+                if !name.is_empty() && UNIT_DIMS.contains(&dim) {
+                    m.units.push((name.to_string(), dim.to_string()));
+                }
+            }
+            if let Some((from, to)) = call("convert").and_then(|a| pair(a, "->")) {
+                if UNIT_DIMS.contains(&from) && UNIT_DIMS.contains(&to) && from != to {
+                    m.converts.push((from.to_string(), to.to_string()));
+                }
+            }
+            if m != Markers::default() {
+                markers.push((c.line, m));
             }
         }
         markers
     }
 
     /// Walks the token stream extracting `fn` items and their body spans.
-    fn extract_fns(&mut self, markers: &[FnMarker]) {
+    fn extract_fns(&mut self, markers: Vec<(u32, Markers)>) {
         let toks = &self.tokens;
         let mut i = 0usize;
         while i < toks.len() {
@@ -356,47 +316,19 @@ impl SourceFile {
                 line: fn_line,
                 body_start: body_start + 1,
                 body_end,
-                is_ct: false,
-                secrets: Vec::new(),
-                locks: Vec::new(),
-                is_mac_prim: false,
-                is_charge_sink: false,
-                estimates: Vec::new(),
-                is_det_sink: false,
-                is_det_absorb: false,
-                nondets: Vec::new(),
-                widen_ok: Vec::new(),
-                narrows: Vec::new(),
-                units: Vec::new(),
-                converts: Vec::new(),
+                marks: Markers::default(),
             });
             i = body_start + 1; // nested fns get their own entries
         }
         // A fn marker applies to the first fn that starts after it.
-        for marker in markers {
+        for (line, marks) in markers {
             if let Some(f) = self
                 .fns
                 .iter_mut()
-                .filter(|f| f.line > marker.line)
+                .filter(|f| f.line > line)
                 .min_by_key(|f| f.line)
             {
-                match &marker.kind {
-                    MarkerKind::Ct => f.is_ct = true,
-                    MarkerKind::Secrets(names) => f.secrets.extend(names.iter().cloned()),
-                    MarkerKind::Locks(names) => f.locks.extend(names.iter().cloned()),
-                    MarkerKind::MacPrim => f.is_mac_prim = true,
-                    MarkerKind::ChargeSink => f.is_charge_sink = true,
-                    MarkerKind::Estimates(kernel, arity) => {
-                        f.estimates.push((kernel.clone(), *arity));
-                    }
-                    MarkerKind::DetSink => f.is_det_sink = true,
-                    MarkerKind::DetAbsorb => f.is_det_absorb = true,
-                    MarkerKind::Nondet(desc) => f.nondets.push(desc.clone()),
-                    MarkerKind::WidenOk(names) => f.widen_ok.extend(names.iter().cloned()),
-                    MarkerKind::Narrow(desc) => f.narrows.push(desc.clone()),
-                    MarkerKind::Unit(name, dim) => f.units.push((name.clone(), dim.clone())),
-                    MarkerKind::Convert(from, to) => f.converts.push((from.clone(), to.clone())),
-                }
+                f.marks.merge(marks);
             }
         }
     }
@@ -459,28 +391,6 @@ impl SourceFile {
     }
 }
 
-/// A directive that attaches to the next `fn` item.
-struct FnMarker {
-    line: u32,
-    kind: MarkerKind,
-}
-
-enum MarkerKind {
-    Ct,
-    Secrets(Vec<String>),
-    Locks(Vec<String>),
-    MacPrim,
-    ChargeSink,
-    Estimates(String, usize),
-    DetSink,
-    DetAbsorb,
-    Nondet(String),
-    WidenOk(Vec<String>),
-    Narrow(String),
-    Unit(String, String),
-    Convert(String, String),
-}
-
 /// The dimension names `unit(..)` / `convert(..)` directives accept.
 pub const UNIT_DIMS: &[&str] = &[
     "seconds",
@@ -489,6 +399,15 @@ pub const UNIT_DIMS: &[&str] = &[
     "messages",
     "dimensionless",
 ];
+
+/// Splits `args` on `sep` into exactly two trimmed parts.
+fn pair<'a>(args: &'a str, sep: &str) -> Option<(&'a str, &'a str)> {
+    let mut parts = args.split(sep).map(str::trim);
+    match (parts.next(), parts.next(), parts.next()) {
+        (Some(a), Some(b), None) => Some((a, b)),
+        _ => None,
+    }
+}
 
 /// Splits a comma-separated directive argument list into non-empty names.
 fn split_names(args: &str) -> Vec<String> {
@@ -552,9 +471,9 @@ fn b() {}
         assert!(f.is_allowed("pf-unwrap", 4));
         assert!(!f.is_allowed("pf-unwrap", 3));
         let b = f.fns.iter().find(|f| f.name == "b").expect("fn b");
-        assert!(b.is_ct);
+        assert!(b.marks.is_ct);
         let a = f.fns.iter().find(|f| f.name == "a").expect("fn a");
-        assert!(!a.is_ct);
+        assert!(!a.marks.is_ct);
     }
 
     #[test]
@@ -575,10 +494,10 @@ fn plain(x: u64) {}
 ";
         let f = SourceFile::parse("x.rs", src);
         let ladder = f.fns.iter().find(|f| f.name == "ladder").expect("ladder");
-        assert_eq!(ladder.secrets, vec!["exp", "key", "other"]);
-        assert!(!ladder.is_ct, "secret() does not imply ct-fn");
+        assert_eq!(ladder.marks.secrets, vec!["exp", "key", "other"]);
+        assert!(!ladder.marks.is_ct, "secret() does not imply ct-fn");
         let plain = f.fns.iter().find(|f| f.name == "plain").expect("plain");
-        assert!(plain.secrets.is_empty());
+        assert!(plain.marks.secrets.is_empty());
     }
 
     #[test]
@@ -597,17 +516,20 @@ fn unmarked() {}
 ";
         let f = SourceFile::parse("x.rs", src);
         let by_name = |n: &str| f.fns.iter().find(|f| f.name == n).expect(n);
-        assert!(by_name("mont_mul").is_mac_prim);
-        assert!(!by_name("mont_mul").is_charge_sink);
-        assert!(by_name("charge").is_charge_sink);
+        assert!(by_name("mont_mul").marks.is_mac_prim);
+        assert!(!by_name("mont_mul").marks.is_charge_sink);
+        assert!(by_name("charge").marks.is_charge_sink);
         assert_eq!(
-            by_name("encrypt_op_estimate").estimates,
+            by_name("encrypt_op_estimate").marks.estimates,
             vec![("encrypt".to_string(), 3), ("decrypt".to_string(), 2)]
         );
-        assert_eq!(by_name("drain_all").locks, vec!["deques", "panic"]);
+        assert_eq!(by_name("drain_all").marks.locks, vec!["deques", "panic"]);
         let u = by_name("unmarked");
         assert!(
-            !u.is_mac_prim && !u.is_charge_sink && u.estimates.is_empty() && u.locks.is_empty()
+            !u.marks.is_mac_prim
+                && !u.marks.is_charge_sink
+                && u.marks.estimates.is_empty()
+                && u.marks.locks.is_empty()
         );
     }
 
@@ -625,15 +547,15 @@ fn unmarked() {}
 ";
         let f = SourceFile::parse("x.rs", src);
         let by_name = |n: &str| f.fns.iter().find(|f| f.name == n).expect(n);
-        assert!(by_name("render_json").is_det_sink);
-        assert!(!by_name("render_json").is_det_absorb);
-        assert!(by_name("record_timing").is_det_absorb);
+        assert!(by_name("render_json").marks.is_det_sink);
+        assert!(!by_name("render_json").marks.is_det_absorb);
+        assert!(by_name("record_timing").marks.is_det_absorb);
         assert_eq!(
-            by_name("opaque_source").nondets,
+            by_name("opaque_source").marks.nondets,
             vec!["os entropy via getrandom", "cpu frequency scaling"]
         );
         let u = by_name("unmarked");
-        assert!(!u.is_det_sink && !u.is_det_absorb && u.nondets.is_empty());
+        assert!(!u.marks.is_det_sink && !u.marks.is_det_absorb && u.marks.nondets.is_empty());
     }
 
     #[test]
@@ -647,14 +569,14 @@ fn unmarked() {}
 ";
         let f = SourceFile::parse("x.rs", src);
         let by_name = |n: &str| f.fns.iter().find(|f| f.name == n).expect(n);
-        assert_eq!(by_name("pack").widen_ok, vec!["slot_bits", "r_bits"]);
-        assert!(by_name("pack").narrows.is_empty());
+        assert_eq!(by_name("pack").marks.widen_ok, vec!["slot_bits", "r_bits"]);
+        assert!(by_name("pack").marks.narrows.is_empty());
         assert_eq!(
-            by_name("split_limb").narrows,
+            by_name("split_limb").marks.narrows,
             vec!["masked limb split: low 32 bits extracted explicitly"]
         );
         let u = by_name("unmarked");
-        assert!(u.widen_ok.is_empty() && u.narrows.is_empty());
+        assert!(u.marks.widen_ok.is_empty() && u.marks.narrows.is_empty());
     }
 
     #[test]
@@ -670,18 +592,18 @@ fn unmarked() {}
         let f = SourceFile::parse("x.rs", src);
         let by_name = |n: &str| f.fns.iter().find(|f| f.name == n).expect(n);
         assert_eq!(
-            by_name("comm").units,
+            by_name("comm").marks.units,
             vec![
                 ("seconds".to_string(), "seconds".to_string()),
                 ("return".to_string(), "seconds".to_string()),
             ]
         );
         assert_eq!(
-            by_name("send").converts,
+            by_name("send").marks.converts,
             vec![("bytes".to_string(), "seconds".to_string())]
         );
         let u = by_name("unmarked");
-        assert!(u.units.is_empty() && u.converts.is_empty());
+        assert!(u.marks.units.is_empty() && u.marks.converts.is_empty());
     }
 
     #[test]
@@ -697,7 +619,7 @@ fn unmarked() {}
 fn f() {}
 ";
         let f = SourceFile::parse("x.rs", src);
-        assert!(f.fns[0].units.is_empty() && f.fns[0].converts.is_empty());
+        assert!(f.fns[0].marks.units.is_empty() && f.fns[0].marks.converts.is_empty());
     }
 
     #[test]
@@ -706,16 +628,16 @@ fn f() {}
         // as themselves with the width directives in the chain.
         let src = "// flcheck: nondet(ffi)\n// flcheck: lock(stats)\nfn f() {}\n";
         let f = SourceFile::parse("x.rs", src);
-        assert_eq!(f.fns[0].nondets, vec!["ffi"]);
-        assert_eq!(f.fns[0].locks, vec!["stats"]);
-        assert!(f.fns[0].narrows.is_empty() && f.fns[0].widen_ok.is_empty());
+        assert_eq!(f.fns[0].marks.nondets, vec!["ffi"]);
+        assert_eq!(f.fns[0].marks.locks, vec!["stats"]);
+        assert!(f.fns[0].marks.narrows.is_empty() && f.fns[0].marks.widen_ok.is_empty());
     }
 
     #[test]
     fn empty_nondet_directive_is_ignored() {
         let src = "// flcheck: nondet( )\nfn f() {}\n";
         let f = SourceFile::parse("x.rs", src);
-        assert!(f.fns[0].nondets.is_empty());
+        assert!(f.fns[0].marks.nondets.is_empty());
     }
 
     #[test]
@@ -725,7 +647,7 @@ fn f() {}
         let src = "// flcheck: lock-order(a < b)\nfn f() {}\n";
         let f = SourceFile::parse("x.rs", src);
         assert_eq!(f.lock_orders.len(), 1);
-        assert!(f.fns[0].locks.is_empty());
+        assert!(f.fns[0].marks.locks.is_empty());
     }
 
     #[test]
@@ -737,7 +659,7 @@ fn f() {}
 fn est() {}
 ";
         let f = SourceFile::parse("x.rs", src);
-        assert!(f.fns[0].estimates.is_empty());
+        assert!(f.fns[0].marks.estimates.is_empty());
     }
 
     #[test]
@@ -752,15 +674,19 @@ fn f() {}
 fn g() {}
 ";
         let f = SourceFile::parse("x.rs", src);
-        assert!(f.fns[0].locks.is_empty(), "{:?}", f.fns[0].locks);
-        assert_eq!(f.fns[1].locks, vec!["stats".to_string()]);
+        assert!(
+            f.fns[0].marks.locks.is_empty(),
+            "{:?}",
+            f.fns[0].marks.locks
+        );
+        assert_eq!(f.fns[1].marks.locks, vec!["stats".to_string()]);
     }
 
     #[test]
     fn ct_marker_skips_attributes() {
         let src = "// flcheck: ct-fn\n#[inline]\n#[must_use]\npub fn masked() -> u64 { 0 }\n";
         let f = SourceFile::parse("x.rs", src);
-        assert!(f.fns[0].is_ct);
+        assert!(f.fns[0].marks.is_ct);
     }
 
     #[test]

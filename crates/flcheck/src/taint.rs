@@ -30,10 +30,11 @@
 //! - Implicit tail returns are not sinks (every fn returning a secret
 //!   would fire); explicit `return` statements are.
 
-use crate::callgraph::CallGraph;
+use crate::callgraph::{hop, CallGraph};
 use crate::lexer::{TokKind, Token};
 use crate::parse::{FnItem, ParsedFile};
 use crate::report::Finding;
+use crate::scan::{group_open, header_end, stmt_end};
 use crate::source::match_brace;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -131,11 +132,11 @@ pub fn check_taint(files: &[ParsedFile], graph: &CallGraph, out: &mut Vec<Findin
     let mut work: VecDeque<(usize, usize)> = VecDeque::new();
     for (fi, pf) in files.iter().enumerate() {
         for (gi, f) in pf.fns.iter().enumerate() {
-            if !f.secrets.is_empty() {
+            if !f.marks.secrets.is_empty() {
                 states.insert(
                     (fi, gi),
                     NodeState {
-                        entry: f.secrets.iter().cloned().collect(),
+                        entry: f.marks.secrets.iter().cloned().collect(),
                         chain: Vec::new(),
                     },
                 );
@@ -179,12 +180,6 @@ pub fn check_taint(files: &[ParsedFile], graph: &CallGraph, out: &mut Vec<Findin
     }
 }
 
-/// Formats one provenance hop.
-fn hop(files: &[ParsedFile], n: (usize, usize)) -> String {
-    let f = &files[n.0].fns[n.1];
-    format!("{} ({}:{})", f.name, files[n.0].src.rel_path, f.line)
-}
-
 /// Analyzes one fn under the given entry taint: intraprocedural taint
 /// fixpoint, then sink detection. Returns (callee, tainted params) for
 /// interprocedural propagation.
@@ -200,7 +195,7 @@ fn analyze_fn(
     let f = &pf.fns[node.1];
     let toks = &pf.src.tokens;
     let mut tainted: BTreeSet<String> = state.entry.clone();
-    tainted.extend(f.secrets.iter().cloned());
+    tainted.extend(f.marks.secrets.iter().cloned());
 
     // --- intraprocedural fixpoint over bindings -------------------------
     loop {
@@ -387,7 +382,7 @@ fn analyze_fn(
             );
             continue;
         }
-        if cands.iter().all(|&(fi, gi)| files[fi].fns[gi].is_ct) {
+        if cands.iter().all(|&(fi, gi)| files[fi].fns[gi].marks.is_ct) {
             // Propagate into the ct callee(s): argument position → param.
             for &(fi, gi) in &cands {
                 let callee = &files[fi].fns[gi];
@@ -474,40 +469,6 @@ fn len_of_tainted<'a>(
         }
     }
     None
-}
-
-/// End of a statement: first `;` at relative bracket depth 0 (or `limit`).
-fn stmt_end(toks: &[Token], s: usize, limit: usize) -> usize {
-    let mut depth = 0i32;
-    for (i, t) in toks.iter().enumerate().take(limit.min(toks.len())).skip(s) {
-        match t.kind {
-            TokKind::Open => depth += 1,
-            TokKind::Close => {
-                if depth == 0 {
-                    return i;
-                }
-                depth -= 1;
-            }
-            TokKind::Op if t.text == ";" && depth == 0 => return i,
-            _ => {}
-        }
-    }
-    limit
-}
-
-/// End of an `if`/`while`/`match`/`for` header: first `{` at relative
-/// depth 0.
-fn header_end(toks: &[Token], s: usize, limit: usize) -> usize {
-    let mut depth = 0i32;
-    for (i, t) in toks.iter().enumerate().take(limit.min(toks.len())).skip(s) {
-        match t.kind {
-            TokKind::Open if t.text == "{" && depth == 0 => return i,
-            TokKind::Open => depth += 1,
-            TokKind::Close => depth -= 1,
-            _ => {}
-        }
-    }
-    limit
 }
 
 /// Parses a `let` statement at `i` (the `let` token): binding names and
@@ -601,24 +562,8 @@ fn assign_target(toks: &[Token], op_idx: usize, body_start: usize) -> Option<Str
             return None;
         }
         match toks[k].kind {
-            TokKind::Close => {
-                // Skip the `[ .. ]` / `( .. )` group.
-                let mut depth = 0i32;
-                loop {
-                    match toks[k].kind {
-                        TokKind::Close => depth += 1,
-                        TokKind::Open => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    k = k.checked_sub(1)?;
-                }
-                k = k.checked_sub(1)?;
-            }
+            // Skip the `[ .. ]` / `( .. )` group.
+            TokKind::Close => k = group_open(toks, k)?.checked_sub(1)?,
             TokKind::Ident => {
                 // Continue left over `a.b` / `a::b` chains to the root.
                 match k.checked_sub(1) {

@@ -49,6 +49,7 @@ use crate::lexer::{TokKind, Token};
 use crate::parse::{FnItem, ParsedFile};
 use crate::report::Finding;
 use crate::rules::debug_assert_span;
+use crate::scan::{group_open, stmt_end};
 use crate::source::match_brace;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -139,7 +140,8 @@ pub fn infer_name(name: &str) -> Option<Unit> {
 
 /// An explicit `unit(name, dim)` directive on `f`, if any.
 fn directive_unit(f: &FnItem, name: &str) -> Option<Unit> {
-    f.units
+    f.marks
+        .units
         .iter()
         .find(|(n, _)| n == name)
         .and_then(|(_, d)| Unit::from_dim(d))
@@ -174,7 +176,12 @@ fn seed_units(files: &[ParsedFile]) -> Vec<Vec<FnUnits>> {
                         .collect();
                     let prov = vec![None; params.len()];
                     let ret = directive_unit(f, "return")
-                        .or_else(|| f.converts.first().and_then(|(_, to)| Unit::from_dim(to)))
+                        .or_else(|| {
+                            f.marks
+                                .converts
+                                .first()
+                                .and_then(|(_, to)| Unit::from_dim(to))
+                        })
                         .or_else(|| infer_name(&f.name));
                     FnUnits { params, prov, ret }
                 })
@@ -596,20 +603,7 @@ fn lhs_chain(cx: &ExprCx<'_>, lo: usize, op: usize) -> Option<(Unit, String)> {
         let t = &toks[j - 1];
         if t.kind == TokKind::Close && t.text == "]" {
             // Skip the index group backward.
-            let mut depth = 1i32;
-            let mut k = j - 1;
-            while k > lo && depth > 0 {
-                k -= 1;
-                match toks[k].kind {
-                    TokKind::Close => depth += 1,
-                    TokKind::Open => depth -= 1,
-                    _ => {}
-                }
-            }
-            if depth != 0 {
-                return None;
-            }
-            j = k;
+            j = group_open(toks, j - 1).filter(|&o| o >= lo)?;
         } else if t.kind == TokKind::Ident {
             if BAIL_KEYWORDS.contains(&t.text.as_str()) {
                 break;
@@ -635,29 +629,6 @@ fn lhs_chain(cx: &ExprCx<'_>, lo: usize, op: usize) -> Option<(Unit, String)> {
     let single_bare = j == li && op == li + 1;
     let unit = cx.ident_unit(name, single_bare)?;
     Some((unit, cx.text(j, op)))
-}
-
-/// Scans forward from `i` to the end of the statement (`;` at depth 0,
-/// or a closing/opening brace), bounded by `end`.
-fn stmt_end(toks: &[Token], i: usize, end: usize) -> usize {
-    let mut depth = 0i32;
-    let mut k = i;
-    while k < end {
-        let t = &toks[k];
-        match t.kind {
-            TokKind::Open => depth += 1,
-            TokKind::Close => {
-                if depth == 0 {
-                    return k;
-                }
-                depth -= 1;
-            }
-            TokKind::Op if depth == 0 && t.text == ";" => return k,
-            _ => {}
-        }
-        k += 1;
-    }
-    end
 }
 
 /// Comparison operators checked for cross-unit operands. `<` and `>`
@@ -833,7 +804,8 @@ fn scan_fn(
 fn find_converter(files: &[ParsedFile], from: Unit, to: Unit) -> Option<String> {
     for pf in files {
         for f in &pf.fns {
-            if f.converts
+            if f.marks
+                .converts
                 .iter()
                 .any(|(a, b)| a == from.name() && b == to.name())
             {

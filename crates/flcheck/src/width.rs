@@ -31,7 +31,7 @@
 //!   justified narrowing (masked limb splits etc.),
 //! - `// flcheck: allow(lossy-narrow)` line suppressions.
 
-use crate::callgraph::{backward_reach, hop, path_to, CallGraph, NodeId};
+use crate::callgraph::{hop, CallGraph, NodeId};
 use crate::costmodel::is_accounting_name;
 use crate::lexer::TokKind;
 use crate::parse::{CastSite, ParsedFile};
@@ -59,31 +59,6 @@ fn sink_desc(files: &[ParsedFile], n: NodeId) -> &'static str {
         "fl::net byte accounting"
     } else {
         "op-cost accounting"
-    }
-}
-
-/// Forward closure over call edges: the seeds plus everything they
-/// (transitively) call. A value computed anywhere in this set can feed
-/// sink arithmetic.
-fn forward_reach(
-    files: &[ParsedFile],
-    graph: &CallGraph,
-    seed: &BTreeSet<NodeId>,
-) -> BTreeSet<NodeId> {
-    let mut set = seed.clone();
-    loop {
-        let mut grow: BTreeSet<NodeId> = BTreeSet::new();
-        for &n in &set {
-            for e in graph.out(n) {
-                if !set.contains(&e.to) && !files[e.to.0].fns[e.to.1].in_test {
-                    grow.insert(e.to);
-                }
-            }
-        }
-        if grow.is_empty() {
-            return set;
-        }
-        set.extend(grow);
     }
 }
 
@@ -128,25 +103,25 @@ pub fn check_width(files: &[ParsedFile], graph: &CallGraph, out: &mut Vec<Findin
     // sinks' forward closure over callees) is lossy where it stands; a
     // cast passed as an argument flows toward the sinks through any
     // callee that can still reach one (the sinks' backward reach).
-    let relevant = forward_reach(files, graph, &sinks);
-    let toward = backward_reach(files, graph, sinks.clone());
+    let relevant = graph.forward_reach(&sinks, |m| files[m.0].fns[m.1].in_test);
+    let toward = graph.backward_reach(&sinks, |_| false);
 
     for (fi, pf) in files.iter().enumerate() {
         for (gi, f) in pf.fns.iter().enumerate() {
-            if f.in_test || f.casts.is_empty() || !f.narrows.is_empty() {
+            if f.in_test || f.casts.is_empty() || !f.marks.narrows.is_empty() {
                 continue;
             }
             let n = (fi, gi);
             for cast in &f.casts {
                 if pf.src.is_allowed("lossy-narrow", cast.line)
                     || pure_literal(pf, cast)
-                    || widen_ok(pf, &f.widen_ok, cast)
+                    || widen_ok(pf, &f.marks.widen_ok, cast)
                 {
                     continue;
                 }
                 // (a) The cast's fn computes values inside the sink set.
                 if relevant.contains(&n) {
-                    let Some(path) = path_to(graph, n, |m| sinks.contains(&m)) else {
+                    let Some(path) = graph.path_to(n, |m| sinks.contains(&m)) else {
                         continue;
                     };
                     let sink = path[path.len() - 1];
@@ -194,7 +169,7 @@ pub fn check_width(files: &[ParsedFile], graph: &CallGraph, out: &mut Vec<Findin
                         if !toward.contains(&e.to) {
                             continue;
                         }
-                        let Some(path) = path_to(graph, e.to, |m| sinks.contains(&m)) else {
+                        let Some(path) = graph.path_to(e.to, |m| sinks.contains(&m)) else {
                             continue;
                         };
                         let sink = path[path.len() - 1];

@@ -17,8 +17,6 @@
 //! - [`resource::ResourceManager`] implements the paper's manager: a table
 //!   of known-good block sizes, a marked memory table that recycles device
 //!   allocations, per-task register budgeting, and branch combining.
-//! - [`stream::Stream`] models the pipelined overlap of transfer and
-//!   compute used by FLBooster's processing pipeline (paper Fig. 4).
 //!
 //! What this preserves from the paper: the *relative* behaviour that the
 //! evaluation measures — GPU-parallel HE beating CPU HE by orders of
@@ -35,7 +33,6 @@ pub mod kernel;
 pub mod memory;
 pub mod resource;
 pub mod stats;
-pub mod stream;
 
 pub use config::DeviceConfig;
 pub use device::Device;

@@ -649,10 +649,14 @@ impl PaillierPublicKey {
         }
     }
 
-    /// Checked homomorphic addition: fails on key mismatch.
+    /// Checked homomorphic addition: fails on key mismatch, and on an
+    /// operand outside the ciphertext range `[1, n²)`.
     pub fn checked_add(&self, c1: &Ciphertext, c2: &Ciphertext) -> Result<Ciphertext> {
         if c1.key_id != self.key_id || c2.key_id != self.key_id {
             return Err(Error::KeyMismatch);
+        }
+        if !self.in_ciphertext_range(&c1.value) || !self.in_ciphertext_range(&c2.value) {
+            return Err(Error::CiphertextOutOfRange);
         }
         Ok(self.add(c1, c2))
     }
@@ -668,10 +672,14 @@ impl PaillierPublicKey {
 
     /// Checked plaintext-scalar multiplication: fails on key mismatch
     /// instead of silently producing garbage in release builds (where
-    /// [`scalar_mul`](Self::scalar_mul)'s `debug_assert!` compiles out).
+    /// [`scalar_mul`](Self::scalar_mul)'s `debug_assert!` compiles out),
+    /// and on a ciphertext outside `[1, n²)`.
     pub fn checked_scalar_mul(&self, c: &Ciphertext, k: &Natural) -> Result<Ciphertext> {
         if c.key_id != self.key_id {
             return Err(Error::KeyMismatch);
+        }
+        if !self.in_ciphertext_range(&c.value) {
+            return Err(Error::CiphertextOutOfRange);
         }
         Ok(self.scalar_mul(c, k))
     }

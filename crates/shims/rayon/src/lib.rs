@@ -24,6 +24,47 @@
 //! are identical at every thread count (including 1); only wall-clock
 //! changes. A panic in one item cancels the remaining work, is re-raised
 //! on the caller, and leaves the pool reusable.
+//!
+//! # Data-race freedom is the compiler's job
+//!
+//! Every entry point that hands a closure to the pool bounds it
+//! `Fn(..) + Sync`, the crate contains no `unsafe`, and the only thread
+//! creation is `std::thread::scope`. So a closure crossing the
+//! work-stealing boundary cannot write a captured binding, mutate a
+//! captured collection, or share a `Cell`/`RefCell`/`Rc` — rustc rejects
+//! each (the workspace once carried analyzer rules that guessed at this
+//! by name-matching; these doctests pin the real guarantee):
+//!
+//! ```compile_fail,E0596
+//! use rayon::prelude::*;
+//! let items = vec![1u64, 2, 3];
+//! let mut total = 0u64;
+//! items.par_iter().for_each(|x| total += x); // write to a captured binding
+//! ```
+//!
+//! ```compile_fail,E0596
+//! use rayon::prelude::*;
+//! let items = vec![1u64, 2, 3];
+//! let mut log = Vec::new();
+//! items.par_iter().for_each(|x| log.push(*x)); // interior write to a capture
+//! ```
+//!
+//! ```compile_fail,E0277
+//! use rayon::prelude::*;
+//! let items = vec![1u64, 2, 3];
+//! let hits = std::cell::RefCell::new(0u64);
+//! items.par_iter().for_each(|x| *hits.borrow_mut() += x); // `RefCell` is not `Sync`
+//! ```
+//!
+//! Shared state goes behind a lock (or through `fold`/`reduce`/`sum`):
+//!
+//! ```
+//! use rayon::prelude::*;
+//! let items = vec![1u64, 2, 3];
+//! let total = std::sync::Mutex::new(0u64);
+//! items.par_iter().for_each(|x| *total.lock().unwrap() += x);
+//! assert_eq!(total.into_inner().unwrap(), 6);
+//! ```
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,8 +2,9 @@
 # Final harness sequence: every table and figure, laptop-scaled.
 #
 # `./run_harness.sh --quick` keeps every gate (build, each experiment
-# binary, both bench gates, both tier-1 test runs, the benchmark-package
-# build, flcheck and its directive ratchet, fmt) but trims sweep
+# binary, both bench gates, both tier-1 test runs, the no-`unsafe` gate,
+# the benchmark-package build, flcheck and its directive and size
+# ratchets, fmt) but trims sweep
 # cardinality — fewer key sizes, datasets, models, epochs, and bench
 # iterations — for a fast full-pipeline smoke run. The one gate it cannot
 # keep is the byte-identity diff of the tables and figures against the
@@ -148,6 +149,18 @@ if ! cargo test -q --release --workspace 2>&1 | tail -40; then
   exit 1
 fi
 
+# No-`unsafe` gate, made visible: flcheck no longer polices closures
+# crossing the work-stealing pool — the shim's `Fn + Sync` bounds do, and
+# they hold only while nothing forges `Send`/`Sync` with `unsafe`. The
+# test ran inside the tier-1 runs above; run it by name so its verdict
+# shows in the summary of both tiers.
+echo "=== no unsafe: security_invariants::no_unsafe_code_anywhere_the_pool_can_reach ==="
+if ! cargo test -q --release --test security_invariants \
+    no_unsafe_code_anywhere_the_pool_can_reach 2>&1 | tail -4; then
+  echo "HARNESS_FAILED: an unsafe token or a crate root without forbid(unsafe_code)"
+  exit 1
+fi
+
 # Benchmark-compatibility gate: `benchmark/` is its own cargo workspace
 # built against this product through `benchmark/.src/api.rs`. Build it
 # and run its unit tests here, so a product change that breaks that file
@@ -161,11 +174,11 @@ if ! cargo test --locked --offline --manifest-path benchmark/Cargo.toml \
 fi
 
 # Static-analysis gate: the tree must be clean under flcheck and rustfmt.
-# Single source of truth: the schema-7 JSON summary enumerates every rule
+# Single source of truth: the schema-8 JSON summary enumerates every rule
 # with an explicit count, so the gate loops over total plus each rule id
 # and fails if any count is missing (schema drift / crash / unwritable
 # report) or non-zero. The rule list comes from the binary itself
-# (`flcheck --rules` prints report::ALL_RULES one per line), so adding a
+# (`flcheck --rules` prints the rule registry one id per line), so adding a
 # pass without a gate is impossible: a new rule id appears here
 # automatically, and a rule missing from the summary fails the loop.
 echo "=== flcheck: static analysis ==="
@@ -203,6 +216,18 @@ fl_budget=$(cat $R/flcheck_directive_budget.txt 2>/dev/null)
 echo "  $fl_directives directives, budget ${fl_budget:-MISSING}"
 if [ -z "$fl_budget" ] || [ "$fl_directives" -gt "$fl_budget" ]; then
   echo "HARNESS_FAILED: flcheck directives ($fl_directives) exceed the budget ($fl_budget)"
+  exit 1
+fi
+
+# Size ratchet: the analyzer is scaffolding, not the product; its
+# non-test lines may fall but not grow past the committed budget.
+echo "=== flcheck: size ratchet ==="
+fl_lines=$(awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n}' \
+  crates/flcheck/src/*.rs)
+fl_line_budget=$(cat $R/flcheck_line_budget.txt 2>/dev/null)
+echo "  $fl_lines non-test lines, budget ${fl_line_budget:-MISSING}"
+if [ -z "$fl_line_budget" ] || [ "$fl_lines" -gt "$fl_line_budget" ]; then
+  echo "HARNESS_FAILED: flcheck non-test lines ($fl_lines) exceed the budget ($fl_line_budget)"
   exit 1
 fi
 

@@ -15,6 +15,7 @@
 //! gate); `--explain RULE` prints the rule's family, a one-paragraph
 //! description, and a minimal triggering example.
 
+use flcheck::registry;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -36,18 +37,15 @@ fn main() -> ExitCode {
                 None => return usage("--json requires a file path"),
             },
             "--rules" => {
-                for rule in flcheck::report::ALL_RULES {
+                for rule in registry::ids() {
                     println!("{rule}");
                 }
                 return ExitCode::SUCCESS;
             }
             "--explain" => match args.next() {
-                Some(v) => match flcheck::explain::doc_for(&v) {
+                Some(v) => match registry::rule(&v) {
                     Some(doc) => {
-                        println!(
-                            "{} ({} family, since PR {})",
-                            doc.rule, doc.family, doc.since
-                        );
+                        println!("{} ({} family, since PR {})", doc.id, doc.family, doc.since);
                         println!();
                         println!("{}", doc.detail);
                         println!();
@@ -57,23 +55,13 @@ fn main() -> ExitCode {
                         }
                         return ExitCode::SUCCESS;
                     }
-                    None => {
-                        return usage(&format!(
-                            "unknown rule `{v}` (known: {})",
-                            flcheck::report::ALL_RULES.join(", ")
-                        ))
-                    }
+                    None => return unknown_rule(&v),
                 },
                 None => return usage("--explain requires a rule id"),
             },
             "--rule" => match args.next() {
-                Some(v) if flcheck::report::ALL_RULES.contains(&v.as_str()) => rules.push(v),
-                Some(v) => {
-                    return usage(&format!(
-                        "unknown rule `{v}` (known: {})",
-                        flcheck::report::ALL_RULES.join(", ")
-                    ))
-                }
+                Some(v) if registry::rule(&v).is_some() => rules.push(v),
+                Some(v) => return unknown_rule(&v),
                 None => return usage("--rule requires a rule id"),
             },
             "--quiet" => quiet = true,
@@ -83,7 +71,7 @@ fn main() -> ExitCode {
                      \x20      flcheck --rules | --explain RULE\n\
                      Static analysis: constant-time discipline, panic freedom, \
                      lock discipline, cost-model conformance, determinism flow, \
-                     race detection, width conformance, unit flow.\n\
+                     width conformance, unit flow.\n\
                      --rule NAME    keep only findings for this rule id (repeatable)\n\
                      --rules        print every rule id, one per line\n\
                      --explain RULE print a rule's description and example"
@@ -124,6 +112,14 @@ fn main() -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
+}
+
+fn unknown_rule(rule: &str) -> ExitCode {
+    let known: Vec<&str> = registry::ids().collect();
+    usage(&format!(
+        "unknown rule `{rule}` (known: {})",
+        known.join(", ")
+    ))
 }
 
 fn usage(msg: &str) -> ExitCode {

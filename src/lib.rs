@@ -15,6 +15,8 @@
 //! - [`fl`] — the federated-learning substrate: datasets, models, trainers,
 //!   the network simulator, and the FATE/HAFLO/FLBooster backends.
 
+#![forbid(unsafe_code)]
+
 pub use codec;
 pub use fl;
 pub use flbooster_core;

@@ -179,14 +179,14 @@ fn total_acceleration_is_product_of_modules() {
 fn committed_flcheck_report_matches_a_fresh_scan() {
     // `results/flcheck_report.json` is committed so reviewers can read
     // the analyzer's verdict without building; it must never drift from
-    // what the tree actually produces. A fresh scan at schema 7 has to
+    // what the tree actually produces. A fresh scan at schema 8 has to
     // reproduce the committed bytes exactly — zero findings included.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let committed = std::fs::read_to_string(root.join("results/flcheck_report.json"))
         .expect("results/flcheck_report.json is committed");
     assert!(
-        committed.contains("\"schema\": 7"),
-        "committed report is not at schema 7"
+        committed.contains("\"schema\": 8"),
+        "committed report is not at schema 8"
     );
     let fresh = flcheck::run(root).expect("workspace scan").render_json();
     assert_eq!(
@@ -194,4 +194,46 @@ fn committed_flcheck_report_matches_a_fresh_scan() {
         "committed flcheck report drifted from a fresh scan: \
          regenerate with `cargo run --release --bin flcheck -- --json results/flcheck_report.json`"
     );
+}
+
+#[test]
+fn flcheck_rules_flag_prints_the_registry() {
+    // `run_harness.sh` drives its per-rule gate loop off `--rules`; it
+    // must be the registry, id for id.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_flcheck"))
+        .arg("--rules")
+        .output()
+        .expect("run flcheck --rules");
+    assert!(out.status.success());
+    let printed: Vec<&str> = std::str::from_utf8(&out.stdout).unwrap().lines().collect();
+    let registry: Vec<&str> = flcheck::registry::ids().collect();
+    assert_eq!(printed, registry);
+}
+
+#[test]
+fn readme_rule_table_is_the_registry() {
+    // The README all-rules table is written by hand; every row (id,
+    // family, PR, summary) must equal the registry's, in registry order.
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let readme = std::fs::read_to_string(root.join("README.md")).expect("README.md");
+    let rows: Vec<Vec<&str>> = readme
+        .lines()
+        .skip_while(|l| !l.starts_with("| Rule | Family | Since |"))
+        .skip(2)
+        .take_while(|l| l.starts_with('|'))
+        // ` | ` as the separator: a summary may contain a bare `|`.
+        .map(|l| l.trim_matches('|').trim().split(" | ").collect())
+        .collect();
+    let want: Vec<Vec<String>> = flcheck::registry::RULES
+        .iter()
+        .map(|r| {
+            vec![
+                format!("`{}`", r.id),
+                r.family.to_string(),
+                format!("PR {}", r.since),
+                r.summary.to_string(),
+            ]
+        })
+        .collect();
+    assert_eq!(rows, want);
 }

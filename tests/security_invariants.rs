@@ -173,3 +173,92 @@ fn quantizer_and_keys_must_be_consistent() {
     assert!((back[0] - 0.25).abs() < 1e-8);
     assert!((back[1] + 0.75).abs() < 1e-8);
 }
+
+#[test]
+fn out_of_range_ciphertexts_fail_closed_on_the_unweighted_path() {
+    // `0` and `n²` are outside `[1, n²)`. A hostile upload carrying one
+    // must be a typed error on every unweighted fold, never a sum.
+    use fl::AggregationTopology;
+    use he::{CpuHe, GpuHe, HeBackend};
+
+    let k = keys(10);
+    let out_of_range =
+        fl::Error::Platform(flbooster_core::Error::He(he::Error::CiphertextOutOfRange));
+    assert_eq!(
+        out_of_range.to_string(),
+        "platform: homomorphic encryption: ciphertext outside the ciphertext space"
+    );
+    for bad_value in [Natural::zero(), k.public.n_squared.clone()] {
+        for topology in [AggregationTopology::Flat, AggregationTopology::tree(2)] {
+            let acc = Accelerator::new(BackendKind::Fate, k.clone(), 4)
+                .unwrap()
+                .with_topology(topology);
+            let good = acc.encrypt(&[0.5, -0.25], 1).unwrap();
+            let mut bad = acc.encrypt(&[0.1, 0.2], 2).unwrap();
+            bad.cts[1].value = bad_value.clone();
+            // Last of three: on the tree it enters at the second level.
+            let uploads = [good.clone(), good.clone(), bad.clone()];
+            assert_eq!(acc.aggregate(&uploads).unwrap_err(), out_of_range);
+            assert_eq!(acc.add_timed(&good, &bad).unwrap_err(), out_of_range);
+            assert_eq!(acc.add_timed(&bad, &good).unwrap_err(), out_of_range);
+        }
+
+        let device = gpu_sim::Device::new(gpu_sim::DeviceConfig::rtx3090());
+        let backends: [&dyn HeBackend; 2] =
+            [&CpuHe::default(), &GpuHe::new(std::sync::Arc::new(device))];
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let good = k.public.encrypt(&Natural::one(), &mut rng).unwrap();
+        let mut bad = good.clone();
+        bad.value = bad_value;
+        for he in backends {
+            let groups = vec![vec![good.clone()], vec![good.clone(), bad.clone()]];
+            assert_eq!(
+                he.fold_groups(&k.public, &groups).unwrap_err(),
+                he::Error::CiphertextOutOfRange,
+                "{}",
+                he.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn no_unsafe_code_anywhere_the_pool_can_reach() {
+    // flcheck no longer polices closures crossing the work-stealing pool:
+    // the `Fn + Sync` bounds on the rayon shim's entry points do, and
+    // they are only as strong as the absence of `unsafe` (which could
+    // forge `Send`/`Sync` or alias captures). So: no `unsafe` token in
+    // any scanned file, shim or analyzer source, and every crate root
+    // forbids it. Lexed, so comments and strings do not count.
+    use flcheck::{collect_files, lexer::lex};
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = collect_files(root).expect("workspace walk");
+    let mut stack = vec![root.join("crates/shims"), root.join("crates/flcheck/src")];
+    while let Some(dir) = stack.pop() {
+        for entry in std::fs::read_dir(&dir).expect("read dir") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                stack.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                files.push(path);
+            }
+        }
+    }
+    files.sort();
+    files.dedup();
+    assert!(files.len() > 100, "walk found only {} files", files.len());
+    for path in &files {
+        let tokens = lex(&std::fs::read_to_string(path).expect("read")).tokens;
+        if let Some(t) = tokens.iter().find(|t| t.is_ident("unsafe")) {
+            panic!("`unsafe` at {}:{}", path.display(), t.line);
+        }
+        if path.ends_with("src/lib.rs") {
+            let guarded = tokens.windows(3).any(|w| {
+                (w[0].is_ident("forbid") || w[0].is_ident("deny"))
+                    && w[1].text == "("
+                    && w[2].is_ident("unsafe_code")
+            });
+            assert!(guarded, "{} lacks forbid(unsafe_code)", path.display());
+        }
+    }
+}
