@@ -1,20 +1,20 @@
-//! **Aggregation scaling benchmark**: sharded Straus throughput versus
-//! shard count at fixed memory, and flat versus k-ary edge-aggregator
-//! tree at growing party counts. Results go to
-//! `results/BENCH_aggregate.json`.
+//! **Aggregation scaling benchmark**: sharded Straus cost versus shard
+//! count at fixed memory, and flat versus k-ary edge-aggregator tree at
+//! growing party counts. Every printed number is a count or a simulated
+//! second, so `results/bench_aggregate.txt` repeats to the byte; wall
+//! clock for the same folds is flbench's `accel.aggregate_weighted_ms`
+//! and `accel.aggregate_tree_ms`.
 //!
-//! Two measurement families:
+//! Two families:
 //!
 //! * **Shard sweep** — one `parties`-way, single-slot weighted fold at
 //!   the anchor key size, re-run at each shard count. The ciphertext
 //!   working set is identical at every setting (the shards slice one
 //!   stream — fixed memory), so the sweep isolates the split itself.
-//!   Wall-clock ops/sec is recorded for the curious, but the *gate*
-//!   rides on the MAC-derived critical-path estimate
+//!   The scaling column is the MAC-derived critical-path estimate
 //!   ([`he::paillier::PaillierPublicKey::weighted_sum_critical_path_estimate`]):
 //!   flat MACs over widest-shard-plus-merge MACs is what a
-//!   `shards`-wide pool tracks, and it is deterministic — the harness
-//!   host may have any number of cores (including one).
+//!   `shards`-wide pool tracks.
 //! * **Flat vs tree** — full [`fl::Accelerator`] rounds with the
 //!   FLBooster backend: edge aggregators fold their fan-in on simulated
 //!   GPU devices (charged from the sharded MAC estimates), partials ride
@@ -27,17 +27,12 @@
 //! 2. **Scaling floor** — modeled critical-path speedup at 4 shards must
 //!    be ≥ 1.5× flat (1024-bit anchor).
 //! 3. **Flat no-regression** — the sharded estimate at 1 shard must
-//!    equal the flat estimate *exactly*, and measured single-shard
-//!    wall-clock must stay within 25 % of the flat entry point (they run
-//!    the same code path).
+//!    equal the flat estimate *exactly*.
 //!
 //! ```text
 //! cargo run -p flbooster-bench --release --bin bench_aggregate -- \
-//!     [--keys 1024] [--parties 10000] [--quick] \
-//!     [--out results/BENCH_aggregate.json]
+//!     [--keys 1024] [--parties 10000] [--quick]
 //! ```
-
-use std::time::Instant;
 
 use fl::backend::EncryptedVector;
 use fl::{AggregationTopology, BackendKind, Network};
@@ -54,36 +49,12 @@ const WEIGHT_BITS: u32 = 32;
 const SHARD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 /// Edge-aggregator fan-in for the tree comparison.
 const TREE_ARITY: usize = 16;
-/// Minimum wall-clock per measurement before we trust the mean.
-const MIN_MEASURE_SECS: f64 = 0.2;
-/// Shard-1 wall-clock may not fall below this fraction of the flat
-/// entry point's (identical code path; the band absorbs timer noise).
-const FLAT_BAND: f64 = 0.75;
 /// Modeled critical-path scaling floor at 4 shards.
 const SCALING_FLOOR: f64 = 1.5;
 
 /// Distinct ciphertexts generated before tiling (bounds keygen-side
 /// encryption work; aggregation cost does not depend on repetition).
 const BASE_CTS: usize = 64;
-
-/// Calls `body` repeatedly until at least [`MIN_MEASURE_SECS`] of
-/// wall-clock accumulates, returning operations per second.
-// flcheck: det-absorb — pure stopwatch helper: wall-clock is the measured
-// quantity and never reaches ciphertext bytes
-fn ops_per_sec(mut body: impl FnMut()) -> f64 {
-    // Warm-up pass so lazy setup (pool threads, page faults) is unbilled.
-    body();
-    let mut reps = 0u64;
-    let start = Instant::now();
-    loop {
-        body();
-        reps += 1;
-        let elapsed = start.elapsed().as_secs_f64();
-        if elapsed >= MIN_MEASURE_SECS {
-            return reps as f64 / elapsed;
-        }
-    }
-}
 
 /// Deterministic odd 32-bit aggregation weights.
 fn weights(count: usize) -> Vec<u64> {
@@ -107,7 +78,6 @@ fn party_cts(keys: &PaillierKeyPair, parties: usize) -> Vec<Ciphertext> {
 
 struct ShardRow {
     shards: usize,
-    wall_ops_sec: f64,
     total_limb_mults: u64,
     critical_path_limb_mults: u64,
     modeled_scaling: f64,
@@ -136,16 +106,9 @@ fn shard_sweep(keys: &PaillierKeyPair, parties: usize) -> Vec<ShardRow> {
             let result = pk
                 .weighted_sum_sharded(&cts, &wnat, shards)
                 .expect("sharded fold");
-            let wall = ops_per_sec(|| {
-                std::hint::black_box(
-                    pk.weighted_sum_sharded(&cts, &wnat, shards)
-                        .expect("sharded fold"),
-                );
-            });
             let cp = pk.weighted_sum_critical_path_estimate(parties, WEIGHT_BITS, shards);
             ShardRow {
                 shards,
-                wall_ops_sec: wall,
                 total_limb_mults: pk.weighted_sum_sharded_op_estimate(parties, WEIGHT_BITS, shards),
                 critical_path_limb_mults: cp,
                 modeled_scaling: flat_est as f64 / cp.max(1) as f64,
@@ -218,10 +181,6 @@ fn main() {
     } else {
         vec![1_000, 10_000, 100_000]
     };
-    let out_path = args
-        .get("out")
-        .unwrap_or("results/BENCH_aggregate.json")
-        .to_string();
 
     println!(
         "Aggregation scaling — {key_bits}-bit keys, {parties} parties, \
@@ -232,7 +191,6 @@ fn main() {
     let shard_rows = shard_sweep(&keys, parties);
     let mut table = Table::new([
         "Shards",
-        "Wall ops/s",
         "Total mults",
         "Critical-path mults",
         "Modeled scaling",
@@ -241,7 +199,6 @@ fn main() {
     for r in &shard_rows {
         table.row([
             r.shards.to_string(),
-            format!("{:.2}", r.wall_ops_sec),
             r.total_limb_mults.to_string(),
             r.critical_path_limb_mults.to_string(),
             format!("{:.2}x", r.modeled_scaling),
@@ -276,48 +233,7 @@ fn main() {
         ]);
     }
     ttable.print();
-
-    // JSON artifact (hand-rolled; the offline workspace has no serde).
-    let mut json = format!(
-        "{{\n  \"key_bits\": {key_bits},\n  \"weight_bits\": {WEIGHT_BITS},\n  \
-         \"parties\": {parties},\n  \"tree_arity\": {TREE_ARITY},\n  \"shard_sweep\": [\n"
-    );
-    for (i, r) in shard_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"shards\": {}, \"wall_ops_sec\": {:.3}, \"total_limb_mults\": {}, \
-             \"critical_path_limb_mults\": {}, \"modeled_scaling\": {:.3}, \
-             \"identical_to_flat\": {}}}{}\n",
-            r.shards,
-            r.wall_ops_sec,
-            r.total_limb_mults,
-            r.critical_path_limb_mults,
-            r.modeled_scaling,
-            r.identical,
-            if i + 1 < shard_rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n  \"tree\": [\n");
-    for (i, r) in tree_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"parties\": {}, \"uplink_messages\": {}, \"uplink_bytes\": {}, \
-             \"uplink_sim_seconds\": {:.6}, \"flat_sim_he_seconds\": {:.6}, \
-             \"tree_sim_he_seconds\": {:.6}, \"identical_to_flat\": {}}}{}\n",
-            r.parties,
-            r.uplink_messages,
-            r.uplink_bytes,
-            r.uplink_sim_seconds,
-            r.flat_sim_he_seconds,
-            r.tree_sim_he_seconds,
-            r.identical,
-            if i + 1 < tree_rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        std::fs::create_dir_all(dir).expect("create results dir");
-    }
-    std::fs::write(&out_path, &json).expect("write results");
-    println!("\nWrote {out_path}");
+    println!();
 
     let mut failed = false;
 
@@ -360,9 +276,7 @@ fn main() {
         }
     }
 
-    // Gate 3: flat no-regression — estimates equal exactly at 1 shard,
-    // and single-shard wall-clock within the noise band of the flat
-    // entry point.
+    // Gate 3: flat no-regression — estimates equal exactly at 1 shard.
     let pk = &keys.public;
     let flat_est = pk.weighted_sum_op_estimate(parties, WEIGHT_BITS);
     let shard1_est = pk.weighted_sum_sharded_op_estimate(parties, WEIGHT_BITS, 1);
@@ -371,30 +285,6 @@ fn main() {
         failed = true;
     } else {
         println!("gate ok: 1-shard estimate equals flat estimate ({flat_est})");
-    }
-    if let Some(r1) = shard_rows.iter().find(|r| r.shards == 1) {
-        let cts = party_cts(&keys, parties);
-        let wnat: Vec<Natural> = weights(parties).iter().map(|&w| Natural::from(w)).collect();
-        let flat_wall = ops_per_sec(|| {
-            std::hint::black_box(pk.weighted_sum(&cts, &wnat).expect("flat fold"));
-        });
-        let ratio = if flat_wall > 0.0 {
-            r1.wall_ops_sec / flat_wall
-        } else {
-            1.0
-        };
-        if ratio < FLAT_BAND {
-            println!(
-                "GATE FAILED: 1-shard wall {:.2} ops/s fell under {FLAT_BAND} of flat {:.2}",
-                r1.wall_ops_sec, flat_wall
-            );
-            failed = true;
-        } else {
-            println!(
-                "gate ok: 1-shard wall {:.2} ops/s within band of flat {:.2} (ratio {:.2})",
-                r1.wall_ops_sec, flat_wall, ratio
-            );
-        }
     }
 
     if failed {

@@ -1,7 +1,10 @@
 //! **Round-engine pipelining benchmark**: modeled secure-aggregation
 //! round time with the event-driven engine overlapping client encrypt,
 //! transfer, and server folds, versus the same round run strictly
-//! sequentially. Results go to `results/BENCH_rounds.json`.
+//! sequentially. Every printed number is a simulated second or a ratio of
+//! two, so `results/bench_rounds.txt` repeats to the byte; wall clock for
+//! the same rounds is flbench's `round.engine_seq_ms` and
+//! `round.engine_pipelined_ms`.
 //!
 //! Each cell runs *real* crypto — every client encrypts its gradient
 //! vector, the server folds ciphertexts as they arrive, one decrypt
@@ -15,8 +18,7 @@
 //!   overlap, folds stream behind the uplink.
 //!
 //! The *modeled speedup* is sequential elapsed over pipelined elapsed
-//! (simulated seconds — deterministic on any host); wall-clock
-//! rounds/sec is recorded for the curious.
+//! (simulated seconds — deterministic on any host).
 //!
 //! Gates (exit 1 on failure; `run_harness.sh` traps them):
 //!
@@ -27,10 +29,8 @@
 //!
 //! ```text
 //! cargo run -p flbooster-bench --release --bin bench_rounds -- \
-//!     [--keys 256] [--quick] [--out results/BENCH_rounds.json]
+//!     [--keys 256] [--quick]
 //! ```
-
-use std::time::Instant;
 
 use fl::engine::{run_round, EngineConfig};
 use fl::metrics::EpochBreakdown;
@@ -56,7 +56,6 @@ struct Row {
     sequential_seconds: f64,
     pipelined_seconds: f64,
     speedup: f64,
-    wall_rounds_per_sec: f64,
     identical: bool,
 }
 
@@ -83,9 +82,6 @@ fn engine_env(key_bits: u32, clients: usize, duplex: u32) -> FlEnv {
     }
 }
 
-// flcheck: det-absorb — the only wall-clock read is the stopwatch around
-// the pipelined round; it feeds the informational rounds/sec column and
-// never the simulated timings, the sums, or the gate decisions.
 fn measure(key_bits: u32, clients: usize) -> Row {
     let grads = parties(clients);
     let flops = vec![FLOPS_PER_CLIENT; clients];
@@ -107,9 +103,6 @@ fn measure(key_bits: u32, clients: usize) -> Row {
 
     let pipe_env = engine_env(key_bits, clients, DUPLEX_STREAMS);
     let mut pipe_b = EpochBreakdown::default();
-    // Wall-clock around the pipelined round: real encrypts + streaming
-    // folds. One round is plenty of work at every swept client count.
-    let started = Instant::now();
     let pipe = run_round(
         &pipe_env,
         &EngineConfig::default().with_compute_multipliers(MULTIPLIERS.to_vec()),
@@ -120,7 +113,6 @@ fn measure(key_bits: u32, clients: usize) -> Row {
         &mut pipe_b,
     )
     .expect("pipelined round");
-    let wall = started.elapsed().as_secs_f64();
 
     Row {
         clients,
@@ -128,7 +120,6 @@ fn measure(key_bits: u32, clients: usize) -> Row {
         sequential_seconds: seq.round_seconds,
         pipelined_seconds: pipe.round_seconds,
         speedup: seq.round_seconds / pipe.round_seconds,
-        wall_rounds_per_sec: if wall > 0.0 { 1.0 / wall } else { 0.0 },
         identical: pipe.sums == seq.sums,
     }
 }
@@ -142,10 +133,6 @@ fn main() {
     } else {
         vec![64, 256, 1024]
     };
-    let out_path = args
-        .get("out")
-        .unwrap_or("results/BENCH_rounds.json")
-        .to_string();
 
     println!(
         "Round-engine pipelining — {key_bits}-bit keys, {VALUES_PER_CLIENT} values/client, \
@@ -160,7 +147,6 @@ fn main() {
         "Sequential sim s",
         "Pipelined sim s",
         "Speedup",
-        "Wall rounds/s",
         "Identical",
     ]);
     for r in &rows {
@@ -170,40 +156,11 @@ fn main() {
             format!("{:.4}", r.sequential_seconds),
             format!("{:.4}", r.pipelined_seconds),
             format!("{:.2}x", r.speedup),
-            format!("{:.2}", r.wall_rounds_per_sec),
             r.identical.to_string(),
         ]);
     }
     table.print();
-
-    // JSON artifact (hand-rolled; the offline workspace has no serde).
-    let mut json = format!(
-        "{{\n  \"key_bits\": {key_bits},\n  \"values_per_client\": {VALUES_PER_CLIENT},\n  \
-         \"flops_per_client\": {FLOPS_PER_CLIENT},\n  \"duplex_streams\": {DUPLEX_STREAMS},\n  \
-         \"speedup_floor\": {SPEEDUP_FLOOR},\n  \"rounds\": [\n"
-    );
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"clients\": {}, \"work_sim_seconds\": {:.6}, \
-             \"sequential_sim_seconds\": {:.6}, \"pipelined_sim_seconds\": {:.6}, \
-             \"modeled_speedup\": {:.3}, \"wall_rounds_per_sec\": {:.3}, \
-             \"identical_to_sequential\": {}}}{}\n",
-            r.clients,
-            r.work_seconds,
-            r.sequential_seconds,
-            r.pipelined_seconds,
-            r.speedup,
-            r.wall_rounds_per_sec,
-            r.identical,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        std::fs::create_dir_all(dir).expect("create results dir");
-    }
-    std::fs::write(&out_path, &json).expect("write results");
-    println!("\nWrote {out_path}");
+    println!();
 
     let mut failed = false;
 

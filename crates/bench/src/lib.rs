@@ -254,10 +254,7 @@ impl Args {
 
     /// Key sizes from `--keys 1024,2048`, defaulting to [`KEY_SIZES`].
     pub fn key_sizes(&self) -> Vec<u32> {
-        match self.get("keys") {
-            None => KEY_SIZES.to_vec(),
-            Some(s) => s.split(',').filter_map(|t| t.trim().parse().ok()).collect(),
-        }
+        self.key_sizes_or(&KEY_SIZES)
     }
 
     /// Key sizes from `--keys`, defaulting to the given list (used by the

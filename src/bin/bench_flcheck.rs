@@ -1,11 +1,13 @@
 //! Self-benchmark for the flcheck static analyzer.
 //!
 //! Runs the full workspace scan a few times, keeps the best run, and
-//! writes `results/BENCH_flcheck.json` with files/sec plus per-pass
+//! writes `target/BENCH_flcheck.json` with files/sec plus per-pass
 //! wall-clock (the `ScanStats` breakdown: per-file, call graph, then
 //! whatever the analyzer's `PASSES` list holds). The timings are
 //! reporting-only — they never feed back into the analysis, so the
-//! report stays byte-identical across runs and thread counts.
+//! report stays byte-identical across runs and thread counts — and they
+//! are host noise, so they are written under `target/`, never under
+//! `results/` (DESIGN §3).
 //!
 //! **Throughput regression gate**: if
 //! `results/bench_flcheck_baseline.json` exists, the measured files/sec
@@ -30,7 +32,7 @@ const BASELINE_FLOOR: f64 = 0.4;
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
-    let mut out = PathBuf::from("results/BENCH_flcheck.json");
+    let mut out = PathBuf::from("target/BENCH_flcheck.json");
     let mut baseline_path = PathBuf::from("results/bench_flcheck_baseline.json");
     let mut write_baseline = false;
     let mut iters = 3usize;

@@ -1,10 +1,14 @@
 //! Consistency between the paper's closed-form analysis (Sec. V-B), the
 //! codec implementation, the GPU execution model, and the measured
 //! behaviour of the backends — plus the committed flcheck report, which
-//! must match what a fresh scan of this tree produces.
+//! must match what a fresh scan of this tree produces, and the rule that
+//! `results/` holds exactly what `run_harness.sh` regenerates.
+
+use std::collections::BTreeSet;
 
 use fl::{Accelerator, BackendKind};
 use flbooster_core::analysis;
+use flcheck::{collect_files, lexer, registry};
 use gpu_sim::{Device, DeviceConfig};
 use he::paillier::PaillierKeyPair;
 use he::GpuHe;
@@ -206,8 +210,8 @@ fn flcheck_rules_flag_prints_the_registry() {
         .expect("run flcheck --rules");
     assert!(out.status.success());
     let printed: Vec<&str> = std::str::from_utf8(&out.stdout).unwrap().lines().collect();
-    let registry: Vec<&str> = flcheck::registry::ids().collect();
-    assert_eq!(printed, registry);
+    let ids: Vec<&str> = registry::ids().collect();
+    assert_eq!(printed, ids);
 }
 
 #[test]
@@ -224,7 +228,7 @@ fn readme_rule_table_is_the_registry() {
         // ` | ` as the separator: a summary may contain a bare `|`.
         .map(|l| l.trim_matches('|').trim().split(" | ").collect())
         .collect();
-    let want: Vec<Vec<String>> = flcheck::registry::RULES
+    let want: Vec<Vec<String>> = registry::RULES
         .iter()
         .map(|r| {
             vec![
@@ -236,4 +240,68 @@ fn readme_rule_table_is_the_registry() {
         })
         .collect();
     assert_eq!(rows, want);
+}
+
+#[test]
+fn results_inventory_is_what_the_harness_writes() {
+    // DESIGN §3: a file under `results/` is regenerated (or read) by a
+    // step of `run_harness.sh`, whose full tier ends in a whole-directory
+    // `git diff`. An orphan nobody regenerates, or a writer whose output
+    // was never committed, breaks that gate's coverage — so the set of
+    // names the script's executable lines mention must be the directory.
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let script = std::fs::read_to_string(root.join("run_harness.sh")).expect("run_harness.sh");
+    let mut wired = BTreeSet::new();
+    for line in script.lines().map(str::trim_start) {
+        if line.starts_with('#') {
+            continue;
+        }
+        // `run <bin> …` tees to `<bin>.txt`, `run_as <file> <bin> …` to
+        // `<file>.txt`; either way the first argument names the file.
+        let mut words = line.split_whitespace();
+        if let (Some("run" | "run_as"), Some(file)) = (words.next(), words.next()) {
+            wired.insert(format!("{file}.txt"));
+        }
+        for prefix in ["$R/", "results/"] {
+            for (at, _) in line.match_indices(prefix) {
+                let name: String = line[at + prefix.len()..]
+                    .chars()
+                    .take_while(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '-'))
+                    .collect();
+                if !name.is_empty() {
+                    wired.insert(name);
+                }
+            }
+        }
+    }
+    let present: BTreeSet<String> = std::fs::read_dir(root.join("results"))
+        .expect("results/")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .into_string()
+                .expect("utf-8")
+        })
+        .collect();
+    assert_eq!(
+        present, wired,
+        "left: files under results/; right: files run_harness.sh writes or reads"
+    );
+}
+
+#[test]
+fn wall_clock_has_one_home() {
+    // Every wall-clock number is flbench's. The experiment binaries print
+    // counts and simulated seconds only, which is what lets their output
+    // live under `results/` and be gated byte for byte: no `Instant`
+    // token in the bench crate (lexed, so comments and docs do not count).
+    let bench = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/bench/src");
+    let files = collect_files(&bench).expect("bench crate walk");
+    assert!(files.len() >= 15, "walk found only {} files", files.len());
+    for path in &files {
+        let tokens = lexer::lex(&std::fs::read_to_string(path).expect("read")).tokens;
+        if let Some(t) = tokens.iter().find(|t| t.is_ident("Instant")) {
+            panic!("`Instant` at {}:{}", path.display(), t.line);
+        }
+    }
 }
