@@ -107,7 +107,10 @@ pub struct AccelTiming {
     pub he_seconds: f64,
     /// Simulated encode/quantize/pack seconds.
     pub codec_seconds: f64,
-    /// HE operations (ciphertext-level).
+    /// Items the HE launches ran over: one per ciphertext encrypted or
+    /// decrypted, one per *slot* folded — a `k`-way
+    /// [`aggregate`](Accelerator::aggregate) node is one item per slot,
+    /// not `k − 1`.
     pub he_items: u64,
     /// Limb-level operations.
     pub he_ops: u64,
@@ -397,10 +400,11 @@ impl Accelerator {
     /// Homomorphically folds several participants' vectors into one,
     /// routed through [`topology`](Self::topology): each edge
     /// aggregator folds its fan-in, then the partial aggregates fold
-    /// level by level — flat is the tree with one group, a single serial
-    /// fold at the server. Homomorphic addition is a product of
-    /// canonical residues mod `n²` — associative — so every topology
-    /// yields the same bits and charges the same `parties − 1` additions.
+    /// level by level — flat is the tree with one group, a single fold at
+    /// the server. Each aggregator node is one launch. Homomorphic
+    /// addition is a product of canonical residues mod `n²` —
+    /// associative — so every topology yields the same bits and charges
+    /// the same `parties − 1` additions.
     pub fn aggregate(&self, vectors: &[EncryptedVector]) -> Result<EncryptedVector> {
         let leaves = self
             .topology
@@ -428,20 +432,29 @@ impl Accelerator {
         Ok(level.pop().unwrap_or_default())
     }
 
-    /// One aggregator node's serial fold over its fan-in.
+    /// One aggregator node's fold over its fan-in: one launch and one
+    /// charge, whatever the fan-in (a single vector passes through
+    /// uncharged). Parallel over slots only: a 128-term chain is a
+    /// fraction of a millisecond per slot, less than a second drive of
+    /// the pool costs, so [`aggregation_shards`](Self::aggregation_shards)
+    /// is not consulted.
     // flcheck: det-sink — aggregate EncryptedVector construction
     fn fold_chain(&self, vectors: &[EncryptedVector]) -> Result<EncryptedVector> {
-        let mut iter = vectors.iter();
-        let Some(first) = iter.next() else {
-            return Ok(EncryptedVector::default());
+        let (first, rest) = match vectors {
+            [] => return Ok(EncryptedVector::default()),
+            [only] => return Ok(only.clone()),
+            [first, rest @ ..] => (first, rest),
         };
-        let mut acc = first.clone();
-        for v in iter {
-            let (next, t) = self.add_timed(&acc, v)?;
-            self.charge_accel(&t);
-            acc = next;
+        if let Some(v) = rest.iter().find(|v| v.count != first.count) {
+            return Err(length_mismatch(first.count, v.count));
         }
-        Ok(acc)
+        let batches: Vec<&[Ciphertext]> = vectors.iter().map(|v| v.cts.as_slice()).collect();
+        let (cts, t) = self.he.sum_batches(&self.keys.public, &batches)?;
+        self.charge(&t, 0);
+        Ok(EncryptedVector {
+            cts,
+            count: first.count,
+        })
     }
 
     /// Weighted homomorphic aggregation: slot `j` of the result holds
@@ -467,7 +480,7 @@ impl Accelerator {
         if let Some(v) = vectors.iter().find(|v| v.count != count) {
             return Err(length_mismatch(count, v.count));
         }
-        let batches: Vec<Vec<Ciphertext>> = vectors.iter().map(|v| v.cts.clone()).collect();
+        let batches: Vec<&[Ciphertext]> = vectors.iter().map(|v| v.cts.as_slice()).collect();
         let mut leaves = Vec::new();
         for g in self.topology.leaf_groups(batches.len()) {
             let (cts, t) = self.he.weighted_aggregate(
@@ -756,6 +769,61 @@ mod tests {
                 "platform: vectorized operands differ in length: 5 vs 3"
             );
         }
+    }
+
+    /// One launch per aggregator node, charged as the `P − 1` additions
+    /// per word it stands for.
+    #[test]
+    fn aggregation_launches_once_per_node_and_charges_every_add() {
+        let keys = keys();
+        let parties = 128usize;
+        let flat = Accelerator::new(BackendKind::Haflo, keys.clone(), 4).unwrap();
+        let vectors: Vec<EncryptedVector> = (0..parties as u64)
+            .map(|k| flat.encrypt(&grads(3), 500 + k).unwrap())
+            .collect();
+        let weights: Vec<u64> = (1..=parties as u64).collect();
+        let words = vectors[0].cts.len() as u64;
+        let fold_ops = (parties as u64 - 1) * words * keys.public.add_op_estimate();
+        // (launches, he_items, he_ops) one call adds.
+        let run = |acc: &Accelerator, call: &dyn Fn(&Accelerator) -> EncryptedVector| {
+            let before = acc.device_stats().unwrap().launches;
+            acc.take_timing();
+            let out = call(acc);
+            let t = acc.take_timing();
+            let launches = acc.device_stats().unwrap().launches - before;
+            (out, launches, t.he_items, t.he_ops)
+        };
+        let tree = Accelerator::new(BackendKind::Haflo, keys.clone(), 4)
+            .unwrap()
+            .with_topology(AggregationTopology::tree(16));
+
+        let (plain, launches, items, ops) = run(&flat, &|a| a.aggregate(&vectors).unwrap());
+        assert_eq!((launches, items, ops), (1, words, fold_ops));
+        let (out, launches, items, ops) = run(&tree, &|a| a.aggregate(&vectors).unwrap());
+        assert_eq!(out, plain);
+        assert_eq!((launches, items, ops), (8 + 1, 9 * words, fold_ops));
+
+        // Weighted: 8 Straus leaves, then one fold of their 8 partials.
+        let (_, launches, _, ops) = run(&tree, &|a| {
+            a.aggregate_weighted(&vectors, &weights).unwrap()
+        });
+        assert_eq!(launches, 8 + 1);
+        let leaf_ops: u64 = weights
+            .chunks(16)
+            .map(|w| {
+                let bits = 64 - w.iter().max().unwrap().leading_zeros();
+                words * keys.public.weighted_sum_op_estimate(16, bits)
+            })
+            .sum();
+        assert_eq!(ops, leaf_ops + 7 * words * keys.public.add_op_estimate());
+        let weighted_launches = tree
+            .device_stats()
+            .unwrap()
+            .utilization_samples
+            .iter()
+            .filter(|s| s.kernel == "paillier_weighted_sum")
+            .count();
+        assert_eq!(weighted_launches, 8);
     }
 
     #[test]

@@ -5,8 +5,6 @@
 
 // flcheck: lock-order(memory < stats)
 
-use std::time::Instant;
-
 use parking_lot::Mutex;
 use rayon::prelude::*;
 
@@ -29,9 +27,8 @@ const SPLIT_BRANCH_PENALTY: f64 = 2.0;
 /// A simulated GPU.
 ///
 /// Kernel bodies run *for real*, data-parallel across the host
-/// work-stealing pool (so results are exact and `wall_seconds` is a true
-/// parallel measurement), while the launch is *accounted* under the GPU
-/// execution model:
+/// work-stealing pool (so results are exact), while the launch is
+/// *accounted* under the GPU execution model:
 /// the resource manager plans a grid, occupancy and utilization are
 /// derived from the plan, and simulated H2D/compute/D2H times follow the
 /// three-stage model of the paper's Sec. V-B.
@@ -94,7 +91,7 @@ impl Device {
     /// item cancels the launch and propagates to the caller (the device
     /// and its pool stay usable).
     // flcheck: det-sink — launch outputs are result content (the report's
-    // wall-clock/pool-width fields are declared metadata; see the allows below)
+    // pool-width field is declared metadata; see the allow below)
     pub fn launch<I, O, F>(
         &self,
         spec: &KernelSpec,
@@ -115,16 +112,11 @@ impl Device {
         // flcheck: allow(nondet-in-result)
         let pool_threads = rayon::current_num_threads();
 
-        // Wall-clock feeds only LaunchReport.wall_seconds (timing metadata),
-        // never the outputs.
-        // flcheck: allow(nondet-in-result)
-        let started = Instant::now();
         let outcomes: Vec<ItemOutcome<O>> = items
             .par_iter()
             .enumerate()
             .map(|(i, item)| body(i, item))
             .collect();
-        let wall_seconds = started.elapsed().as_secs_f64();
 
         let mut outputs = Vec::with_capacity(outcomes.len());
         let mut total_ops: u64 = 0;
@@ -170,7 +162,6 @@ impl Device {
             name: spec.name,
             items: items.len(),
             plan,
-            wall_seconds,
             pool_threads,
             sim_h2d_seconds: sim_h2d,
             sim_kernel_seconds: sim_kernel,

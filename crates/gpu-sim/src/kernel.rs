@@ -85,12 +85,7 @@ pub struct LaunchReport {
     pub items: usize,
     /// The grid/occupancy plan chosen by the resource manager.
     pub plan: LaunchPlan,
-    /// Host wall-clock seconds spent executing the kernel bodies — a real
-    /// parallel measurement across [`pool_threads`](Self::pool_threads)
-    /// workers.
-    pub wall_seconds: f64,
-    /// Host pool workers the launch fanned out across, for parallel
-    /// efficiency reports (wall-clock vs `total_thread_ops`).
+    /// Host pool workers the launch fanned out across.
     pub pool_threads: usize,
     /// Simulated host→device copy seconds.
     pub sim_h2d_seconds: f64,
@@ -143,7 +138,6 @@ mod tests {
             name: "t",
             items: 1,
             plan: dummy_plan(),
-            wall_seconds: 0.0,
             pool_threads: 1,
             sim_h2d_seconds: 1.0,
             sim_kernel_seconds: 2.0,

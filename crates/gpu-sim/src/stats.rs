@@ -25,8 +25,6 @@ pub struct DeviceStats {
     pub launches: u64,
     /// Total work items processed.
     pub items: u64,
-    /// Host wall-clock seconds inside kernel bodies.
-    pub wall_seconds: f64,
     /// Simulated seconds: host→device copies.
     pub sim_h2d_seconds: f64,
     /// Simulated seconds: kernel compute.
@@ -51,7 +49,6 @@ impl DeviceStats {
     pub fn record(&mut self, report: &LaunchReport) {
         self.launches += 1;
         self.items += report.items as u64;
-        self.wall_seconds += report.wall_seconds;
         self.sim_h2d_seconds += report.sim_h2d_seconds;
         self.sim_kernel_seconds += report.sim_kernel_seconds;
         self.sim_d2h_seconds += report.sim_d2h_seconds;
@@ -113,7 +110,6 @@ mod tests {
                 limited_by: OccupancyLimit::Threads,
                 waves: 1,
             },
-            wall_seconds: 0.5,
             pool_threads: 1,
             sim_h2d_seconds: 1.0,
             sim_kernel_seconds: 2.0,

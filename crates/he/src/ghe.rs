@@ -119,21 +119,37 @@ pub trait HeBackend: Send + Sync {
         })
     }
 
-    /// Pairwise homomorphic addition of two equal-length batches;
-    /// misaligned batches are an [`Error::InvalidParameter`].
-    // flcheck: det-sink — aggregate ciphertexts are result content
+    /// Pairwise homomorphic addition of two equal-length batches — the
+    /// two-batch [`sum_batches`](Self::sum_batches); misaligned batches
+    /// are an [`Error::InvalidParameter`].
     fn add_batch(
         &self,
         pk: &PaillierPublicKey,
         a: &[Ciphertext],
         b: &[Ciphertext],
     ) -> Result<(Vec<Ciphertext>, HeTiming)> {
-        if a.len() != b.len() {
+        self.sum_batches(pk, &[a, b])
+    }
+
+    /// Slot-wise homomorphic sum of any number of equal-length batches in
+    /// one launch: slot `j` of the result is
+    /// [`checked_sum`](PaillierPublicKey::checked_sum) over slot `j` of
+    /// every batch, charged as the `batches − 1` additions it replaces.
+    /// Misaligned batches are an [`Error::InvalidParameter`]; no batches
+    /// yield an empty output. `items` in the timing counts slots.
+    // flcheck: det-sink — aggregate ciphertexts are result content
+    fn sum_batches(
+        &self,
+        pk: &PaillierPublicKey,
+        batches: &[&[Ciphertext]],
+    ) -> Result<(Vec<Ciphertext>, HeTiming)> {
+        let slots = batches.first().map_or(0, |b| b.len());
+        if batches.iter().any(|b| b.len() != slots) {
             return Err(Error::InvalidParameter(
                 "add_batch requires equal-length batches",
             ));
         }
-        let per_item_ops = pk.add_op_estimate();
+        let per_slot_ops = pk.add_op_estimate() * batches.len().saturating_sub(1) as u64;
         let kernel = Kernel {
             name: "paillier_add",
             key_bits: pk.key_bits,
@@ -144,15 +160,17 @@ pub trait HeBackend: Send + Sync {
             bytes_out: 0,
             divergence_stride: 4,
         };
-        let pairs: Vec<(&Ciphertext, &Ciphertext)> = a.iter().zip(b).collect();
-        self.schedule().run(&kernel, &pairs, |_, (x, y)| {
-            (pk.checked_add(x, y), per_item_ops)
+        let slot_indices: Vec<usize> = (0..slots).collect();
+        self.schedule().run(&kernel, &slot_indices, |_, &j| {
+            (pk.checked_sum(&column(batches, j)), per_slot_ops)
         })
     }
 
     /// Folds each group of ciphertexts into one by homomorphic addition —
     /// the gradient-histogram reduction of SecureBoost (one group per
-    /// (feature, bin) bucket). Empty groups yield the encryption of zero.
+    /// (feature, bin) bucket), one
+    /// [`checked_sum`](PaillierPublicKey::checked_sum) chain per group.
+    /// Empty groups yield the encryption of zero.
     fn fold_groups(
         &self,
         pk: &PaillierPublicKey,
@@ -169,10 +187,8 @@ pub trait HeBackend: Send + Sync {
             divergence_stride: 2,
         };
         self.schedule().run(&kernel, groups, |_, group| {
-            let sum = group
-                .iter()
-                .try_fold(pk.zero_ciphertext(), |acc, c| pk.checked_add(&acc, c));
-            (sum, per_add_ops * group.len() as u64)
+            let members: Vec<&Ciphertext> = group.iter().collect();
+            (pk.checked_sum(&members), per_add_ops * group.len() as u64)
         })
     }
 
@@ -192,7 +208,7 @@ pub trait HeBackend: Send + Sync {
     fn weighted_aggregate(
         &self,
         pk: &PaillierPublicKey,
-        batches: &[Vec<Ciphertext>],
+        batches: &[&[Ciphertext]],
         weights: &[u64],
         shards: usize,
     ) -> Result<(Vec<Ciphertext>, HeTiming)> {
@@ -201,7 +217,7 @@ pub trait HeBackend: Send + Sync {
                 "weighted_aggregate requires one weight per batch",
             ));
         }
-        let slots = batches.first().map_or(0, Vec::len);
+        let slots = batches.first().map_or(0, |b| b.len());
         if batches.iter().any(|b| b.len() != slots) {
             return Err(Error::InvalidParameter(
                 "weighted_aggregate requires equal-length batches",
@@ -227,13 +243,8 @@ pub trait HeBackend: Send + Sync {
         };
         let slot_indices: Vec<usize> = (0..slots).collect();
         self.schedule().run(&kernel, &slot_indices, |_, &j| {
-            // In range: every batch was checked to hold `slots` items.
-            // flcheck: allow(pf-index)
-            let column: Vec<Ciphertext> = batches.iter().map(|b| b[j].clone()).collect();
-            (
-                pk.weighted_sum_sharded(&column, &wnat, shards),
-                per_slot_ops,
-            )
+            let column = column(batches, j);
+            (pk.weighted_sum_column(&column, &wnat, shards), per_slot_ops)
         })
     }
 }
@@ -249,6 +260,13 @@ struct Kernel {
     bytes_out: u64,
     /// Every `divergence_stride`-th item takes the data-dependent branch.
     divergence_stride: usize,
+}
+
+/// Slot `j` of every batch, borrowed. The batched folds check that every
+/// batch holds the slot before they ask, so the column has one ciphertext
+/// per batch.
+fn column<'a>(batches: &[&'a [Ciphertext]], j: usize) -> Vec<&'a Ciphertext> {
+    batches.iter().filter_map(|b| b.get(j)).collect()
 }
 
 /// Wire bytes of one ciphertext under `pk`.
@@ -643,6 +661,7 @@ mod tests {
                     .0
             })
             .collect();
+        let batches: Vec<&[Ciphertext]> = batches.iter().map(Vec::as_slice).collect();
         let weights: Vec<u64> = (0..9u64).map(|p| p * 977 + 1).collect();
         let (flat, flat_t) = cpu
             .weighted_aggregate(&k.public, &batches, &weights, 1)
@@ -681,12 +700,12 @@ mod tests {
                 err.to_string(),
                 "invalid parameter: add_batch requires equal-length batches"
             );
-            let two = vec![ca.clone(), ca.clone()];
+            let two = [ca.as_slice(), ca.as_slice()];
             assert_eq!(
                 be.weighted_aggregate(&k.public, &two, &[1], 1).unwrap_err(),
                 Error::InvalidParameter("weighted_aggregate requires one weight per batch")
             );
-            let ragged = vec![ca.clone(), Vec::new()];
+            let ragged = [ca.as_slice(), &[]];
             assert_eq!(
                 be.weighted_aggregate(&k.public, &ragged, &[1, 2], 1)
                     .unwrap_err(),

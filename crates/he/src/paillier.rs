@@ -650,15 +650,31 @@ impl PaillierPublicKey {
     }
 
     /// Checked homomorphic addition: fails on key mismatch, and on an
-    /// operand outside the ciphertext range `[1, n²)`.
+    /// operand outside the ciphertext range `[1, n²)`. The two-operand
+    /// [`checked_sum`](Self::checked_sum).
     pub fn checked_add(&self, c1: &Ciphertext, c2: &Ciphertext) -> Result<Ciphertext> {
-        if c1.key_id != self.key_id || c2.key_id != self.key_id {
+        self.checked_sum(&[c1, c2])
+    }
+
+    /// Checked homomorphic sum of any number of ciphertexts,
+    /// `∏ cᵢ mod n² = E(Σ mᵢ mod n)`, as one Montgomery chain
+    /// ([`MontgomeryCtx::mod_product`]). Every operand is validated
+    /// before any is multiplied — a foreign key is
+    /// [`Error::KeyMismatch`], a value outside `[1, n²)` is
+    /// [`Error::CiphertextOutOfRange`], also when it is the only operand.
+    /// An empty sum is the [`zero_ciphertext`](Self::zero_ciphertext).
+    pub fn checked_sum(&self, cts: &[&Ciphertext]) -> Result<Ciphertext> {
+        if cts.iter().any(|c| c.key_id != self.key_id) {
             return Err(Error::KeyMismatch);
         }
-        if !self.in_ciphertext_range(&c1.value) || !self.in_ciphertext_range(&c2.value) {
+        if cts.iter().any(|c| !self.in_ciphertext_range(&c.value)) {
             return Err(Error::CiphertextOutOfRange);
         }
-        Ok(self.add(c1, c2))
+        let values: Vec<&Natural> = cts.iter().map(|c| &c.value).collect();
+        Ok(Ciphertext {
+            value: self.ctx_n2.mod_product(&values),
+            key_id: self.key_id,
+        })
     }
 
     /// Plaintext-scalar multiplication: `E(m)^k = E(k·m mod n)`.
@@ -698,7 +714,7 @@ impl PaillierPublicKey {
     /// Validates a batch of aggregation inputs: every ciphertext must
     /// carry this key's fingerprint ([`Error::AggregandKeyMismatch`]
     /// names the offending index) and lie in `[1, n²)`.
-    fn check_aggregands(&self, cts: &[Ciphertext]) -> Result<()> {
+    fn check_aggregands(&self, cts: &[&Ciphertext]) -> Result<()> {
         for (index, c) in cts.iter().enumerate() {
             if c.key_id != self.key_id {
                 return Err(Error::AggregandKeyMismatch { index });
@@ -732,10 +748,23 @@ impl PaillierPublicKey {
     /// of canonical residues in a fixed span order, and window width
     /// never changes a chain's value. `shards ≤ 1` (or a batch too small
     /// to split) takes the flat single-chain path outright.
-    // flcheck: det-sink — sharded aggregate ciphertext construction
     pub fn weighted_sum_sharded(
         &self,
         cts: &[Ciphertext],
+        weights: &[Natural],
+        shards: usize,
+    ) -> Result<Ciphertext> {
+        let column: Vec<&Ciphertext> = cts.iter().collect();
+        self.weighted_sum_column(&column, weights, shards)
+    }
+
+    /// [`weighted_sum_sharded`](Self::weighted_sum_sharded) over borrowed
+    /// ciphertexts — one slot's column across the participants' batches,
+    /// which the batched aggregate folds without copying it out.
+    // flcheck: det-sink — sharded aggregate ciphertext construction
+    pub(crate) fn weighted_sum_column(
+        &self,
+        cts: &[&Ciphertext],
         weights: &[Natural],
         shards: usize,
     ) -> Result<Ciphertext> {
@@ -835,6 +864,7 @@ impl PaillierPublicKey {
     /// Estimated limb-level operation count of one homomorphic addition.
     // flcheck: estimates(add, 3)
     // flcheck: estimates(checked_add, 3)
+    // flcheck: estimates(checked_sum, 2)
     pub fn add_op_estimate(&self) -> u64 {
         // to-Montgomery ×2 is amortized; one mont-mul + reduce.
         3 * mont_mul_mac_count(self.ctx_n2.width()) / 2
@@ -1226,6 +1256,73 @@ mod tests {
         assert_eq!(
             k.private.decrypt(&k.public.zero_ciphertext()).unwrap(),
             nat(0)
+        );
+    }
+
+    #[test]
+    fn checked_sum_is_the_left_fold_of_checked_add() {
+        let k = keys(128);
+        let mut r = rng();
+        let cts: Vec<Ciphertext> = (0..130u64)
+            .map(|m| k.public.encrypt(&nat(m * m + 1), &mut r).unwrap())
+            .collect();
+        for len in [0usize, 1, 2, 3, 16, 17, 127, 128, 129, 130] {
+            let operands: Vec<&Ciphertext> = cts.iter().take(len).collect();
+            let folded = operands
+                .iter()
+                .try_fold(k.public.zero_ciphertext(), |acc, c| {
+                    k.public.checked_add(&acc, c)
+                })
+                .unwrap();
+            let sum = k.public.checked_sum(&operands).unwrap();
+            assert_eq!(sum, folded, "{len} operands");
+            let expected: u64 = (0..len as u64).map(|m| m * m + 1).sum();
+            assert_eq!(k.private.decrypt(&sum).unwrap(), nat(expected));
+        }
+        assert_eq!(
+            k.public.checked_sum(&[]).unwrap(),
+            k.public.zero_ciphertext()
+        );
+    }
+
+    #[test]
+    fn checked_sum_rejects_one_bad_operand_anywhere_as_checked_add_does() {
+        let k = keys(128);
+        let other = PaillierKeyPair::generate(&mut ChaCha8Rng::seed_from_u64(2), 128).unwrap();
+        let mut r = rng();
+        let good = k.public.encrypt(&nat(7), &mut r).unwrap();
+        let with_value = |value: Natural| Ciphertext {
+            value,
+            key_id: k.public.key_id,
+        };
+        let faults = [
+            other.public.encrypt(&nat(1), &mut r).unwrap(),
+            with_value(Natural::zero()),
+            with_value(k.public.n_squared.clone()),
+        ];
+        for bad in &faults {
+            // What the two-operand form reports for this fault alone.
+            let expected = k.public.checked_add(&good, bad).unwrap_err();
+            assert_eq!(k.public.checked_add(bad, &good).unwrap_err(), expected);
+            for len in [1usize, 2, 128] {
+                for position in [0, len / 2, len - 1] {
+                    let mut operands = vec![&good; len];
+                    operands[position] = bad;
+                    assert_eq!(
+                        k.public.checked_sum(&operands).unwrap_err(),
+                        expected,
+                        "{len} operands, fault at {position}"
+                    );
+                }
+            }
+        }
+        assert_eq!(
+            k.public.checked_add(&good, &faults[0]),
+            Err(Error::KeyMismatch)
+        );
+        assert_eq!(
+            k.public.checked_add(&good, &faults[1]),
+            Err(Error::CiphertextOutOfRange)
         );
     }
 

@@ -10,6 +10,11 @@
 //! the same calls. A changed op count, a float product taken in another
 //! order, a transfer charged differently or a floor applied on the wrong
 //! arm moves at least one value here.
+//!
+//! `SUM_GOLDEN` holds the k-way `sum_batches` (k = 2, 3, 128), added when
+//! `add_batch` became its two-batch call: the k = 2 rows are held to the
+//! `add` rows of `GOLDEN`, and every output to the chain of pairwise
+//! adds it replaces.
 
 use std::sync::Arc;
 
@@ -54,7 +59,16 @@ fn weighted(
     weights: &[u64],
     shards: usize,
 ) -> (Vec<Ciphertext>, HeTiming) {
-    be.weighted_aggregate(pk, batches, weights, shards).unwrap()
+    let batches: Vec<&[Ciphertext]> = batches.iter().map(Vec::as_slice).collect();
+    be.weighted_aggregate(pk, &batches, weights, shards)
+        .unwrap()
+}
+
+/// Operands for the folds come from the unpooled CPU path, so every
+/// configuration folds the same inputs.
+fn fold_operands(pk: &PaillierPublicKey, seed: u64, vals: &[u64]) -> Vec<Ciphertext> {
+    let ms: Vec<Natural> = vals.iter().map(|&v| Natural::from(v)).collect();
+    CpuHe::default().encrypt_batch(pk, &ms, seed).unwrap().0
 }
 
 /// Runs every operation once on `be` and returns one row per call.
@@ -78,13 +92,7 @@ fn exercise(name: &str, be: &dyn HeBackend, keys: &PaillierKeyPair) -> Vec<Row> 
         t.items,
     ));
 
-    // Operands for the folds come from the unpooled CPU path, so every
-    // configuration folds the same inputs.
-    let cpu = CpuHe::default();
-    let enc = |seed: u64, vals: &[u64]| {
-        let ms: Vec<Natural> = vals.iter().map(|&v| Natural::from(v)).collect();
-        cpu.encrypt_batch(pk, &ms, seed).unwrap().0
-    };
+    let enc = |seed: u64, vals: &[u64]| fold_operands(pk, seed, vals);
     let a = enc(21, &[1, 2, 3, 4, 5]);
     let b = enc(22, &[10, 20, 30, 40, 50]);
     let (sum, t) = be.add_batch(pk, &a, &b).unwrap();
@@ -179,6 +187,159 @@ fn every_operation_on_every_backend_matches_golden_bits() {
     assert_eq!(rows, golden);
     assert_eq!(devices[..], *DEVICES);
 }
+
+/// `sum_batches` over 2, 3 and 128 batches on `be`. The two-batch call
+/// folds the operands of the `add` row above.
+fn exercise_sums(name: &str, be: &dyn HeBackend, pk: &PaillierPublicKey) -> Vec<Row> {
+    let mut batches = vec![
+        fold_operands(pk, 21, &[1, 2, 3, 4, 5]),
+        fold_operands(pk, 22, &[10, 20, 30, 40, 50]),
+    ];
+    batches.extend((2..128u64).map(|p| fold_operands(pk, 21 + p, &[p, 3 * p + 2, p * p, 7, 0])));
+    let batches: Vec<&[Ciphertext]> = batches.iter().map(Vec::as_slice).collect();
+    [2usize, 3, 128]
+        .into_iter()
+        .map(|k| {
+            let (out, t) = be.sum_batches(pk, &batches[..k]).unwrap();
+            // The same bits as the chain of pairwise adds it replaces.
+            let chained = batches[1..k].iter().fold(batches[0].to_vec(), |acc, b| {
+                CpuHe::default().add_batch(pk, &acc, b).unwrap().0
+            });
+            assert_eq!(out, chained, "{name} sum/{k}");
+            row(format!("{name} sum/{k}"), &out, &t)
+        })
+        .collect()
+}
+
+/// The k-way sum on every backend configuration. Its two-batch rows are
+/// not new constants: they must equal the `add` rows of [`GOLDEN`], which
+/// were captured when `add_batch` had a body of its own.
+#[test]
+fn sum_batches_on_every_backend_matches_golden_bits() {
+    let keys = PaillierKeyPair::generate(&mut ChaCha8Rng::seed_from_u64(0x5C4ED), 128).unwrap();
+    let pk = &keys.public;
+    let adaptive = || Arc::new(Device::new(DeviceConfig::rtx3090()));
+    let fixed = Arc::new(Device::with_manager(
+        DeviceConfig::rtx3090(),
+        ResourceManager::fixed(256),
+    ));
+    let pool = Arc::new(ObfuscatorPool::for_owner(&keys.private));
+    let backends: [(&str, Box<dyn HeBackend>); 5] = [
+        ("cpu", Box::new(CpuHe::default())),
+        (
+            "cpu+pool",
+            Box::new(CpuHe::default().with_pool(Arc::clone(&pool))),
+        ),
+        ("gpu", Box::new(GpuHe::new(adaptive()))),
+        ("gpu-fixed256", Box::new(GpuHe::new(fixed))),
+        ("gpu+pool", Box::new(GpuHe::new(adaptive()).with_pool(pool))),
+    ];
+    let mut rows = Vec::new();
+    for (name, be) in &backends {
+        let sums = exercise_sums(name, be.as_ref(), pk);
+        let add = GOLDEN
+            .iter()
+            .find(|row| row.0 == format!("{name} add"))
+            .unwrap();
+        let two = &sums[0];
+        assert_eq!((two.1, two.2, two.3, two.4), (add.1, add.2, add.3, add.4));
+        rows.extend(sums);
+    }
+    let golden: Vec<Row> = SUM_GOLDEN
+        .iter()
+        .map(|&(l, h, s, o, i)| (l.to_string(), h, s, o, i))
+        .collect();
+    if rows != golden {
+        for (l, h, s, o, i) in &rows {
+            println!("    ({l:?}, {h:#018x}, {s:#018x}, {o}, {i}),");
+        }
+    }
+    assert_eq!(rows, golden);
+}
+
+const SUM_GOLDEN: &[GoldenRow] = &[
+    ("cpu sum/2", 0x1f9e4cb2c0ac35a2, 0x3ea01b2b29a4692c, 240, 5),
+    ("cpu sum/3", 0x644aadcf34a15724, 0x3eb01b2b29a4692c, 480, 5),
+    (
+        "cpu sum/128",
+        0x82a11f4e586ae4a6,
+        0x3f0ff5e9a6a240b3,
+        30480,
+        5,
+    ),
+    (
+        "cpu+pool sum/2",
+        0x1f9e4cb2c0ac35a2,
+        0x3ea01b2b29a4692c,
+        240,
+        5,
+    ),
+    (
+        "cpu+pool sum/3",
+        0x644aadcf34a15724,
+        0x3eb01b2b29a4692c,
+        480,
+        5,
+    ),
+    (
+        "cpu+pool sum/128",
+        0x82a11f4e586ae4a6,
+        0x3f0ff5e9a6a240b3,
+        30480,
+        5,
+    ),
+    ("gpu sum/2", 0x1f9e4cb2c0ac35a2, 0x3e3446d5a9b4dd11, 240, 5),
+    ("gpu sum/3", 0x644aadcf34a15724, 0x3e3ff6a55f564ed8, 480, 5),
+    (
+        "gpu sum/128",
+        0x82a11f4e586ae4a6,
+        0x3e97533c443cab73,
+        30480,
+        5,
+    ),
+    (
+        "gpu-fixed256 sum/2",
+        0x1f9e4cb2c0ac35a2,
+        0x3e4053514411c8e2,
+        240,
+        5,
+    ),
+    (
+        "gpu-fixed256 sum/3",
+        0x644aadcf34a15724,
+        0x3e4c5b1f8e19dc1f,
+        480,
+        5,
+    ),
+    (
+        "gpu-fixed256 sum/128",
+        0x82a11f4e586ae4a6,
+        0x3ea7f0ab66d02d04,
+        30480,
+        5,
+    ),
+    (
+        "gpu+pool sum/2",
+        0x1f9e4cb2c0ac35a2,
+        0x3e3446d5a9b4dd11,
+        240,
+        5,
+    ),
+    (
+        "gpu+pool sum/3",
+        0x644aadcf34a15724,
+        0x3e3ff6a55f564ed8,
+        480,
+        5,
+    ),
+    (
+        "gpu+pool sum/128",
+        0x82a11f4e586ae4a6,
+        0x3e97533c443cab73,
+        30480,
+        5,
+    ),
+];
 
 const GOLDEN: &[GoldenRow] = &[
     (

@@ -157,13 +157,54 @@ impl MontgomeryCtx {
         Natural::from_limbs(cios::mont_sqr(&a, self.n.limbs(), self.n0_inv))
     }
 
-    /// Modular multiplication `a·b mod n` in two kernel calls:
-    /// `mont_mul(a, b) = ab·R^{-1}`, then `·R²` cancels the stray factor.
-    /// Operands may be unreduced (Table I `mod_mul`); batch users should
-    /// stay in the domain.
+    /// Modular multiplication `a·b mod n` in two kernel calls — the
+    /// two-factor [`mod_product`](Self::mod_product). Operands may be
+    /// unreduced (Table I `mod_mul`); batch users should stay in the
+    /// domain.
     pub fn mod_mul(&self, a: &Natural, b: &Natural) -> Natural {
-        let ab_over_r = self.mont_mul(&self.reduce(a), &self.reduce(b));
-        self.mont_mul(&ab_over_r, &self.r2_mod_n)
+        self.mod_product(&[a, b])
+    }
+
+    /// `∏ factors mod n` as one Montgomery chain: `k` factors cost
+    /// `k + O(log k)` kernel calls, where chaining
+    /// [`mod_mul`](Self::mod_mul) costs `2(k−1)`.
+    ///
+    /// Each `mont_mul` by a *canonical* factor strips one `R`, so the
+    /// accumulator starts `k` of them ahead — at `R^k mod n` — and ends on
+    /// the canonical product with no conversion in or out. `R^k` is the
+    /// Montgomery form of `R^{k−1}`: a left-to-right binary power of `R²`
+    /// (the Montgomery form of `R`) to the exponent `k−1`. Two factors
+    /// start from `R²` itself. Factors may be unreduced; one factor is
+    /// returned reduced, none is `1`.
+    pub fn mod_product(&self, factors: &[&Natural]) -> Natural {
+        match factors {
+            [] => Natural::one(),
+            [only] => self.reduce(only).into_owned(),
+            _ => self.product_acc(factors).into_natural(),
+        }
+    }
+
+    /// The [`mod_product`](Self::mod_product) chain over two or more
+    /// factors, on one accumulator and one padded operand buffer.
+    fn product_acc(&self, factors: &[&Natural]) -> MontAcc<'_> {
+        let mut operand = self.r2_mod_n.to_padded_limbs(self.width);
+        let mut acc = MontAcc::new(self, operand.clone());
+        let exp = factors.len().saturating_sub(1);
+        for bit in (0..exp.checked_ilog2().unwrap_or(0)).rev() {
+            acc.sqr();
+            if (exp >> bit) & 1 == 1 {
+                acc.mul(&operand);
+            }
+        }
+        for factor in factors {
+            let factor = self.reduce(factor);
+            // A residue below `n` fits the modulus width.
+            let (limbs, padding) = operand.split_at_mut(factor.limb_len());
+            limbs.copy_from_slice(factor.limbs());
+            padding.fill(0);
+            acc.mul(&operand);
+        }
+        acc
     }
 }
 
@@ -180,6 +221,8 @@ pub struct MontAcc<'a> {
     acc: Vec<Limb>,
     next: Vec<Limb>,
     scratch: Vec<Limb>,
+    /// Kernel calls issued so far.
+    calls: u64,
 }
 
 impl<'a> MontAcc<'a> {
@@ -192,6 +235,7 @@ impl<'a> MontAcc<'a> {
             acc: value_m,
             next: vec![0; s],
             scratch: vec![0; cios::scratch_len(s)],
+            calls: 0,
         }
     }
 
@@ -200,6 +244,7 @@ impl<'a> MontAcc<'a> {
         let (n, n0_inv) = (self.ctx.n.limbs(), self.ctx.n0_inv);
         cios::mont_sqr_into(&mut self.next, &mut self.scratch, &self.acc, n, n0_inv);
         std::mem::swap(&mut self.acc, &mut self.next);
+        self.calls += 1;
     }
 
     /// `acc ← acc·b_m·R^{-1} mod n` for a `ctx.width()`-limb `b_m < n`.
@@ -207,6 +252,13 @@ impl<'a> MontAcc<'a> {
         let (n, n0_inv) = (self.ctx.n.limbs(), self.ctx.n0_inv);
         cios::mont_mul_into(&mut self.next, &self.acc, b_m, n, n0_inv);
         std::mem::swap(&mut self.acc, &mut self.next);
+        self.calls += 1;
+    }
+
+    /// Montgomery kernel calls ([`sqr`](Self::sqr) and
+    /// [`mul`](Self::mul)) issued on this accumulator.
+    pub fn calls(&self) -> u64 {
+        self.calls
     }
 
     /// The accumulated residue, still in Montgomery form.
@@ -343,6 +395,24 @@ mod tests {
         acc.sqr();
         let expected = c.mont_sqr(&c.mont_mul(&c.mont_sqr(&x), &y));
         assert_eq!(acc.into_natural(), expected);
+    }
+
+    /// `k` factors cost one multiply each plus the `R^k` power — at most
+    /// `⌈log₂ k⌉ − 1` squarings and as many multiplies — where chaining
+    /// `mod_mul` costs `2(k−1)`.
+    #[test]
+    fn product_chain_issues_k_plus_log_k_kernel_calls() {
+        let c = ctx((1u128 << 127) - 1);
+        let x = n((1 << 100) + 7);
+        let calls = |k: usize| c.product_acc(&vec![&x; k]).calls();
+        for k in 2..=130usize {
+            let ceil_log2 = u64::from(k.next_power_of_two().trailing_zeros());
+            let bound = k as u64 + 2 * ceil_log2 + 1;
+            assert!((k as u64..=bound).contains(&calls(k)), "k = {k}");
+        }
+        assert_eq!(calls(2), 2, "an addition stays two kernel calls");
+        assert_eq!(calls(128), 140, "against 254 chained");
+        assert_eq!(calls(129), 136);
     }
 
     #[test]

@@ -15,7 +15,9 @@ use crate::natural::Natural;
 
 /// Operand size (in limbs) above which Karatsuba beats schoolbook.
 ///
-/// Determined by the `mpint_mul` Criterion bench; see DESIGN.md §5.6.
+/// Fitted once on the development host and not re-fitted since: the
+/// Montgomery kernels never form a whole-integer product, so no hot path
+/// depends on it (DESIGN.md §5, item 6).
 pub(crate) const KARATSUBA_THRESHOLD: usize = 24;
 
 /// Dispatching product used by the `Mul` operator impls.

@@ -569,3 +569,80 @@ fn multi_exp_matches_naive_product_at_limb_boundaries() {
         }
     }
 }
+
+/// `mod_product` against the whole-integer `(∏ factors) mod n` and against
+/// chained `mod_mul`, at the arities where the `R^k` power gains a bit or
+/// a multiply (2^j − 1, 2^j, 2^j + 1) and at the degenerate 0, 1 and 2.
+#[test]
+fn chain_product_matches_whole_integer_and_chained_mod_mul_at_limb_boundaries() {
+    for s in [1usize, 2, 16, 32, 33] {
+        for n in edge_moduli(s) {
+            let ctx = mpint::MontgomeryCtx::new(&n).unwrap();
+            let one = Natural::one();
+            let mut next = limb_stream(s as u64 ^ 0xC4A1);
+            // 1, n−1, a value whose top limb (top half-limb at one limb)
+            // is zero, and a generic residue.
+            let pool = [
+                one.clone(),
+                n.checked_sub(&one).unwrap(),
+                n.shr_bits(64.min(n.bit_len() / 2)),
+                &Natural::from_limbs((0..s).map(|_| next()).collect()) % &n,
+            ];
+            for k in [0usize, 1, 2, 3, 16, 17, 127, 128, 129] {
+                let mixed: Vec<&Natural> = (0..k).map(|_| &pool[next() as usize % 4]).collect();
+                for factors in [mixed, vec![&pool[1]; k], vec![&pool[3]; k]] {
+                    let mut expected = &one % &n;
+                    for f in &factors {
+                        expected = &(&expected * *f) % &n;
+                    }
+                    let chained = factors
+                        .iter()
+                        .map(|f| (*f).clone())
+                        .reduce(|acc, f| ctx.mod_mul(&acc, &f))
+                        .unwrap_or_else(Natural::one);
+                    let got = ctx.mod_product(&factors);
+                    assert_eq!(got, expected, "{s} limbs, k = {k}, mod {n}");
+                    assert_eq!(got, chained, "{s} limbs, k = {k}: chained mod_mul");
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The R-deficit argument itself: `mont_mul` of canonical residues
+    /// strips one `R` per call, so *any* multiplication tree over `k`
+    /// factors — here a random sequence of pairwise merges — lands on
+    /// `P·R^{−(k−1)}`, and one more multiply by `R^k mod n` is the
+    /// canonical product whatever the tree's shape.
+    #[test]
+    fn any_merge_order_of_the_raw_chain_takes_the_same_fixup(
+        factors in proptest::collection::vec(wide_natural(), 2..12),
+        picks in proptest::collection::vec(any::<u64>(), 22),
+        n in wide_odd_modulus(),
+    ) {
+        let ctx = mpint::MontgomeryCtx::new(&n).unwrap();
+        let k = factors.len();
+        let mut parts: Vec<Natural> = factors.iter().map(|f| f % &n).collect();
+        let mut expected = &Natural::one() % &n;
+        for f in &parts {
+            expected = &(&expected * f) % &n;
+        }
+        let mut picks = picks.into_iter();
+        while parts.len() > 1 {
+            let a = parts.swap_remove(picks.next().unwrap() as usize % parts.len());
+            let b = parts.swap_remove(picks.next().unwrap() as usize % parts.len());
+            parts.push(ctx.mont_mul(&a, &b));
+        }
+        let r = &Natural::one().shl_bits(ctx.r_bits()) % &n;
+        let mut r_to_k = &Natural::one() % &n;
+        for _ in 0..k {
+            r_to_k = &(&r_to_k * &r) % &n;
+        }
+        prop_assert_eq!(&ctx.mont_mul(&parts[0], &r_to_k), &expected);
+        let refs: Vec<&Natural> = factors.iter().collect();
+        prop_assert_eq!(&ctx.mod_product(&refs), &expected);
+    }
+}

@@ -294,14 +294,25 @@ fn wall_clock_has_one_home() {
     // Every wall-clock number is flbench's. The experiment binaries print
     // counts and simulated seconds only, which is what lets their output
     // live under `results/` and be gated byte for byte: no `Instant`
-    // token in the bench crate (lexed, so comments and docs do not count).
-    let bench = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/bench/src");
-    let files = collect_files(&bench).expect("bench crate walk");
-    assert!(files.len() >= 15, "walk found only {} files", files.len());
-    for path in &files {
-        let tokens = lexer::lex(&std::fs::read_to_string(path).expect("read")).tokens;
-        if let Some(t) = tokens.iter().find(|t| t.is_ident("Instant")) {
-            panic!("`Instant` at {}:{}", path.display(), t.line);
+    // token in the bench crate, nor in any product crate under it (lexed,
+    // so comments and docs do not count).
+    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    for (name, at_least) in [
+        ("bench", 15),
+        ("mpint", 15),
+        ("he", 5),
+        ("codec", 4),
+        ("core", 4),
+        ("fl", 10),
+        ("gpu-sim", 7),
+    ] {
+        let files = collect_files(&crates.join(name).join("src")).expect("crate walk");
+        assert!(files.len() >= at_least, "{name}: {} files", files.len());
+        for path in &files {
+            let tokens = lexer::lex(&std::fs::read_to_string(path).expect("read")).tokens;
+            if let Some(t) = tokens.iter().find(|t| t.is_ident("Instant")) {
+                panic!("`Instant` at {}:{}", path.display(), t.line);
+            }
         }
     }
 }

@@ -231,6 +231,8 @@ fn weighted_aggregate_matches_scalar_mul_add_loop_across_thread_counts() {
         })
         .collect();
 
+    let slices: Vec<&[_]> = batches.iter().map(Vec::as_slice).collect();
+
     // Naive reference: per-party scalar_mul then homomorphic add.
     let naive: Vec<Natural> = (0..slots)
         .map(|j| {
@@ -252,11 +254,11 @@ fn weighted_aggregate_matches_scalar_mul_add_loop_across_thread_counts() {
             let cpu = CpuHe::default();
             let gpu = GpuHe::new(Arc::new(Device::new(DeviceConfig::rtx3090())));
             let a = cpu
-                .weighted_aggregate(&keys.public, &batches, &weights, 1)
+                .weighted_aggregate(&keys.public, &slices, &weights, 1)
                 .expect("cpu")
                 .0;
             let b = gpu
-                .weighted_aggregate(&keys.public, &batches, &weights, 1)
+                .weighted_aggregate(&keys.public, &slices, &weights, 1)
                 .expect("gpu")
                 .0;
             (
@@ -294,11 +296,13 @@ fn sharded_and_tree_aggregation_bit_identical_at_any_thread_count() {
         })
         .collect();
 
+    let slices: Vec<&[_]> = batches.iter().map(Vec::as_slice).collect();
+
     // Flat single-chain fold on one thread is the reference everything
     // else must reproduce bit for bit.
     let flat: Vec<Natural> = in_pool(1, || {
         CpuHe::default()
-            .weighted_aggregate(&keys.public, &batches, &weights, 1)
+            .weighted_aggregate(&keys.public, &slices, &weights, 1)
             .expect("flat")
             .0
             .iter()
@@ -313,11 +317,11 @@ fn sharded_and_tree_aggregation_bit_identical_at_any_thread_count() {
                 let cpu = CpuHe::default();
                 let gpu = GpuHe::new(Arc::new(Device::new(DeviceConfig::rtx3090())));
                 let a = cpu
-                    .weighted_aggregate(&keys.public, &batches, &weights, shards)
+                    .weighted_aggregate(&keys.public, &slices, &weights, shards)
                     .expect("cpu sharded")
                     .0;
                 let b = gpu
-                    .weighted_aggregate(&keys.public, &batches, &weights, shards)
+                    .weighted_aggregate(&keys.public, &slices, &weights, shards)
                     .expect("gpu sharded")
                     .0;
                 (
@@ -353,6 +357,43 @@ fn sharded_and_tree_aggregation_bit_identical_at_any_thread_count() {
                     .collect()
             });
             assert_eq!(vals, flat, "tree threads={threads} arity={arity}");
+        }
+    }
+}
+
+#[test]
+fn unweighted_aggregate_is_bit_and_charge_identical_at_any_thread_count() {
+    let keys = {
+        let mut rng = ChaCha8Rng::seed_from_u64(0xA66);
+        PaillierKeyPair::generate(&mut rng, 128).expect("keygen")
+    };
+    let encryptor = fl::Accelerator::new(fl::BackendKind::Fate, keys.clone(), 4).expect("accel");
+    let grads: Vec<f64> = (0..21).map(|i| (f64::from(i) * 0.41).cos() * 0.6).collect();
+    let vectors: Vec<fl::backend::EncryptedVector> = (0..37u64)
+        .map(|k| encryptor.encrypt(&grads, 0xA00 + k).expect("encrypt"))
+        .collect();
+    let mut sum = None;
+    for kind in [fl::BackendKind::Fate, fl::BackendKind::Haflo] {
+        for topology in [
+            fl::AggregationTopology::Flat,
+            fl::AggregationTopology::tree(4),
+            fl::AggregationTopology::tree(16),
+        ] {
+            let mut charged = None;
+            for threads in [1usize, 2, 8] {
+                let (out, timing) = in_pool(threads, || {
+                    let acc = fl::Accelerator::new(kind, keys.clone(), 4)
+                        .expect("accel")
+                        .with_topology(topology);
+                    let out = acc.aggregate(&vectors).expect("aggregate");
+                    (out, acc.timing())
+                });
+                let what = format!("{kind:?} {topology:?} threads={threads}");
+                // One ciphertext vector whatever ran it; one charge per
+                // (backend, topology) whatever the thread count.
+                assert_eq!(sum.get_or_insert_with(|| out.clone()), &out, "{what}");
+                assert_eq!(*charged.get_or_insert(timing), timing, "{what}");
+            }
         }
     }
 }

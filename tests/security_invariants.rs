@@ -223,6 +223,61 @@ fn out_of_range_ciphertexts_fail_closed_on_the_unweighted_path() {
 }
 
 #[test]
+fn one_hostile_upload_among_128_fails_every_unweighted_topology_closed() {
+    // A k-way fold validates every operand before it multiplies any: one
+    // out-of-range or foreign-key ciphertext, wherever its party sits in
+    // the fan-in, is the typed error a pairwise add would have raised.
+    use fl::AggregationTopology;
+
+    let k = keys(12);
+    let he_error = |e| fl::Error::Platform(flbooster_core::Error::He(e));
+    let honest = Accelerator::new(BackendKind::Fate, k.clone(), 4).unwrap();
+    let good = honest.encrypt(&[0.5, -0.25, 0.125], 1).unwrap();
+    let foreign = Accelerator::new(BackendKind::Fate, keys(13), 4)
+        .unwrap()
+        .encrypt(&[0.5, -0.25, 0.125], 1)
+        .unwrap();
+    let with_value = |value: &Natural| {
+        let mut bad = good.clone();
+        bad.cts[0].value = value.clone();
+        bad
+    };
+    let faults = [
+        (
+            with_value(&Natural::zero()),
+            he::Error::CiphertextOutOfRange,
+        ),
+        (
+            with_value(&k.public.n_squared),
+            he::Error::CiphertextOutOfRange,
+        ),
+        (foreign, he::Error::KeyMismatch),
+    ];
+    for topology in [
+        AggregationTopology::Flat,
+        AggregationTopology::tree(2),
+        AggregationTopology::tree(16),
+    ] {
+        let acc = Accelerator::new(BackendKind::Fate, k.clone(), 4)
+            .unwrap()
+            .with_topology(topology);
+        let mut uploads = vec![good.clone(); 128];
+        assert!(acc.aggregate(&uploads).is_ok());
+        for (bad, error) in &faults {
+            for party in [0usize, 64, 127] {
+                let honest_upload = std::mem::replace(&mut uploads[party], bad.clone());
+                assert_eq!(
+                    acc.aggregate(&uploads).unwrap_err(),
+                    he_error(error.clone()),
+                    "{topology:?}, party {party}"
+                );
+                uploads[party] = honest_upload;
+            }
+        }
+    }
+}
+
+#[test]
 fn no_unsafe_code_anywhere_the_pool_can_reach() {
     // flcheck no longer polices closures crossing the work-stealing pool:
     // the `Fn + Sync` bounds on the rayon shim's entry points do, and
