@@ -118,6 +118,18 @@ pub struct EpochBreakdown {
 impl EpochBreakdown {
     /// Charges `seconds` of `kind` work that nothing overlaps: they
     /// count as work and also elapse on the round clock.
+    ///
+    /// Every seconds field here is `f64` and every count (`comm_bytes`,
+    /// `ciphertexts`, `he_values`) is `u64`, so the compiler rejects a
+    /// count charged as time — bytes reach seconds only through
+    /// [`Network::send`](crate::net::Network::send):
+    ///
+    /// ```compile_fail,E0308
+    /// use fl::metrics::{Charge, EpochBreakdown};
+    /// let mut b = EpochBreakdown::default();
+    /// b.comm_bytes += 4096;
+    /// b.charge(Charge::Uplink, b.comm_bytes); // a `u64` byte count is not seconds
+    /// ```
     pub fn charge(&mut self, kind: Charge, seconds: f64) {
         self.charge_work(kind, seconds, true);
     }

@@ -690,7 +690,7 @@ mod tests {
         // SBT drives the HE engine through `he_backend()` directly; each
         // site must report back via `charge_external`, or the
         // accelerator's own accumulator misses every SBT HE operation
-        // while the breakdown still looks complete (the unit-flow audit
+        // while the breakdown still looks complete (an audit in PR 10
         // caught exactly this).
         let data = small_dataset();
         let cfg = TrainConfig::default();

@@ -207,9 +207,21 @@ impl Network {
 
     /// Sends one message carrying `ciphertexts` ciphertext objects and
     /// `bytes` payload bytes; returns the simulated seconds it took
-    /// (including any retries).
-    // flcheck: convert(bytes->seconds) — THE transfer-time estimator:
-    // latency + per-ciphertext overhead + bytes / bandwidth.
+    /// (including any retries). A send that exhausts `max_attempts`
+    /// still records the bytes, seconds and retries it spent; only
+    /// `messages` and `ciphertexts` count deliveries.
+    ///
+    /// This is the one place a byte count becomes seconds (latency +
+    /// per-ciphertext overhead + bytes / bandwidth). Counts are `u64` and
+    /// seconds are `f64` everywhere in the charging layers, so the
+    /// compiler keeps the two apart — seconds are not a payload size:
+    ///
+    /// ```compile_fail,E0308
+    /// use fl::{Network, NetworkConfig};
+    /// let net = Network::new(NetworkConfig::fate_profile(), 1);
+    /// let seconds: f64 = net.send(1, 4096).unwrap();
+    /// net.send(1, seconds).unwrap(); // an `f64` is not a byte count
+    /// ```
     pub fn send(&self, ciphertexts: u64, bytes: u64) -> Result<f64> {
         let per_try = self.cfg.latency_seconds
             + ciphertexts as f64 * self.cfg.per_ciphertext_seconds
@@ -217,29 +229,32 @@ impl Network {
         let mut total = 0.0;
         let mut sent_bytes = 0u64;
         let mut retries = 0u64;
-        for attempt in 1..=self.cfg.max_attempts {
+        let mut delivered = false;
+        for _ in 0..self.cfg.max_attempts {
             total += per_try;
             sent_bytes += bytes;
             if !self.drop() {
-                let mut s = self.stats.lock();
-                s.messages += 1;
-                s.ciphertexts += ciphertexts;
-                s.bytes += sent_bytes;
-                s.seconds += total;
-                s.retries += retries;
-                return Ok(total);
+                delivered = true;
+                break;
             }
             retries += 1;
-            let _ = attempt;
         }
-        Err(Error::NetworkFailure {
-            attempts: self.cfg.max_attempts,
-        })
+        let mut s = self.stats.lock();
+        s.bytes += sent_bytes;
+        s.seconds += total;
+        s.retries += retries;
+        if !delivered {
+            return Err(Error::NetworkFailure {
+                attempts: self.cfg.max_attempts,
+            });
+        }
+        s.messages += 1;
+        s.ciphertexts += ciphertexts;
+        Ok(total)
     }
 
     /// Broadcast: the server sends the same message to `receivers` peers
     /// (sequentially on one NIC, as a parameter server does).
-    // flcheck: convert(bytes->seconds) — fan-out of `send`.
     pub fn broadcast(&self, receivers: u32, ciphertexts: u64, bytes: u64) -> Result<f64> {
         let mut total = 0.0;
         for _ in 0..receivers {
@@ -332,8 +347,13 @@ mod tests {
     fn hopeless_link_fails() {
         let cfg = NetworkConfig::fate_profile().with_drop_probability(1.0);
         let net = Network::new(cfg, 7);
-        assert_eq!(net.send(1, 1), Err(Error::NetworkFailure { attempts: 5 }));
-        assert_eq!(net.stats().messages, 0);
+        assert_eq!(net.send(3, 100), Err(Error::NetworkFailure { attempts: 5 }));
+        // Five full transmissions crossed the wire; none was delivered.
+        let s = net.stats();
+        assert_eq!((s.bytes, s.retries), (500, 5));
+        assert_eq!((s.messages, s.ciphertexts), (0, 0));
+        let per_try = 2.0e-4 + 3.0 * 4.5e-4 + 100.0 / 125.0e6;
+        assert!((s.seconds - 5.0 * per_try).abs() < 1e-12);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use fl::data::generators::DatasetSpec;
 use fl::data::{horizontal_split, vertical_split, Dataset, SparseRow};
 use fl::engine::{run_round, EngineConfig};
 use fl::train::{FlEnv, TrainConfig};
-use fl::{Accelerator, BackendKind, EpochBreakdown, Network, NetworkConfig};
+use fl::{Accelerator, AggregationTopology, BackendKind, EpochBreakdown, Network, NetworkConfig};
 use he::paillier::PaillierKeyPair;
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -123,6 +123,86 @@ proptest! {
         let total = breakdown.total_seconds();
         prop_assert!((breakdown.phases.total() - total).abs() <= 1e-9 * total);
         prop_assert!((breakdown.round_seconds - total).abs() <= 1e-9 * total);
+    }
+
+    /// Deterministic simulation of `run_round` over a random cell of
+    /// heterogeneity × deadline × topology × duplex × pipelining. A
+    /// deadline-free dry run of the same seed gives every client's
+    /// `encrypt_done`, so who a deadline drops is known before the run
+    /// under test.
+    #[test]
+    fn engine_round_invariants_hold_for_any_schedule(
+        values in proptest::collection::vec(-0.9f64..0.9, 1..10),
+        parties in 1usize..7,
+        seed in any::<u64>(),
+        timeout_sel in 0usize..4,
+        topology_sel in 0usize..3,
+        duplex in 1u32..3,
+        pipelined in any::<bool>(),
+    ) {
+        let topology = [
+            AggregationTopology::Flat,
+            AggregationTopology::tree(2),
+            AggregationTopology::tree(4),
+        ][topology_sel];
+        let accel = Accelerator::new(BackendKind::FlBooster, keys().clone(), 8)
+            .unwrap()
+            .with_topology(topology);
+        let network = Network::new(accel.network_profile().with_duplex_streams(duplex), 1);
+        let env = FlEnv { accel, network };
+        let mut state = seed | 1;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let multipliers: Vec<f64> =
+            (0..parties).map(|_| 0.5 + (next() % 1000) as f64 / 250.0).collect();
+        let vectors: Vec<Vec<f64>> = (0..parties)
+            .map(|k| values.iter().map(|v| v * (k as f64 + 1.0) / parties as f64).collect())
+            .collect();
+        let engine = EngineConfig { pipelined, ..EngineConfig::default() }
+            .with_compute_multipliers(multipliers);
+        let run = |engine: &EngineConfig, breakdown: &mut EpochBreakdown| {
+            let flops = vec![50_000; parties];
+            run_round(&env, engine, &TrainConfig::default(), &vectors, &flops, seed, breakdown)
+        };
+
+        let dry = run(&engine, &mut EpochBreakdown::default()).unwrap();
+        let mut done: Vec<f64> = dry.timelines.iter().map(|t| t.encrypt_done).collect();
+        done.sort_by(f64::total_cmp);
+        // No deadline; one nobody meets; the median client's; one everybody meets.
+        let timeout = [
+            None,
+            Some(done[0] / 2.0),
+            Some(done[(parties - 1) / 2]),
+            Some(done[parties - 1] * 2.0),
+        ][timeout_sel];
+        let late = |k: &usize| timeout.is_some_and(|t| dry.timelines[*k].encrypt_done > t);
+        let (dropped, survivors): (Vec<usize>, Vec<usize>) = (0..parties).partition(late);
+
+        let mut breakdown = EpochBreakdown::default();
+        let engine = EngineConfig { straggler_timeout: timeout, ..engine };
+        let out = match run(&engine, &mut breakdown) {
+            Ok(out) => out,
+            Err(e) => {
+                prop_assert!(survivors.is_empty(), "{} with survivors {:?}", e, survivors);
+                prop_assert_eq!(e, fl::Error::StragglerTimeout { client: dropped[0] });
+                return Ok(());
+            }
+        };
+        // Survivors and dropped partition 0..p, each ascending.
+        prop_assert_eq!(&out.dropped, &dropped);
+        prop_assert_eq!(&out.survivors, &survivors);
+        // The sums are the survivors' alone.
+        let bound = survivors.len() as f64 * env.accel.codec().quantizer().max_error() + 1e-12;
+        for (i, s) in out.sums.iter().enumerate() {
+            let expected: f64 = survivors.iter().map(|&k| vectors[k][i]).sum();
+            prop_assert!((s - expected).abs() <= bound, "component {}: {} vs {}", i, s, expected);
+        }
+        let total = breakdown.total_seconds();
+        prop_assert!((breakdown.phases.total() - total).abs() <= 1e-9 * total);
     }
 
     #[test]

@@ -7,12 +7,14 @@
 //! consumed by long-running training jobs that must not abort mid-epoch.
 //! flcheck checks the disciplines rustc cannot — constant-time code,
 //! panic freedom, lock order, cost-model conformance, result
-//! determinism, integer width, physical units — with a hand-rolled lexer
+//! determinism, integer width — with a hand-rolled lexer
 //! and zero external dependencies (the build environment has no registry
 //! access). What rustc *can* check it leaves to rustc: data-race freedom
 //! of closures crossing the work-stealing pool is the `Fn + Sync` bound
 //! on the rayon shim's entry points plus `forbid(unsafe_code)`, pinned by
-//! `compile_fail` doctests on the shim.
+//! `compile_fail` doctests on the shim; seconds never meeting counts is
+//! `f64` versus `u64`, pinned by `compile_fail` doctests on
+//! `fl::metrics::EpochBreakdown::charge` and `fl::net::Network::send`.
 //!
 //! The design is three layers:
 //!
@@ -24,16 +26,15 @@
 //!   ([`check_file`]: the lexer-level ct-, pf- and `ld-wait` rules, see
 //!   [`rules`]), builds the [`callgraph`], then runs the list in order.
 //! - The passes ([`taint`], [`callgraph::check_reach`], [`detflow`],
-//!   [`lockgraph`] with [`escape`], [`costmodel`], [`width`], [`units`])
+//!   [`lockgraph`] with [`escape`], [`costmodel`], [`width`])
 //!   share one call-graph walk ([`callgraph::CallGraph::bfs`] and its
 //!   closures) and one token-statement scanner (`scan`), and report full
 //!   call/lock chains.
 //!
 //! See [`source`] for the directive grammar (`ct-fn`, `secret(..)`,
 //! `lock(..)`, `mac-prim`, `charge-sink`, `estimates(..)`, `det-sink`,
-//! `det-absorb`, `nondet(..)`, `widen-ok(..)`, `narrow(..)`, `unit(..)`,
-//! and `convert(..)` markers, `allow` / `allow-file` suppressions,
-//! `lock-order` declarations).
+//! `det-absorb`, `nondet(..)`, `widen-ok(..)`, and `narrow(..)` markers,
+//! `allow` / `allow-file` suppressions, `lock-order` declarations).
 //!
 //! The analyzer's own sources are excluded from the default walk: they
 //! discuss directives and violations in documentation and fixtures, and
@@ -59,7 +60,6 @@ pub mod rules;
 mod scan;
 pub mod source;
 pub mod taint;
-pub mod units;
 pub mod width;
 
 use callgraph::CallGraph;
@@ -119,7 +119,6 @@ pub const PASSES: &[(&str, Pass)] = &[
     ("lockgraph", lockgraph::check_lock_graph),
     ("costmodel", costmodel::check_cost_model),
     ("width", width::check_width),
-    ("units", units::check_units),
 ];
 
 /// Wall-clock timings for each analysis phase of a workspace scan, used

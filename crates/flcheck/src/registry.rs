@@ -282,42 +282,6 @@ pub const RULES: &[Rule] = &[
                  exactly this).",
         example: "pub fn uncharged_entry(x: &N) -> N {\n    kernel(x) // uncharged-work: reaches mont_mul, never charges\n}",
     },
-    Rule {
-        id: "unit-mismatch",
-        family: "units",
-        since: 10,
-        pass: "units",
-        summary: "different physical units meeting in one expression",
-        detail: "Every fn parameter, return value, and field access is assigned \
-                 a unit from {seconds, bytes, limb_mults, messages, \
-                 dimensionless} by `unit(name, dim)` directives and naming \
-                 conventions (`*_seconds`, `*_bytes`, `*_ops`/`*_mac_count`, \
-                 `*_messages`), propagated over the call graph. Adding, \
-                 comparing, assigning, or accumulating two *different* known \
-                 units (`total_seconds += payload_bytes`) corrupts the cost \
-                 accounting silently — the numbers stay plausible and wrong. \
-                 Multiplication/division change dimension, so multiplicative \
-                 expressions are unit-unknown and never fire (the soundness \
-                 boundary); `dimensionless` is the explicit opt-out.",
-        example: "fn f(payload_bytes: u64) {\n    let mut total_seconds = 0.0;\n    total_seconds += payload_bytes as f64; // unit-mismatch\n}",
-    },
-    Rule {
-        id: "unit-unconverted",
-        family: "units",
-        since: 10,
-        pass: "units",
-        summary: "call argument crossing dimensions without a converter",
-        detail: "A call argument whose unit differs from the callee parameter's \
-                 unit crosses dimensions without passing through a declared \
-                 `convert(from->to)` fn — e.g. handing a byte count to a \
-                 seconds-taking sleep instead of routing it through the \
-                 `fl::net` transfer-time estimator. Parameter units propagate \
-                 interprocedurally (fill-only) through unannotated wrappers, and \
-                 the finding carries the teaching chain plus the name of a \
-                 declared converter for the crossing when one exists anywhere in \
-                 the workspace.",
-        example: "fn sleep(seconds: f64) {}\nfn g(payload_bytes: f64) {\n    sleep(payload_bytes) // unit-unconverted: route through a convert(bytes->seconds) fn\n}",
-    },
 ];
 
 /// Every rule id, in registry (sorted) order.

@@ -36,16 +36,6 @@
 //!                                     justified narrowing (e.g. masked limb
 //!                                     splitting); all its narrowing casts
 //!                                     are sanctioned
-//! flcheck: unit(name, dim)            declare the physical unit of the next
-//!                                     fn's parameter `name` (or of its return
-//!                                     value when `name` is `return`); `dim`
-//!                                     is one of seconds, bytes, limb_mults,
-//!                                     messages, dimensionless; repeatable
-//! flcheck: convert(from->to)          the next `fn` is a sanctioned dimension
-//!                                     converter: it consumes `from`-united
-//!                                     inputs and returns a `to`-united value
-//!                                     (e.g. a bytes->seconds transfer-time
-//!                                     estimator); repeatable
 //! ```
 
 use crate::lexer::{lex, Comment, TokKind, Token};
@@ -84,13 +74,6 @@ pub struct Markers {
     /// `narrow(..)` descriptions: the fn performs intentional narrowing
     /// and all its narrowing casts are sanctioned.
     pub narrows: Vec<String>,
-    /// `unit(name, dim)` declarations fixing the physical unit of a
-    /// parameter (or of the return value, under the name `return`).
-    /// Explicit declarations beat suffix inference.
-    pub units: Vec<(String, String)>,
-    /// `convert(from->to)` declarations: the fn is a sanctioned dimension
-    /// converter from `from`-united inputs to a `to`-united return value.
-    pub converts: Vec<(String, String)>,
 }
 
 impl Markers {
@@ -107,8 +90,6 @@ impl Markers {
         self.nondets.extend(o.nondets);
         self.widen_ok.extend(o.widen_ok);
         self.narrows.extend(o.narrows);
-        self.units.extend(o.units);
-        self.converts.extend(o.converts);
     }
 }
 
@@ -242,22 +223,13 @@ impl SourceFile {
                 narrows: described("narrow"),
                 ..Markers::default()
             };
-            if let Some((kernel, arity)) = call("estimates").and_then(|a| pair(a, ",")) {
-                match arity.parse() {
+            if let Some((kernel, arity)) = call("estimates").and_then(|a| a.split_once(',')) {
+                let kernel = kernel.trim();
+                match arity.trim().parse() {
                     Ok(arity) if !kernel.is_empty() => {
                         m.estimates.push((kernel.to_string(), arity));
                     }
                     _ => {}
-                }
-            }
-            if let Some((name, dim)) = call("unit").and_then(|a| pair(a, ",")) {
-                if !name.is_empty() && UNIT_DIMS.contains(&dim) {
-                    m.units.push((name.to_string(), dim.to_string()));
-                }
-            }
-            if let Some((from, to)) = call("convert").and_then(|a| pair(a, "->")) {
-                if UNIT_DIMS.contains(&from) && UNIT_DIMS.contains(&to) && from != to {
-                    m.converts.push((from.to_string(), to.to_string()));
                 }
             }
             if m != Markers::default() {
@@ -388,24 +360,6 @@ impl SourceFile {
                 i = k.max(attr_end);
             }
         }
-    }
-}
-
-/// The dimension names `unit(..)` / `convert(..)` directives accept.
-pub const UNIT_DIMS: &[&str] = &[
-    "seconds",
-    "bytes",
-    "limb_mults",
-    "messages",
-    "dimensionless",
-];
-
-/// Splits `args` on `sep` into exactly two trimmed parts.
-fn pair<'a>(args: &'a str, sep: &str) -> Option<(&'a str, &'a str)> {
-    let mut parts = args.split(sep).map(str::trim);
-    match (parts.next(), parts.next(), parts.next()) {
-        (Some(a), Some(b), None) => Some((a, b)),
-        _ => None,
     }
 }
 
@@ -577,49 +531,6 @@ fn unmarked() {}
         );
         let u = by_name("unmarked");
         assert!(u.marks.widen_ok.is_empty() && u.marks.narrows.is_empty());
-    }
-
-    #[test]
-    fn unit_markers_attach_to_the_next_fn() {
-        let src = "\
-// flcheck: unit(seconds, seconds)
-// flcheck: unit(return, seconds)
-fn comm(seconds: f64) -> f64 { seconds }
-// flcheck: convert(bytes->seconds)
-fn send(bytes: u64) -> f64 { 0.0 }
-fn unmarked() {}
-";
-        let f = SourceFile::parse("x.rs", src);
-        let by_name = |n: &str| f.fns.iter().find(|f| f.name == n).expect(n);
-        assert_eq!(
-            by_name("comm").marks.units,
-            vec![
-                ("seconds".to_string(), "seconds".to_string()),
-                ("return".to_string(), "seconds".to_string()),
-            ]
-        );
-        assert_eq!(
-            by_name("send").marks.converts,
-            vec![("bytes".to_string(), "seconds".to_string())]
-        );
-        let u = by_name("unmarked");
-        assert!(u.marks.units.is_empty() && u.marks.converts.is_empty());
-    }
-
-    #[test]
-    fn malformed_unit_directives_are_ignored() {
-        // Unknown dimensions, missing halves, and identity conversions all
-        // drop silently, like malformed estimates(..) pairings.
-        let src = "\
-// flcheck: unit(x, parsecs)
-// flcheck: unit(bytes)
-// flcheck: convert(bytes)
-// flcheck: convert(bytes->bytes)
-// flcheck: convert(bytes->parsecs)
-fn f() {}
-";
-        let f = SourceFile::parse("x.rs", src);
-        assert!(f.fns[0].marks.units.is_empty() && f.fns[0].marks.converts.is_empty());
     }
 
     #[test]

@@ -594,96 +594,16 @@ fn width_fixture_reports_lossy_narrows_with_sink_chains() {
 }
 
 #[test]
-fn unit_fixture_reports_both_rules_at_pinned_lines() {
-    let src = include_str!("fixtures/unit_violations.rs");
-    let path = "crates/fl/src/unit_fixture.rs";
-    let report = workspace(&[(path, src)]);
-    let got: Vec<(String, u32)> = report
-        .findings
-        .iter()
-        .map(|f| (f.rule.clone(), f.line))
-        .collect();
-    let want: Vec<(String, u32)> = [
-        ("unit-mismatch", 19),    // total_seconds += payload_bytes
-        ("unit-mismatch", 21),    // deadline_seconds < payload_bytes
-        ("unit-unconverted", 25), // relay(payload_bytes): bytes into seconds
-    ]
-    .iter()
-    .map(|(r, l)| (r.to_string(), *l))
-    .collect();
-    assert_eq!(got, want, "findings: {:#?}", report.findings);
-
-    // The mismatches name both sides with their units.
-    assert!(
-        report.findings[0]
-            .message
-            .contains("accumulates a bytes value into `total_seconds` (seconds)"),
-        "unexpected message: {}",
-        report.findings[0].message
-    );
-    assert!(
-        report.findings[1]
-            .message
-            .contains("compares `deadline_seconds` (seconds) with a bytes value"),
-        "unexpected message: {}",
-        report.findings[1].message
-    );
-
-    // The crossing names the declared converter and carries the
-    // provenance chain down to where the propagated unit was seeded.
-    let crossing = &report.findings[2];
-    assert!(
-        crossing
-            .message
-            .contains("without a convert(bytes->seconds) conversion")
-            && crossing
-                .message
-                .contains("route it through `transfer_seconds`"),
-        "unexpected message: {}",
-        crossing.message
-    );
-    assert_eq!(
-        crossing.chain,
-        vec![
-            format!("run_round ({path}:17)"),
-            format!("relay ({path}:13)"),
-            format!("charge_sleep ({path}:9)"),
-        ]
-    );
-}
-
-#[test]
-fn unit_fixture_converted_path_is_silent() {
-    // Sanity inverse: rewarding the fixture's converted call (line 22)
-    // means a file that *only* routes bytes through the converter is
-    // clean.
-    let src = "// flcheck: convert(bytes->seconds)\n\
-               fn transfer_seconds(bytes: f64) -> f64 { bytes / 1.0e9 }\n\
-               fn run_round(payload_bytes: f64) -> f64 {\n\
-                   let mut total_seconds = 0.0;\n\
-                   total_seconds += transfer_seconds(payload_bytes);\n\
-                   total_seconds\n\
-               }\n";
-    assert_eq!(
-        rules_and_lines("crates/fl/src/unit_fixture.rs", src),
-        vec![]
-    );
-}
-
-#[test]
 fn workspace_report_is_deterministic_across_input_order() {
     let taint = include_str!("fixtures/taint_leak.rs");
     let reach = include_str!("fixtures/reach_violations.rs");
     let width = include_str!("fixtures/width_violations.rs");
-    let units = include_str!("fixtures/unit_violations.rs");
     let fwd = workspace(&[
         ("crates/mpint/src/taint_fixture.rs", taint),
         ("crates/core/src/reach_fixture.rs", reach),
         ("crates/he/src/width_fixture.rs", width),
-        ("crates/fl/src/unit_fixture.rs", units),
     ]);
     let rev = workspace(&[
-        ("crates/fl/src/unit_fixture.rs", units),
         ("crates/he/src/width_fixture.rs", width),
         ("crates/core/src/reach_fixture.rs", reach),
         ("crates/mpint/src/taint_fixture.rs", taint),
@@ -692,7 +612,7 @@ fn workspace_report_is_deterministic_across_input_order() {
     assert!(fwd.render_json().contains("\"schema\": 8"));
     // Every rule in the registry is enumerated in the summary, found
     // or not — schema-8 consumers key on the full table.
-    assert_eq!(flcheck::registry::RULES.len(), 22);
+    assert_eq!(flcheck::registry::RULES.len(), 20);
     for rule in flcheck::registry::ids() {
         assert!(
             fwd.render_json().contains(&format!("\"{rule}\"")),

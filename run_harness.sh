@@ -211,30 +211,6 @@ if [ -z "$fl_line_budget" ] || [ "$fl_lines" -gt "$fl_line_budget" ]; then
   exit 1
 fi
 
-# Deliberate-finding smoke check: prove the unit-flow rules can fire at
-# all — a pass that silently returned zero findings would keep the gate
-# above green forever. The committed fixture is scanned from a scratch
-# root (flcheck skips its own `tests/fixtures/` in a normal walk).
-echo "=== flcheck: unit-flow smoke check (deliberate findings) ==="
-SMOKE=target/unit_smoke
-rm -rf $SMOKE
-mkdir -p $SMOKE/crates/fl/src
-cp crates/flcheck/tests/fixtures/unit_violations.rs $SMOKE/crates/fl/src/unit_violations.rs
-if ./target/release/flcheck --root $SMOKE > $R/unit_smoke.txt 2>&1; then
-  echo "HARNESS_FAILED: unit-flow smoke check (flcheck exited 0 on a violating tree)"
-  cat $R/unit_smoke.txt
-  exit 1
-fi
-for rule in unit-mismatch unit-unconverted; do
-  if ! grep -q "\[$rule\]" $R/unit_smoke.txt; then
-    echo "HARNESS_FAILED: unit-flow smoke check (no $rule finding)"
-    cat $R/unit_smoke.txt
-    exit 1
-  fi
-done
-echo "  (both unit-flow rules fired on the fixture)"
-rm -rf $SMOKE
-
 # Analyzer self-benchmark: files/sec and per-pass wall-clock, host noise,
 # so written under target/. The binary exits non-zero if measured
 # files/sec falls under 0.4x the committed baseline — a wide band that

@@ -115,10 +115,8 @@ fn main() -> ExitCode {
     print!("{json}");
 
     if write_baseline {
-        let baseline = format!(
-            "{{\n  \"bench\": \"flcheck\",\n  \"files_scanned\": {files},\n  \
-             \"files_per_sec\": {files_per_sec:.1}\n}}\n"
-        );
+        let baseline =
+            format!("{{\n  \"bench\": \"flcheck\",\n  \"files_per_sec\": {files_per_sec:.1}\n}}\n");
         if let Err(e) = std::fs::write(&baseline_path, baseline) {
             eprintln!(
                 "bench_flcheck: error writing {}: {e}",

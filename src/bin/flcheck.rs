@@ -71,7 +71,7 @@ fn main() -> ExitCode {
                      \x20      flcheck --rules | --explain RULE\n\
                      Static analysis: constant-time discipline, panic freedom, \
                      lock discipline, cost-model conformance, determinism flow, \
-                     width conformance, unit flow.\n\
+                     width conformance.\n\
                      --rule NAME    keep only findings for this rule id (repeatable)\n\
                      --rules        print every rule id, one per line\n\
                      --explain RULE print a rule's description and example"

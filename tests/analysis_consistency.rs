@@ -1,14 +1,15 @@
 //! Consistency between the paper's closed-form analysis (Sec. V-B), the
 //! codec implementation, the GPU execution model, and the measured
 //! behaviour of the backends — plus the committed flcheck report, which
-//! must match what a fresh scan of this tree produces, and the rule that
-//! `results/` holds exactly what `run_harness.sh` regenerates.
+//! must match what a fresh scan of this tree produces, the rule that
+//! `results/` holds exactly what `run_harness.sh` regenerates, and the
+//! float-seconds / integer-counts split the charging layers rely on.
 
 use std::collections::BTreeSet;
 
 use fl::{Accelerator, BackendKind};
 use flbooster_core::analysis;
-use flcheck::{collect_files, lexer, registry};
+use flcheck::{collect_files, lexer, lexer::TokKind, registry, source::SourceFile};
 use gpu_sim::{Device, DeviceConfig};
 use he::paillier::PaillierKeyPair;
 use he::GpuHe;
@@ -315,4 +316,115 @@ fn wall_clock_has_one_home() {
             }
         }
     }
+}
+
+#[test]
+fn seconds_are_floats_and_counts_are_integers() {
+    // The type split that stands in for the retired unit-flow pass: in the
+    // charging layers a `*seconds` field or parameter is a float and a
+    // byte/op/message count is an integer, so rustc rejects one where the
+    // other is wanted (the `compile_fail` doctests on `EpochBreakdown::
+    // charge` and `Network::send`). The one gap is `count as f64`; that
+    // cast lives in exactly the three fns that multiply or divide it by a
+    // `*_per_*` rate. Lexed, non-test code only.
+    const INTS: &[&str] = &[
+        "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
+    ];
+    const FLOATS: &[&str] = &["f32", "f64"];
+    let is_seconds = |n: &str| n.ends_with("seconds");
+    let is_count = |n: &str| {
+        n == "ops"
+            || ["bytes", "_ops", "_mac_count", "_mults", "messages"]
+                .iter()
+                .any(|s| n.ends_with(s))
+    };
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut converters = BTreeSet::new();
+    for krate in ["fl", "he", "gpu-sim"] {
+        let dir = root.join("crates").join(krate).join("src");
+        for path in collect_files(&dir).expect("crate walk") {
+            let rel = path
+                .strip_prefix(root)
+                .expect("under root")
+                .display()
+                .to_string();
+            let file = SourceFile::parse(&rel, &std::fs::read_to_string(&path).expect("read"));
+            let toks = &file.tokens;
+            let ident = |i: usize| toks.get(i).filter(|t| t.kind == TokKind::Ident);
+            // What the `:` or `as` at `i` is about: the identifier before
+            // it, or the callee when a call `f(..)` stands there.
+            let subject = |i: usize| {
+                let mut j = i.checked_sub(1)?;
+                if toks[j].text == ")" {
+                    let mut depth = 0i32;
+                    let open = (0..=j).rev().find(|&o| {
+                        match toks[o].kind {
+                            TokKind::Close => depth += 1,
+                            TokKind::Open => depth -= 1,
+                            _ => {}
+                        }
+                        depth == 0
+                    })?;
+                    j = open.checked_sub(1)?;
+                }
+                ident(j).map(|t| t.text.as_str())
+            };
+            for i in (0..toks.len()).filter(|&i| !file.in_test_region(i)) {
+                let Some(name) = subject(i) else {
+                    continue;
+                };
+                let at = format!("{rel}:{}", toks[i].line);
+                if toks[i].is_op(":") && !(2..=3).any(|b| i >= b && toks[i - b].is_ident("let")) {
+                    // A field or parameter `name: Type`: look at the type
+                    // up to the end of the declaration.
+                    let ty = toks[i + 1..].iter().take_while(|t| {
+                        !matches!(t.text.as_str(), "," | ";" | "=" | ")" | "{" | "}")
+                    });
+                    let banned = match (is_seconds(name), is_count(name)) {
+                        (true, _) => INTS,
+                        (_, true) => FLOATS,
+                        _ => continue,
+                    };
+                    for t in ty {
+                        assert!(
+                            !banned.contains(&t.text.as_str()),
+                            "`{name}: {}` at {at}",
+                            t.text
+                        );
+                    }
+                } else if toks[i].is_ident("as")
+                    && is_count(name)
+                    && ident(i + 1).is_some_and(|t| FLOATS.contains(&t.text.as_str()))
+                {
+                    let f = file
+                        .fns
+                        .iter()
+                        .filter(|f| (f.body_start..f.body_end).contains(&i))
+                        .min_by_key(|f| f.body_end - f.body_start)
+                        .unwrap_or_else(|| panic!("`{name} as f64` outside a fn at {at}"));
+                    // The rate: `* path.to.x_per_y` or `/ path.to.x_per_y`.
+                    let by_rate = (f.body_start..f.body_end).any(|j| {
+                        matches!(toks[j].text.as_str(), "*" | "/")
+                            && toks[j + 1..]
+                                .iter()
+                                .take_while(|t| t.kind == TokKind::Ident || t.is_op("."))
+                                .last()
+                                .is_some_and(|t| t.text.contains("_per_"))
+                    });
+                    assert!(
+                        by_rate,
+                        "`{name} as f64` at {at}: `{}` applies no rate",
+                        f.name
+                    );
+                    converters.insert(format!("{rel}::{}", f.name));
+                }
+            }
+        }
+    }
+    let want = [
+        "crates/fl/src/net.rs::send",
+        "crates/gpu-sim/src/device.rs::launch",
+        "crates/he/src/ghe.rs::run",
+    ];
+    assert_eq!(converters, BTreeSet::from(want.map(String::from)));
 }

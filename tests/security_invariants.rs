@@ -133,6 +133,8 @@ fn dead_network_surfaces_a_typed_failure() {
         Err(fl::Error::NetworkFailure { attempts }) => assert_eq!(attempts, 5),
         other => panic!("expected NetworkFailure, got {other:?}"),
     }
+    // The attempts that failed still crossed the wire.
+    assert!(env.network.stats().bytes > 0);
 }
 
 #[test]
