@@ -180,9 +180,10 @@ impl Accelerator {
         // Blinding-factor pre-generation is an FLBooster-family
         // optimization (and rides along in both ablations); the FATE and
         // HAFLO baselines pay the full `r^n` on every encryption. The
-        // accelerator holds the key pair, so its pool is the key owner's
-        // and computes `r^n` by the CRT route — same values, a third of
-        // the host work.
+        // accelerator holds the key pair, so its pool is the key owner's:
+        // the per-key base and its two half-width tables are built here,
+        // at construction, and a factor is then two short comb powers and
+        // a CRT step.
         let pool = match kind {
             BackendKind::Fate | BackendKind::Haflo => None,
             BackendKind::FlBooster | BackendKind::WithoutGhe | BackendKind::WithoutBc => {
@@ -327,9 +328,10 @@ impl Accelerator {
     /// blinding pool for exactly this batch — inside the call, on the
     /// caller's wall clock — and then encrypts against the warm pool, so
     /// the simulated charge is the pooled one while the host still pays
-    /// every `r^n`, by the key owner's CRT route (the accelerator holds
-    /// the key pair; a party holding the public key alone would build its
-    /// pool with [`ObfuscatorPool::new`] and pay the full-width power).
+    /// for every factor: a fixed-base power from the pool's per-key table,
+    /// by the key owner's half-width route (the accelerator holds the key
+    /// pair; a party holding the public key alone would build its pool
+    /// with [`ObfuscatorPool::new`] and pay one full-width comb power).
     ///
     /// The round engine needs the *per-client* cost to lay client
     /// encrypts out on its simulated timeline, and it runs client
@@ -361,18 +363,16 @@ impl Accelerator {
         // the branch does not depend on the gradient values.
         // flcheck: allow(ct-taint)
         if let Some(pool) = &self.pool {
-            // Pre-generate the batch's (r, r^n) pairs sized to the
-            // gradient vector. The pairs use the same deterministic r
-            // derivation as the inline path, so ciphertexts are
-            // unchanged. The refill runs here, inside this call and on
-            // its wall clock — nothing computes it in the background —
-            // while the *simulated* epoch is not charged for it (the
-            // paper's pooling argument: pre-generation is off the modeled
-            // hot path). What keeps it cheap on the host is the route:
-            // this pool was built `for_owner`, because the accelerator
-            // holds the private key, so each r^n is four half-length
-            // powers over half- and quarter-width operands instead of one
-            // full-length, full-width one. Only the public batch
+            // Pre-generate the batch's blinding factors, sized to the
+            // gradient vector. They are the ones a pool miss would
+            // compute inline, so the ciphertexts do not depend on the
+            // refill. It runs here, inside this call and on its wall
+            // clock — nothing computes it in the background — while the
+            // *simulated* epoch is not charged for it (the paper's pooling
+            // argument: pre-generation is off the modeled hot path). What
+            // keeps it cheap on the host is what a factor is: a short
+            // power of the pool's tabulated per-key base
+            // (`ObfuscatorPool`), not a fresh `r^n`. Only the public batch
             // *size* crosses into the refill; the plaintext values do
             // not.
             // flcheck: allow(ct-taint)

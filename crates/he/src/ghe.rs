@@ -350,15 +350,15 @@ impl Schedule<'_> {
     }
 }
 
-/// Encrypts one batch item, preferring a pool-precomputed `(r, r^n)`
-/// pair; on a pool miss it computes `r^n` inline from the same `r`
-/// ([`PaillierPublicKey::batch_blinding`], which the pool's refill also
-/// derives from) — by the pool holder's route ([`ObfuscatorPool`]: the
-/// key owner's when the pool carries the private key, the public one
-/// otherwise, and the public one with no pool) — so the ciphertext is
-/// bit-identical either way. Returns whether the pool served the item
-/// (the pooled path skips the `bits(n)`-bit exponentiation, so it is
-/// charged differently).
+/// Encrypts one batch item. With a pool, the blinding factor is the
+/// pool's for `(seed, index)` — taken precomputed when the pool holds it,
+/// computed inline by the same fixed-base power on a miss
+/// ([`ObfuscatorPool`]), so the ciphertext is bit-identical either way.
+/// With no pool (the FATE / HAFLO baselines) it is `r^n` for the uniform
+/// `r` of [`PaillierPublicKey::batch_blinding`], by the public route.
+/// Returns whether the pool served the item: the simulated device is
+/// charged the pooled encrypt on a hit and the paper's full inline `r^n`
+/// otherwise, whatever the host paid.
 fn encrypt_item(
     pk: &PaillierPublicKey,
     pool: Option<&ObfuscatorPool>,
@@ -369,10 +369,9 @@ fn encrypt_item(
     if let Some(obf) = pool.and_then(|p| p.take(seed, index)) {
         return (pk.encrypt_with_obfuscator(m, obf), true);
     }
-    let r = pk.batch_blinding(seed, index);
     let obf = match pool {
-        Some(p) => p.blinding_power(pk, &r),
-        None => pk.precompute_obfuscator(&r),
+        Some(p) => p.blinding_power(seed, index),
+        None => pk.precompute_obfuscator(&pk.batch_blinding(seed, index)),
     };
     (pk.encrypt_with_obfuscator(m, obf), false)
 }
@@ -401,8 +400,8 @@ impl Default for CpuHe {
 }
 
 impl CpuHe {
-    /// Attaches a blinding-factor pool: batch encryption consumes
-    /// precomputed `(r, r^n)` pairs where available.
+    /// Attaches a blinding-factor pool: batch encryption consumes its
+    /// precomputed factors where available.
     pub fn with_pool(mut self, pool: Arc<ObfuscatorPool>) -> Self {
         self.pool = Some(pool);
         self
@@ -439,8 +438,8 @@ impl GpuHe {
         GpuHe { device, pool: None }
     }
 
-    /// Attaches a blinding-factor pool: batch encryption consumes
-    /// precomputed `(r, r^n)` pairs where available.
+    /// Attaches a blinding-factor pool: batch encryption consumes its
+    /// precomputed factors where available.
     pub fn with_pool(mut self, pool: Arc<ObfuscatorPool>) -> Self {
         self.pool = Some(pool);
         self

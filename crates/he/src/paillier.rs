@@ -15,21 +15,25 @@
 //! - **Encryption** (paper Eq. 3): `E(m) = g^m · r^n mod n²`. The
 //!   blinding power `r^n mod n²` is the expensive half and does not
 //!   depend on the plaintext, so it is packaged as an [`Obfuscator`] and
-//!   can be computed ahead of the batch ([`ObfuscatorPool`]). There are
-//!   two routes to the same value: anyone holding the public key pays one
-//!   `bits(n)`-bit power over `n²`-wide operands
+//!   can be computed ahead of the batch ([`ObfuscatorPool`]). For an
+//!   explicit `r` there are two routes to the same value: anyone holding
+//!   the public key pays one `bits(n)`-bit power over `n²`-wide operands
 //!   ([`PaillierPublicKey::precompute_obfuscator`]); the key owner pays,
 //!   for each prime, one half-length power modulo the prime and one
 //!   modulo its square, and recombines by CRT
 //!   ([`PaillierPrivateKey::precompute_obfuscator`]) — a third of the
-//!   work for the identical residue.
+//!   work for the identical residue. A pool does neither per factor: it
+//!   raises one per-key `n`-th residue `h_s` to a short secret exponent
+//!   through a fixed-base table ([`ObfuscatorPool`] says what that
+//!   assumes).
 //! - **Decryption** (paper Eq. 4): `D(c) = L(c^λ mod n²) / L(g^λ mod n²)
 //!   mod n`, with an optional CRT fast path that exponentiates modulo `p²`
 //!   and `q²` separately (≈4× fewer limb operations).
 //! - **Secret exponents** — `λ`, `p−1`, `q−1`, the owner route's
 //!   exponents, and the plaintext under a generic `g` — all go through
 //!   the one constant-time fixed-window exponentiation
-//!   ([`mpint::modpow::mod_pow_ct`]).
+//!   ([`mpint::modpow::mod_pow_ct`]); a pool's blinding exponents go
+//!   through the constant-time comb ([`mpint::comb::FixedBaseCt`]).
 //! - **Cost estimates** (`*_op_estimate`) price the *simulated device's*
 //!   schedule — a sliding window for public exponents, one squaring and
 //!   one multiply per exponent bit for secret ones — which is what
@@ -45,12 +49,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use mpint::cios::{mont_mul_mac_count, mont_sqr_mac_count};
+use mpint::comb::FixedBaseCt;
 use mpint::modpow::{mod_pow_ct, mod_pow_ctx, window_size_for};
 use mpint::prime::{generate_prime_pair, DEFAULT_MR_ROUNDS};
 use mpint::random::random_coprime;
 use mpint::straus;
-use mpint::{mod_inv, Limb, MontAcc, MontgomeryCtx, Natural};
+use mpint::{mod_inv, Limb, MontAcc, MontgomeryCtx, Natural, LIMB_BITS};
 use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 
 use crate::{Error, Result};
@@ -379,16 +385,18 @@ pub(crate) fn key_fingerprint(n: &Natural, g: &Natural) -> u64 {
     h
 }
 
-/// A precomputed Paillier blinding pair: `r^n mod n²` for a fresh `r`.
+/// A precomputed Paillier blinding factor: an `n`-th residue `r^n mod n²`.
 ///
-/// `r^n mod n²` is the expensive half of encryption (a full `bits(n)`-bit
-/// exponentiation) and depends only on the key — never on the plaintext —
-/// so it can be computed ahead of the gradient batch. An obfuscator is
-/// consumed **by value** in
-/// [`PaillierPublicKey::encrypt_with_obfuscator`], so each `r` blinds
-/// exactly one ciphertext; reusing `r` across two ciphertexts would let
-/// their quotient cancel the blinding. `Debug` prints the key fingerprint
-/// only: `r^n` unblinds the ciphertext it goes into.
+/// It is the expensive half of encryption and depends only on the key —
+/// never on the plaintext — so it can be computed ahead of the gradient
+/// batch: from an explicit `r` by a full `bits(n)`-bit exponentiation
+/// ([`PaillierPublicKey::precompute_obfuscator`]), or by an
+/// [`ObfuscatorPool`] from its per-key table. An obfuscator is consumed
+/// **by value** in [`PaillierPublicKey::encrypt_with_obfuscator`], so each
+/// factor blinds exactly one ciphertext; reusing one across two
+/// ciphertexts would let their quotient cancel the blinding. `Debug`
+/// prints the key fingerprint only: `r^n` unblinds the ciphertext it goes
+/// into.
 pub struct Obfuscator {
     /// `r^n mod n²`, ready to multiply onto `g^m`.
     r_n: Natural,
@@ -410,36 +418,100 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Pre-generated blinding pairs for batched encryption (HAFLO-style
-/// obfuscator pooling).
+/// Domain tags of the two kinds of ChaCha stream a pool derives, the
+/// first word of the stream's 32-byte key: the per-key base `h_s`, and an
+/// item's blinding exponent.
+const BASE_DOMAIN: u64 = u64::from_le_bytes(*b"flb/djnH");
+const EXPONENT_DOMAIN: u64 = u64::from_le_bytes(*b"flb/djnA");
+
+/// The ChaCha8 stream keyed by the 32 bytes `domain ‖ key_id ‖ seed ‖
+/// index`. The key *is* the tuple, so two streams coincide only when all
+/// four words do — unlike [`PaillierPublicKey::batch_blinding`]'s mix of
+/// `seed` and `index` into one word, which distinct pairs can share.
+fn pool_stream(domain: u64, key_id: u64, seed: u64, index: u64) -> ChaCha8Rng {
+    let mut key = [0u8; 32];
+    for (bytes, word) in key.chunks_exact_mut(8).zip([domain, key_id, seed, index]) {
+        bytes.copy_from_slice(&word.to_le_bytes());
+    }
+    ChaCha8Rng::from_seed(key)
+}
+
+/// The secret exponent of pool item `(seed, index)` under the key
+/// `key_id`: `exp_bits` uniform bits, as limbs of the public length
+/// `⌈exp_bits/64⌉` (it never passes through a [`Natural`], whose length
+/// would follow its leading zeros).
+fn blinding_exponent(key_id: u64, seed: u64, index: u64, exp_bits: u32) -> Vec<Limb> {
+    let mut rng = pool_stream(EXPONENT_DOMAIN, key_id, seed, index);
+    let mut a: Vec<Limb> = (0..exp_bits.div_ceil(LIMB_BITS))
+        .map(|_| rng.gen())
+        .collect();
+    let spare = a.len() as u32 * LIMB_BITS - exp_bits;
+    if let Some(top) = a.last_mut() {
+        *top &= Limb::MAX >> spare;
+    }
+    a
+}
+
+/// The per-key base `h_s`, tabulated for its holder's cheapest route.
+enum BlindingBase {
+    /// A holder of the public key: one comb modulo `n²`.
+    Public(FixedBaseCt),
+    /// The key owner: a comb modulo each prime square over `h_s` reduced
+    /// by it, and the key for the CRT step that joins the two residues.
+    Owner {
+        sk: Box<PaillierPrivateKey>,
+        at_p2: FixedBaseCt,
+        at_q2: FixedBaseCt,
+    },
+}
+
+/// Pre-generated blinding factors for batched encryption (HAFLO-style
+/// obfuscator pooling), drawn from a per-key fixed-base table.
+///
+/// **What a pooled factor is.** Not `r^n` for a fresh uniform `r`: when
+/// the pool is built it derives, from the key fingerprint alone, an
+/// `x ∈ Z*_n` and the public `n`-th residue `h_s = (−x²)^n mod n²`, and
+/// tabulates `h_s` for constant-time fixed-base powers
+/// ([`FixedBaseCt`]). The factor of item `(seed, index)` is `h_s^a mod
+/// n²` for a secret `a` of `⌈bits(n)/2⌉` uniform bits drawn from a ChaCha8
+/// stream keyed by `(key, seed, index)` — the blinding of Damgård, Jurik
+/// and Nielsen's Paillier variant. Every factor is still an `n`-th
+/// residue (`h_s^a = ((−x²)^a)^n`), so decryption, homomorphic sums and
+/// plaintext capacity are exactly as with a uniform `r`. What changes is
+/// the distribution: a point of the cyclic subgroup `⟨h_s⟩` reached by a
+/// half-length exponent, not a uniform `n`-th residue — semantic security
+/// then also assumes such points cannot be told from uniform ones (DESIGN
+/// §9). The paper pools uniform `r^n`; this is an extension it does not
+/// make. [`PaillierPublicKey::encrypt`], `encrypt_with_r` and every
+/// pool-less batch keep the uniform `r`.
 ///
 /// One store, keyed by `(seed, index)` and filled by
-/// [`prefill_batch`](Self::prefill_batch) with the *same*
-/// deterministically derived `r` values the batch encrypt path would
-/// compute inline ([`PaillierPublicKey::batch_blinding`]) — so pooled and
-/// unpooled encryption are bit-identical.
+/// [`prefill_batch`](Self::prefill_batch) with the same factors a pool
+/// miss computes inline, so a batch encrypts to the same ciphertexts
+/// whether or not its items were prefilled. Each factor is handed out at
+/// most once (`take` removes it), and a batch seed must not be reused
+/// under one key: the same `(seed, index)` is the same factor. Refills fan
+/// the powers out on the work-stealing pool and take the lock once,
+/// briefly, to deposit finished values. A refill runs inside the call that
+/// asks for it, on the caller's clock: the pool decides *when* a factor is
+/// paid for, not whether.
 ///
-/// Each pair is handed out at most once (`take` removes it), preserving
-/// the one-ciphertext-per-`r` rule. Refills fan the `r^n` exponentiations
-/// out on the work-stealing pool and take the lock once, briefly, to
-/// deposit finished values. A refill runs inside the call that asks for
-/// it, on the caller's clock: the pool decides *when* `r^n` is paid for,
-/// not whether.
-///
-/// What each `r^n` costs depends on who holds the pool. A pool built with
-/// [`for_owner`](Self::for_owner) carries the private key and computes
-/// its powers by the owner's CRT route
-/// ([`PaillierPrivateKey::precompute_obfuscator`]); one built with
-/// [`new`](Self::new) knows the public key only and pays the full-width
-/// power ([`PaillierPublicKey::precompute_obfuscator`]). The values — and
-/// so the ciphertexts, the hit/miss counts and every simulated charge —
-/// are the same either way. Only a party that already holds the private
-/// key can build the first kind; an encrypting party that was handed the
-/// public key alone keeps the second.
+/// What a factor costs depends on who holds the pool. A pool built with
+/// [`for_owner`](Self::for_owner) carries the private key: two combs over
+/// `p²`- and `q²`-wide operands and a CRT step. One built with
+/// [`new`](Self::new) knows the public key only: one comb over `n²`-wide
+/// operands, about twice the work. The values — and so the ciphertexts,
+/// the hit/miss counts and every simulated charge — are the same either
+/// way. Both constructors compute `h_s` (one full blinding power, by the
+/// holder's [`precompute_obfuscator`](PaillierPublicKey::precompute_obfuscator))
+/// and build the tables (about one more) before they return; nothing is
+/// built on first use. A table is at most
+/// [`mpint::comb::MAX_TABLE_BYTES`], and an owner's two are key material.
 pub struct ObfuscatorPool {
     key_id: u64,
-    /// The private key, when the holder is the key owner.
-    owner: Option<PaillierPrivateKey>,
+    /// Bits of a blinding exponent, `⌈bits(n)/2⌉`.
+    exp_bits: u32,
+    base: BlindingBase,
     // BTreeMap, not HashMap: the pool sits on the ciphertext result path,
     // so any future iteration (eviction, draining, debug dumps) must come
     // out in key order rather than hash order.
@@ -452,7 +524,7 @@ impl std::fmt::Debug for ObfuscatorPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ObfuscatorPool")
             .field("fingerprint", &format_args!("{:#018x}", self.key_id))
-            .field("owner", &self.owner.is_some())
+            .field("owner", &matches!(self.base, BlindingBase::Owner { .. }))
             .field("indexed", &lock(&self.indexed).len())
             .field("hits", &self.hits.load(Ordering::Relaxed))
             .field("misses", &self.misses.load(Ordering::Relaxed))
@@ -462,43 +534,69 @@ impl std::fmt::Debug for ObfuscatorPool {
 
 impl ObfuscatorPool {
     /// An empty pool bound to `pk`'s key identity, for a holder of the
-    /// public key: blinding powers take the public route.
+    /// public key: factors are one comb power modulo `n²`.
     pub fn new(pk: &PaillierPublicKey) -> Self {
         Self::with_owner(pk, None)
     }
 
-    /// An empty pool for the key owner: blinding powers take the owner's
-    /// CRT route, bit-identical to the public one and about a third of
-    /// its work.
+    /// An empty pool for the key owner: factors are two half-width comb
+    /// powers and a CRT step, bit-identical to the public pool's and about
+    /// half their work.
     pub fn for_owner(sk: &PaillierPrivateKey) -> Self {
-        Self::with_owner(&sk.public, Some(sk.clone()))
+        Self::with_owner(&sk.public, Some(sk))
     }
 
-    fn with_owner(pk: &PaillierPublicKey, owner: Option<PaillierPrivateKey>) -> Self {
+    fn with_owner(pk: &PaillierPublicKey, owner: Option<&PaillierPrivateKey>) -> Self {
+        let exp_bits = pk.n.bit_len().div_ceil(2);
+        // −x² mod n for an x every holder of this key derives alike; its
+        // n-th power is h_s, by whichever route the holder has.
+        let x = random_coprime(&mut pool_stream(BASE_DOMAIN, pk.key_id, 0, 0), &pk.n);
+        let root = Natural::zero().mod_sub(&(&x.square() % &pk.n), &pk.n);
+        let base = match owner {
+            Some(sk) => {
+                let h_s = sk.precompute_obfuscator(&root).r_n;
+                BlindingBase::Owner {
+                    at_p2: FixedBaseCt::new(&sk.ctx_p2, &h_s, exp_bits),
+                    at_q2: FixedBaseCt::new(&sk.ctx_q2, &h_s, exp_bits),
+                    sk: Box::new(sk.clone()),
+                }
+            }
+            None => {
+                let h_s = pk.precompute_obfuscator(&root).r_n;
+                BlindingBase::Public(FixedBaseCt::new(&pk.ctx_n2, &h_s, exp_bits))
+            }
+        };
         ObfuscatorPool {
             key_id: pk.key_id,
-            owner,
+            exp_bits,
+            base,
             indexed: Mutex::new(BTreeMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    /// `r^n mod n²` by the cheapest route this pool's holder has: the
-    /// owner's when the pool carries the private key, the public one
-    /// otherwise. Same value either way.
-    pub(crate) fn blinding_power(&self, pk: &PaillierPublicKey, r: &Natural) -> Obfuscator {
-        match &self.owner {
-            Some(sk) => sk.precompute_obfuscator(r),
-            None => pk.precompute_obfuscator(r),
+    /// The factor of item `index` of the batch `seed`, `h_s^a mod n²`, by
+    /// this pool's route. Same value either way: both are the canonical
+    /// residue below `n²`.
+    pub(crate) fn blinding_power(&self, seed: u64, index: usize) -> Obfuscator {
+        let a = blinding_exponent(self.key_id, seed, index as u64, self.exp_bits);
+        let r_n = match &self.base {
+            BlindingBase::Public(at_n2) => at_n2.pow(&a),
+            BlindingBase::Owner { sk, at_p2, at_q2 } => {
+                sk.crt_squares(&at_p2.pow(&a), &at_q2.pow(&a))
+            }
+        };
+        Obfuscator {
+            r_n,
+            key_id: self.key_id,
         }
     }
 
-    /// Precomputes the blinding pairs for items `0..count` of the batch
-    /// identified by `seed`, in parallel. The `r` values are the same
-    /// ones the inline path derives, so consuming these pairs changes
-    /// nothing about the ciphertexts — only when `r^n` is paid for, and
-    /// (for the key owner) by which route.
+    /// Precomputes the factors for items `0..count` of the batch
+    /// identified by `seed`, in parallel. They are the same ones a pool
+    /// miss computes inline, so consuming them changes nothing about the
+    /// ciphertexts — only when a factor is paid for.
     // The simulated device is not charged for a refill; the cost model
     // prices the consumption of a pooled pair
     // (`encrypt_pooled_op_estimate`). On the host the refill runs inside
@@ -511,10 +609,7 @@ impl ObfuscatorPool {
         let pairs: Vec<((u64, u64), Obfuscator)> = (0..count)
             .into_par_iter()
             .with_max_len(1)
-            .map(|i| {
-                let r = pk.batch_blinding(seed, i);
-                ((seed, i as u64), self.blinding_power(pk, &r))
-            })
+            .map(|i| ((seed, i as u64), self.blinding_power(seed, i)))
             .collect();
         lock(&self.indexed).extend(pairs);
         Ok(())
@@ -566,12 +661,15 @@ impl PaillierPublicKey {
         self.encrypt_with_obfuscator(m, self.precompute_obfuscator(r))
     }
 
-    /// The deterministic per-item blinding factor for item `index` of the
+    /// The deterministic per-item blinding root `r` for item `index` of the
     /// batch identified by `seed` — each item gets an independent ChaCha8
-    /// stream, matching the paper's one-generator-per-thread design. Both
-    /// the inline batch-encrypt path and
-    /// [`ObfuscatorPool::prefill_batch`] derive `r` through here, which
-    /// is what makes pooled and unpooled encryption bit-identical.
+    /// stream, matching the paper's one-generator-per-thread design. Kept
+    /// for the pool-less path (the FATE / HAFLO baselines' inline `r^n`)
+    /// only: the stream key mixes `seed` and `index` into one word, so
+    /// `(s, i)` and `(s ^ i·φ ^ j·φ, j)` draw the same `r`, which is
+    /// harmless between baseline batches that never share a seed and is
+    /// why [`ObfuscatorPool`] derives its exponents from the whole tuple
+    /// instead.
     pub fn batch_blinding(&self, seed: u64, index: usize) -> Natural {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(
             seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
@@ -1029,12 +1127,9 @@ impl PaillierPrivateKey {
     /// `r^n mod p² = ((r mod p)^(q mod (p−1)) mod p)^p mod p²`: one
     /// half-length power over `p`-wide operands and one over `p²`-wide
     /// ones. The same modulo `q²`, and the two residues recombine by CRT
-    /// with the precomputed `(p²)^{-1} mod q²`. All four exponents are key
-    /// material and go through the constant-time window.
-    // The simulated device is charged for blinding at consumption
-    // (`encrypt_op_estimate` on a pool miss, the pooled estimate on a
-    // hit), whichever host route produced the value.
-    // flcheck: allow(uncharged-work) — off-path pool refill (see prefill_batch).
+    /// (`crt_squares`). All four exponents are key material and go through
+    /// the constant-time window. An owner's [`ObfuscatorPool`] computes its
+    /// base `h_s` through here, once.
     // flcheck: secret(r)
     pub fn precompute_obfuscator(&self, r: &Natural) -> Obfuscator {
         // Delegation boundary: r enters the two powers as their base,
@@ -1044,20 +1139,24 @@ impl PaillierPrivateKey {
         let at_p = Self::pow_n_mod_square(r, &self.p, &self.q_mod_p1, &self.ctx_p, &self.ctx_p2);
         // flcheck: allow(ct-taint)
         let at_q = Self::pow_n_mod_square(r, &self.q, &self.p_mod_q1, &self.ctx_q, &self.ctx_q2);
-        // CRT: r^n = at_p + p²·((at_q − at_p)·(p²)^{-1} mod q²), with at_p
-        // reduced into [0, q²) before the difference (p² and q² have no
-        // ordering). Both windows are done; the arithmetic is
-        // width-bounded.
+        // Both windows are done; the recombination is width-bounded.
         // flcheck: allow(ct-taint)
-        let at_p_mod_q2 = &at_p % &self.q_squared;
-        // flcheck: allow(ct-taint)
-        let diff = at_q.mod_sub(&at_p_mod_q2, &self.q_squared);
-        // flcheck: allow(ct-taint)
-        let t = self.ctx_q2.mod_mul(&diff, &self.p2_inv_q2);
+        let r_n = self.crt_squares(&at_p, &at_q);
         Obfuscator {
-            r_n: &at_p + &(&self.p_squared * &t),
+            r_n,
             key_id: self.public.key_id,
         }
+    }
+
+    /// The residue below `n² = p²·q²` of a value known modulo `p²` and
+    /// modulo `q²`: `at_p + p²·((at_q − at_p)·(p²)^{-1} mod q²)`, with
+    /// `at_p` reduced into `[0, q²)` before the difference (`p²` and `q²`
+    /// have no ordering). The step both of the owner's blinding routes end
+    /// on — an explicit `r`'s two windows, a pool factor's two combs.
+    fn crt_squares(&self, at_p: &Natural, at_q: &Natural) -> Natural {
+        let diff = at_q.mod_sub(&(at_p % &self.q_squared), &self.q_squared);
+        let t = self.ctx_q2.mod_mul(&diff, &self.p2_inv_q2);
+        at_p + &(&self.p_squared * &t)
     }
 
     /// `r^n mod s²` for the prime factor `s` of `n`, given
@@ -1393,28 +1492,68 @@ mod tests {
 
     #[test]
     fn owner_pool_matches_public_pool_on_hit_and_miss() {
-        let k = keys(128);
-        let owner = ObfuscatorPool::for_owner(&k.private);
-        let public = ObfuscatorPool::new(&k.public);
-        for pool in [&owner, &public] {
-            pool.prefill_batch(&k.public, 31, 2).unwrap();
-        }
-        for i in 0..2 {
-            let a = owner.take(31, i).unwrap();
-            let b = public.take(31, i).unwrap();
-            assert_eq!(a.r_n, b.r_n, "indexed {i}");
-        }
-        let r = k.public.batch_blinding(31, 9);
-        assert_eq!(
-            owner.blinding_power(&k.public, &r).r_n,
-            public.blinding_power(&k.public, &r).r_n
-        );
-        // A foreign key is still refused before any power is computed.
         let other = PaillierKeyPair::generate(&mut ChaCha8Rng::seed_from_u64(2), 128).unwrap();
-        assert_eq!(
-            owner.prefill_batch(&other.public, 0, 1),
-            Err(Error::KeyMismatch)
-        );
+        for k in [&keys(128), &generic_g_keys(), &keys(64)] {
+            let owner = ObfuscatorPool::for_owner(&k.private);
+            let public = ObfuscatorPool::new(&k.public);
+            for pool in [&owner, &public] {
+                pool.prefill_batch(&k.public, 31, 2).unwrap();
+            }
+            for i in 0..2 {
+                let a = owner.take(31, i).unwrap();
+                let b = public.take(31, i).unwrap();
+                assert_eq!(a.r_n, b.r_n, "hit {i}");
+                // A hit is the factor a miss on the same item computes.
+                assert_eq!(a.r_n, owner.blinding_power(31, i).r_n, "hit vs miss {i}");
+            }
+            assert_eq!(
+                owner.blinding_power(31, 9).r_n,
+                public.blinding_power(31, 9).r_n
+            );
+            // A foreign key is still refused before any power is computed.
+            assert_eq!(
+                owner.prefill_batch(&other.public, 0, 1),
+                Err(Error::KeyMismatch)
+            );
+        }
+    }
+
+    #[test]
+    fn pool_exponents_are_injective_where_batch_blinding_aliases() {
+        const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
+        let k = keys(128);
+        let pool = ObfuscatorPool::new(&k.public);
+        let (id, bits) = (k.public.key_id, pool.exp_bits);
+        for (s, i, j) in [(0xB11Du64, 0usize, 1usize), (7, 3, 12), (u64::MAX, 5, 2)] {
+            // (s, i) and (s ^ i·φ ^ j·φ, j) fold to one batch_blinding key.
+            let t = s ^ (i as u64).wrapping_mul(PHI) ^ (j as u64).wrapping_mul(PHI);
+            assert_eq!(
+                k.public.batch_blinding(s, i),
+                k.public.batch_blinding(t, j),
+                "the baseline derivation aliases"
+            );
+            assert_ne!(
+                blinding_exponent(id, s, i as u64, bits),
+                blinding_exponent(id, t, j as u64, bits)
+            );
+            assert_ne!(pool.blinding_power(s, i).r_n, pool.blinding_power(t, j).r_n);
+        }
+        // Every word of the tuple reaches the stream key, the key too.
+        let a = blinding_exponent(id, 1, 2, bits);
+        assert_eq!(a, blinding_exponent(id, 1, 2, bits));
+        for other in [
+            blinding_exponent(id ^ 1, 1, 2, bits),
+            blinding_exponent(id, 2, 1, bits),
+            blinding_exponent(id, 1, 3, bits),
+        ] {
+            assert_ne!(a, other);
+        }
+        // A public length, and nothing above the bound.
+        for bits in [0u32, 1, 63, 64, 65, 512] {
+            let a = blinding_exponent(id, 9, 9, bits);
+            assert_eq!(a.len(), bits.div_ceil(64) as usize);
+            assert!(Natural::from_limbs(a).bit_len() <= bits);
+        }
     }
 
     #[test]
@@ -1580,18 +1719,28 @@ mod tests {
     }
 
     #[test]
-    fn pool_prefill_matches_batch_blinding_derivation() {
+    fn pooled_and_baseline_ciphertexts_differ_in_blinding_only() {
         let k = keys(128);
-        let pool = ObfuscatorPool::new(&k.public);
+        let pool = ObfuscatorPool::for_owner(&k.private);
         pool.prefill_batch(&k.public, 31, 3).unwrap();
         for i in 0..3 {
             let obf = pool.take(31, i).unwrap();
+            // A bare factor is an encryption of zero: an n-th residue.
+            let bare = Ciphertext {
+                value: obf.r_n.clone(),
+                key_id: k.public.key_id,
+            };
+            assert_eq!(k.private.decrypt(&bare).unwrap(), nat(0), "item {i}");
             let pooled = k.public.encrypt_with_obfuscator(&nat(5), obf).unwrap();
-            let inline = k
+            let baseline = k
                 .public
-                .encrypt_with_r(&nat(5), &k.public.batch_blinding(31, i))
+                .encrypt_with_r(&nat(6), &k.public.batch_blinding(31, i))
                 .unwrap();
-            assert_eq!(pooled, inline, "item {i}");
+            assert_ne!(pooled.value, baseline.value, "item {i}");
+            assert_eq!(k.private.decrypt_crt(&pooled).unwrap(), nat(5));
+            // The two kinds of ciphertext add like any two.
+            let sum = k.public.checked_add(&pooled, &baseline).unwrap();
+            assert_eq!(k.private.decrypt(&sum).unwrap(), nat(11), "item {i}");
         }
     }
 

@@ -11,6 +11,14 @@
 //! order, a transfer charged differently or a floor applied on the wrong
 //! arm moves at least one value here.
 //!
+//! The `cpu+pool encrypt` / `gpu+pool encrypt` FNV columns, and only
+//! those, were captured again when a pooled blinding factor became a
+//! fixed-base power `h_s^a` instead of a uniform `r^n`: a pooled
+//! ciphertext stopped being the pool-less one bit for bit. Their
+//! `sim_seconds`, `ops` and `items`, the device rows and every pool-less
+//! row stayed as first captured; the folds take pool-less operands, so
+//! `SUM_GOLDEN` did not move either.
+//!
 //! `SUM_GOLDEN` holds the k-way `sum_batches` (k = 2, 3, 128), added when
 //! `add_batch` became its two-batch call: the k = 2 rows are held to the
 //! `add` rows of `GOLDEN`, and every output to the chain of pairwise
@@ -388,7 +396,7 @@ const GOLDEN: &[GoldenRow] = &[
     ),
     (
         "cpu+pool encrypt",
-        0xe764b49631df6f05,
+        0xbea6c54defe01eea,
         0x3ee3bae1ac9c9a6f,
         4704,
         5,
@@ -544,7 +552,7 @@ const GOLDEN: &[GoldenRow] = &[
     ),
     (
         "gpu+pool encrypt",
-        0xe764b49631df6f05,
+        0xbea6c54defe01eea,
         0x3e71830540b400d3,
         4704,
         5,

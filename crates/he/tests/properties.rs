@@ -112,10 +112,15 @@ fn residue(k: &PaillierKeyPair, obf: he::paillier::Obfuscator) -> Natural {
         .value
 }
 
-/// Owner-route and public-route blinding for `items` draws of the batch
-/// `seed`: the powers agree limb for limb, and an owner's pool and a
-/// public-key pool give equal ciphertexts, counts and charges with the
-/// first `prefilled` items served from the pool and the rest missing.
+/// What must hold of a key's blinding routes over `items` draws of the
+/// batch `seed`, the first `prefilled` served from a pool and the rest
+/// missing it. For an explicit `r` — how a pool computes its base at
+/// set-up — the owner's and the public power agree limb for limb. An
+/// owner's pool and a public-key pool give equal ciphertexts, counts and
+/// charges. Every pooled factor, hit or miss, is an `n`-th residue: bare,
+/// it decrypts to zero, and under a plaintext it decrypts to the
+/// plaintext. Pooled and pool-less ciphertexts differ in their blinding
+/// only: other bits, same values, and they add.
 fn check_owner_route(k: &PaillierKeyPair, seed: u64, items: usize, prefilled: usize) {
     for i in 0..items {
         let r = k.public.batch_blinding(seed, i);
@@ -126,15 +131,15 @@ fn check_owner_route(k: &PaillierKeyPair, seed: u64, items: usize, prefilled: us
     let ms: Vec<Natural> = (0..items as u64)
         .map(|i| Natural::from(i * 977 + 5))
         .collect();
-    let run = |pool: ObfuscatorPool| {
+    let run = |pool: ObfuscatorPool, ms: &[Natural]| {
         let pool = Arc::new(pool);
         pool.prefill_batch(&k.public, seed, prefilled).unwrap();
         let he = CpuHe::default().with_pool(Arc::clone(&pool));
-        let (cts, timing) = he.encrypt_batch(&k.public, &ms, seed).unwrap();
+        let (cts, timing) = he.encrypt_batch(&k.public, ms, seed).unwrap();
         (cts, timing, pool.hits(), pool.misses())
     };
-    let owner = run(ObfuscatorPool::for_owner(&k.private));
-    let public = run(ObfuscatorPool::new(&k.public));
+    let owner = run(ObfuscatorPool::for_owner(&k.private), &ms);
+    let public = run(ObfuscatorPool::new(&k.public), &ms);
     assert_eq!(
         owner, public,
         "batch {seed:#x}, {prefilled} of {items} pooled"
@@ -143,10 +148,27 @@ fn check_owner_route(k: &PaillierKeyPair, seed: u64, items: usize, prefilled: us
         (owner.2, owner.3),
         (prefilled as u64, (items - prefilled) as u64)
     );
+    // Hits and misses are the same factors: a cold pool changes nothing.
+    let cold = Arc::new(ObfuscatorPool::for_owner(&k.private));
+    let (missed, _) = CpuHe::default()
+        .with_pool(cold)
+        .encrypt_batch(&k.public, &ms, seed)
+        .unwrap();
+    assert_eq!(owner.0, missed, "hits and misses");
+
+    let zeros = vec![Natural::zero(); items];
+    let (bare, ..) = run(ObfuscatorPool::for_owner(&k.private), &zeros);
     let (inline, _) = CpuHe::default()
         .encrypt_batch(&k.public, &ms, seed)
         .unwrap();
-    assert_eq!(owner.0, inline, "pooled and unpooled ciphertexts");
+    for i in 0..items {
+        assert_eq!(k.private.decrypt(&bare[i]).unwrap(), zeros[i], "factor {i}");
+        assert_eq!(k.private.decrypt_crt(&owner.0[i]).unwrap(), ms[i]);
+        assert_eq!(k.private.decrypt(&inline[i]).unwrap(), ms[i]);
+        assert_ne!(owner.0[i], inline[i], "pooled and pool-less blinding");
+        let sum = k.public.checked_add(&owner.0[i], &inline[i]).unwrap();
+        assert_eq!(k.private.decrypt(&sum).unwrap(), &ms[i] + &ms[i]);
+    }
 }
 
 proptest! {

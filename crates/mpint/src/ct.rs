@@ -100,7 +100,11 @@ pub fn ct_lookup_limbs(out: &mut [Limb], table: &[Limb], index: Limb) {
     debug_assert_eq!(table.len() % out.len(), 0, "table must be whole entries");
     out.fill(0);
     for (k, entry) in (0..).zip(table.chunks_exact(out.len())) {
-        let mask = ct_mask(ct_is_zero(k ^ index));
+        // Opaque to the optimizer: given a mask it can test for zero,
+        // rustc 1.95 at opt-level 3 branches around the entry's loads,
+        // which puts the index back into the access pattern (a no-match
+        // scan of a 64 MiB table took 25 µs; it takes 9 ms now).
+        let mask = std::hint::black_box(ct_mask(ct_is_zero(k ^ index)));
         for (o, &e) in out.iter_mut().zip(entry) {
             *o |= e & mask;
         }

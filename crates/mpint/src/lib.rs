@@ -19,6 +19,8 @@
 //!   layout used by the GPU kernels.
 //! - [`modpow`]: binary and sliding-window modular exponentiation (the
 //!   paper reduces complexity from `e` to `log_{2^b} e` multiplications).
+//! - [`comb`]: constant-time fixed-base exponentiation from a per-base
+//!   table (Lim–Lee comb), for the Paillier blinding pools.
 //! - [`prime`]: Miller–Rabin primality testing and random prime generation
 //!   used by Paillier/RSA key generation.
 //! - [`random`]: uniform random `Natural` generation.
@@ -40,6 +42,7 @@
 
 mod bits;
 pub mod cios;
+pub mod comb;
 mod convert;
 pub mod ct;
 mod div;

@@ -67,6 +67,9 @@ pub fn mod_pow_ctx(ctx: &MontgomeryCtx, base: &Natural, exp: &Natural) -> Natura
 /// The odd-power table is one flat buffer of `2^(w-1)` fixed-width
 /// entries and the running product a [`MontAcc`]: the number of
 /// allocations is fixed, whatever the exponent length.
+// `i` and `j` walk down from `exp.bit_len() − 1`, itself a `u32`, and are
+// cast only while non-negative.
+// flcheck: widen-ok(i, j)
 pub fn mod_pow_mont(ctx: &MontgomeryCtx, base_m: &Natural, exp: &Natural, window: u32) -> Natural {
     debug_assert!(window >= 1 && window <= 12);
     if exp.is_zero() {

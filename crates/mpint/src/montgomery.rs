@@ -261,6 +261,11 @@ impl<'a> MontAcc<'a> {
         self.calls
     }
 
+    /// The accumulated residue as `ctx.width()` limbs, in Montgomery form.
+    pub fn as_limbs(&self) -> &[Limb] {
+        &self.acc
+    }
+
     /// The accumulated residue, still in Montgomery form.
     pub fn into_natural(self) -> Natural {
         Natural::from_limbs(self.acc)

@@ -113,9 +113,11 @@ fn pooled_encryption_is_bit_identical_to_inline_at_every_thread_count() {
     let ms: Vec<Natural> = (0..64).map(|_| Natural::from(rng.next_u64())).collect();
     let seed = 0xCAFE_D00D;
 
-    // Reference: no pool, single thread.
+    // Reference: a cold pool — every factor computed inline, on the
+    // miss path — single thread.
     let reference: Vec<Natural> = in_pool(1, || {
         CpuHe::default()
+            .with_pool(Arc::new(ObfuscatorPool::new(&keys.public)))
             .encrypt_batch(&keys.public, &ms, seed)
             .expect("inline")
             .0
@@ -126,7 +128,7 @@ fn pooled_encryption_is_bit_identical_to_inline_at_every_thread_count() {
 
     for threads in THREAD_COUNTS {
         // Pool prefilled concurrently inside the same thread pool that
-        // then drains it — the refill fans r^n out across workers.
+        // then drains it — the refill fans the powers out across workers.
         let (cpu_vals, gpu_vals, hits) = in_pool(threads, || {
             let pool = Arc::new(ObfuscatorPool::new(&keys.public));
             pool.prefill_batch(&keys.public, seed, ms.len())
@@ -173,11 +175,13 @@ fn pooled_encryption_is_bit_identical_to_inline_at_every_thread_count() {
 }
 
 #[test]
-fn owner_pool_backend_encrypts_the_poolless_baseline_ciphertexts() {
+fn owner_pool_backend_encrypts_the_public_pool_ciphertexts() {
     // `WithoutBc`: unpacked, behind an obfuscator pool whose holder is the
-    // key owner (CRT blinding route). `Fate`: unpacked, no pool, public
-    // route. Same `(values, seed)` must give the same ciphertexts, at any
-    // thread count.
+    // key owner (two half-width combs and a CRT step). A `GpuHe` behind a
+    // public-key pool (one full-width comb) must give the same
+    // ciphertexts for the same `(words, seed)` at any thread count. The
+    // pool-less `Fate` baseline blinds with a uniform `r`: other
+    // ciphertexts, the same values.
     use fl::{Accelerator, BackendKind};
     let keys = {
         let mut rng = ChaCha8Rng::seed_from_u64(0x0B0E);
@@ -185,28 +189,42 @@ fn owner_pool_backend_encrypts_the_poolless_baseline_ciphertexts() {
     };
     let values: Vec<f64> = (0..24).map(|i| ((i as f64) * 0.61).cos() * 0.9).collect();
     let seed = 0x00C0_FFEE;
-    let both = || {
+    let all = || {
         let baseline = Accelerator::new(BackendKind::Fate, keys.clone(), 4).expect("fate");
         let pooled = Accelerator::new(BackendKind::WithoutBc, keys.clone(), 4).expect("w/o bc");
+        let words: Vec<Natural> = values
+            .iter()
+            .map(|&v| Natural::from(pooled.codec().quantizer().quantize(v).expect("quantize")))
+            .collect();
+        let public = GpuHe::new(Arc::new(Device::new(DeviceConfig::rtx3090())))
+            .with_pool(Arc::new(ObfuscatorPool::new(&keys.public)));
+        let fate = baseline.encrypt(&values, seed).expect("fate encrypt");
+        let owner = pooled.encrypt(&values, seed).expect("w/o bc encrypt");
+        assert_eq!(
+            baseline.decrypt_sum(&fate, 1).expect("fate decrypt"),
+            pooled.decrypt_sum(&owner, 1).expect("w/o bc decrypt"),
+        );
         (
-            baseline.encrypt(&values, seed).expect("fate encrypt"),
-            pooled.encrypt(&values, seed).expect("w/o bc encrypt"),
+            fate,
+            owner.cts,
+            public
+                .encrypt_batch(&keys.public, &words, seed)
+                .expect("public pool")
+                .0,
         )
     };
-    let (reference, _) = in_pool(1, both);
-    assert_eq!(
-        reference.cts.len(),
-        values.len(),
-        "one ciphertext per value"
-    );
+    let (fate_reference, reference, _) = in_pool(1, all);
+    assert_eq!(reference.len(), values.len(), "one ciphertext per value");
+    assert_ne!(fate_reference.cts, reference, "uniform r against h_s^a");
     // `None` is the ambient pool: as many workers as the host offers.
     for threads in [Some(1), Some(2), None] {
-        let (baseline, pooled) = match threads {
-            Some(t) => in_pool(t, both),
-            None => both(),
+        let (baseline, owner, public) = match threads {
+            Some(t) => in_pool(t, all),
+            None => all(),
         };
-        assert_eq!(baseline, reference, "FATE, threads={threads:?}");
-        assert_eq!(pooled, reference, "w/o BC, threads={threads:?}");
+        assert_eq!(baseline, fate_reference, "FATE, threads={threads:?}");
+        assert_eq!(owner, reference, "w/o BC, threads={threads:?}");
+        assert_eq!(public, reference, "public pool, threads={threads:?}");
     }
 }
 
@@ -550,24 +568,29 @@ fn round_engine_is_thread_count_invariant_and_matches_the_classic_loop() {
 
     // The reference is the barrier-by-barrier sequential loop the engine
     // replaced: what it charged this epoch and the weights it reached,
-    // captured from it bit-for-bit before it was deleted.
+    // captured from it bit-for-bit before it was deleted. `comm_bytes`
+    // (+3 of 1532) and the comm / uplink / downlink / round sums over it
+    // were captured again when pooled blinding became a fixed-base power:
+    // a ciphertext is charged at its minimal byte length, and its bits
+    // changed. The HE and compute charges, the counts and the weights are
+    // the classic loop's still.
     let s = f64::from_bits;
     let classic_b = EpochBreakdown {
         he_seconds: s(0x3e805e36456051e8),
-        comm_seconds: s(0x3f771e6e6ee24fb0),
+        comm_seconds: s(0x3f771e74e026c6be),
         other_seconds: s(0x3f267b4194cad2cd),
-        comm_bytes: 0x5fc,
+        comm_bytes: 0x5ff,
         ciphertexts: 0x30,
         he_values: 0x10,
         phases: PhaseBreakdown {
             compute_seconds: s(0x3ee828c0be769dc2),
             encrypt_seconds: s(0x3f14fa1393160308),
-            uplink_seconds: s(0x3f671e7705e843c3),
+            uplink_seconds: s(0x3f671e72ba6549b9),
             aggregate_seconds: s(0x3e50ed192548cd1e),
-            downlink_seconds: s(0x3f671e65d7dc5b9c),
+            downlink_seconds: s(0x3f671e7705e843c3),
             decrypt_seconds: s(0x3f14fe77c8412a76),
         },
-        round_seconds: s(0x3f77d26937f53106),
+        round_seconds: s(0x3f77d26fa939a815),
     };
     let classic_w: Vec<f64> = [
         0x3fb999996a833dc8u64,
