@@ -524,6 +524,24 @@ impl Accelerator {
         ))
     }
 
+    /// A SecureBoost host's reply for one tree node: every non-empty
+    /// group of `groups` folded, and the sums packed `slot_bits` apart
+    /// into as few ciphertexts as the key allows
+    /// ([`HeBackend::fold_packed`]; a slot as wide as the plaintext word
+    /// keeps one sum per ciphertext). One launch, charged to the shared
+    /// accumulator here; the cost is also returned for the caller's epoch
+    /// breakdown.
+    pub fn fold_packed_timed(
+        &self,
+        groups: &[Vec<&Ciphertext>],
+        slot_bits: u32,
+    ) -> Result<(Vec<Ciphertext>, AccelTiming)> {
+        let (cts, t) = self.he.fold_packed(&self.keys.public, groups, slot_bits)?;
+        let timing = Self::accel_timing(&t, 0);
+        self.charge_accel(&timing);
+        Ok((cts, timing))
+    }
+
     /// Decrypts an aggregated vector whose slots hold sums of `terms`
     /// contributions, returning the cost alongside the values instead of
     /// charging the shared accumulator (see
@@ -611,7 +629,6 @@ impl Accelerator {
     }
 
     /// Charges timing produced by direct [`Accelerator::he_backend`] use.
-    // flcheck: charge-sink
     pub fn charge_external(&self, t: &HeTiming, codec_values: usize) {
         self.charge(t, codec_values);
     }

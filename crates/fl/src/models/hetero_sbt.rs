@@ -10,10 +10,18 @@
 //!    bits that a whole node's worth of instances can be summed in-slot),
 //!    or as two ciphertexts per instance otherwise;
 //! 2. each passive party buckets its node instances by feature-quantile
-//!    bins and reduces the encrypted `g`/`h` into per-bin sums with
-//!    *homomorphic additions* ([`he::HeBackend::fold_groups`]);
-//! 3. bucket sums return to the active party, which decrypts them,
-//!    evaluates the XGBoost split gain, and announces the winner;
+//!    bins and reduces the encrypted `g`/`h` of every **non-empty** bucket
+//!    into one sum by *homomorphic additions*. An empty bucket sends
+//!    nothing: bucket member counts travel in the clear (the active party
+//!    needs them to undo the quantizer's offset), so a zero count already
+//!    says the sum is zero. Under batch compression the party then
+//!    shift-and-adds its bucket sums, `2·slot` bits apart, into as few
+//!    plaintext words as the key holds
+//!    ([`he::HeBackend::fold_packed`]) — one ciphertext per 24 buckets at
+//!    1024 bits; without it each sum keeps a ciphertext to itself;
+//! 3. the active party decrypts every passive reply of the node in one
+//!    batch, slices the words back into per-bucket sums, evaluates the
+//!    XGBoost split gain, and announces the winner;
 //! 4. recursion continues to `max_depth`; leaves get `-G/(H+λ)` weights.
 //!
 //! The active party's own features never leave home, so its histograms
@@ -23,7 +31,7 @@
 // sized to the dataset; bin ids are clamped to `bins - 1` at quantization.
 
 use codec::{Quantizer, QuantizerConfig};
-use he::paillier::Ciphertext;
+use he::paillier::{Ciphertext, PaillierPublicKey};
 use mpint::Natural;
 
 use crate::data::{vertical_split, Dataset, VerticalShard};
@@ -207,22 +215,100 @@ impl HeteroSbt {
     }
 
     /// Decodes a decrypted bucket sum into `(G, H)` given the bucket's
-    /// member count.
-    fn decode_gh_sum(&self, words: &[Natural], count: u32, packed: bool) -> (f64, f64) {
-        if packed {
+    /// member count. A count past the quantizer's guard capacity has
+    /// carried out of its slot, so it is an error, never a sum.
+    fn decode_gh_sum(&self, words: &[Natural], count: u32, packed: bool) -> Result<(f64, f64)> {
+        self.check_bucket(count)?;
+        let (zg, zh) = if packed {
             let w = &words[0];
-            let zg = w.extract_bits(0, self.gh_slot_bits);
-            let zh = w.extract_bits(self.gh_slot_bits, self.gh_slot_bits);
             (
-                self.gh_quantizer.dequantize_sum(zg, count),
-                self.gh_quantizer.dequantize_sum(zh, count),
+                w.extract_bits(0, self.gh_slot_bits),
+                w.extract_bits(self.gh_slot_bits, self.gh_slot_bits),
             )
         } else {
-            (
-                self.gh_quantizer.dequantize_sum(words[0].low_u64(), count),
-                self.gh_quantizer.dequantize_sum(words[1].low_u64(), count),
-            )
+            (words[0].low_u64(), words[1].low_u64())
+        };
+        Ok((
+            self.gh_quantizer.dequantize_sum(zg, count),
+            self.gh_quantizer.dequantize_sum(zh, count),
+        ))
+    }
+
+    /// A bucket of `count` members must fit the guard bits of its slot.
+    fn check_bucket(&self, count: u32) -> Result<()> {
+        self.gh_quantizer
+            .check_terms(count)
+            .map_err(|e| flbooster_core::Error::from(e).into())
+    }
+
+    /// Width of the slot one bucket sum occupies in a reply word: `g‖h`
+    /// under GH packing; without it the whole plaintext word, so a sum
+    /// keeps its ciphertext to itself.
+    fn bucket_slot_bits(&self, pk: &PaillierPublicKey, packed: bool) -> u32 {
+        if packed {
+            2 * self.gh_slot_bits
+        } else {
+            pk.n.bit_len().saturating_sub(1)
         }
+    }
+
+    /// Host side of the histogram: the ciphertexts of each bucket's
+    /// members, borrowed from the broadcast — one group per bucket, or a
+    /// `g` group and an `h` group without GH packing. Every bucket is
+    /// held to its guard capacity before anything is folded.
+    fn bucket_groups<'a>(
+        &self,
+        buckets: &[Vec<Vec<usize>>],
+        gh_cts: &'a [Ciphertext],
+        packed: bool,
+    ) -> Result<Vec<Vec<&'a Ciphertext>>> {
+        let mut groups = Vec::new();
+        for bucket in buckets.iter().flatten() {
+            self.check_bucket(crate::count_u32(bucket.len()))?;
+            if packed {
+                groups.push(bucket.iter().map(|&i| &gh_cts[i]).collect());
+            } else {
+                groups.push(bucket.iter().map(|&i| &gh_cts[2 * i]).collect());
+                groups.push(bucket.iter().map(|&i| &gh_cts[2 * i + 1]).collect());
+            }
+        }
+        Ok(groups)
+    }
+
+    /// Guest side of the histogram: one party's decrypted reply `words`
+    /// sliced back into `(G, H, count)` per bucket. Which buckets replied
+    /// follows from the member counts, which travel in the clear.
+    fn decode_buckets(
+        &self,
+        pk: &PaillierPublicKey,
+        words: &[Natural],
+        buckets: &[Vec<Vec<usize>>],
+        packed: bool,
+    ) -> Result<Vec<Vec<(f64, f64, u32)>>> {
+        let streams = if packed { 1 } else { 2 };
+        let filled = buckets.iter().flatten().filter(|b| !b.is_empty()).count();
+        let slots = pk
+            .unpack_runs(words, filled * streams, self.bucket_slot_bits(pk, packed))
+            .map_err(flbooster_core::Error::from)?;
+        let mut sums = slots.chunks(streams);
+        buckets
+            .iter()
+            .map(|per_bin| {
+                per_bin
+                    .iter()
+                    .map(|bucket| {
+                        if bucket.is_empty() {
+                            return Ok((0.0, 0.0, 0));
+                        }
+                        // `unpack_runs` returned a sum per filled bucket.
+                        let sum = sums.next().unwrap_or_default();
+                        let terms = crate::count_u32(bucket.len());
+                        let (gs, hs) = self.decode_gh_sum(sum, terms, packed)?;
+                        Ok((gs, hs, terms))
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     /// Deterministic feature subsample for a node.
@@ -301,7 +387,6 @@ impl FlModel for HeteroSbt {
         let n = self.labels.len();
         let packed = env.accel.batch_compression();
         let pk = &env.accel.keys().public;
-        let sk = &env.accel.keys().private;
         let he = env.accel.he_backend();
 
         // (1) gradients and their encrypted broadcast.
@@ -340,32 +425,18 @@ impl FlModel for HeteroSbt {
             breakdown.ciphertexts += passive as u64 * gh_cts.len() as u64;
         }
 
-        // Per-instance ciphertext accessors (packed: one ct; plain: two).
-        let ct_of = |i: usize| -> Vec<Ciphertext> {
-            if packed {
-                vec![gh_cts[i].clone()]
-            } else {
-                vec![gh_cts[2 * i].clone(), gh_cts[2 * i + 1].clone()]
-            }
-        };
-
         // (2)–(4) grow one tree.
-        let all: Vec<usize> = (0..n).collect();
-        let mut leaf_updates: Vec<(Vec<usize>, f64)> = Vec::new();
-        let root = self.grow(
+        let round = Round {
             env,
             cfg,
-            &all,
-            0,
-            seed,
-            &g,
-            &h,
-            &ct_of,
+            g: &g,
+            h: &h,
+            gh_cts: &gh_cts,
             packed,
-            sk,
-            &mut breakdown,
-            &mut leaf_updates,
-        )?;
+        };
+        let all: Vec<usize> = (0..n).collect();
+        let mut leaf_updates: Vec<(Vec<usize>, f64)> = Vec::new();
+        let root = self.grow(&round, &all, 0, seed, &mut breakdown, &mut leaf_updates)?;
         let tree = Tree { root };
         self.trees.push(tree);
 
@@ -385,25 +456,38 @@ impl FlModel for HeteroSbt {
     }
 }
 
+/// What growing one tree borrows from its boosting round.
+struct Round<'a> {
+    env: &'a FlEnv,
+    cfg: &'a TrainConfig,
+    g: &'a [f64],
+    h: &'a [f64],
+    /// The encrypted gradients as broadcast: one `g‖h` word per instance
+    /// when `packed`, else `g` then `h`.
+    gh_cts: &'a [Ciphertext],
+    packed: bool,
+}
+
 impl HeteroSbt {
     /// Recursive node growth. Returns the node and records leaf member
     /// sets for the margin update.
-    #[allow(clippy::too_many_arguments)]
     fn grow(
         &self,
-        env: &FlEnv,
-        cfg: &TrainConfig,
+        round: &Round,
         members: &[usize],
         depth: usize,
         seed: u64,
-        g: &[f64],
-        h: &[f64],
-        ct_of: &dyn Fn(usize) -> Vec<Ciphertext>,
-        packed: bool,
-        sk: &he::paillier::PaillierPrivateKey,
         breakdown: &mut EpochBreakdown,
         leaves: &mut Vec<(Vec<usize>, f64)>,
     ) -> Result<TreeNode> {
+        let Round {
+            env,
+            cfg,
+            g,
+            h,
+            packed,
+            ..
+        } = *round;
         let g_total: f64 = members.iter().map(|&i| g[i]).sum();
         let h_total: f64 = members.iter().map(|&i| h[i]).sum();
 
@@ -413,92 +497,88 @@ impl HeteroSbt {
             return Ok(TreeNode::Leaf(w));
         }
 
-        let mut best: Option<BestSplit> = None;
-        let he = env.accel.he_backend();
         let pk = &env.accel.keys().public;
+        let node_seed = seed ^ ((depth as u64) << 8) ^ (members.len() as u64);
 
-        for shard_idx in 0..self.shards.len() {
-            let node_seed = seed ^ ((depth as u64) << 8) ^ (members.len() as u64);
-            let features = self.sample_features(shard_idx, node_seed);
-            let active = shard_idx == 0;
-
-            // Bucket membership (plaintext at the feature owner).
-            // bucket_members[f][b] = instance list.
-            let mut bucket_members: Vec<Vec<Vec<usize>>> =
-                vec![vec![Vec::new(); self.bins]; features.len()];
-            for &i in members {
-                for (fi, &f) in features.iter().enumerate() {
-                    let b = self.bin_of(shard_idx, f, i);
-                    bucket_members[fi][b].push(i);
-                }
-            }
-
-            // Histogram sums: plaintext for the active party, homomorphic
-            // folds + decryption round trip for passive parties.
-            let mut sums: Vec<Vec<(f64, f64, u32)>> =
-                vec![vec![(0.0, 0.0, 0); self.bins]; features.len()];
-            if active {
-                for (fi, per_bin) in bucket_members.iter().enumerate() {
-                    for (b, bucket) in per_bin.iter().enumerate() {
-                        let gs: f64 = bucket.iter().map(|&i| g[i]).sum();
-                        let hs: f64 = bucket.iter().map(|&i| h[i]).sum();
-                        sums[fi][b] = (gs, hs, bucket.len() as u32);
+        // Bucket membership (plaintext at each feature owner):
+        // buckets[shard][f][b] = instance list.
+        let features: Vec<Vec<usize>> = (0..self.shards.len())
+            .map(|shard_idx| self.sample_features(shard_idx, node_seed))
+            .collect();
+        let buckets: Vec<Vec<Vec<Vec<usize>>>> = features
+            .iter()
+            .enumerate()
+            .map(|(shard_idx, features)| {
+                let mut per_feature = vec![vec![Vec::new(); self.bins]; features.len()];
+                for &i in members {
+                    for (fi, &f) in features.iter().enumerate() {
+                        per_feature[fi][self.bin_of(shard_idx, f, i)].push(i);
                     }
                 }
-                // Local flops: one pass over node instances per feature.
+                per_feature
+            })
+            .collect();
+
+        // Each passive party folds its non-empty buckets, packs the sums
+        // and uplinks the words; bucket counts travel in the clear.
+        let slot_bits = self.bucket_slot_bits(pk, packed);
+        let mut replies: Vec<Ciphertext> = Vec::new();
+        let mut reply_lens = Vec::with_capacity(buckets.len());
+        for per_feature in buckets.iter().skip(1) {
+            let groups = self.bucket_groups(per_feature, round.gh_cts, packed)?;
+            let (reply, t) = env.accel.fold_packed_timed(&groups, slot_bits)?;
+            breakdown.charge(Charge::Aggregate, t.he_seconds);
+
+            let bytes: u64 = reply.iter().map(|c| c.wire_size_bytes() as u64).sum();
+            let ts = env.network.send(reply.len() as u64, bytes)?;
+            breakdown.charge(Charge::Uplink, ts);
+            breakdown.comm_bytes += bytes;
+            breakdown.ciphertexts += reply.len() as u64;
+            let filled = per_feature.iter().flatten().filter(|b| !b.is_empty());
+            breakdown.he_values += 2 * filled.count() as u64;
+
+            reply_lens.push(reply.len());
+            replies.extend(reply);
+        }
+
+        // The active party decrypts the node's replies in one batch.
+        let words = if replies.is_empty() {
+            Vec::new()
+        } else {
+            let (words, t) = env
+                .accel
+                .he_backend()
+                .decrypt_batch(&env.accel.keys().private, &replies)
+                .map_err(flbooster_core::Error::from)?;
+            env.accel.charge_external(&t, words.len());
+            breakdown.charge(Charge::DecryptHe, t.sim_seconds);
+            words
+        };
+        let mut words = words.as_slice();
+
+        let mut best: Option<BestSplit> = None;
+        for (shard_idx, (features, per_feature)) in features.iter().zip(&buckets).enumerate() {
+            // Histogram sums: plaintext for the active party, the decoded
+            // reply for a passive one.
+            let sums: Vec<Vec<(f64, f64, u32)>> = if shard_idx == 0 {
+                per_feature
+                    .iter()
+                    .map(|per_bin| {
+                        per_bin
+                            .iter()
+                            .map(|bucket| {
+                                let gs: f64 = bucket.iter().map(|&i| g[i]).sum();
+                                let hs: f64 = bucket.iter().map(|&i| h[i]).sum();
+                                (gs, hs, bucket.len() as u32)
+                            })
+                            .collect()
+                    })
+                    .collect()
             } else {
-                // Build ciphertext groups (one per (feature, bin), with
-                // packed GH or separate g/h streams).
-                let streams = if packed { 1 } else { 2 };
-                let mut groups: Vec<Vec<Ciphertext>> =
-                    Vec::with_capacity(features.len() * self.bins * streams);
-                for per_bin in &bucket_members {
-                    for bucket in per_bin {
-                        if packed {
-                            groups.push(bucket.iter().map(|&i| ct_of(i).remove(0)).collect());
-                        } else {
-                            groups.push(bucket.iter().map(|&i| ct_of(i).remove(0)).collect());
-                            // Unpacked encryption produced exactly two cts
-                            // per instance; pop() yields the h stream.
-                            groups.push(bucket.iter().filter_map(|&i| ct_of(i).pop()).collect());
-                        }
-                    }
-                }
-                let (folded, t) = he
-                    .fold_groups(pk, &groups)
-                    .map_err(flbooster_core::Error::from)?;
-                env.accel.charge_external(&t, 0);
-                breakdown.charge(Charge::Aggregate, t.sim_seconds);
-
-                // Bucket sums travel back to the active party...
-                let bytes: u64 = folded.iter().map(|c| c.wire_size_bytes() as u64).sum();
-                let ts = env.network.send(folded.len() as u64, bytes)?;
-                breakdown.charge(Charge::Uplink, ts);
-                breakdown.comm_bytes += bytes;
-                breakdown.ciphertexts += folded.len() as u64;
-
-                // ...where they are decrypted and decoded.
-                let (words, t) = he
-                    .decrypt_batch(sk, &folded)
-                    .map_err(flbooster_core::Error::from)?;
-                env.accel.charge_external(&t, words.len());
-                breakdown.charge(Charge::DecryptHe, t.sim_seconds);
-                breakdown.he_values += (features.len() * self.bins * 2) as u64;
-
-                for (fi, per_bin) in bucket_members.iter().enumerate() {
-                    for (b, bucket) in per_bin.iter().enumerate() {
-                        let gi = (fi * self.bins + b) * streams;
-                        let words_gb = if packed {
-                            std::slice::from_ref(&words[gi])
-                        } else {
-                            &words[gi..gi + 2]
-                        };
-                        let terms = crate::count_u32(bucket.len());
-                        let (gs, hs) = self.decode_gh_sum(words_gb, terms, packed);
-                        sums[fi][b] = (gs, hs, terms);
-                    }
-                }
-            }
+                let (reply, rest) = words.split_at(reply_lens[shard_idx - 1]);
+                words = rest;
+                self.decode_buckets(pk, reply, per_feature, packed)?
+            };
 
             // Split evaluation at the active party (plaintext gains).
             for (fi, &f) in features.iter().enumerate() {
@@ -550,30 +630,18 @@ impl HeteroSbt {
             }
             Some(split) => {
                 let left = self.grow(
-                    env,
-                    cfg,
+                    round,
                     &split.left,
                     depth + 1,
                     seed.rotate_left(7),
-                    g,
-                    h,
-                    ct_of,
-                    packed,
-                    sk,
                     breakdown,
                     leaves,
                 )?;
                 let right = self.grow(
-                    env,
-                    cfg,
+                    round,
                     &split.right,
                     depth + 1,
                     seed.rotate_left(13),
-                    g,
-                    h,
-                    ct_of,
-                    packed,
-                    sk,
                     breakdown,
                     leaves,
                 )?;
@@ -595,7 +663,7 @@ mod tests {
     use crate::backend::{Accelerator, BackendKind};
     use crate::data::generators::DatasetSpec;
     use he::paillier::PaillierKeyPair;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     fn env(kind: BackendKind) -> FlEnv {
@@ -687,7 +755,7 @@ mod tests {
 
     #[test]
     fn direct_he_backend_use_reports_into_accelerator_timing() {
-        // SBT drives the HE engine through `he_backend()` directly; each
+        // SBT encrypts and decrypts through `he_backend()` directly; each
         // site must report back via `charge_external`, or the
         // accelerator's own accumulator misses every SBT HE operation
         // while the breakdown still looks complete (an audit in PR 10
@@ -704,13 +772,157 @@ mod tests {
         );
         assert!(t.he_ops > 0 && t.he_items > 0);
         // The accumulator mirrors what the epoch charged into the
-        // breakdown: encrypt + fold + decrypt, nothing double-counted.
+        // breakdown: encrypt + fold-and-pack (self-charged by the
+        // accelerator) + decrypt, nothing double-counted.
         assert!(
             t.he_seconds <= b.he_seconds + 1e-12,
             "accumulator {} exceeds breakdown HE time {}",
             t.he_seconds,
             b.he_seconds
         );
+    }
+
+    /// One node's histogram through both spellings: a ciphertext per
+    /// bucket (`fold_groups`, empty buckets included, as the uplink was
+    /// before replies were packed) against the packed reply. The triples
+    /// must agree to the bit on every backend family.
+    #[test]
+    fn packed_reply_decodes_to_the_per_bucket_histogram() {
+        let data = small_dataset();
+        let cfg = TrainConfig::default();
+        let model = HeteroSbt::new(&data, 3, &cfg).unwrap();
+        let n = model.labels.len();
+        let (features, bins) = (5usize, model.bins);
+        for kind in [
+            BackendKind::FlBooster,
+            BackendKind::Fate,
+            BackendKind::Haflo,
+        ] {
+            let env = env(kind);
+            let packed = env.accel.batch_compression();
+            let (pk, sk) = (&env.accel.keys().public, &env.accel.keys().private);
+            let he = env.accel.he_backend();
+            let mut plaintexts = Vec::new();
+            for i in 0..n {
+                let g = ((i * 37 % 200) as f64 - 100.0) / 100.0;
+                let h = (i * 11 % 100) as f64 / 100.0;
+                plaintexts.extend(model.encode_gh(g, h, packed).unwrap());
+            }
+            let (gh_cts, _) = he.encrypt_batch(pk, &plaintexts, 9).unwrap();
+
+            let mut rng = ChaCha8Rng::seed_from_u64(0xB0C4);
+            for case in 0..6 {
+                // Random membership; feature 1 is all-empty (no member
+                // reaches it) in odd cases, feature 0 one full bucket.
+                let mut buckets = vec![vec![Vec::new(); bins]; features];
+                for i in 0..n {
+                    if rng.gen_range(0..4) == 0 {
+                        continue;
+                    }
+                    buckets[0][3].push(i);
+                    for (f, per_bin) in buckets.iter_mut().enumerate().skip(1) {
+                        if f != 1 || case % 2 == 0 {
+                            per_bin[rng.gen_range(0..bins)].push(i);
+                        }
+                    }
+                }
+
+                let groups = model.bucket_groups(&buckets, &gh_cts, packed).unwrap();
+                let slot_bits = model.bucket_slot_bits(pk, packed);
+                let (reply, _) = env.accel.fold_packed_timed(&groups, slot_bits).unwrap();
+                let (words, _) = he.decrypt_batch(sk, &reply).unwrap();
+                let got = model.decode_buckets(pk, &words, &buckets, packed).unwrap();
+
+                let owned: Vec<Vec<Ciphertext>> = groups
+                    .iter()
+                    .map(|g| g.iter().map(|&c| c.clone()).collect())
+                    .collect();
+                let (folded, _) = he.fold_groups(pk, &owned).unwrap();
+                assert!(reply.len() < folded.len());
+                let (per_bucket, _) = he.decrypt_batch(sk, &folded).unwrap();
+                let streams = if packed { 1 } else { 2 };
+                let want: Vec<(f64, f64, u32)> = buckets
+                    .iter()
+                    .flatten()
+                    .zip(per_bucket.chunks(streams))
+                    .map(|(bucket, words)| {
+                        let terms = bucket.len() as u32;
+                        let (gs, hs) = model.decode_gh_sum(words, terms, packed).unwrap();
+                        (gs, hs, terms)
+                    })
+                    .collect();
+                let bits = |t: &(f64, f64, u32)| (t.0.to_bits(), t.1.to_bits(), t.2);
+                let got: Vec<_> = got.iter().flatten().map(bits).collect();
+                let want: Vec<_> = want.iter().map(bits).collect();
+                assert_eq!(got, want, "{kind:?} case {case}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Guard capacity at the slot boundary: a run of `cap`
+        /// buckets, each holding `max_terms` members at the clipped
+        /// extreme (`g = ±α`, `h = α` — every value bit set or none),
+        /// unpacks to exactly `±max_terms·α` and `max_terms·α` per
+        /// bucket: nothing carries into the neighbouring slot.
+        #[test]
+        fn full_buckets_at_the_clipped_extreme_do_not_carry(
+            signs in proptest::collection::vec(proptest::prelude::any::<bool>(), 5),
+        ) {
+            let model = HeteroSbt::new(&small_dataset(), 3, &TrainConfig::default()).unwrap();
+            let max_terms = model.gh_quantizer.config().max_terms();
+            let keys = PaillierKeyPair::generate(&mut ChaCha8Rng::seed_from_u64(0xCA9), 256).unwrap();
+            let accel = Accelerator::new(BackendKind::FlBooster, keys, 3).unwrap();
+            let (pk, sk) = (&accel.keys().public, &accel.keys().private);
+            let slot_bits = model.bucket_slot_bits(pk, true);
+            proptest::prop_assert_eq!(pk.pack_capacity(slot_bits).unwrap(), 5);
+
+            // E(−α‖α) and E(+α‖α); a full bucket is one of them
+            // `max_terms` times over.
+            let words: Vec<Natural> = [-1.0, 1.0]
+                .iter()
+                .flat_map(|&g| model.encode_gh(g, 1.0, true).unwrap())
+                .collect();
+            let (gh_cts, _) = accel.he_backend().encrypt_batch(pk, &words, 3).unwrap();
+            let buckets: Vec<Vec<Vec<usize>>> =
+                vec![signs.iter().map(|&up| vec![usize::from(up); max_terms as usize]).collect()];
+            let groups = model.bucket_groups(&buckets, &gh_cts, true).unwrap();
+            let (reply, _) = accel.fold_packed_timed(&groups, slot_bits).unwrap();
+            proptest::prop_assert_eq!(reply.len(), 1);
+            let (plain, _) = accel.he_backend().decrypt_batch(sk, &reply).unwrap();
+            let sums = model.decode_buckets(pk, &plain, &buckets, true).unwrap();
+            let full = f64::from(max_terms);
+            let want: Vec<(f64, f64, u32)> = signs
+                .iter()
+                .map(|&up| (if up { full } else { -full }, full, max_terms))
+                .collect();
+            proptest::prop_assert_eq!(&sums[0], &want);
+        }
+    }
+
+    #[test]
+    fn a_bucket_past_its_guard_capacity_is_an_error_on_both_sides() {
+        let model = HeteroSbt::new(&small_dataset(), 3, &TrainConfig::default()).unwrap();
+        let max_terms = model.gh_quantizer.config().max_terms();
+        let pinned = format!(
+            "platform: codec: aggregating {} terms exceeds the {max_terms}-term guard capacity",
+            max_terms + 1
+        );
+        for packed in [true, false] {
+            // Host: refused before anything is folded.
+            let over = vec![vec![vec![0usize; max_terms as usize + 1]]];
+            let err = model.bucket_groups(&over, &[], packed).unwrap_err();
+            assert_eq!(err.to_string(), pinned);
+            // Guest: a count it cannot have packed is not decoded.
+            let words = model.encode_gh(0.5, 0.5, packed).unwrap();
+            assert!(model.decode_gh_sum(&words, max_terms, packed).is_ok());
+            let err = model
+                .decode_gh_sum(&words, max_terms + 1, packed)
+                .unwrap_err();
+            assert_eq!(err.to_string(), pinned);
+        }
     }
 
     #[test]
@@ -720,7 +932,7 @@ mod tests {
         let model = HeteroSbt::new(&data, 3, &cfg).unwrap();
         for packed in [true, false] {
             let words = model.encode_gh(-0.37, 0.21, packed).unwrap();
-            let (g, h) = model.decode_gh_sum(&words, 1, packed);
+            let (g, h) = model.decode_gh_sum(&words, 1, packed).unwrap();
             assert!((g + 0.37).abs() < 1e-4, "g {g}");
             assert!((h - 0.21).abs() < 1e-4, "h {h}");
         }
@@ -737,7 +949,7 @@ mod tests {
         for (g, h) in pairs {
             acc = acc.add_ref(&model.encode_gh(g, h, true).unwrap()[0]);
         }
-        let (gs, hs) = model.decode_gh_sum(&[acc], 3, true);
+        let (gs, hs) = model.decode_gh_sum(&[acc], 3, true).unwrap();
         assert!((gs - (-0.1)).abs() < 1e-3, "G {gs}");
         assert!((hs - 0.5).abs() < 1e-3, "H {hs}");
     }

@@ -20,6 +20,35 @@
 //! charge, every count, the compute / encrypt / aggregate / decrypt phases
 //! and the loss stayed as first captured, as did all of Homo LR and the
 //! pool-less FATE and HAFLO rows.
+//!
+//! Both SBT rows were captured again when a passive party's histogram
+//! reply became "non-empty buckets only, packed where the backend
+//! packs". The epoch is 7 split-candidate nodes × 88 passive buckets (11
+//! features × 8 bins over the two passive parties) = 616 buckets, 59 of
+//! them empty; the loss word, `other`, `compute`, `encrypt` and
+//! `downlink` did not move on either row. What moved, and by what:
+//!
+//! - **FATE** (two streams, a ciphertext per filled bucket per stream):
+//!   the 59 empty buckets no longer send their two unit ciphertexts —
+//!   `ciphertexts` 1712 → 1594, `he_values` 1472 → 1354 and, at one byte
+//!   each, `comm_bytes` 51116 → 50998 (−118 all three); `uplink` falls by
+//!   118 × 4.5e-4 s + 118 B / 125 MB/s = 0.053100944 s over the same 14
+//!   messages; `decrypt` by 118 `decrypt_op_estimate`s at `β_cpu`, now in
+//!   7 launches (one per node) instead of 14. `aggregate` is bit-equal:
+//!   the CPU schedule charged an empty fold nothing and a one-slot
+//!   "pack" is no operation.
+//! - **FLBooster** (one `g‖h` stream, 46-bit buckets, two to a 128-bit
+//!   key's word): 616 replies become the 280 words the 557 filled
+//!   buckets pack into — `ciphertexts` 856 → 520, `he_values` 1472 → 1354
+//!   (−2 × 59), `comm_bytes` 25556 → 16634; `uplink` falls by
+//!   336 × 8.4e-5 s + 8922 B / 125 MB/s = 0.028295376 s; `decrypt` pays
+//!   280 decryptions in 7 launches, not 616 in 14. `aggregate` *rises*
+//!   (3.40e-6 → 5.66e-6 s): the 557 folds are charged as before, the 59
+//!   one-op floors of empty device threads are gone, and 277
+//!   `pack_op_estimate(2, 46)` shift-and-adds are new; each of the 14
+//!   launches copies back its packed words, not every bucket.
+//!
+//! `he`, `comm` and `round` are the sums of the phases above.
 
 use fl::data::generators::DatasetSpec;
 use fl::data::Dataset;
@@ -175,19 +204,19 @@ fn hetero_sbt_epoch_zero_matches_golden_bits() {
         3,
         &cfg,
         [
-            0x3ef0539bc171e627,
-            0x3fb3476a1945c3a7,
+            0x3eeb546e903b96bd,
+            0x3fa81218ed72f0c9,
             0x3f14a2cf4d5aa6c1,
-            0x63d4,
-            0x358,
-            0x5c0,
+            0x40fa,
+            0x208,
+            0x54a,
             0x3f1360afee19ce89,
             0x3ee11ddf8ef14a02,
-            0x3fabfff00730ee2c,
-            0x3ecc81c92f5c3d2f,
+            0x3f9b06698430af54,
+            0x3ed7c298eebc537f,
             0x3f951dc856b53240,
-            0x3ee279e0a22234bd,
-            0x3fb34d9806d5316d,
+            0x3ed0cc7b07e5c96c,
+            0x3fa81e1f9c02a1d6,
             0x3fe1d811ea234cbe,
         ],
     );
@@ -202,19 +231,19 @@ fn hetero_sbt_on_fate_epoch_zero_matches_golden_bits() {
         3,
         &cfg,
         [
-            0x3f718fc1cbdf337a,
-            0x3fe8c4ae5f124dfa,
+            0x3f709a45d5bbf884,
+            0x3fe711ad9ed691be,
             0x3f14a2cf4d5aa6c1,
-            0xc7ac,
-            0x6b0,
-            0x5c0,
+            0xc736,
+            0x63a,
+            0x54a,
             0x3f1360afee19ce89,
             0x3f51d20f81d3295d,
-            0x3fe1d6ed039b6268,
+            0x3fe023ec435fa62d,
             0x3f48ea06c46a52af,
             0x3fcbb7056ddbae45,
-            0x3f64060b20b44459,
-            0x3fe8e872f9247738,
+            0x3f621b13346dce6e,
+            0x3fe7338740fc7485,
             0x3fe1d811ea234cbe,
         ],
     );

@@ -166,11 +166,12 @@ pub trait HeBackend: Send + Sync {
         })
     }
 
-    /// Folds each group of ciphertexts into one by homomorphic addition —
-    /// the gradient-histogram reduction of SecureBoost (one group per
-    /// (feature, bin) bucket), one
-    /// [`checked_sum`](PaillierPublicKey::checked_sum) chain per group.
-    /// Empty groups yield the encryption of zero.
+    /// Folds each group of ciphertexts into one by homomorphic addition,
+    /// one [`checked_sum`](PaillierPublicKey::checked_sum) chain per group
+    /// and one ciphertext back per group: an empty group yields the
+    /// unblinded encryption of zero. SecureBoost's histogram reply is
+    /// [`fold_packed`](Self::fold_packed), which sends nothing for an
+    /// empty bucket.
     fn fold_groups(
         &self,
         pk: &PaillierPublicKey,
@@ -181,7 +182,7 @@ pub trait HeBackend: Send + Sync {
             name: "paillier_fold",
             key_bits: pk.key_bits,
             // Operands are assumed device-resident (they arrive from a
-            // prior encrypt); only the folded buckets come back.
+            // prior encrypt); every group's sum comes back, empty or not.
             bytes_in: 0,
             bytes_out: ct_bytes(pk) * groups.len() as u64,
             divergence_stride: 2,
@@ -189,6 +190,60 @@ pub trait HeBackend: Send + Sync {
         self.schedule().run(&kernel, groups, |_, group| {
             let members: Vec<&Ciphertext> = group.iter().collect();
             (pk.checked_sum(&members), per_add_ops * group.len() as u64)
+        })
+    }
+
+    /// Folds each non-empty group and packs the sums, a run at a time,
+    /// into shared plaintext words — a SecureBoost host's whole reply for
+    /// one tree node. Empty groups are dropped; the `k` sums that remain
+    /// are cut in index order into `⌈k / capacity⌉` runs of near-equal
+    /// length ([`pack_capacity`](PaillierPublicKey::pack_capacity) slots
+    /// fit a word), and each run is one item of one launch:
+    /// [`checked_sum`](PaillierPublicKey::checked_sum) per group, then
+    /// [`checked_pack`](PaillierPublicKey::checked_pack) with the run's
+    /// `j`-th sum in slot `j`. One ciphertext per run comes back;
+    /// [`unpack_runs`](PaillierPublicKey::unpack_runs) makes the same cut
+    /// on the decrypted words. The caller vouches that every group's
+    /// plaintext sum stays below `2^slot_bits`. Nothing to fold launches
+    /// nothing.
+    fn fold_packed(
+        &self,
+        pk: &PaillierPublicKey,
+        groups: &[Vec<&Ciphertext>],
+        slot_bits: u32,
+    ) -> Result<(Vec<Ciphertext>, HeTiming)> {
+        let filled: Vec<&[&Ciphertext]> = groups
+            .iter()
+            .filter(|g| !g.is_empty())
+            .map(Vec::as_slice)
+            .collect();
+        let runs: Vec<&[&[&Ciphertext]]> = pk
+            .pack_runs(filled.len(), slot_bits)?
+            .into_iter()
+            .filter_map(|run| filled.get(run))
+            .collect();
+        if runs.is_empty() {
+            return Ok((Vec::new(), HeTiming::default()));
+        }
+        let per_add_ops = pk.add_op_estimate();
+        let kernel = Kernel {
+            name: "paillier_fold_pack",
+            key_bits: pk.key_bits,
+            // Operands are device-resident from the broadcast that
+            // delivered them; one packed word per run comes back.
+            bytes_in: 0,
+            bytes_out: ct_bytes(pk) * runs.len() as u64,
+            divergence_stride: 2,
+        };
+        self.schedule().run(&kernel, &runs, |_, run| {
+            let members: usize = run.iter().map(|group| group.len()).sum();
+            let ops = per_add_ops * members as u64 + pk.pack_op_estimate(run.len(), slot_bits);
+            let packed = run
+                .iter()
+                .map(|group| pk.checked_sum(group))
+                .collect::<Result<Vec<Ciphertext>>>()
+                .and_then(|sums| pk.checked_pack(&sums.iter().collect::<Vec<_>>(), slot_bits));
+            (packed, ops)
         })
     }
 

@@ -762,15 +762,119 @@ impl PaillierPublicKey {
     /// [`Error::CiphertextOutOfRange`], also when it is the only operand.
     /// An empty sum is the [`zero_ciphertext`](Self::zero_ciphertext).
     pub fn checked_sum(&self, cts: &[&Ciphertext]) -> Result<Ciphertext> {
+        let values = self.checked_values(cts)?;
+        Ok(Ciphertext {
+            value: self.ctx_n2.mod_product(&values),
+            key_id: self.key_id,
+        })
+    }
+
+    /// The operands' residues, once every one of them has passed: all
+    /// `key_id`s first ([`Error::KeyMismatch`]), then all values against
+    /// `[1, n²)` ([`Error::CiphertextOutOfRange`]).
+    fn checked_values<'a>(&self, cts: &[&'a Ciphertext]) -> Result<Vec<&'a Natural>> {
         if cts.iter().any(|c| c.key_id != self.key_id) {
             return Err(Error::KeyMismatch);
         }
         if cts.iter().any(|c| !self.in_ciphertext_range(&c.value)) {
             return Err(Error::CiphertextOutOfRange);
         }
-        let values: Vec<&Natural> = cts.iter().map(|c| &c.value).collect();
+        Ok(cts.iter().map(|c| &c.value).collect())
+    }
+
+    /// How many `slot_bits`-bit slots one plaintext holds under this key:
+    /// `⌊(bits(n) − 1) / slot_bits⌋`, since every value below
+    /// `2^(bits(n)−1)` is below `n`. A zero width is an
+    /// [`Error::InvalidParameter`]; a slot wider than the whole word is
+    /// [`Error::PlaintextTooLarge`].
+    pub fn pack_capacity(&self, slot_bits: u32) -> Result<usize> {
+        if slot_bits == 0 {
+            return Err(Error::InvalidParameter(
+                "a packed slot needs at least one bit",
+            ));
+        }
+        match (self.n.bit_len().saturating_sub(1) / slot_bits) as usize {
+            0 => Err(self.too_wide(1, slot_bits)),
+            capacity => Ok(capacity),
+        }
+    }
+
+    /// `slots` slots of `slot_bits` bits do not fit below `n`.
+    fn too_wide(&self, slots: usize, slot_bits: u32) -> Error {
+        Error::PlaintextTooLarge {
+            plaintext_bits: u32::try_from(slots)
+                .unwrap_or(u32::MAX)
+                .saturating_mul(slot_bits),
+            modulus_bits: self.n.bit_len(),
+        }
+    }
+
+    /// How `count` slot values are cut into packed words: in index order,
+    /// into `⌈count / capacity⌉` runs of near-equal length
+    /// ([`straus::shard_spans`]), capacity being
+    /// [`pack_capacity`](Self::pack_capacity). The packer
+    /// ([`HeBackend::fold_packed`](crate::HeBackend::fold_packed)) and
+    /// [`unpack_runs`](Self::unpack_runs) both take the cut from here, so
+    /// neither is told a run length.
+    pub(crate) fn pack_runs(
+        &self,
+        count: usize,
+        slot_bits: u32,
+    ) -> Result<Vec<std::ops::Range<usize>>> {
+        let capacity = self.pack_capacity(slot_bits)?;
+        Ok(straus::shard_spans(count, count.div_ceil(capacity)))
+    }
+
+    /// Slices decrypted packed words back into the `count` slot values
+    /// they carry, in index order — the inverse of the layout
+    /// [`HeBackend::fold_packed`](crate::HeBackend::fold_packed) writes.
+    /// A word count that is not the one `count` values pack into is an
+    /// [`Error::InvalidParameter`].
+    pub fn unpack_runs(
+        &self,
+        words: &[Natural],
+        count: usize,
+        slot_bits: u32,
+    ) -> Result<Vec<Natural>> {
+        let runs = self.pack_runs(count, slot_bits)?;
+        if runs.len() != words.len() {
+            return Err(Error::InvalidParameter(
+                "packed words do not match the slot count",
+            ));
+        }
+        let mut slots = Vec::with_capacity(count);
+        for (run, word) in runs.iter().zip(words) {
+            let mut rest = word.clone();
+            for _ in run.clone() {
+                slots.push(rest.low_bits(slot_bits));
+                rest = rest.shr_bits(slot_bits);
+            }
+        }
+        Ok(slots)
+    }
+
+    /// Checked homomorphic packing: `∏ cⱼ^(2^(j·slot_bits)) mod n² =
+    /// E(Σ mⱼ·2^(j·slot_bits))` — operand `j` lands in slot `j` of one
+    /// plaintext word, as one Horner chain
+    /// ([`MontgomeryCtx::mod_shifted_product`]). Every operand is
+    /// validated before any is multiplied, as in
+    /// [`checked_sum`](Self::checked_sum); one operand is returned as it
+    /// came. The caller vouches that each `mⱼ < 2^slot_bits` (a slot that
+    /// overflows carries into its neighbour); that the word stays below
+    /// `n` is checked here — more operands than
+    /// [`pack_capacity`](Self::pack_capacity) is
+    /// [`Error::PlaintextTooLarge`], none is an
+    /// [`Error::InvalidParameter`].
+    pub fn checked_pack(&self, cts: &[&Ciphertext], slot_bits: u32) -> Result<Ciphertext> {
+        if cts.is_empty() {
+            return Err(Error::InvalidParameter("nothing to pack"));
+        }
+        if cts.len() > self.pack_capacity(slot_bits)? {
+            return Err(self.too_wide(cts.len(), slot_bits));
+        }
+        let values = self.checked_values(cts)?;
         Ok(Ciphertext {
-            value: self.ctx_n2.mod_product(&values),
+            value: self.ctx_n2.mod_shifted_product(&values, slot_bits),
             key_id: self.key_id,
         })
     }
@@ -975,6 +1079,17 @@ impl PaillierPublicKey {
     pub fn scalar_mul_op_estimate(&self, k_bits: u32) -> u64 {
         let s = self.ctx_n2.width();
         window_pow_ops(s, k_bits) + mont_mul_mac_count(s)
+    }
+
+    /// Estimated limb-level operation count of one
+    /// [`checked_pack`](Self::checked_pack) of `count` operands, as the
+    /// simulated device is charged for it: each operand after the first
+    /// is a scalar multiplication by `2^slot_bits` and an addition.
+    // flcheck: estimates(checked_pack, 3)
+    pub fn pack_op_estimate(&self, count: usize, slot_bits: u32) -> u64 {
+        let per_operand =
+            self.scalar_mul_op_estimate(slot_bits.saturating_add(1)) + self.add_op_estimate();
+        count.saturating_sub(1) as u64 * per_operand
     }
 
     /// Estimated limb-level operation count of one `count`-way

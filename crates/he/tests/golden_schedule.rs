@@ -22,7 +22,9 @@
 //! `SUM_GOLDEN` holds the k-way `sum_batches` (k = 2, 3, 128), added when
 //! `add_batch` became its two-batch call: the k = 2 rows are held to the
 //! `add` rows of `GOLDEN`, and every output to the chain of pairwise
-//! adds it replaces.
+//! adds it replaces. `PACK_GOLDEN` holds `fold_packed`, packed four to a
+//! word and one to a word, and every output to the `scalar_mul` + `add`
+//! spelling of the same word.
 
 use std::sync::Arc;
 
@@ -264,6 +266,115 @@ fn sum_batches_on_every_backend_matches_golden_bits() {
     }
     assert_eq!(rows, golden);
 }
+
+/// `fold_packed` over a skewed nine-bucket histogram (two buckets empty)
+/// on every backend configuration, at 30-bit slots — four to this key's
+/// word, so two runs — and at a slot as wide as the word, the unpacked
+/// baselines' one sum per ciphertext. The output is held to the
+/// `scalar_mul` + `add` spelling of the same packing, limb for limb.
+#[test]
+fn fold_packed_on_every_backend_matches_golden_bits() {
+    let keys = PaillierKeyPair::generate(&mut ChaCha8Rng::seed_from_u64(0x5C4ED), 128).unwrap();
+    let pk = &keys.public;
+    let cts = fold_operands(pk, 41, &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]);
+    let groups: Vec<Vec<&Ciphertext>> = [3usize, 0, 1, 2, 0, 4, 1, 2, 5]
+        .iter()
+        .enumerate()
+        .map(|(b, &len)| cts.iter().cycle().skip(b).take(len).collect())
+        .collect();
+    let adaptive = || Arc::new(Device::new(DeviceConfig::rtx3090()));
+    let fixed = Arc::new(Device::with_manager(
+        DeviceConfig::rtx3090(),
+        ResourceManager::fixed(256),
+    ));
+    let backends: [(&str, Box<dyn HeBackend>); 3] = [
+        ("cpu", Box::new(CpuHe::default())),
+        ("gpu", Box::new(GpuHe::new(adaptive()))),
+        ("gpu-fixed256", Box::new(GpuHe::new(fixed))),
+    ];
+    let word = pk.n.bit_len() - 1;
+    let mut rows = Vec::new();
+    for (name, be) in &backends {
+        for slot_bits in [30, word] {
+            let (out, t) = be.fold_packed(pk, &groups, slot_bits).unwrap();
+            let sums: Vec<Ciphertext> = groups
+                .iter()
+                .filter(|g| !g.is_empty())
+                .map(|g| pk.checked_sum(g).unwrap())
+                .collect();
+            let per_word = pk.pack_capacity(slot_bits).unwrap().min(4);
+            let spelled: Vec<Ciphertext> = sums
+                .chunks(per_word)
+                .map(|run| {
+                    run.iter()
+                        .enumerate()
+                        .fold(pk.zero_ciphertext(), |acc, (j, c)| {
+                            let shift = Natural::one().shl_bits(j as u32 * slot_bits);
+                            pk.checked_add(&acc, &pk.checked_scalar_mul(c, &shift).unwrap())
+                                .unwrap()
+                        })
+                })
+                .collect();
+            assert_eq!(out, spelled, "{name} pack/{slot_bits}");
+            rows.push(row(format!("{name} pack/{slot_bits}"), &out, &t));
+        }
+    }
+    let golden: Vec<Row> = PACK_GOLDEN
+        .iter()
+        .map(|&(l, h, s, o, i)| (l.to_string(), h, s, o, i))
+        .collect();
+    if rows != golden {
+        for (l, h, s, o, i) in &rows {
+            println!("    ({l:?}, {h:#018x}, {s:#018x}, {o}, {i}),");
+        }
+    }
+    assert_eq!(rows, golden);
+}
+
+const PACK_GOLDEN: &[GoldenRow] = &[
+    (
+        "cpu pack/30",
+        0x81d4fbd7665df18a,
+        0x3ee171b13708ef82,
+        4159,
+        2,
+    ),
+    (
+        "cpu pack/127",
+        0x58a648e65c585895,
+        0x3ebcfdb417c18a1b,
+        864,
+        7,
+    ),
+    (
+        "gpu pack/30",
+        0x81d4fbd7665df18a,
+        0x3e6bb30f045a2f04,
+        4159,
+        2,
+    ),
+    (
+        "gpu pack/127",
+        0x58a648e65c585895,
+        0x3e59a8c92c86fbb0,
+        864,
+        7,
+    ),
+    (
+        "gpu-fixed256 pack/30",
+        0x81d4fbd7665df18a,
+        0x3e7eaf3bb94ba2db,
+        4159,
+        2,
+    ),
+    (
+        "gpu-fixed256 pack/127",
+        0x58a648e65c585895,
+        0x3e63f9f1b9195af3,
+        864,
+        7,
+    ),
+];
 
 const SUM_GOLDEN: &[GoldenRow] = &[
     ("cpu sum/2", 0x1f9e4cb2c0ac35a2, 0x3ea01b2b29a4692c, 240, 5),

@@ -84,6 +84,45 @@ proptest! {
         prop_assert_eq!(k.private.decrypt_crt(&acc).unwrap(), expected);
     }
 
+    /// `checked_pack` puts operand `j` in slot `j`: it decrypts to
+    /// `Σ mⱼ·2^(j·w)`, as the `scalar_mul` + `add` spelling does, and
+    /// `unpack_runs` slices the operands back out. One operand comes back
+    /// as it went in.
+    #[test]
+    fn pack_is_shift_and_add_of_the_plaintexts(
+        seed in any::<u64>(),
+        slot_bits in 1u32..=63,
+        fill in 1usize..=127,
+    ) {
+        let k = paillier();
+        let cap = k.public.pack_capacity(slot_bits).unwrap();
+        prop_assert_eq!(cap, (127 / slot_bits) as usize);
+        let count = 1 + (fill - 1) % cap;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let ms: Vec<Natural> = (0..count)
+            .map(|_| Natural::from(rand::Rng::gen::<u64>(&mut rng) >> (64 - slot_bits)))
+            .collect();
+        let cts: Vec<_> = ms.iter().map(|m| k.public.encrypt(m, &mut rng).unwrap()).collect();
+        let refs: Vec<_> = cts.iter().collect();
+        let packed = k.public.checked_pack(&refs, slot_bits).unwrap();
+
+        let mut word = Natural::zero();
+        let mut spelled = k.public.zero_ciphertext();
+        for (j, (m, c)) in ms.iter().zip(&cts).enumerate() {
+            let shift = Natural::one().shl_bits(j as u32 * slot_bits);
+            word = &word + &(m * &shift);
+            let term = k.public.checked_scalar_mul(c, &shift).unwrap();
+            spelled = k.public.checked_add(&spelled, &term).unwrap();
+        }
+        let plain = k.private.decrypt_crt(&packed).unwrap();
+        prop_assert_eq!(&plain, &word);
+        prop_assert_eq!(k.private.decrypt_crt(&spelled).unwrap(), word);
+        prop_assert_eq!(k.public.unpack_runs(&[plain], count, slot_bits).unwrap(), ms);
+        if count == 1 {
+            prop_assert_eq!(&packed, &cts[0]);
+        }
+    }
+
     #[test]
     fn rsa_roundtrip_and_homomorphism(s1 in any::<u64>(), s2 in any::<u64>()) {
         let k = rsa();
@@ -203,4 +242,50 @@ fn owner_route_matches_public_route_under_a_generic_generator() {
     check_owner_route(&k, 0x6E6E, 3, 1);
     check_owner_route(&k, 0x6E6F, 3, 0);
     check_owner_route(&k, 0x6E70, 3, 3);
+}
+
+#[test]
+fn pack_shape_errors_are_typed() {
+    let k = paillier();
+    let c = k
+        .public
+        .encrypt(&Natural::from(5u64), &mut ChaCha8Rng::seed_from_u64(1))
+        .unwrap();
+    assert_eq!(
+        k.public.checked_pack(&[], 42).unwrap_err(),
+        he::Error::InvalidParameter("nothing to pack")
+    );
+    assert_eq!(
+        k.public.checked_pack(&[&c], 0).unwrap_err().to_string(),
+        "invalid parameter: a packed slot needs at least one bit"
+    );
+    // ⌊127 / 42⌋ = 3 slots fit a 128-bit key's plaintext; four do not,
+    // and neither does one slot of 128 bits.
+    assert_eq!(k.public.pack_capacity(42).unwrap(), 3);
+    assert!(k.public.checked_pack(&[&c; 3], 42).is_ok());
+    let over = k.public.checked_pack(&[&c; 4], 42).unwrap_err();
+    assert_eq!(
+        over,
+        he::Error::PlaintextTooLarge {
+            plaintext_bits: 168,
+            modulus_bits: 128
+        }
+    );
+    assert_eq!(
+        over.to_string(),
+        "plaintext of 168 bits exceeds the 128-bit plaintext space"
+    );
+    assert!(k.public.checked_pack(&[&c], 127).is_ok());
+    assert_eq!(
+        k.public.pack_capacity(128).unwrap_err(),
+        he::Error::PlaintextTooLarge {
+            plaintext_bits: 128,
+            modulus_bits: 128
+        }
+    );
+    // Packed words that are not the ones `count` values pack into.
+    assert_eq!(
+        k.public.unpack_runs(&[Natural::one()], 4, 42).unwrap_err(),
+        he::Error::InvalidParameter("packed words do not match the slot count")
+    );
 }

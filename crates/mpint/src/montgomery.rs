@@ -197,14 +197,66 @@ impl MontgomeryCtx {
             }
         }
         for factor in factors {
-            let factor = self.reduce(factor);
-            // A residue below `n` fits the modulus width.
-            let (limbs, padding) = operand.split_at_mut(factor.limb_len());
-            limbs.copy_from_slice(factor.limbs());
-            padding.fill(0);
+            self.load_reduced(&mut operand, factor);
             acc.mul(&operand);
         }
         acc
+    }
+
+    /// `∏ factors[j]^(2^(j·shift_bits)) mod n` as one Horner chain — the
+    /// shift-and-add of a packed word, carried out in the exponents. From
+    /// the last factor down, the accumulator is raised to `2^shift_bits`
+    /// by `shift_bits` squarings and multiplied by the next factor: no
+    /// window table (each exponent is a single bit) and no round trip
+    /// through [`mod_mul`](Self::mod_mul)'s conversions per step.
+    ///
+    /// A multiply by a canonical factor strips one `R` and squaring would
+    /// double that deficit, so each step first multiplies the canonical
+    /// accumulator by `R²` — into Montgomery form, which squaring
+    /// preserves — and the factor's multiply brings it back out: `k`
+    /// factors cost `(k−1)·(shift_bits + 2)` kernel calls and end on the
+    /// canonical product. Factors may be unreduced; one factor is returned
+    /// reduced, none is `1`.
+    pub fn mod_shifted_product(&self, factors: &[&Natural], shift_bits: u32) -> Natural {
+        match factors.split_last() {
+            None => Natural::one(),
+            Some((only, [])) => self.reduce(only).into_owned(),
+            Some((top, lower)) => self
+                .shifted_product_acc(top, lower, shift_bits)
+                .into_natural(),
+        }
+    }
+
+    /// The [`mod_shifted_product`](Self::mod_shifted_product) chain: `top`
+    /// seeds the accumulator and `lower` is multiplied in from its last
+    /// factor to its first.
+    fn shifted_product_acc(
+        &self,
+        top: &Natural,
+        lower: &[&Natural],
+        shift_bits: u32,
+    ) -> MontAcc<'_> {
+        let r2 = self.r2_mod_n.to_padded_limbs(self.width);
+        let mut operand = self.reduce(top).to_padded_limbs(self.width);
+        let mut acc = MontAcc::new(self, operand.clone());
+        for factor in lower.iter().rev() {
+            acc.mul(&r2);
+            for _ in 0..shift_bits {
+                acc.sqr();
+            }
+            self.load_reduced(&mut operand, factor);
+            acc.mul(&operand);
+        }
+        acc
+    }
+
+    /// Overwrites the `width`-limb `operand` with `factor mod n`.
+    fn load_reduced(&self, operand: &mut [Limb], factor: &Natural) {
+        let factor = self.reduce(factor);
+        // A residue below `n` fits the modulus width.
+        let (limbs, padding) = operand.split_at_mut(factor.limb_len());
+        limbs.copy_from_slice(factor.limbs());
+        padding.fill(0);
     }
 }
 
@@ -418,6 +470,33 @@ mod tests {
         assert_eq!(calls(2), 2, "an addition stays two kernel calls");
         assert_eq!(calls(128), 140, "against 254 chained");
         assert_eq!(calls(129), 136);
+    }
+
+    /// Each factor after the first costs its squarings, the `R²` multiply
+    /// that keeps them in the domain, and its own multiply — nothing per
+    /// chain on top — and the result is `∏ fⱼ^(2^(j·w))`.
+    #[test]
+    fn shifted_product_is_a_horner_chain_of_k_minus_1_times_w_plus_2_calls() {
+        let c = ctx((1u128 << 127) - 1);
+        let p = c.modulus().clone();
+        let factors = [n((1 << 100) + 7), n(3), (&p + &n(5)), n((1 << 90) + 11)];
+        for w in [0u32, 1, 5, 42] {
+            for k in 2..=factors.len() {
+                let refs: Vec<&Natural> = factors[..k].iter().collect();
+                let (top, lower) = refs.split_last().unwrap();
+                let calls = c.shifted_product_acc(top, lower, w).calls();
+                assert_eq!(calls, (k as u64 - 1) * (u64::from(w) + 2), "k {k} w {w}");
+                let mut expected = Natural::one();
+                for (j, f) in factors[..k].iter().enumerate() {
+                    let e = Natural::one().shl_bits(j as u32 * w);
+                    let term = crate::modpow::mod_pow(&(f % &p), &e, &p).unwrap();
+                    expected = &(&expected * &term) % &p;
+                }
+                assert_eq!(c.mod_shifted_product(&refs, w), expected, "k {k} w {w}");
+            }
+        }
+        assert_eq!(c.mod_shifted_product(&[], 9), Natural::one());
+        assert_eq!(c.mod_shifted_product(&[&(&p + &n(5))], 9), n(5));
     }
 
     #[test]

@@ -40,14 +40,18 @@ fn main() {
     for round in 0..4 {
         let result = model.run_epoch(&env, &cfg, round).expect("boosting round");
         let tree = model.trees().last().expect("tree grown");
+        // Down: one g‖h word per customer to each of the two passive
+        // organizations. Up: their packed histogram replies, a few
+        // ciphertexts per tree node, each decrypted once.
+        let down = 2 * dataset.len() as u64;
+        let up = result.breakdown.ciphertexts - down;
         println!(
             "round {}: tree with {} leaves, loss {:.5}, {:.3} sim s \
-             ({} ciphertexts over the wire)",
+             ({down} ciphertexts down, {up} up, {up} decrypts)",
             round + 1,
             tree.leaf_count(),
             result.loss,
             result.breakdown.total_seconds(),
-            result.breakdown.ciphertexts,
         );
     }
 

@@ -319,6 +319,33 @@ fn wall_clock_has_one_home() {
 }
 
 #[test]
+fn product_code_stays_off_the_unchecked_homomorphic_pair() {
+    // `PaillierPublicKey::{add, scalar_mul}` check their operands' keys
+    // under `debug_assert!` only and their ranges not at all; they stay
+    // because flbench times them. Everything a model or the platform
+    // multiplies goes through the checked forms (`checked_sum`,
+    // `checked_pack`, `checked_scalar_mul`, the Straus fold), so outside
+    // `he` no non-test code calls a method by either name. Lexed: a call
+    // is `.name(` or `::name(`, whatever the receiver.
+    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    for (name, at_least) in [("fl", 10), ("core", 4), ("gpu-sim", 7), ("codec", 4)] {
+        let files = collect_files(&crates.join(name).join("src")).expect("crate walk");
+        assert!(files.len() >= at_least, "{name}: {} files", files.len());
+        for path in &files {
+            let rel = path.display().to_string();
+            let file = SourceFile::parse(&rel, &std::fs::read_to_string(path).expect("read"));
+            let toks = &file.tokens;
+            for i in (1..toks.len().saturating_sub(1)).filter(|&i| !file.in_test_region(i)) {
+                let called = (toks[i].is_ident("add") || toks[i].is_ident("scalar_mul"))
+                    && (toks[i - 1].is_op(".") || toks[i - 1].is_op("::"))
+                    && toks[i + 1].text == "(";
+                assert!(!called, "`{}(` at {rel}:{}", toks[i].text, toks[i].line);
+            }
+        }
+    }
+}
+
+#[test]
 fn seconds_are_floats_and_counts_are_integers() {
     // The type split that stands in for the retired unit-flow pass: in the
     // charging layers a `*seconds` field or parameter is a float and a

@@ -417,6 +417,66 @@ fn unweighted_aggregate_is_bit_and_charge_identical_at_any_thread_count() {
 }
 
 #[test]
+fn packed_histogram_replies_are_bit_and_charge_identical_at_any_thread_count() {
+    let keys = {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x9AC4);
+        PaillierKeyPair::generate(&mut rng, 128).expect("keygen")
+    };
+    let ms: Vec<Natural> = (0..40u64).map(|i| Natural::from(i * 31 + 1)).collect();
+    let (cts, _) = CpuHe::default()
+        .encrypt_batch(&keys.public, &ms, 0x51)
+        .expect("encrypt");
+    // Skewed buckets, a few of them empty; 21-bit slots, six to a word.
+    let groups: Vec<Vec<&he::paillier::Ciphertext>> = (0..29)
+        .map(|b| cts.iter().skip(b).step_by(7).take(b % 5).collect())
+        .collect();
+    let slot_bits = 21;
+    let filled = groups.iter().filter(|g| !g.is_empty()).count();
+    let mut reply = None;
+    for gpu_schedule in [false, true] {
+        let mut charged = None;
+        for threads in [1usize, 2, 8] {
+            let (out, timing) = in_pool(threads, || {
+                let device = Arc::new(Device::new(DeviceConfig::rtx3090()));
+                let he: Box<dyn HeBackend> = if gpu_schedule {
+                    Box::new(GpuHe::new(device))
+                } else {
+                    Box::new(CpuHe::default())
+                };
+                he.fold_packed(&keys.public, &groups, slot_bits)
+                    .expect("fold_packed")
+            });
+            let what = format!("gpu={gpu_schedule} threads={threads}");
+            assert_eq!(out.len(), filled.div_ceil(6), "{what}");
+            // One reply whatever ran it; one charge per schedule whatever
+            // the thread count.
+            assert_eq!(reply.get_or_insert_with(|| out.clone()), &out, "{what}");
+            assert_eq!(*charged.get_or_insert(timing), timing, "{what}");
+        }
+    }
+    // And it is the histogram: slot `j` of the reply is bucket `j`'s sum.
+    let words: Vec<Natural> = reply
+        .expect("ran")
+        .iter()
+        .map(|c| keys.private.decrypt_crt(c).expect("decrypt"))
+        .collect();
+    let sums: Vec<Natural> = groups
+        .iter()
+        .filter(|g| !g.is_empty())
+        .map(|g| {
+            let sum = keys.public.checked_sum(g).expect("sum");
+            keys.private.decrypt_crt(&sum).expect("decrypt")
+        })
+        .collect();
+    assert_eq!(
+        keys.public
+            .unpack_runs(&words, filled, slot_bits)
+            .expect("unpack"),
+        sums
+    );
+}
+
+#[test]
 fn flcheck_report_is_byte_identical_across_thread_counts() {
     // The analyzer fans the per-file phase out over the shim pool; the
     // report it renders must not depend on worker count or scheduling.

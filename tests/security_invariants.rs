@@ -280,6 +280,96 @@ fn one_hostile_upload_among_128_fails_every_unweighted_topology_closed() {
 }
 
 #[test]
+fn one_hostile_ciphertext_anywhere_in_a_packed_reply_fails_it_closed() {
+    // A packed histogram reply validates like the sums it is made of:
+    // every operand of every bucket and of every run is checked before
+    // one is multiplied, foreign keys before ranges — on the kernel, on
+    // both schedules and through the accelerator's entry point.
+    use he::{CpuHe, GpuHe, HeBackend};
+
+    let k = keys(14);
+    let mut rng = ChaCha8Rng::seed_from_u64(15);
+    let good = k.public.encrypt(&Natural::from(3u64), &mut rng).unwrap();
+    let foreign = keys(16)
+        .public
+        .encrypt(&Natural::from(3u64), &mut rng)
+        .unwrap();
+    let with_value = |value: &Natural| {
+        let mut bad = good.clone();
+        bad.value = value.clone();
+        bad
+    };
+    let zero = with_value(&Natural::zero());
+    let faults = [
+        (&zero, he::Error::CiphertextOutOfRange),
+        (
+            &with_value(&k.public.n_squared),
+            he::Error::CiphertextOutOfRange,
+        ),
+        (&foreign, he::Error::KeyMismatch),
+    ];
+    // 128-bit key, 30-bit slots: four to a word.
+    let slot_bits = 30;
+    assert_eq!(k.public.pack_capacity(slot_bits).unwrap(), 4);
+    for (bad, error) in &faults {
+        for at in 0..4 {
+            let mut run = [&good; 4];
+            run[at] = bad;
+            assert_eq!(
+                k.public.checked_pack(&run, slot_bits).unwrap_err(),
+                *error,
+                "operand {at}"
+            );
+        }
+    }
+    // A foreign key outranks a bad range, wherever either sits.
+    assert_eq!(
+        k.public
+            .checked_pack(&[&zero, &good, &foreign], slot_bits)
+            .unwrap_err(),
+        he::Error::KeyMismatch
+    );
+
+    // Ten filled buckets of up to three members, empty ones between them,
+    // make three runs; the fault is tried in the first, a middle and the last.
+    let device = gpu_sim::Device::new(gpu_sim::DeviceConfig::rtx3090());
+    let backends: [&dyn HeBackend; 2] =
+        [&CpuHe::default(), &GpuHe::new(std::sync::Arc::new(device))];
+    let accels = [BackendKind::FlBooster, BackendKind::Fate]
+        .map(|kind| Accelerator::new(kind, k.clone(), 4).unwrap());
+    let he_error = |e| fl::Error::Platform(flbooster_core::Error::He(e));
+    let honest: Vec<Vec<&he::paillier::Ciphertext>> = (0..14).map(|b| vec![&good; b % 4]).collect();
+    for he in backends {
+        let (reply, _) = he.fold_packed(&k.public, &honest, slot_bits).unwrap();
+        assert_eq!(reply.len(), 3, "{}", he.name());
+    }
+    for (bad, error) in &faults {
+        for (bucket, member) in [(1usize, 0usize), (6, 1), (13, 0)] {
+            let mut groups = honest.clone();
+            groups[bucket][member] = bad;
+            for he in backends {
+                assert_eq!(
+                    he.fold_packed(&k.public, &groups, slot_bits).unwrap_err(),
+                    *error,
+                    "{}, bucket {bucket}",
+                    he.name()
+                );
+            }
+            for acc in &accels {
+                assert_eq!(
+                    acc.fold_packed_timed(&groups, slot_bits).unwrap_err(),
+                    he_error(error.clone()),
+                    "{}, bucket {bucket}",
+                    acc.name()
+                );
+                // Nothing was charged for the refused reply.
+                assert_eq!(acc.timing(), fl::backend::AccelTiming::default());
+            }
+        }
+    }
+}
+
+#[test]
 fn no_unsafe_code_anywhere_the_pool_can_reach() {
     // flcheck no longer polices closures crossing the work-stealing pool:
     // the `Fn + Sync` bounds on the rayon shim's entry points do, and
