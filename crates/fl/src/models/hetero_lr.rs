@@ -7,8 +7,8 @@
 //! 1. every party computes its partial scores `u_k = X_k·w_k` locally;
 //! 2. the partial scores are *securely summed* (encrypt → aggregate →
 //!    decrypt) so the active party learns only `u = Σ u_k`;
-//! 3. the active party forms the residual `d = σ(u) − y` and sends it
-//!    *encrypted* to every passive party;
+//! 3. the active party *encrypts* the residual `d = σ(u) − y` *once* and
+//!    [broadcasts](FlEnv::encrypted_broadcast) it to the passive parties;
 //! 4. each party computes its local gradient `X_kᵀ d / |B|` and uploads it
 //!    encrypted to the coordinator for the masked model update.
 //!
@@ -129,19 +129,13 @@ impl FlModel for HeteroLr {
             env.charge_local_compute(flops / p as u64, cfg, &mut breakdown);
             let u = sum_scores(env, cfg, &score_parts, seed, &mut breakdown)?;
 
-            // (3) residuals, encrypted broadcast to the passive parties.
+            // (3) residuals, encrypted once and broadcast to the passive parties.
             let d: Vec<f64> = range
                 .clone()
                 .zip(&u)
                 .map(|(i, &ui)| sigmoid(ui) - self.labels[i])
                 .collect();
-            let mut d_rt = Vec::new();
-            for k in 1..p {
-                d_rt = env.encrypted_exchange(&d, seed ^ (k as u64) << 16, &mut breakdown)?;
-            }
-            if p == 1 {
-                d_rt = d.clone();
-            }
+            let d_rt = env.encrypted_broadcast(&d, p - 1, seed ^ (1 << 16), &mut breakdown)?;
 
             // (4) local gradients, encrypted upload to the coordinator.
             let count = range.len().max(1) as f64;

@@ -10,8 +10,8 @@
 //!    sum* — the encrypted aggregation of the partial activations;
 //! 2. the active party applies `tanh`, runs the top model, and computes
 //!    the output error;
-//! 3. the hidden-layer error `δ_Z` (batch × hidden) is *encrypted* and
-//!    broadcast to the passive parties;
+//! 3. the hidden-layer error `δ_Z` (batch × hidden) is *encrypted once* and
+//!    [broadcast](FlEnv::encrypted_broadcast) to the passive parties;
 //! 4. each party updates its bottom weights from `X_kᵀ δ_Z / |B|`; the
 //!    active party updates the top model.
 //!
@@ -197,15 +197,13 @@ impl FlModel for HeteroNn {
                 }
             }
 
-            // (3) encrypted broadcast of δ_Z to the passive parties.
-            let mut delta_z_rt = delta_z.clone();
-            for k in 1..p {
-                delta_z_rt = scale_up(&env.encrypted_exchange(
-                    &scale_down(&delta_z),
-                    seed ^ ((k as u64) << 16),
-                    &mut breakdown,
-                )?);
-            }
+            // (3) δ_Z, encrypted once and broadcast to the passive parties.
+            let delta_z_rt = scale_up(&env.encrypted_broadcast(
+                &scale_down(&delta_z),
+                p - 1,
+                seed ^ (1 << 16),
+                &mut breakdown,
+            )?);
 
             // (4) bottom updates (passive parties use the round-tripped
             // errors; the active party its exact ones) and top update.
@@ -258,7 +256,7 @@ mod tests {
     fn env(kind: BackendKind) -> FlEnv {
         let mut rng = ChaCha8Rng::seed_from_u64(0x4E4E);
         let keys = PaillierKeyPair::generate(&mut rng, 128).unwrap();
-        FlEnv::new(Accelerator::new(kind, keys, 2).unwrap(), 4)
+        FlEnv::new(Accelerator::new(kind, keys, 4).unwrap(), 4)
     }
 
     fn small_dataset() -> Dataset {
@@ -298,10 +296,13 @@ mod tests {
             ..TrainConfig::default()
         };
         let env = env(BackendKind::FlBooster);
-        let mut model = HeteroNn::new(&data, 2, &cfg).unwrap();
-        let b = model.run_epoch(&env, &cfg, 0).unwrap().breakdown;
-        // One round of 200 instances: activations (200·16) + errors (200·16).
-        assert_eq!(b.he_values, 2 * 200 * HIDDEN as u64);
+        for parties in [2, 4] {
+            let mut model = HeteroNn::new(&data, parties, &cfg).unwrap();
+            let b = model.run_epoch(&env, &cfg, 0).unwrap().breakdown;
+            // One round of 200 instances: activations (200·16) + errors
+            // (200·16, encrypted once whatever the fan-out).
+            assert_eq!(b.he_values, 2 * 200 * HIDDEN as u64, "{parties} parties");
+        }
     }
 
     #[test]
@@ -325,11 +326,13 @@ mod tests {
             ..TrainConfig::default()
         };
         let env = env(BackendKind::FlBooster);
-        let mut model = HeteroNn::new(&data, 2, &cfg).unwrap();
+        let mut model = HeteroNn::new(&data, 4, &cfg).unwrap();
         let top_before = model.top.clone();
-        let bottom_before = model.bottoms[1].clone();
+        let bottoms_before = model.bottoms.clone();
         model.run_epoch(&env, &cfg, 0).unwrap();
         assert_ne!(model.top, top_before, "top model frozen");
-        assert_ne!(model.bottoms[1], bottom_before, "passive bottom frozen");
+        for (k, (after, before)) in model.bottoms.iter().zip(&bottoms_before).enumerate() {
+            assert_ne!(after, before, "bottom {k} frozen");
+        }
     }
 }

@@ -2,12 +2,12 @@
 //!
 //! [`FlEnv`] pairs an [`Accelerator`] with a [`Network`]. Secure-
 //! aggregation rounds run through [`crate::engine::run_round`], configured
-//! by [`TrainConfig::engine`]; the pairwise encrypted exchange the vertical
-//! models also need lives here. Every simulated second enters the epoch's
-//! [`EpochBreakdown`] through [`EpochBreakdown::charge`]. [`train`] runs
-//! epochs until the paper's stopping rule ("if the loss difference between
-//! two successive epochs is less than 1e-6, the model reaches convergence")
-//! or an epoch cap.
+//! by [`TrainConfig::engine`]; the encrypted broadcast the vertical models
+//! also need (and its one-receiver case, the pairwise exchange) lives here.
+//! Every simulated second enters the epoch's [`EpochBreakdown`] through
+//! [`EpochBreakdown::charge`]. [`train`] runs epochs until the paper's
+//! stopping rule ("if the loss difference between two successive epochs is
+//! less than 1e-6, the model reaches convergence") or an epoch cap.
 
 use crate::backend::Accelerator;
 use crate::engine::EngineConfig;
@@ -70,28 +70,60 @@ impl FlEnv {
         FlEnv { accel, network }
     }
 
-    /// Pairwise encrypted exchange: one party encrypts `values` and sends
-    /// them; the receiver (or arbiter) decrypts. Returns the values after
-    /// their quantize→encrypt→decrypt round trip — the exact degradation
-    /// the receiving party trains on.
+    /// Encrypted broadcast: one party encrypts `values` once and sends the
+    /// same ciphertexts to each of `receivers` parties, who share the key
+    /// and each decrypt on their own server. Returns the values after their
+    /// quantize→encrypt→decrypt round trip — the exact degradation every
+    /// receiver trains on; it depends on the plaintext and the quantizer,
+    /// not on the blinding, so all receivers hold the same values.
+    ///
+    /// Charged as DESIGN §9 charges symmetric parties: the encryption once,
+    /// one send per receiver in series over the sender's NIC (same payload,
+    /// its own link, its own retry draws), and one receiver's decryption —
+    /// the receivers run in parallel, as [`crate::engine::run_round`]'s
+    /// downlink decrypt is charged. `he_values` counts `values` once. With
+    /// no receiver nothing is protected, sent or charged and `values` come
+    /// back unchanged.
+    pub fn encrypted_broadcast(
+        &self,
+        values: &[f64],
+        receivers: usize,
+        seed: u64,
+        breakdown: &mut EpochBreakdown,
+    ) -> Result<Vec<f64>> {
+        if receivers == 0 {
+            return Ok(values.to_vec());
+        }
+        let (ev, enc_t) = self.accel.encrypt_timed(values, seed)?;
+        breakdown.charge(Charge::EncryptHe, enc_t.he_seconds);
+        breakdown.charge(Charge::EncryptCodec, enc_t.codec_seconds);
+        // One charge per send, not one `Network::broadcast` total: f64 sums
+        // depend on add order, and a broadcast to `k` receivers must charge
+        // the links exactly what `k` exchanges of this payload do.
+        for _ in 0..receivers {
+            let t = self.network.send(ev.ciphertext_count(), ev.bytes())?;
+            breakdown.charge(Charge::Uplink, t);
+            breakdown.comm_bytes += ev.bytes();
+            breakdown.ciphertexts += ev.ciphertext_count();
+        }
+        let (out, dec_t) = self.accel.decrypt_sum_timed(&ev, 1)?;
+        breakdown.charge(Charge::DecryptHe, dec_t.he_seconds);
+        breakdown.charge(Charge::DecryptCodec, dec_t.codec_seconds);
+        breakdown.he_values += values.len() as u64;
+        Ok(out)
+    }
+
+    /// Pairwise encrypted exchange — the one-receiver
+    /// [`encrypted_broadcast`](Self::encrypted_broadcast): one party
+    /// encrypts `values` and sends them; the receiver (or arbiter)
+    /// decrypts.
     pub fn encrypted_exchange(
         &self,
         values: &[f64],
         seed: u64,
         breakdown: &mut EpochBreakdown,
     ) -> Result<Vec<f64>> {
-        let (ev, enc_t) = self.accel.encrypt_timed(values, seed)?;
-        breakdown.charge(Charge::EncryptHe, enc_t.he_seconds);
-        breakdown.charge(Charge::EncryptCodec, enc_t.codec_seconds);
-        let t = self.network.send(ev.ciphertext_count(), ev.bytes())?;
-        breakdown.charge(Charge::Uplink, t);
-        breakdown.comm_bytes += ev.bytes();
-        breakdown.ciphertexts += ev.ciphertext_count();
-        let (out, dec_t) = self.accel.decrypt_sum_timed(&ev, 1)?;
-        breakdown.charge(Charge::DecryptHe, dec_t.he_seconds);
-        breakdown.charge(Charge::DecryptCodec, dec_t.codec_seconds);
-        breakdown.he_values += values.len() as u64;
-        Ok(out)
+        self.encrypted_broadcast(values, 1, seed, breakdown)
     }
 
     /// Charges `flops` of local model computation to "Others".
@@ -156,17 +188,19 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
+    const ALL_BACKENDS: [BackendKind; 5] = [
+        BackendKind::Fate,
+        BackendKind::Haflo,
+        BackendKind::FlBooster,
+        BackendKind::WithoutGhe,
+        BackendKind::WithoutBc,
+    ];
+
     #[test]
     fn encrypted_exchange_round_trips_and_tolerates_an_empty_vector() {
         let mut rng = ChaCha8Rng::seed_from_u64(0x7E);
         let keys = PaillierKeyPair::generate(&mut rng, 128).unwrap();
-        for kind in [
-            BackendKind::Fate,
-            BackendKind::Haflo,
-            BackendKind::FlBooster,
-            BackendKind::WithoutGhe,
-            BackendKind::WithoutBc,
-        ] {
+        for kind in ALL_BACKENDS {
             let env = FlEnv::new(Accelerator::new(kind, keys.clone(), 2).unwrap(), 1);
             let values = [0.5, -0.25, 0.125];
             let mut b = EpochBreakdown::default();
@@ -186,6 +220,72 @@ mod tests {
             assert_eq!(env.encrypted_exchange(&[], 9, &mut empty).unwrap(), []);
             assert_eq!((empty.he_values, empty.ciphertexts), (0, 0), "{kind:?}");
             assert_eq!(empty.total_seconds(), empty.phases.uplink_seconds);
+        }
+    }
+
+    #[test]
+    fn encrypted_broadcast_is_one_encryption_one_decryption_and_a_send_per_receiver() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x7E);
+        let keys = PaillierKeyPair::generate(&mut rng, 128).unwrap();
+        let values = [0.5, -0.25, 0.125, 0.75, -1.0];
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * b;
+        for kind in ALL_BACKENDS {
+            // A fresh environment per call: same key, same seed, same pool
+            // state, so the ciphertexts (and their byte lengths) are equal.
+            let env = || FlEnv::new(Accelerator::new(kind, keys.clone(), 4).unwrap(), 1);
+            let mut one = EpochBreakdown::default();
+            let exchanged = env().encrypted_exchange(&values, 9, &mut one).unwrap();
+
+            for receivers in 1..=3u64 {
+                let env = env();
+                let mut b = EpochBreakdown::default();
+                let back = env
+                    .encrypted_broadcast(&values, receivers as usize, 9, &mut b)
+                    .unwrap();
+                let bound = env.accel.codec().quantizer().max_error();
+                for ((v, r), x) in values.iter().zip(&back).zip(&exchanged) {
+                    assert_eq!(r.to_bits(), x.to_bits(), "{kind:?} × {receivers}");
+                    assert!((v - r).abs() <= bound, "{kind:?} × {receivers}");
+                }
+                // One encryption and one decryption, whatever the fan-out:
+                // the four HE / codec charges are one exchange's, to the bit.
+                assert_eq!(b.he_seconds, one.he_seconds, "{kind:?} × {receivers}");
+                assert_eq!(b.other_seconds, one.other_seconds, "{kind:?} × {receivers}");
+                assert_eq!(b.phases.encrypt_seconds, one.phases.encrypt_seconds);
+                assert_eq!(b.phases.decrypt_seconds, one.phases.decrypt_seconds);
+                assert_eq!(b.he_values, values.len() as u64, "{kind:?} × {receivers}");
+                // One send per receiver, in series.
+                assert!(close(
+                    b.phases.uplink_seconds,
+                    receivers as f64 * one.phases.uplink_seconds
+                ));
+                assert_eq!(b.comm_bytes, receivers * one.comm_bytes, "{kind:?}");
+                assert_eq!(b.ciphertexts, receivers * one.ciphertexts, "{kind:?}");
+                assert_eq!(env.network.stats().messages, receivers, "{kind:?}");
+                assert!(close(b.round_seconds, b.phases.total()));
+            }
+
+            // No receiver: nothing is protected, sent or charged.
+            let env = env();
+            let mut none = EpochBreakdown::default();
+            assert_eq!(
+                env.encrypted_broadcast(&values, 0, 9, &mut none).unwrap(),
+                values
+            );
+            assert_eq!(none, EpochBreakdown::default(), "{kind:?}");
+            assert_eq!(env.network.stats(), Default::default(), "{kind:?}");
+            assert_eq!(env.accel.timing(), Default::default(), "{kind:?}");
+
+            // An empty payload still crosses each link and pays its latency.
+            let mut empty = EpochBreakdown::default();
+            assert_eq!(env.encrypted_broadcast(&[], 3, 9, &mut empty).unwrap(), []);
+            assert_eq!((empty.he_values, empty.ciphertexts), (0, 0), "{kind:?}");
+            assert_eq!(empty.total_seconds(), empty.phases.uplink_seconds);
+            assert!(close(
+                empty.phases.uplink_seconds,
+                3.0 * env.network.config().latency_seconds
+            ));
+            assert_eq!(env.network.stats().messages, 3, "{kind:?}");
         }
     }
 }

@@ -352,6 +352,14 @@ pub enum Schedule<'a> {
 /// ~100 ns per-task scheduling cost, and per-item scheduling lets the
 /// pool rebalance skewed batches (e.g. `fold_groups` over uneven
 /// histogram buckets) that coarse chunking would serialize.
+///
+/// That is the price of a *task*. A *drive* — one call of this loop on a
+/// pool wider than 1 — is a scoped-thread spawn and join, ≈ 60–100 µs on
+/// the 2-vCPU reference host whatever it carries (flbench's
+/// `pool.dispatch_us_per_task` ≈ 0.1 µs is that cost spread over its 1024
+/// tasks). A `hetero_nn_1024` epoch makes 22 drives, about ten of them
+/// with less work inside than the spawn; the cheaper-drive designs tried
+/// and rejected are listed in EXPERIMENTS_FLBENCH.md "PR 23".
 const HE_MAX_CHUNK: usize = 1;
 
 impl Schedule<'_> {
