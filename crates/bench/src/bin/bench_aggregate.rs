@@ -131,7 +131,6 @@ fn tree_compare(key_bits: u32, parties: usize, shards: usize) -> TreeRow {
     let ws = weights(parties);
 
     let flat_acc = backend(BackendKind::FlBooster, key_bits, 4);
-    flat_acc.take_timing();
     let flat = flat_acc
         .aggregate_weighted(&vectors, &ws)
         .expect("flat aggregate");
@@ -141,7 +140,6 @@ fn tree_compare(key_bits: u32, parties: usize, shards: usize) -> TreeRow {
     let tree_acc = backend(BackendKind::FlBooster, key_bits, 4)
         .with_topology(topology)
         .with_aggregation_shards(shards);
-    tree_acc.take_timing();
     let tree = tree_acc
         .aggregate_weighted(&vectors, &ws)
         .expect("tree aggregate");

@@ -143,7 +143,6 @@ impl FlBoosterApi {
     /// `Paillier::key_gen(size)`.
     // One-time key setup before training sits outside the per-item cost
     // model (see PaillierKeyPair::generate).
-    // flcheck: allow(uncharged-work) — one-time key setup
     pub fn paillier_key_gen<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -200,7 +199,6 @@ impl FlBoosterApi {
     // --- RSA wrappers ---
 
     /// `RSA::key_gen(size)`.
-    // flcheck: allow(uncharged-work) — one-time key setup (see paillier_key_gen).
     pub fn rsa_key_gen<R: Rng + ?Sized>(&self, rng: &mut R, size: u32) -> Result<RsaKeyPair> {
         Ok(RsaKeyPair::generate(rng, size)?)
     }

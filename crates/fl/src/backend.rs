@@ -101,6 +101,20 @@ impl EncryptedVector {
 }
 
 /// Accumulated backend-side timing (simulated seconds).
+///
+/// Every `*_timed` entry point returns one and charges nothing, so a cost
+/// the caller drops is a cost nobody charged — dropping one is a warning,
+/// and an error under `deny(unused_must_use)`:
+///
+/// ```compile_fail
+/// #![deny(unused_must_use)]
+/// # use fl::{Accelerator, BackendKind};
+/// # fn demo(accel: &Accelerator, v: Vec<f64>) -> fl::Result<()> {
+/// accel.encrypt_timed(&v, 1)?;
+/// # Ok(())
+/// # }
+/// ```
+#[must_use = "a `*_timed` call charges nothing: charge this timing or its cost is lost"]
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct AccelTiming {
     /// Simulated HE seconds.
@@ -311,9 +325,8 @@ impl Accelerator {
     }
 
     /// Quantizes, packs (if enabled), and encrypts a gradient vector,
-    /// charging the cost to the shared accumulator. Equivalent to
-    /// [`Accelerator::encrypt_timed`] followed by
-    /// [`Accelerator::charge_accel`].
+    /// charging the cost to the shared accumulator:
+    /// [`Accelerator::encrypt_timed`], charged.
     pub fn encrypt(&self, values: &[f64], seed: u64) -> Result<EncryptedVector> {
         let (ev, t) = self.encrypt_timed(values, seed)?;
         self.charge_accel(&t);
@@ -322,16 +335,9 @@ impl Accelerator {
 
     /// Quantizes, packs (if enabled), and encrypts a gradient vector,
     /// returning this call's cost alongside the ciphertexts instead of
-    /// charging the shared accumulator.
-    ///
-    /// On the FLBooster-family backends the call first refills the
-    /// blinding pool for exactly this batch — inside the call, on the
-    /// caller's wall clock — and then encrypts against the warm pool, so
-    /// the simulated charge is the pooled one while the host still pays
-    /// for every factor: a fixed-base power from the pool's per-key table,
-    /// by the key owner's half-width route (the accelerator holds the key
-    /// pair; a party holding the public key alone would build its pool
-    /// with [`ObfuscatorPool::new`] and pay one full-width comb power).
+    /// charging the shared accumulator: the codec step, then
+    /// [`encrypt_words_timed`](Self::encrypt_words_timed), whose timing
+    /// gains the codec seconds.
     ///
     /// The round engine needs the *per-client* cost to lay client
     /// encrypts out on its simulated timeline, and it runs client
@@ -352,42 +358,16 @@ impl Accelerator {
             // flcheck: allow(ct-taint)
             self.codec.pack(values)?
         } else {
-            // Same owner-local boundary as the packed branch.
-            // flcheck: allow(ct-taint)
             values
                 .iter()
                 .map(|&v| self.codec.quantizer().quantize(v).map(Natural::from))
                 .collect::<codec::Result<_>>()?
         };
-        // Pool presence is backend configuration, fixed at construction —
-        // the branch does not depend on the gradient values.
+        // Delegation boundary: the HE layer's encrypt entry points carry
+        // their own secret(m) seeds.
         // flcheck: allow(ct-taint)
-        if let Some(pool) = &self.pool {
-            // Pre-generate the batch's blinding factors, sized to the
-            // gradient vector. They are the ones a pool miss would
-            // compute inline, so the ciphertexts do not depend on the
-            // refill. It runs here, inside this call and on its wall
-            // clock — nothing computes it in the background — while the
-            // *simulated* epoch is not charged for it (the paper's pooling
-            // argument: pre-generation is off the modeled hot path). What
-            // keeps it cheap on the host is what a factor is: a short
-            // power of the pool's tabulated per-key base
-            // (`ObfuscatorPool`), not a fresh `r^n`. Only the public batch
-            // *size* crosses into the refill; the plaintext values do
-            // not.
-            // flcheck: allow(ct-taint)
-            pool.prefill_batch(&self.keys.public, seed, plaintexts.len())?;
-        }
-        let (cts, t) = self
-            .he
-            // Delegation boundary: the HE layer's encrypt entry points
-            // carry their own secret(m) seeds.
-            // flcheck: allow(ct-taint)
-            .encrypt_batch(&self.keys.public, &plaintexts, seed)?;
-        // `t` is the simulated timing record — a function of batch size and
-        // key width, not of the plaintext values.
-        // flcheck: allow(ct-taint)
-        let timing = Self::accel_timing(&t, values.len());
+        let (cts, mut timing) = self.encrypt_words_timed(&plaintexts, seed)?;
+        timing.codec_seconds = codec_seconds(values.len());
         Ok((
             EncryptedVector {
                 cts,
@@ -395,6 +375,41 @@ impl Accelerator {
             },
             timing,
         ))
+    }
+
+    /// Encrypts plaintext words a protocol has already encoded — what
+    /// [`encrypt_timed`](Self::encrypt_timed) does after its codec step —
+    /// returning the cost (no codec seconds) instead of charging it.
+    ///
+    /// On the FLBooster-family backends the call first refills the
+    /// blinding pool for exactly this batch — inside the call, on the
+    /// caller's wall clock — and then encrypts against the warm pool, so
+    /// the simulated charge is the pooled one while the host still pays
+    /// for every factor: a fixed-base power from the pool's per-key table,
+    /// by the key owner's half-width route (the accelerator holds the key
+    /// pair; a party holding the public key alone would build its pool
+    /// with [`ObfuscatorPool::new`] and pay one full-width comb power).
+    // No `secret(words)`: this layer only delegates, and the HE layer's
+    // encrypt entry points seed their own.
+    pub fn encrypt_words_timed(
+        &self,
+        words: &[Natural],
+        seed: u64,
+    ) -> Result<(Vec<Ciphertext>, AccelTiming)> {
+        if let Some(pool) = &self.pool {
+            // Pre-generate the batch's blinding factors. They are the ones
+            // a pool miss would compute inline, so the ciphertexts do not
+            // depend on the refill. It runs here, on this call's wall
+            // clock — nothing computes it in the background — while the
+            // *simulated* epoch is not charged for it (the paper's pooling
+            // argument: pre-generation is off the modeled hot path). What
+            // keeps it cheap on the host is what a factor is: a short
+            // power of the pool's tabulated per-key base, not a fresh
+            // `r^n`. Only the public batch *size* crosses into the refill.
+            pool.prefill_batch(&self.keys.public, seed, words.len())?;
+        }
+        let (cts, t) = self.he.encrypt_batch(&self.keys.public, words, seed)?;
+        Ok((cts, Self::accel_timing(&t)))
     }
 
     /// Homomorphically folds several participants' vectors into one,
@@ -450,7 +465,7 @@ impl Accelerator {
         }
         let batches: Vec<&[Ciphertext]> = vectors.iter().map(|v| v.cts.as_slice()).collect();
         let (cts, t) = self.he.sum_batches(&self.keys.public, &batches)?;
-        self.charge(&t, 0);
+        self.charge_accel(&Self::accel_timing(&t));
         Ok(EncryptedVector {
             cts,
             count: first.count,
@@ -493,7 +508,7 @@ impl Accelerator {
                 &weights[g],
                 self.agg_shards,
             )?;
-            self.charge(&t, 0);
+            self.charge_accel(&Self::accel_timing(&t));
             leaves.push(EncryptedVector { cts, count });
         }
         self.fold_levels(leaves)
@@ -520,7 +535,7 @@ impl Accelerator {
                 cts,
                 count: acc.count,
             },
-            Self::accel_timing(&t, 0),
+            Self::accel_timing(&t),
         ))
     }
 
@@ -528,32 +543,39 @@ impl Accelerator {
     /// group of `groups` folded, and the sums packed `slot_bits` apart
     /// into as few ciphertexts as the key allows
     /// ([`HeBackend::fold_packed`]; a slot as wide as the plaintext word
-    /// keeps one sum per ciphertext). One launch, charged to the shared
-    /// accumulator here; the cost is also returned for the caller's epoch
-    /// breakdown.
+    /// keeps one sum per ciphertext). One launch; the cost is returned for
+    /// the caller's epoch breakdown.
     pub fn fold_packed_timed(
         &self,
         groups: &[Vec<&Ciphertext>],
         slot_bits: u32,
     ) -> Result<(Vec<Ciphertext>, AccelTiming)> {
         let (cts, t) = self.he.fold_packed(&self.keys.public, groups, slot_bits)?;
-        let timing = Self::accel_timing(&t, 0);
-        self.charge_accel(&timing);
-        Ok((cts, timing))
+        Ok((cts, Self::accel_timing(&t)))
+    }
+
+    /// Decrypts ciphertexts to their plaintext words — what
+    /// [`decrypt_sum_timed`](Self::decrypt_sum_timed) does before its
+    /// codec step — returning the cost (no codec seconds) instead of
+    /// charging it.
+    pub fn decrypt_words_timed(&self, cts: &[Ciphertext]) -> Result<(Vec<Natural>, AccelTiming)> {
+        let (words, t) = self.he.decrypt_batch(&self.keys.private, cts)?;
+        Ok((words, Self::accel_timing(&t)))
     }
 
     /// Decrypts an aggregated vector whose slots hold sums of `terms`
     /// contributions, returning the cost alongside the values instead of
     /// charging the shared accumulator (see
     /// [`Accelerator::encrypt_timed`] for why the round engine needs
-    /// uncharged variants).
+    /// uncharged variants): [`decrypt_words_timed`](Self::decrypt_words_timed),
+    /// then the codec step, whose seconds the timing gains.
     pub fn decrypt_sum_timed(
         &self,
         vector: &EncryptedVector,
         terms: u32,
     ) -> Result<(Vec<f64>, AccelTiming)> {
-        let (plaintexts, t) = self.he.decrypt_batch(&self.keys.private, &vector.cts)?;
-        let timing = Self::accel_timing(&t, vector.count);
+        let (plaintexts, mut timing) = self.decrypt_words_timed(&vector.cts)?;
+        timing.codec_seconds = codec_seconds(vector.count);
         let values = if self.batch_compression {
             self.codec.unpack_sums(&plaintexts, vector.count, terms)?
         } else {
@@ -593,45 +615,34 @@ impl Accelerator {
         self.device.as_ref().map(|d| d.stats())
     }
 
-    /// Converts an HE-layer timing plus a codec value count into the
-    /// accelerator's cost record without charging it anywhere.
-    fn accel_timing(t: &HeTiming, values: usize) -> AccelTiming {
+    /// Converts an HE-layer timing into the accelerator's cost record
+    /// without charging it anywhere.
+    fn accel_timing(t: &HeTiming) -> AccelTiming {
         AccelTiming {
             he_seconds: t.sim_seconds,
-            codec_seconds: values as f64 * CODEC_SECONDS_PER_VALUE,
+            codec_seconds: 0.0,
             he_items: t.items,
             he_ops: t.ops,
         }
     }
 
-    /// Charges a cost record produced by one of the `*_timed` entry
-    /// points to the shared accumulator.
-    // flcheck: charge-sink
-    pub fn charge_accel(&self, t: &AccelTiming) {
+    /// Charges a cost record to the shared accumulator. Only the four
+    /// charging entry points call it — `encrypt`, `aggregate`,
+    /// `aggregate_weighted`, `decrypt_sum` — so the accumulator holds
+    /// exactly their work; every `*_timed` entry point leaves charging to
+    /// its caller.
+    fn charge_accel(&self, t: &AccelTiming) {
         let mut timing = self.timing.lock();
         timing.he_seconds += t.he_seconds;
         timing.he_items += t.he_items;
         timing.he_ops += t.he_ops;
         timing.codec_seconds += t.codec_seconds;
     }
+}
 
-    // flcheck: charge-sink
-    fn charge(&self, t: &HeTiming, values: usize) {
-        self.charge_accel(&Self::accel_timing(t, values));
-    }
-
-    /// Raw access to the HE engine, for protocols (e.g. SecureBoost's
-    /// gradient-histogram building) that manage their own packing layout.
-    /// Callers must report timings back through
-    /// [`Accelerator::charge_external`].
-    pub fn he_backend(&self) -> &dyn HeBackend {
-        self.he.as_ref()
-    }
-
-    /// Charges timing produced by direct [`Accelerator::he_backend`] use.
-    pub fn charge_external(&self, t: &HeTiming, codec_values: usize) {
-        self.charge(t, codec_values);
-    }
+/// Simulated codec seconds for `values` gradient components.
+fn codec_seconds(values: usize) -> f64 {
+    values as f64 * CODEC_SECONDS_PER_VALUE
 }
 
 #[cfg(test)]
@@ -649,21 +660,33 @@ mod tests {
         (0..n).map(|i| ((i as f64) * 0.37).sin() * 0.8).collect()
     }
 
+    const ALL: [BackendKind; 5] = [
+        BackendKind::Fate,
+        BackendKind::Haflo,
+        BackendKind::FlBooster,
+        BackendKind::WithoutGhe,
+        BackendKind::WithoutBc,
+    ];
+
     #[test]
     fn all_backends_roundtrip_identically_in_value() {
         let keys = keys();
         let g = grads(40);
         let mut results = Vec::new();
-        for kind in [
-            BackendKind::Fate,
-            BackendKind::Haflo,
-            BackendKind::FlBooster,
-            BackendKind::WithoutGhe,
-            BackendKind::WithoutBc,
-        ] {
+        for kind in ALL {
             let acc = Accelerator::new(kind, keys.clone(), 4).unwrap();
             let enc = acc.encrypt(&g, 7).unwrap();
             let dec = acc.decrypt_sum(&enc, 1).unwrap();
+            // The vector-level decrypt is the word-level one plus its codec
+            // step and codec seconds; neither timed call charges anything.
+            let charged = acc.timing();
+            let (words, t) = acc.decrypt_words_timed(&enc.cts).unwrap();
+            let (values, vector_t) = acc.decrypt_sum_timed(&enc, 1).unwrap();
+            assert_eq!((words.len(), &values), (enc.cts.len(), &dec), "{kind:?}");
+            assert_eq!(t.codec_seconds, 0.0);
+            let codec_seconds = vector_t.codec_seconds;
+            assert_eq!(AccelTiming { codec_seconds, ..t }, vector_t, "{kind:?}");
+            assert_eq!(acc.timing(), charged, "{kind:?}");
             results.push(dec);
         }
         // Same quantizer everywhere => identical decoded values.
@@ -673,6 +696,37 @@ mod tests {
         let bound = 1e-8;
         for (a, b) in g.iter().zip(&results[0]) {
             assert!((a - b).abs() < bound);
+        }
+    }
+
+    /// Words go through the pool exactly where the vector path's do: the
+    /// FLBooster family prefills and is charged the pooled encrypt, FATE
+    /// and HAFLO pay the full one. The pool changes the charge, not the
+    /// ciphertexts — they equal a cold pooled backend's, whose every item
+    /// is a miss.
+    #[test]
+    fn word_encryption_is_charged_pooled_on_exactly_the_pooled_backends() {
+        let keys = keys();
+        let pk = &keys.public;
+        let words: Vec<Natural> = (0..6u64).map(|i| Natural::from(1000 + 17 * i)).collect();
+        let k = words.len() as u64;
+        for kind in ALL {
+            let acc = Accelerator::new(kind, keys.clone(), 4).unwrap();
+            let (cts, t) = acc.encrypt_words_timed(&words, 11).unwrap();
+            assert_eq!((t.he_items, t.codec_seconds), (k, 0.0), "{kind:?}");
+            let pooled = !matches!(kind, BackendKind::Fate | BackendKind::Haflo);
+            if pooled {
+                assert_eq!(t.he_ops, k * pk.encrypt_pooled_op_estimate(), "{kind:?}");
+                let cold =
+                    CpuHe::default().with_pool(Arc::new(ObfuscatorPool::for_owner(&keys.private)));
+                let (miss_cts, miss_t) = cold.encrypt_batch(pk, &words, 11).unwrap();
+                assert_eq!(cts, miss_cts, "{kind:?}");
+                assert_eq!(miss_t.ops, k * pk.encrypt_op_estimate());
+            } else {
+                assert_eq!(t.he_ops, k * pk.encrypt_op_estimate(), "{kind:?}");
+            }
+            assert_eq!(acc.decrypt_words_timed(&cts).unwrap().0, words, "{kind:?}");
+            assert_eq!(acc.timing(), AccelTiming::default(), "{kind:?}");
         }
     }
 
@@ -804,7 +858,7 @@ mod tests {
         // (launches, he_items, he_ops) one call adds.
         let run = |acc: &Accelerator, call: &dyn Fn(&Accelerator) -> EncryptedVector| {
             let before = acc.device_stats().unwrap().launches;
-            acc.take_timing();
+            let _ = acc.take_timing();
             let out = call(acc);
             let t = acc.take_timing();
             let launches = acc.device_stats().unwrap().launches - before;

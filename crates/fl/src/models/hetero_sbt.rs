@@ -386,8 +386,6 @@ impl FlModel for HeteroSbt {
         let mut breakdown = EpochBreakdown::default();
         let n = self.labels.len();
         let packed = env.accel.batch_compression();
-        let pk = &env.accel.keys().public;
-        let he = env.accel.he_backend();
 
         // (1) gradients and their encrypted broadcast.
         let mut g = Vec::with_capacity(n);
@@ -404,13 +402,8 @@ impl FlModel for HeteroSbt {
             plaintexts.extend(self.encode_gh(g[i], h[i], packed)?);
         }
         let seed = cfg.seed ^ ((epoch as u64) << 20);
-        let (gh_cts, t) = he
-            .encrypt_batch(pk, &plaintexts, seed)
-            .map_err(flbooster_core::Error::from)?;
-        // Direct he_backend() use must report back, or the accelerator's
-        // own timing accumulator misses every SBT HE operation.
-        env.accel.charge_external(&t, plaintexts.len());
-        breakdown.charge(Charge::EncryptHe, t.sim_seconds);
+        let (gh_cts, t) = env.accel.encrypt_words_timed(&plaintexts, seed)?;
+        breakdown.charge(Charge::EncryptHe, t.he_seconds);
         breakdown.he_values += 2 * n as u64;
         breakdown.charge(Charge::EncryptCodec, n as f64 * 4.0e-8); // encode/pack
 
@@ -545,13 +538,8 @@ impl HeteroSbt {
         let words = if replies.is_empty() {
             Vec::new()
         } else {
-            let (words, t) = env
-                .accel
-                .he_backend()
-                .decrypt_batch(&env.accel.keys().private, &replies)
-                .map_err(flbooster_core::Error::from)?;
-            env.accel.charge_external(&t, words.len());
-            breakdown.charge(Charge::DecryptHe, t.sim_seconds);
+            let (words, t) = env.accel.decrypt_words_timed(&replies)?;
+            breakdown.charge(Charge::DecryptHe, t.he_seconds);
             words
         };
         let mut words = words.as_slice();
@@ -663,6 +651,7 @@ mod tests {
     use crate::backend::{Accelerator, BackendKind};
     use crate::data::generators::DatasetSpec;
     use he::paillier::PaillierKeyPair;
+    use he::{CpuHe, HeBackend};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -753,39 +742,12 @@ mod tests {
         assert!(b.he_values >= 2 * 150);
     }
 
-    #[test]
-    fn direct_he_backend_use_reports_into_accelerator_timing() {
-        // SBT encrypts and decrypts through `he_backend()` directly; each
-        // site must report back via `charge_external`, or the
-        // accelerator's own accumulator misses every SBT HE operation
-        // while the breakdown still looks complete (an audit in PR 10
-        // caught exactly this).
-        let data = small_dataset();
-        let cfg = TrainConfig::default();
-        let env = env(BackendKind::FlBooster);
-        let mut model = HeteroSbt::new(&data, 3, &cfg).unwrap();
-        let b = model.run_epoch(&env, &cfg, 0).unwrap().breakdown;
-        let t = env.accel.timing();
-        assert!(
-            t.he_seconds > 0.0,
-            "direct he_backend() work never reached Accelerator::timing()"
-        );
-        assert!(t.he_ops > 0 && t.he_items > 0);
-        // The accumulator mirrors what the epoch charged into the
-        // breakdown: encrypt + fold-and-pack (self-charged by the
-        // accelerator) + decrypt, nothing double-counted.
-        assert!(
-            t.he_seconds <= b.he_seconds + 1e-12,
-            "accumulator {} exceeds breakdown HE time {}",
-            t.he_seconds,
-            b.he_seconds
-        );
-    }
-
     /// One node's histogram through both spellings: a ciphertext per
     /// bucket (`fold_groups`, empty buckets included, as the uplink was
     /// before replies were packed) against the packed reply. The triples
-    /// must agree to the bit on every backend family.
+    /// must agree to the bit on every backend family. The reference fold
+    /// runs on a CPU backend of its own: fold bits do not depend on the
+    /// schedule.
     #[test]
     fn packed_reply_decodes_to_the_per_bucket_histogram() {
         let data = small_dataset();
@@ -793,6 +755,7 @@ mod tests {
         let model = HeteroSbt::new(&data, 3, &cfg).unwrap();
         let n = model.labels.len();
         let (features, bins) = (5usize, model.bins);
+        let reference = CpuHe::default();
         for kind in [
             BackendKind::FlBooster,
             BackendKind::Fate,
@@ -800,15 +763,14 @@ mod tests {
         ] {
             let env = env(kind);
             let packed = env.accel.batch_compression();
-            let (pk, sk) = (&env.accel.keys().public, &env.accel.keys().private);
-            let he = env.accel.he_backend();
+            let pk = &env.accel.keys().public;
             let mut plaintexts = Vec::new();
             for i in 0..n {
                 let g = ((i * 37 % 200) as f64 - 100.0) / 100.0;
                 let h = (i * 11 % 100) as f64 / 100.0;
                 plaintexts.extend(model.encode_gh(g, h, packed).unwrap());
             }
-            let (gh_cts, _) = he.encrypt_batch(pk, &plaintexts, 9).unwrap();
+            let (gh_cts, _) = env.accel.encrypt_words_timed(&plaintexts, 9).unwrap();
 
             let mut rng = ChaCha8Rng::seed_from_u64(0xB0C4);
             for case in 0..6 {
@@ -830,16 +792,16 @@ mod tests {
                 let groups = model.bucket_groups(&buckets, &gh_cts, packed).unwrap();
                 let slot_bits = model.bucket_slot_bits(pk, packed);
                 let (reply, _) = env.accel.fold_packed_timed(&groups, slot_bits).unwrap();
-                let (words, _) = he.decrypt_batch(sk, &reply).unwrap();
+                let (words, _) = env.accel.decrypt_words_timed(&reply).unwrap();
                 let got = model.decode_buckets(pk, &words, &buckets, packed).unwrap();
 
                 let owned: Vec<Vec<Ciphertext>> = groups
                     .iter()
                     .map(|g| g.iter().map(|&c| c.clone()).collect())
                     .collect();
-                let (folded, _) = he.fold_groups(pk, &owned).unwrap();
+                let (folded, _) = reference.fold_groups(pk, &owned).unwrap();
                 assert!(reply.len() < folded.len());
-                let (per_bucket, _) = he.decrypt_batch(sk, &folded).unwrap();
+                let (per_bucket, _) = env.accel.decrypt_words_timed(&folded).unwrap();
                 let streams = if packed { 1 } else { 2 };
                 let want: Vec<(f64, f64, u32)> = buckets
                     .iter()
@@ -875,7 +837,7 @@ mod tests {
             let max_terms = model.gh_quantizer.config().max_terms();
             let keys = PaillierKeyPair::generate(&mut ChaCha8Rng::seed_from_u64(0xCA9), 256).unwrap();
             let accel = Accelerator::new(BackendKind::FlBooster, keys, 3).unwrap();
-            let (pk, sk) = (&accel.keys().public, &accel.keys().private);
+            let pk = &accel.keys().public;
             let slot_bits = model.bucket_slot_bits(pk, true);
             proptest::prop_assert_eq!(pk.pack_capacity(slot_bits).unwrap(), 5);
 
@@ -885,13 +847,13 @@ mod tests {
                 .iter()
                 .flat_map(|&g| model.encode_gh(g, 1.0, true).unwrap())
                 .collect();
-            let (gh_cts, _) = accel.he_backend().encrypt_batch(pk, &words, 3).unwrap();
+            let (gh_cts, _) = accel.encrypt_words_timed(&words, 3).unwrap();
             let buckets: Vec<Vec<Vec<usize>>> =
                 vec![signs.iter().map(|&up| vec![usize::from(up); max_terms as usize]).collect()];
             let groups = model.bucket_groups(&buckets, &gh_cts, true).unwrap();
             let (reply, _) = accel.fold_packed_timed(&groups, slot_bits).unwrap();
             proptest::prop_assert_eq!(reply.len(), 1);
-            let (plain, _) = accel.he_backend().decrypt_batch(sk, &reply).unwrap();
+            let (plain, _) = accel.decrypt_words_timed(&reply).unwrap();
             let sums = model.decode_buckets(pk, &plain, &buckets, true).unwrap();
             let full = f64::from(max_terms);
             let want: Vec<(f64, f64, u32)> = signs

@@ -126,10 +126,13 @@ proptest! {
     }
 
     /// Deterministic simulation of `run_round` over a random cell of
-    /// heterogeneity × deadline × topology × duplex × pipelining. A
-    /// deadline-free dry run of the same seed gives every client's
-    /// `encrypt_done`, so who a deadline drops is known before the run
-    /// under test.
+    /// heterogeneity × deadline × topology × duplex × pipelining × link
+    /// loss. A deadline-free dry run of the same seed on a lossless link
+    /// gives every client's `encrypt_done` (a client's compute and encrypt
+    /// do not touch the network), so who a deadline drops is known before
+    /// the run under test. On a lossy link a send may exhaust its attempts:
+    /// the round is then the typed `NetworkFailure`, never a panic or a
+    /// wrong sum.
     #[test]
     fn engine_round_invariants_hold_for_any_schedule(
         values in proptest::collection::vec(-0.9f64..0.9, 1..10),
@@ -139,6 +142,7 @@ proptest! {
         topology_sel in 0usize..3,
         duplex in 1u32..3,
         pipelined in any::<bool>(),
+        lossy in any::<bool>(),
     ) {
         let topology = [
             AggregationTopology::Flat,
@@ -148,8 +152,8 @@ proptest! {
         let accel = Accelerator::new(BackendKind::FlBooster, keys().clone(), 8)
             .unwrap()
             .with_topology(topology);
-        let network = Network::new(accel.network_profile().with_duplex_streams(duplex), 1);
-        let env = FlEnv { accel, network };
+        let link = accel.network_profile().with_duplex_streams(duplex);
+        let mut env = FlEnv { accel, network: Network::new(link, seed) };
         let mut state = seed | 1;
         let mut next = || {
             state ^= state << 13;
@@ -164,12 +168,12 @@ proptest! {
             .collect();
         let engine = EngineConfig { pipelined, ..EngineConfig::default() }
             .with_compute_multipliers(multipliers);
-        let run = |engine: &EngineConfig, breakdown: &mut EpochBreakdown| {
+        let run = |env: &FlEnv, engine: &EngineConfig, breakdown: &mut EpochBreakdown| {
             let flops = vec![50_000; parties];
-            run_round(&env, engine, &TrainConfig::default(), &vectors, &flops, seed, breakdown)
+            run_round(env, engine, &TrainConfig::default(), &vectors, &flops, seed, breakdown)
         };
 
-        let dry = run(&engine, &mut EpochBreakdown::default()).unwrap();
+        let dry = run(&env, &engine, &mut EpochBreakdown::default()).unwrap();
         let mut done: Vec<f64> = dry.timelines.iter().map(|t| t.encrypt_done).collect();
         done.sort_by(f64::total_cmp);
         // No deadline; one nobody meets; the median client's; one everybody meets.
@@ -182,10 +186,17 @@ proptest! {
         let late = |k: &usize| timeout.is_some_and(|t| dry.timelines[*k].encrypt_done > t);
         let (dropped, survivors): (Vec<usize>, Vec<usize>) = (0..parties).partition(late);
 
+        let drop_probability = if lossy { 0.3 } else { 0.0 };
+        env.network = Network::new(link.with_drop_probability(drop_probability), seed);
         let mut breakdown = EpochBreakdown::default();
         let engine = EngineConfig { straggler_timeout: timeout, ..engine };
-        let out = match run(&engine, &mut breakdown) {
+        let out = match run(&env, &engine, &mut breakdown) {
             Ok(out) => out,
+            Err(e @ fl::Error::NetworkFailure { .. }) => {
+                prop_assert!(lossy, "{} on a lossless link", e);
+                prop_assert_eq!(e.to_string(), "network send failed after 5 attempts");
+                return Ok(());
+            }
             Err(e) => {
                 prop_assert!(survivors.is_empty(), "{} with survivors {:?}", e, survivors);
                 prop_assert_eq!(e, fl::Error::StragglerTimeout { client: dropped[0] });
@@ -203,6 +214,13 @@ proptest! {
         }
         let total = breakdown.total_seconds();
         prop_assert!((breakdown.phases.total() - total).abs() <= 1e-9 * total);
+        // The link carried every delivered payload once, plus one copy per
+        // retry, which only a lossy link makes.
+        let net = env.network.stats();
+        prop_assert_eq!(net.ciphertexts, breakdown.ciphertexts);
+        prop_assert!(net.bytes >= breakdown.comm_bytes);
+        prop_assert_eq!(net.bytes > breakdown.comm_bytes, net.retries > 0);
+        prop_assert!(lossy || net.retries == 0);
     }
 
     #[test]
@@ -214,6 +232,37 @@ proptest! {
         prop_assert!(more_cts > base);
         prop_assert!(more_bytes > base);
     }
+}
+
+/// The failure branch of the lossy cell above, made certain: on a link that
+/// drops everything, the first uplink burns its five attempts and the round
+/// is `NetworkFailure` — nothing delivered, every attempt's bytes counted.
+#[test]
+fn a_round_over_a_dead_link_is_a_network_failure() {
+    let accel = Accelerator::new(BackendKind::FlBooster, keys().clone(), 4).unwrap();
+    let dead = accel.network_profile().with_drop_probability(1.0);
+    let env = FlEnv {
+        accel,
+        network: Network::new(dead, 3),
+    };
+    let vectors = vec![vec![0.25, -0.5]; 3];
+    let err = run_round(
+        &env,
+        &EngineConfig::default(),
+        &TrainConfig::default(),
+        &vectors,
+        &[0; 3],
+        7,
+        &mut EpochBreakdown::default(),
+    )
+    .unwrap_err();
+    assert_eq!(err, fl::Error::NetworkFailure { attempts: 5 });
+    assert_eq!(err.to_string(), "network send failed after 5 attempts");
+    // Client 0 uploads first, encrypted under the round seed.
+    let (upload, _) = env.accel.encrypt_timed(&vectors[0], 7).unwrap();
+    let net = env.network.stats();
+    assert_eq!((net.messages, net.ciphertexts, net.retries), (0, 0, 5));
+    assert_eq!(net.bytes, 5 * upload.bytes());
 }
 
 proptest! {

@@ -6,7 +6,7 @@
 //! simulator and pipeline are concurrent, and every library crate is
 //! consumed by long-running training jobs that must not abort mid-epoch.
 //! flcheck checks the disciplines rustc cannot — constant-time code,
-//! panic freedom, lock order, cost-model conformance, result
+//! panic freedom, lock order, estimate/kernel pairing, result
 //! determinism, integer width — with a hand-rolled lexer
 //! and zero external dependencies (the build environment has no registry
 //! access). What rustc *can* check it leaves to rustc: data-race freedom
@@ -14,7 +14,10 @@
 //! on the rayon shim's entry points plus `forbid(unsafe_code)`, pinned by
 //! `compile_fail` doctests on the shim; seconds never meeting counts is
 //! `f64` versus `u64`, pinned by `compile_fail` doctests on
-//! `fl::metrics::EpochBreakdown::charge` and `fl::net::Network::send`.
+//! `fl::metrics::EpochBreakdown::charge` and `fl::net::Network::send`;
+//! a batched HE op whose cost nobody charges is a dropped `#[must_use]`
+//! `he::ghe::HeTiming` / `fl::backend::AccelTiming`, pinned by a
+//! `compile_fail` doctest on `AccelTiming`.
 //!
 //! The design is three layers:
 //!
@@ -32,7 +35,7 @@
 //!   call/lock chains.
 //!
 //! See [`source`] for the directive grammar (`ct-fn`, `secret(..)`,
-//! `lock(..)`, `mac-prim`, `charge-sink`, `estimates(..)`, `det-sink`,
+//! `lock(..)`, `estimates(..)`, `det-sink`,
 //! `det-absorb`, `nondet(..)`, `widen-ok(..)`, and `narrow(..)` markers,
 //! `allow` / `allow-file` suppressions, `lock-order` declarations).
 //!

@@ -135,8 +135,8 @@ pub const RULES: &[Rule] = &[
         since: 5,
         pass: "lockgraph",
         summary: "guard held across a call chain reaching a MAC kernel",
-        detail: "Holding a lock across a call chain that reaches a `mac-prim` \
-                 hot-path kernel (Montgomery multiply, CIOS squaring) serializes \
+        detail: "Holding a lock across a call chain that reaches a hot-path \
+                 kernel (Montgomery multiply, CIOS squaring) serializes \
                  the most parallel part of the workload: every other thread \
                  queues behind a guard held for the kernel's full duration. \
                  Charge/record under the guard, compute outside it.",
@@ -267,20 +267,6 @@ pub const RULES: &[Rule] = &[
                  its arity changes, the estimator is silently modeling stale \
                  code and every simulated timing derived from it is wrong.",
         example: "// flcheck: estimates(kernel, 5)\npub fn kernel_op_estimate() -> u64 { .. } // stale-estimate if `kernel` now takes 2",
-    },
-    Rule {
-        id: "uncharged-work",
-        family: "cost-model",
-        since: 5,
-        pass: "costmodel",
-        summary: "public entry reaching MAC work with no charge-sink path",
-        detail: "Public he/gpu-sim/core entry points whose call chains reach a \
-                 `mac-prim` kernel must have some path into a `charge-sink` \
-                 accounting call — otherwise the simulated clock never advances \
-                 for that work and every derived throughput number silently \
-                 flatters the system (PR 5 caught core's rsa_decrypt doing \
-                 exactly this).",
-        example: "pub fn uncharged_entry(x: &N) -> N {\n    kernel(x) // uncharged-work: reaches mont_mul, never charges\n}",
     },
 ];
 

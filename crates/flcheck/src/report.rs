@@ -218,7 +218,7 @@ mod tests {
             );
         }
         assert!(j.contains("\"lock-cycle\": 1"));
-        assert!(j.contains("\"uncharged-work\": 0"));
+        assert!(j.contains("\"stale-estimate\": 0"));
         assert!(j.contains("\"ld-wait\": 0"));
         assert!(j.contains("\"nondet-in-result\": 0"));
         assert!(j.contains("\"guard-escape\": 0"));

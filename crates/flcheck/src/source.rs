@@ -12,10 +12,6 @@
 //! flcheck: lock(a, b)                 the next `fn` acquires and holds these locks
 //!                                     for its whole body (an acquire effect the
 //!                                     token scan cannot see, e.g. behind FFI)
-//! flcheck: mac-prim                   the next `fn` performs Montgomery MACs
-//!                                     (a cost-model work source)
-//! flcheck: charge-sink                the next `fn` records simulated-time cost
-//!                                     (a cost-model charge sink)
 //! flcheck: estimates(kernel, arity)   the next `fn` is the op-count estimate
 //!                                     paired with `kernel` (which must exist
 //!                                     with that many parameters); repeatable
@@ -52,10 +48,6 @@ pub struct Markers {
     /// `lock(..)`: locks the fn acquires and holds for its whole body (an
     /// acquire effect).
     pub locks: Vec<String>,
-    /// `mac-prim`: performs Montgomery MACs.
-    pub is_mac_prim: bool,
-    /// `charge-sink`: records simulated-time cost.
-    pub is_charge_sink: bool,
     /// `estimates(kernel, arity)` pairings: this fn estimates the op count
     /// of `kernel`, which must exist with `arity` parameters.
     pub estimates: Vec<(String, usize)>,
@@ -80,8 +72,6 @@ impl Markers {
     /// Accumulates another directive's facts onto the same fn.
     fn merge(&mut self, o: Markers) {
         self.is_ct |= o.is_ct;
-        self.is_mac_prim |= o.is_mac_prim;
-        self.is_charge_sink |= o.is_charge_sink;
         self.is_det_sink |= o.is_det_sink;
         self.is_det_absorb |= o.is_det_absorb;
         self.secrets.extend(o.secrets);
@@ -212,8 +202,6 @@ impl SourceFile {
             }
             let mut m = Markers {
                 is_ct: body.starts_with("ct-fn"),
-                is_mac_prim: body.starts_with("mac-prim"),
-                is_charge_sink: body.starts_with("charge-sink"),
                 is_det_sink: body.starts_with("det-sink"),
                 is_det_absorb: body.starts_with("det-absorb"),
                 secrets: names("secret"),
@@ -457,10 +445,6 @@ fn plain(x: u64) {}
     #[test]
     fn cost_and_lock_markers_attach_to_the_next_fn() {
         let src = "\
-// flcheck: mac-prim
-pub fn mont_mul() {}
-// flcheck: charge-sink
-fn charge() {}
 // flcheck: estimates(encrypt, 3)
 // flcheck: estimates(decrypt, 2)
 pub fn encrypt_op_estimate() -> u64 { 0 }
@@ -470,21 +454,13 @@ fn unmarked() {}
 ";
         let f = SourceFile::parse("x.rs", src);
         let by_name = |n: &str| f.fns.iter().find(|f| f.name == n).expect(n);
-        assert!(by_name("mont_mul").marks.is_mac_prim);
-        assert!(!by_name("mont_mul").marks.is_charge_sink);
-        assert!(by_name("charge").marks.is_charge_sink);
         assert_eq!(
             by_name("encrypt_op_estimate").marks.estimates,
             vec![("encrypt".to_string(), 3), ("decrypt".to_string(), 2)]
         );
         assert_eq!(by_name("drain_all").marks.locks, vec!["deques", "panic"]);
         let u = by_name("unmarked");
-        assert!(
-            !u.marks.is_mac_prim
-                && !u.marks.is_charge_sink
-                && u.marks.estimates.is_empty()
-                && u.marks.locks.is_empty()
-        );
+        assert!(u.marks.estimates.is_empty() && u.marks.locks.is_empty());
     }
 
     #[test]

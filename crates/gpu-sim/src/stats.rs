@@ -45,7 +45,6 @@ pub struct DeviceStats {
 
 impl DeviceStats {
     /// Folds one launch report into the totals.
-    // flcheck: charge-sink
     pub fn record(&mut self, report: &LaunchReport) {
         self.launches += 1;
         self.items += report.items as u64;

@@ -34,7 +34,10 @@ use rayon::prelude::*;
 use crate::paillier::{Ciphertext, ObfuscatorPool, PaillierPrivateKey, PaillierPublicKey};
 use crate::{Error, Result};
 
-/// Timing and volume accounting for one batched HE call.
+/// Timing and volume accounting for one batched HE call. `Schedule::run`
+/// is the only way a batched operation executes, and it returns one of
+/// these beside the results: a caller that drops it has dropped the cost.
+#[must_use = "the simulated cost of a batched HE call: charge it or it is lost"]
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct HeTiming {
     /// Simulated seconds the operation took on its backend.
@@ -43,15 +46,6 @@ pub struct HeTiming {
     pub ops: u64,
     /// Items processed.
     pub items: u64,
-}
-
-impl HeTiming {
-    /// Accumulates another timing into this one.
-    pub fn merge(&mut self, other: &HeTiming) {
-        self.sim_seconds += other.sim_seconds;
-        self.ops += other.ops;
-        self.items += other.items;
-    }
 }
 
 /// A batched homomorphic-encryption execution backend: a
@@ -674,41 +668,16 @@ mod tests {
     fn device_stats_accumulate_he_launches() {
         let k = keys();
         let g = gpu();
-        g.encrypt_batch(&k.public, &nats(&[1, 2]), 0).unwrap();
-        g.decrypt_batch(
-            &k.private,
-            &g.encrypt_batch(&k.public, &nats(&[3]), 1).unwrap().0,
-        )
-        .unwrap();
+        let (_, t2) = g.encrypt_batch(&k.public, &nats(&[1, 2]), 0).unwrap();
+        let (cts, t1) = g.encrypt_batch(&k.public, &nats(&[3]), 1).unwrap();
+        let (_, td) = g.decrypt_batch(&k.private, &cts).unwrap();
+        assert_eq!((t2.items, t1.items, td.items), (2, 1, 1));
         let stats = g.device().stats();
         assert_eq!(stats.launches, 3);
         assert!(stats.bytes_in > 0 && stats.bytes_out > 0);
         let kernels: Vec<_> = stats.utilization_samples.iter().map(|s| s.kernel).collect();
         assert!(kernels.contains(&"paillier_encrypt"));
         assert!(kernels.contains(&"paillier_decrypt"));
-    }
-
-    #[test]
-    fn timing_merge_accumulates() {
-        let mut t = HeTiming::default();
-        t.merge(&HeTiming {
-            sim_seconds: 1.0,
-            ops: 10,
-            items: 2,
-        });
-        t.merge(&HeTiming {
-            sim_seconds: 0.5,
-            ops: 5,
-            items: 1,
-        });
-        assert_eq!(
-            t,
-            HeTiming {
-                sim_seconds: 1.5,
-                ops: 15,
-                items: 3
-            }
-        );
     }
 
     #[test]

@@ -233,7 +233,6 @@ impl PaillierKeyPair {
     // (and the simulator's launch accounting) charges steady-state
     // encrypt/aggregate/decrypt traffic, not the one-time keygen that
     // precedes training.
-    // flcheck: allow(uncharged-work) — one-time key setup
     pub fn generate<R: Rng + ?Sized>(rng: &mut R, bits: u32) -> Result<Self> {
         if bits < MIN_KEY_BITS {
             return Err(Error::KeySizeTooSmall {
@@ -257,7 +256,6 @@ impl PaillierKeyPair {
     /// Builds a key pair from explicit primes (used by tests and by the
     /// deterministic benchmark harness) with the standard fast generator
     /// `g = n + 1`.
-    // flcheck: allow(uncharged-work) — one-time key setup (see generate).
     pub fn from_primes(p: Natural, q: Natural, key_bits: u32) -> Result<Self> {
         let g = &(&p * &q) + &Natural::one();
         Self::from_primes_with_g(p, q, key_bits, g)
@@ -272,7 +270,6 @@ impl PaillierKeyPair {
     /// (e.g. `g = 1`, or any `g` whose order does not make `L(g^λ)`
     /// invertible) fails here with an [`Error::Arithmetic`] inverse
     /// failure instead of producing a key that decrypts to garbage.
-    // flcheck: allow(uncharged-work) — one-time key setup (see generate).
     pub fn from_primes_with_g(p: Natural, q: Natural, key_bits: u32, g: Natural) -> Result<Self> {
         let n = &p * &q;
         let n_squared = n.square();
@@ -601,7 +598,6 @@ impl ObfuscatorPool {
     // prices the consumption of a pooled pair
     // (`encrypt_pooled_op_estimate`). On the host the refill runs inside
     // this call.
-    // flcheck: allow(uncharged-work) — off-path pool refill
     pub fn prefill_batch(&self, pk: &PaillierPublicKey, seed: u64, count: usize) -> Result<()> {
         if pk.key_id != self.key_id {
             return Err(Error::KeyMismatch);

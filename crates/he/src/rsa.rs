@@ -87,7 +87,6 @@ impl RsaKeyPair {
     /// Generates an RSA key pair with a `bits`-bit modulus.
     // The cost model charges steady-state encrypt/mul/decrypt traffic,
     // not the one-time keygen that precedes training.
-    // flcheck: allow(uncharged-work) — one-time key setup
     pub fn generate<R: Rng + ?Sized>(rng: &mut R, bits: u32) -> Result<Self> {
         if bits < MIN_KEY_BITS {
             return Err(Error::KeySizeTooSmall {

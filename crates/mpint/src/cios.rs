@@ -84,7 +84,6 @@ impl LaneStats {
 /// `n0_inv = -n[0]^{-1} mod 2^64` ([`crate::limb::mont_neg_inv`]).
 // flcheck: ct-fn
 // flcheck: secret(a, b)
-// flcheck: mac-prim
 pub fn mont_mul_into(out: &mut [Limb], a: &[Limb], b: &[Limb], n: &[Limb], n0_inv: Limb) {
     let s = n.len();
     assert_eq!(a.len(), s, "operand a must be padded to the modulus width");
@@ -170,7 +169,6 @@ pub const fn scratch_len(s: usize) -> usize {
 /// across limb widths).
 // flcheck: ct-fn
 // flcheck: secret(a)
-// flcheck: mac-prim
 pub fn mont_sqr_into(out: &mut [Limb], scratch: &mut [Limb], a: &[Limb], n: &[Limb], n0_inv: Limb) {
     let s = n.len();
     assert_eq!(a.len(), s, "operand a must be padded to the modulus width");
@@ -225,7 +223,6 @@ pub fn mont_sqr(a: &[Limb], n: &[Limb], n0_inv: Limb) -> Vec<Limb> {
 /// `t` must be [`scratch_len`]`(s)` limbs and `out` exactly `s`.
 // flcheck: ct-fn
 // flcheck: secret(t)
-// flcheck: mac-prim
 pub fn mont_reduce_into(out: &mut [Limb], t: &mut [Limb], n: &[Limb], n0_inv: Limb) {
     let s = n.len();
     assert_eq!(out.len(), s, "output must be padded to the modulus width");
@@ -253,7 +250,6 @@ pub fn mont_reduce_into(out: &mut [Limb], t: &mut [Limb], n: &[Limb], n0_inv: Li
 /// The lane structure is *semantic* (it drives the simulator's accounting);
 /// execution here is sequential, because the real parallel scheduling is
 /// the GPU simulator's job.
-// flcheck: mac-prim
 pub fn mont_mul_partitioned(
     a: &[Limb],
     b: &[Limb],

@@ -346,6 +346,59 @@ fn product_code_stays_off_the_unchecked_homomorphic_pair() {
 }
 
 #[test]
+fn he_runs_in_one_place_in_fl() {
+    // A model reaches the HE engine only through `fl::backend::Accelerator`,
+    // whose entry points prefill the blinding pool where the backend has
+    // one and return the call's timing (`#[must_use]`). So outside
+    // `backend.rs` no non-test code of `crates/fl/src` names an HE backend
+    // or the pool, nor calls a batched HE op or a per-ciphertext primitive
+    // under it. Lexed: a call is `.name(` or `::name(`.
+    const TYPES: &[&str] = &["HeBackend", "CpuHe", "GpuHe", "ObfuscatorPool"];
+    const CALLS: &[&str] = &[
+        "encrypt_batch",
+        "decrypt_batch",
+        "add_batch",
+        "sum_batches",
+        "fold_groups",
+        "fold_packed",
+        "weighted_aggregate",
+        "encrypt_with_obfuscator",
+        "precompute_obfuscator",
+        "decrypt_crt",
+        "checked_sum",
+        "checked_pack",
+        "checked_scalar_mul",
+    ];
+    let is_he_call = |name: &str| {
+        CALLS.contains(&name) || (name.starts_with("weighted_sum") && !name.ends_with("_estimate"))
+    };
+    let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/fl/src");
+    let files = collect_files(&src).expect("crate walk");
+    assert!(files.len() >= 10, "fl: {} files", files.len());
+    let mut found = Vec::new();
+    for path in files.iter().filter(|p| !p.ends_with("backend.rs")) {
+        let rel = path.display().to_string();
+        let file = SourceFile::parse(&rel, &std::fs::read_to_string(path).expect("read"));
+        let toks = &file.tokens;
+        for i in (1..toks.len().saturating_sub(1)).filter(|&i| !file.in_test_region(i)) {
+            let t = &toks[i];
+            let named = TYPES.iter().any(|ty| t.is_ident(ty));
+            let called = t.kind == TokKind::Ident
+                && is_he_call(&t.text)
+                && (toks[i - 1].is_op(".") || toks[i - 1].is_op("::"))
+                && toks[i + 1].text == "(";
+            if named || called {
+                found.push(format!("`{}` at {rel}:{}", t.text, t.line));
+            }
+        }
+    }
+    assert!(
+        found.is_empty(),
+        "HE reached around the Accelerator: {found:#?}"
+    );
+}
+
+#[test]
 fn seconds_are_floats_and_counts_are_integers() {
     // The type split that stands in for the retired unit-flow pass: in the
     // charging layers a `*seconds` field or parameter is a float and a
