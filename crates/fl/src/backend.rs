@@ -154,7 +154,7 @@ pub struct Accelerator {
     net_profile: NetworkConfig,
     participants: u32,
     topology: AggregationTopology,
-    /// Shards per server/edge Straus pass (1 = the flat single chain).
+    /// Shards a weighted fold is charged as (1 = the flat single chain).
     agg_shards: usize,
     timing: Mutex<AccelTiming>,
     /// Blinding-factor pool for the FLBooster-family backends; the FATE
@@ -264,10 +264,12 @@ impl Accelerator {
         self
     }
 
-    /// Splits every weighted Straus fold into `shards` parallel chains
-    /// merged by streaming homomorphic addition (default 1, the flat
-    /// chain). Zero is treated as 1. Results are bit-identical at any
-    /// shard count.
+    /// Charges every weighted fold as `shards` parallel Straus chains
+    /// merged by homomorphic addition (default 1, the flat chain): a
+    /// parameter of the simulated device's schedule
+    /// ([`HeBackend::weighted_aggregate`]). The host folds each slot in
+    /// one bucket pass whatever it is, so results are bit-identical at
+    /// any shard count. Zero is treated as 1.
     pub fn with_aggregation_shards(mut self, shards: usize) -> Self {
         self.agg_shards = shards.max(1);
         self
@@ -278,7 +280,7 @@ impl Accelerator {
         self.topology
     }
 
-    /// Shards per weighted Straus fold.
+    /// Shards a weighted fold is charged as.
     pub fn aggregation_shards(&self) -> usize {
         self.agg_shards
     }
@@ -449,10 +451,7 @@ impl Accelerator {
 
     /// One aggregator node's fold over its fan-in: one launch and one
     /// charge, whatever the fan-in (a single vector passes through
-    /// uncharged). Parallel over slots only: a 128-term chain is a
-    /// fraction of a millisecond per slot, less than a second drive of
-    /// the pool costs, so [`aggregation_shards`](Self::aggregation_shards)
-    /// is not consulted.
+    /// uncharged), parallel over slots.
     // flcheck: det-sink — aggregate EncryptedVector construction
     fn fold_chain(&self, vectors: &[EncryptedVector]) -> Result<EncryptedVector> {
         let (first, rest) = match vectors {
@@ -473,12 +472,11 @@ impl Accelerator {
     }
 
     /// Weighted homomorphic aggregation: slot `j` of the result holds
-    /// `E(Σᵢ weights[i] · mᵢⱼ)`. One Straus multi-exponentiation per slot
-    /// replaces the per-party `scalar_mul` + `add` loop — a single
-    /// shared squaring chain for the whole batch (see
-    /// [`he::paillier::PaillierPublicKey::weighted_sum`]), split into
-    /// [`aggregation_shards`](Self::aggregation_shards) chains. The
-    /// weighted stage happens exactly once, at the leaves of the
+    /// `E(Σᵢ weights[i] · mᵢⱼ)`. One bucket multi-exponentiation per slot
+    /// replaces the per-party `scalar_mul` + `add` loop (see
+    /// [`he::paillier::PaillierPublicKey::weighted_sum`]); it is charged
+    /// as [`aggregation_shards`](Self::aggregation_shards) Straus chains.
+    /// The weighted stage happens exactly once, at the leaves of the
     /// [`topology`](Self::topology) — one group when flat — and upper
     /// levels only add partials. Key identity is checked per ciphertext,
     /// so cross-key mixes fail loudly in release builds too.
@@ -874,7 +872,7 @@ mod tests {
         assert_eq!(out, plain);
         assert_eq!((launches, items, ops), (8 + 1, 9 * words, fold_ops));
 
-        // Weighted: 8 Straus leaves, then one fold of their 8 partials.
+        // Weighted: 8 weighted leaves, then one fold of their 8 partials.
         let (_, launches, _, ops) = run(&tree, &|a| {
             a.aggregate_weighted(&vectors, &weights).unwrap()
         });

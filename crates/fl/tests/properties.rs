@@ -313,6 +313,17 @@ proptest! {
             .collect();
         let wnat: Vec<mpint::Natural> =
             weights.iter().map(|&w| mpint::Natural::from(w)).collect();
+        let vectors: Vec<fl::backend::EncryptedVector> = batches
+            .iter()
+            .map(|cts| fl::backend::EncryptedVector { cts: cts.clone(), count: slots })
+            .collect();
+        // The server's flat fold at the drawn shard count, which is a
+        // charged-schedule input only: it cannot move a ciphertext.
+        let sharded = Accelerator::new(BackendKind::Fate, k.clone(), 4)
+            .unwrap()
+            .with_aggregation_shards(SHARDS[shard_sel])
+            .aggregate_weighted(&vectors, &weights)
+            .unwrap();
 
         for j in 0..slots {
             // Naive reference: per-party scalar_mul then a serial add.
@@ -324,23 +335,15 @@ proptest! {
             let expected: u64 = (0..parties).map(|p| weights[p] * plain[p][j]).sum();
             prop_assert_eq!(k.private.decrypt(&naive).unwrap(), mpint::Natural::from(expected));
 
-            // Sharded server fold: same ciphertext, hence same plaintext
-            // under both decryption paths.
-            let column: Vec<he::paillier::Ciphertext> =
-                (0..parties).map(|p| batches[p][j].clone()).collect();
-            let sharded = k.public
-                .weighted_sum_sharded(&column, &wnat, SHARDS[shard_sel])
-                .unwrap();
-            prop_assert_eq!(&sharded, &naive);
-            prop_assert_eq!(k.private.decrypt(&sharded).unwrap(), mpint::Natural::from(expected));
-            prop_assert_eq!(k.private.decrypt_crt(&sharded).unwrap(), mpint::Natural::from(expected));
+            // Server fold: same ciphertext, hence same plaintext under
+            // both decryption paths.
+            let server = &sharded.cts[j];
+            prop_assert_eq!(server, &naive);
+            prop_assert_eq!(k.private.decrypt(server).unwrap(), mpint::Natural::from(expected));
+            prop_assert_eq!(k.private.decrypt_crt(server).unwrap(), mpint::Natural::from(expected));
         }
 
         // Tree-of-edge-aggregators route at the Accelerator layer.
-        let vectors: Vec<fl::backend::EncryptedVector> = batches
-            .iter()
-            .map(|cts| fl::backend::EncryptedVector { cts: cts.clone(), count: slots })
-            .collect();
         let tree = Accelerator::new(BackendKind::Fate, k.clone(), 4)
             .unwrap()
             .with_topology(fl::AggregationTopology::tree(ARITIES[arity_sel]))

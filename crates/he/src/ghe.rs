@@ -242,16 +242,18 @@ pub trait HeBackend: Send + Sync {
     }
 
     /// Weighted aggregation across participant batches:
-    /// `out[j] = ∏ᵢ batches[i][j] ^ weights[i] mod n²` — one Straus
-    /// multi-exponentiation per slot, parallel across slots, each slot's
-    /// fold split into `shards` independent chains merged by a streaming
-    /// homomorphic addition
-    /// ([`PaillierPublicKey::weighted_sum_sharded`]; `shards ≤ 1` is the
-    /// flat single chain). Bit-identical at any shard or thread count;
-    /// timing is charged from the MAC-derived sharded estimate — every
-    /// chain plus the merge multiplies, per slot — which is the flat
-    /// estimate at one shard. Weights are public sample counts. A weight
-    /// count or batch length that does not line up is an
+    /// `out[j] = ∏ᵢ batches[i][j] ^ weights[i] mod n²` — one bucket
+    /// multi-exponentiation per slot
+    /// ([`PaillierPublicKey::weighted_sum`]), each on its own slot task,
+    /// its width counted once for the whole launch
+    /// ([`mpint::straus::multi_exp_counts`]). `shards` is an input of the
+    /// *charged* schedule only: each slot is charged
+    /// [`weighted_sum_sharded_op_estimate`](PaillierPublicKey::weighted_sum_sharded_op_estimate),
+    /// a device folding the slot as `shards` Straus chains plus their
+    /// merge (the flat estimate at one shard), while the host folds it in
+    /// one pass whatever `shards` is, so no shard or thread count moves a
+    /// ciphertext. Weights are public sample counts. A weight count or
+    /// batch length that does not line up is an
     /// [`Error::InvalidParameter`]; an empty batch list yields an empty
     /// output.
     fn weighted_aggregate(
@@ -273,6 +275,7 @@ pub trait HeBackend: Send + Sync {
             ));
         }
         let wnat: Vec<Natural> = weights.iter().map(|&w| Natural::from(w)).collect();
+        let counts = mpint::straus::multi_exp_counts(&wnat);
         let max_weight_bits = weights
             .iter()
             .map(|&w| 64 - w.leading_zeros())
@@ -292,8 +295,8 @@ pub trait HeBackend: Send + Sync {
         };
         let slot_indices: Vec<usize> = (0..slots).collect();
         self.schedule().run(&kernel, &slot_indices, |_, &j| {
-            let column = column(batches, j);
-            (pk.weighted_sum_column(&column, &wnat, shards), per_slot_ops)
+            let sum = pk.weighted_sum_column(&column(batches, j), &wnat, &counts);
+            (sum, per_slot_ops)
         })
     }
 }

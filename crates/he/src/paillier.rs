@@ -54,7 +54,7 @@ use mpint::modpow::{mod_pow_ct, mod_pow_ctx, window_size_for};
 use mpint::prime::{generate_prime_pair, DEFAULT_MR_ROUNDS};
 use mpint::random::random_coprime;
 use mpint::straus;
-use mpint::{mod_inv, Limb, MontAcc, MontgomeryCtx, Natural, LIMB_BITS};
+use mpint::{mod_inv, Limb, MontgomeryCtx, Natural, LIMB_BITS};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
@@ -899,14 +899,14 @@ impl PaillierPublicKey {
     }
 
     /// Weighted homomorphic sum: `∏ cᵢ^{kᵢ} mod n² = E(Σ kᵢ·mᵢ mod n)`
-    /// via Straus interleaved multi-exponentiation — one shared squaring
-    /// chain for the whole batch instead of a `scalar_mul` + `add` per
-    /// term (see [`mpint::straus`]). Weights are public aggregation
-    /// metadata (sample counts), so the weight-dependent multiply
-    /// schedule is not a leak. An empty batch yields the encryption of
-    /// zero.
+    /// as one bucket multi-exponentiation — about one multiply per term
+    /// and digit column instead of a `scalar_mul` + `add` per term (see
+    /// [`mpint::straus`]). Weights are public aggregation metadata
+    /// (sample counts), so the weight-dependent multiply schedule is not
+    /// a leak. An empty batch yields the encryption of zero.
     pub fn weighted_sum(&self, cts: &[Ciphertext], weights: &[Natural]) -> Result<Ciphertext> {
-        self.weighted_sum_sharded(cts, weights, 1)
+        let column: Vec<&Ciphertext> = cts.iter().collect();
+        self.weighted_sum_column(&column, weights, &straus::multi_exp_counts(weights))
     }
 
     /// Validates a batch of aggregation inputs: every ciphertext must
@@ -931,40 +931,17 @@ impl PaillierPublicKey {
         !value.is_zero() && value < &self.n_squared
     }
 
-    /// Sharded [`weighted_sum`](Self::weighted_sum): slices the
-    /// (ciphertext, weight) stream into `shards` contiguous spans, runs
-    /// an independent Straus chain per span on the work-stealing pool
-    /// (window tuned to the span's arity via
-    /// [`straus::straus_window_for_arity`]), and merges the partial
-    /// products with a streaming homomorphic-addition reduction — each
-    /// merge is the `ct_add` multiply `E(a)·E(b) mod n²`, carried out in
-    /// the Montgomery domain so the batch pays a single final REDC.
-    ///
-    /// Bit-identical to the flat fold for every `shards` value and
-    /// thread count: every chain returns the *canonical* residue of its
-    /// partial product (`mont_mul` fully reduces), the merge is a product
-    /// of canonical residues in a fixed span order, and window width
-    /// never changes a chain's value. `shards ≤ 1` (or a batch too small
-    /// to split) takes the flat single-chain path outright.
-    pub fn weighted_sum_sharded(
-        &self,
-        cts: &[Ciphertext],
-        weights: &[Natural],
-        shards: usize,
-    ) -> Result<Ciphertext> {
-        let column: Vec<&Ciphertext> = cts.iter().collect();
-        self.weighted_sum_column(&column, weights, shards)
-    }
-
-    /// [`weighted_sum_sharded`](Self::weighted_sum_sharded) over borrowed
-    /// ciphertexts — one slot's column across the participants' batches,
-    /// which the batched aggregate folds without copying it out.
-    // flcheck: det-sink — sharded aggregate ciphertext construction
+    /// [`weighted_sum`](Self::weighted_sum) over borrowed ciphertexts —
+    /// one slot's column across the participants' batches, which the
+    /// batched aggregate folds without copying it out — as one bucket pass
+    /// at `counts`, [`straus::multi_exp_counts`] over `weights`: every
+    /// slot of a fold shares its weights, so the fold computes them once.
+    // flcheck: det-sink — weighted aggregate ciphertext construction
     pub(crate) fn weighted_sum_column(
         &self,
         cts: &[&Ciphertext],
         weights: &[Natural],
-        shards: usize,
+        counts: &straus::MultiExpCounts,
     ) -> Result<Ciphertext> {
         if cts.len() != weights.len() {
             return Err(Error::InvalidParameter(
@@ -972,47 +949,10 @@ impl PaillierPublicKey {
             ));
         }
         self.check_aggregands(cts)?;
-        let max_bits = weights.iter().map(Natural::bit_len).max().unwrap_or(0);
-        let spans = straus::shard_spans(cts.len(), shards);
-        let product = if spans.len() <= 1 {
-            let bases_m: Vec<Natural> = cts.iter().map(|c| self.ctx_n2.to_mont(&c.value)).collect();
-            let window = straus::straus_window_for(max_bits);
-            straus::multi_exp_mont(&self.ctx_n2, &bases_m, weights, window)
-        } else {
-            let width = self.ctx_n2.width();
-            let mut partials = spans
-                .par_iter()
-                .with_max_len(1)
-                .map(|span| {
-                    // `shard_spans` tiles `0..cts.len()`, and the shape
-                    // check above pins `weights.len()` to it.
-                    // flcheck: allow(pf-index)
-                    let span_cts = &cts[span.clone()];
-                    // flcheck: allow(pf-index)
-                    let span_weights = &weights[span.clone()];
-                    let bases_m: Vec<Natural> = span_cts
-                        .iter()
-                        .map(|c| self.ctx_n2.to_mont(&c.value))
-                        .collect();
-                    let window = straus::straus_window_for_arity(max_bits, span.len());
-                    straus::multi_exp_mont(&self.ctx_n2, &bases_m, span_weights, window)
-                        .to_padded_limbs(width)
-                })
-                .collect::<Vec<Vec<Limb>>>()
-                .into_iter();
-            // Streaming merge in span order through one fixed-width
-            // accumulator; this branch always has two or more partials.
-            let first = partials
-                .next()
-                .unwrap_or_else(|| self.ctx_n2.one_mont().to_padded_limbs(width));
-            let mut merged = MontAcc::new(&self.ctx_n2, first);
-            for partial in partials {
-                merged.mul(&partial);
-            }
-            merged.into_natural()
-        };
+        let bases_m: Vec<Natural> = cts.iter().map(|c| self.ctx_n2.to_mont(&c.value)).collect();
+        let product = straus::multi_exp_mont(&self.ctx_n2, &bases_m, weights, counts);
         Ok(Ciphertext {
-            value: self.ctx_n2.from_mont(&product),
+            value: self.ctx_n2.from_mont(&product.into_natural()),
             key_id: self.key_id,
         })
     }
@@ -1090,9 +1030,11 @@ impl PaillierPublicKey {
 
     /// Estimated limb-level operation count of one `count`-way
     /// [`weighted_sum`](Self::weighted_sum) with weights of at most
-    /// `max_weight_bits` bits: the shared squaring chain, the per-column
-    /// table multiplies, the per-base table builds and domain
-    /// conversions.
+    /// `max_weight_bits` bits, as the *simulated device* is charged for
+    /// it: a Straus pass — the shared squaring chain, the per-column
+    /// table multiplies, the per-base table builds — and the domain
+    /// conversions. The host runs a bucket pass, which does less
+    /// (DESIGN §8).
     // flcheck: estimates(weighted_sum, 3)
     pub fn weighted_sum_op_estimate(&self, count: usize, max_weight_bits: u32) -> u64 {
         if count == 0 || max_weight_bits == 0 {
@@ -1109,15 +1051,19 @@ impl PaillierPublicKey {
     }
 
     /// Estimated *total* limb-level operation count of one `count`-way
-    /// [`weighted_sum_sharded`](Self::weighted_sum_sharded) across all
-    /// shards: per span, the arity-tuned squaring chain, column and
-    /// table-build multiplies, and domain conversions; plus one merge
-    /// multiply per extra span and the final REDC. Degenerates *exactly*
-    /// to [`weighted_sum_op_estimate`](Self::weighted_sum_op_estimate)
-    /// whenever the batch runs as a single chain (`shards ≤ 1` or too few
-    /// items to split) — the flat-path no-regression gate in
+    /// weighted fold split into `shards` chains, as the simulated device
+    /// is charged for each slot of a
+    /// [`HeBackend::weighted_aggregate`](crate::HeBackend::weighted_aggregate):
+    /// per span of [`straus::shard_spans`], the arity-tuned Straus
+    /// squaring chain, column and table-build multiplies, and domain
+    /// conversions; plus one merge multiply per extra span and the final
+    /// REDC. The host folds the slot in one bucket pass whatever `shards`
+    /// is. Degenerates *exactly* to
+    /// [`weighted_sum_op_estimate`](Self::weighted_sum_op_estimate)
+    /// whenever the batch is charged as a single chain (`shards ≤ 1` or
+    /// too few items to split) — the flat-path no-regression gate in
     /// `bench_aggregate` pins that equality.
-    // flcheck: estimates(weighted_sum_sharded, 4)
+    // flcheck: estimates(weighted_aggregate, 5)
     pub fn weighted_sum_sharded_op_estimate(
         &self,
         count: usize,
@@ -1141,12 +1087,12 @@ impl PaillierPublicKey {
     }
 
     /// Estimated *critical-path* limb-level operation count of the same
-    /// sharded pass: the widest span's chain (all spans run concurrently
-    /// on the pool) plus the serial merge reduction and final REDC. The
-    /// modeled-scaling gate in `bench_aggregate` divides the flat
-    /// estimate by this — it is what wall-clock tracks at `shards`
-    /// workers, independent of the host's actual core count.
-    // flcheck: estimates(weighted_sum_sharded, 4)
+    /// charged sharded schedule: the widest span's chain (the device runs
+    /// the spans concurrently) plus the serial merge reduction and final
+    /// REDC. The modeled-scaling gate in `bench_aggregate` divides the
+    /// flat estimate by this; it is a device-model quantity, independent
+    /// of the host, which folds each slot in one pass.
+    // flcheck: estimates(weighted_aggregate, 5)
     pub fn weighted_sum_critical_path_estimate(
         &self,
         count: usize,
@@ -1167,7 +1113,7 @@ impl PaillierPublicKey {
         macs / 2
     }
 
-    /// MACs of one span's independent Straus chain: squaring chain at the
+    /// MACs of one charged span's Straus chain: squaring chain at the
     /// arity-tuned window, per-base column/table/to-Montgomery multiplies.
     fn shard_chain_macs(arity: usize, max_weight_bits: u32, mul: u64, sqr: u64) -> u64 {
         let w = straus::straus_window_for_arity(max_weight_bits, arity);
@@ -1447,17 +1393,10 @@ mod tests {
             Err(Error::CiphertextOutOfRange)
         );
         let good = k.public.encrypt(&nat(5), &mut rng()).unwrap();
-        for shards in [1usize, 2] {
-            assert_eq!(
-                k.public.weighted_sum_sharded(
-                    &[good.clone(), zero.clone()],
-                    &[nat(1), nat(1)],
-                    shards
-                ),
-                Err(Error::CiphertextOutOfRange),
-                "{shards} shards"
-            );
-        }
+        assert_eq!(
+            k.public.weighted_sum(&[good, zero], &[nat(1), nat(1)]),
+            Err(Error::CiphertextOutOfRange)
+        );
         assert_eq!(
             Error::CiphertextOutOfRange.to_string(),
             "ciphertext outside the ciphertext space"
@@ -1967,20 +1906,25 @@ mod tests {
         let cts: Vec<Ciphertext> = (0u64..13)
             .map(|m| k.public.encrypt(&nat(m * 31 + 2), &mut r).unwrap())
             .collect();
-        let ws: Vec<Natural> = (0u64..13).map(|w| nat(w * 977 + 1)).collect();
+        let weights: Vec<u64> = (0u64..13).map(|w| w * 977 + 1).collect();
+        let ws: Vec<Natural> = weights.iter().map(|&w| nat(w)).collect();
         let flat = k.public.weighted_sum(&cts, &ws).unwrap();
+        // A shard count is a charged-schedule input only: the backend
+        // folds each slot in one pass whatever it is.
+        use crate::{CpuHe, HeBackend};
+        let batches: Vec<&[Ciphertext]> = cts.iter().map(std::slice::from_ref).collect();
         for shards in [0usize, 1, 2, 3, 7, 13, 64] {
-            let sharded = k.public.weighted_sum_sharded(&cts, &ws, shards).unwrap();
+            let (sharded, _) = CpuHe::default()
+                .weighted_aggregate(&k.public, &batches, &weights, shards)
+                .unwrap();
             // Canonical residues: value equality, not just plaintext.
-            assert_eq!(sharded.value, flat.value, "shards {shards}");
-            assert_eq!(sharded.key_id, flat.key_id);
+            assert_eq!(sharded, std::slice::from_ref(&flat), "shards {shards}");
         }
-        // Sharded error paths keep the flat semantics.
         assert!(matches!(
-            k.public.weighted_sum_sharded(&cts, &ws[..3], 4),
+            k.public.weighted_sum(&cts, &ws[..3]),
             Err(Error::InvalidParameter(_))
         ));
-        let empty = k.public.weighted_sum_sharded(&[], &[], 8).unwrap();
+        let empty = k.public.weighted_sum(&[], &[]).unwrap();
         assert_eq!(empty.value, k.public.zero_ciphertext().value);
     }
 

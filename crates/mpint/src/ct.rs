@@ -26,14 +26,20 @@ pub fn ct_is_zero(x: Limb) -> Limb {
     (t >> (LIMB_BITS - 1)) ^ 1
 }
 
-/// Returns all-ones if `flag == 1`, all-zeros if `flag == 0`.
+/// Returns all-ones if `flag == 1`, all-zeros if `flag == 0` — opaque to
+/// the optimizer, and the one place a mask is made. Given a mask it can
+/// test for zero, rustc 1.95 at opt-level 3 branched around the loads the
+/// mask drops, which put a secret table index back into the access
+/// pattern (a no-match scan of a 64 MiB table took 25 µs; it takes 9 ms
+/// through this); every select, masked subtraction and table scan here
+/// takes its mask from this function.
 // flcheck: ct-fn
 // flcheck: secret(flag)
 #[inline]
 #[must_use]
 pub fn ct_mask(flag: Limb) -> Limb {
     debug_assert!(flag <= 1);
-    flag.wrapping_neg()
+    std::hint::black_box(flag.wrapping_neg())
 }
 
 /// Selects `a` where `mask` is all-ones, `b` where it is all-zeros.
@@ -76,17 +82,6 @@ pub fn ct_lt(a: &[Limb], b: &[Limb]) -> Limb {
     borrow
 }
 
-/// In-place conditional selection over limb vectors: where `mask` is
-/// all-ones, `dst` keeps its value; where all-zeros, `dst` takes `src`.
-// flcheck: ct-fn
-// flcheck: secret(mask, dst, src)
-pub fn ct_select_limbs(mask: Limb, dst: &mut [Limb], src: &[Limb]) {
-    debug_assert_eq!(dst.len(), src.len());
-    for (d, s) in dst.iter_mut().zip(src.iter()) {
-        *d = ct_select(mask, *d, *s);
-    }
-}
-
 /// Masked table fetch: copies entry `index` of a flat table of
 /// `out.len()`-limb entries into `out`, reading **every** entry whatever
 /// `index` is — entry `k` is kept under the mask `k == index` and dropped
@@ -100,11 +95,7 @@ pub fn ct_lookup_limbs(out: &mut [Limb], table: &[Limb], index: Limb) {
     debug_assert_eq!(table.len() % out.len(), 0, "table must be whole entries");
     out.fill(0);
     for (k, entry) in (0..).zip(table.chunks_exact(out.len())) {
-        // Opaque to the optimizer: given a mask it can test for zero,
-        // rustc 1.95 at opt-level 3 branches around the entry's loads,
-        // which puts the index back into the access pattern (a no-match
-        // scan of a 64 MiB table took 25 µs; it takes 9 ms now).
-        let mask = std::hint::black_box(ct_mask(ct_is_zero(k ^ index)));
+        let mask = ct_mask(ct_is_zero(k ^ index));
         for (o, &e) in out.iter_mut().zip(entry) {
             *o |= e & mask;
         }
@@ -174,12 +165,6 @@ mod tests {
     fn select_picks_by_mask() {
         assert_eq!(ct_select(Limb::MAX, 7, 9), 7);
         assert_eq!(ct_select(0, 7, 9), 9);
-        let mut dst = [1, 2, 3];
-        ct_select_limbs(0, &mut dst, &[4, 5, 6]);
-        assert_eq!(dst, [4, 5, 6]);
-        let mut dst = [1, 2, 3];
-        ct_select_limbs(Limb::MAX, &mut dst, &[4, 5, 6]);
-        assert_eq!(dst, [1, 2, 3]);
     }
 
     #[test]

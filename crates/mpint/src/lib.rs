@@ -21,6 +21,8 @@
 //!   paper reduces complexity from `e` to `log_{2^b} e` multiplications).
 //! - [`comb`]: constant-time fixed-base exponentiation from a per-base
 //!   table (Lim–Lee comb), for the Paillier blinding pools.
+//! - [`straus`]: bucket multi-exponentiation over public exponents, for
+//!   weighted aggregation.
 //! - [`prime`]: Miller–Rabin primality testing and random prime generation
 //!   used by Paillier/RSA key generation.
 //! - [`random`]: uniform random `Natural` generation.

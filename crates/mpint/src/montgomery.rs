@@ -307,8 +307,20 @@ impl<'a> MontAcc<'a> {
         self.calls += 1;
     }
 
-    /// Montgomery kernel calls ([`sqr`](Self::sqr) and
-    /// [`mul`](Self::mul)) issued on this accumulator.
+    /// `other ← other·b_m·R^{-1} mod n` for another `ctx.width()`-limb
+    /// residue, through this accumulator's spare buffer: the accumulated
+    /// value is untouched and the call is counted here, so a pass that
+    /// keeps more running products than one (a bucket table) counts all
+    /// its kernel calls in one place.
+    pub fn mul_other(&mut self, other: &mut [Limb], b_m: &[Limb]) {
+        let (n, n0_inv) = (self.ctx.n.limbs(), self.ctx.n0_inv);
+        cios::mont_mul_into(&mut self.next, other, b_m, n, n0_inv);
+        other.copy_from_slice(&self.next);
+        self.calls += 1;
+    }
+
+    /// Montgomery kernel calls ([`sqr`](Self::sqr), [`mul`](Self::mul)
+    /// and [`mul_other`](Self::mul_other)) issued on this accumulator.
     pub fn calls(&self) -> u64 {
         self.calls
     }

@@ -1,31 +1,47 @@
-//! Straus (interleaved) multi-exponentiation: `∏ bᵢ^{eᵢ} mod n` with one
-//! shared squaring chain.
+//! Multi-exponentiation `∏ bᵢ^{eᵢ} mod n` over public exponents: one
+//! bucket pass (Pippenger's method).
 //!
 //! Weighted federated aggregation multiplies many ciphertext powers
-//! together: `∏ cᵢ^{kᵢ} mod n²` (each participant's gradient scaled by
-//! its sample count). Computed pairwise — one sliding-window
-//! exponentiation per base plus a product — every base pays its own
-//! squaring chain: `B·(bits + bits/(w+1))` Montgomery multiplications for
-//! `B` bases. Straus' trick (Straus 1964; Menezes et al., *Handbook of
-//! Applied Cryptography*, Alg. 14.88) scans all exponents' windows in
-//! lockstep from the most significant digit down, so the whole batch
-//! shares a *single* chain of `bits` squarings: `bits` squarings +
-//! `≤ B·bits/w` table multiplications + `B·(2^w − 2)` table-build
-//! multiplications. For the paper's 64-participant aggregates the shared
-//! chain cuts total Montgomery multiplications by well over 2×.
+//! together: `∏ cᵢ^{kᵢ} mod n²`, each participant's gradient scaled by its
+//! sample count. The exponents are cut into `c`-bit digit columns. For
+//! each column, most significant first, every base is multiplied into the
+//! bucket of its digit — the first arrival in a bucket is a copy — and the
+//! buckets are folded by running sums: from the top bucket down, `running`
+//! is the product of the buckets at or above `d`, and the column's product
+//! takes it in once per digit value, which is `∏_d bucket_d^d`. The
+//! product is first raised to `2^c` by `c` squarings. A column costs one
+//! multiply per nonzero digit plus at most `2·(2^c − 1)` for the fold, so
+//! a base costs about one multiply per column and the fold is shared by
+//! the whole column: the wider the column, the cheaper each base
+//! (Pippenger 1980; Bernstein et al., *Faster batch forgery
+//! identification*, 2012, §4).
 //!
-//! Exponents here are *public* aggregation weights (sample counts), so
-//! the digit-dependent multiply schedule leaks nothing; secret exponents
-//! must keep using [`crate::modpow::mod_pow_ct`]. Squarings route through
-//! the dedicated [`crate::cios::mont_sqr_into`] kernel.
+//! [`multi_exp_counts`] counts the squarings and multiplies the pass makes
+//! for given exponents at every width `c` and picks the cheapest;
+//! [`multi_exp_mont`] takes its loop bounds from those counts, and the
+//! accumulator it returns has made exactly that many kernel calls.
+//! Exponents here are *public* aggregation weights, so the digit-dependent
+//! schedule leaks nothing; secret exponents must keep using
+//! [`crate::modpow::mod_pow_ct`].
+//!
+//! The module is named for the method it replaced, Straus' interleaved
+//! windows, and keeps the name because the benchmark calls
+//! [`multi_exp_ctx`] by this path. That method survives as the schedule
+//! the simulated device is *charged* for a weighted fold:
+//! [`straus_window_for`], [`straus_window_for_arity`] and [`shard_spans`]
+//! feed the estimators in `he::paillier`, not a kernel.
 
-use crate::cios;
 use crate::limb::Limb;
 use crate::montgomery::{MontAcc, MontgomeryCtx};
 use crate::natural::Natural;
 
-/// Window width (bits per digit) for a Straus pass over `count` bases
-/// whose largest exponent has `max_bits` bits.
+/// Widest bucket window the width search tries: `2^12 − 1` buckets are
+/// 2 MiB of table at 4096-bit moduli, and only folds of thousands of
+/// bases get near it.
+const MAX_WINDOW: u32 = 12;
+
+/// Window width (bits per digit) of the charged Straus schedule for a
+/// fold whose largest exponent has `max_bits` bits.
 ///
 /// Per window column every base multiplies with probability
 /// `1 − 2^{-w}`, so widening `w` saves `≈ count·bits·(1/w − 1/(w+1))`
@@ -45,24 +61,22 @@ pub fn straus_window_for(max_bits: u32) -> u32 {
     }
 }
 
-/// Window width for one *shard* of a sharded Straus pass: `arity` bases
-/// sharing one squaring chain, exponents of at most `max_bits` bits.
+/// Window width of one *shard* of the charged Straus schedule: `arity`
+/// bases sharing one squaring chain, exponents of at most `max_bits` bits.
 ///
-/// [`straus_window_for`] is tuned for the paper's wide 64-way aggregates,
-/// where the shared squaring chain is fully amortized and only the
-/// per-base break-even matters. A shard amortizes its chain over just
-/// `arity` bases, so the squaring/table trade-off genuinely shifts with
-/// the shard size. This picks the `w ∈ [1, 8]` minimizing the modeled
-/// Montgomery-multiplication cost
+/// [`straus_window_for`] is tuned for wide 64-way aggregates, where the
+/// shared squaring chain is fully amortized and only the per-base
+/// break-even matters. A shard amortizes its chain over just `arity`
+/// bases, so the squaring/table trade-off shifts with the shard size.
+/// This picks the `w ∈ [1, 8]` minimizing the modeled Montgomery
+/// multiplication cost
 ///
 /// ```text
 /// 3/4 · (⌈bits/w⌉ − 1) · w      (squarings, dedicated-kernel rate)
 ///   + arity · (⌈bits/w⌉ + 2^w − 2)   (column + table-build multiplies)
 /// ```
 ///
-/// with ties going to the narrower window. The choice affects cost only:
-/// [`multi_exp_mont`] returns the identical canonical product at any
-/// width.
+/// with ties going to the narrower window.
 pub fn straus_window_for_arity(max_bits: u32, arity: usize) -> u32 {
     if max_bits == 0 || arity == 0 {
         return 1;
@@ -106,22 +120,98 @@ pub fn shard_spans(len: usize, shards: usize) -> Vec<std::ops::Range<usize>> {
     spans
 }
 
-/// Interleaved multi-exponentiation over Montgomery-form bases: returns
-/// `∏ bases_m[i]^{exps[i]}` in Montgomery form. Empty input yields the
-/// Montgomery form of 1.
+/// The bucket pass [`multi_exp_mont`] runs over given exponents: its width
+/// and the kernel calls it makes. The pass takes its loop bounds from
+/// here, so the counts are the schedule that runs. Every field is a
+/// function of the exponents alone; the bases never change it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MultiExpCounts {
+    /// Window width `c`: exponent bits per digit, one bucket per nonzero
+    /// digit value.
+    pub window: u32,
+    /// Digit columns, `⌈max_bits / c⌉`.
+    pub columns: u32,
+    /// Squarings: `c` per column below the top one.
+    pub squarings: u64,
+    /// Multiplies: per column with a nonzero digit, one per nonzero digit
+    /// less one (the bucket adds and the running sums, each bucket's first
+    /// arrival and the top running sum being copies) plus one per digit
+    /// value up to the column's largest (the product taking each running
+    /// sum in).
+    pub multiplies: u64,
+}
+
+impl MultiExpCounts {
+    /// The pass at width `window` over exponents of at most `max_bits`
+    /// bits.
+    fn at(exps: &[Natural], max_bits: u32, window: u32) -> Self {
+        let columns = max_bits.div_ceil(window);
+        let mut multiplies = 0u64;
+        for col in 0..columns {
+            let (mut nonzero, mut top) = (0u64, 0u64);
+            for e in exps {
+                let digit = e.extract_bits(col * window, window);
+                nonzero += u64::from(digit != 0);
+                top = top.max(digit);
+            }
+            if nonzero > 0 {
+                multiplies += nonzero - 1 + top;
+            }
+        }
+        MultiExpCounts {
+            window,
+            columns,
+            squarings: u64::from(columns.saturating_sub(1) * window),
+            multiplies,
+        }
+    }
+
+    /// Kernel calls of the pass.
+    fn calls(&self) -> u64 {
+        self.squarings + self.multiplies
+    }
+}
+
+/// The bucket pass over `exps` at the width, in `[1, 12]`, that makes the
+/// fewest kernel calls (squarings plus multiplies, as
+/// [`MontAcc::calls`] counts them); of equals, the narrowest. No
+/// exponents, or only zero ones, give no columns and no calls.
+pub fn multi_exp_counts(exps: &[Natural]) -> MultiExpCounts {
+    let max_bits = exps.iter().map(Natural::bit_len).max().unwrap_or(0);
+    let mut best = MultiExpCounts::at(exps, max_bits, 1);
+    for window in 2..=MAX_WINDOW.min(max_bits) {
+        let candidate = MultiExpCounts::at(exps, max_bits, window);
+        if candidate.calls() < best.calls() {
+            best = candidate;
+        }
+    }
+    best
+}
+
+/// Bucket multi-exponentiation over Montgomery-form bases: returns the
+/// accumulator holding `∏ bases_m[i]^{exps[i]}` in Montgomery form, whose
+/// [`calls`](MontAcc::calls) are `counts.squarings + counts.multiplies`.
+/// No columns yield the Montgomery form of 1.
 ///
 /// `bases_m` must be in the Montgomery domain of `ctx` and reduced mod
-/// `n`; `exps` are plain (non-Montgomery) public exponents.
+/// `n`; `exps` are plain (non-Montgomery) public exponents, and `counts`
+/// is [`multi_exp_counts`] over them — computed once, a fold whose slots
+/// share their weights shares it too. All buckets live in one flat table
+/// of `(2^c − 1)·s` limbs.
 ///
 /// # Panics
 ///
-/// Panics if the slice lengths differ or `window` is outside `[1, 8]`.
-pub fn multi_exp_mont(
-    ctx: &MontgomeryCtx,
+/// Panics if the slice lengths differ or `counts` does not cover every
+/// exponent.
+pub fn multi_exp_mont<'a>(
+    ctx: &'a MontgomeryCtx,
     bases_m: &[Natural],
     exps: &[Natural],
-    window: u32,
-) -> Natural {
+    counts: &MultiExpCounts,
+) -> MontAcc<'a> {
+    let MultiExpCounts {
+        window, columns, ..
+    } = *counts;
     // Documented precondition (see `# Panics`): callers validate shapes
     // before entering the kernel (`weighted_sum` returns a typed error).
     // flcheck: allow(pf-assert)
@@ -130,90 +220,71 @@ pub fn multi_exp_mont(
         exps.len(),
         "each base needs exactly one exponent"
     );
-    // Same documented precondition: window widths beyond 8 would build
-    // 255+-entry tables and are rejected up front.
+    // Same documented precondition: counts from other exponents could
+    // leave a digit column unvisited, or ask for an unbounded table.
     // flcheck: allow(pf-assert)
-    assert!((1..=8).contains(&window), "window must be in [1, 8]");
-    let max_bits = exps.iter().map(Natural::bit_len).max().unwrap_or(0);
-    if max_bits == 0 {
-        // All exponents zero (or no bases): the empty product.
-        return ctx.one_mont();
-    }
+    assert!(
+        window <= MAX_WINDOW
+            && exps
+                .iter()
+                .all(|e| e.bit_len() <= columns.saturating_mul(window)),
+        "counts must come from multi_exp_counts over these exponents"
+    );
     let s = ctx.width();
-    let (n, n0_inv) = (ctx.modulus().limbs(), ctx.n0_inv());
-
-    // Per-base digit tables in one flat buffer: base i owns chunk i of
-    // `table_len` fixed-width entries, entry d−1 = bases_m[i]^d for
-    // d = 1..2^w − 1. Bases with a zero exponent never contribute a
-    // nonzero digit, so their table build is skipped outright.
-    let table_len = (1usize << window) - 1;
-    let mut tables = vec![0; bases_m.len() * table_len * s];
-    for ((table, b), e) in tables
-        .chunks_exact_mut(table_len * s)
-        .zip(bases_m)
-        .zip(exps)
-    {
-        if e.is_zero() {
-            continue;
-        }
-        let (base, powers) = table.split_at_mut(s);
-        base.copy_from_slice(&b.to_padded_limbs(s));
-        let mut prev: &[Limb] = base;
-        for entry in powers.chunks_exact_mut(s) {
-            cios::mont_mul_into(entry, prev, base, n, n0_inv);
-            prev = entry;
-        }
-    }
-
-    // One shared squaring chain over the digit columns, most significant
-    // first: w squarings per column, then one table multiply per base
-    // whose digit is nonzero.
     let mut acc = MontAcc::new(ctx, ctx.one_mont().to_padded_limbs(s));
-    let columns = max_bits.div_ceil(window);
+    let padded: Vec<Limb> = bases_m.iter().flat_map(|b| b.to_padded_limbs(s)).collect();
+    // Bucket d holds the column's bases with digit d + 1.
+    let buckets_len = (1usize << window) - 1;
+    let mut buckets = vec![0; buckets_len * s];
+    let mut filled = vec![false; buckets_len];
+    let mut running = vec![0; s];
     for col in (0..columns).rev() {
         if col + 1 < columns {
             for _ in 0..window {
                 acc.sqr();
             }
         }
-        for (table, e) in tables.chunks_exact(table_len * s).zip(exps) {
-            let digit = e.extract_bits(col * window, window) as usize;
-            if digit != 0 {
-                // digit is a w-bit value in [1, 2^w - 1] and the table
-                // holds exactly 2^w - 1 entries, so entry digit-1 is in
-                // bounds.
-                // flcheck: allow(pf-index)
-                acc.mul(&table[(digit - 1) * s..digit * s]);
+        filled.fill(false);
+        for (base, e) in padded.chunks_exact(s).zip(exps) {
+            let Some(d) = (e.extract_bits(col * window, window) as usize).checked_sub(1) else {
+                continue;
+            };
+            if let (Some(bucket), Some(full)) =
+                (buckets.chunks_exact_mut(s).nth(d), filled.get_mut(d))
+            {
+                if *full {
+                    acc.mul_other(bucket, base);
+                } else {
+                    bucket.copy_from_slice(base);
+                    *full = true;
+                }
+            }
+        }
+        // Running sums from the top bucket down; the product takes one in
+        // per digit value from the column's largest down to 1.
+        let mut started = false;
+        for (bucket, &full) in buckets.chunks_exact(s).zip(&filled).rev() {
+            if full && started {
+                acc.mul_other(&mut running, bucket);
+            } else if full {
+                running.copy_from_slice(bucket);
+                started = true;
+            }
+            if started {
+                acc.mul(&running);
             }
         }
     }
-    acc.into_natural()
+    acc
 }
 
 /// Convenience form over plain residues: reduces and converts each base
-/// into the Montgomery domain, runs [`multi_exp_mont`] with the window
-/// from [`straus_window_for`], and converts the product back out.
+/// into the Montgomery domain, runs [`multi_exp_mont`] at
+/// [`multi_exp_counts`], and converts the product back out.
 pub fn multi_exp_ctx(ctx: &MontgomeryCtx, bases: &[Natural], exps: &[Natural]) -> Natural {
     let bases_m: Vec<Natural> = bases.iter().map(|b| ctx.to_mont(&ctx.reduce(b))).collect();
-    let max_bits = exps.iter().map(Natural::bit_len).max().unwrap_or(0);
-    let window = straus_window_for(max_bits);
-    ctx.from_mont(&multi_exp_mont(ctx, &bases_m, exps, window))
-}
-
-/// Montgomery multiplications a Straus pass performs, worst case: the
-/// shared squaring chain, a full column of table multiplies per digit,
-/// and the table builds. Used by the GPU simulator's timing model and the
-/// hot-path bench's limb-mult accounting.
-pub fn straus_mult_count(count: u64, max_bits: u32, window: u32) -> u64 {
-    if count == 0 || max_bits == 0 {
-        return 0;
-    }
-    let w = window.max(1);
-    let columns = max_bits.div_ceil(w) as u64;
-    let squarings = columns.saturating_sub(1) * w as u64;
-    let column_muls = count * columns;
-    let table_muls = count * ((1u64 << w) - 2);
-    squarings + column_muls + table_muls
+    let counts = multi_exp_counts(exps);
+    ctx.from_mont(&multi_exp_mont(ctx, &bases_m, exps, &counts).into_natural())
 }
 
 #[cfg(test)]
@@ -260,6 +331,8 @@ mod tests {
         let bases = [n(7), n(9)];
         let exps = [n(0), n(0)];
         assert_eq!(multi_exp_ctx(&ctx, &bases, &exps), n(1));
+        let none = multi_exp_counts(&exps);
+        assert_eq!((none.columns, none.squarings, none.multiplies), (0, 0, 0));
     }
 
     #[test]
@@ -274,20 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn every_window_width_agrees() {
-        let p = (1u128 << 127) - 1;
-        let ctx = MontgomeryCtx::new(&n(p)).unwrap();
-        let bases: Vec<Natural> = (2..10u128).map(n).collect();
-        let exps: Vec<Natural> = (0..8u128).map(|i| n(i * 7919 + 1)).collect();
-        let bases_m: Vec<Natural> = bases.iter().map(|b| ctx.to_mont(b)).collect();
-        let reference = naive(&ctx, &bases, &exps);
-        for w in 1..=8 {
-            let got = ctx.from_mont(&multi_exp_mont(&ctx, &bases_m, &exps, w));
-            assert_eq!(got, reference, "window {w}");
-        }
-    }
-
-    #[test]
     fn unreduced_bases_are_reduced() {
         let ctx = MontgomeryCtx::new(&n(97)).unwrap();
         assert_eq!(
@@ -297,26 +356,29 @@ mod tests {
     }
 
     #[test]
-    fn shared_chain_beats_pairwise_in_mult_count() {
-        // 64 bases, 32-bit weights, 1024-bit modulus: the Table-IV shape.
-        let bits = 32;
-        let w = straus_window_for(bits);
-        let straus = straus_mult_count(64, bits, w);
-        // Pairwise: per base, bits squarings + bits/(w'+1) multiplies +
-        // table + one product multiply.
-        let w1 = crate::modpow::window_size_for(bits) as u64;
-        let pairwise = 64 * (bits as u64 + bits as u64 / (w1 + 1) + (1 << (w1 - 1)) + 1);
-        assert!(
-            straus * 2 < pairwise,
-            "straus {straus} not 2x under pairwise {pairwise}"
-        );
+    fn a_wide_column_costs_about_one_multiply_per_base() {
+        // 128 bases with 10-bit sample-count weights, the server's shape:
+        // every base is in every column, so the pass is ≈ 2 multiplies a
+        // base plus a few shared folds.
+        let exps: Vec<Natural> = (0..128u128).map(|i| n(100 + i * 7)).collect();
+        let c = multi_exp_counts(&exps);
+        assert!(c.window > 2, "{c:?}");
+        assert!(c.squarings + c.multiplies < 3 * 128, "{c:?}");
     }
 
     #[test]
     #[should_panic(expected = "exactly one exponent")]
     fn mismatched_lengths_panic() {
         let ctx = MontgomeryCtx::new(&n(101)).unwrap();
-        multi_exp_mont(&ctx, &[n(3)], &[], 4);
+        multi_exp_mont(&ctx, &[n(3)], &[], &multi_exp_counts(&[]));
+    }
+
+    #[test]
+    #[should_panic(expected = "counts must come from multi_exp_counts")]
+    fn counts_that_miss_a_column_panic() {
+        let ctx = MontgomeryCtx::new(&n(101)).unwrap();
+        let short = multi_exp_counts(&[n(3)]);
+        multi_exp_mont(&ctx, &[n(3)], &[n(1 << 20)], &short);
     }
 
     #[test]
@@ -424,24 +486,24 @@ mod tests {
 
     #[test]
     fn sharded_chains_agree_with_flat_pass() {
-        // A sharded pass — independent chains per span with arity-tuned
-        // windows, partials merged by modular multiplication — equals the
-        // flat fold bit for bit: every chain returns the canonical
-        // residue of its partial product.
+        // Independent passes over the spans of any split, merged by
+        // modular multiplication, equal the flat pass bit for bit: every
+        // pass returns the canonical residue of its partial product.
         let p = (1u128 << 127) - 1;
         let ctx = MontgomeryCtx::new(&n(p)).unwrap();
         let bases: Vec<Natural> = (2..15u128).map(n).collect();
         let exps: Vec<Natural> = (0..13u128).map(|i| n(i * 104_729 + 3)).collect();
         let bases_m: Vec<Natural> = bases.iter().map(|b| ctx.to_mont(b)).collect();
-        let max_bits = exps.iter().map(Natural::bit_len).max().unwrap();
-        let flat = multi_exp_mont(&ctx, &bases_m, &exps, straus_window_for(max_bits));
+        let pass = |range: std::ops::Range<usize>| {
+            let exps = &exps[range.clone()];
+            multi_exp_mont(&ctx, &bases_m[range], exps, &multi_exp_counts(exps)).into_natural()
+        };
+        let flat = pass(0..bases.len());
+        assert_eq!(ctx.from_mont(&flat), naive(&ctx, &bases, &exps));
         for shards in [1usize, 2, 3, 7, 13, 40] {
             let merged = shard_spans(bases.len(), shards)
                 .into_iter()
-                .map(|s| {
-                    let w = straus_window_for_arity(max_bits, s.len());
-                    multi_exp_mont(&ctx, &bases_m[s.clone()], &exps[s], w)
-                })
+                .map(pass)
                 .reduce(|a, b| ctx.mont_mul(&a, &b))
                 .unwrap();
             assert_eq!(merged, flat, "shards {shards}");

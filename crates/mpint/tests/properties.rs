@@ -437,7 +437,10 @@ fn ladder_mod_pow_ct(
         cios::mont_sqr_into(&mut squared, &mut scratch, &acc, n, n0_inv);
         cios::mont_mul_into(&mut acc, &squared, &base_m, n, n0_inv);
         let bit = (e[(i / mpint::LIMB_BITS) as usize] >> (i % mpint::LIMB_BITS)) & 1;
-        mpint::ct::ct_select_limbs(mpint::ct::ct_mask(bit), &mut acc, &squared);
+        let mask = mpint::ct::ct_mask(bit);
+        for (a, &sq) in acc.iter_mut().zip(&squared) {
+            *a = mpint::ct_select(mask, *a, sq);
+        }
     }
     ctx.from_mont(&Natural::from_limbs(acc))
 }
@@ -544,16 +547,11 @@ fn multi_exp_matches_naive_product_at_limb_boundaries() {
             let exps: Vec<Natural> = (0..bases.len())
                 .map(|i| exp_pool[i % exp_pool.len()].clone())
                 .collect();
-            // The zero base meets the zero exponent here (0^0 = 1, the
-            // skipped-table path) and a live one in the rotation below.
+            // The zero base meets the zero exponent here (0^0 = 1, a base
+            // no bucket takes) and a live one in the rotation below.
             let mut expected = &Natural::one() % &n;
             for (b, e) in bases.iter().zip(&exps) {
                 expected = &(&expected * &naive_pow(b, e, &n)) % &n;
-            }
-            let bases_m: Vec<Natural> = bases.iter().map(|b| ctx.to_mont(b)).collect();
-            for window in [1, 4, straus::straus_window_for(65)] {
-                let got = ctx.from_mont(&straus::multi_exp_mont(&ctx, &bases_m, &exps, window));
-                assert_eq!(got, expected, "{s} limbs, window {window}, mod {n}");
             }
             assert_eq!(
                 straus::multi_exp_ctx(&ctx, &bases, &exps),
@@ -566,6 +564,107 @@ fn multi_exp_matches_naive_product_at_limb_boundaries() {
                 straus::multi_exp_ctx(&ctx, &bases, &rotated).is_zero(),
                 "{s} limbs: a zero base with a nonzero exponent zeroes the product"
             );
+        }
+    }
+}
+
+/// `count` exponents of at most `bits` bits in three mixes: generic with
+/// every third one zero, all equal, and a single nonzero one.
+fn exponent_mixes(count: usize, bits: u32, seed: u64) -> Vec<Vec<Natural>> {
+    let mut next = limb_stream(seed);
+    let mut draw = || {
+        let limbs = (0..bits.div_ceil(64)).map(|_| next()).collect();
+        Natural::from_limbs(limbs).low_bits(bits)
+    };
+    let generic = (0..count)
+        .map(|i| if i % 3 == 2 { Natural::zero() } else { draw() })
+        .collect();
+    let equal = vec![draw(); count];
+    let mut single = vec![Natural::zero(); count];
+    if let Some(one) = single.get_mut(count / 2) {
+        *one = draw();
+    }
+    vec![generic, equal, single]
+}
+
+/// Kernel calls of the bucket pass at width `c`, replayed from the method
+/// rather than counted by formula: per column `c` squarings below the
+/// top one, a multiply per bucket arrival after the first, then from the
+/// top bucket down a multiply per running-sum step after the first and
+/// one per digit value once the running sum has started.
+fn bucket_pass_calls(exps: &[Natural], c: u32) -> u64 {
+    let max_bits = exps.iter().map(Natural::bit_len).max().unwrap_or(0);
+    let columns = max_bits.div_ceil(c);
+    let mut calls = 0;
+    for col in 0..columns {
+        if col + 1 < columns {
+            calls += u64::from(c);
+        }
+        let mut filled = vec![false; 1 << c];
+        for e in exps {
+            let d = e.extract_bits(col * c, c) as usize;
+            if d != 0 {
+                calls += u64::from(filled[d]);
+                filled[d] = true;
+            }
+        }
+        let mut started = false;
+        for d in (1..filled.len()).rev() {
+            calls += u64::from(filled[d] && started);
+            started |= filled[d];
+            calls += u64::from(started);
+        }
+    }
+    calls
+}
+
+#[test]
+fn bucket_pass_is_the_product_of_powers_at_its_counted_cost() {
+    const BASES: [usize; 9] = [0, 1, 2, 3, 8, 16, 64, 128, 257];
+    const BITS: [u32; 5] = [1, 10, 32, 64, 100];
+    for s in [1usize, 16, 32, 33] {
+        let n = edge_moduli(s).swap_remove(0);
+        let ctx = mpint::MontgomeryCtx::new(&n).unwrap();
+        let mut next = limb_stream(s as u64 ^ 0xB0C7);
+        let pool: Vec<Natural> = (0..BASES[BASES.len() - 1])
+            .map(|_| &Natural::from_limbs((0..s).map(|_| next()).collect()) % &n)
+            .collect();
+        for (i, count) in BASES.into_iter().enumerate() {
+            let bases = &pool[..count];
+            let bases_m: Vec<Natural> = bases.iter().map(|b| ctx.to_mont(b)).collect();
+            // The unoptimized references are quadratic in the width: past
+            // 16 limbs each base count meets two of the widths, in
+            // rotation, so every width still meets the wide counts.
+            let widths = if s <= 16 {
+                BITS.to_vec()
+            } else {
+                vec![BITS[i % 5], BITS[(i + 3) % 5]]
+            };
+            for bits in widths {
+                for exps in exponent_mixes(count, bits, (count as u64) << 8 | u64::from(bits)) {
+                    let what = format!("{s} limbs, {count} bases, {bits} bits");
+                    let counts = straus::multi_exp_counts(&exps);
+                    let acc = straus::multi_exp_mont(&ctx, &bases_m, &exps, &counts);
+                    let calls = counts.squarings + counts.multiplies;
+                    assert_eq!(acc.calls(), calls, "{what}: {counts:?}");
+                    assert_eq!(
+                        bucket_pass_calls(&exps, counts.window.max(1)),
+                        calls,
+                        "{what}"
+                    );
+                    for c in 1..=12 {
+                        assert!(
+                            bucket_pass_calls(&exps, c) >= calls,
+                            "{what}: width {c} beats {counts:?}"
+                        );
+                    }
+                    let mut expected = &Natural::one() % &n;
+                    for (b, e) in bases.iter().zip(&exps) {
+                        expected = ctx.mod_mul(&expected, &modpow::mod_pow_ctx(&ctx, b, e));
+                    }
+                    assert_eq!(ctx.from_mont(&acc.into_natural()), expected, "{what}");
+                }
+            }
         }
     }
 }

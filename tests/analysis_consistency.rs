@@ -319,6 +319,53 @@ fn wall_clock_has_one_home() {
 }
 
 #[test]
+fn pool_drives_have_four_homes() {
+    // A drive of the work-stealing pool spawns and joins its workers, and
+    // one nested inside another's task only adds work (DESIGN §11). So in
+    // non-test product code a parallel iterator starts in exactly four
+    // fns: a batched HE launch on the CPU schedule, a simulated device
+    // launch, a blinding-pool refill and the round engine's client fan-out.
+    const DRIVES: &[&str] = &["par_iter", "into_par_iter", "par_iter_mut"];
+    let homes = BTreeSet::from([
+        "crates/he/src/ghe.rs::run",
+        "crates/gpu-sim/src/device.rs::launch",
+        "crates/he/src/paillier.rs::prefill_batch",
+        "crates/fl/src/engine.rs::run_round",
+    ]);
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut found = BTreeSet::new();
+    for name in ["bench", "mpint", "he", "codec", "core", "fl", "gpu-sim"] {
+        let src = root.join("crates").join(name).join("src");
+        for path in collect_files(&src).expect("crate walk") {
+            let rel = path.strip_prefix(root).expect("under root");
+            let rel = rel.display().to_string();
+            let file = SourceFile::parse(&rel, &std::fs::read_to_string(&path).expect("read"));
+            let toks = &file.tokens;
+            for i in (0..toks.len()).filter(|&i| !file.in_test_region(i)) {
+                if !DRIVES.iter().any(|d| toks[i].is_ident(d)) {
+                    continue;
+                }
+                let home = file
+                    .fns
+                    .iter()
+                    .filter(|f| (f.body_start..f.body_end).contains(&i))
+                    .min_by_key(|f| f.body_end - f.body_start)
+                    .map_or("<no fn>", |f| f.name.as_str());
+                let home = format!("{rel}::{home}");
+                assert!(
+                    homes.contains(home.as_str()),
+                    "`{}` in `{home}` at {rel}:{}",
+                    toks[i].text,
+                    toks[i].line
+                );
+                found.insert(home);
+            }
+        }
+    }
+    assert_eq!(found.len(), homes.len(), "drives found only in {found:?}");
+}
+
+#[test]
 fn product_code_stays_off_the_unchecked_homomorphic_pair() {
     // `PaillierPublicKey::{add, scalar_mul}` check their operands' keys
     // under `debug_assert!` only and their ranges not at all; they stay

@@ -5,6 +5,7 @@ use fl::data::generators::DatasetSpec;
 use fl::models::HomoLr;
 use fl::train::{FlEnv, FlModel, TrainConfig};
 use fl::{Accelerator, BackendKind, Network, NetworkConfig};
+use flcheck::{collect_files, lexer::lex, lexer::TokKind, source::SourceFile};
 use he::paillier::PaillierKeyPair;
 use mpint::Natural;
 use rand::SeedableRng;
@@ -377,7 +378,6 @@ fn no_unsafe_code_anywhere_the_pool_can_reach() {
     // forge `Send`/`Sync` or alias captures). So: no `unsafe` token in
     // any scanned file, shim or analyzer source, and every crate root
     // forbids it. Lexed, so comments and strings do not count.
-    use flcheck::{collect_files, lexer::lex};
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut files = collect_files(root).expect("workspace walk");
     let mut stack = vec![root.join("crates/shims"), root.join("crates/flcheck/src")];
@@ -408,4 +408,84 @@ fn no_unsafe_code_anywhere_the_pool_can_reach() {
             assert!(guarded, "{} lacks forbid(unsafe_code)", path.display());
         }
     }
+}
+
+#[test]
+fn every_mask_comes_from_ct_mask() {
+    // An optimizer that can see a mask may branch around the loads the
+    // mask drops, which puts a secret back into the access pattern.
+    // `mpint::ct::ct_mask` returns every mask through `black_box`, so in
+    // non-test code of `crates/mpint/src` that is the one `black_box`, and
+    // the mask argument of every `ct_sub_masked(..)` call is a
+    // `ct_mask(..)` call. Lexed, so comments and docs do not count.
+    let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/mpint/src");
+    let files = collect_files(&src).expect("crate walk");
+    assert!(files.len() >= 15, "mpint: {} files", files.len());
+    let (mut opaque, mut masked_subs) = (Vec::new(), 0);
+    for path in &files {
+        let rel = path.display().to_string();
+        let file = SourceFile::parse(&rel, &std::fs::read_to_string(path).expect("read"));
+        let toks = &file.tokens;
+        // The token that closes the group opened at `open`.
+        let close = |open: usize| {
+            let mut depth = 0i32;
+            (open..toks.len()).find(|&j| {
+                match toks[j].kind {
+                    TokKind::Open => depth += 1,
+                    TokKind::Close => depth -= 1,
+                    _ => {}
+                }
+                depth == 0
+            })
+        };
+        for i in (1..toks.len().saturating_sub(1)).filter(|&i| !file.in_test_region(i)) {
+            let at = format!("{rel}:{}", toks[i].line);
+            if toks[i].is_ident("black_box") {
+                let home = file
+                    .fns
+                    .iter()
+                    .filter(|f| (f.body_start..f.body_end).contains(&i))
+                    .min_by_key(|f| f.body_end - f.body_start)
+                    .map(|f| f.name.as_str());
+                assert!(
+                    rel.ends_with("ct.rs") && home == Some("ct_mask"),
+                    "`black_box` outside `ct_mask` at {at}"
+                );
+                opaque.push(at.clone());
+            }
+            let called = toks[i].is_ident("ct_sub_masked")
+                && toks[i + 1].text == "("
+                && !toks[i - 1].is_ident("fn");
+            if called {
+                let mut end = close(i + 1).unwrap_or_else(|| panic!("unclosed call at {at}"));
+                if toks[end - 1].is_op(",") {
+                    end -= 1;
+                }
+                // The last argument: after the last comma at depth one.
+                let mut depth = 0i32;
+                let mut last = i + 2;
+                for (j, t) in toks.iter().enumerate().take(end).skip(i + 1) {
+                    match t.kind {
+                        TokKind::Open => depth += 1,
+                        TokKind::Close => depth -= 1,
+                        _ if depth == 1 && t.is_op(",") => last = j + 1,
+                        _ => {}
+                    }
+                }
+                let is_ct_mask_call = toks[last].is_ident("ct_mask")
+                    && toks[last + 1].text == "("
+                    && close(last + 1) == Some(end - 1);
+                assert!(
+                    is_ct_mask_call,
+                    "`ct_sub_masked` mask not from `ct_mask(..)` at {at}"
+                );
+                masked_subs += 1;
+            }
+        }
+    }
+    assert_eq!(opaque.len(), 1, "`ct_mask` must hide its mask: {opaque:?}");
+    assert!(
+        masked_subs >= 3,
+        "found {masked_subs} `ct_sub_masked` calls"
+    );
 }
