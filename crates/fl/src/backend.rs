@@ -423,12 +423,14 @@ impl Accelerator {
     /// associative — so every topology yields the same bits and charges
     /// the same `parties − 1` additions.
     pub fn aggregate(&self, vectors: &[EncryptedVector]) -> Result<EncryptedVector> {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`leaf_groups` tiles `0..vectors.len()` exactly"
+        )]
         let leaves = self
             .topology
             .leaf_groups(vectors.len())
             .into_iter()
-            // `leaf_groups` tiles `0..vectors.len()` exactly.
-            // flcheck: allow(pf-index)
             .map(|g| self.fold_chain(&vectors[g]))
             .collect::<Result<Vec<_>>>()?;
         self.fold_levels(leaves)
@@ -437,12 +439,15 @@ impl Accelerator {
     /// Folds one level of partial aggregates into the next until the
     /// root remains (nothing to do when the leaves were one group).
     fn fold_levels(&self, mut level: Vec<EncryptedVector>) -> Result<EncryptedVector> {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`leaf_groups` tiles `0..level.len()` exactly"
+        )]
         while level.len() > 1 {
             level = self
                 .topology
                 .leaf_groups(level.len())
                 .into_iter()
-                // flcheck: allow(pf-index)
                 .map(|g| self.fold_chain(&level[g]))
                 .collect::<Result<Vec<_>>>()?;
         }
@@ -496,13 +501,14 @@ impl Accelerator {
         let batches: Vec<&[Ciphertext]> = vectors.iter().map(|v| v.cts.as_slice()).collect();
         let mut leaves = Vec::new();
         for g in self.topology.leaf_groups(batches.len()) {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "`leaf_groups` tiles `0..batches.len()`, which the check above \
+                          pins to `weights.len()`"
+            )]
             let (cts, t) = self.he.weighted_aggregate(
                 &self.keys.public,
-                // `leaf_groups` tiles `0..batches.len()`, which the check
-                // above pins to `weights.len()`.
-                // flcheck: allow(pf-index)
                 &batches[g.clone()],
-                // flcheck: allow(pf-index)
                 &weights[g],
                 self.agg_shards,
             )?;

@@ -1,7 +1,10 @@
 //! Sparse dataset representation.
 
-// flcheck: allow-file(pf-index) — feature indices are validated against the
-// dataset's `num_features` at construction; dense buffers are sized to it.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "feature indices are validated against the dataset's `num_features` at \
+              construction; dense buffers are sized to it"
+)]
 
 /// One instance: sorted feature indices with values (CSR-style row).
 #[derive(Debug, Clone, PartialEq)]

@@ -25,12 +25,13 @@ pub fn horizontal_split(dataset: &Dataset, parts: u32) -> Vec<Dataset> {
             labels: Vec::with_capacity(dataset.len() / parts + 1),
         })
         .collect();
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "k = i % parts < parts = out.len() by construction"
+    )]
     for (i, (row, &label)) in dataset.rows.iter().zip(&dataset.labels).enumerate() {
-        // k = i % parts < parts = out.len() by construction.
         let k = i % parts;
-        // flcheck: allow(pf-index)
         out[k].rows.push(row.clone());
-        // flcheck: allow(pf-index)
         out[k].labels.push(label);
     }
     out

@@ -68,10 +68,13 @@
 //! the first straggler. Dropped clients rejoin at the next round —
 //! membership is recomputed per call.
 
-// flcheck: allow-file(pf-index) — every index in this module is either a
-// client index `k < parties.len()` produced by enumerating the party
-// vectors themselves, or a node index yielded by the tree builder over
-// `nodes`; both are in-bounds by construction.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "every index in this module is either a client index `k < parties.len()` \
+              produced by enumerating the party vectors themselves, or a node index \
+              yielded by the tree builder over `nodes`; both are in-bounds by \
+              construction"
+)]
 
 use std::cmp::Ordering;
 use std::cmp::Reverse;

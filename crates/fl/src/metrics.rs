@@ -6,8 +6,11 @@
 //! (Eq. 15, Table VII). These types carry those measurements out of the
 //! trainers.
 
-// flcheck: allow-file(pf-index) — rank-loop indices in `auc` are bounded by
-// `pairs.len()` in the loop conditions.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "rank-loop indices in `auc` are bounded by `pairs.len()` in the loop \
+              conditions"
+)]
 
 /// Simulated seconds of one epoch attributed to the six per-round
 /// pipeline phases the round engine overlaps: local gradient compute,

@@ -15,9 +15,12 @@
 //! Every cross-party value passes through the backend's quantize/encrypt
 //! round trip, so the trained model carries the real quantization error.
 
-// flcheck: allow-file(pf-index) — batch/shard/feature indices are bounded
-// by the shapes fixed at vertical-split time (shards share instance count;
-// weight vectors are sized to each shard's feature range).
+#![expect(
+    clippy::indexing_slicing,
+    reason = "batch/shard/feature indices are bounded by the shapes fixed at \
+              vertical-split time (shards share instance count; weight vectors are \
+              sized to each shard's feature range)"
+)]
 
 use crate::data::{vertical_split, Dataset, VerticalShard};
 use crate::metrics::{EpochBreakdown, EpochResult};

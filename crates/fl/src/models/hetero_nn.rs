@@ -19,9 +19,11 @@
 //! FATE's Hetero NN moves through its encrypted interactive layer, so the
 //! HE volume per batch (`2 · batch · hidden`) matches the real workload.
 
-// flcheck: allow-file(pf-index) — matrix buffers are `batch × hidden` /
-// `features × hidden` row-major with loop bounds taken from those same
-// dimensions.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "matrix buffers are `batch × hidden` / `features × hidden` row-major with \
+              loop bounds taken from those same dimensions"
+)]
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;

@@ -27,8 +27,11 @@
 //! The active party's own features never leave home, so its histograms
 //! are computed in plaintext — exactly as in SecureBoost.
 
-// flcheck: allow-file(pf-index) — instance ids index per-instance vectors
-// sized to the dataset; bin ids are clamped to `bins - 1` at quantization.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "instance ids index per-instance vectors sized to the dataset; bin ids \
+              are clamped to `bins - 1` at quantization"
+)]
 
 use codec::{Quantizer, QuantizerConfig};
 use he::paillier::{Ciphertext, PaillierPublicKey};

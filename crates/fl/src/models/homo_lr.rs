@@ -7,8 +7,11 @@
 //! average, and take the same optimizer step, so all replicas stay
 //! synchronized.
 
-// flcheck: allow-file(pf-index) — gradient/weight buffers are allocated to
-// `num_features` and indexed by validated feature ids.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "gradient/weight buffers are allocated to `num_features` and indexed by \
+              validated feature ids"
+)]
 
 use crate::data::{horizontal_split, Dataset};
 use crate::engine::run_round;

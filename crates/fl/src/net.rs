@@ -130,25 +130,24 @@ impl LinkSchedule {
     /// Admits a transfer that becomes ready at `ready` and occupies one
     /// stream for `duration` simulated seconds; returns its
     /// `(start, finish)` instants.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`best` only ever holds an index yielded by enumerating `free_at` \
+                  (or 0, and the vec is built non-empty)"
+    )]
     pub fn admit(&mut self, ready: f64, duration: f64) -> (f64, f64) {
         let mut best = 0usize;
         for (i, &free) in self.free_at.iter().enumerate().skip(1) {
             // Strict less-than: ties resolve to the lowest stream index.
             // `free_at` entries are finite sums of finite durations, so
             // total_cmp is a plain numeric comparison here.
-            // `best` stays inside `free_at`: it only ever holds indices
-            // yielded by this enumeration (or 0, and the vec is built
-            // non-empty).
-            // flcheck: allow(pf-index)
             if free.total_cmp(&self.free_at[best]) == std::cmp::Ordering::Less {
                 best = i;
             }
         }
-        // flcheck: allow(pf-index) — same bound as above.
         let free = self.free_at[best];
         let start = if ready > free { ready } else { free };
         let finish = start + duration;
-        // flcheck: allow(pf-index) — same bound as above.
         self.free_at[best] = finish;
         (start, finish)
     }

@@ -5,8 +5,11 @@
 //! batch size is set as 1024, and Adam optimizer is used to train the
 //! models."
 
-// flcheck: allow-file(pf-index) — Adam's moment vectors are resized to
-// `weights.len()` at the top of `step`, bounding every index in the loop.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "Adam's moment vectors are resized to `weights.len()` at the top of \
+              `step`, bounding every index in the loop"
+)]
 // flcheck: allow-file(pf-assert) — the dimension check is the documented
 // `step` contract; silently zipping short would corrupt training.
 

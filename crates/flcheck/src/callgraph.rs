@@ -1,5 +1,4 @@
-//! Workspace call graph, the walks every interprocedural pass shares,
-//! and the panic-propagation pass built directly on them.
+//! Workspace call graph and the walks every interprocedural pass shares.
 //!
 //! [`CallGraph::build`] resolves every [`crate::parse::CallSite`] against
 //! the `fn` items of all parsed files by name: method calls (`x.f(..)`)
@@ -16,14 +15,8 @@
 //! [`CallGraph::forward_reach`] / [`CallGraph::backward_reach`] /
 //! [`CallGraph::path_to`] are views of its result. Passes differ only in
 //! their seeds and in which nodes they refuse to enter.
-//!
-//! [`check_reach`] closes the panic-freedom facts over the graph: a
-//! public fn in a panic-freedom crate whose transitive callees contain an
-//! unallowed `pf-*` site is flagged `pf-reach`, carrying the full call
-//! chain in the finding.
 
 use crate::parse::ParsedFile;
-use crate::report::Finding;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// Node id: (file index, fn index) into the parsed-file slice.
@@ -221,99 +214,6 @@ pub(crate) fn hop(files: &[ParsedFile], n: NodeId) -> String {
     format!("{} ({}:{})", f.name, files[n.0].src.rel_path, f.line)
 }
 
-/// Attributes a finding line to the innermost enclosing fn of a file.
-fn enclosing_fn(pf: &ParsedFile, line: u32) -> Option<usize> {
-    let mut best: Option<(usize, u32)> = None;
-    for (gi, f) in pf.fns.iter().enumerate() {
-        let end_line = pf
-            .src
-            .tokens
-            .get(f.body_end.saturating_sub(1))
-            .map_or(f.line, |t| t.line);
-        if line >= f.line && line <= end_line {
-            // Innermost = latest-starting containing fn.
-            if best.is_none_or(|(_, l)| f.line >= l) {
-                best = Some((gi, f.line));
-            }
-        }
-    }
-    best.map(|(gi, _)| gi)
-}
-
-/// Interprocedural panic propagation: flags public fns in panic-freedom
-/// crates that transitively reach an unallowed panic site, with the call
-/// chain. Direct panics are already reported by the intraprocedural
-/// `pf-*` rules and seed this pass; `pf-reach` only fires across at
-/// least one call edge.
-pub fn check_reach(files: &[ParsedFile], graph: &CallGraph, out: &mut Vec<Finding>) {
-    // Per-node panic facts from the existing (allow- and test-filtered)
-    // intraprocedural pass.
-    let mut facts: BTreeMap<NodeId, Vec<Finding>> = BTreeMap::new();
-    for (fi, pf) in files.iter().enumerate() {
-        if !crate::panic_rules_apply(&pf.src.rel_path) {
-            continue;
-        }
-        let mut direct = Vec::new();
-        crate::rules::check_panics(&pf.src, &mut direct);
-        for d in direct {
-            if let Some(gi) = enclosing_fn(pf, d.line) {
-                facts.entry((fi, gi)).or_default().push(d);
-            }
-        }
-    }
-    for v in facts.values_mut() {
-        v.sort_by(|a, b| (a.line, &a.rule).cmp(&(b.line, &b.rule)));
-    }
-
-    for (fi, pf) in files.iter().enumerate() {
-        if !crate::panic_rules_apply(&pf.src.rel_path) {
-            continue;
-        }
-        for (gi, f) in pf.fns.iter().enumerate() {
-            if !f.is_pub || f.in_test {
-                continue;
-            }
-            let start: NodeId = (fi, gi);
-            let tree = graph.bfs(&[start], |_| false);
-            for &m in tree.order.iter().skip(1) {
-                let Some(fact) = facts.get(&m).and_then(|v| v.first()) else {
-                    continue;
-                };
-                let path = tree.path_from(m);
-                let first_callee = path[1];
-                let line = graph
-                    .out(start)
-                    .iter()
-                    .find(|e| e.to == first_callee)
-                    .map(|e| f.calls[e.call].line)
-                    .unwrap_or(f.line);
-                if pf.src.is_allowed("pf-reach", line) {
-                    continue;
-                }
-                let mut chain: Vec<String> = path.iter().map(|&n| hop(files, n)).collect();
-                chain.push(format!("{} ({}:{})", fact.rule, fact.file, fact.line));
-                let target = &files[m.0].fns[m.1];
-                out.push(Finding::with_chain(
-                    "pf-reach",
-                    &pf.src.rel_path,
-                    line,
-                    format!(
-                        "public fn `{}` can reach a panic: `{}` has an unallowed `{}` at {}:{} ({} call{} deep)",
-                        f.name,
-                        target.name,
-                        fact.rule,
-                        fact.file,
-                        fact.line,
-                        path.len() - 1,
-                        if path.len() - 1 == 1 { "" } else { "s" },
-                    ),
-                    chain,
-                ));
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,6 +294,7 @@ fn pong(n: u32) {
 fn boom() {
     panic!(\"boom\");
 }
+fn idle() {}
 ",
         )]);
         let g = CallGraph::build(&files);
@@ -407,57 +308,26 @@ fn boom() {
                 ("pong".to_string(), "boom".to_string()),
             ]
         );
-        let mut out = Vec::new();
-        check_reach(&files, &g, &mut out);
-        assert_eq!(out.len(), 1);
-        let f = &out[0];
-        assert_eq!(f.rule, "pf-reach");
-        assert_eq!(f.line, 2, "flagged at api's call into the chain");
+        // Both closures terminate on the cycle and reach exactly the
+        // connected fns.
+        let fwd = g.forward_reach(&BTreeSet::from([(0, 0)]), |_| false);
+        assert_eq!(fwd, BTreeSet::from([(0, 0), (0, 1), (0, 2), (0, 3)]));
+        let back = g.backward_reach(&BTreeSet::from([(0, 3)]), |_| false);
+        assert_eq!(back, fwd, "every fn but `idle` reaches `boom`");
+        // The shortest chain walks through the cycle once.
+        let path = g
+            .path_to((0, 0), |n| n == (0, 3))
+            .expect("boom is reachable");
+        let chain: Vec<String> = path.iter().map(|&n| hop(&files, n)).collect();
         assert_eq!(
-            f.chain,
+            chain,
             vec![
                 "api (crates/core/src/cycle.rs:1)",
                 "ping (crates/core/src/cycle.rs:4)",
                 "pong (crates/core/src/cycle.rs:7)",
                 "boom (crates/core/src/cycle.rs:11)",
-                "pf-panic (crates/core/src/cycle.rs:12)",
             ]
         );
-    }
-
-    #[test]
-    fn reach_respects_allow_and_non_pub_scope() {
-        let src = "\
-pub fn api(v: &[u8]) {
-    // flcheck: allow(pf-reach)
-    helper(v);
-}
-fn helper(v: &[u8]) {
-    inner(v);
-}
-fn inner(v: &[u8]) {
-    v.first().unwrap();
-}
-";
-        let files = ws(&[("crates/mpint/src/x.rs", src)]);
-        let g = CallGraph::build(&files);
-        let mut out = Vec::new();
-        check_reach(&files, &g, &mut out);
-        // The only public entry point is allowed; private helpers are not
-        // flagged by pf-reach (the direct pf-unwrap still fires from the
-        // intraprocedural pass, which is separate).
-        assert!(out.is_empty(), "unexpected: {out:?}");
-    }
-
-    #[test]
-    fn reach_outside_panic_crates_is_silent() {
-        let files = ws(&[(
-            "crates/bench/src/x.rs",
-            "pub fn api() { helper(); }\nfn helper() { panic!(\"x\"); }\n",
-        )]);
-        let g = CallGraph::build(&files);
-        let mut out = Vec::new();
-        check_reach(&files, &g, &mut out);
-        assert!(out.is_empty());
+        assert!(g.path_to((0, 4), |n| n == (0, 3)).is_none());
     }
 }

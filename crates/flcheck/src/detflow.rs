@@ -27,10 +27,10 @@
 //! its own sources are ignored and it cuts propagation in both
 //! directions.
 //!
-//! The flow model is a graph-level may-analysis, like
-//! [`crate::costmodel`]: a source in fn `S` is result-affecting when some
-//! fn `A` both (transitively) calls `S` — so `S`'s value can flow back up
-//! to `A` — and (transitively) reaches a sink — so `A` can pass it in.
+//! The flow model is a graph-level may-analysis: a source in fn `S` is
+//! result-affecting when some fn `A` both (transitively) calls `S` — so
+//! `S`'s value can flow back up to `A` — and (transitively) reaches a
+//! sink — so `A` can pass it in.
 //! Equivalently, `S` lies in the forward call closure of the sinks'
 //! backward closure, both cut at `det-absorb` nodes. This
 //! over-approximates (no per-value data flow: a timing that provably

@@ -5,19 +5,23 @@
 //! paths in `he` process secret plaintexts and private exponents, the GPU
 //! simulator and pipeline are concurrent, and every library crate is
 //! consumed by long-running training jobs that must not abort mid-epoch.
-//! flcheck checks the disciplines rustc cannot — constant-time code,
-//! panic freedom, lock order, estimate/kernel pairing, result
-//! determinism, integer width — with a hand-rolled lexer
-//! and zero external dependencies (the build environment has no registry
-//! access). What rustc *can* check it leaves to rustc: data-race freedom
-//! of closures crossing the work-stealing pool is the `Fn + Sync` bound
-//! on the rayon shim's entry points plus `forbid(unsafe_code)`, pinned by
-//! `compile_fail` doctests on the shim; seconds never meeting counts is
-//! `f64` versus `u64`, pinned by `compile_fail` doctests on
-//! `fl::metrics::EpochBreakdown::charge` and `fl::net::Network::send`;
-//! a batched HE op whose cost nobody charges is a dropped `#[must_use]`
-//! `he::ghe::HeTiming` / `fl::backend::AccelTiming`, pinned by a
-//! `compile_fail` doctest on `AccelTiming`.
+//! flcheck checks the disciplines rustc and clippy cannot — constant-time
+//! code, release asserts, lock order, result determinism, integer width —
+//! with a hand-rolled lexer and zero external dependencies (the build
+//! environment has no registry access). What rustc *can* check it leaves
+//! to rustc: data-race freedom of closures crossing the work-stealing pool
+//! is the `Fn + Sync` bound on the rayon shim's entry points plus
+//! `forbid(unsafe_code)`, pinned by `compile_fail` doctests on the shim;
+//! seconds never meeting counts is `f64` versus `u64`, pinned by
+//! `compile_fail` doctests on `fl::metrics::EpochBreakdown::charge` and
+//! `fl::net::Network::send`; a batched HE op whose cost nobody charges is
+//! a dropped `#[must_use]` `he::ghe::HeTiming` / `fl::backend::AccelTiming`,
+//! pinned by a `compile_fail` doctest on `AccelTiming`; an op-cost
+//! estimator still pricing the kernel it names is a typed fn pointer in
+//! `crates/he/tests/golden_schedule.rs`. What clippy can check it leaves
+//! to clippy: `unwrap`, `expect`, the `panic!` family and indexing in the
+//! library crates are denied by the root manifest's
+//! `[workspace.lints.clippy]` table.
 //!
 //! The design is three layers:
 //!
@@ -26,18 +30,18 @@
 //!   summary and the README table all derive from it.
 //! - [`PASSES`] is the one list of interprocedural passes;
 //!   [`check_workspace_with_stats`] runs the per-file phase
-//!   ([`check_file`]: the lexer-level ct-, pf- and `ld-wait` rules, see
-//!   [`rules`]), builds the [`callgraph`], then runs the list in order.
-//! - The passes ([`taint`], [`callgraph::check_reach`], [`detflow`],
-//!   [`lockgraph`] with [`escape`], [`costmodel`], [`width`])
-//!   share one call-graph walk ([`callgraph::CallGraph::bfs`] and its
-//!   closures) and one token-statement scanner (`scan`), and report full
-//!   call/lock chains.
+//!   ([`check_file`]: the lexer-level ct-, `pf-assert` and `ld-wait`
+//!   rules, see [`rules`]), builds the [`callgraph`], then runs the list in
+//!   order.
+//! - The passes ([`taint`], [`detflow`], [`lockgraph`] with [`escape`],
+//!   [`width`]) share one call-graph walk ([`callgraph::CallGraph::bfs`]
+//!   and its closures) and one token-statement scanner (`scan`), and
+//!   report full call/lock chains.
 //!
 //! See [`source`] for the directive grammar (`ct-fn`, `secret(..)`,
-//! `lock(..)`, `estimates(..)`, `det-sink`,
-//! `det-absorb`, `nondet(..)`, `widen-ok(..)`, and `narrow(..)` markers,
-//! `allow` / `allow-file` suppressions, `lock-order` declarations).
+//! `lock(..)`, `det-sink`, `det-absorb`, `nondet(..)`, `widen-ok(..)`, and
+//! `narrow(..)` markers, `allow` / `allow-file` suppressions, `lock-order`
+//! declarations).
 //!
 //! The analyzer's own sources are excluded from the default walk: they
 //! discuss directives and violations in documentation and fixtures, and
@@ -51,7 +55,6 @@
 #![warn(missing_docs)]
 
 pub mod callgraph;
-pub mod costmodel;
 pub mod detflow;
 pub mod escape;
 pub mod lexer;
@@ -73,8 +76,10 @@ use source::SourceFile;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-/// Library crates subject to the panic-freedom rules. `bench` (a binary
-/// crate), the dependency shims, and flcheck itself are out of scope.
+/// Library crates subject to panic freedom: `pf-assert` here, and the
+/// root manifest's clippy table, which each of them opts into with
+/// `[lints] workspace = true`. `bench` (a binary crate), the dependency
+/// shims, and flcheck itself are out of scope.
 pub const PANIC_FREEDOM_CRATES: &[&str] = &["mpint", "he", "codec", "core", "fl", "gpu-sim"];
 
 /// Path components that terminate the walk.
@@ -85,7 +90,7 @@ const SKIP_DIRS: &[&str] = &["target", ".git", "shims", "flcheck", "fixtures"];
 /// not a thin API veneer, so its lock discipline is analyzed.
 const RESCAN_DIRS: &[&str] = &["rayon"];
 
-/// True when the panic-freedom family applies to this workspace-relative
+/// True when `pf-assert` applies to this workspace-relative
 /// path (non-test source of a library crate).
 pub fn panic_rules_apply(rel_path: &str) -> bool {
     PANIC_FREEDOM_CRATES
@@ -117,10 +122,8 @@ pub type Pass = fn(&[ParsedFile], &CallGraph, &mut Vec<Finding>);
 /// rule's [`registry::Rule::pass`] names the entry that emits it.
 pub const PASSES: &[(&str, Pass)] = &[
     ("taint", taint::check_taint),
-    ("reach", callgraph::check_reach),
     ("detflow", detflow::check_detflow),
     ("lockgraph", lockgraph::check_lock_graph),
-    ("costmodel", costmodel::check_cost_model),
     ("width", width::check_width),
 ];
 
@@ -271,7 +274,7 @@ mod tests {
 
     #[test]
     fn check_file_routes_rules_by_path() {
-        let src = "fn f(v: &[u8]) -> u8 { v.first().unwrap(); v[0] }";
+        let src = "fn f(v: &[u8]) -> u8 { assert!(v.len() > 1); assert_eq!(v[0], 1); v[1] }";
         let in_scope = check_file("crates/he/src/x.rs", src);
         assert_eq!(in_scope.len(), 2);
         let out_of_scope = check_file("crates/bench/src/x.rs", src);
@@ -305,7 +308,7 @@ mod tests {
                 .any(|p| p.starts_with("crates/shims/parking_lot/")),
             "inert shims stay excluded"
         );
-        // Lock discipline applies to the shim; panic-freedom does not
+        // Lock discipline applies to the shim; `pf-assert` does not
         // (it is still outside PANIC_FREEDOM_CRATES).
         assert!(!panic_rules_apply("crates/shims/rayon/src/pool.rs"));
     }

@@ -14,7 +14,7 @@
 //! guard runs to the end of its statement, including any `if let` / `match`
 //! body it scrutinizes, matching Rust 2021 temporary extension). Held sets
 //! then propagate through the workspace call graph via the transitive
-//! acquire sets of every callee (a cycle-safe fixpoint, like `pf-reach`).
+//! acquire sets of every callee (a cycle-safe fixpoint).
 //! Guards that *escape* their acquiring fn by being returned are followed
 //! via [`crate::escape`]'s returned-guard map: each call site of a
 //! guard-returning fn synthesizes an acquisition with caller-side

@@ -10,7 +10,7 @@
 /// One rule: identity, provenance and documentation.
 #[derive(Debug)]
 pub struct Rule {
-    /// Rule id, e.g. `pf-unwrap`.
+    /// Rule id, e.g. `pf-assert`.
     pub id: &'static str,
     /// Rule family, e.g. `panic-freedom`.
     pub family: &'static str,
@@ -195,78 +195,11 @@ pub const RULES: &[Rule] = &[
         summary: "assert!/assert_eq! on a library path",
         detail: "Asserts abort the process mid-epoch in a long-running training \
                  job. Library crates must return `Result` instead; \
-                 `debug_assert!` stays allowed (compiled out in release).",
+                 `debug_assert!` stays allowed (compiled out in release). clippy \
+                 has no lint for a release assert; `unwrap`, `expect`, the \
+                 `panic!` family and indexing are denied by the workspace's \
+                 `[workspace.lints.clippy]` table instead.",
         example: "pub fn split(n: usize, k: usize) -> usize {\n    assert!(k > 0); // pf-assert\n    n / k\n}",
-    },
-    Rule {
-        id: "pf-expect",
-        family: "panic-freedom",
-        since: 1,
-        pass: "per_file",
-        summary: "`.expect(..)` on a library path",
-        detail: "Same failure mode as `pf-unwrap` with a nicer message — still a \
-                 process abort. Convert to `ok_or`/`map_err` and propagate.",
-        example: "pub fn parse(s: &str) -> u32 {\n    s.parse().expect(\"bad int\") // pf-expect\n}",
-    },
-    Rule {
-        id: "pf-index",
-        family: "panic-freedom",
-        since: 1,
-        pass: "per_file",
-        summary: "panicking slice/array index on a library path",
-        detail: "`v[i]` panics on out-of-bounds. Library paths must bound-check \
-                 (`get`, `get_mut`) or carry an inline \
-                 `// flcheck: allow(pf-index)` with a justification for why the \
-                 index is provably in range.",
-        example: "pub fn first(v: &[u8]) -> u8 {\n    v[0] // pf-index\n}",
-    },
-    Rule {
-        id: "pf-panic",
-        family: "panic-freedom",
-        since: 1,
-        pass: "per_file",
-        summary: "explicit panic!/unreachable!/todo! on a library path",
-        detail: "An explicit panic is an abort by design; library code must \
-                 surface an `Error` variant instead so the training loop can \
-                 recover or report.",
-        example: "pub fn select(mode: Mode) -> u8 {\n    match mode { Mode::A => 1, _ => panic!(\"bad mode\") } // pf-panic\n}",
-    },
-    Rule {
-        id: "pf-reach",
-        family: "panic-freedom",
-        since: 3,
-        pass: "reach",
-        summary: "public API transitively reaching a panic site",
-        detail: "Panic facts (the pf-* sites plus allows' residue) are closed \
-                 over the workspace call graph by BFS. A public entry point whose \
-                 call chain can reach a panic fires once at the entry, with the \
-                 full chain down to the underlying site — so the fix can happen \
-                 at whichever layer owns the invariant.",
-        example: "pub fn api(v: &[u8]) -> u8 { middle(v) } // pf-reach: 2 calls deep\nfn middle(v: &[u8]) -> u8 { deep(v) }\nfn deep(v: &[u8]) -> u8 { v.first().unwrap() }",
-    },
-    Rule {
-        id: "pf-unwrap",
-        family: "panic-freedom",
-        since: 1,
-        pass: "per_file",
-        summary: "`.unwrap()` on a library path",
-        detail: "`unwrap` aborts the process on `None`/`Err`. Library crates in \
-                 the panic-freedom perimeter must propagate errors; test code is \
-                 exempt.",
-        example: "pub fn head(v: &[u8]) -> u8 {\n    *v.first().unwrap() // pf-unwrap\n}",
-    },
-    Rule {
-        id: "stale-estimate",
-        family: "cost-model",
-        since: 5,
-        pass: "costmodel",
-        summary: "estimates(..) pairing drifted from its kernel",
-        detail: "`// flcheck: estimates(kernel, arity)` declares which kernel an \
-                 op-cost estimator models and how many parameters that kernel \
-                 took when the estimate was written. If the kernel vanishes or \
-                 its arity changes, the estimator is silently modeling stale \
-                 code and every simulated timing derived from it is wrong.",
-        example: "// flcheck: estimates(kernel, 5)\npub fn kernel_op_estimate() -> u64 { .. } // stale-estimate if `kernel` now takes 2",
     },
 ];
 
@@ -322,7 +255,7 @@ mod tests {
 
     #[test]
     fn lookup_finds_known_and_rejects_unknown() {
-        assert_eq!(rule("pf-unwrap").unwrap().family, "panic-freedom");
+        assert_eq!(rule("pf-assert").unwrap().family, "panic-freedom");
         assert_eq!(rule("lossy-narrow").unwrap().since, 8);
         assert!(rule("no-such-rule").is_none());
     }

@@ -22,7 +22,7 @@ pub const SCHEMA_VERSION: u32 = 8;
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule id, e.g. `pf-unwrap`.
+    /// Rule id, e.g. `pf-assert`.
     pub rule: String,
     /// Workspace-relative file path.
     pub file: String,
@@ -30,8 +30,8 @@ pub struct Finding {
     pub line: u32,
     /// Human-readable explanation.
     pub message: String,
-    /// Call chain for interprocedural findings (`pf-reach`, propagated
-    /// `ct-taint`), outermost first; empty for single-site findings.
+    /// Call chain for interprocedural findings (propagated `ct-taint`,
+    /// `lock-cycle`, ...), outermost first; empty for single-site findings.
     pub chain: Vec<String>,
 }
 
@@ -190,18 +190,18 @@ mod tests {
     #[test]
     fn json_escapes_and_structure() {
         let mut r = Report {
-            findings: vec![Finding::new("pf-unwrap", "a \"b\".rs", 3, "line1\nline2")],
+            findings: vec![Finding::new("pf-assert", "a \"b\".rs", 3, "line1\nline2")],
             files_scanned: 2,
         };
         r.sort();
         let j = r.render_json();
         assert!(j.contains("\"schema\": 8"));
-        assert!(j.contains("\"rule\": \"pf-unwrap\""));
+        assert!(j.contains("\"rule\": \"pf-assert\""));
         assert!(j.contains("a \\\"b\\\".rs"));
         assert!(j.contains("line1\\nline2"));
         assert!(j.contains("\"chain\": []"));
         assert!(j.contains("\"total\": 1"));
-        assert!(j.contains("\"pf-unwrap\": 1"));
+        assert!(j.contains("\"pf-assert\": 1"));
     }
 
     #[test]
@@ -218,7 +218,6 @@ mod tests {
             );
         }
         assert!(j.contains("\"lock-cycle\": 1"));
-        assert!(j.contains("\"stale-estimate\": 0"));
         assert!(j.contains("\"ld-wait\": 0"));
         assert!(j.contains("\"nondet-in-result\": 0"));
         assert!(j.contains("\"guard-escape\": 0"));
@@ -229,10 +228,10 @@ mod tests {
     fn chains_render_in_json_and_human_output() {
         let mut r = Report {
             findings: vec![Finding::with_chain(
-                "pf-reach",
+                "ct-taint",
                 "crates/core/src/a.rs",
                 4,
-                "public `api` can reach a panic",
+                "secret `key` reaches a branch in `deep`",
                 vec![
                     "api (crates/core/src/a.rs:4)".to_string(),
                     "deep (crates/core/src/a.rs:9)".to_string(),

@@ -9,10 +9,11 @@
 //!   because it is compiled out of release builds. Bare `<` / `>` are not
 //!   flagged (indistinguishable from generics without full parsing); the
 //!   branch rule catches their only dangerous use.
-//! - **panic-freedom** (`pf-unwrap`, `pf-expect`, `pf-panic`, `pf-assert`,
-//!   `pf-index`): forbids panicking constructs in non-test code of the
-//!   library crates. `debug_assert*!` is exempt for the same reason as
-//!   above; `vec![..]` and attributes are not indexing.
+//! - **panic-freedom** (`pf-assert`): forbids a release `assert!` in
+//!   non-test code of the library crates. `debug_assert*!` is exempt for
+//!   the same reason as above. The other panicking constructs (`unwrap`,
+//!   `expect`, the `panic!` family, indexing) are clippy's: the root
+//!   manifest's `[workspace.lints.clippy]` table denies them.
 //! - **lock-discipline** (`ld-wait`): a `let`-bound guard must not stay
 //!   live across a blocking `.recv()` / `.join()`. Lock identity is the
 //!   receiver field name (`stats` in `self.stats.lock()`) or the last
@@ -99,19 +100,11 @@ pub fn check_ct(file: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-/// Identifiers that start a panicking macro.
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 /// Release-mode assertion macros (debug_assert* is exempt).
 const ASSERT_MACROS: &[&str] = &["assert", "assert_eq", "assert_ne"];
-/// Keywords that may legally precede a `[` without it being an indexing
-/// expression (array literals, returns of arrays, ...).
-const NON_INDEX_KEYWORDS: &[&str] = &[
-    "return", "in", "if", "else", "match", "loop", "while", "for", "move", "break", "continue",
-    "as", "let", "mut", "ref", "where", "unsafe", "dyn", "impl", "const", "static", "type", "fn",
-    "use", "pub", "enum", "struct", "trait", "mod",
-];
 
-/// Runs the panic-freedom family over the non-test code of a file.
+/// Runs the panic-freedom family (`pf-assert`) over the non-test code of
+/// a file.
 pub fn check_panics(file: &SourceFile, out: &mut Vec<Finding>) {
     let toks = &file.tokens;
     let mut i = 0usize;
@@ -125,45 +118,21 @@ pub fn check_panics(file: &SourceFile, out: &mut Vec<Finding>) {
             continue;
         }
         let t = &toks[i];
-        let mut emit = |rule: &str, msg: String| {
-            if !file.is_allowed(rule, t.line) {
-                out.push(Finding::new(rule, &file.rel_path, t.line, msg));
-            }
-        };
-        match t.kind {
-            TokKind::Ident if t.text == "unwrap" && is_method_call(toks, i) => emit(
-                "pf-unwrap",
-                "`.unwrap()` in library code: propagate a typed error instead".into(),
-            ),
-            TokKind::Ident if t.text == "expect" && is_method_call(toks, i) => emit(
-                "pf-expect",
-                "`.expect()` in library code: propagate a typed error instead".into(),
-            ),
-            TokKind::Ident if PANIC_MACROS.contains(&t.text.as_str()) && is_macro_bang(toks, i) => {
-                emit(
-                    "pf-panic",
-                    format!("`{}!` in library code: return an error instead", t.text),
-                )
-            }
-            TokKind::Ident
-                if ASSERT_MACROS.contains(&t.text.as_str()) && is_macro_bang(toks, i) =>
-            {
-                emit(
-                    "pf-assert",
-                    format!(
-                        "`{}!` in library code: use debug_assert or a typed error \
-                         (allow with a justification for documented preconditions)",
-                        t.text
-                    ),
-                )
-            }
-            TokKind::Open if t.text == "[" && is_indexing(toks, i) => emit(
-                "pf-index",
-                "slice indexing can panic: prefer `.get()` or justify bounds with \
-                 an allow"
-                    .into(),
-            ),
-            _ => {}
+        if t.kind == TokKind::Ident
+            && ASSERT_MACROS.contains(&t.text.as_str())
+            && is_macro_bang(toks, i)
+            && !file.is_allowed("pf-assert", t.line)
+        {
+            out.push(Finding::new(
+                "pf-assert",
+                &file.rel_path,
+                t.line,
+                format!(
+                    "`{}!` in library code: use debug_assert or a typed error \
+                     (allow with a justification for documented preconditions)",
+                    t.text
+                ),
+            ));
         }
         i += 1;
     }
@@ -349,21 +318,6 @@ fn is_macro_bang(toks: &[Token], i: usize) -> bool {
         && toks.get(i + 2).is_some_and(|t| t.kind == TokKind::Open)
 }
 
-/// Is the `[` at index `i` an indexing expression? True when preceded by a
-/// non-keyword identifier, a closing bracket, or `?` — i.e. an expression
-/// that produces a value being indexed.
-pub(crate) fn is_indexing(toks: &[Token], i: usize) -> bool {
-    let Some(prev) = i.checked_sub(1).map(|k| &toks[k]) else {
-        return false;
-    };
-    match prev.kind {
-        TokKind::Ident => !NON_INDEX_KEYWORDS.contains(&prev.text.as_str()),
-        TokKind::Close => prev.text == ")" || prev.text == "]",
-        TokKind::Op => prev.text == "?",
-        _ => false,
-    }
-}
-
 /// When `i` starts a `debug_assert*!(...)` invocation, returns the index
 /// one past its closing delimiter.
 pub(crate) fn debug_assert_span(toks: &[Token], i: usize) -> Option<usize> {
@@ -426,12 +380,15 @@ fn masked(x: u64) -> u64 {
 
     #[test]
     fn pf_rules_and_test_exemption() {
+        // Only the release assert is flcheck's; unwrap, expect, panic! and
+        // indexing are clippy's and stay silent here.
         let src = "\
 fn lib(v: Vec<u8>) -> u8 {
     let a = v.first().unwrap();
     let b = v.iter().next().expect(\"x\");
     if v.is_empty() { panic!(\"boom\"); }
     assert!(*a > 0);
+    debug_assert!(*b > 0);
     v[0]
 }
 #[cfg(test)]
@@ -440,44 +397,16 @@ mod tests {
     fn t() { Some(1).unwrap(); assert_eq!(1, 1); }
 }
 ";
-        let got = findings(src);
-        assert!(got.contains(&("pf-unwrap".into(), 2)));
-        assert!(got.contains(&("pf-expect".into(), 3)));
-        assert!(got.contains(&("pf-panic".into(), 4)));
-        assert!(got.contains(&("pf-assert".into(), 5)));
-        assert!(got.contains(&("pf-index".into(), 6)));
-        assert!(
-            !got.iter().any(|(_, l)| *l >= 8),
-            "test module is exempt: {got:?}"
-        );
-    }
-
-    #[test]
-    fn pf_index_skips_macros_attrs_and_literals() {
-        let src = "\
-#[derive(Clone)]
-fn f() -> [u8; 2] {
-    let v = vec![1, 2];
-    let arr: [u8; 2] = [0; 2];
-    return [1, 2];
-}
-";
-        let got = findings(src);
-        assert!(!got.iter().any(|(r, _)| r == "pf-index"), "{got:?}");
-    }
-
-    #[test]
-    fn pf_unwrap_does_not_match_unwrap_or() {
-        let src = "fn f(x: Option<u8>) -> u8 { x.unwrap_or(0) }";
-        assert!(findings(src).is_empty());
+        assert_eq!(findings(src), vec![("pf-assert".to_string(), 5)]);
     }
 
     #[test]
     fn allow_suppresses() {
         let src = "\
 fn f(v: &[u8]) -> u8 {
-    // flcheck: allow(pf-index)
-    v[0]
+    // flcheck: allow(pf-assert)
+    assert_eq!(v.len(), 1);
+    v.len() as u8
 }
 ";
         assert!(findings(src).is_empty());

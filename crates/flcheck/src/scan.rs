@@ -70,6 +70,30 @@ pub(crate) fn let_name(toks: &[Token], idx: usize) -> Option<&str> {
     (name.kind == TokKind::Ident).then_some(name.text.as_str())
 }
 
+/// Keywords that may legally precede a `[` without it being an indexing
+/// expression (array literals, returns of arrays, ...).
+const NON_INDEX_KEYWORDS: &[&str] = &[
+    "return", "in", "if", "else", "match", "loop", "while", "for", "move", "break", "continue",
+    "as", "let", "mut", "ref", "where", "unsafe", "dyn", "impl", "const", "static", "type", "fn",
+    "use", "pub", "enum", "struct", "trait", "mod",
+];
+
+/// Is the `[` at index `i` an indexing expression? True when preceded by a
+/// non-keyword identifier, a closing bracket, or `?` — i.e. an expression
+/// that produces a value being indexed. `vec![..]` and attributes are not
+/// indexing.
+pub(crate) fn is_indexing(toks: &[Token], i: usize) -> bool {
+    let Some(prev) = i.checked_sub(1).map(|k| &toks[k]) else {
+        return false;
+    };
+    match prev.kind {
+        TokKind::Ident => !NON_INDEX_KEYWORDS.contains(&prev.text.as_str()),
+        TokKind::Close => prev.text == ")" || prev.text == "]",
+        TokKind::Op => prev.text == "?",
+        _ => false,
+    }
+}
+
 /// Index of the `Open` token matching the `Close` token at `close_idx`
 /// (the inverse of [`crate::source::match_brace`]); `None` when
 /// unbalanced.
@@ -132,6 +156,19 @@ mod tests {
         assert_eq!(let_name(&t, at(&t, "2")), Some("b"));
         assert_eq!(let_name(&t, at(&t, "e")), None);
         assert_eq!(let_name(&t, at(&t, "3")), None);
+    }
+
+    #[test]
+    fn indexing_skips_macros_attrs_and_literals() {
+        let t = toks(
+            "#[derive(Clone)] fn f() -> [u8; 2] { let v = vec![1, 2]; \
+             let arr: [u8; 2] = [0; 2]; return [1, 2]; v[0] + f()[1] }",
+        );
+        let indexing: Vec<usize> = (0..t.len())
+            .filter(|&i| t[i].text == "[" && is_indexing(&t, i))
+            .collect();
+        let prev: Vec<&str> = indexing.iter().map(|&i| t[i - 1].text.as_str()).collect();
+        assert_eq!(prev, vec!["v", ")"], "only `v[0]` and `f()[1]` index");
     }
 
     #[test]

@@ -12,9 +12,6 @@
 //! flcheck: lock(a, b)                 the next `fn` acquires and holds these locks
 //!                                     for its whole body (an acquire effect the
 //!                                     token scan cannot see, e.g. behind FFI)
-//! flcheck: estimates(kernel, arity)   the next `fn` is the op-count estimate
-//!                                     paired with `kernel` (which must exist
-//!                                     with that many parameters); repeatable
 //! flcheck: det-sink                   the next `fn` produces result bytes
 //!                                     (report/ciphertext/bench content) that
 //!                                     must be deterministic at any thread count
@@ -48,9 +45,6 @@ pub struct Markers {
     /// `lock(..)`: locks the fn acquires and holds for its whole body (an
     /// acquire effect).
     pub locks: Vec<String>,
-    /// `estimates(kernel, arity)` pairings: this fn estimates the op count
-    /// of `kernel`, which must exist with `arity` parameters.
-    pub estimates: Vec<(String, usize)>,
     /// `det-sink`: produces result bytes that must be deterministic at
     /// any thread count.
     pub is_det_sink: bool,
@@ -76,7 +70,6 @@ impl Markers {
         self.is_det_absorb |= o.is_det_absorb;
         self.secrets.extend(o.secrets);
         self.locks.extend(o.locks);
-        self.estimates.extend(o.estimates);
         self.nondets.extend(o.nondets);
         self.widen_ok.extend(o.widen_ok);
         self.narrows.extend(o.narrows);
@@ -200,7 +193,7 @@ impl SourceFile {
                     self.lock_orders.push(LockOrder { line, chain });
                 }
             }
-            let mut m = Markers {
+            let m = Markers {
                 is_ct: body.starts_with("ct-fn"),
                 is_det_sink: body.starts_with("det-sink"),
                 is_det_absorb: body.starts_with("det-absorb"),
@@ -209,17 +202,7 @@ impl SourceFile {
                 widen_ok: names("widen-ok"),
                 nondets: described("nondet"),
                 narrows: described("narrow"),
-                ..Markers::default()
             };
-            if let Some((kernel, arity)) = call("estimates").and_then(|a| a.split_once(',')) {
-                let kernel = kernel.trim();
-                match arity.trim().parse() {
-                    Ok(arity) if !kernel.is_empty() => {
-                        m.estimates.push((kernel.to_string(), arity));
-                    }
-                    _ => {}
-                }
-            }
             if m != Markers::default() {
                 markers.push((c.line, m));
             }
@@ -393,16 +376,16 @@ mod tests {
     #[test]
     fn directives_parse() {
         let src = "\
-// flcheck: allow-file(pf-index)
+// flcheck: allow-file(lossy-narrow)
 // flcheck: lock-order(memory < stats)
 fn a() {
-    x.unwrap(); // flcheck: allow(pf-unwrap)
+    assert!(x); // flcheck: allow(pf-assert)
 }
 // flcheck: ct-fn
 fn b() {}
 ";
         let f = SourceFile::parse("x.rs", src);
-        assert!(f.allow_file.contains("pf-index"));
+        assert!(f.allow_file.contains("lossy-narrow"));
         assert_eq!(
             f.lock_orders,
             vec![LockOrder {
@@ -410,8 +393,8 @@ fn b() {}
                 chain: vec!["memory".to_string(), "stats".to_string()],
             }]
         );
-        assert!(f.is_allowed("pf-unwrap", 4));
-        assert!(!f.is_allowed("pf-unwrap", 3));
+        assert!(f.is_allowed("pf-assert", 4));
+        assert!(!f.is_allowed("pf-assert", 3));
         let b = f.fns.iter().find(|f| f.name == "b").expect("fn b");
         assert!(b.marks.is_ct);
         let a = f.fns.iter().find(|f| f.name == "a").expect("fn a");
@@ -443,24 +426,18 @@ fn plain(x: u64) {}
     }
 
     #[test]
-    fn cost_and_lock_markers_attach_to_the_next_fn() {
+    fn lock_markers_attach_to_the_next_fn() {
         let src = "\
-// flcheck: estimates(encrypt, 3)
-// flcheck: estimates(decrypt, 2)
-pub fn encrypt_op_estimate() -> u64 { 0 }
+pub fn before() {}
 // flcheck: lock(deques, panic)
 fn drain_all() {}
 fn unmarked() {}
 ";
         let f = SourceFile::parse("x.rs", src);
         let by_name = |n: &str| f.fns.iter().find(|f| f.name == n).expect(n);
-        assert_eq!(
-            by_name("encrypt_op_estimate").marks.estimates,
-            vec![("encrypt".to_string(), 3), ("decrypt".to_string(), 2)]
-        );
         assert_eq!(by_name("drain_all").marks.locks, vec!["deques", "panic"]);
-        let u = by_name("unmarked");
-        assert!(u.marks.estimates.is_empty() && u.marks.locks.is_empty());
+        assert!(by_name("before").marks.locks.is_empty());
+        assert!(by_name("unmarked").marks.locks.is_empty());
     }
 
     #[test]
@@ -535,18 +512,6 @@ fn unmarked() {}
         let f = SourceFile::parse("x.rs", src);
         assert_eq!(f.lock_orders.len(), 1);
         assert!(f.fns[0].marks.locks.is_empty());
-    }
-
-    #[test]
-    fn malformed_estimates_directives_are_ignored() {
-        let src = "\
-// flcheck: estimates(encrypt)
-// flcheck: estimates(, 3)
-// flcheck: estimates(encrypt, many)
-fn est() {}
-";
-        let f = SourceFile::parse("x.rs", src);
-        assert!(f.fns[0].marks.estimates.is_empty());
     }
 
     #[test]

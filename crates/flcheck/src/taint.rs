@@ -34,7 +34,7 @@ use crate::callgraph::{hop, CallGraph};
 use crate::lexer::{TokKind, Token};
 use crate::parse::{FnItem, ParsedFile};
 use crate::report::Finding;
-use crate::scan::{group_open, header_end, stmt_end};
+use crate::scan::{group_open, header_end, is_indexing, stmt_end};
 use crate::source::match_brace;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -315,7 +315,7 @@ fn analyze_fn(
             }
         }
         // (b) tainted index expressions.
-        if t.kind == TokKind::Open && t.text == "[" && crate::rules::is_indexing(toks, i) {
+        if t.kind == TokKind::Open && t.text == "[" && is_indexing(toks, i) {
             let close = match_brace(toks, i);
             if let Some(name) = range_has_taint(toks, i + 1, close.saturating_sub(1), &tainted) {
                 emit(

@@ -1,7 +1,6 @@
 //! Fixture: allow directives suppress every finding the sibling
 //! fixtures raise.
 
-// flcheck: allow-file(pf-index)
 // flcheck: lock-order(table < counters)
 
 // flcheck: ct-fn
@@ -18,13 +17,9 @@ pub fn masked_select(secret: u64, a: u64, b: u64) -> u64 {
 }
 
 pub fn checked(xs: &[u64]) -> u64 {
-    // flcheck: allow(pf-unwrap)
-    let head = xs.first().unwrap();
-    // flcheck: allow(pf-expect)
-    let tail = xs.last().expect("non-empty");
     // flcheck: allow(pf-assert)
     assert!(xs.len() > 1, "need two");
-    head + tail + xs[0]
+    xs.len() as u64
 }
 
 pub struct Dev {
@@ -35,7 +30,6 @@ pub struct Dev {
 impl Dev {
     pub fn backwards(&self) -> u64 {
         let c = self.counters.lock();
-        // flcheck: allow(ld-order)
         let t = self.table.lock();
         *c + *t
     }

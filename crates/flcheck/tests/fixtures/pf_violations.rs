@@ -1,4 +1,4 @@
-//! Fixture: every panic-freedom rule fires in library (non-test) code.
+//! Fixture: panicking library code; only the assert is flcheck's (`pf-assert`).
 
 pub fn all_panic_paths(xs: &[u64]) -> u64 {
     let head = xs.first().unwrap();

@@ -38,7 +38,9 @@
 //!   schedule — a sliding window for public exponents, one squaring and
 //!   one multiply per exponent bit for secret ones — which is what
 //!   `calibrate_cost` conforms to. The host's own schedules (above) are
-//!   cheaper and do not enter the simulated seconds.
+//!   cheaper and do not enter the simulated seconds. Which kernel each
+//!   estimate prices is a row of `tests/golden_schedule.rs` that binds
+//!   the kernel through a typed fn pointer and pins the estimate.
 //! - **Homomorphic addition** (paper Eq. 5): `E(m₁)·E(m₂) = E(m₁+m₂)`,
 //!   plus plaintext-scalar multiplication `E(m)^k = E(k·m)` used for
 //!   weighted gradient aggregation.
@@ -973,9 +975,6 @@ impl PaillierPublicKey {
     /// prices the public route whichever route the host took — a key
     /// owner's pool miss costs the host less than this and is charged
     /// the same.
-    // flcheck: estimates(encrypt, 3)
-    // flcheck: estimates(encrypt_with_r, 3)
-    // flcheck: estimates(precompute_obfuscator, 2)
     pub fn encrypt_op_estimate(&self) -> u64 {
         let s = self.ctx_n2.width();
         window_pow_ops(s, self.n.bit_len()) + self.encrypt_pooled_op_estimate()
@@ -986,7 +985,6 @@ impl PaillierPublicKey {
     /// `g^m` and the blinding multiplication remain on the hot path.
     /// Keys with a generic generator (no `g = n+1` closed form) still pay
     /// the constant-time `g^m` power per call.
-    // flcheck: estimates(encrypt_with_obfuscator, 3)
     pub fn encrypt_pooled_op_estimate(&self) -> u64 {
         let s = self.ctx_n2.width();
         let g_ops = if self.g_fast {
@@ -1000,9 +998,6 @@ impl PaillierPublicKey {
     }
 
     /// Estimated limb-level operation count of one homomorphic addition.
-    // flcheck: estimates(add, 3)
-    // flcheck: estimates(checked_add, 3)
-    // flcheck: estimates(checked_sum, 2)
     pub fn add_op_estimate(&self) -> u64 {
         // to-Montgomery ×2 is amortized; one mont-mul + reduce.
         3 * mont_mul_mac_count(self.ctx_n2.width()) / 2
@@ -1010,8 +1005,6 @@ impl PaillierPublicKey {
 
     /// Estimated limb-level operation count of one scalar multiplication
     /// `E(m)^k` with a public `k_bits`-bit scalar.
-    // flcheck: estimates(scalar_mul, 3)
-    // flcheck: estimates(checked_scalar_mul, 3)
     pub fn scalar_mul_op_estimate(&self, k_bits: u32) -> u64 {
         let s = self.ctx_n2.width();
         window_pow_ops(s, k_bits) + mont_mul_mac_count(s)
@@ -1021,7 +1014,6 @@ impl PaillierPublicKey {
     /// [`checked_pack`](Self::checked_pack) of `count` operands, as the
     /// simulated device is charged for it: each operand after the first
     /// is a scalar multiplication by `2^slot_bits` and an addition.
-    // flcheck: estimates(checked_pack, 3)
     pub fn pack_op_estimate(&self, count: usize, slot_bits: u32) -> u64 {
         let per_operand =
             self.scalar_mul_op_estimate(slot_bits.saturating_add(1)) + self.add_op_estimate();
@@ -1035,7 +1027,6 @@ impl PaillierPublicKey {
     /// table multiplies, the per-base table builds — and the domain
     /// conversions. The host runs a bucket pass, which does less
     /// (DESIGN §8).
-    // flcheck: estimates(weighted_sum, 3)
     pub fn weighted_sum_op_estimate(&self, count: usize, max_weight_bits: u32) -> u64 {
         if count == 0 || max_weight_bits == 0 {
             return mont_mul_mac_count(self.ctx_n2.width()) / 2;
@@ -1063,7 +1054,6 @@ impl PaillierPublicKey {
     /// whenever the batch is charged as a single chain (`shards ≤ 1` or
     /// too few items to split) — the flat-path no-regression gate in
     /// `bench_aggregate` pins that equality.
-    // flcheck: estimates(weighted_aggregate, 5)
     pub fn weighted_sum_sharded_op_estimate(
         &self,
         count: usize,
@@ -1092,7 +1082,6 @@ impl PaillierPublicKey {
     /// REDC. The modeled-scaling gate in `bench_aggregate` divides the
     /// flat estimate by this; it is a device-model quantity, independent
     /// of the host, which folds each slot in one pass.
-    // flcheck: estimates(weighted_aggregate, 5)
     pub fn weighted_sum_critical_path_estimate(
         &self,
         count: usize,
@@ -1239,8 +1228,6 @@ impl PaillierPrivateKey {
     /// constant-time schedule, not the sliding window) plus the L-function
     /// and CRT recombination arithmetic. The host's `decrypt_crt` runs the
     /// fixed window and does less; this estimate does not follow it.
-    // flcheck: estimates(decrypt, 2)
-    // flcheck: estimates(decrypt_crt, 2)
     pub fn decrypt_op_estimate(&self) -> u64 {
         let s = self.ctx_p2.width();
         2 * (ladder_pow_ops(s, self.p.bit_len()) + 2 * mont_mul_mac_count(s))

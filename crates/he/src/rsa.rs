@@ -163,7 +163,6 @@ impl RsaPublicKey {
 
     /// Estimated limb-level op count of one encryption (65537 = 2^16+1:
     /// 17 Montgomery multiplications of `s²` cost each).
-    // flcheck: estimates(encrypt, 2)
     pub fn encrypt_op_estimate(&self) -> u64 {
         let s = self.ctx_n.width() as u64;
         17 * s * s
@@ -222,8 +221,6 @@ impl RsaPrivateKey {
     /// The host runs the fixed window and does less; this estimate does
     /// not follow it. Same unit as the Paillier estimates — MAC counts
     /// halved, squarings at the dedicated `mont_sqr` rate.
-    // flcheck: estimates(decrypt, 2)
-    // flcheck: estimates(decrypt_direct, 2)
     pub fn decrypt_op_estimate(&self) -> u64 {
         let s = self.ctx_p.width();
         let e_bits = self.p.bit_len() as u64;

@@ -25,13 +25,22 @@
 //! adds it replaces. `PACK_GOLDEN` holds `fold_packed`, packed four to a
 //! word and one to a word, and every output to the `scalar_mul` + `add`
 //! spelling of the same word.
+//!
+//! `ESTIMATE_GOLDEN` holds one row per op-cost estimator and kernel it
+//! prices — the per-operator prices behind every simulated second. The
+//! row binds the kernel through a typed fn pointer, so renaming the
+//! kernel or changing its parameter list fails to compile, and pins the
+//! estimator's value at the same 128-bit key.
 
 use std::sync::Arc;
 
 use gpu_sim::{resource::ResourceManager, Device, DeviceConfig};
 use he::ghe::HeTiming;
-use he::paillier::{Ciphertext, ObfuscatorPool, PaillierKeyPair, PaillierPublicKey};
-use he::{CpuHe, GpuHe, HeBackend};
+use he::paillier::{
+    Ciphertext, Obfuscator, ObfuscatorPool, PaillierKeyPair, PaillierPrivateKey, PaillierPublicKey,
+};
+use he::rsa::{RsaKeyPair, RsaPrivateKey, RsaPublicKey};
+use he::{CpuHe, GpuHe, HeBackend, Result};
 use mpint::Natural;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -330,6 +339,171 @@ fn fold_packed_on_every_backend_matches_golden_bits() {
     }
     assert_eq!(rows, golden);
 }
+
+/// `(estimator, kernel, estimate)`: the kernel is bound to `$sig`, so a
+/// rename or an arity change is a compile error, not a stale row.
+macro_rules! pairing {
+    ($estimator:literal = $estimate:expr, $kernel:expr, $sig:ty) => {{
+        let _bound: $sig = $kernel;
+        ($estimator, stringify!($kernel), $estimate)
+    }};
+}
+
+type Pk = PaillierPublicKey;
+type Sk = PaillierPrivateKey;
+
+/// Every estimator at the golden key, next to the kernel it prices. The
+/// argument-taking estimators are read at 128 ten-bit weights split four
+/// ways, a 64-bit scalar and four 30-bit slots.
+#[test]
+fn every_estimator_prices_its_kernel_at_golden_values() {
+    let keys = PaillierKeyPair::generate(&mut ChaCha8Rng::seed_from_u64(0x5C4ED), 128).unwrap();
+    let rsa = RsaKeyPair::generate(&mut ChaCha8Rng::seed_from_u64(0x5C4ED), 128).unwrap();
+    let (pk, sk) = (&keys.public, &keys.private);
+    let encrypt = pk.encrypt_op_estimate();
+    let add = pk.add_op_estimate();
+    let scalar_mul = pk.scalar_mul_op_estimate(64);
+    let decrypt = sk.decrypt_op_estimate();
+    let rsa_decrypt = rsa.private.decrypt_op_estimate();
+    type Weighted =
+        fn(&CpuHe, &Pk, &[&[Ciphertext]], &[u64], usize) -> Result<(Vec<Ciphertext>, HeTiming)>;
+    let rows: Vec<(&str, &str, u64)> = vec![
+        pairing!(
+            "encrypt_op_estimate" = encrypt,
+            Pk::encrypt::<ChaCha8Rng>,
+            fn(&Pk, &Natural, &mut ChaCha8Rng) -> Result<Ciphertext>
+        ),
+        pairing!(
+            "encrypt_op_estimate" = encrypt,
+            Pk::encrypt_with_r,
+            fn(&Pk, &Natural, &Natural) -> Result<Ciphertext>
+        ),
+        pairing!(
+            "encrypt_op_estimate" = encrypt,
+            Pk::precompute_obfuscator,
+            fn(&Pk, &Natural) -> Obfuscator
+        ),
+        pairing!(
+            "encrypt_pooled_op_estimate" = pk.encrypt_pooled_op_estimate(),
+            Pk::encrypt_with_obfuscator,
+            fn(&Pk, &Natural, Obfuscator) -> Result<Ciphertext>
+        ),
+        pairing!(
+            "add_op_estimate" = add,
+            Pk::add,
+            fn(&Pk, &Ciphertext, &Ciphertext) -> Ciphertext
+        ),
+        pairing!(
+            "add_op_estimate" = add,
+            Pk::checked_add,
+            fn(&Pk, &Ciphertext, &Ciphertext) -> Result<Ciphertext>
+        ),
+        pairing!(
+            "add_op_estimate" = add,
+            Pk::checked_sum,
+            fn(&Pk, &[&Ciphertext]) -> Result<Ciphertext>
+        ),
+        pairing!(
+            "scalar_mul_op_estimate" = scalar_mul,
+            Pk::scalar_mul,
+            fn(&Pk, &Ciphertext, &Natural) -> Ciphertext
+        ),
+        pairing!(
+            "scalar_mul_op_estimate" = scalar_mul,
+            Pk::checked_scalar_mul,
+            fn(&Pk, &Ciphertext, &Natural) -> Result<Ciphertext>
+        ),
+        pairing!(
+            "pack_op_estimate" = pk.pack_op_estimate(4, 30),
+            Pk::checked_pack,
+            fn(&Pk, &[&Ciphertext], u32) -> Result<Ciphertext>
+        ),
+        pairing!(
+            "weighted_sum_op_estimate" = pk.weighted_sum_op_estimate(128, 10),
+            Pk::weighted_sum,
+            fn(&Pk, &[Ciphertext], &[Natural]) -> Result<Ciphertext>
+        ),
+        pairing!(
+            "weighted_sum_sharded_op_estimate" = pk.weighted_sum_sharded_op_estimate(128, 10, 4),
+            <CpuHe as HeBackend>::weighted_aggregate,
+            Weighted
+        ),
+        pairing!(
+            "weighted_sum_critical_path_estimate" =
+                pk.weighted_sum_critical_path_estimate(128, 10, 4),
+            <CpuHe as HeBackend>::weighted_aggregate,
+            Weighted
+        ),
+        pairing!(
+            "decrypt_op_estimate" = decrypt,
+            Sk::decrypt,
+            fn(&Sk, &Ciphertext) -> Result<Natural>
+        ),
+        pairing!(
+            "decrypt_op_estimate" = decrypt,
+            Sk::decrypt_crt,
+            fn(&Sk, &Ciphertext) -> Result<Natural>
+        ),
+        pairing!(
+            "rsa encrypt_op_estimate" = rsa.public.encrypt_op_estimate(),
+            RsaPublicKey::encrypt,
+            fn(&RsaPublicKey, &Natural) -> Result<Natural>
+        ),
+        pairing!(
+            "rsa decrypt_op_estimate" = rsa_decrypt,
+            RsaPrivateKey::decrypt,
+            fn(&RsaPrivateKey, &Natural) -> Result<Natural>
+        ),
+        pairing!(
+            "rsa decrypt_op_estimate" = rsa_decrypt,
+            RsaPrivateKey::decrypt_direct,
+            fn(&RsaPrivateKey, &Natural) -> Result<Natural>
+        ),
+    ];
+    if rows != ESTIMATE_GOLDEN {
+        for (e, k, v) in &rows {
+            println!("    ({e:?}, {k:?}, {v}),");
+        }
+    }
+    assert_eq!(rows, ESTIMATE_GOLDEN);
+}
+
+const ESTIMATE_GOLDEN: &[(&str, &str, u64)] = &[
+    ("encrypt_op_estimate", "Pk::encrypt::<ChaCha8Rng>", 2256),
+    ("encrypt_op_estimate", "Pk::encrypt_with_r", 2256),
+    ("encrypt_op_estimate", "Pk::precompute_obfuscator", 2256),
+    (
+        "encrypt_pooled_op_estimate",
+        "Pk::encrypt_with_obfuscator",
+        64,
+    ),
+    ("add_op_estimate", "Pk::add", 48),
+    ("add_op_estimate", "Pk::checked_add", 48),
+    ("add_op_estimate", "Pk::checked_sum", 48),
+    ("scalar_mul_op_estimate", "Pk::scalar_mul", 1184),
+    ("scalar_mul_op_estimate", "Pk::checked_scalar_mul", 1184),
+    ("pack_op_estimate", "Pk::checked_pack", 1977),
+    ("weighted_sum_op_estimate", "Pk::weighted_sum", 16504),
+    (
+        "weighted_sum_sharded_op_estimate",
+        "<CpuHe as HeBackend>::weighted_aggregate",
+        16864,
+    ),
+    (
+        "weighted_sum_critical_path_estimate",
+        "<CpuHe as HeBackend>::weighted_aggregate",
+        4264,
+    ),
+    ("decrypt_op_estimate", "Sk::decrypt", 992),
+    ("decrypt_op_estimate", "Sk::decrypt_crt", 992),
+    ("rsa encrypt_op_estimate", "RsaPublicKey::encrypt", 68),
+    ("rsa decrypt_op_estimate", "RsaPrivateKey::decrypt", 264),
+    (
+        "rsa decrypt_op_estimate",
+        "RsaPrivateKey::decrypt_direct",
+        264,
+    ),
+];
 
 const PACK_GOLDEN: &[GoldenRow] = &[
     (

@@ -21,10 +21,12 @@
 //! all agree with the whole-integer Algorithm 1 kept as a test reference
 //! in [`crate::montgomery`]; the agreement is property-tested.
 
-// flcheck: allow-file(pf-index) — the fused kernels' inner loops are zipped
-// slices; what is indexed is one sub-slice or carry word per row, and the
-// partitioned kernel's per-lane accounting, all bounded by the fixed operand
-// width `s` asserted on entry.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "the fused kernels' inner loops are zipped slices; what is indexed is one \
+              sub-slice or carry word per row, and the partitioned kernel's per-lane \
+              accounting, all bounded by the fixed operand width `s` asserted on entry"
+)]
 // flcheck: allow-file(pf-assert) — width preconditions are documented API
 // contract (covered by `unpadded_operands_rejected`), mirroring slice-length
 // panics in std.

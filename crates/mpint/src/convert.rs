@@ -6,9 +6,11 @@
 //! domain at the boundary of every encryption/decryption call; these are
 //! the conversions it uses.
 
-// flcheck: allow-file(pf-index) — byte/limb indices derive from the
-// lengths computed in the same expression (`i / LIMB_BYTES` over
-// `bytes.len()`-sized buffers).
+#![expect(
+    clippy::indexing_slicing,
+    reason = "byte/limb indices derive from the lengths computed in the same \
+              expression (`i / LIMB_BYTES` over `bytes.len()`-sized buffers)"
+)]
 
 use crate::limb::{Limb, LIMB_BYTES};
 use crate::natural::Natural;

@@ -6,9 +6,12 @@
 //! variant must agree with — the agreement is property-tested in
 //! `crates/mpint/tests`.
 
-// flcheck: allow-file(pf-index) — Algorithm D addresses `u[j+n]`-style
-// windows whose bounds come from the normalised operand widths; the
-// indices mirror TAOCP's notation and are covered by the property tests.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "Algorithm D addresses `u[j+n]`-style windows whose bounds come from the \
+              normalised operand widths; the indices mirror TAOCP's notation and are \
+              covered by the property tests"
+)]
 
 use crate::limb::{adc, div2by1, mul_wide, sbb, Limb, LIMB_BITS};
 use crate::natural::Natural;
@@ -57,17 +60,19 @@ fn knuth_d(a: &Natural, b: &Natural) -> (Natural, Natural) {
             (q, r, true)
         };
         // Refine: while q̂ * v[n-2] > r̂*B + u[j+n-2], decrement q̂.
-        while refine {
-            let (lo, hi) = mul_wide(qhat, v_next);
-            if hi > rhat || (hi == rhat && lo > u[j + n - 2]) {
-                qhat -= 1;
-                let (r, overflow) = rhat.overflowing_add(v_top);
-                if overflow {
-                    break; // r̂ >= B: test can no longer fail
+        if refine {
+            loop {
+                let (lo, hi) = mul_wide(qhat, v_next);
+                if hi > rhat || (hi == rhat && lo > u[j + n - 2]) {
+                    qhat -= 1;
+                    let (r, overflow) = rhat.overflowing_add(v_top);
+                    if overflow {
+                        break; // r̂ >= B: test can no longer fail
+                    }
+                    rhat = r;
+                } else {
+                    break;
                 }
-                rhat = r;
-            } else {
-                break;
             }
         }
 

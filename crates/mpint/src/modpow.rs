@@ -118,7 +118,10 @@ pub fn mod_pow_mont(ctx: &MontgomeryCtx, base_m: &Natural, exp: &Natural, window
         let value = exp.extract_bits(j as u32, width);
         debug_assert!(value & 1 == 1);
         let k = (value >> 1) as usize;
-        // flcheck: allow(pf-index)
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "value < 2^w, so value/2 < table_len"
+        )]
         let entry = &table[k * s..(k + 1) * s];
         match acc.as_mut() {
             Some(acc) => {

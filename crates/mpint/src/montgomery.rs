@@ -52,8 +52,10 @@ impl MontgomeryCtx {
         }
         let width = n.limb_len();
         let r = Natural::one().shl_bits((width as u32) * LIMB_BITS);
-        // Non-empty: the zero modulus was rejected above.
-        // flcheck: allow(pf-index)
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "non-empty: the zero modulus was rejected above"
+        )]
         let n0_inv = mont_neg_inv(n.limbs()[0]);
         let r_mod_n = &r % n;
         let r2_mod_n = &(&r_mod_n * &r_mod_n) % n;

@@ -6,9 +6,11 @@
 //! operand-scanning schoolbook product, with Karatsuba above a tuned
 //! threshold for the large operands produced by 2048/4096-bit keys.
 
-// flcheck: allow-file(pf-index) — product indices `out[i + j]` are bounded
-// by the `a.len() + b.len()` allocation; this is the workspace's second
-// hottest loop after CIOS.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "product indices `out[i + j]` are bounded by the `a.len() + b.len()` \
+              allocation; this is the workspace's second hottest loop after CIOS"
+)]
 
 use crate::limb::{mac, Limb};
 use crate::natural::Natural;

@@ -5,9 +5,12 @@
 //! IV-A1). The empty limb vector represents zero. An integer of `k` bits
 //! occupies `s = ceil(k / w)` limbs, matching the paper's `s = ⌈k/w⌉`.
 
-// flcheck: allow-file(pf-index) — limb indices in this module are bounded by
-// `limbs.len()` loop ranges or by widths established on entry; `.get()` in
-// these inner loops costs measurable throughput in the mont-mul benches.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "limb indices in this module are bounded by `limbs.len()` loop ranges or \
+              by widths established on entry; `.get()` in these inner loops costs \
+              measurable throughput in the mont-mul benches"
+)]
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -344,9 +347,11 @@ impl Natural {
     ///
     /// Panics if `divisor` is zero; use [`Natural::checked_div_rem`] for a
     /// fallible variant.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic mirroring primitive `/` semantics"
+    )]
     pub fn div_rem(&self, divisor: &Natural) -> (Natural, Natural) {
-        // Documented panic mirroring primitive `/` semantics.
-        // flcheck: allow(pf-expect)
         self.checked_div_rem(divisor).expect("division by zero")
     }
 
@@ -418,10 +423,12 @@ impl Sub for &Natural {
     type Output = Natural;
     /// # Panics
     /// Panics on underflow; use [`Natural::checked_sub`] to handle it.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic mirroring primitive `-` semantics"
+    )]
     fn sub(self, rhs: &Natural) -> Natural {
-        // Documented panic mirroring primitive `-` semantics.
         self.checked_sub(rhs)
-            // flcheck: allow(pf-expect)
             .expect("Natural subtraction underflow")
     }
 }

@@ -5,8 +5,11 @@
 //! simulator can hand one deterministic per-lane generator to each thread
 //! while tests use seeded [`rand_chacha`] streams.
 
-// flcheck: allow-file(pf-index) — `v[last]` with `last = limbs - 1` where
-// `limbs >= 1` is guaranteed by the early `bits == 0` return.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "`v[last]` with `last = limbs - 1` where `limbs >= 1` is guaranteed by \
+              the early `bits == 0` return"
+)]
 
 use rand::Rng;
 

@@ -1,7 +1,10 @@
 //! Bit-shift operators for [`Natural`].
 
-// flcheck: allow-file(pf-index) — shifted-limb indices are offsets within
-// vectors sized as `limb_len + limb_shift (+ 1)` a few lines above.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "shifted-limb indices are offsets within vectors sized as `limb_len + \
+              limb_shift (+ 1)` a few lines above"
+)]
 
 use std::ops::{Shl, Shr};
 

@@ -10,9 +10,10 @@
 #
 # `bash run_harness.sh --quick` keeps every other gate (build, each
 # experiment binary, both tier-1 test runs, the no-`unsafe` gate, the
-# benchmark-package build, flcheck and its directive and size ratchets,
-# fmt) but trims sweep cardinality — fewer key sizes, datasets, models,
-# epochs — for a fast full-pipeline smoke run. Trimmed sweeps print
+# benchmark-package build, the clippy panic-freedom lints, flcheck and
+# its directive and size ratchets, fmt) but trims sweep cardinality —
+# fewer key sizes, datasets, models, epochs — for a fast full-pipeline
+# smoke run. Trimmed sweeps print
 # different tables, so the quick tier writes under `target/harness-quick/`
 # and leaves `results/` alone.
 set -o pipefail
@@ -150,6 +151,16 @@ bench_frozen="codec fl flbench flbooster-core gpu-sim he mpint parking_lot rand 
 echo "  lock names: $bench_graph"
 if [ "$bench_graph" != "$bench_frozen" ]; then
   echo "HARNESS_FAILED: benchmark crate graph changed (want: $bench_frozen)"
+  exit 1
+fi
+
+# Panic-freedom gate: clippy's, not flcheck's. The root manifest's
+# `[workspace.lints.clippy]` table denies unwrap/expect, the panic! family
+# and indexing in the library crates that opt in with `[lints] workspace =
+# true`; an `#[expect(clippy::…)]` that no longer fires fails it too.
+echo "=== clippy: panic freedom ==="
+if ! cargo clippy --offline --workspace --lib 2>&1 | tail -20; then
+  echo "HARNESS_FAILED: cargo clippy panic-freedom lints"
   exit 1
 fi
 

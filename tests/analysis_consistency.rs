@@ -9,7 +9,9 @@ use std::collections::BTreeSet;
 
 use fl::{Accelerator, BackendKind};
 use flbooster_core::analysis;
-use flcheck::{collect_files, lexer, lexer::TokKind, registry, source::SourceFile};
+use flcheck::{
+    collect_files, lexer, lexer::TokKind, registry, source::SourceFile, PANIC_FREEDOM_CRATES,
+};
 use gpu_sim::{Device, DeviceConfig};
 use he::paillier::PaillierKeyPair;
 use he::GpuHe;
@@ -241,6 +243,98 @@ fn readme_rule_table_is_the_registry() {
         })
         .collect();
     assert_eq!(rows, want);
+}
+
+/// The `key = value` lines of one `[header]` table of a manifest.
+fn toml_table<'a>(manifest: &'a str, header: &str) -> Vec<(&'a str, &'a str)> {
+    manifest
+        .lines()
+        .skip_while(|l| l.trim() != header)
+        .skip(1)
+        .take_while(|l| !l.starts_with('['))
+        .filter_map(|l| l.split_once('='))
+        .map(|(k, v)| (k.trim(), v.trim()))
+        .collect()
+}
+
+#[test]
+fn panic_freedom_crates_opt_into_the_clippy_table() {
+    // Panic freedom is clippy's: the root table denies the seven lints
+    // and a stale `#[expect]`, and exactly the panic-freedom crates
+    // inherit it — a crate that drops `[lints] workspace = true` silently
+    // leaves the gate.
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read =
+        |p: &std::path::Path| std::fs::read_to_string(p.join("Cargo.toml")).expect("manifest");
+    let manifest = read(root);
+    let mut denied: Vec<&str> = toml_table(&manifest, "[workspace.lints.clippy]")
+        .into_iter()
+        .filter(|&(_, level)| level == "\"deny\"")
+        .map(|(lint, _)| lint)
+        .collect();
+    denied.sort_unstable();
+    assert_eq!(
+        denied,
+        [
+            "expect_used",
+            "indexing_slicing",
+            "panic",
+            "todo",
+            "unimplemented",
+            "unreachable",
+            "unwrap_used"
+        ]
+    );
+    assert_eq!(
+        toml_table(&manifest, "[workspace.lints.rust]"),
+        [("unfulfilled_lint_expectations", "\"deny\"")]
+    );
+    let mut opted = BTreeSet::new();
+    let mut dirs = vec![root.to_path_buf()];
+    for parent in ["crates", "crates/shims"] {
+        for entry in std::fs::read_dir(root.join(parent)).expect("crate dirs") {
+            dirs.push(entry.expect("dir entry").path());
+        }
+    }
+    for dir in dirs.iter().filter(|d| d.join("Cargo.toml").is_file()) {
+        if toml_table(&read(dir), "[lints]").contains(&("workspace", "true")) {
+            let name = dir.file_name().expect("crate dir").to_string_lossy();
+            opted.insert(name.into_owned());
+        }
+    }
+    let want: BTreeSet<String> = PANIC_FREEDOM_CRATES.iter().map(|c| c.to_string()).collect();
+    assert_eq!(opted, want);
+}
+
+#[test]
+fn every_allow_names_a_registered_rule() {
+    // The analyzer ignores an allow for a rule it does not know, so an
+    // allow left behind by a retired rule would sit in the tree unnoticed.
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let known: BTreeSet<&str> = registry::ids().collect();
+    let mut stale = Vec::new();
+    for path in collect_files(root).expect("workspace walk") {
+        let rel = path
+            .strip_prefix(root)
+            .expect("under root")
+            .display()
+            .to_string();
+        let file = SourceFile::parse(&rel, &std::fs::read_to_string(&path).expect("read"));
+        let lines = file
+            .allow_lines
+            .iter()
+            .flat_map(|(&l, rules)| rules.iter().map(move |r| (l, r)));
+        let whole = file.allow_file.iter().map(|r| (0, r));
+        for (line, rule) in lines.chain(whole) {
+            if !known.contains(rule.as_str()) {
+                stale.push(format!("`{rule}` at {rel}:{line}"));
+            }
+        }
+    }
+    assert!(
+        stale.is_empty(),
+        "allows naming no registered rule: {stale:#?}"
+    );
 }
 
 #[test]
