@@ -170,18 +170,28 @@ pub fn bench_dataset(kind: DatasetKind, preset: Preset) -> Dataset {
     spec.generate(1.0)
 }
 
-/// Deterministic shared key material per key size (generated once per
-/// process; 4096-bit generation takes a few seconds).
+/// Deterministic shared key material per key size (cached per process;
+/// 4096-bit generation takes a few seconds). Generation runs outside the
+/// cache lock: two threads that miss together generate the same keys, and
+/// the first insert wins.
 pub fn shared_keys(key_bits: u32) -> PaillierKeyPair {
     static CACHE: OnceLock<Mutex<HashMap<u32, PaillierKeyPair>>> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut guard = cache.lock().expect("key cache poisoned");
-    guard
+    let cached = cache
+        .lock()
+        .expect("key cache poisoned")
+        .get(&key_bits)
+        .cloned();
+    if let Some(keys) = cached {
+        return keys;
+    }
+    let mut rng = ChaCha8Rng::seed_from_u64(0xF1B0_0057 ^ key_bits as u64);
+    let keys = PaillierKeyPair::generate(&mut rng, key_bits).expect("key generation");
+    cache
+        .lock()
+        .expect("key cache poisoned")
         .entry(key_bits)
-        .or_insert_with(|| {
-            let mut rng = ChaCha8Rng::seed_from_u64(0xF1B0_0057 ^ key_bits as u64);
-            PaillierKeyPair::generate(&mut rng, key_bits).expect("key generation")
-        })
+        .or_insert(keys)
         .clone()
 }
 

@@ -130,6 +130,15 @@ pub struct AccelTiming {
     pub he_ops: u64,
 }
 
+impl std::ops::AddAssign<&AccelTiming> for AccelTiming {
+    fn add_assign(&mut self, t: &AccelTiming) {
+        self.he_seconds += t.he_seconds;
+        self.he_items += t.he_items;
+        self.he_ops += t.he_ops;
+        self.codec_seconds += t.codec_seconds;
+    }
+}
+
 /// Simulated cost of the per-value data conversion + encode/quantize/pack
 /// step (paper Fig. 4 "data conversion"/"data processing"): dominated by
 /// the float↔multi-precision boundary crossing, calibrated so FATE's
@@ -636,11 +645,7 @@ impl Accelerator {
     /// exactly their work; every `*_timed` entry point leaves charging to
     /// its caller.
     fn charge_accel(&self, t: &AccelTiming) {
-        let mut timing = self.timing.lock();
-        timing.he_seconds += t.he_seconds;
-        timing.he_items += t.he_items;
-        timing.he_ops += t.he_ops;
-        timing.codec_seconds += t.codec_seconds;
+        *self.timing.lock() += t;
     }
 }
 

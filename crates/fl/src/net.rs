@@ -179,6 +179,16 @@ pub struct NetStats {
     pub retries: u64,
 }
 
+impl std::ops::AddAssign for NetStats {
+    fn add_assign(&mut self, o: NetStats) {
+        self.messages += o.messages;
+        self.ciphertexts += o.ciphertexts;
+        self.bytes += o.bytes;
+        self.seconds += o.seconds;
+        self.retries += o.retries;
+    }
+}
+
 /// The simulated link.
 #[derive(Debug)]
 pub struct Network {
@@ -238,17 +248,18 @@ impl Network {
             }
             retries += 1;
         }
-        let mut s = self.stats.lock();
-        s.bytes += sent_bytes;
-        s.seconds += total;
-        s.retries += retries;
+        *self.stats.lock() += NetStats {
+            messages: u64::from(delivered),
+            ciphertexts: if delivered { ciphertexts } else { 0 },
+            bytes: sent_bytes,
+            seconds: total,
+            retries,
+        };
         if !delivered {
             return Err(Error::NetworkFailure {
                 attempts: self.cfg.max_attempts,
             });
         }
-        s.messages += 1;
-        s.ciphertexts += ciphertexts;
         Ok(total)
     }
 
@@ -276,16 +287,20 @@ impl Network {
         if self.cfg.drop_probability <= 0.0 {
             return false;
         }
-        let mut s = self.rng_state.lock();
-        // xorshift64*
-        let mut x = *s;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        *s = x;
+        let x = xorshift_step(&mut self.rng_state.lock());
         let u = (x.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64;
         u < self.cfg.drop_probability
     }
+}
+
+/// Advances an xorshift64* state in place and returns the new state.
+fn xorshift_step(s: &mut u64) -> u64 {
+    let mut x = *s;
+    x ^= x >> 12;
+    x ^= x << 25;
+    x ^= x >> 27;
+    *s = x;
+    x
 }
 
 #[cfg(test)]

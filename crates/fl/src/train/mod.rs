@@ -3,7 +3,8 @@
 //! [`FlEnv`] pairs an [`Accelerator`] with a [`Network`]. Secure-
 //! aggregation rounds run through [`crate::engine::run_round`], configured
 //! by [`TrainConfig::engine`]; the encrypted broadcast the vertical models
-//! also need (and its one-receiver case, the pairwise exchange) lives here.
+//! also need (and the pairwise exchange, its one-receiver upload) lives
+//! here.
 //! Every simulated second enters the epoch's [`EpochBreakdown`] through
 //! [`EpochBreakdown::charge`]. [`train`] runs epochs until the paper's
 //! stopping rule ("if the loss difference between two successive epochs is
@@ -77,17 +78,44 @@ impl FlEnv {
     /// receiver trains on; it depends on the plaintext and the quantizer,
     /// not on the blinding, so all receivers hold the same values.
     ///
-    /// Charged as DESIGN §9 charges symmetric parties: the encryption once,
+    /// Charged as DESIGN §9 charges symmetric parties: the encryption once;
     /// one send per receiver in series over the sender's NIC (same payload,
-    /// its own link, its own retry draws), and one receiver's decryption —
-    /// the receivers run in parallel, as [`crate::engine::run_round`]'s
-    /// downlink decrypt is charged. `he_values` counts `values` once. With
-    /// no receiver nothing is protected, sent or charged and `values` come
-    /// back unchanged.
+    /// its own link, its own retry draws), as downlink like every other
+    /// fan-out (SecureBoost's `g‖h`, [`crate::engine::run_round`]'s
+    /// aggregate); and one receiver's decryption, since the receivers
+    /// decrypt in parallel as the engine's clients do. `he_values` counts
+    /// `values` once. With no receiver nothing is protected, sent or
+    /// charged and `values` come back unchanged.
     pub fn encrypted_broadcast(
         &self,
         values: &[f64],
         receivers: usize,
+        seed: u64,
+        breakdown: &mut EpochBreakdown,
+    ) -> Result<Vec<f64>> {
+        self.encrypted_send(values, receivers, Charge::Downlink, seed, breakdown)
+    }
+
+    /// Pairwise encrypted exchange: one party encrypts `values` and
+    /// uploads them; the receiver (or arbiter) decrypts. Charged as
+    /// [`encrypted_broadcast`](Self::encrypted_broadcast) to one receiver,
+    /// with the send as uplink.
+    pub fn encrypted_exchange(
+        &self,
+        values: &[f64],
+        seed: u64,
+        breakdown: &mut EpochBreakdown,
+    ) -> Result<Vec<f64>> {
+        self.encrypted_send(values, 1, Charge::Uplink, seed, breakdown)
+    }
+
+    /// The body of both: one encryption, `receivers` sends charged as
+    /// `link`, one decryption.
+    fn encrypted_send(
+        &self,
+        values: &[f64],
+        receivers: usize,
+        link: Charge,
         seed: u64,
         breakdown: &mut EpochBreakdown,
     ) -> Result<Vec<f64>> {
@@ -102,7 +130,7 @@ impl FlEnv {
         // the links exactly what `k` exchanges of this payload do.
         for _ in 0..receivers {
             let t = self.network.send(ev.ciphertext_count(), ev.bytes())?;
-            breakdown.charge(Charge::Uplink, t);
+            breakdown.charge(link, t);
             breakdown.comm_bytes += ev.bytes();
             breakdown.ciphertexts += ev.ciphertext_count();
         }
@@ -111,19 +139,6 @@ impl FlEnv {
         breakdown.charge(Charge::DecryptCodec, dec_t.codec_seconds);
         breakdown.he_values += values.len() as u64;
         Ok(out)
-    }
-
-    /// Pairwise encrypted exchange — the one-receiver
-    /// [`encrypted_broadcast`](Self::encrypted_broadcast): one party
-    /// encrypts `values` and sends them; the receiver (or arbiter)
-    /// decrypts.
-    pub fn encrypted_exchange(
-        &self,
-        values: &[f64],
-        seed: u64,
-        breakdown: &mut EpochBreakdown,
-    ) -> Result<Vec<f64>> {
-        self.encrypted_broadcast(values, 1, seed, breakdown)
     }
 
     /// Charges `flops` of local model computation to "Others".
@@ -254,11 +269,17 @@ mod tests {
                 assert_eq!(b.phases.encrypt_seconds, one.phases.encrypt_seconds);
                 assert_eq!(b.phases.decrypt_seconds, one.phases.decrypt_seconds);
                 assert_eq!(b.he_values, values.len() as u64, "{kind:?} × {receivers}");
-                // One send per receiver, in series.
+                // One send per receiver, in series, charged as downlink: the
+                // exchange's upload seconds, moved to the other link phase.
+                assert_eq!(b.phases.uplink_seconds, 0.0, "{kind:?} × {receivers}");
                 assert!(close(
-                    b.phases.uplink_seconds,
+                    b.phases.downlink_seconds,
                     receivers as f64 * one.phases.uplink_seconds
                 ));
+                if receivers == 1 {
+                    assert_eq!(b.comm_seconds, one.comm_seconds, "{kind:?}");
+                    assert_eq!(b.round_seconds, one.round_seconds, "{kind:?}");
+                }
                 assert_eq!(b.comm_bytes, receivers * one.comm_bytes, "{kind:?}");
                 assert_eq!(b.ciphertexts, receivers * one.ciphertexts, "{kind:?}");
                 assert_eq!(env.network.stats().messages, receivers, "{kind:?}");
@@ -280,9 +301,9 @@ mod tests {
             let mut empty = EpochBreakdown::default();
             assert_eq!(env.encrypted_broadcast(&[], 3, 9, &mut empty).unwrap(), []);
             assert_eq!((empty.he_values, empty.ciphertexts), (0, 0), "{kind:?}");
-            assert_eq!(empty.total_seconds(), empty.phases.uplink_seconds);
+            assert_eq!(empty.total_seconds(), empty.phases.downlink_seconds);
             assert!(close(
-                empty.phases.uplink_seconds,
+                empty.phases.downlink_seconds,
                 3.0 * env.network.config().latency_seconds
             ));
             assert_eq!(env.network.stats().messages, 3, "{kind:?}");

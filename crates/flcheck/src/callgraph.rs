@@ -5,9 +5,12 @@
 //! resolve to `self`-taking fns, free calls to the rest (falling back to
 //! methods for UFCS `Type::method(x)` paths), same-file candidates win
 //! over cross-file ones, and non-test candidates win over test helpers.
-//! Unresolvable names (std/core, shims outside the scan set) simply have
-//! no edge — the graph is a *may-call* over-approximation restricted to
-//! first-party code.
+//! Two name collisions are refused outright: a `std::` / `core::` /
+//! `alloc::` path call never resolves, and a call inside a shim resolves
+//! only within that shim (the rayon shim's `Option::take` is not
+//! `ObfuscatorPool::take`). Unresolvable names (std/core, shims outside
+//! the scan set) simply have no edge — the graph is a *may-call*
+//! over-approximation restricted to first-party code.
 //!
 //! Walking is written once: [`CallGraph::bfs`] is the only breadth-first
 //! search (deterministic — seeds in slice order, edges in call-site
@@ -16,7 +19,7 @@
 //! [`CallGraph::path_to`] are views of its result. Passes differ only in
 //! their seeds and in which nodes they refuse to enter.
 
-use crate::parse::ParsedFile;
+use crate::parse::{CallSite, ParsedFile};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// Node id: (file index, fn index) into the parsed-file slice.
@@ -89,7 +92,7 @@ impl CallGraph {
             for (gi, f) in pf.fns.iter().enumerate() {
                 let mut fn_edges = Vec::new();
                 for (ci, call) in f.calls.iter().enumerate() {
-                    for to in resolve(files, &by_name, fi, call.is_method, &call.callee) {
+                    for to in resolve(files, &by_name, fi, call) {
                         fn_edges.push(Edge { call: ci, to });
                         callers[to.0][to.1].push((fi, gi));
                     }
@@ -178,26 +181,39 @@ impl CallGraph {
     }
 }
 
+/// The shim a workspace-relative path belongs to: `crates/shims/rayon/..`
+/// is `rayon`.
+fn shim_of(rel_path: &str) -> Option<&str> {
+    rel_path.strip_prefix("crates/shims/")?.split('/').next()
+}
+
 /// Resolves one call by name. Returns every candidate that survives the
-/// filters, in (file, fn) order.
+/// filters, in (file, fn) order. A `std::` path never names first-party
+/// code, and a call inside a shim resolves only within that shim: no shim
+/// depends on a first-party crate.
 fn resolve(
     files: &[ParsedFile],
     by_name: &HashMap<&str, Vec<NodeId>>,
     caller_file: usize,
-    is_method: bool,
-    callee: &str,
+    call: &CallSite,
 ) -> Vec<NodeId> {
-    let Some(all) = by_name.get(callee) else {
-        return Vec::new();
+    let shim = shim_of(&files[caller_file].src.rel_path);
+    let all: Vec<NodeId> = match by_name.get(call.callee.as_str()) {
+        Some(all) if !call.in_std => all
+            .iter()
+            .copied()
+            .filter(|&(fi, _)| shim.is_none() || shim_of(&files[fi].src.rel_path) == shim)
+            .collect(),
+        _ => return Vec::new(),
     };
     let mut cands: Vec<NodeId> = all
         .iter()
         .copied()
-        .filter(|&(fi, gi)| files[fi].fns[gi].is_method == is_method)
+        .filter(|&(fi, gi)| files[fi].fns[gi].is_method == call.is_method)
         .collect();
-    if cands.is_empty() && !is_method {
+    if cands.is_empty() && !call.is_method {
         // `Type::method(x)` — a free-looking path call into a method.
-        cands = all.to_vec();
+        cands = all;
     }
     if cands.iter().any(|&(fi, _)| fi == caller_file) {
         cands.retain(|&(fi, _)| fi == caller_file);
@@ -274,6 +290,32 @@ mod tests {
         assert_eq!(edges, vec![("f".to_string(), "norm".to_string())]);
         // Resolved to the free fn (index 1), not the method (index 0).
         assert_eq!(g.out((0, 2))[0].to, (0, 1));
+    }
+
+    #[test]
+    fn shim_calls_stay_in_their_shim_and_std_paths_never_resolve() {
+        let files = ws(&[
+            (
+                "crates/he/src/pool.rs",
+                "impl Pool { pub fn take(&self) {} }\nfn take(x: u8) {}\n",
+            ),
+            (
+                "crates/shims/rayon/src/pool.rs",
+                "fn worker(s: &S) { s.slot.take(); }\n",
+            ),
+            (
+                "crates/fl/src/a.rs",
+                "fn f(p: &Pool, v: &mut u8) { p.take(); std::mem::take(v); }\n",
+            ),
+        ]);
+        let g = CallGraph::build(&files);
+        // The shim's `Option::take` and the std path find nothing; the
+        // first-party method call still resolves.
+        assert_eq!(
+            named_edges(&files, &g),
+            vec![("f".to_string(), "take".to_string())]
+        );
+        assert_eq!(g.out((2, 0))[0].to, (0, 0));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! simulator and pipeline are concurrent, and every library crate is
 //! consumed by long-running training jobs that must not abort mid-epoch.
 //! flcheck checks the disciplines rustc and clippy cannot — constant-time
-//! code, release asserts, lock order, result determinism, integer width —
+//! code, release asserts, leaf locks, result determinism, integer width —
 //! with a hand-rolled lexer and zero external dependencies (the build
 //! environment has no registry access). What rustc *can* check it leaves
 //! to rustc: data-race freedom of closures crossing the work-stealing pool
@@ -25,40 +25,36 @@
 //!
 //! The design is three layers:
 //!
-//! - [`registry::RULES`] is the one table of rules (id, family, PR,
-//!   emitting pass, documentation); `--rules`, `--explain`, the JSON
+//! - [`registry::RULES`] is the one table of rules (id, family, emitting
+//!   pass, documentation); `--rules`, `--explain`, the JSON
 //!   summary and the README table all derive from it.
 //! - [`PASSES`] is the one list of interprocedural passes;
 //!   [`check_workspace_with_stats`] runs the per-file phase
-//!   ([`check_file`]: the lexer-level ct-, `pf-assert` and `ld-wait`
-//!   rules, see [`rules`]), builds the [`callgraph`], then runs the list in
-//!   order.
-//! - The passes ([`taint`], [`detflow`], [`lockgraph`] with [`escape`],
+//!   ([`check_file`]: the lexer-level ct- and `pf-assert` rules, see
+//!   [`rules`]), builds the [`callgraph`], then runs the list in order.
+//! - The passes ([`taint`], [`detflow`], [`rules::check_lock_leaf`],
 //!   [`width`]) share one call-graph walk ([`callgraph::CallGraph::bfs`]
 //!   and its closures) and one token-statement scanner (`scan`), and
-//!   report full call/lock chains.
+//!   report full call chains.
 //!
 //! See [`source`] for the directive grammar (`ct-fn`, `secret(..)`,
-//! `lock(..)`, `det-sink`, `det-absorb`, `nondet(..)`, `widen-ok(..)`, and
-//! `narrow(..)` markers, `allow` / `allow-file` suppressions, `lock-order`
-//! declarations).
+//! `det-sink`, `det-absorb`, `nondet(..)`, `widen-ok(..)`, and `narrow(..)`
+//! markers, `allow` / `allow-file` suppressions).
 //!
 //! The analyzer's own sources are excluded from the default walk: they
 //! discuss directives and violations in documentation and fixtures, and
 //! the tool is a dev-time binary, not part of the library surface. The
 //! dependency shims are skipped too, with one exception: the rayon shim
 //! hosts the work-stealing thread pool that every kernel launch runs on,
-//! so its lock discipline (per-worker deques vs the shared panic slot) is
-//! checked like any first-party crate.
+//! so its locks (per-worker deques, the shared panic slot) are checked like
+//! any first-party crate's.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod callgraph;
 pub mod detflow;
-pub mod escape;
 pub mod lexer;
-pub mod lockgraph;
 pub mod parse;
 pub mod registry;
 pub mod report;
@@ -87,7 +83,7 @@ const SKIP_DIRS: &[&str] = &["target", ".git", "shims", "flcheck", "fixtures"];
 
 /// Directories re-included despite a skipped ancestor: the rayon shim is
 /// real concurrent runtime code (workers, deques, a shared panic slot),
-/// not a thin API veneer, so its lock discipline is analyzed.
+/// not a thin API veneer, so its locks are analyzed.
 const RESCAN_DIRS: &[&str] = &["rayon"];
 
 /// True when `pf-assert` applies to this workspace-relative
@@ -100,8 +96,8 @@ pub fn panic_rules_apply(rel_path: &str) -> bool {
 
 /// Analyzes one file's source text with the intraprocedural rule
 /// families only. `rel_path` selects which apply (panic-freedom is
-/// scoped by crate; ct- and lock-discipline run everywhere
-/// markers/locks appear). The interprocedural passes need the whole
+/// scoped by crate; ct-discipline runs wherever markers appear). The
+/// interprocedural passes, `lock-leaf` among them, need the whole
 /// workspace — see [`check_workspace`].
 pub fn check_file(rel_path: &str, src: &str) -> Vec<Finding> {
     let file = SourceFile::parse(rel_path, src);
@@ -110,7 +106,6 @@ pub fn check_file(rel_path: &str, src: &str) -> Vec<Finding> {
     if panic_rules_apply(rel_path) {
         rules::check_panics(&file, &mut out);
     }
-    rules::check_locks(&file, &mut out);
     out
 }
 
@@ -123,7 +118,7 @@ pub type Pass = fn(&[ParsedFile], &CallGraph, &mut Vec<Finding>);
 pub const PASSES: &[(&str, Pass)] = &[
     ("taint", taint::check_taint),
     ("detflow", detflow::check_detflow),
-    ("lockgraph", lockgraph::check_lock_graph),
+    ("lock_leaf", rules::check_lock_leaf),
     ("width", width::check_width),
 ];
 
@@ -308,7 +303,7 @@ mod tests {
                 .any(|p| p.starts_with("crates/shims/parking_lot/")),
             "inert shims stay excluded"
         );
-        // Lock discipline applies to the shim; `pf-assert` does not
+        // `lock-leaf` applies to the shim; `pf-assert` does not
         // (it is still outside PANIC_FREEDOM_CRATES).
         assert!(!panic_rules_apply("crates/shims/rayon/src/pool.rs"));
     }

@@ -22,7 +22,7 @@
 //!   reason.
 
 use crate::lexer::{TokKind, Token};
-use crate::scan::group_open;
+use crate::scan::{group_open, path_start};
 use crate::source::{match_brace, Markers, SourceFile};
 
 /// Rust keywords that can directly precede `(` without being a call.
@@ -65,6 +65,8 @@ pub struct CallSite {
     pub name_idx: usize,
     /// `recv.callee(..)` (a method call) vs `callee(..)` / `path::callee(..)`.
     pub is_method: bool,
+    /// A `std::..` / `core::..` / `alloc::..` path call: never first-party.
+    pub in_std: bool,
     /// Token range `[start, end)` of the receiver chain, for method calls.
     pub recv: Option<(usize, usize)>,
     /// Token ranges `[start, end)` of each argument (top-level commas).
@@ -299,12 +301,20 @@ fn collect_calls(
             line: t.line,
             name_idx: i,
             is_method,
+            in_std: !is_method && is_std_path(toks, i),
             recv,
             args: split_args(toks, i + 2, close.saturating_sub(1)),
         });
         i += 1; // keep scanning inside the argument list for nested calls
     }
     calls
+}
+
+/// True when the path ending at `name_idx` (`a::b::name`) is rooted at
+/// `std`, `core` or `alloc`.
+fn is_std_path(toks: &[Token], name_idx: usize) -> bool {
+    let k = path_start(toks, name_idx);
+    k < name_idx && matches!(toks[k].text.as_str(), "std" | "core" | "alloc")
 }
 
 /// Splits `[start, end)` (the inside of an argument list) on top-level

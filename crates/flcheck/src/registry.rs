@@ -7,15 +7,13 @@
 //! pass in [`crate::PASSES`] (or from the per-file phase); nothing else
 //! lists rules by hand.
 
-/// One rule: identity, provenance and documentation.
+/// One rule: identity, emitting pass and documentation.
 #[derive(Debug)]
 pub struct Rule {
     /// Rule id, e.g. `pf-assert`.
     pub id: &'static str,
     /// Rule family, e.g. `panic-freedom`.
     pub family: &'static str,
-    /// PR that introduced the rule (`1`-based growth sequence).
-    pub since: u32,
     /// The pass that emits it: a [`crate::PASSES`] name, or `per_file`
     /// for the lexer-level rules of [`crate::check_file`].
     pub pass: &'static str,
@@ -32,7 +30,6 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "ct-branch",
         family: "ct-discipline",
-        since: 1,
         pass: "per_file",
         summary: "secret-dependent `if`/`match` inside a ct-fn",
         detail: "Inside a fn marked `// flcheck: ct-fn`, branching on a value \
@@ -45,7 +42,6 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "ct-compare",
         family: "ct-discipline",
-        since: 1,
         pass: "per_file",
         summary: "variable-time comparison on secret data in a ct-fn",
         detail: "`==`, `!=`, `<`, `>`, `.min()`, `.max()` and friends on secret \
@@ -58,7 +54,6 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "ct-return",
         family: "ct-discipline",
-        since: 1,
         pass: "per_file",
         summary: "early return inside a ct-fn",
         detail: "An early `return` inside a ct-fn makes execution time depend on \
@@ -69,7 +64,6 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "ct-shortcircuit",
         family: "ct-discipline",
-        since: 1,
         pass: "per_file",
         summary: "short-circuiting `&&`/`||` in a ct-fn",
         detail: "`&&` and `||` skip evaluating their right operand depending on \
@@ -80,7 +74,6 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "ct-taint",
         family: "ct-discipline",
-        since: 3,
         pass: "taint",
         summary: "secret value flowing into a variable-time operation",
         detail: "Interprocedural taint: values seeded by `// flcheck: secret(x)` \
@@ -92,73 +85,26 @@ pub const RULES: &[Rule] = &[
         example: "// flcheck: secret(key)\nfn seal(key: u64) -> u64 { whiten(key) }\nfn whiten(x: u64) -> u64 {\n    if x == 0 { return 1; } // ct-taint: `key` reached a branch via `whiten`\n    x\n}",
     },
     Rule {
-        id: "guard-across-steal",
+        id: "lock-leaf",
         family: "lock-discipline",
-        since: 5,
-        pass: "lockgraph",
-        summary: "pool worker holding its deque guard across park/steal",
-        detail: "A work-stealing worker that parks or steals from another deque \
-                 while still holding its own deque's guard can deadlock the pool: \
-                 the thief blocks on a lock whose owner is itself blocked. Guards \
-                 in the rayon shim must be dropped before blocking or stealing.",
-        example: "fn run(&self) {\n    let q = self.deques[w].lock();\n    park(); // guard-across-steal: `deques` held across blocking park\n}",
-    },
-    Rule {
-        id: "guard-escape",
-        family: "lock-discipline",
-        since: 6,
-        pass: "lockgraph",
-        summary: "lock guard escaping the analyzer's tracking",
-        detail: "The lock graph tracks guards from acquisition to drop. A guard \
-                 stored into a struct field or passed by value into an untracked \
-                 fn outlives what held-set analysis can see, so every downstream \
-                 deadlock check would be unsound. Returned guards are followed \
-                 into callers; other escapes must be restructured or allowed with \
-                 justification.",
-        example: "fn stash(&self) {\n    let g = self.inner.lock();\n    self.slot.guard = g; // guard-escape: stored in struct field\n}",
-    },
-    Rule {
-        id: "ld-wait",
-        family: "lock-discipline",
-        since: 1,
-        pass: "per_file",
-        summary: "guard held across a blocking `recv`/`join`",
-        detail: "A `let`-bound guard that is still live at a blocking `.recv()` / \
-                 `.recv_timeout()` / `.join()` keeps its lock held for the whole \
-                 wait, starving or deadlocking the lock's other users. Drop the \
-                 guard (scope it, or `drop(guard)`) before blocking.",
-        example: "let stats = self.stats.lock();\nlet msg = self.rx.recv(); // ld-wait: `stats` still held",
-    },
-    Rule {
-        id: "lock-across-hotpath",
-        family: "lock-discipline",
-        since: 5,
-        pass: "lockgraph",
-        summary: "guard held across a call chain reaching a MAC kernel",
-        detail: "Holding a lock across a call chain that reaches a hot-path \
-                 kernel (Montgomery multiply, CIOS squaring) serializes \
-                 the most parallel part of the workload: every other thread \
-                 queues behind a guard held for the kernel's full duration. \
-                 Charge/record under the guard, compute outside it.",
-        example: "fn hot(&self) {\n    let s = self.stats.lock();\n    helper(); // lock-across-hotpath: chain reaches mont_mul\n}",
-    },
-    Rule {
-        id: "lock-cycle",
-        family: "lock-discipline",
-        since: 5,
-        pass: "lockgraph",
-        summary: "cyclic lock-acquisition order across the workspace",
-        detail: "Builds the workspace lock graph from guard bindings, \
-                 `lock(a, b)` directives, and declared `lock-order` edges, \
-                 propagating held sets over the call graph. Any cycle means two \
-                 threads can each hold one lock and block on the other. The \
-                 finding reports the cycle with each edge's acquisition site.",
-        example: "// thread A: memory then stats; thread B: stats then memory\n// lock-cycle: gpu-sim::memory -> gpu-sim::stats -> gpu-sim::memory",
+        pass: "lock_leaf",
+        summary: "guard not a temporary, or held across a lock, wait or kernel",
+        detail: "Every lock is a leaf. An acquisition (`.lock()`, a zero-argument \
+                 `.read()` / `.write()`, a call to a fn named `lock`) must yield a \
+                 temporary guard: never `let`-bound, stored, passed by value or \
+                 returned (a fn named `lock` may return it, since calls to it are \
+                 acquisitions). Its held region — the rest of the statement, plus \
+                 the body of an `if let` / `match` / `for` it scrutinizes — must not \
+                 acquire again, block (`park`, `sleep`, `recv*`, `wait*`, `join`, \
+                 `yield_now`) or call anything whose chain does either or reaches a \
+                 hot-path kernel (`mont_mul`, `mont_sqr`, `mod_pow*`, `encrypt*`). \
+                 A thread then never holds two locks, so no order can deadlock, and \
+                 never stalls other threads behind a wait, a steal or a kernel.",
+        example: "fn send(&self) {\n    let s = self.stats.lock(); // lock-leaf: guard is let-bound\n    self.stats.lock().bump(self.rx.recv()); // lock-leaf: blocking `recv`\n}",
     },
     Rule {
         id: "lossy-narrow",
         family: "width",
-        since: 8,
         pass: "width",
         summary: "narrowing cast reaching codec geometry, op-cost, or net accounting",
         detail: "An `as` cast down the width lattice (u8 < u16 < u32 < u64 ≈ \
@@ -176,7 +122,6 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "nondet-in-result",
         family: "determinism",
-        since: 6,
         pass: "detflow",
         summary: "nondeterminism source flowing into a result constructor",
         detail: "Hash-order iteration, wall-clock reads, thread identity, and \
@@ -190,7 +135,6 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "pf-assert",
         family: "panic-freedom",
-        since: 1,
         pass: "per_file",
         summary: "assert!/assert_eq! on a library path",
         detail: "Asserts abort the process mid-epoch in a long-running training \
@@ -230,7 +174,6 @@ mod tests {
     fn every_row_is_documented_and_names_a_real_pass() {
         for r in RULES {
             assert!(!r.family.is_empty(), "{}: family", r.id);
-            assert!((1..=10).contains(&r.since), "{}: since", r.id);
             assert!(
                 !r.summary.is_empty() && r.summary.len() < 80,
                 "{}: summary must fit a table cell",
@@ -256,7 +199,7 @@ mod tests {
     #[test]
     fn lookup_finds_known_and_rejects_unknown() {
         assert_eq!(rule("pf-assert").unwrap().family, "panic-freedom");
-        assert_eq!(rule("lossy-narrow").unwrap().since, 8);
+        assert_eq!(rule("lock-leaf").unwrap().pass, "lock_leaf");
         assert!(rule("no-such-rule").is_none());
     }
 }

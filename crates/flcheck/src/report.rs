@@ -9,9 +9,10 @@
 //! [`crate::registry::RULES`] with an explicit count (zero included) —
 //! so a gate greping for one rule's count cannot silently miss a rule
 //! the analyzer stopped running. Schema 8 retired the closure-capture
-//! race family, and the unit-flow family after it (the compiler enforces
-//! both: DESIGN "Static analysis"); the second took two summary keys
-//! with it and left the shape alone.
+//! race family (the compiler enforces it: DESIGN "Static analysis");
+//! later retirements — the unit-flow rules, then the five lock-graph rules
+//! that `lock-leaf` replaced — changed which summary keys appear and left
+//! the shape alone.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -31,7 +32,7 @@ pub struct Finding {
     /// Human-readable explanation.
     pub message: String,
     /// Call chain for interprocedural findings (propagated `ct-taint`,
-    /// `lock-cycle`, ...), outermost first; empty for single-site findings.
+    /// `lock-leaf`, ...), outermost first; empty for single-site findings.
     pub chain: Vec<String>,
 }
 
@@ -207,7 +208,7 @@ mod tests {
     #[test]
     fn summary_enumerates_every_rule_with_zero_counts() {
         let r = Report {
-            findings: vec![Finding::new("lock-cycle", "a.rs", 1, "cycle")],
+            findings: vec![Finding::new("lock-leaf", "a.rs", 1, "bound guard")],
             files_scanned: 1,
         };
         let j = r.render_json();
@@ -217,10 +218,9 @@ mod tests {
                 "summary missing {rule}: {j}"
             );
         }
-        assert!(j.contains("\"lock-cycle\": 1"));
-        assert!(j.contains("\"ld-wait\": 0"));
+        assert!(j.contains("\"lock-leaf\": 1"));
+        assert!(j.contains("\"ct-taint\": 0"));
         assert!(j.contains("\"nondet-in-result\": 0"));
-        assert!(j.contains("\"guard-escape\": 0"));
         assert!(j.contains("\"lossy-narrow\": 0"));
     }
 

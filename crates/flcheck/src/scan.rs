@@ -3,8 +3,8 @@
 //! None of the passes parse Rust; they recover just enough statement
 //! structure from the bracket-balanced token stream — where a statement
 //! starts and ends, where a block header ends, what a `let` binds, where
-//! a bracket group opened. Those scans live here, once, so every pass
-//! agrees on what a "statement" is.
+//! a bracket group opened, where a path starts. Those scans live here,
+//! once, so every pass agrees on what a "statement" is.
 
 use crate::lexer::{TokKind, Token};
 
@@ -18,6 +18,16 @@ pub(crate) fn stmt_start(toks: &[Token], idx: usize) -> usize {
             break;
         }
         k -= 1;
+    }
+    k
+}
+
+/// Index of the first segment of the path ending at `idx`: `a` in
+/// `a::b::idx`, `idx` itself for a bare name.
+pub(crate) fn path_start(toks: &[Token], idx: usize) -> usize {
+    let mut k = idx;
+    while k >= 2 && toks[k - 1].is_op("::") && toks[k - 2].kind == TokKind::Ident {
+        k -= 2;
     }
     k
 }

@@ -8,10 +8,6 @@
 //! flcheck: secret(a, b)               mark params/locals of the next `fn` as secret
 //! flcheck: allow(rule-a, rule-b)      suppress rules on this line and the next
 //! flcheck: allow-file(rule-a)         suppress a rule for the whole file
-//! flcheck: lock-order(a < b < c)      declare a canonical lock acquisition order
-//! flcheck: lock(a, b)                 the next `fn` acquires and holds these locks
-//!                                     for its whole body (an acquire effect the
-//!                                     token scan cannot see, e.g. behind FFI)
 //! flcheck: det-sink                   the next `fn` produces result bytes
 //!                                     (report/ciphertext/bench content) that
 //!                                     must be deterministic at any thread count
@@ -42,9 +38,6 @@ pub struct Markers {
     /// `secret(..)`: parameters or locals whose values are secret (taint
     /// sources).
     pub secrets: Vec<String>,
-    /// `lock(..)`: locks the fn acquires and holds for its whole body (an
-    /// acquire effect).
-    pub locks: Vec<String>,
     /// `det-sink`: produces result bytes that must be deterministic at
     /// any thread count.
     pub is_det_sink: bool,
@@ -69,7 +62,6 @@ impl Markers {
         self.is_det_sink |= o.is_det_sink;
         self.is_det_absorb |= o.is_det_absorb;
         self.secrets.extend(o.secrets);
-        self.locks.extend(o.locks);
         self.nondets.extend(o.nondets);
         self.widen_ok.extend(o.widen_ok);
         self.narrows.extend(o.narrows);
@@ -91,15 +83,6 @@ pub struct FnSpan {
     pub marks: Markers,
 }
 
-/// A declared lock-order chain with the line it was declared on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LockOrder {
-    /// 1-based line of the `lock-order(..)` directive.
-    pub line: u32,
-    /// The chain, outermost first, e.g. `["memory", "stats"]`.
-    pub chain: Vec<String>,
-}
-
 /// A fully analyzed source file, ready for the rule passes.
 #[derive(Debug)]
 pub struct SourceFile {
@@ -111,8 +94,6 @@ pub struct SourceFile {
     pub allow_lines: BTreeMap<u32, BTreeSet<String>>,
     /// File-wide rule suppressions.
     pub allow_file: BTreeSet<String>,
-    /// Declared lock-order chains, e.g. `memory < stats`.
-    pub lock_orders: Vec<LockOrder>,
     /// Extracted function spans (including `is_ct` marking).
     pub fns: Vec<FnSpan>,
     /// Token-index ranges `[start, end)` that belong to test code.
@@ -128,7 +109,6 @@ impl SourceFile {
             tokens: lexed.tokens,
             allow_lines: BTreeMap::new(),
             allow_file: BTreeSet::new(),
-            lock_orders: Vec::new(),
             fns: Vec::new(),
             test_regions: Vec::new(),
         };
@@ -186,19 +166,12 @@ impl SourceFile {
                         rules.insert(rule.trim().to_string());
                     }
                 }
-            } else if let Some(args) = call("lock-order") {
-                let chain: Vec<String> = args.split('<').map(|s| s.trim().to_string()).collect();
-                if chain.len() >= 2 && chain.iter().all(|s| !s.is_empty()) {
-                    let line = c.line;
-                    self.lock_orders.push(LockOrder { line, chain });
-                }
             }
             let m = Markers {
                 is_ct: body.starts_with("ct-fn"),
                 is_det_sink: body.starts_with("det-sink"),
                 is_det_absorb: body.starts_with("det-absorb"),
                 secrets: names("secret"),
-                locks: names("lock"),
                 widen_ok: names("widen-ok"),
                 nondets: described("nondet"),
                 narrows: described("narrow"),
@@ -377,7 +350,7 @@ mod tests {
     fn directives_parse() {
         let src = "\
 // flcheck: allow-file(lossy-narrow)
-// flcheck: lock-order(memory < stats)
+// flcheck: allow-file(ct-taint, nondet-in-result)
 fn a() {
     assert!(x); // flcheck: allow(pf-assert)
 }
@@ -385,14 +358,8 @@ fn a() {
 fn b() {}
 ";
         let f = SourceFile::parse("x.rs", src);
-        assert!(f.allow_file.contains("lossy-narrow"));
-        assert_eq!(
-            f.lock_orders,
-            vec![LockOrder {
-                line: 2,
-                chain: vec!["memory".to_string(), "stats".to_string()],
-            }]
-        );
+        let whole: Vec<&str> = f.allow_file.iter().map(String::as_str).collect();
+        assert_eq!(whole, ["ct-taint", "lossy-narrow", "nondet-in-result"]);
         assert!(f.is_allowed("pf-assert", 4));
         assert!(!f.is_allowed("pf-assert", 3));
         let b = f.fns.iter().find(|f| f.name == "b").expect("fn b");
@@ -423,21 +390,6 @@ fn plain(x: u64) {}
         assert!(!ladder.marks.is_ct, "secret() does not imply ct-fn");
         let plain = f.fns.iter().find(|f| f.name == "plain").expect("plain");
         assert!(plain.marks.secrets.is_empty());
-    }
-
-    #[test]
-    fn lock_markers_attach_to_the_next_fn() {
-        let src = "\
-pub fn before() {}
-// flcheck: lock(deques, panic)
-fn drain_all() {}
-fn unmarked() {}
-";
-        let f = SourceFile::parse("x.rs", src);
-        let by_name = |n: &str| f.fns.iter().find(|f| f.name == n).expect(n);
-        assert_eq!(by_name("drain_all").marks.locks, vec!["deques", "panic"]);
-        assert!(by_name("before").marks.locks.is_empty());
-        assert!(by_name("unmarked").marks.locks.is_empty());
     }
 
     #[test]
@@ -487,17 +439,6 @@ fn unmarked() {}
     }
 
     #[test]
-    fn narrow_does_not_shadow_nondet_or_lock() {
-        // Prefix-dispatch sanity: `nondet(..)` and `lock(..)` still parse
-        // as themselves with the width directives in the chain.
-        let src = "// flcheck: nondet(ffi)\n// flcheck: lock(stats)\nfn f() {}\n";
-        let f = SourceFile::parse("x.rs", src);
-        assert_eq!(f.fns[0].marks.nondets, vec!["ffi"]);
-        assert_eq!(f.fns[0].marks.locks, vec!["stats"]);
-        assert!(f.fns[0].marks.narrows.is_empty() && f.fns[0].marks.widen_ok.is_empty());
-    }
-
-    #[test]
     fn empty_nondet_directive_is_ignored() {
         let src = "// flcheck: nondet( )\nfn f() {}\n";
         let f = SourceFile::parse("x.rs", src);
@@ -505,33 +446,22 @@ fn unmarked() {}
     }
 
     #[test]
-    fn lock_directive_does_not_shadow_lock_order() {
-        // `lock-order(..)` must still parse as an order declaration, not as
-        // a malformed `lock(..)` acquire-effect marker.
-        let src = "// flcheck: lock-order(a < b)\nfn f() {}\n";
-        let f = SourceFile::parse("x.rs", src);
-        assert_eq!(f.lock_orders.len(), 1);
-        assert!(f.fns[0].marks.locks.is_empty());
-    }
-
-    #[test]
     fn directives_inside_block_comments_do_not_register() {
-        // A lock(..) directive quoted inside a (nested) block comment is
-        // prose, not a marker: it must not attach an acquire effect to
-        // the next fn.
+        // A secret(..) directive quoted inside a (nested) block comment is
+        // prose, not a marker: it must not seed taint in the next fn.
         let src = "\
-/* discussion: /* flcheck: lock(table) */ see the directive grammar */
+/* discussion: /* flcheck: secret(table) */ see the directive grammar */
 fn f() {}
-// flcheck: lock(stats)
+// flcheck: secret(stats)
 fn g() {}
 ";
         let f = SourceFile::parse("x.rs", src);
         assert!(
-            f.fns[0].marks.locks.is_empty(),
+            f.fns[0].marks.secrets.is_empty(),
             "{:?}",
-            f.fns[0].marks.locks
+            f.fns[0].marks.secrets
         );
-        assert_eq!(f.fns[1].marks.locks, vec!["stats".to_string()]);
+        assert_eq!(f.fns[1].marks.secrets, vec!["stats".to_string()]);
     }
 
     #[test]

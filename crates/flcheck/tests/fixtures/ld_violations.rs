@@ -1,6 +1,6 @@
-//! Fixture: lock-discipline violations against a declared order.
+//! Fixture: lock-discipline violations — an inverted acquisition order
+//! and a guard held across a blocking `recv`.
 
-// flcheck: lock-order(table < counters)
 
 pub struct Dev {
     table: Mutex<u64>,

@@ -1,22 +1,12 @@
 //! The simulated device: kernel launches, transfers, and accounting.
-//!
-//! Lock discipline: the memory table is always acquired before the stats
-//! accumulator so the two can never deadlock against each other.
-
-// flcheck: lock-order(memory < stats)
 
 use parking_lot::Mutex;
 use rayon::prelude::*;
 
 use crate::config::DeviceConfig;
 use crate::kernel::{ItemOutcome, KernelSpec, LaunchReport};
-use crate::memory::{DevicePtr, MemoryError, MemoryTable};
 use crate::resource::ResourceManager;
 use crate::stats::DeviceStats;
-
-/// Device heap size used when none is specified (matches the RTX 3090's
-/// 24 GB of GDDR6X).
-const DEFAULT_HEAP_BYTES: u64 = 24 * 1024 * 1024 * 1024;
 
 /// Compute-slowdown factor for a divergent warp whose branches the
 /// resource manager recombines (small residual cost) versus lets split
@@ -35,7 +25,6 @@ const SPLIT_BRANCH_PENALTY: f64 = 2.0;
 pub struct Device {
     config: DeviceConfig,
     manager: ResourceManager,
-    memory: Mutex<MemoryTable>,
     stats: Mutex<DeviceStats>,
 }
 
@@ -48,15 +37,9 @@ impl Device {
     /// Creates a device with an explicit resource manager (used by the
     /// resource-manager ablation bench).
     pub fn with_manager(config: DeviceConfig, manager: ResourceManager) -> Self {
-        let heap = if config.name == "test-tiny" {
-            1 << 20
-        } else {
-            DEFAULT_HEAP_BYTES
-        };
         Device {
             config,
             manager,
-            memory: Mutex::new(MemoryTable::new(heap)),
             stats: Mutex::new(DeviceStats::default()),
         }
     }
@@ -69,16 +52,6 @@ impl Device {
     /// The active resource manager.
     pub fn manager(&self) -> &ResourceManager {
         &self.manager
-    }
-
-    /// Allocates device memory through the resource manager's table.
-    pub fn alloc(&self, len: u64) -> Result<DevicePtr, MemoryError> {
-        self.memory.lock().alloc(len)
-    }
-
-    /// Frees a device allocation (the mark is retained for reuse).
-    pub fn free(&self, ptr: DevicePtr) -> Result<(), MemoryError> {
-        self.memory.lock().free(ptr)
     }
 
     /// Launches `spec` over `items`, transferring `bytes_in` to the device
@@ -176,16 +149,12 @@ impl Device {
         (outputs, report)
     }
 
-    /// Snapshot of accumulated statistics (memory counters refreshed).
+    /// Snapshot of accumulated statistics.
     pub fn stats(&self) -> DeviceStats {
-        // Declared order: memory before stats.
-        let memory = self.memory.lock().counters();
-        let mut s = self.stats.lock().clone();
-        s.memory = memory;
-        s
+        self.stats.lock().clone()
     }
 
-    /// Clears accumulated launch statistics (memory table is untouched).
+    /// Clears accumulated launch statistics.
     pub fn reset_stats(&self) {
         *self.stats.lock() = DeviceStats::default();
     }
@@ -299,16 +268,6 @@ mod tests {
         assert_eq!(s.thread_ops, 45);
         d.reset_stats();
         assert_eq!(d.stats().launches, 0);
-    }
-
-    #[test]
-    fn device_memory_flows_through_table() {
-        let d = device();
-        let p = d.alloc(512).unwrap();
-        d.free(p).unwrap();
-        let q = d.alloc(512).unwrap();
-        assert_eq!(p.addr, q.addr);
-        assert_eq!(d.stats().memory.reuse_hits, 1);
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //!   branch divergence, register pressure, and host↔device transfer bytes
 //!   exactly as the real launch would.
 //! - [`resource::ResourceManager`] implements the paper's manager: a table
-//!   of known-good block sizes, a marked memory table that recycles device
-//!   allocations, per-task register budgeting, and branch combining.
+//!   of known-good block sizes, per-task register budgeting, and branch
+//!   combining. The manager's marked memory table (Sec. IV-A2) is not
+//!   modeled: no launch keeps data on the device between calls, and
+//!   transfers are charged by the bytes each launch moves in and out.
 //!
 //! What this preserves from the paper: the *relative* behaviour that the
 //! evaluation measures — GPU-parallel HE beating CPU HE by orders of
@@ -30,7 +32,6 @@
 mod config;
 mod device;
 pub mod kernel;
-pub mod memory;
 pub mod resource;
 pub mod stats;
 

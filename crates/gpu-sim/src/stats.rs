@@ -1,7 +1,6 @@
 //! Accumulated device statistics.
 
 use crate::kernel::LaunchReport;
-use crate::memory::MemoryCounters;
 
 /// One utilization observation, tagged by kernel.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,8 +38,6 @@ pub struct DeviceStats {
     pub thread_ops: u64,
     /// Per-launch utilization samples.
     pub utilization_samples: Vec<UtilizationSample>,
-    /// Memory-table counters snapshot (refreshed on read).
-    pub memory: MemoryCounters,
 }
 
 impl DeviceStats {

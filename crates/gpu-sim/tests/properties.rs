@@ -1,27 +1,9 @@
-//! Property-based tests for the GPU execution model: memory-table
-//! conservation and launch-plan feasibility.
+//! Property-based tests for the GPU execution model: launch-plan
+//! feasibility.
 
-use gpu_sim::memory::MemoryTable;
 use gpu_sim::resource::{OccupancyLimit, ResourceManager};
 use gpu_sim::{DeviceConfig, KernelSpec};
 use proptest::prelude::*;
-
-/// Random alloc/free scripts against the memory table.
-#[derive(Debug, Clone)]
-enum MemOp {
-    Alloc(u64),
-    FreeNth(usize),
-}
-
-fn mem_ops() -> impl Strategy<Value = Vec<MemOp>> {
-    proptest::collection::vec(
-        prop_oneof![
-            (1u64..4096).prop_map(MemOp::Alloc),
-            (0usize..64).prop_map(MemOp::FreeNth),
-        ],
-        1..80,
-    )
-}
 
 fn arb_spec() -> impl Strategy<Value = KernelSpec> {
     (1u32..=64, 1u32..=255, 0u32..=48 * 1024, 0.0f64..=1.0).prop_map(|(lanes, regs, smem, div)| {
@@ -37,42 +19,6 @@ fn arb_spec() -> impl Strategy<Value = KernelSpec> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn memory_table_conserves_bytes(ops in mem_ops()) {
-        let mut table = MemoryTable::new(1 << 20);
-        let mut live: Vec<gpu_sim::memory::DevicePtr> = Vec::new();
-        let mut expected_in_use = 0u64;
-        for op in ops {
-            match op {
-                MemOp::Alloc(len) => {
-                    if let Ok(ptr) = table.alloc(len) {
-                        expected_in_use += len;
-                        live.push(ptr);
-                    }
-                }
-                MemOp::FreeNth(i) => {
-                    if !live.is_empty() {
-                        let ptr = live.swap_remove(i % live.len());
-                        table.free(ptr).expect("live pointer frees cleanly");
-                        expected_in_use -= ptr.len;
-                    }
-                }
-            }
-            prop_assert_eq!(table.bytes_in_use(), expected_in_use);
-            prop_assert!(table.counters().peak_bytes >= table.bytes_in_use());
-        }
-        // No two live allocations overlap.
-        let mut regions: Vec<(u64, u64)> = live.iter().map(|p| (p.addr, p.addr + p.len)).collect();
-        regions.sort_unstable();
-        for w in regions.windows(2) {
-            prop_assert!(w[0].1 <= w[1].0, "overlap: {:?}", w);
-        }
-        // Everything fits the heap.
-        for (_, end) in &regions {
-            prop_assert!(*end <= table.capacity());
-        }
-    }
 
     #[test]
     fn launch_plans_are_always_feasible(spec in arb_spec(), items in 0usize..2_000_000) {

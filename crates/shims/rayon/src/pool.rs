@@ -22,8 +22,6 @@
 //! worker has drained. Nothing is poisoned — the next drive starts from
 //! fresh deques.
 
-// flcheck: lock-order(deques < panic)
-
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -248,11 +246,8 @@ where
         match panic::catch_unwind(AssertUnwindSafe(|| f(idx))) {
             Ok(value) => out.push((idx, value)),
             Err(payload) => {
-                let mut slot = shared.panic.lock();
-                if slot.is_none() {
-                    *slot = Some(payload);
-                }
-                drop(slot);
+                // The first payload stays; a later one is dropped.
+                shared.panic.lock().get_or_insert(payload);
                 shared.stop.store(true, Ordering::Relaxed);
             }
         }

@@ -45,7 +45,7 @@ fn main() -> ExitCode {
             "--explain" => match args.next() {
                 Some(v) => match registry::rule(&v) {
                     Some(doc) => {
-                        println!("{} ({} family, since PR {})", doc.id, doc.family, doc.since);
+                        println!("{} ({} family)", doc.id, doc.family);
                         println!();
                         println!("{}", doc.detail);
                         println!();
@@ -70,8 +70,7 @@ fn main() -> ExitCode {
                     "usage: flcheck [--root DIR] [--json FILE] [--rule NAME] [--quiet]\n\
                      \x20      flcheck --rules | --explain RULE\n\
                      Static analysis: constant-time discipline, panic freedom, \
-                     lock discipline, cost-model conformance, determinism flow, \
-                     width conformance.\n\
+                     leaf locks, determinism flow, width conformance.\n\
                      --rule NAME    keep only findings for this rule id (repeatable)\n\
                      --rules        print every rule id, one per line\n\
                      --explain RULE print a rule's description and example"

@@ -220,12 +220,12 @@ fn flcheck_rules_flag_prints_the_registry() {
 #[test]
 fn readme_rule_table_is_the_registry() {
     // The README all-rules table is written by hand; every row (id,
-    // family, PR, summary) must equal the registry's, in registry order.
+    // family, summary) must equal the registry's, in registry order.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let readme = std::fs::read_to_string(root.join("README.md")).expect("README.md");
     let rows: Vec<Vec<&str>> = readme
         .lines()
-        .skip_while(|l| !l.starts_with("| Rule | Family | Since |"))
+        .skip_while(|l| !l.starts_with("| Rule | Family |"))
         .skip(2)
         .take_while(|l| l.starts_with('|'))
         // ` | ` as the separator: a summary may contain a bare `|`.
@@ -237,7 +237,6 @@ fn readme_rule_table_is_the_registry() {
             vec![
                 format!("`{}`", r.id),
                 r.family.to_string(),
-                format!("PR {}", r.since),
                 r.summary.to_string(),
             ]
         })
@@ -399,7 +398,7 @@ fn wall_clock_has_one_home() {
         ("codec", 4),
         ("core", 4),
         ("fl", 10),
-        ("gpu-sim", 7),
+        ("gpu-sim", 6),
     ] {
         let files = collect_files(&crates.join(name).join("src")).expect("crate walk");
         assert!(files.len() >= at_least, "{name}: {} files", files.len());
@@ -469,7 +468,7 @@ fn product_code_stays_off_the_unchecked_homomorphic_pair() {
     // `he` no non-test code calls a method by either name. Lexed: a call
     // is `.name(` or `::name(`, whatever the receiver.
     let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
-    for (name, at_least) in [("fl", 10), ("core", 4), ("gpu-sim", 7), ("codec", 4)] {
+    for (name, at_least) in [("fl", 10), ("core", 4), ("gpu-sim", 6), ("codec", 4)] {
         let files = collect_files(&crates.join(name).join("src")).expect("crate walk");
         assert!(files.len() >= at_least, "{name}: {} files", files.len());
         for path in &files {
