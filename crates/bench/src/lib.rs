@@ -16,7 +16,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::sync::OnceLock;
 
@@ -175,8 +175,8 @@ pub fn bench_dataset(kind: DatasetKind, preset: Preset) -> Dataset {
 /// cache lock: two threads that miss together generate the same keys, and
 /// the first insert wins.
 pub fn shared_keys(key_bits: u32) -> PaillierKeyPair {
-    static CACHE: OnceLock<Mutex<HashMap<u32, PaillierKeyPair>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
+    static CACHE: OnceLock<Mutex<BTreeMap<u32, PaillierKeyPair>>> = OnceLock::new();
+    let cache = CACHE.get_or_init(|| Mutex::new(BTreeMap::new()));
     let cached = cache
         .lock()
         .expect("key cache poisoned")
@@ -218,7 +218,7 @@ pub const PARTICIPANTS: u32 = 4;
 /// Minimal flag parser: `--name value` pairs plus bare flags.
 #[derive(Debug, Default)]
 pub struct Args {
-    values: HashMap<String, String>,
+    values: BTreeMap<String, String>,
     flags: Vec<String>,
 }
 

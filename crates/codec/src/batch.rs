@@ -86,7 +86,6 @@ impl BatchCodec {
     /// (Eq. 9 layout: slot `i` of a word occupies bits
     /// `[i·(r+b), (i+1)·(r+b))`).
     // flcheck: secret(values)
-    // flcheck: det-sink — packed plaintext words become ciphertext bytes
     // Slot indices are bounded by `slots_per_word`, itself bounded by the
     // plaintext bit budget (≪ 2^32), so the index cast cannot truncate.
     // flcheck: widen-ok(i)
@@ -123,7 +122,6 @@ impl BatchCodec {
     /// Unpacks `count` slots, each holding the sum of `terms` quantized
     /// values (the post-aggregation decode path). Fails if `terms` exceeds
     /// the guard-bit capacity.
-    // flcheck: det-sink — decoded aggregate values are result content
     // Slot indices are bounded by `slots_per_word` (≪ 2^32): no truncation.
     // flcheck: widen-ok(slot)
     pub fn unpack_sums(&self, words: &[Natural], count: usize, terms: u32) -> Result<Vec<f64>> {

@@ -357,7 +357,6 @@ impl Accelerator {
     /// clients. Callers must charge the returned timing themselves (the
     /// engine charges it to the epoch breakdown).
     // flcheck: secret(values)
-    // flcheck: det-sink — EncryptedVector construction
     pub fn encrypt_timed(
         &self,
         values: &[f64],
@@ -466,7 +465,6 @@ impl Accelerator {
     /// One aggregator node's fold over its fan-in: one launch and one
     /// charge, whatever the fan-in (a single vector passes through
     /// uncharged), parallel over slots.
-    // flcheck: det-sink — aggregate EncryptedVector construction
     fn fold_chain(&self, vectors: &[EncryptedVector]) -> Result<EncryptedVector> {
         let (first, rest) = match vectors {
             [] => return Ok(EncryptedVector::default()),
@@ -494,7 +492,6 @@ impl Accelerator {
     /// [`topology`](Self::topology) — one group when flat — and upper
     /// levels only add partials. Key identity is checked per ciphertext,
     /// so cross-key mixes fail loudly in release builds too.
-    // flcheck: det-sink — weighted aggregate construction
     pub fn aggregate_weighted(
         &self,
         vectors: &[EncryptedVector],
@@ -533,7 +530,6 @@ impl Accelerator {
     /// engine performs each time a ciphertext arrives at an aggregator
     /// node; the engine charges the returned timing itself. Vectors of
     /// different sizes are a [`flbooster_core::Error::LengthMismatch`].
-    // flcheck: det-sink — aggregate EncryptedVector construction
     pub fn add_timed(
         &self,
         acc: &EncryptedVector,

@@ -383,6 +383,10 @@ pub fn run_round(
     // function of (values, seed), so the vector is thread-count
     // invariant. Timings come back per client instead of through the
     // shared accumulator.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "drive home: the round's client fan-out"
+    )]
     let encrypted: Vec<Result<_>> = parties
         .par_iter()
         .enumerate()

@@ -3,7 +3,7 @@
 
 use fl::data::generators::DatasetSpec;
 use fl::data::{horizontal_split, vertical_split, Dataset, SparseRow};
-use fl::engine::{run_round, EngineConfig};
+use fl::engine::{run_round, ClientPhase, EngineConfig};
 use fl::train::{FlEnv, TrainConfig};
 use fl::{Accelerator, AggregationTopology, BackendKind, EpochBreakdown, Network, NetworkConfig};
 use he::paillier::PaillierKeyPair;
@@ -214,6 +214,37 @@ proptest! {
         }
         let total = breakdown.total_seconds();
         prop_assert!((breakdown.phases.total() - total).abs() <= 1e-9 * total);
+        // One phase per client at a time: a survivor's stamps are in phase
+        // order and it ends `Finished`, and when anyone dropped the server
+        // waited for the deadline before broadcasting. A dropped client
+        // ends `Dropped` with no stamp past its encryption.
+        let mut last_decrypt = 0.0f64;
+        for &k in &survivors {
+            let t = &out.timelines[k];
+            prop_assert_eq!(t.phase, ClientPhase::Finished);
+            let stamps = [
+                t.compute_done,
+                t.encrypt_done,
+                t.uplink_start,
+                t.uplink_done,
+                t.downlink_done,
+                t.decrypt_done,
+            ];
+            prop_assert!(stamps.windows(2).all(|w| w[0] <= w[1]), "client {}: {:?}", k, stamps);
+            if let (Some(deadline), false) = (timeout, dropped.is_empty()) {
+                prop_assert!(t.downlink_done >= deadline, "client {} before {}", k, deadline);
+            }
+            last_decrypt = last_decrypt.max(t.decrypt_done);
+        }
+        for &k in &dropped {
+            let t = &out.timelines[k];
+            prop_assert_eq!(t.phase, ClientPhase::Dropped);
+            prop_assert_eq!([t.uplink_start, t.uplink_done, t.downlink_done, t.decrypt_done], [0.0; 4]);
+        }
+        // A pipelined round lasts until its last survivor has decrypted.
+        if pipelined {
+            prop_assert_eq!(out.round_seconds.to_bits(), last_decrypt.to_bits());
+        }
         // The link carried every delivered payload once, plus one copy per
         // retry, which only a lossy link makes.
         let net = env.network.stats();

@@ -12,7 +12,7 @@
 //! the scan set) simply have no edge — the graph is a *may-call*
 //! over-approximation restricted to first-party code.
 //!
-//! Walking is written once: [`CallGraph::bfs`] is the only breadth-first
+//! Walking is written once: `CallGraph::walk` is the only breadth-first
 //! search (deterministic — seeds in slice order, edges in call-site
 //! order — so every reported chain is a reproducible shortest path), and
 //! [`CallGraph::forward_reach`] / [`CallGraph::backward_reach`] /
@@ -53,15 +53,15 @@ enum Dir {
 
 /// Result of a breadth-first walk: discovery order (seeds first) and
 /// the predecessor of every non-seed node reached.
-pub(crate) struct Bfs {
+struct Bfs {
     /// Every node reached, in discovery order.
-    pub(crate) order: Vec<NodeId>,
+    order: Vec<NodeId>,
     pred: BTreeMap<NodeId, NodeId>,
 }
 
 impl Bfs {
     /// The walked path `seed -> .. -> n`, both endpoints included.
-    pub(crate) fn path_from(&self, n: NodeId) -> Vec<NodeId> {
+    fn path_from(&self, n: NodeId) -> Vec<NodeId> {
         let mut path = vec![n];
         let mut at = n;
         while let Some(&p) = self.pred.get(&at) {
@@ -132,12 +132,6 @@ impl CallGraph {
         Bfs { order, pred }
     }
 
-    /// Breadth-first search down call edges from `seeds`, with the
-    /// predecessor tree.
-    pub(crate) fn bfs(&self, seeds: &[NodeId], skip: impl Fn(NodeId) -> bool) -> Bfs {
-        self.walk(Dir::Callees, seeds, skip)
-    }
-
     /// Forward closure: the seeds plus everything they transitively
     /// call, never entering a node `skip` rejects.
     pub(crate) fn forward_reach(
@@ -175,7 +169,7 @@ impl CallGraph {
         start: NodeId,
         target: impl Fn(NodeId) -> bool,
     ) -> Option<Vec<NodeId>> {
-        let tree = self.bfs(&[start], |_| false);
+        let tree = self.walk(Dir::Callees, &[start], |_| false);
         let hit = tree.order.iter().copied().find(|&n| target(n))?;
         Some(tree.path_from(hit))
     }

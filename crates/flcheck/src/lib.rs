@@ -6,7 +6,7 @@
 //! simulator and pipeline are concurrent, and every library crate is
 //! consumed by long-running training jobs that must not abort mid-epoch.
 //! flcheck checks the disciplines rustc and clippy cannot — constant-time
-//! code, release asserts, leaf locks, result determinism, integer width —
+//! code, release asserts, leaf locks, integer width —
 //! with a hand-rolled lexer and zero external dependencies (the build
 //! environment has no registry access). What rustc *can* check it leaves
 //! to rustc: data-race freedom of closures crossing the work-stealing pool
@@ -21,7 +21,9 @@
 //! `crates/he/tests/golden_schedule.rs`. What clippy can check it leaves
 //! to clippy: `unwrap`, `expect`, the `panic!` family and indexing in the
 //! library crates are denied by the root manifest's
-//! `[workspace.lints.clippy]` table.
+//! `[workspace.lints.clippy]` table, and hash collections, clocks,
+//! thread-width reads, pool drives outside their four homes and the
+//! unchecked ciphertext ops are banned by `crates/clippy.toml`.
 //!
 //! The design is three layers:
 //!
@@ -32,14 +34,14 @@
 //!   [`check_workspace_with_stats`] runs the per-file phase
 //!   ([`check_file`]: the lexer-level ct- and `pf-assert` rules, see
 //!   [`rules`]), builds the [`callgraph`], then runs the list in order.
-//! - The passes ([`taint`], [`detflow`], [`rules::check_lock_leaf`],
-//!   [`width`]) share one call-graph walk ([`callgraph::CallGraph::bfs`]
-//!   and its closures) and one token-statement scanner (`scan`), and
-//!   report full call chains.
+//! - The passes ([`taint`], [`rules::check_lock_leaf`], [`width`]) share
+//!   one call-graph walk (the closures and paths of
+//!   [`callgraph::CallGraph`]) and one token-statement scanner (`scan`),
+//!   and report full call chains.
 //!
 //! See [`source`] for the directive grammar (`ct-fn`, `secret(..)`,
-//! `det-sink`, `det-absorb`, `nondet(..)`, `widen-ok(..)`, and `narrow(..)`
-//! markers, `allow` / `allow-file` suppressions).
+//! `widen-ok(..)` and `narrow(..)` markers, `allow` / `allow-file`
+//! suppressions).
 //!
 //! The analyzer's own sources are excluded from the default walk: they
 //! discuss directives and violations in documentation and fixtures, and
@@ -51,9 +53,14 @@
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "a dev tool: its report is sorted whatever the pool width, and only \
+              `ScanStats` reads the clock"
+)]
 
 pub mod callgraph;
-pub mod detflow;
 pub mod lexer;
 pub mod parse;
 pub mod registry;
@@ -117,7 +124,6 @@ pub type Pass = fn(&[ParsedFile], &CallGraph, &mut Vec<Finding>);
 /// rule's [`registry::Rule::pass`] names the entry that emits it.
 pub const PASSES: &[(&str, Pass)] = &[
     ("taint", taint::check_taint),
-    ("detflow", detflow::check_detflow),
     ("lock_leaf", rules::check_lock_leaf),
     ("width", width::check_width),
 ];

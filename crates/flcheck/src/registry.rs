@@ -120,19 +120,6 @@ pub const RULES: &[Rule] = &[
         example: "fn pack(values: &[u64], slots: usize) -> u32 {\n    (slots * values.len()) as u32 // lossy-narrow: geometry overflows at scale\n}",
     },
     Rule {
-        id: "nondet-in-result",
-        family: "determinism",
-        pass: "detflow",
-        summary: "nondeterminism source flowing into a result constructor",
-        detail: "Hash-order iteration, wall-clock reads, thread identity, and \
-                 declared `nondet(..)` sources are propagated over the call graph. \
-                 Reaching a `det-sink` result constructor means reported numbers \
-                 can differ run to run — the bit-identical-output invariant every \
-                 bench gate relies on breaks. `det-absorb` marks fns that consume \
-                 nondeterminism without letting it into results (e.g. stopwatches).",
-        example: "fn summarize(m: &HashMap<u32, u64>) -> u64 {\n    m.values().sum() // nondet-in-result when this feeds a det-sink\n}",
-    },
-    Rule {
         id: "pf-assert",
         family: "panic-freedom",
         pass: "per_file",

@@ -220,7 +220,7 @@ mod tests {
         }
         assert!(j.contains("\"lock-leaf\": 1"));
         assert!(j.contains("\"ct-taint\": 0"));
-        assert!(j.contains("\"nondet-in-result\": 0"));
+        assert!(j.contains("\"pf-assert\": 0"));
         assert!(j.contains("\"lossy-narrow\": 0"));
     }
 

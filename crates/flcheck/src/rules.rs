@@ -732,7 +732,10 @@ impl P {
 ";
         let got = leaf_lines(src);
         let want = [
-            (3, "guard of `m` in `register` is passed by value to `watch`"),
+            (
+                3,
+                "guard of `m` in `register` is passed by value to `watch`",
+            ),
             (6, "guard of `m` in `second` is passed by value to `pair`"),
             (9, "guard of `m` in `method` is passed by value to `push`"),
         ];
@@ -816,8 +819,14 @@ impl C {
 ";
         let got = leaf_lines(src);
         let want = [
-            (3, "guard of `a` in `ab` is held across a second acquisition"),
-            (6, "guard of `b` in `ba` is held across a second acquisition"),
+            (
+                3,
+                "guard of `a` in `ab` is held across a second acquisition",
+            ),
+            (
+                6,
+                "guard of `b` in `ba` is held across a second acquisition",
+            ),
         ];
         assert_eq!(got.len(), want.len(), "{got:?}");
         for ((line, msg), (want_line, want_msg)) in got.iter().zip(want) {

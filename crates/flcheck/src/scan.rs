@@ -2,8 +2,8 @@
 //!
 //! None of the passes parse Rust; they recover just enough statement
 //! structure from the bracket-balanced token stream — where a statement
-//! starts and ends, where a block header ends, what a `let` binds, where
-//! a bracket group opened, where a path starts. Those scans live here,
+//! starts and ends, where a block header ends, where a bracket group
+//! opened, where a path starts. Those scans live here,
 //! once, so every pass agrees on what a "statement" is.
 
 use crate::lexer::{TokKind, Token};
@@ -66,18 +66,6 @@ pub(crate) fn header_end(toks: &[Token], s: usize, limit: usize) -> usize {
         }
     }
     limit
-}
-
-/// The name bound by the statement containing `idx` when it has the
-/// shape `let [mut] NAME ..`.
-pub(crate) fn let_name(toks: &[Token], idx: usize) -> Option<&str> {
-    let k = stmt_start(toks, idx);
-    if !toks.get(k)?.is_ident("let") {
-        return None;
-    }
-    let j = k + 1 + usize::from(toks.get(k + 1)?.is_ident("mut"));
-    let name = toks.get(j)?;
-    (name.kind == TokKind::Ident).then_some(name.text.as_str())
 }
 
 /// Keywords that may legally precede a `[` without it being an indexing
@@ -157,15 +145,6 @@ mod tests {
         let t = toks("if f(|x| { x }) == y { body }");
         let end = header_end(&t, 1, t.len());
         assert_eq!(t[end + 1].text, "body");
-    }
-
-    #[test]
-    fn let_name_sees_through_mut_and_rejects_patterns() {
-        let t = toks("{ let a = 1; let mut b = 2; let (c, d) = e; f = 3; }");
-        assert_eq!(let_name(&t, at(&t, "1")), Some("a"));
-        assert_eq!(let_name(&t, at(&t, "2")), Some("b"));
-        assert_eq!(let_name(&t, at(&t, "e")), None);
-        assert_eq!(let_name(&t, at(&t, "3")), None);
     }
 
     #[test]

@@ -8,15 +8,6 @@
 //! flcheck: secret(a, b)               mark params/locals of the next `fn` as secret
 //! flcheck: allow(rule-a, rule-b)      suppress rules on this line and the next
 //! flcheck: allow-file(rule-a)         suppress a rule for the whole file
-//! flcheck: det-sink                   the next `fn` produces result bytes
-//!                                     (report/ciphertext/bench content) that
-//!                                     must be deterministic at any thread count
-//! flcheck: det-absorb                 the next `fn` only *measures*
-//!                                     nondeterminism (timings, pool width);
-//!                                     its sources never reach result bytes
-//! flcheck: nondet(description)        the next `fn` contains a nondeterminism
-//!                                     source the token scan cannot see
-//!                                     (e.g. behind FFI); repeatable
 //! flcheck: widen-ok(a, b)             narrowing `as` casts in the next `fn`
 //!                                     whose source expression mentions one of
 //!                                     these identifiers are value-range safe
@@ -38,15 +29,6 @@ pub struct Markers {
     /// `secret(..)`: parameters or locals whose values are secret (taint
     /// sources).
     pub secrets: Vec<String>,
-    /// `det-sink`: produces result bytes that must be deterministic at
-    /// any thread count.
-    pub is_det_sink: bool,
-    /// `det-absorb`: measures nondeterminism without letting it reach
-    /// result bytes.
-    pub is_det_absorb: bool,
-    /// `nondet(..)` descriptions: opaque nondeterminism sources the token
-    /// scan cannot see.
-    pub nondets: Vec<String>,
     /// `widen-ok(..)` identifiers: narrowing casts whose source
     /// expression mentions one are exempt (the quantity is known to fit).
     pub widen_ok: Vec<String>,
@@ -59,10 +41,7 @@ impl Markers {
     /// Accumulates another directive's facts onto the same fn.
     fn merge(&mut self, o: Markers) {
         self.is_ct |= o.is_ct;
-        self.is_det_sink |= o.is_det_sink;
-        self.is_det_absorb |= o.is_det_absorb;
         self.secrets.extend(o.secrets);
-        self.nondets.extend(o.nondets);
         self.widen_ok.extend(o.widen_ok);
         self.narrows.extend(o.narrows);
     }
@@ -169,11 +148,8 @@ impl SourceFile {
             }
             let m = Markers {
                 is_ct: body.starts_with("ct-fn"),
-                is_det_sink: body.starts_with("det-sink"),
-                is_det_absorb: body.starts_with("det-absorb"),
                 secrets: names("secret"),
                 widen_ok: names("widen-ok"),
-                nondets: described("nondet"),
                 narrows: described("narrow"),
             };
             if m != Markers::default() {
@@ -350,7 +326,7 @@ mod tests {
     fn directives_parse() {
         let src = "\
 // flcheck: allow-file(lossy-narrow)
-// flcheck: allow-file(ct-taint, nondet-in-result)
+// flcheck: allow-file(ct-taint, lock-leaf)
 fn a() {
     assert!(x); // flcheck: allow(pf-assert)
 }
@@ -359,7 +335,7 @@ fn b() {}
 ";
         let f = SourceFile::parse("x.rs", src);
         let whole: Vec<&str> = f.allow_file.iter().map(String::as_str).collect();
-        assert_eq!(whole, ["ct-taint", "lossy-narrow", "nondet-in-result"]);
+        assert_eq!(whole, ["ct-taint", "lock-leaf", "lossy-narrow"]);
         assert!(f.is_allowed("pf-assert", 4));
         assert!(!f.is_allowed("pf-assert", 3));
         let b = f.fns.iter().find(|f| f.name == "b").expect("fn b");
@@ -393,31 +369,6 @@ fn plain(x: u64) {}
     }
 
     #[test]
-    fn determinism_markers_attach_to_the_next_fn() {
-        let src = "\
-// flcheck: det-sink
-pub fn render_json() -> String { String::new() }
-// flcheck: det-absorb
-fn record_timing() {}
-// flcheck: nondet(os entropy via getrandom)
-// flcheck: nondet(cpu frequency scaling)
-fn opaque_source() {}
-fn unmarked() {}
-";
-        let f = SourceFile::parse("x.rs", src);
-        let by_name = |n: &str| f.fns.iter().find(|f| f.name == n).expect(n);
-        assert!(by_name("render_json").marks.is_det_sink);
-        assert!(!by_name("render_json").marks.is_det_absorb);
-        assert!(by_name("record_timing").marks.is_det_absorb);
-        assert_eq!(
-            by_name("opaque_source").marks.nondets,
-            vec!["os entropy via getrandom", "cpu frequency scaling"]
-        );
-        let u = by_name("unmarked");
-        assert!(!u.marks.is_det_sink && !u.marks.is_det_absorb && u.marks.nondets.is_empty());
-    }
-
-    #[test]
     fn width_markers_attach_to_the_next_fn() {
         let src = "\
 // flcheck: widen-ok(slot_bits, r_bits)
@@ -439,10 +390,10 @@ fn unmarked() {}
     }
 
     #[test]
-    fn empty_nondet_directive_is_ignored() {
-        let src = "// flcheck: nondet( )\nfn f() {}\n";
+    fn empty_narrow_directive_is_ignored() {
+        let src = "// flcheck: narrow( )\nfn f() {}\n";
         let f = SourceFile::parse("x.rs", src);
-        assert!(f.fns[0].marks.nondets.is_empty());
+        assert!(f.fns[0].marks.narrows.is_empty());
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! *forward closure* (sinks plus everything they call — a value computed
 //! there feeds sink arithmetic), or the cast sits directly inside an
 //! argument of a call that resolves into that set (the value flows
-//! inward). Exemptions (precision valves, mirroring `nondet(..)`):
+//! inward). Exemptions (precision valves):
 //!
 //! - pure-literal sources (`7 as u8`: the value is statically in range),
 //! - `// flcheck: widen-ok(names)` — a cast whose source expression

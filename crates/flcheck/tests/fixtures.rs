@@ -230,80 +230,6 @@ fn steal_fixture_reports_park_and_double_acquire() {
 }
 
 #[test]
-fn nondet_result_fixture_reports_flows_with_chains() {
-    let src = include_str!("fixtures/nondet_result.rs");
-    let path = "crates/core/src/nondet_fixture.rs";
-    let report = workspace(&[(path, src)]);
-    let got: Vec<(String, u32)> = report
-        .findings
-        .iter()
-        .map(|f| (f.rule.clone(), f.line))
-        .collect();
-    // The raw string, the nested block comment, and the deterministic
-    // probes (`contains_key`, `len`) in `inert` must all stay silent; the
-    // `det-absorb` stopwatch's own `Instant::now` is absorbed.
-    assert_eq!(
-        got,
-        vec![
-            ("nondet-in-result".to_string(), 4),
-            ("nondet-in-result".to_string(), 13),
-            ("nondet-in-result".to_string(), 25),
-        ]
-    );
-
-    // A pure callee's chain walks its nearest sink-feeding caller down to
-    // the source fn, then ends at that caller's sink.
-    let hash = &report.findings[0];
-    assert!(
-        hash.message
-            .contains("hash-order iteration `.values()` on `m` in `summarize`")
-            && hash.message.contains("det-sink `render`"),
-        "unexpected message: {}",
-        hash.message
-    );
-    assert_eq!(
-        hash.chain,
-        vec![
-            format!("report ({path}:12)"),
-            format!("summarize ({path}:3)"),
-            format!("render ({path}:8)"),
-        ]
-    );
-
-    // An ancestor's chain walks straight down to the sink.
-    let clock = &report.findings[1];
-    assert!(
-        clock
-            .message
-            .contains("wall-clock read `Instant::now()` in `report`"),
-        "unexpected message: {}",
-        clock.message
-    );
-    assert_eq!(
-        clock.chain,
-        vec![format!("report ({path}:12)"), format!("render ({path}:8)")]
-    );
-
-    // `nondet(..)` markers anchor at the fn declaration line.
-    let declared = &report.findings[2];
-    assert!(
-        declared
-            .message
-            .contains("declared nondet source (reads the interconnect topology) in `topology`"),
-        "unexpected message: {}",
-        declared.message
-    );
-    assert_eq!(
-        declared.chain,
-        vec![
-            format!("inert ({path}:29)"),
-            format!("topology ({path}:25)"),
-            format!("render ({path}:8)"),
-        ]
-    );
-}
-
-#[test]
 fn guard_escape_fixture_reports_every_escape_including_the_return() {
     let src = include_str!("fixtures/guard_escape.rs");
     let path = "crates/core/src/escape_fixture.rs";
@@ -431,7 +357,7 @@ fn workspace_report_is_deterministic_across_input_order() {
     assert!(fwd.render_json().contains("\"schema\": 8"));
     // Every rule in the registry is enumerated in the summary, found
     // or not — schema-8 consumers key on the full table.
-    assert_eq!(flcheck::registry::RULES.len(), 9);
+    assert_eq!(flcheck::registry::RULES.len(), 8);
     for rule in flcheck::registry::ids() {
         assert!(
             fwd.render_json().contains(&format!("\"{rule}\"")),

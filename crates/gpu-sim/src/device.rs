@@ -63,8 +63,6 @@ impl Device {
     /// `body` must not panic across items it wants kept: a panic in any
     /// item cancels the launch and propagates to the caller (the device
     /// and its pool stay usable).
-    // flcheck: det-sink — launch outputs are result content (the report's
-    // pool-width field is declared metadata; see the allow below)
     pub fn launch<I, O, F>(
         &self,
         spec: &KernelSpec,
@@ -79,12 +77,18 @@ impl Device {
         F: Fn(usize, &I) -> ItemOutcome<O> + Sync,
     {
         let plan = self.manager.plan(&self.config, spec, items.len());
-        // LaunchReport.pool_threads is thread-dependent *by design* (the
-        // determinism test asserts it equals the pool width); item outputs
-        // below are index-ordered and never read it.
-        // flcheck: allow(nondet-in-result)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "LaunchReport.pool_threads is thread-dependent by design (the determinism \
+                      test asserts it equals the pool width); item outputs below are \
+                      index-ordered and never read it"
+        )]
         let pool_threads = rayon::current_num_threads();
 
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "drive home: a simulated device launch"
+        )]
         let outcomes: Vec<ItemOutcome<O>> = items
             .par_iter()
             .enumerate()

@@ -65,7 +65,6 @@ pub trait HeBackend: Send + Sync {
     /// Encrypts a batch of plaintexts. `seed` derives per-item blinding
     /// randomness deterministically (each item gets an independent
     /// stream, matching the paper's per-thread RNG).
-    // flcheck: det-sink — ciphertext bytes are result content
     fn encrypt_batch(
         &self,
         pk: &PaillierPublicKey,
@@ -93,7 +92,6 @@ pub trait HeBackend: Send + Sync {
     }
 
     /// Decrypts a batch of ciphertexts (CRT fast path).
-    // flcheck: det-sink — decrypted plaintexts are result content
     fn decrypt_batch(
         &self,
         sk: &PaillierPrivateKey,
@@ -131,7 +129,6 @@ pub trait HeBackend: Send + Sync {
     /// every batch, charged as the `batches − 1` additions it replaces.
     /// Misaligned batches are an [`Error::InvalidParameter`]; no batches
     /// yield an empty output. `items` in the timing counts slots.
-    // flcheck: det-sink — aggregate ciphertexts are result content
     fn sum_batches(
         &self,
         pk: &PaillierPublicKey,
@@ -370,6 +367,10 @@ impl Schedule<'_> {
     ) -> Result<(Vec<R>, HeTiming)> {
         match *self {
             Schedule::Cpu { seconds_per_op } => {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "drive home: a batched HE launch on the CPU schedule"
+                )]
                 let results: Vec<(Result<R>, u64)> = items
                     .par_iter()
                     .with_max_len(HE_MAX_CHUNK)

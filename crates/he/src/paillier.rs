@@ -604,6 +604,10 @@ impl ObfuscatorPool {
         if pk.key_id != self.key_id {
             return Err(Error::KeyMismatch);
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "drive home: a blinding-pool refill"
+        )]
         let pairs: Vec<((u64, u64), Obfuscator)> = (0..count)
             .into_par_iter()
             .with_max_len(1)
@@ -651,7 +655,6 @@ impl PaillierPublicKey {
 
     /// Encrypts with an explicit blinding factor (deterministic tests).
     // flcheck: secret(m)
-    // flcheck: det-sink — ciphertext construction
     pub fn encrypt_with_r(&self, m: &Natural, r: &Natural) -> Result<Ciphertext> {
         // Delegation boundary: the callee carries its own secret(m) seed
         // and allows, so taint re-enters analysis there.
@@ -697,7 +700,6 @@ impl PaillierPublicKey {
     /// Encrypts using a precomputed blinding pair, consuming it: only
     /// `g^m` and one blinding multiplication remain on the hot path.
     // flcheck: secret(m)
-    // flcheck: det-sink — ciphertext construction
     pub fn encrypt_with_obfuscator(&self, m: &Natural, obf: Obfuscator) -> Result<Ciphertext> {
         if obf.key_id != self.key_id {
             return Err(Error::KeyMismatch);
@@ -890,6 +892,10 @@ impl PaillierPublicKey {
     /// instead of silently producing garbage in release builds (where
     /// [`scalar_mul`](Self::scalar_mul)'s `debug_assert!` compiles out),
     /// and on a ciphertext outside `[1, n²)`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "`scalar_mul` runs only after the key and range checks it skips"
+    )]
     pub fn checked_scalar_mul(&self, c: &Ciphertext, k: &Natural) -> Result<Ciphertext> {
         if c.key_id != self.key_id {
             return Err(Error::KeyMismatch);
@@ -938,7 +944,6 @@ impl PaillierPublicKey {
     /// batched aggregate folds without copying it out — as one bucket pass
     /// at `counts`, [`straus::multi_exp_counts`] over `weights`: every
     /// slot of a fold shares its weights, so the fold computes them once.
-    // flcheck: det-sink — weighted aggregate ciphertext construction
     pub(crate) fn weighted_sum_column(
         &self,
         cts: &[&Ciphertext],

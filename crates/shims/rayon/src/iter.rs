@@ -176,8 +176,6 @@ pub struct ParIter<S> {
 /// worker count so stealing can rebalance uneven items, clamped to the
 /// caller's `[min_len, max_len]` granularity bounds (`max_len` wins on
 /// conflict: it expresses "items are expensive, schedule them finely").
-// flcheck: det-absorb — pool width tunes chunk granularity only; drives
-// return per-chunk outputs in chunk order
 fn chunk_size(len: usize, min_len: usize, max_len: usize) -> usize {
     let workers = pool::current_num_threads().max(1);
     let target = workers * CHUNKS_PER_WORKER;

@@ -125,8 +125,6 @@ static GLOBAL_THREADS: OnceLock<usize> = OnceLock::new();
 
 /// Default pool width: `RAYON_NUM_THREADS` when set to a positive
 /// integer, else `std::thread::available_parallelism()`.
-// flcheck: det-absorb — pool width affects scheduling only; every drive
-// returns outputs in task order
 fn default_threads() -> usize {
     match std::env::var("RAYON_NUM_THREADS")
         .ok()
@@ -170,8 +168,6 @@ struct Shared {
 /// everything runs inline on the caller with zero spawns — the
 /// `RAYON_NUM_THREADS=1` configuration is exactly the old sequential
 /// shim.
-// flcheck: det-absorb — worker count decides chunking only; results are
-// reassembled in task order below
 pub(crate) fn run_ordered<T, F>(tasks: usize, f: F) -> Vec<T>
 where
     T: Send,

@@ -10,8 +10,9 @@
 #
 # `bash run_harness.sh --quick` keeps every other gate (build, each
 # experiment binary, both tier-1 test runs, the no-`unsafe` gate, the
-# benchmark-package build, the clippy panic-freedom lints, flcheck and
-# its directive and size ratchets, fmt) but trims sweep cardinality —
+# benchmark-package build, the clippy panic-freedom and determinism
+# lints, flcheck and its directive and size ratchets, fmt) but trims
+# sweep cardinality —
 # fewer key sizes, datasets, models, epochs — for a fast full-pipeline
 # smoke run. Trimmed sweeps print
 # different tables, so the quick tier writes under `target/harness-quick/`
@@ -154,13 +155,18 @@ if [ "$bench_graph" != "$bench_frozen" ]; then
   exit 1
 fi
 
-# Panic-freedom gate: clippy's, not flcheck's. The root manifest's
-# `[workspace.lints.clippy]` table denies unwrap/expect, the panic! family
-# and indexing in the library crates that opt in with `[lints] workspace =
-# true`; an `#[expect(clippy::…)]` that no longer fires fails it too.
-echo "=== clippy: panic freedom ==="
-if ! cargo clippy --offline --workspace --lib 2>&1 | tail -20; then
-  echo "HARNESS_FAILED: cargo clippy panic-freedom lints"
+# Two gates, both clippy's, not flcheck's. Panic freedom: the root
+# manifest's `[workspace.lints.clippy]` table denies unwrap/expect, the
+# panic! family and indexing in the library crates that opt in with
+# `[lints] workspace = true`. Determinism and banned calls: the same table
+# and `crates/bench`'s `[lints.clippy]` deny what `crates/clippy.toml`
+# disallows (hash collections, clocks, width reads, pool drives outside
+# their four homes, the unchecked ciphertext ops), in the libraries and
+# the experiment binaries alike. An `#[expect(clippy::…)]` that no longer
+# fires fails it too.
+echo "=== clippy: panic freedom, determinism and banned calls ==="
+if ! cargo clippy --offline --workspace --lib --bins 2>&1 | tail -20; then
+  echo "HARNESS_FAILED: cargo clippy panic-freedom or determinism lints"
   exit 1
 fi
 

@@ -258,10 +258,10 @@ fn toml_table<'a>(manifest: &'a str, header: &str) -> Vec<(&'a str, &'a str)> {
 
 #[test]
 fn panic_freedom_crates_opt_into_the_clippy_table() {
-    // Panic freedom is clippy's: the root table denies the seven lints
-    // and a stale `#[expect]`, and exactly the panic-freedom crates
-    // inherit it — a crate that drops `[lints] workspace = true` silently
-    // leaves the gate.
+    // Panic freedom and the bans of `crates/clippy.toml` are clippy's: the
+    // root table denies the nine lints and a stale `#[expect]`, and
+    // exactly the panic-freedom crates inherit it — a crate that drops
+    // `[lints] workspace = true` silently leaves the gate.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let read =
         |p: &std::path::Path| std::fs::read_to_string(p.join("Cargo.toml")).expect("manifest");
@@ -275,6 +275,8 @@ fn panic_freedom_crates_opt_into_the_clippy_table() {
     assert_eq!(
         denied,
         [
+            "disallowed_methods",
+            "disallowed_types",
             "expect_used",
             "indexing_slicing",
             "panic",
@@ -306,6 +308,63 @@ fn panic_freedom_crates_opt_into_the_clippy_table() {
 }
 
 #[test]
+fn clippy_toml_bans_hash_order_clocks_widths_drives_and_unchecked_ops() {
+    // Determinism and the banned calls are clippy's `disallowed-types` and
+    // `disallowed-methods`, read for every crate under `crates/`. Tier-1
+    // does not run clippy, so a dropped entry, or `crates/bench` dropping
+    // its opt-in, would silently reopen what it closed.
+    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let config = std::fs::read_to_string(crates.join("clippy.toml")).expect("crates/clippy.toml");
+    let mut lists: Vec<(&str, Vec<&str>)> = Vec::new();
+    for line in config.lines().map(str::trim) {
+        if let Some((list, _)) = line.split_once(" = [") {
+            lists.push((list, Vec::new()));
+        } else if let (Some((_, paths)), Some((_, rest))) =
+            (lists.last_mut(), line.split_once("path = \""))
+        {
+            assert!(line.contains("reason = \""), "no reason: {line}");
+            paths.push(rest.split('"').next().expect("closing quote"));
+        }
+    }
+    assert_eq!(
+        lists,
+        [
+            (
+                "disallowed-types",
+                vec![
+                    "std::collections::HashMap",
+                    "std::collections::HashSet",
+                    "std::time::Instant",
+                    "std::time::SystemTime",
+                ]
+            ),
+            (
+                "disallowed-methods",
+                vec![
+                    "std::thread::current",
+                    "std::thread::available_parallelism",
+                    "rayon::current_num_threads",
+                    "rayon::ThreadPool::current_num_threads",
+                    "rayon::iter::IntoParallelRefIterator::par_iter",
+                    "rayon::iter::IntoParallelIterator::into_par_iter",
+                    "rayon::iter::IntoParallelRefMutIterator::par_iter_mut",
+                    "he::paillier::PaillierPublicKey::add",
+                    "he::paillier::PaillierPublicKey::scalar_mul",
+                ]
+            ),
+        ]
+    );
+    let bench = std::fs::read_to_string(crates.join("bench/Cargo.toml")).expect("bench manifest");
+    assert_eq!(
+        toml_table(&bench, "[lints.clippy]"),
+        [
+            ("disallowed_methods", "\"deny\""),
+            ("disallowed_types", "\"deny\"")
+        ]
+    );
+}
+
+#[test]
 fn every_allow_names_a_registered_rule() {
     // The analyzer ignores an allow for a rule it does not know, so an
     // allow left behind by a retired rule would sit in the tree unnoticed.
@@ -333,6 +392,51 @@ fn every_allow_names_a_registered_rule() {
     assert!(
         stale.is_empty(),
         "allows naming no registered rule: {stale:#?}"
+    );
+}
+
+#[test]
+fn every_directive_is_a_known_kind() {
+    // The parser drops a directive of a kind it does not know, so one left
+    // behind by a retired pass would sit in the tree unnoticed. The kinds
+    // are the grammar in the analyzer's `source.rs`; a comment is a directive when
+    // it starts, after doc-comment markers, with the tool's name and a
+    // colon, as the parser anchors it.
+    const KINDS: &[&str] = &[
+        "allow",
+        "allow-file",
+        "ct-fn",
+        "narrow",
+        "secret",
+        "widen-ok",
+    ];
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut unknown = Vec::new();
+    for path in collect_files(root).expect("workspace walk") {
+        let src = std::fs::read_to_string(&path).expect("read");
+        for c in lexer::lex(&src).comments {
+            let text = c
+                .text
+                .trim_start_matches(|ch| matches!(ch, '!' | '/' | ' ' | '\t'));
+            let Some(body) = text
+                .strip_prefix("flcheck")
+                .and_then(|t| t.strip_prefix(':'))
+            else {
+                continue;
+            };
+            let kind: String = body
+                .trim_start()
+                .chars()
+                .take_while(|ch| ch.is_ascii_lowercase() || *ch == '-')
+                .collect();
+            if !KINDS.contains(&kind.as_str()) {
+                unknown.push(format!("`{kind}` at {}:{}", path.display(), c.line));
+            }
+        }
+    }
+    assert!(
+        unknown.is_empty(),
+        "directives of no known kind: {unknown:#?}"
     );
 }
 
@@ -381,108 +485,6 @@ fn results_inventory_is_what_the_harness_writes() {
         present, wired,
         "left: files under results/; right: files run_harness.sh writes or reads"
     );
-}
-
-#[test]
-fn wall_clock_has_one_home() {
-    // Every wall-clock number is flbench's. The experiment binaries print
-    // counts and simulated seconds only, which is what lets their output
-    // live under `results/` and be gated byte for byte: no `Instant`
-    // token in the bench crate, nor in any product crate under it (lexed,
-    // so comments and docs do not count).
-    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
-    for (name, at_least) in [
-        ("bench", 15),
-        ("mpint", 15),
-        ("he", 5),
-        ("codec", 4),
-        ("core", 4),
-        ("fl", 10),
-        ("gpu-sim", 6),
-    ] {
-        let files = collect_files(&crates.join(name).join("src")).expect("crate walk");
-        assert!(files.len() >= at_least, "{name}: {} files", files.len());
-        for path in &files {
-            let tokens = lexer::lex(&std::fs::read_to_string(path).expect("read")).tokens;
-            if let Some(t) = tokens.iter().find(|t| t.is_ident("Instant")) {
-                panic!("`Instant` at {}:{}", path.display(), t.line);
-            }
-        }
-    }
-}
-
-#[test]
-fn pool_drives_have_four_homes() {
-    // A drive of the work-stealing pool spawns and joins its workers, and
-    // one nested inside another's task only adds work (DESIGN §11). So in
-    // non-test product code a parallel iterator starts in exactly four
-    // fns: a batched HE launch on the CPU schedule, a simulated device
-    // launch, a blinding-pool refill and the round engine's client fan-out.
-    const DRIVES: &[&str] = &["par_iter", "into_par_iter", "par_iter_mut"];
-    let homes = BTreeSet::from([
-        "crates/he/src/ghe.rs::run",
-        "crates/gpu-sim/src/device.rs::launch",
-        "crates/he/src/paillier.rs::prefill_batch",
-        "crates/fl/src/engine.rs::run_round",
-    ]);
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut found = BTreeSet::new();
-    for name in ["bench", "mpint", "he", "codec", "core", "fl", "gpu-sim"] {
-        let src = root.join("crates").join(name).join("src");
-        for path in collect_files(&src).expect("crate walk") {
-            let rel = path.strip_prefix(root).expect("under root");
-            let rel = rel.display().to_string();
-            let file = SourceFile::parse(&rel, &std::fs::read_to_string(&path).expect("read"));
-            let toks = &file.tokens;
-            for i in (0..toks.len()).filter(|&i| !file.in_test_region(i)) {
-                if !DRIVES.iter().any(|d| toks[i].is_ident(d)) {
-                    continue;
-                }
-                let home = file
-                    .fns
-                    .iter()
-                    .filter(|f| (f.body_start..f.body_end).contains(&i))
-                    .min_by_key(|f| f.body_end - f.body_start)
-                    .map_or("<no fn>", |f| f.name.as_str());
-                let home = format!("{rel}::{home}");
-                assert!(
-                    homes.contains(home.as_str()),
-                    "`{}` in `{home}` at {rel}:{}",
-                    toks[i].text,
-                    toks[i].line
-                );
-                found.insert(home);
-            }
-        }
-    }
-    assert_eq!(found.len(), homes.len(), "drives found only in {found:?}");
-}
-
-#[test]
-fn product_code_stays_off_the_unchecked_homomorphic_pair() {
-    // `PaillierPublicKey::{add, scalar_mul}` check their operands' keys
-    // under `debug_assert!` only and their ranges not at all; they stay
-    // because flbench times them. Everything a model or the platform
-    // multiplies goes through the checked forms (`checked_sum`,
-    // `checked_pack`, `checked_scalar_mul`, the Straus fold), so outside
-    // `he` no non-test code calls a method by either name. Lexed: a call
-    // is `.name(` or `::name(`, whatever the receiver.
-    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
-    for (name, at_least) in [("fl", 10), ("core", 4), ("gpu-sim", 6), ("codec", 4)] {
-        let files = collect_files(&crates.join(name).join("src")).expect("crate walk");
-        assert!(files.len() >= at_least, "{name}: {} files", files.len());
-        for path in &files {
-            let rel = path.display().to_string();
-            let file = SourceFile::parse(&rel, &std::fs::read_to_string(path).expect("read"));
-            let toks = &file.tokens;
-            for i in (1..toks.len().saturating_sub(1)).filter(|&i| !file.in_test_region(i)) {
-                let called = (toks[i].is_ident("add") || toks[i].is_ident("scalar_mul"))
-                    && (toks[i - 1].is_op(".") || toks[i - 1].is_op("::"))
-                    && toks[i + 1].text == "(";
-                assert!(!called, "`{}(` at {rel}:{}", toks[i].text, toks[i].line);
-            }
-        }
-    }
 }
 
 #[test]
