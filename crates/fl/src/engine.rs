@@ -1,11 +1,14 @@
-//! The secure-aggregation round: one event-driven loop for every model.
+//! The secure-aggregation round: one event-driven loop for every model
+//! that runs one.
 //!
 //! One round (the paper's Fig. 2) has every client compute locally,
 //! encrypt its vector, and upload it; the server folds the ciphertexts
 //! homomorphically and broadcasts the aggregate; every client decrypts.
-//! [`run_round`] is the only implementation of that round — all four
-//! models enter it, configured by
-//! [`TrainConfig::engine`](crate::train::TrainConfig::engine). Real
+//! [`run_round`] is the only implementation of that round — Homo LR,
+//! Hetero LR and Hetero NN enter it, configured by
+//! [`TrainConfig::engine`](crate::train::TrainConfig::engine); Hetero SBT
+//! has no such round (its encrypt, histogram fold-and-pack and decrypt
+//! are `Accelerator` calls the model charges itself). Real
 //! deployments overlap the stages — client 0's ciphertext is folding at
 //! the server while client 7 is still encrypting — and the engine
 //! reproduces that overlap on a deterministic simulated timeline.

@@ -242,8 +242,8 @@ pub trait HeBackend: Send + Sync {
     /// `out[j] = ∏ᵢ batches[i][j] ^ weights[i] mod n²` — one bucket
     /// multi-exponentiation per slot
     /// ([`PaillierPublicKey::weighted_sum`]), each on its own slot task,
-    /// its width counted once for the whole launch
-    /// ([`mpint::straus::multi_exp_counts`]). `shards` is an input of the
+    /// its width and `R`-power fix-up computed once for the whole launch
+    /// ([`PaillierPublicKey::weighted_pass`]). `shards` is an input of the
     /// *charged* schedule only: each slot is charged
     /// [`weighted_sum_sharded_op_estimate`](PaillierPublicKey::weighted_sum_sharded_op_estimate),
     /// a device folding the slot as `shards` Straus chains plus their
@@ -272,7 +272,7 @@ pub trait HeBackend: Send + Sync {
             ));
         }
         let wnat: Vec<Natural> = weights.iter().map(|&w| Natural::from(w)).collect();
-        let counts = mpint::straus::multi_exp_counts(&wnat);
+        let (counts, fixup) = pk.weighted_pass(&wnat);
         let max_weight_bits = weights
             .iter()
             .map(|&w| 64 - w.leading_zeros())
@@ -292,7 +292,7 @@ pub trait HeBackend: Send + Sync {
         };
         let slot_indices: Vec<usize> = (0..slots).collect();
         self.schedule().run(&kernel, &slot_indices, |_, &j| {
-            let sum = pk.weighted_sum_column(&column(batches, j), &wnat, &counts);
+            let sum = pk.weighted_sum_column(&column(batches, j), &wnat, &counts, &fixup);
             (sum, per_slot_ops)
         })
     }

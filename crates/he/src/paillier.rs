@@ -914,7 +914,17 @@ impl PaillierPublicKey {
     /// a leak. An empty batch yields the encryption of zero.
     pub fn weighted_sum(&self, cts: &[Ciphertext], weights: &[Natural]) -> Result<Ciphertext> {
         let column: Vec<&Ciphertext> = cts.iter().collect();
-        self.weighted_sum_column(&column, weights, &straus::multi_exp_counts(weights))
+        let (counts, fixup) = self.weighted_pass(weights);
+        self.weighted_sum_column(&column, weights, &counts, &fixup)
+    }
+
+    /// The bucket pass over `weights`, [`straus::multi_exp_counts`], and
+    /// the `R`-power its last multiply takes in: every slot of a fold
+    /// shares its weights, so the fold computes both once.
+    pub(crate) fn weighted_pass(&self, weights: &[Natural]) -> (straus::MultiExpCounts, Vec<Limb>) {
+        let counts = straus::multi_exp_counts(weights);
+        let fixup = self.ctx_n2.r_power(&counts.deficit).as_limbs().to_vec();
+        (counts, fixup)
     }
 
     /// Validates a batch of aggregation inputs: every ciphertext must
@@ -942,13 +952,14 @@ impl PaillierPublicKey {
     /// [`weighted_sum`](Self::weighted_sum) over borrowed ciphertexts —
     /// one slot's column across the participants' batches, which the
     /// batched aggregate folds without copying it out — as one bucket pass
-    /// at `counts`, [`straus::multi_exp_counts`] over `weights`: every
-    /// slot of a fold shares its weights, so the fold computes them once.
+    /// at [`weighted_pass`](Self::weighted_pass) over `weights`, on the
+    /// ciphertexts as they came.
     pub(crate) fn weighted_sum_column(
         &self,
         cts: &[&Ciphertext],
         weights: &[Natural],
         counts: &straus::MultiExpCounts,
+        fixup: &[Limb],
     ) -> Result<Ciphertext> {
         if cts.len() != weights.len() {
             return Err(Error::InvalidParameter(
@@ -956,10 +967,14 @@ impl PaillierPublicKey {
             ));
         }
         self.check_aggregands(cts)?;
-        let bases_m: Vec<Natural> = cts.iter().map(|c| self.ctx_n2.to_mont(&c.value)).collect();
-        let product = straus::multi_exp_mont(&self.ctx_n2, &bases_m, weights, counts);
+        let s = self.ctx_n2.width();
+        let bases: Vec<Limb> = cts
+            .iter()
+            .flat_map(|c| c.value.to_padded_limbs(s))
+            .collect();
+        let product = straus::multi_exp_mont(&self.ctx_n2, &bases, weights, counts, fixup);
         Ok(Ciphertext {
-            value: self.ctx_n2.from_mont(&product.into_natural()),
+            value: product.into_natural(),
             key_id: self.key_id,
         })
     }
@@ -1830,21 +1845,26 @@ mod tests {
 
     #[test]
     fn weighted_sum_matches_scalar_mul_add_loop_exactly() {
-        let k = keys(128);
-        let mut r = rng();
-        let cts: Vec<Ciphertext> = (1u64..6)
-            .map(|m| k.public.encrypt(&nat(m * 77), &mut r).unwrap())
-            .collect();
-        let ws: Vec<Natural> = (0u64..5).map(|w| nat(w * w + 1)).collect();
-        let straus = k.public.weighted_sum(&cts, &ws).unwrap();
-        let mut naive = k.public.zero_ciphertext();
-        for (c, w) in cts.iter().zip(&ws) {
-            let scaled = k.public.checked_scalar_mul(c, w).unwrap();
-            naive = k.public.checked_add(&naive, &scaled).unwrap();
+        // At 1024 bits `n²` is 32 limbs wide, the width `server_agg_1024`
+        // folds at.
+        for bits in [128, 1024] {
+            let k = keys(bits);
+            let mut r = rng();
+            let cts: Vec<Ciphertext> = (1u64..6)
+                .map(|m| k.public.encrypt(&nat(m * 77), &mut r).unwrap())
+                .collect();
+            let ws: Vec<Natural> = (0u64..5).map(|w| nat(w * w + 1)).collect();
+            let straus = k.public.weighted_sum(&cts, &ws).unwrap();
+            let mut naive = k.public.zero_ciphertext();
+            for (c, w) in cts.iter().zip(&ws) {
+                let scaled = k.public.checked_scalar_mul(c, w).unwrap();
+                naive = k.public.checked_add(&naive, &scaled).unwrap();
+            }
+            // Both paths produce canonical residues mod n², so the
+            // ciphertext values — not just the decryptions — must agree
+            // bit-for-bit.
+            assert_eq!(straus.value, naive.value, "{bits}-bit key");
         }
-        // Both paths produce canonical residues mod n², so the ciphertext
-        // values — not just the decryptions — must agree bit-for-bit.
-        assert_eq!(straus.value, naive.value);
     }
 
     #[test]

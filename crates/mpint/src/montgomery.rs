@@ -172,12 +172,10 @@ impl MontgomeryCtx {
     /// [`mod_mul`](Self::mod_mul) costs `2(k−1)`.
     ///
     /// Each `mont_mul` by a *canonical* factor strips one `R`, so the
-    /// accumulator starts `k` of them ahead — at `R^k mod n` — and ends on
-    /// the canonical product with no conversion in or out. `R^k` is the
-    /// Montgomery form of `R^{k−1}`: a left-to-right binary power of `R²`
-    /// (the Montgomery form of `R`) to the exponent `k−1`. Two factors
-    /// start from `R²` itself. Factors may be unreduced; one factor is
-    /// returned reduced, none is `1`.
+    /// accumulator starts `k` of them ahead — at [`r_power`](Self::r_power)
+    /// of `k` — and ends on the canonical product with no conversion in or
+    /// out. Factors may be unreduced; one factor is returned reduced, none
+    /// is `1`.
     pub fn mod_product(&self, factors: &[&Natural]) -> Natural {
         match factors {
             [] => Natural::one(),
@@ -189,18 +187,37 @@ impl MontgomeryCtx {
     /// The [`mod_product`](Self::mod_product) chain over two or more
     /// factors, on one accumulator and one padded operand buffer.
     fn product_acc(&self, factors: &[&Natural]) -> MontAcc<'_> {
-        let mut operand = self.r2_mod_n.to_padded_limbs(self.width);
-        let mut acc = MontAcc::new(self, operand.clone());
-        let exp = factors.len().saturating_sub(1);
-        for bit in (0..exp.checked_ilog2().unwrap_or(0)).rev() {
-            acc.sqr();
-            if (exp >> bit) & 1 == 1 {
-                acc.mul(&operand);
-            }
-        }
+        let mut acc = self.r_power(&Natural::from(factors.len()));
+        let mut operand = vec![0; self.width];
         for factor in factors {
             self.load_reduced(&mut operand, factor);
             acc.mul(&operand);
+        }
+        acc
+    }
+
+    /// `R^k mod n` on a fresh accumulator, which has counted the kernel
+    /// calls that built it: `k` multiplies by canonical residues started
+    /// from it end canonical. `R^k` is the Montgomery form of `R^{k−1}`,
+    /// a left-to-right binary power of `R²` (the Montgomery form of `R`)
+    /// to the exponent `k − 1`; `k ≤ 2` costs no call.
+    pub fn r_power(&self, k: &Natural) -> MontAcc<'_> {
+        let s = self.width;
+        let Some(exp) = k.checked_sub(&Natural::one()) else {
+            return MontAcc::new(self, Natural::one().to_padded_limbs(s));
+        };
+        let r2 = self.r2_mod_n.to_padded_limbs(s);
+        let seed = if exp.is_zero() {
+            self.r_mod_n.to_padded_limbs(s)
+        } else {
+            r2.clone()
+        };
+        let mut acc = MontAcc::new(self, seed);
+        for bit in (0..exp.bit_len().saturating_sub(1)).rev() {
+            acc.sqr();
+            if exp.bit(bit) {
+                acc.mul(&r2);
+            }
         }
         acc
     }
@@ -321,18 +338,24 @@ impl<'a> MontAcc<'a> {
         self.calls += 1;
     }
 
+    /// `acc ← value` for a `ctx.width()`-limb residue: a copy, no kernel
+    /// call.
+    pub fn load(&mut self, value: &[Limb]) {
+        self.acc.copy_from_slice(value);
+    }
+
     /// Montgomery kernel calls ([`sqr`](Self::sqr), [`mul`](Self::mul)
     /// and [`mul_other`](Self::mul_other)) issued on this accumulator.
     pub fn calls(&self) -> u64 {
         self.calls
     }
 
-    /// The accumulated residue as `ctx.width()` limbs, in Montgomery form.
+    /// The accumulated residue as `ctx.width()` limbs.
     pub fn as_limbs(&self) -> &[Limb] {
         &self.acc
     }
 
-    /// The accumulated residue, still in Montgomery form.
+    /// The accumulated residue, in whatever form the chain left it.
     pub fn into_natural(self) -> Natural {
         Natural::from_limbs(self.acc)
     }

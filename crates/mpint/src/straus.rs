@@ -19,7 +19,10 @@
 //! [`multi_exp_counts`] counts the squarings and multiplies the pass makes
 //! for given exponents at every width `c` and picks the cheapest;
 //! [`multi_exp_mont`] takes its loop bounds from those counts, and the
-//! accumulator it returns has made exactly that many kernel calls.
+//! accumulator it returns has made exactly that many kernel calls. The
+//! bases stay canonical — none is converted into the Montgomery domain —
+//! and one multiply by an `R`-power ([`MultiExpCounts::deficit`]) ends the
+//! pass on the canonical product.
 //! Exponents here are *public* aggregation weights, so the digit-dependent
 //! schedule leaks nothing; secret exponents must keep using
 //! [`crate::modpow::mod_pow_ct`].
@@ -120,11 +123,12 @@ pub fn shard_spans(len: usize, shards: usize) -> Vec<std::ops::Range<usize>> {
     spans
 }
 
-/// The bucket pass [`multi_exp_mont`] runs over given exponents: its width
-/// and the kernel calls it makes. The pass takes its loop bounds from
-/// here, so the counts are the schedule that runs. Every field is a
-/// function of the exponents alone; the bases never change it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The bucket pass [`multi_exp_mont`] runs over given exponents: its width,
+/// the kernel calls it makes and the `R`-power its fix-up takes in. The
+/// pass takes its loop bounds from here, so the counts are the schedule
+/// that runs. Every field is a function of the exponents alone; the bases
+/// never change it.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MultiExpCounts {
     /// Window width `c`: exponent bits per digit, one bucket per nonzero
     /// digit value.
@@ -137,87 +141,93 @@ pub struct MultiExpCounts {
     /// less one (the bucket adds and the running sums, each bucket's first
     /// arrival and the top running sum being copies) plus one per digit
     /// value up to the column's largest (the product taking each running
-    /// sum in).
+    /// sum in), less the first of those, a copy that seeds the product;
+    /// then the fix-up.
     pub multiplies: u64,
+    /// `k = Σ eᵢ` at every width: the pass's last multiply, the fix-up, is
+    /// by `R^k mod n`. Counting deficit plus one from the Montgomery form of
+    /// 1, each column adds its digit sum and each squaring doubles it, so
+    /// the product before the fix-up is `P·R^{1−k}` (DESIGN.md §12).
+    pub deficit: Natural,
 }
 
-impl MultiExpCounts {
-    /// The pass at width `window` over exponents of at most `max_bits`
-    /// bits.
-    fn at(exps: &[Natural], max_bits: u32, window: u32) -> Self {
-        let columns = max_bits.div_ceil(window);
-        let mut multiplies = 0u64;
-        for col in 0..columns {
-            let (mut nonzero, mut top) = (0u64, 0u64);
-            for e in exps {
-                let digit = e.extract_bits(col * window, window);
-                nonzero += u64::from(digit != 0);
-                top = top.max(digit);
-            }
-            if nonzero > 0 {
-                multiplies += nonzero - 1 + top;
-            }
+/// `(window, squarings, multiplies)` of the pass at width `window` over
+/// exponents of at most `max_bits` bits.
+fn calls_at(exps: &[Natural], max_bits: u32, window: u32) -> (u32, u64, u64) {
+    let columns = max_bits.div_ceil(window);
+    // The fix-up, less the seeding copy when a column takes one.
+    let mut multiplies = u64::from(columns == 0);
+    for col in 0..columns {
+        let (mut nonzero, mut top) = (0u64, 0u64);
+        for e in exps {
+            let digit = e.extract_bits(col * window, window);
+            nonzero += u64::from(digit != 0);
+            top = top.max(digit);
         }
-        MultiExpCounts {
-            window,
-            columns,
-            squarings: u64::from(columns.saturating_sub(1) * window),
-            multiplies,
+        if nonzero > 0 {
+            multiplies += nonzero - 1 + top;
         }
     }
-
-    /// Kernel calls of the pass.
-    fn calls(&self) -> u64 {
-        self.squarings + self.multiplies
-    }
+    let squarings = u64::from(columns.saturating_sub(1) * window);
+    (window, squarings, multiplies)
 }
 
 /// The bucket pass over `exps` at the width, in `[1, 12]`, that makes the
 /// fewest kernel calls (squarings plus multiplies, as
 /// [`MontAcc::calls`] counts them); of equals, the narrowest. No
-/// exponents, or only zero ones, give no columns and no calls.
+/// exponents, or only zero ones, give no columns and one call, the
+/// fix-up.
 pub fn multi_exp_counts(exps: &[Natural]) -> MultiExpCounts {
     let max_bits = exps.iter().map(Natural::bit_len).max().unwrap_or(0);
-    let mut best = MultiExpCounts::at(exps, max_bits, 1);
+    let mut best = calls_at(exps, max_bits, 1);
     for window in 2..=MAX_WINDOW.min(max_bits) {
-        let candidate = MultiExpCounts::at(exps, max_bits, window);
-        if candidate.calls() < best.calls() {
+        let candidate = calls_at(exps, max_bits, window);
+        if candidate.1 + candidate.2 < best.1 + best.2 {
             best = candidate;
         }
     }
-    best
+    let (window, squarings, multiplies) = best;
+    MultiExpCounts {
+        window,
+        columns: max_bits.div_ceil(window),
+        squarings,
+        multiplies,
+        deficit: exps.iter().fold(Natural::zero(), |sum, e| &sum + e),
+    }
 }
 
-/// Bucket multi-exponentiation over Montgomery-form bases: returns the
-/// accumulator holding `∏ bases_m[i]^{exps[i]}` in Montgomery form, whose
+/// Bucket multi-exponentiation over canonical bases: returns the
+/// accumulator holding `∏ bases[i]^{exps[i]} mod n`, canonical, whose
 /// [`calls`](MontAcc::calls) are `counts.squarings + counts.multiplies`.
-/// No columns yield the Montgomery form of 1.
 ///
-/// `bases_m` must be in the Montgomery domain of `ctx` and reduced mod
-/// `n`; `exps` are plain (non-Montgomery) public exponents, and `counts`
-/// is [`multi_exp_counts`] over them — computed once, a fold whose slots
-/// share their weights shares it too. All buckets live in one flat table
-/// of `(2^c − 1)·s` limbs.
+/// `bases` holds each base, reduced mod `n`, as `ctx.width()` limbs, back
+/// to back; no base enters the Montgomery domain. Every kernel call
+/// strips an `R`: before its last multiply the pass holds `P·R^{1−k}`,
+/// `k = counts.deficit`, and that multiply, by `fixup = R^k mod n`
+/// ([`MontgomeryCtx::r_power`]), lands on the product `P`. `exps` are
+/// public exponents and `counts` is [`multi_exp_counts`] over them; a
+/// fold whose slots share their weights computes both once. All buckets
+/// live in one flat table of `(2^c − 1)·s` limbs.
 ///
 /// # Panics
 ///
-/// Panics if the slice lengths differ or `counts` does not cover every
-/// exponent.
+/// Panics if `bases` does not hold one base per exponent or `counts` does
+/// not cover every exponent.
 pub fn multi_exp_mont<'a>(
     ctx: &'a MontgomeryCtx,
-    bases_m: &[Natural],
+    bases: &[Limb],
     exps: &[Natural],
     counts: &MultiExpCounts,
+    fixup: &[Limb],
 ) -> MontAcc<'a> {
-    let MultiExpCounts {
-        window, columns, ..
-    } = *counts;
+    let (window, columns) = (counts.window, counts.columns);
+    let s = ctx.width();
     // Documented precondition (see `# Panics`): callers validate shapes
     // before entering the kernel (`weighted_sum` returns a typed error).
     // flcheck: allow(pf-assert)
     assert_eq!(
-        bases_m.len(),
-        exps.len(),
+        bases.len(),
+        exps.len() * s,
         "each base needs exactly one exponent"
     );
     // Same documented precondition: counts from other exponents could
@@ -230,9 +240,10 @@ pub fn multi_exp_mont<'a>(
                 .all(|e| e.bit_len() <= columns.saturating_mul(window)),
         "counts must come from multi_exp_counts over these exponents"
     );
-    let s = ctx.width();
+    // The Montgomery form of 1 until the first running sum is loaded, so
+    // a pass with no columns still lands on 1.
     let mut acc = MontAcc::new(ctx, ctx.one_mont().to_padded_limbs(s));
-    let padded: Vec<Limb> = bases_m.iter().flat_map(|b| b.to_padded_limbs(s)).collect();
+    let mut seeded = false;
     // Bucket d holds the column's bases with digit d + 1.
     let buckets_len = (1usize << window) - 1;
     let mut buckets = vec![0; buckets_len * s];
@@ -245,7 +256,7 @@ pub fn multi_exp_mont<'a>(
             }
         }
         filled.fill(false);
-        for (base, e) in padded.chunks_exact(s).zip(exps) {
+        for (base, e) in bases.chunks_exact(s).zip(exps) {
             let Some(d) = (e.extract_bits(col * window, window) as usize).checked_sub(1) else {
                 continue;
             };
@@ -270,21 +281,29 @@ pub fn multi_exp_mont<'a>(
                 running.copy_from_slice(bucket);
                 started = true;
             }
-            if started {
+            if started && seeded {
                 acc.mul(&running);
+            } else if started {
+                acc.load(&running);
+                seeded = true;
             }
         }
     }
+    acc.mul(fixup);
     acc
 }
 
-/// Convenience form over plain residues: reduces and converts each base
-/// into the Montgomery domain, runs [`multi_exp_mont`] at
-/// [`multi_exp_counts`], and converts the product back out.
+/// Convenience form over plain residues: reduces each base, runs
+/// [`multi_exp_mont`] at [`multi_exp_counts`] and its fix-up.
 pub fn multi_exp_ctx(ctx: &MontgomeryCtx, bases: &[Natural], exps: &[Natural]) -> Natural {
-    let bases_m: Vec<Natural> = bases.iter().map(|b| ctx.to_mont(&ctx.reduce(b))).collect();
+    let s = ctx.width();
+    let padded: Vec<Limb> = bases
+        .iter()
+        .flat_map(|b| ctx.reduce(b).to_padded_limbs(s))
+        .collect();
     let counts = multi_exp_counts(exps);
-    ctx.from_mont(&multi_exp_mont(ctx, &bases_m, exps, &counts).into_natural())
+    let fixup = ctx.r_power(&counts.deficit);
+    multi_exp_mont(ctx, &padded, exps, &counts, fixup.as_limbs()).into_natural()
 }
 
 #[cfg(test)]
@@ -331,8 +350,10 @@ mod tests {
         let bases = [n(7), n(9)];
         let exps = [n(0), n(0)];
         assert_eq!(multi_exp_ctx(&ctx, &bases, &exps), n(1));
+        // No columns: the Montgomery form of 1 and the fix-up by `R^0`.
         let none = multi_exp_counts(&exps);
-        assert_eq!((none.columns, none.squarings, none.multiplies), (0, 0, 0));
+        assert_eq!((none.columns, none.squarings, none.multiplies), (0, 0, 1));
+        assert!(none.deficit.is_zero());
     }
 
     #[test]
@@ -370,7 +391,7 @@ mod tests {
     #[should_panic(expected = "exactly one exponent")]
     fn mismatched_lengths_panic() {
         let ctx = MontgomeryCtx::new(&n(101)).unwrap();
-        multi_exp_mont(&ctx, &[n(3)], &[], &multi_exp_counts(&[]));
+        multi_exp_mont(&ctx, &[3], &[], &multi_exp_counts(&[]), &[1]);
     }
 
     #[test]
@@ -378,7 +399,7 @@ mod tests {
     fn counts_that_miss_a_column_panic() {
         let ctx = MontgomeryCtx::new(&n(101)).unwrap();
         let short = multi_exp_counts(&[n(3)]);
-        multi_exp_mont(&ctx, &[n(3)], &[n(1 << 20)], &short);
+        multi_exp_mont(&ctx, &[3], &[n(1 << 20)], &short, &[1]);
     }
 
     #[test]
@@ -493,18 +514,16 @@ mod tests {
         let ctx = MontgomeryCtx::new(&n(p)).unwrap();
         let bases: Vec<Natural> = (2..15u128).map(n).collect();
         let exps: Vec<Natural> = (0..13u128).map(|i| n(i * 104_729 + 3)).collect();
-        let bases_m: Vec<Natural> = bases.iter().map(|b| ctx.to_mont(b)).collect();
         let pass = |range: std::ops::Range<usize>| {
-            let exps = &exps[range.clone()];
-            multi_exp_mont(&ctx, &bases_m[range], exps, &multi_exp_counts(exps)).into_natural()
+            multi_exp_ctx(&ctx, &bases[range.clone()], &exps[range])
         };
         let flat = pass(0..bases.len());
-        assert_eq!(ctx.from_mont(&flat), naive(&ctx, &bases, &exps));
+        assert_eq!(flat, naive(&ctx, &bases, &exps));
         for shards in [1usize, 2, 3, 7, 13, 40] {
             let merged = shard_spans(bases.len(), shards)
                 .into_iter()
                 .map(pass)
-                .reduce(|a, b| ctx.mont_mul(&a, &b))
+                .reduce(|a, b| ctx.mod_mul(&a, &b))
                 .unwrap();
             assert_eq!(merged, flat, "shards {shards}");
         }

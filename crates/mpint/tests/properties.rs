@@ -568,8 +568,10 @@ fn multi_exp_matches_naive_product_at_limb_boundaries() {
     }
 }
 
-/// `count` exponents of at most `bits` bits in three mixes: generic with
-/// every third one zero, all equal, and a single nonzero one.
+/// `count` exponents of at most `bits` bits in five mixes: generic with
+/// every third one zero, all equal, a single nonzero one, all zero, and
+/// the top bit over three low ones, whose digit columns between are empty
+/// at every width.
 fn exponent_mixes(count: usize, bits: u32, seed: u64) -> Vec<Vec<Natural>> {
     let mut next = limb_stream(seed);
     let mut draw = || {
@@ -584,18 +586,24 @@ fn exponent_mixes(count: usize, bits: u32, seed: u64) -> Vec<Vec<Natural>> {
     if let Some(one) = single.get_mut(count / 2) {
         *one = draw();
     }
-    vec![generic, equal, single]
+    let zero = vec![Natural::zero(); count];
+    let top = Natural::one().shl_bits(bits - 1);
+    let sparse = (0..count)
+        .map(|i| &top + &Natural::from(i as u64 % 8).low_bits(bits - 1))
+        .collect();
+    vec![generic, equal, single, zero, sparse]
 }
 
 /// Kernel calls of the bucket pass at width `c`, replayed from the method
 /// rather than counted by formula: per column `c` squarings below the
 /// top one, a multiply per bucket arrival after the first, then from the
 /// top bucket down a multiply per running-sum step after the first and
-/// one per digit value once the running sum has started.
+/// one per digit value once the running sum has started — but the very
+/// first, which seeds the product — and last the fix-up.
 fn bucket_pass_calls(exps: &[Natural], c: u32) -> u64 {
     let max_bits = exps.iter().map(Natural::bit_len).max().unwrap_or(0);
     let columns = max_bits.div_ceil(c);
-    let mut calls = 0;
+    let (mut calls, mut seeded) = (1, false);
     for col in 0..columns {
         if col + 1 < columns {
             calls += u64::from(c);
@@ -612,7 +620,8 @@ fn bucket_pass_calls(exps: &[Natural], c: u32) -> u64 {
         for d in (1..filled.len()).rev() {
             calls += u64::from(filled[d] && started);
             started |= filled[d];
-            calls += u64::from(started);
+            calls += u64::from(started && seeded);
+            seeded |= started;
         }
     }
     calls
@@ -621,7 +630,8 @@ fn bucket_pass_calls(exps: &[Natural], c: u32) -> u64 {
 #[test]
 fn bucket_pass_is_the_product_of_powers_at_its_counted_cost() {
     const BASES: [usize; 9] = [0, 1, 2, 3, 8, 16, 64, 128, 257];
-    const BITS: [u32; 5] = [1, 10, 32, 64, 100];
+    // 160-bit weights put the fix-up's `R`-power past `u128`.
+    const BITS: [u32; 6] = [1, 10, 32, 64, 100, 160];
     for s in [1usize, 16, 32, 33] {
         let n = edge_moduli(s).swap_remove(0);
         let ctx = mpint::MontgomeryCtx::new(&n).unwrap();
@@ -631,20 +641,24 @@ fn bucket_pass_is_the_product_of_powers_at_its_counted_cost() {
             .collect();
         for (i, count) in BASES.into_iter().enumerate() {
             let bases = &pool[..count];
-            let bases_m: Vec<Natural> = bases.iter().map(|b| ctx.to_mont(b)).collect();
+            let padded: Vec<u64> = bases.iter().flat_map(|b| b.to_padded_limbs(s)).collect();
             // The unoptimized references are quadratic in the width: past
             // 16 limbs each base count meets two of the widths, in
             // rotation, so every width still meets the wide counts.
             let widths = if s <= 16 {
                 BITS.to_vec()
             } else {
-                vec![BITS[i % 5], BITS[(i + 3) % 5]]
+                vec![BITS[i % BITS.len()], BITS[(i + 3) % BITS.len()]]
             };
             for bits in widths {
                 for exps in exponent_mixes(count, bits, (count as u64) << 8 | u64::from(bits)) {
                     let what = format!("{s} limbs, {count} bases, {bits} bits");
                     let counts = straus::multi_exp_counts(&exps);
-                    let acc = straus::multi_exp_mont(&ctx, &bases_m, &exps, &counts);
+                    let sum = exps.iter().fold(Natural::zero(), |sum, e| &sum + e);
+                    assert_eq!(counts.deficit, sum, "{what}");
+                    let fixup = ctx.r_power(&counts.deficit);
+                    let acc =
+                        straus::multi_exp_mont(&ctx, &padded, &exps, &counts, fixup.as_limbs());
                     let calls = counts.squarings + counts.multiplies;
                     assert_eq!(acc.calls(), calls, "{what}: {counts:?}");
                     assert_eq!(
@@ -662,11 +676,48 @@ fn bucket_pass_is_the_product_of_powers_at_its_counted_cost() {
                     for (b, e) in bases.iter().zip(&exps) {
                         expected = ctx.mod_mul(&expected, &modpow::mod_pow_ctx(&ctx, b, e));
                     }
-                    assert_eq!(ctx.from_mont(&acc.into_natural()), expected, "{what}");
+                    assert_eq!(acc.into_natural(), expected, "{what}");
                 }
             }
         }
     }
+}
+
+/// A flat 128-way slot at `server_agg_1024`'s shape — weights uniform in
+/// 100..=999, 32-limb operands as under `n²` of a 1024-bit key — makes
+/// exactly its counted kernel calls, fix-up included, ≈ 317 on average:
+/// no base is converted into the Montgomery domain.
+#[test]
+fn a_flat_128_way_slot_makes_its_counted_calls_and_at_most_320_on_average() {
+    const SLOTS: u64 = 16;
+    let n = edge_moduli(32).swap_remove(0);
+    let ctx = mpint::MontgomeryCtx::new(&n).unwrap();
+    let mut next = limb_stream(0x5107);
+    let bases: Vec<u64> = (0..128)
+        .flat_map(|_| {
+            (&Natural::from_limbs((0..32).map(|_| next()).collect()) % &n).to_padded_limbs(32)
+        })
+        .collect();
+    let mut total = 0;
+    for slot in 0..SLOTS {
+        let exps: Vec<Natural> = (0..128)
+            .map(|_| Natural::from(100 + next() % 900))
+            .collect();
+        let counts = straus::multi_exp_counts(&exps);
+        let fixup = ctx.r_power(&counts.deficit);
+        let acc = straus::multi_exp_mont(&ctx, &bases, &exps, &counts, fixup.as_limbs());
+        assert_eq!(
+            acc.calls(),
+            counts.squarings + counts.multiplies,
+            "slot {slot}: {counts:?}"
+        );
+        total += acc.calls();
+    }
+    assert!(
+        total <= 320 * SLOTS,
+        "{} calls a slot on average",
+        total as f64 / SLOTS as f64
+    );
 }
 
 /// `mod_product` against the whole-integer `(∏ factors) mod n` and against

@@ -281,6 +281,90 @@ fn one_hostile_upload_among_128_fails_every_unweighted_topology_closed() {
 }
 
 #[test]
+fn one_hostile_upload_among_128_fails_every_weighted_topology_closed() {
+    // A weighted fold hands the ciphertexts to the Montgomery kernel as
+    // they came, so its key and `[1, n²)` checks are all that keep an
+    // upload from the kernel's `a < n` precondition: one out-of-range or
+    // foreign-key ciphertext, wherever its party sits in the fan-in, is a
+    // typed error naming its place in the leaf, never a sum.
+    use fl::backend::EncryptedVector;
+    use fl::AggregationTopology;
+    use he::paillier::Ciphertext;
+    use he::{CpuHe, GpuHe, HeBackend};
+
+    let k = keys(17);
+    let he_error = |e| fl::Error::Platform(flbooster_core::Error::He(e));
+    let honest = Accelerator::new(BackendKind::Fate, k.clone(), 4).unwrap();
+    let good = honest.encrypt(&[0.5, -0.25, 0.125], 1).unwrap();
+    let foreign = Accelerator::new(BackendKind::Fate, keys(18), 4)
+        .unwrap()
+        .encrypt(&[0.5, -0.25, 0.125], 1)
+        .unwrap();
+    let with_value = |value: &Natural| {
+        let mut bad = good.clone();
+        bad.cts[0].value = value.clone();
+        bad
+    };
+    // Each fault with the error it raises at `index` within its leaf.
+    let faults: [(EncryptedVector, fn(usize) -> he::Error); 3] = [
+        (with_value(&Natural::zero()), |_| {
+            he::Error::CiphertextOutOfRange
+        }),
+        (with_value(&k.public.n_squared), |_| {
+            he::Error::CiphertextOutOfRange
+        }),
+        (foreign, |index| he::Error::AggregandKeyMismatch { index }),
+    ];
+    let weights: Vec<u64> = (0..128).map(|i| 100 + 7 * i).collect();
+    let parties = [0usize, 64, 127];
+    for (topology, arity) in [
+        (AggregationTopology::Flat, 128),
+        (AggregationTopology::tree(2), 2),
+        (AggregationTopology::tree(16), 16),
+    ] {
+        let acc = Accelerator::new(BackendKind::Fate, k.clone(), 4)
+            .unwrap()
+            .with_topology(topology);
+        let mut uploads = vec![good.clone(); 128];
+        assert!(acc.aggregate_weighted(&uploads, &weights).is_ok());
+        for (bad, error) in &faults {
+            for party in parties {
+                let honest_upload = std::mem::replace(&mut uploads[party], bad.clone());
+                assert_eq!(
+                    acc.aggregate_weighted(&uploads, &weights).unwrap_err(),
+                    he_error(error(party % arity)),
+                    "{topology:?}, party {party}"
+                );
+                uploads[party] = honest_upload;
+            }
+        }
+    }
+
+    let device = gpu_sim::Device::new(gpu_sim::DeviceConfig::rtx3090());
+    let backends: [&dyn HeBackend; 2] =
+        [&CpuHe::default(), &GpuHe::new(std::sync::Arc::new(device))];
+    for he in backends {
+        let mut batches: Vec<&[Ciphertext]> = vec![&good.cts; 128];
+        assert!(he
+            .weighted_aggregate(&k.public, &batches, &weights, 2)
+            .is_ok());
+        for (bad, error) in &faults {
+            for party in parties {
+                let honest_batch = std::mem::replace(&mut batches[party], &bad.cts);
+                assert_eq!(
+                    he.weighted_aggregate(&k.public, &batches, &weights, 2)
+                        .unwrap_err(),
+                    error(party),
+                    "{}, party {party}",
+                    he.name()
+                );
+                batches[party] = honest_batch;
+            }
+        }
+    }
+}
+
+#[test]
 fn one_hostile_ciphertext_anywhere_in_a_packed_reply_fails_it_closed() {
     // A packed histogram reply validates like the sums it is made of:
     // every operand of every bucket and of every run is checked before
