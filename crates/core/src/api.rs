@@ -152,7 +152,6 @@ impl FlBoosterApi {
     }
 
     /// `Paillier::encrypt(pub_key, plaintexts)` — batched.
-    // flcheck: secret(plaintexts)
     pub fn paillier_encrypt(
         &self,
         pk: &PaillierPublicKey,
@@ -160,9 +159,6 @@ impl FlBoosterApi {
         seed: u64,
     ) -> Result<Vec<Ciphertext>> {
         let backend = self.he_backend();
-        // Delegation boundary: the HE backend's encrypt entry point carries
-        // its own secret(m) seed, so the taint chain restarts there.
-        // flcheck: allow(ct-taint)
         let (cts, _) = backend.encrypt_batch(pk, plaintexts, seed)?;
         Ok(cts)
     }

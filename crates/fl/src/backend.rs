@@ -356,7 +356,6 @@ impl Accelerator {
     /// dance around the shared [`Mutex`] accumulator would interleave
     /// clients. Callers must charge the returned timing themselves (the
     /// engine charges it to the epoch breakdown).
-    // flcheck: secret(values)
     pub fn encrypt_timed(
         &self,
         values: &[f64],
@@ -365,7 +364,6 @@ impl Accelerator {
         let plaintexts: Vec<Natural> = if self.batch_compression {
             // Quantize-and-pack runs on the data owner's host before
             // encryption; its timing is visible only to the plaintext owner.
-            // flcheck: allow(ct-taint)
             self.codec.pack(values)?
         } else {
             values
@@ -373,9 +371,6 @@ impl Accelerator {
                 .map(|&v| self.codec.quantizer().quantize(v).map(Natural::from))
                 .collect::<codec::Result<_>>()?
         };
-        // Delegation boundary: the HE layer's encrypt entry points carry
-        // their own secret(m) seeds.
-        // flcheck: allow(ct-taint)
         let (cts, mut timing) = self.encrypt_words_timed(&plaintexts, seed)?;
         timing.codec_seconds = codec_seconds(values.len());
         Ok((
@@ -399,8 +394,6 @@ impl Accelerator {
     /// by the key owner's half-width route (the accelerator holds the key
     /// pair; a party holding the public key alone would build its pool
     /// with [`ObfuscatorPool::new`] and pay one full-width comb power).
-    // No `secret(words)`: this layer only delegates, and the HE layer's
-    // encrypt entry points seed their own.
     pub fn encrypt_words_timed(
         &self,
         words: &[Natural],

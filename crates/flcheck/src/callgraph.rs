@@ -20,7 +20,7 @@
 //! their seeds and in which nodes they refuse to enter.
 
 use crate::parse::{CallSite, ParsedFile};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Node id: (file index, fn index) into the parsed-file slice.
 pub type NodeId = (usize, usize);
@@ -76,7 +76,7 @@ impl Bfs {
 impl CallGraph {
     /// Builds the graph by name resolution over all fn items.
     pub fn build(files: &[ParsedFile]) -> CallGraph {
-        let mut by_name: HashMap<&str, Vec<NodeId>> = HashMap::new();
+        let mut by_name: BTreeMap<&str, Vec<NodeId>> = BTreeMap::new();
         for (fi, pf) in files.iter().enumerate() {
             for (gi, f) in pf.fns.iter().enumerate() {
                 by_name.entry(f.name.as_str()).or_default().push((fi, gi));
@@ -187,7 +187,7 @@ fn shim_of(rel_path: &str) -> Option<&str> {
 /// depends on a first-party crate.
 fn resolve(
     files: &[ParsedFile],
-    by_name: &HashMap<&str, Vec<NodeId>>,
+    by_name: &BTreeMap<&str, Vec<NodeId>>,
     caller_file: usize,
     call: &CallSite,
 ) -> Vec<NodeId> {

@@ -18,12 +18,15 @@
 //! a dropped `#[must_use]` `he::ghe::HeTiming` / `fl::backend::AccelTiming`,
 //! pinned by a `compile_fail` doctest on `AccelTiming`; an op-cost
 //! estimator still pricing the kernel it names is a typed fn pointer in
-//! `crates/he/tests/golden_schedule.rs`. What clippy can check it leaves
+//! `crates/he/tests/golden_schedule.rs`; key material that is never
+//! compared, printed or indexed is `mpint::ct::Secret`, pinned by
+//! `compile_fail` doctests on it. What clippy can check it leaves
 //! to clippy: `unwrap`, `expect`, the `panic!` family and indexing in the
 //! library crates are denied by the root manifest's
 //! `[workspace.lints.clippy]` table, and hash collections, clocks,
-//! thread-width reads, pool drives outside their four homes and the
-//! unchecked ciphertext ops are banned by `crates/clippy.toml`.
+//! thread-width reads, pool drives outside their four homes, the
+//! unchecked ciphertext ops and reads of a `Secret` are banned by
+//! `crates/clippy.toml`.
 //!
 //! The design is three layers:
 //!
@@ -31,17 +34,16 @@
 //!   pass, documentation); `--rules`, `--explain`, the JSON
 //!   summary and the README table all derive from it.
 //! - [`PASSES`] is the one list of interprocedural passes;
-//!   [`check_workspace_with_stats`] runs the per-file phase
+//!   [`check_workspace`] runs the per-file phase
 //!   ([`check_file`]: the lexer-level ct- and `pf-assert` rules, see
 //!   [`rules`]), builds the [`callgraph`], then runs the list in order.
-//! - The passes ([`taint`], [`rules::check_lock_leaf`], [`width`]) share
+//! - The passes ([`rules::check_lock_leaf`], [`width`]) share
 //!   one call-graph walk (the closures and paths of
 //!   [`callgraph::CallGraph`]) and one token-statement scanner (`scan`),
 //!   and report full call chains.
 //!
-//! See [`source`] for the directive grammar (`ct-fn`, `secret(..)`,
-//! `widen-ok(..)` and `narrow(..)` markers, `allow` / `allow-file`
-//! suppressions).
+//! See [`source`] for the directive grammar (`ct-fn`, `widen-ok(..)` and
+//! `narrow(..)` markers, `allow` / `allow-file` suppressions).
 //!
 //! The analyzer's own sources are excluded from the default walk: they
 //! discuss directives and violations in documentation and fixtures, and
@@ -55,9 +57,7 @@
 #![warn(missing_docs)]
 #![allow(
     clippy::disallowed_methods,
-    clippy::disallowed_types,
-    reason = "a dev tool: its report is sorted whatever the pool width, and only \
-              `ScanStats` reads the clock"
+    reason = "a dev tool: its report is sorted whatever the pool width"
 )]
 
 pub mod callgraph;
@@ -68,7 +68,6 @@ pub mod report;
 pub mod rules;
 mod scan;
 pub mod source;
-pub mod taint;
 pub mod width;
 
 use callgraph::CallGraph;
@@ -77,7 +76,6 @@ use rayon::prelude::*;
 use report::{Finding, Report};
 use source::SourceFile;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
 
 /// Library crates subject to panic freedom: `pf-assert` here, and the
 /// root manifest's clippy table, which each of them opts into with
@@ -123,53 +121,17 @@ pub type Pass = fn(&[ParsedFile], &CallGraph, &mut Vec<Finding>);
 /// The interprocedural passes, in the order a scan runs them. Each
 /// rule's [`registry::Rule::pass`] names the entry that emits it.
 pub const PASSES: &[(&str, Pass)] = &[
-    ("taint", taint::check_taint),
     ("lock_leaf", rules::check_lock_leaf),
     ("width", width::check_width),
 ];
 
-/// Wall-clock timings for each analysis phase of a workspace scan, used
-/// by the self-benchmark (`bench_flcheck`) and available to any caller
-/// via [`check_workspace_with_stats`]. Timings never influence report
-/// content — the report is byte-identical whatever these read.
-#[derive(Debug, Default, Clone)]
-pub struct ScanStats {
-    /// Per-file phase (lexing + intraprocedural rules + item parsing),
-    /// wall-clock across the parallel map, not summed per file.
-    pub per_file: Duration,
-    /// Call-graph construction.
-    pub callgraph: Duration,
-    /// One entry per [`PASSES`] element, in run order.
-    pub passes: Vec<(&'static str, Duration)>,
-    /// Whole scan, including sort.
-    pub total: Duration,
-}
-
 /// Analyzes a whole workspace given as (workspace-relative path, source)
-/// pairs: the per-file rule families (fanned out over the rayon
-/// work-stealing pool), then the call graph and every pass of
-/// [`PASSES`] on top.
+/// pairs: the per-file rule families as a parallel map over the rayon
+/// work-stealing pool, then the call graph and every pass of [`PASSES`]
+/// on top. Every pass consumes the per-file results in input order, so
+/// findings (and the rendered report) are independent of thread count.
 pub fn check_workspace(inputs: &[(String, String)]) -> Report {
-    check_workspace_with_stats(inputs).0
-}
-
-/// [`check_workspace`], additionally returning per-phase wall-clock
-/// timings. The per-file phase runs as a parallel map over the input
-/// list; every downstream pass consumes the collected results in input
-/// order, so findings (and the rendered report) are independent of
-/// thread count.
-pub fn check_workspace_with_stats(inputs: &[(String, String)]) -> (Report, ScanStats) {
-    let start = Instant::now();
     let mut report = Report::default();
-    let mut lap = start;
-    // The single timing site: time since the previous call.
-    let mut split = || {
-        let now = Instant::now();
-        let took = now - lap;
-        lap = now;
-        took
-    };
-
     let per_file: Vec<(Vec<Finding>, ParsedFile)> = inputs
         .par_iter()
         .map(|(rel, src)| (check_file(rel, src), ParsedFile::parse(rel, src)))
@@ -180,22 +142,12 @@ pub fn check_workspace_with_stats(inputs: &[(String, String)]) -> (Report, ScanS
         parsed.push(file);
         report.files_scanned += 1;
     }
-    let mut stats = ScanStats {
-        per_file: split(),
-        ..ScanStats::default()
-    };
-
     let graph = CallGraph::build(&parsed);
-    stats.callgraph = split();
-
-    for &(name, pass) in PASSES {
+    for &(_, pass) in PASSES {
         pass(&parsed, &graph, &mut report.findings);
-        stats.passes.push((name, split()));
     }
-
     report.sort();
-    stats.total = start.elapsed();
-    (report, stats)
+    report
 }
 
 /// Recursively collects the `.rs` files to analyze under `root`,
@@ -241,11 +193,6 @@ pub fn collect_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
 
 /// Runs the full analysis over a workspace rooted at `root`.
 pub fn run(root: &Path) -> std::io::Result<Report> {
-    Ok(run_with_stats(root)?.0)
-}
-
-/// [`run`], additionally returning per-phase wall-clock timings.
-pub fn run_with_stats(root: &Path) -> std::io::Result<(Report, ScanStats)> {
     let mut inputs = Vec::new();
     for path in collect_files(root)? {
         let rel = path
@@ -256,7 +203,7 @@ pub fn run_with_stats(root: &Path) -> std::io::Result<(Report, ScanStats)> {
         let src = std::fs::read_to_string(&path)?;
         inputs.push((rel, src));
     }
-    Ok(check_workspace_with_stats(&inputs))
+    Ok(check_workspace(&inputs))
 }
 
 #[cfg(test)]

@@ -2,9 +2,9 @@
 //! expressions inside their bodies.
 //!
 //! This is deliberately **not** a Rust grammar. The interprocedural passes
-//! ([`crate::callgraph`], [`crate::taint`]) need exactly three things from
-//! each file — which functions exist (name, visibility, parameters,
-//! `ct-fn` / `secret(..)` markers), where their bodies are, and which
+//! ([`crate::callgraph`] and the passes over it) need exactly three things
+//! from each file — which functions exist (name, visibility, parameters,
+//! `ct-fn` / `widen-ok(..)` / `narrow(..)` markers), where their bodies are, and which
 //! calls each body makes with which argument spans — and a token-walking
 //! extractor over [`SourceFile`] recovers all of that without `syn`.
 //!

@@ -72,19 +72,6 @@ pub const RULES: &[Rule] = &[
         example: "// flcheck: ct-fn\nfn both(a: bool, b: bool) -> bool {\n    a && b // ct-shortcircuit\n}",
     },
     Rule {
-        id: "ct-taint",
-        family: "ct-discipline",
-        pass: "taint",
-        summary: "secret value flowing into a variable-time operation",
-        detail: "Interprocedural taint: values seeded by `// flcheck: secret(x)` \
-                 are propagated through assignments, arithmetic, and resolved \
-                 calls across the workspace call graph. Reaching a timing sink — \
-                 a branch predicate, slice index, early-return condition, loop \
-                 bound, or a call into a non-ct fn — fires with the full \
-                 propagation chain.",
-        example: "// flcheck: secret(key)\nfn seal(key: u64) -> u64 { whiten(key) }\nfn whiten(x: u64) -> u64 {\n    if x == 0 { return 1; } // ct-taint: `key` reached a branch via `whiten`\n    x\n}",
-    },
-    Rule {
         id: "lock-leaf",
         family: "lock-discipline",
         pass: "lock_leaf",

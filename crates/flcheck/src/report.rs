@@ -31,8 +31,8 @@ pub struct Finding {
     pub line: u32,
     /// Human-readable explanation.
     pub message: String,
-    /// Call chain for interprocedural findings (propagated `ct-taint`,
-    /// `lock-leaf`, ...), outermost first; empty for single-site findings.
+    /// Call chain for interprocedural findings (`lock-leaf`,
+    /// `lossy-narrow`), outermost first; empty for single-site findings.
     pub chain: Vec<String>,
 }
 
@@ -219,7 +219,7 @@ mod tests {
             );
         }
         assert!(j.contains("\"lock-leaf\": 1"));
-        assert!(j.contains("\"ct-taint\": 0"));
+        assert!(j.contains("\"ct-branch\": 0"));
         assert!(j.contains("\"pf-assert\": 0"));
         assert!(j.contains("\"lossy-narrow\": 0"));
     }
@@ -228,10 +228,10 @@ mod tests {
     fn chains_render_in_json_and_human_output() {
         let mut r = Report {
             findings: vec![Finding::with_chain(
-                "ct-taint",
+                "lock-leaf",
                 "crates/core/src/a.rs",
                 4,
-                "secret `key` reaches a branch in `deep`",
+                "guard held across a call that blocks in `deep`",
                 vec![
                     "api (crates/core/src/a.rs:4)".to_string(),
                     "deep (crates/core/src/a.rs:9)".to_string(),

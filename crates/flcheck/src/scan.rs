@@ -2,7 +2,7 @@
 //!
 //! None of the passes parse Rust; they recover just enough statement
 //! structure from the bracket-balanced token stream — where a statement
-//! starts and ends, where a block header ends, where a bracket group
+//! starts, where a block header ends, where a bracket group
 //! opened, where a path starts. Those scans live here,
 //! once, so every pass agrees on what a "statement" is.
 
@@ -32,27 +32,6 @@ pub(crate) fn path_start(toks: &[Token], idx: usize) -> usize {
     k
 }
 
-/// End of the statement starting at `s`: the first `;` at relative
-/// bracket depth 0, or the bracket that closes the enclosing group (or
-/// `limit`).
-pub(crate) fn stmt_end(toks: &[Token], s: usize, limit: usize) -> usize {
-    let mut depth = 0i32;
-    for (i, t) in toks.iter().enumerate().take(limit.min(toks.len())).skip(s) {
-        match t.kind {
-            TokKind::Open => depth += 1,
-            TokKind::Close => {
-                if depth == 0 {
-                    return i;
-                }
-                depth -= 1;
-            }
-            TokKind::Op if t.text == ";" && depth == 0 => return i,
-            _ => {}
-        }
-    }
-    limit
-}
-
 /// End of an `if`/`while`/`match`/`for` header starting at `s`: the
 /// first `{` at relative depth 0 (or `limit`).
 pub(crate) fn header_end(toks: &[Token], s: usize, limit: usize) -> usize {
@@ -66,30 +45,6 @@ pub(crate) fn header_end(toks: &[Token], s: usize, limit: usize) -> usize {
         }
     }
     limit
-}
-
-/// Keywords that may legally precede a `[` without it being an indexing
-/// expression (array literals, returns of arrays, ...).
-const NON_INDEX_KEYWORDS: &[&str] = &[
-    "return", "in", "if", "else", "match", "loop", "while", "for", "move", "break", "continue",
-    "as", "let", "mut", "ref", "where", "unsafe", "dyn", "impl", "const", "static", "type", "fn",
-    "use", "pub", "enum", "struct", "trait", "mod",
-];
-
-/// Is the `[` at index `i` an indexing expression? True when preceded by a
-/// non-keyword identifier, a closing bracket, or `?` — i.e. an expression
-/// that produces a value being indexed. `vec![..]` and attributes are not
-/// indexing.
-pub(crate) fn is_indexing(toks: &[Token], i: usize) -> bool {
-    let Some(prev) = i.checked_sub(1).map(|k| &toks[k]) else {
-        return false;
-    };
-    match prev.kind {
-        TokKind::Ident => !NON_INDEX_KEYWORDS.contains(&prev.text.as_str()),
-        TokKind::Close => prev.text == ")" || prev.text == "]",
-        TokKind::Op => prev.text == "?",
-        _ => false,
-    }
 }
 
 /// Index of the `Open` token matching the `Close` token at `close_idx`
@@ -132,12 +87,9 @@ mod tests {
         let g = at(&t, "g");
         let start = stmt_start(&t, g);
         assert_eq!(t[start].text, "let");
-        let end = stmt_end(&t, g, t.len());
-        assert_eq!(t[end].text, ";");
-        assert_eq!(t[end - 1].text, "]", "the `;` inside `f(..)` is nested");
-        // A statement with no `;` ends at the enclosing group's close.
-        let tail = at(&t, "tail");
-        assert_eq!(t[stmt_end(&t, tail, t.len())].text, "}");
+        // After the enclosing group's open, or the previous `;`.
+        assert_eq!(t[stmt_start(&t, at(&t, "tail"))].text, "tail");
+        assert_eq!(t[stmt_start(&t, at(&t, "a"))].text, "a");
     }
 
     #[test]
@@ -145,19 +97,6 @@ mod tests {
         let t = toks("if f(|x| { x }) == y { body }");
         let end = header_end(&t, 1, t.len());
         assert_eq!(t[end + 1].text, "body");
-    }
-
-    #[test]
-    fn indexing_skips_macros_attrs_and_literals() {
-        let t = toks(
-            "#[derive(Clone)] fn f() -> [u8; 2] { let v = vec![1, 2]; \
-             let arr: [u8; 2] = [0; 2]; return [1, 2]; v[0] + f()[1] }",
-        );
-        let indexing: Vec<usize> = (0..t.len())
-            .filter(|&i| t[i].text == "[" && is_indexing(&t, i))
-            .collect();
-        let prev: Vec<&str> = indexing.iter().map(|&i| t[i - 1].text.as_str()).collect();
-        assert_eq!(prev, vec!["v", ")"], "only `v[0]` and `f()[1]` index");
     }
 
     #[test]

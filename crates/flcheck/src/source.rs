@@ -5,7 +5,6 @@
 //!
 //! ```text
 //! flcheck: ct-fn                      mark the next `fn` as a constant-time region
-//! flcheck: secret(a, b)               mark params/locals of the next `fn` as secret
 //! flcheck: allow(rule-a, rule-b)      suppress rules on this line and the next
 //! flcheck: allow-file(rule-a)         suppress a rule for the whole file
 //! flcheck: widen-ok(a, b)             narrowing `as` casts in the next `fn`
@@ -26,9 +25,6 @@ use std::collections::{BTreeMap, BTreeSet};
 pub struct Markers {
     /// `ct-fn`: a constant-time region.
     pub is_ct: bool,
-    /// `secret(..)`: parameters or locals whose values are secret (taint
-    /// sources).
-    pub secrets: Vec<String>,
     /// `widen-ok(..)` identifiers: narrowing casts whose source
     /// expression mentions one are exempt (the quantity is known to fit).
     pub widen_ok: Vec<String>,
@@ -41,7 +37,6 @@ impl Markers {
     /// Accumulates another directive's facts onto the same fn.
     fn merge(&mut self, o: Markers) {
         self.is_ct |= o.is_ct;
-        self.secrets.extend(o.secrets);
         self.widen_ok.extend(o.widen_ok);
         self.narrows.extend(o.narrows);
     }
@@ -148,7 +143,6 @@ impl SourceFile {
             }
             let m = Markers {
                 is_ct: body.starts_with("ct-fn"),
-                secrets: names("secret"),
                 widen_ok: names("widen-ok"),
                 narrows: described("narrow"),
             };
@@ -326,7 +320,7 @@ mod tests {
     fn directives_parse() {
         let src = "\
 // flcheck: allow-file(lossy-narrow)
-// flcheck: allow-file(ct-taint, lock-leaf)
+// flcheck: allow-file(ct-return, lock-leaf)
 fn a() {
     assert!(x); // flcheck: allow(pf-assert)
 }
@@ -335,7 +329,7 @@ fn b() {}
 ";
         let f = SourceFile::parse("x.rs", src);
         let whole: Vec<&str> = f.allow_file.iter().map(String::as_str).collect();
-        assert_eq!(whole, ["ct-taint", "lock-leaf", "lossy-narrow"]);
+        assert_eq!(whole, ["ct-return", "lock-leaf", "lossy-narrow"]);
         assert!(f.is_allowed("pf-assert", 4));
         assert!(!f.is_allowed("pf-assert", 3));
         let b = f.fns.iter().find(|f| f.name == "b").expect("fn b");
@@ -350,22 +344,6 @@ fn b() {}
         let f = SourceFile::parse("x.rs", src);
         assert!(f.is_allowed("ct-compare", 3));
         assert!(!f.is_allowed("ct-compare", 4));
-    }
-
-    #[test]
-    fn secret_markers_attach_to_the_next_fn() {
-        let src = "\
-// flcheck: secret(exp)
-// flcheck: secret(key , other)
-pub fn ladder(base: u64, exp: u64) {}
-fn plain(x: u64) {}
-";
-        let f = SourceFile::parse("x.rs", src);
-        let ladder = f.fns.iter().find(|f| f.name == "ladder").expect("ladder");
-        assert_eq!(ladder.marks.secrets, vec!["exp", "key", "other"]);
-        assert!(!ladder.marks.is_ct, "secret() does not imply ct-fn");
-        let plain = f.fns.iter().find(|f| f.name == "plain").expect("plain");
-        assert!(plain.marks.secrets.is_empty());
     }
 
     #[test]
@@ -398,21 +376,21 @@ fn unmarked() {}
 
     #[test]
     fn directives_inside_block_comments_do_not_register() {
-        // A secret(..) directive quoted inside a (nested) block comment is
-        // prose, not a marker: it must not seed taint in the next fn.
+        // A widen-ok(..) directive quoted inside a (nested) block comment
+        // is prose, not a marker: it must not exempt casts in the next fn.
         let src = "\
-/* discussion: /* flcheck: secret(table) */ see the directive grammar */
+/* discussion: /* flcheck: widen-ok(table) */ see the directive grammar */
 fn f() {}
-// flcheck: secret(stats)
+// flcheck: widen-ok(stats)
 fn g() {}
 ";
         let f = SourceFile::parse("x.rs", src);
         assert!(
-            f.fns[0].marks.secrets.is_empty(),
+            f.fns[0].marks.widen_ok.is_empty(),
             "{:?}",
-            f.fns[0].marks.secrets
+            f.fns[0].marks.widen_ok
         );
-        assert_eq!(f.fns[1].marks.secrets, vec!["stats".to_string()]);
+        assert_eq!(f.fns[1].marks.widen_ok, vec!["stats".to_string()]);
     }
 
     #[test]

@@ -4,14 +4,10 @@
 //! `Z*_{n²}`:
 //!
 //! - **Key generation**: primes `p, q` of `k/2` bits, `n = p·q`,
-//!   `λ = lcm(p-1, q-1)`. The default generator is `g = n + 1`, which
+//!   `λ = lcm(p-1, q-1)`. The generator is always `g = n + 1`, which
 //!   satisfies the paper's `gcd(n, L(g^λ mod n²)) = 1` condition and makes
-//!   `g^m mod n² = 1 + m·n` a single multiplication — the fast path every
-//!   encryption takes. [`PaillierKeyPair::from_primes_with_g`] accepts an
-//!   arbitrary valid `g`; those keys fall back to a generic constant-time
-//!   exponentiation for `g^m` (the plaintext is secret), one extra modexp
-//!   per encryption, reflected in
-//!   [`PaillierPublicKey::encrypt_op_estimate`].
+//!   `g^m mod n² = 1 + m·n` a single multiplication, so a plaintext is
+//!   never an exponent.
 //! - **Encryption** (paper Eq. 3): `E(m) = g^m · r^n mod n²`. The
 //!   blinding power `r^n mod n²` is the expensive half and does not
 //!   depend on the plaintext, so it is packaged as an [`Obfuscator`] and
@@ -29,9 +25,9 @@
 //! - **Decryption** (paper Eq. 4): `D(c) = L(c^λ mod n²) / L(g^λ mod n²)
 //!   mod n`, with an optional CRT fast path that exponentiates modulo `p²`
 //!   and `q²` separately (≈4× fewer limb operations).
-//! - **Secret exponents** — `λ`, `p−1`, `q−1`, the owner route's
-//!   exponents, and the plaintext under a generic `g` — all go through
-//!   the one constant-time fixed-window exponentiation
+//! - **Secret exponents** — `λ`, `p−1`, `q−1` and the owner route's
+//!   exponents — are held as [`Secret`]s and all go through the one
+//!   constant-time fixed-window exponentiation
 //!   ([`mpint::modpow::mod_pow_ct`]); a pool's blinding exponents go
 //!   through the constant-time comb ([`mpint::comb::FixedBaseCt`]).
 //! - **Cost estimates** (`*_op_estimate`) price the *simulated device's*
@@ -52,6 +48,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use mpint::cios::{mont_mul_mac_count, mont_sqr_mac_count};
 use mpint::comb::FixedBaseCt;
+use mpint::ct::Secret;
 use mpint::modpow::{mod_pow_ct, mod_pow_ctx, window_size_for};
 use mpint::prime::{generate_prime_pair, DEFAULT_MR_ROUNDS};
 use mpint::random::random_coprime;
@@ -86,25 +83,24 @@ impl Ciphertext {
     }
 }
 
-/// Public key: `(g, n)` plus precomputed Montgomery state for `mod n²`.
+/// Public key: the modulus `n` (the generator is `g = n + 1`) plus
+/// precomputed Montgomery state for `mod n²`.
 #[derive(Debug, Clone)]
 pub struct PaillierPublicKey {
     /// The modulus `n = p·q`.
     pub n: Natural,
     /// `n²`, the ciphertext modulus.
     pub n_squared: Natural,
-    /// The generator `g ∈ Z*_{n²}` (normally `n + 1`).
-    pub g: Natural,
     /// Nominal key size in bits.
     pub key_bits: u32,
-    /// Whether `g = n + 1`, enabling the closed-form `g^m = 1 + m·n`.
-    pub(crate) g_fast: bool,
     pub(crate) ctx_n2: MontgomeryCtx,
     pub(crate) key_id: u64,
 }
 
 /// Private key: `(p, q)` with both the direct (`λ, μ`) and CRT decryption
 /// precomputations. `Debug` prints the key size and fingerprint only.
+/// Every secret exponent is a [`Secret`], read only by `pow_secret`;
+/// `p` stays a plain `Natural` because the benchmark reads it.
 #[derive(Clone)]
 pub struct PaillierPrivateKey {
     /// Prime factor `p`.
@@ -112,7 +108,7 @@ pub struct PaillierPrivateKey {
     /// Prime factor `q`.
     pub q: Natural,
     /// `λ = lcm(p-1, q-1)`.
-    pub lambda: Natural,
+    pub lambda: Secret,
     /// `μ = L(g^λ mod n²)^{-1} mod n`.
     pub mu: Natural,
     /// Copy of the public key for the moduli and contexts.
@@ -120,8 +116,8 @@ pub struct PaillierPrivateKey {
     // CRT precomputation.
     p_squared: Natural,
     q_squared: Natural,
-    p_minus_1: Natural,
-    q_minus_1: Natural,
+    p_minus_1: Secret,
+    q_minus_1: Secret,
     ctx_p2: MontgomeryCtx,
     ctx_q2: MontgomeryCtx,
     /// `h_p = L_p(g^{p-1} mod p²)^{-1} mod p`.
@@ -134,9 +130,9 @@ pub struct PaillierPrivateKey {
     ctx_p: MontgomeryCtx,
     ctx_q: MontgomeryCtx,
     /// `q mod (p-1)`: the exponent of `r^q mod p`.
-    q_mod_p1: Natural,
+    q_mod_p1: Secret,
     /// `p mod (q-1)`.
-    p_mod_q1: Natural,
+    p_mod_q1: Secret,
     /// `(p²)^{-1} mod q²` for recombining the two blinding residues.
     p2_inv_q2: Natural,
 }
@@ -190,16 +186,18 @@ fn l_function(x: &Natural, n: &Natural) -> Natural {
     q
 }
 
-/// Secret-exponent exponentiation: `λ`, the CRT exponents `p-1`, `q-1`,
-/// the owner route's `q mod (p-1)`, `p` and their mirrors are private-key
-/// material (and the plaintext under a generic `g` is the secret itself),
-/// so they go through the constant-time fixed window with a public
-/// key-size bound rather than the sliding-window path (whose multiply
-/// schedule mirrors the exponent bits).
+/// Secret-exponent exponentiation, and the private key's one read of its
+/// [`Secret`]s: `λ`, the CRT exponents `p-1`, `q-1`, the owner route's
+/// `q mod (p-1)` and its mirror go through the constant-time fixed window
+/// with a public key-size bound rather than the sliding-window path (whose
+/// multiply schedule mirrors the exponent bits).
 // flcheck: ct-fn
-// flcheck: secret(exp)
-fn pow_secret(ctx: &MontgomeryCtx, base: &Natural, exp: &Natural, bits: u32) -> Natural {
-    mod_pow_ct(ctx, base, exp, bits)
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the constant-time window is the one reader of a private exponent"
+)]
+fn pow_secret(ctx: &MontgomeryCtx, base: &Natural, exp: &Secret, bits: u32) -> Natural {
+    mod_pow_ct(ctx, base, exp.expose(), bits)
 }
 
 /// Limb-op estimate of one sliding-window exponentiation (`mod_pow_ctx`)
@@ -256,38 +254,17 @@ impl PaillierKeyPair {
     }
 
     /// Builds a key pair from explicit primes (used by tests and by the
-    /// deterministic benchmark harness) with the standard fast generator
-    /// `g = n + 1`.
+    /// deterministic benchmark harness) with the generator `g = n + 1`.
     pub fn from_primes(p: Natural, q: Natural, key_bits: u32) -> Result<Self> {
-        let g = &(&p * &q) + &Natural::one();
-        Self::from_primes_with_g(p, q, key_bits, g)
-    }
-
-    /// Builds a key pair from explicit primes and an explicit generator
-    /// `g ∈ Z*_{n²}`.
-    ///
-    /// `g = n + 1` (what [`from_primes`](Self::from_primes) passes) gets
-    /// the closed-form encryption fast path; any other `g` is validated by
-    /// deriving `μ = L(g^λ mod n²)^{-1} mod n` — an invalid generator
-    /// (e.g. `g = 1`, or any `g` whose order does not make `L(g^λ)`
-    /// invertible) fails here with an [`Error::Arithmetic`] inverse
-    /// failure instead of producing a key that decrypts to garbage.
-    pub fn from_primes_with_g(p: Natural, q: Natural, key_bits: u32, g: Natural) -> Result<Self> {
         let n = &p * &q;
         let n_squared = n.square();
         let one = Natural::one();
-        if g.is_zero() || g >= n_squared {
-            return Err(Error::InvalidParameter("generator g must lie in [1, n²)"));
-        }
-        let g_fast = g == &n + &one;
         let ctx_n2 = MontgomeryCtx::new(&n_squared)?;
-        let key_id = key_fingerprint(&n, &g);
+        let key_id = key_fingerprint(&n, &(&n + &one));
         let public = PaillierPublicKey {
             n: n.clone(),
-            n_squared: n_squared.clone(),
-            g: g.clone(),
+            n_squared,
             key_bits,
-            g_fast,
             ctx_n2,
             key_id,
         };
@@ -301,35 +278,19 @@ impl PaillierKeyPair {
         let lambda = mpint::lcm(&p_minus_1, &q_minus_1);
 
         // μ = L(g^λ mod n²)^{-1} mod n. With g = n+1,
-        // g^λ mod n² = 1 + λ·n mod n², hence L(g^λ) = λ mod n; a generic g
-        // needs the exponentiation (λ is secret, so the ct window).
-        let l_g_lambda = if g_fast {
-            &lambda % &n
-        } else {
-            let g_lambda = pow_secret(&public.ctx_n2, &g, &lambda, n.bit_len());
-            &l_function(&g_lambda, &n) % &n
-        };
-        let mu = mod_inv(&l_g_lambda, &n)?;
+        // g^λ mod n² = 1 + λ·n mod n², hence L(g^λ) = λ mod n.
+        let mu = mod_inv(&(&lambda % &n), &n)?;
 
         // CRT precomputation.
         let p_squared = p.square();
         let q_squared = q.square();
         let ctx_p2 = MontgomeryCtx::new(&p_squared)?;
         let ctx_q2 = MontgomeryCtx::new(&q_squared)?;
-        // With g = n+1: n² ≡ 0 (mod p²), so g^k mod p² = 1 + k·n mod p² —
-        // no exponentiation needed. Generic g goes through the ct window
-        // (the exponent p-1 is private-key material).
-        let g_p = if g_fast {
-            &(&one + &(&p_minus_1 * &n)) % &p_squared
-        } else {
-            pow_secret(&ctx_p2, &(&g % &p_squared), &p_minus_1, p.bit_len())
-        };
+        // n² ≡ 0 (mod p²), so g^k mod p² = 1 + k·n mod p² — no
+        // exponentiation needed.
+        let g_p = &(&one + &(&p_minus_1 * &n)) % &p_squared;
         let h_p = mod_inv(&(&l_function(&g_p, &p) % &p), &p)?;
-        let g_q = if g_fast {
-            &(&one + &(&q_minus_1 * &n)) % &q_squared
-        } else {
-            pow_secret(&ctx_q2, &(&g % &q_squared), &q_minus_1, q.bit_len())
-        };
+        let g_q = &(&one + &(&q_minus_1 * &n)) % &q_squared;
         let h_q = mod_inv(&(&l_function(&g_q, &q) % &q), &q)?;
         let p_inv_q = mod_inv(&(&p % &q), &q)?;
 
@@ -349,13 +310,13 @@ impl PaillierKeyPair {
         let private = PaillierPrivateKey {
             p,
             q,
-            lambda,
+            lambda: Secret::new(lambda),
             mu,
             public: public.clone(),
             p_squared,
             q_squared,
-            p_minus_1,
-            q_minus_1,
+            p_minus_1: Secret::new(p_minus_1),
+            q_minus_1: Secret::new(q_minus_1),
             ctx_p2,
             ctx_q2,
             h_p,
@@ -363,18 +324,17 @@ impl PaillierKeyPair {
             p_inv_q,
             ctx_p,
             ctx_q,
-            q_mod_p1,
-            p_mod_q1,
+            q_mod_p1: Secret::new(q_mod_p1),
+            p_mod_q1: Secret::new(p_mod_q1),
             p2_inv_q2,
         };
         Ok(PaillierKeyPair { public, private })
     }
 }
 
-/// Cheap structural fingerprint of a key's modulus and generator, embedded
-/// in ciphertexts to catch cross-key mixing. Two keys sharing `n` but
-/// using different `g` decrypt each other's ciphertexts to garbage, so `g`
-/// is part of the identity.
+/// Cheap structural fingerprint of a key's modulus and its public
+/// exponent or generator (`e` for RSA, `n + 1` for Paillier), embedded in
+/// ciphertexts to catch cross-key mixing.
 pub(crate) fn key_fingerprint(n: &Natural, g: &Natural) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for &l in n.limbs().iter().chain(g.limbs()) {
@@ -654,11 +614,7 @@ impl PaillierPublicKey {
     }
 
     /// Encrypts with an explicit blinding factor (deterministic tests).
-    // flcheck: secret(m)
     pub fn encrypt_with_r(&self, m: &Natural, r: &Natural) -> Result<Ciphertext> {
-        // Delegation boundary: the callee carries its own secret(m) seed
-        // and allows, so taint re-enters analysis there.
-        // flcheck: allow(ct-taint)
         self.encrypt_with_obfuscator(m, self.precompute_obfuscator(r))
     }
 
@@ -686,10 +642,7 @@ impl PaillierPublicKey {
     /// This is the route open to anyone who can encrypt; the key owner
     /// has a cheaper one to the same value,
     /// [`PaillierPrivateKey::precompute_obfuscator`].
-    // flcheck: secret(r)
     pub fn precompute_obfuscator(&self, r: &Natural) -> Obfuscator {
-        // The window walk is driven by the public exponent n, not r.
-        // flcheck: allow(ct-taint)
         let r_n = mod_pow_ctx(&self.ctx_n2, r, &self.n);
         Obfuscator {
             r_n,
@@ -699,37 +652,20 @@ impl PaillierPublicKey {
 
     /// Encrypts using a precomputed blinding pair, consuming it: only
     /// `g^m` and one blinding multiplication remain on the hot path.
-    // flcheck: secret(m)
     pub fn encrypt_with_obfuscator(&self, m: &Natural, obf: Obfuscator) -> Result<Ciphertext> {
         if obf.key_id != self.key_id {
             return Err(Error::KeyMismatch);
         }
         // The range check leaks only whether the plaintext is valid — a
         // bit the caller already knows.
-        // flcheck: allow(ct-taint)
         if m >= &self.n {
-            // The error path reports the oversize plaintext's bit length
-            // to the caller who supplied it; nothing else observes it.
-            // flcheck: allow(ct-taint)
-            let plaintext_bits = m.bit_len();
-            // flcheck: allow(ct-taint)
             return Err(Error::PlaintextTooLarge {
-                plaintext_bits,
+                plaintext_bits: m.bit_len(),
                 modulus_bits: self.n.bit_len(),
             });
         }
-        // Fast path (g = n+1): g^m mod n² = 1 + m·n — one multiplication.
-        // Generic g pays a full exponentiation; the plaintext m is secret,
-        // so it goes through the constant-time window with the public
-        // bound m < n.
-        let g_m = if self.g_fast {
-            &(&Natural::one() + &(m * &self.n)) % &self.n_squared
-        } else {
-            pow_secret(&self.ctx_n2, &self.g, m, self.n.bit_len())
-        };
-        // mod_mul's reduction cost tracks the public operand widths (all
-        // values are full-width mod n²), not the residue being blinded.
-        // flcheck: allow(ct-taint)
+        // g = n+1: g^m mod n² = 1 + m·n — one multiplication.
+        let g_m = &(&Natural::one() + &(m * &self.n)) % &self.n_squared;
         let value = self.ctx_n2.mod_mul(&g_m, &obf.r_n);
         Ok(Ciphertext {
             value,
@@ -1003,18 +939,10 @@ impl PaillierPublicKey {
     /// Estimated limb-level operation count of one encryption whose
     /// `r^n` pair came precomputed from an [`ObfuscatorPool`]: only
     /// `g^m` and the blinding multiplication remain on the hot path.
-    /// Keys with a generic generator (no `g = n+1` closed form) still pay
-    /// the constant-time `g^m` power per call.
     pub fn encrypt_pooled_op_estimate(&self) -> u64 {
-        let s = self.ctx_n2.width();
-        let g_ops = if self.g_fast {
-            0
-        } else {
-            ladder_pow_ops(s, self.n.bit_len())
-        };
         // Blinding mod_mul: two to-Montgomery conversions, the multiply,
         // and the final reduction — four mont-muls' worth of MACs.
-        g_ops + 2 * mont_mul_mac_count(s)
+        2 * mont_mul_mac_count(self.ctx_n2.width())
     }
 
     /// Estimated limb-level operation count of one homomorphic addition.
@@ -1135,7 +1063,6 @@ impl PaillierPublicKey {
 
 impl PaillierPrivateKey {
     /// Direct decryption (paper Eq. 4), constant-time in `λ`.
-    // flcheck: secret(lambda)
     pub fn decrypt(&self, c: &Ciphertext) -> Result<Natural> {
         self.check(c)?;
         // λ = lcm(p-1, q-1) < n: the public modulus size bounds the window.
@@ -1147,7 +1074,6 @@ impl PaillierPrivateKey {
         );
         // L(u) = (u-1)/n is variable-time in the *decryption output*, not
         // in the λ bits the window above protects.
-        // flcheck: allow(ct-taint)
         let l = l_function(&u, &self.public.n);
         Ok(&(&l * &self.mu) % &self.public.n)
     }
@@ -1155,30 +1081,22 @@ impl PaillierPrivateKey {
     /// CRT decryption: exponentiates modulo `p²` and `q²` (half-width
     /// operands, half-length exponents) and recombines — the fast path the
     /// GPU layer batches.
-    // flcheck: secret(p_minus_1, q_minus_1)
     pub fn decrypt_crt(&self, c: &Ciphertext) -> Result<Natural> {
         self.check(c)?;
         // m_p = L_p(c^{p-1} mod p²) · h_p mod p; the exponent p-1 is
         // private-key material, bounded by the public half-key size.
         let cp = &c.value % &self.p_squared;
         let up = pow_secret(&self.ctx_p2, &cp, &self.p_minus_1, self.p.bit_len());
-        // L_p operates on the recovered residue, not the p-1 exponent bits;
-        // its division timing tracks the public half-key width.
-        // flcheck: allow(ct-taint)
+        // L_p operates on the recovered residue, not the p-1 exponent bits.
         let m_p = &(&l_function(&up, &self.p) * &self.h_p) % &self.p;
 
         let cq = &c.value % &self.q_squared;
         let uq = pow_secret(&self.ctx_q2, &cq, &self.q_minus_1, self.q.bit_len());
-        // Same as the p branch: post-window output processing.
-        // flcheck: allow(ct-taint)
         let m_q = &(&l_function(&uq, &self.q) * &self.h_q) % &self.q;
 
         // CRT: m = m_p + p·((m_q - m_p)·p^{-1} mod q), with m_p reduced
         // into [0, q) before the difference (p and q have no ordering).
         let m_p_mod_q = &m_p % &self.q;
-        // CRT recombination of the two plaintext residues; both windows
-        // are already done and the arithmetic is width-bounded.
-        // flcheck: allow(ct-taint)
         let diff = m_q.mod_sub(&m_p_mod_q, &self.q);
         let t = &(&diff * &self.p_inv_q) % &self.q;
         Ok(&m_p + &(&self.p * &t))
@@ -1196,17 +1114,9 @@ impl PaillierPrivateKey {
     /// (`crt_squares`). All four exponents are key material and go through
     /// the constant-time window. An owner's [`ObfuscatorPool`] computes its
     /// base `h_s` through here, once.
-    // flcheck: secret(r)
     pub fn precompute_obfuscator(&self, r: &Natural) -> Obfuscator {
-        // Delegation boundary: r enters the two powers as their base,
-        // which the window only ever handles as data; the exponents
-        // re-enter analysis through pow_secret's own secret(exp) seed.
-        // flcheck: allow(ct-taint)
         let at_p = Self::pow_n_mod_square(r, &self.p, &self.q_mod_p1, &self.ctx_p, &self.ctx_p2);
-        // flcheck: allow(ct-taint)
         let at_q = Self::pow_n_mod_square(r, &self.q, &self.p_mod_q1, &self.ctx_q, &self.ctx_q2);
-        // Both windows are done; the recombination is width-bounded.
-        // flcheck: allow(ct-taint)
         let r_n = self.crt_squares(&at_p, &at_q);
         Obfuscator {
             r_n,
@@ -1230,15 +1140,16 @@ impl PaillierPrivateKey {
     fn pow_n_mod_square(
         r: &Natural,
         prime: &Natural,
-        cofactor_exp: &Natural,
+        cofactor_exp: &Secret,
         ctx_prime: &MontgomeryCtx,
         ctx_square: &MontgomeryCtx,
     ) -> Natural {
         // Both exponents are key material bounded by the public half-key
-        // size.
+        // size. The prime is a plain `Natural` (see `p`), so its power
+        // takes the same constant-time window directly.
         let half_bits = prime.bit_len();
         let x = pow_secret(ctx_prime, &(r % prime), cofactor_exp, half_bits);
-        pow_secret(ctx_square, &x, prime, half_bits)
+        mod_pow_ct(ctx_square, &x, prime, half_bits)
     }
 
     /// Estimated limb-level op count of one CRT decryption as the
@@ -1498,9 +1409,17 @@ mod tests {
             format!("{k:#?}"),
         ];
         let sk = &k.private;
-        let secrets = [&sk.p, &sk.q, &sk.lambda, &sk.mu, &sk.p_squared, &r_n];
+        let exponents = [
+            &sk.lambda,
+            &sk.p_minus_1,
+            &sk.q_minus_1,
+            &sk.q_mod_p1,
+            &sk.p_mod_q1,
+        ]
+        .map(Secret::expose);
+        let plain = [&sk.p, &sk.q, &sk.mu, &sk.p_squared, &r_n];
         for text in &rendered {
-            for secret in secrets {
+            for secret in exponents.into_iter().chain(plain) {
                 let hex = secret.to_hex();
                 assert!(!text.contains(&hex), "{hex} leaked in {text}");
                 assert!(!text.contains(&format!("{secret:?}")));
@@ -1527,7 +1446,7 @@ mod tests {
         let swapped =
             PaillierKeyPair::from_primes(fast.private.q.clone(), fast.private.p.clone(), 128)
                 .unwrap();
-        for k in [&fast, &swapped, &generic_g_keys(), &keys(64), &keys(256)] {
+        for k in [&fast, &swapped, &keys(64), &keys(256)] {
             let n = &k.public.n;
             let edge = [
                 Natural::one(),
@@ -1550,7 +1469,7 @@ mod tests {
     #[test]
     fn owner_pool_matches_public_pool_on_hit_and_miss() {
         let other = PaillierKeyPair::generate(&mut ChaCha8Rng::seed_from_u64(2), 128).unwrap();
-        for k in [&keys(128), &generic_g_keys(), &keys(64)] {
+        for k in [&keys(128), &keys(64)] {
             let owner = ObfuscatorPool::for_owner(&k.private);
             let public = ObfuscatorPool::new(&k.public);
             for pool in [&owner, &public] {
@@ -1648,87 +1567,6 @@ mod tests {
         assert!(k2.public.encrypt_op_estimate() > 4 * k1.public.encrypt_op_estimate());
         assert!(k2.private.decrypt_op_estimate() > 4 * k1.private.decrypt_op_estimate());
         assert!(k1.public.add_op_estimate() < k1.public.encrypt_op_estimate());
-    }
-
-    /// Key pair over the same primes as `keys(128)` but with the generic
-    /// generator `g = 1 + 2n` (valid: `L((1+2n)^λ) = 2λ mod n`, coprime to
-    /// the odd `n` because `gcd(λ, n) = 1` for equal-size primes).
-    fn generic_g_keys() -> PaillierKeyPair {
-        let k = keys(128);
-        let n = &k.public.n;
-        let g = &Natural::one() + &(&Natural::from(2u64) * n);
-        PaillierKeyPair::from_primes_with_g(k.private.p.clone(), k.private.q.clone(), 128, g)
-            .unwrap()
-    }
-
-    #[test]
-    fn generic_g_roundtrip_and_addition() {
-        let k = generic_g_keys();
-        assert!(!k.public.g_fast);
-        let mut r = rng();
-        for v in [0u64, 1, 42, 0xFFFF_FFFF] {
-            let c = k.public.encrypt(&nat(v), &mut r).unwrap();
-            assert_eq!(k.private.decrypt(&c).unwrap(), nat(v), "direct {v}");
-            assert_eq!(k.private.decrypt_crt(&c).unwrap(), nat(v), "crt {v}");
-        }
-        let c1 = k.public.encrypt(&nat(1000), &mut r).unwrap();
-        let c2 = k.public.encrypt(&nat(2345), &mut r).unwrap();
-        let sum = k.public.checked_add(&c1, &c2).unwrap();
-        assert_eq!(k.private.decrypt(&sum).unwrap(), nat(3345));
-    }
-
-    #[test]
-    fn explicit_n_plus_1_matches_default_path() {
-        let k = keys(128);
-        let g = &k.public.n + &Natural::one();
-        let k2 =
-            PaillierKeyPair::from_primes_with_g(k.private.p.clone(), k.private.q.clone(), 128, g)
-                .unwrap();
-        assert!(k2.public.g_fast);
-        assert_eq!(k.public.key_id, k2.public.key_id);
-        let r = nat(987_654_321);
-        let c1 = k.public.encrypt_with_r(&nat(7777), &r).unwrap();
-        let c2 = k2.public.encrypt_with_r(&nat(7777), &r).unwrap();
-        assert_eq!(c1.value, c2.value);
-    }
-
-    #[test]
-    fn invalid_generators_rejected() {
-        let k = keys(128);
-        let (p, q) = (k.private.p.clone(), k.private.q.clone());
-        // g = 1 has order 1: L(1^λ) = 0, not invertible.
-        assert!(
-            PaillierKeyPair::from_primes_with_g(p.clone(), q.clone(), 128, Natural::one()).is_err()
-        );
-        // g outside [1, n²) is structurally invalid.
-        assert!(matches!(
-            PaillierKeyPair::from_primes_with_g(
-                p.clone(),
-                q.clone(),
-                128,
-                k.public.n_squared.clone()
-            ),
-            Err(Error::InvalidParameter(_))
-        ));
-        assert!(matches!(
-            PaillierKeyPair::from_primes_with_g(p, q, 128, Natural::from(0u64)),
-            Err(Error::InvalidParameter(_))
-        ));
-    }
-
-    #[test]
-    fn generic_g_costs_more_and_mixing_fails() {
-        let fast = keys(128);
-        let slow = generic_g_keys();
-        // Same modulus width, but the generic g^m is charged 2·bits(n)
-        // more Montgomery multiplications per encryption.
-        assert!(slow.public.encrypt_op_estimate() > fast.public.encrypt_op_estimate());
-        // Same n, different g: the fingerprint must differ so cross-g
-        // mixing fails loudly instead of decrypting to garbage.
-        assert_ne!(fast.public.key_id, slow.public.key_id);
-        let mut r = rng();
-        let c = fast.public.encrypt(&nat(5), &mut r).unwrap();
-        assert_eq!(slow.private.decrypt(&c), Err(Error::KeyMismatch));
     }
 
     #[test]

@@ -11,6 +11,7 @@
 use std::fmt;
 
 use mpint::cios::{mont_mul_mac_count, mont_sqr_mac_count};
+use mpint::ct::Secret;
 use mpint::modpow::{mod_pow_ct, mod_pow_ctx};
 use mpint::prime::{generate_prime_pair, DEFAULT_MR_ROUNDS};
 use mpint::{mod_inv, MontgomeryCtx, Natural};
@@ -42,13 +43,13 @@ pub struct RsaPublicKey {
 #[derive(Clone)]
 pub struct RsaPrivateKey {
     /// Private exponent `d = e^{-1} mod λ(n)`.
-    pub d: Natural,
+    pub d: Secret,
     /// Copy of the public key.
     pub public: RsaPublicKey,
     p: Natural,
     q: Natural,
-    d_p: Natural,
-    d_q: Natural,
+    d_p: Secret,
+    d_q: Secret,
     q_inv_p: Natural,
     ctx_p: MontgomeryCtx,
     ctx_q: MontgomeryCtx,
@@ -123,13 +124,13 @@ impl RsaKeyPair {
                 key_bits: bits,
                 ctx_n,
             };
-            let d_p = &d % &p1;
-            let d_q = &d % &q1;
+            let d_p = Secret::new(&d % &p1);
+            let d_q = Secret::new(&d % &q1);
             let q_inv_p = mod_inv(&(&q % &p), &p)?;
             let ctx_p = MontgomeryCtx::new(&p)?;
             let ctx_q = MontgomeryCtx::new(&q)?;
             let private = RsaPrivateKey {
-                d,
+                d: Secret::new(d),
                 public: public.clone(),
                 p,
                 q,
@@ -169,20 +170,23 @@ impl RsaPublicKey {
     }
 }
 
-/// Secret-exponent exponentiation for decryption. The CRT shares of `d`
-/// must not leak through the multiply schedule (the sliding-window path's
-/// schedule mirrors the exponent bits), so decryption routes through the
-/// constant-time fixed window, bounded by the public prime size.
+/// Secret-exponent exponentiation for decryption, and the key's one read
+/// of its [`Secret`]s. `d` and its CRT shares must not leak through the
+/// multiply schedule (the sliding-window path's schedule mirrors the
+/// exponent bits), so decryption routes through the constant-time fixed
+/// window, bounded by the public prime size.
 // flcheck: ct-fn
-// flcheck: secret(exp)
-fn pow_secret(ctx: &MontgomeryCtx, base: &Natural, exp: &Natural, bits: u32) -> Natural {
-    mod_pow_ct(ctx, base, exp, bits)
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the constant-time window is the one reader of a private exponent"
+)]
+fn pow_secret(ctx: &MontgomeryCtx, base: &Natural, exp: &Secret, bits: u32) -> Natural {
+    mod_pow_ct(ctx, base, exp.expose(), bits)
 }
 
 impl RsaPrivateKey {
     /// Raw RSA decryption via CRT: two half-width exponentiations, both
     /// constant-time in the secret exponent shares.
-    // flcheck: secret(d_p, d_q)
     pub fn decrypt(&self, c: &Natural) -> Result<Natural> {
         if c >= &self.public.n {
             return Err(Error::CiphertextOutOfRange);
@@ -190,9 +194,7 @@ impl RsaPrivateKey {
         let m_p = pow_secret(&self.ctx_p, &(c % &self.p), &self.d_p, self.p.bit_len());
         let m_q = pow_secret(&self.ctx_q, &(c % &self.q), &self.d_q, self.q.bit_len());
         // Garner: m = m_q + q·((m_p - m_q)·q^{-1} mod p); both operands of
-        // the lifted difference are reduced mod p. Recombination works on
-        // the plaintext residues after both windows complete.
-        // flcheck: allow(ct-taint)
+        // the lifted difference are reduced mod p.
         let diff = m_p.mod_sub(&(&m_q % &self.p), &self.p);
         let h = &(&diff * &self.q_inv_p) % &self.p;
         Ok(&m_q + &(&self.q * &h))
@@ -200,7 +202,6 @@ impl RsaPrivateKey {
 
     /// Decryption without CRT (ablation baseline): `c^d mod n`,
     /// constant-time in `d`.
-    // flcheck: secret(d)
     pub fn decrypt_direct(&self, c: &Natural) -> Result<Natural> {
         if c >= &self.public.n {
             return Err(Error::CiphertextOutOfRange);
@@ -312,7 +313,8 @@ mod tests {
         let k = keys(128);
         let sk = &k.private;
         for text in [format!("{k:?}"), format!("{sk:?}"), format!("{k:#?}")] {
-            for secret in [&sk.d, &sk.p, &sk.q, &sk.d_p, &sk.d_q, &sk.q_inv_p] {
+            let exponents = [&sk.d, &sk.d_p, &sk.d_q].map(Secret::expose);
+            for secret in exponents.into_iter().chain([&sk.p, &sk.q, &sk.q_inv_p]) {
                 assert!(!text.contains(&secret.to_hex()), "leaked in {text}");
                 assert!(!text.contains(&secret.to_string()), "leaked in {text}");
             }

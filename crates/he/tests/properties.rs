@@ -233,18 +233,6 @@ proptest! {
 }
 
 #[test]
-fn owner_route_matches_public_route_under_a_generic_generator() {
-    let base = paillier();
-    let g = &Natural::one() + &(&Natural::from(2u64) * &base.public.n);
-    let (p, q) = (base.private.p.clone(), base.private.q.clone());
-    let k = PaillierKeyPair::from_primes_with_g(p, q, 128, g).unwrap();
-    // g ≠ n + 1, yet g^0 = 1: the zero plaintext still shows r^n.
-    check_owner_route(&k, 0x6E6E, 3, 1);
-    check_owner_route(&k, 0x6E6F, 3, 0);
-    check_owner_route(&k, 0x6E70, 3, 3);
-}
-
-#[test]
 fn pack_shape_errors_are_typed() {
     let k = paillier();
     let c = k

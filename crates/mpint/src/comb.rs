@@ -194,7 +194,6 @@ impl FixedBaseCt {
 
     /// [`pow`](Self::pow) up to the conversion out of the domain.
     // flcheck: ct-fn
-    // flcheck: secret(exp)
     fn pow_acc(&self, exp: &[Limb]) -> MontAcc<'_> {
         let FixedBaseCounts {
             teeth,

@@ -12,12 +12,75 @@
 //!
 //! `flcheck`'s ct-discipline rule recognises the `// flcheck: ct-fn`
 //! marker on these functions and verifies the bodies stay branch-free.
+//!
+//! Which values are secret is a type: private-key exponents are held as
+//! [`Secret`], which cannot be compared, printed or indexed, and whose one
+//! read is banned outside an `#[expect]` at the site.
 
 use crate::limb::{sbb, Limb, LIMB_BITS};
+use crate::natural::Natural;
+
+/// Private-key material: a [`Natural`] that offers nothing a timing or a
+/// log could read it through. There is no `Debug`, `Display`,
+/// `PartialEq`, `Ord`, `Hash`, `Deref`, `AsRef` or limb access; the one
+/// read is [`expose`](Self::expose), which `crates/clippy.toml` bans, so
+/// every read is an `#[expect(clippy::disallowed_methods, reason = "…")]`
+/// where it happens — in practice, the constant-time power a key type
+/// routes all its secret exponents through.
+///
+/// ```
+/// use mpint::{ct::Secret, Natural};
+///
+/// let d = Secret::new(Natural::from(65_537u64));
+/// assert_eq!(d.clone().expose(), &Natural::from(65_537u64));
+/// ```
+///
+/// Two secrets do not compare (a variable-time, early-exit scan):
+///
+/// ```compile_fail,E0369
+/// # use mpint::{ct::Secret, Natural};
+/// let (a, b) = (Secret::new(Natural::one()), Secret::new(Natural::one()));
+/// let _ = a == b;
+/// ```
+///
+/// A secret does not format:
+///
+/// ```compile_fail,E0277
+/// # use mpint::{ct::Secret, Natural};
+/// println!("{:?}", Secret::new(Natural::one()));
+/// ```
+///
+/// A secret does not dereference to its value:
+///
+/// ```compile_fail,E0614
+/// # use mpint::{ct::Secret, Natural};
+/// let s = Secret::new(Natural::one());
+/// let _: &Natural = &*s;
+/// ```
+///
+/// A secret's limbs are not addressable (a table index, a loop bound):
+///
+/// ```compile_fail,E0599
+/// # use mpint::{ct::Secret, Natural};
+/// let _ = Secret::new(Natural::one()).limbs();
+/// ```
+#[derive(Clone)]
+pub struct Secret(Natural);
+
+impl Secret {
+    /// Wraps key material.
+    pub fn new(value: Natural) -> Self {
+        Secret(value)
+    }
+
+    /// The value, for the constant-time kernel that consumes it.
+    pub fn expose(&self) -> &Natural {
+        &self.0
+    }
+}
 
 /// Returns `1` if `x == 0`, else `0`, without branching on `x`.
 // flcheck: ct-fn
-// flcheck: secret(x)
 #[inline]
 #[must_use]
 pub fn ct_is_zero(x: Limb) -> Limb {
@@ -34,7 +97,6 @@ pub fn ct_is_zero(x: Limb) -> Limb {
 /// through this); every select, masked subtraction and table scan here
 /// takes its mask from this function.
 // flcheck: ct-fn
-// flcheck: secret(flag)
 #[inline]
 #[must_use]
 pub fn ct_mask(flag: Limb) -> Limb {
@@ -44,7 +106,6 @@ pub fn ct_mask(flag: Limb) -> Limb {
 
 /// Selects `a` where `mask` is all-ones, `b` where it is all-zeros.
 // flcheck: ct-fn
-// flcheck: secret(mask, a, b)
 #[inline]
 #[must_use]
 pub fn ct_select(mask: Limb, a: Limb, b: Limb) -> Limb {
@@ -56,7 +117,6 @@ pub fn ct_select(mask: Limb, a: Limb, b: Limb) -> Limb {
 ///
 /// Both slices must have the same (public) length.
 // flcheck: ct-fn
-// flcheck: secret(a, b)
 #[must_use]
 pub fn ct_eq(a: &[Limb], b: &[Limb]) -> Limb {
     debug_assert_eq!(a.len(), b.len(), "ct_eq operands must share a width");
@@ -70,7 +130,6 @@ pub fn ct_eq(a: &[Limb], b: &[Limb]) -> Limb {
 /// Returns `1` if `a < b` (as little-endian limb vectors of equal public
 /// length), else `0`, via a full borrow chain — no early exit.
 // flcheck: ct-fn
-// flcheck: secret(a, b)
 #[must_use]
 pub fn ct_lt(a: &[Limb], b: &[Limb]) -> Limb {
     debug_assert_eq!(a.len(), b.len(), "ct_lt operands must share a width");
@@ -89,7 +148,6 @@ pub fn ct_lt(a: &[Limb], b: &[Limb]) -> Limb {
 /// instructions run depend on the (secret) index. An `index` past the
 /// table yields zeros. The entry width and the table length are public.
 // flcheck: ct-fn
-// flcheck: secret(index)
 pub fn ct_lookup_limbs(out: &mut [Limb], table: &[Limb], index: Limb) {
     debug_assert!(!out.is_empty(), "table entries are at least one limb");
     debug_assert_eq!(table.len() % out.len(), 0, "table must be whole entries");
@@ -114,7 +172,6 @@ fn zero_extended(n: &[Limb]) -> impl Iterator<Item = Limb> + '_ {
 /// borrow out of the top word (the split accumulator of [`crate::cios`]
 /// cancels it against its top bit).
 // flcheck: ct-fn
-// flcheck: secret(t, mask)
 pub fn ct_sub_masked(t: &mut [Limb], n: &[Limb], mask: Limb) -> Limb {
     debug_assert!(t.len() >= n.len(), "t must be at least as wide as n");
     let mut borrow: Limb = 0;
@@ -133,7 +190,6 @@ pub fn ct_sub_masked(t: &mut [Limb], n: &[Limb], mask: Limb) -> Limb {
 /// then [`ct_sub_masked`] — the sequence of executed instructions and
 /// touched addresses depends only on the public lengths.
 // flcheck: ct-fn
-// flcheck: secret(t)
 pub fn ct_ge_then_sub(t: &mut [Limb], n: &[Limb]) -> Limb {
     debug_assert!(t.len() >= n.len(), "t must be at least as wide as n");
     // Probe the borrow of t - n over the full width: none ⟺ t >= n.

