@@ -163,8 +163,6 @@ pub struct Accelerator {
     net_profile: NetworkConfig,
     participants: u32,
     topology: AggregationTopology,
-    /// Shards a weighted fold is charged as (1 = the flat single chain).
-    agg_shards: usize,
     timing: Mutex<AccelTiming>,
     /// Blinding-factor pool for the FLBooster-family backends; the FATE
     /// and HAFLO baselines encrypt without pre-generation, as the
@@ -258,7 +256,6 @@ impl Accelerator {
             net_profile,
             participants,
             topology: AggregationTopology::Flat,
-            agg_shards: 1,
             timing: Mutex::new(AccelTiming::default()),
             pool,
         })
@@ -273,25 +270,17 @@ impl Accelerator {
         self
     }
 
-    /// Charges every weighted fold as `shards` parallel Straus chains
-    /// merged by homomorphic addition (default 1, the flat chain): a
-    /// parameter of the simulated device's schedule
-    /// ([`HeBackend::weighted_aggregate`]). The host folds each slot in
-    /// one bucket pass whatever it is, so results are bit-identical at
-    /// any shard count. Zero is treated as 1.
-    pub fn with_aggregation_shards(mut self, shards: usize) -> Self {
-        self.agg_shards = shards.max(1);
+    /// Returns `self` unchanged. A weighted fold is one bucket pass per
+    /// slot, charged as that pass ([`HeBackend::weighted_aggregate`]),
+    /// so a shard count moves neither a ciphertext nor a charge; the
+    /// builder stays because the benchmark's frozen API calls it.
+    pub fn with_aggregation_shards(self, _shards: usize) -> Self {
         self
     }
 
     /// The aggregation topology in effect.
     pub fn topology(&self) -> AggregationTopology {
         self.topology
-    }
-
-    /// Shards a weighted fold is charged as.
-    pub fn aggregation_shards(&self) -> usize {
-        self.agg_shards
     }
 
     /// The backend's kind.
@@ -479,8 +468,8 @@ impl Accelerator {
     /// Weighted homomorphic aggregation: slot `j` of the result holds
     /// `E(Σᵢ weights[i] · mᵢⱼ)`. One bucket multi-exponentiation per slot
     /// replaces the per-party `scalar_mul` + `add` loop (see
-    /// [`he::paillier::PaillierPublicKey::weighted_sum`]); it is charged
-    /// as [`aggregation_shards`](Self::aggregation_shards) Straus chains.
+    /// [`he::paillier::PaillierPublicKey::weighted_sum`]) and is charged
+    /// as that pass.
     /// The weighted stage happens exactly once, at the leaves of the
     /// [`topology`](Self::topology) — one group when flat — and upper
     /// levels only add partials. Key identity is checked per ciphertext,
@@ -505,12 +494,9 @@ impl Accelerator {
                 reason = "`leaf_groups` tiles `0..batches.len()`, which the check above \
                           pins to `weights.len()`"
             )]
-            let (cts, t) = self.he.weighted_aggregate(
-                &self.keys.public,
-                &batches[g.clone()],
-                &weights[g],
-                self.agg_shards,
-            )?;
+            let (cts, t) =
+                self.he
+                    .weighted_aggregate(&self.keys.public, &batches[g.clone()], &weights[g])?;
             self.charge_accel(&Self::accel_timing(&t));
             leaves.push(EncryptedVector { cts, count });
         }
@@ -646,6 +632,7 @@ fn codec_seconds(values: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpint::straus::multi_exp_counts;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -880,8 +867,8 @@ mod tests {
         let leaf_ops: u64 = weights
             .chunks(16)
             .map(|w| {
-                let bits = 64 - w.iter().max().unwrap().leading_zeros();
-                words * keys.public.weighted_sum_op_estimate(16, bits)
+                let w: Vec<Natural> = w.iter().map(|&x| Natural::from(x)).collect();
+                words * keys.public.weighted_sum_op_estimate(&multi_exp_counts(&w))
             })
             .sum();
         assert_eq!(ops, leaf_ops + 7 * words * keys.public.add_op_estimate());
@@ -907,29 +894,17 @@ mod tests {
         let plain = flat.aggregate(&vectors).unwrap();
         let weighted = flat.aggregate_weighted(&vectors, &weights).unwrap();
         for arity in [2usize, 4, 16] {
-            for shards in [1usize, 3] {
-                let acc = Accelerator::new(BackendKind::Fate, keys.clone(), 4)
-                    .unwrap()
-                    .with_topology(AggregationTopology::tree(arity))
-                    .with_aggregation_shards(shards);
-                assert_eq!(acc.topology(), AggregationTopology::tree(arity));
-                assert_eq!(acc.aggregation_shards(), shards);
-                // Ciphertext-level equality: canonical residues mod n².
-                assert_eq!(acc.aggregate(&vectors).unwrap(), plain, "arity {arity}");
-                assert_eq!(
-                    acc.aggregate_weighted(&vectors, &weights).unwrap(),
-                    weighted,
-                    "arity {arity} shards {shards}"
-                );
-            }
+            let acc = Accelerator::new(BackendKind::Fate, keys.clone(), 4)
+                .unwrap()
+                .with_topology(AggregationTopology::tree(arity));
+            assert_eq!(acc.topology(), AggregationTopology::tree(arity));
+            // Ciphertext-level equality: canonical residues mod n².
+            assert_eq!(acc.aggregate(&vectors).unwrap(), plain, "arity {arity}");
+            assert_eq!(
+                acc.aggregate_weighted(&vectors, &weights).unwrap(),
+                weighted,
+                "arity {arity}"
+            );
         }
-        // Flat sharded server (no tree) also matches.
-        let sharded = Accelerator::new(BackendKind::Fate, keys, 4)
-            .unwrap()
-            .with_aggregation_shards(4);
-        assert_eq!(
-            sharded.aggregate_weighted(&vectors, &weights).unwrap(),
-            weighted
-        );
     }
 }

@@ -151,17 +151,6 @@ impl LinkSchedule {
         self.free_at[best] = finish;
         (start, finish)
     }
-
-    /// The instant every admitted transfer has finished.
-    pub fn quiescent_at(&self) -> f64 {
-        let mut t = 0.0f64;
-        for &f in &self.free_at {
-            if f > t {
-                t = f;
-            }
-        }
-        t
-    }
 }
 
 /// Cumulative traffic statistics.
@@ -420,7 +409,6 @@ mod tests {
         assert_eq!(link.admit(0.0, 2.0), (0.0, 2.0));
         assert_eq!(link.admit(0.0, 3.0), (2.0, 5.0));
         assert_eq!(link.admit(0.0, 1.0), (5.0, 6.0));
-        assert_eq!(link.quiescent_at(), 6.0);
     }
 
     #[test]
@@ -435,7 +423,9 @@ mod tests {
         // A transfer that becomes ready after every stream frees starts
         // at its ready instant, not earlier.
         assert_eq!(link.admit(10.0, 0.5), (10.0, 10.5));
-        assert_eq!(link.quiescent_at(), 10.5);
+        // That transfer took stream 1, so stream 0, free since 5.0, is
+        // the earliest free.
+        assert_eq!(link.admit(0.0, 1.0), (5.0, 6.0));
     }
 
     #[test]

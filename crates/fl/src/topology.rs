@@ -78,22 +78,6 @@ impl AggregationTopology {
         }
         hops
     }
-
-    /// Aggregation levels below the root: 0 for flat (or a tree whose
-    /// fan-in covers every party), else the tree height.
-    pub fn depth(&self, parties: usize) -> u32 {
-        let arity = match *self {
-            AggregationTopology::Flat => return 0,
-            AggregationTopology::Tree { arity } => arity.max(2),
-        };
-        let mut depth = 0u32;
-        let mut nodes = parties;
-        while nodes > arity {
-            nodes = nodes.div_ceil(arity);
-            depth += 1;
-        }
-        depth
-    }
 }
 
 #[cfg(test)]
@@ -104,7 +88,6 @@ mod tests {
     fn flat_is_the_default_and_free() {
         assert_eq!(AggregationTopology::default(), AggregationTopology::Flat);
         assert_eq!(AggregationTopology::Flat.uplink_messages(100_000), 0);
-        assert_eq!(AggregationTopology::Flat.depth(100_000), 0);
         assert_eq!(AggregationTopology::Flat.leaf_groups(5), vec![0..5]);
         assert!(AggregationTopology::Flat.leaf_groups(0).is_empty());
     }
@@ -140,7 +123,6 @@ mod tests {
         // up, then 40, then 3; the root folds those 3 — 668 hops total.
         let t = AggregationTopology::tree(16);
         assert_eq!(t.uplink_messages(10_000), 625 + 40 + 3);
-        assert_eq!(t.depth(10_000), 3);
         // A round no wider than the fan-in needs no edge layer at all.
         assert_eq!(t.uplink_messages(16), 0);
         assert_eq!(t.uplink_messages(17), 2);

@@ -297,22 +297,19 @@ fn a_round_over_a_dead_link_is_a_network_failure() {
 }
 
 proptest! {
-    // HE-heavy cases: fewer iterations, each covering a random cell of
-    // the shards × arity matrix.
+    // HE-heavy cases: fewer iterations, each at a random tree arity.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Sharded and tree aggregation must decrypt to exactly what the
-    /// naive per-party scalar-mul + add loop decrypts to, for every
-    /// shard count, tree arity, and both decryption paths.
+    /// Flat and tree aggregation must decrypt to exactly what the naive
+    /// per-party scalar-mul + add loop decrypts to, for every tree arity
+    /// and both decryption paths.
     #[test]
     fn sharded_and_tree_aggregation_decrypt_like_the_naive_loop(
         parties in 2usize..10,
         slots in 1usize..4,
-        shard_sel in 0usize..4,
         arity_sel in 0usize..3,
         seed in any::<u64>(),
     ) {
-        const SHARDS: [usize; 4] = [1, 2, 3, 7];
         const ARITIES: [usize; 3] = [2, 4, 16];
         let k = keys();
         let mut state = seed | 1;
@@ -348,11 +345,9 @@ proptest! {
             .iter()
             .map(|cts| fl::backend::EncryptedVector { cts: cts.clone(), count: slots })
             .collect();
-        // The server's flat fold at the drawn shard count, which is a
-        // charged-schedule input only: it cannot move a ciphertext.
-        let sharded = Accelerator::new(BackendKind::Fate, k.clone(), 4)
+        // The server's flat fold.
+        let flat = Accelerator::new(BackendKind::Fate, k.clone(), 4)
             .unwrap()
-            .with_aggregation_shards(SHARDS[shard_sel])
             .aggregate_weighted(&vectors, &weights)
             .unwrap();
 
@@ -368,7 +363,7 @@ proptest! {
 
             // Server fold: same ciphertext, hence same plaintext under
             // both decryption paths.
-            let server = &sharded.cts[j];
+            let server = &flat.cts[j];
             prop_assert_eq!(server, &naive);
             prop_assert_eq!(k.private.decrypt(server).unwrap(), mpint::Natural::from(expected));
             prop_assert_eq!(k.private.decrypt_crt(server).unwrap(), mpint::Natural::from(expected));
@@ -377,8 +372,7 @@ proptest! {
         // Tree-of-edge-aggregators route at the Accelerator layer.
         let tree = Accelerator::new(BackendKind::Fate, k.clone(), 4)
             .unwrap()
-            .with_topology(fl::AggregationTopology::tree(ARITIES[arity_sel]))
-            .with_aggregation_shards(SHARDS[shard_sel]);
+            .with_topology(fl::AggregationTopology::tree(ARITIES[arity_sel]));
         let agg = tree.aggregate_weighted(&vectors, &weights).unwrap();
         for (j, ct) in agg.cts.iter().enumerate() {
             let expected: u64 = (0..parties).map(|p| weights[p] * plain[p][j]).sum();

@@ -243,14 +243,10 @@ pub trait HeBackend: Send + Sync {
     /// multi-exponentiation per slot
     /// ([`PaillierPublicKey::weighted_sum`]), each on its own slot task,
     /// its width and `R`-power fix-up computed once for the whole launch
-    /// ([`PaillierPublicKey::weighted_pass`]). `shards` is an input of the
-    /// *charged* schedule only: each slot is charged
-    /// [`weighted_sum_sharded_op_estimate`](PaillierPublicKey::weighted_sum_sharded_op_estimate),
-    /// a device folding the slot as `shards` Straus chains plus their
-    /// merge (the flat estimate at one shard), while the host folds it in
-    /// one pass whatever `shards` is, so no shard or thread count moves a
-    /// ciphertext. Weights are public sample counts. A weight count or
-    /// batch length that does not line up is an
+    /// ([`PaillierPublicKey::weighted_pass`]). Each slot is charged
+    /// [`weighted_sum_op_estimate`](PaillierPublicKey::weighted_sum_op_estimate)
+    /// of those counts, the pass it runs. Weights are public sample
+    /// counts. A weight count or batch length that does not line up is an
     /// [`Error::InvalidParameter`]; an empty batch list yields an empty
     /// output.
     fn weighted_aggregate(
@@ -258,7 +254,6 @@ pub trait HeBackend: Send + Sync {
         pk: &PaillierPublicKey,
         batches: &[&[Ciphertext]],
         weights: &[u64],
-        shards: usize,
     ) -> Result<(Vec<Ciphertext>, HeTiming)> {
         if batches.len() != weights.len() {
             return Err(Error::InvalidParameter(
@@ -273,13 +268,7 @@ pub trait HeBackend: Send + Sync {
         }
         let wnat: Vec<Natural> = weights.iter().map(|&w| Natural::from(w)).collect();
         let (counts, fixup) = pk.weighted_pass(&wnat);
-        let max_weight_bits = weights
-            .iter()
-            .map(|&w| 64 - w.leading_zeros())
-            .max()
-            .unwrap_or(0);
-        let per_slot_ops =
-            pk.weighted_sum_sharded_op_estimate(batches.len(), max_weight_bits, shards);
+        let per_slot_ops = pk.weighted_sum_op_estimate(&counts);
         let kernel = Kernel {
             name: "paillier_weighted_sum",
             key_bits: pk.key_bits,
@@ -685,42 +674,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_aggregate_matches_flat_on_both_backends() {
-        let k = keys();
-        let cpu = CpuHe::default();
-        let g = gpu();
-        let batches: Vec<Vec<Ciphertext>> = (0..9u64)
-            .map(|p| {
-                cpu.encrypt_batch(&k.public, &nats(&[p + 1, 10 * p + 3, p * p]), p)
-                    .unwrap()
-                    .0
-            })
-            .collect();
-        let batches: Vec<&[Ciphertext]> = batches.iter().map(Vec::as_slice).collect();
-        let weights: Vec<u64> = (0..9u64).map(|p| p * 977 + 1).collect();
-        let (flat, flat_t) = cpu
-            .weighted_aggregate(&k.public, &batches, &weights, 1)
-            .unwrap();
-        for shards in [0usize, 2, 4, 9] {
-            let (c, t) = cpu
-                .weighted_aggregate(&k.public, &batches, &weights, shards)
-                .unwrap();
-            assert_eq!(c, flat, "cpu shards {shards}");
-            let (gc, _) = g
-                .weighted_aggregate(&k.public, &batches, &weights, shards)
-                .unwrap();
-            assert_eq!(gc, flat, "gpu shards {shards}");
-            if shards == 0 {
-                // Zero shards is the flat pass: charged identically too.
-                assert_eq!(t, flat_t);
-            } else {
-                // Extra shards cost merge multiplies on a serial device.
-                assert!(t.ops >= flat_t.ops, "shards {shards}");
-            }
-        }
-    }
-
-    #[test]
     fn misaligned_batches_are_typed_errors_on_both_backends() {
         let k = keys();
         let backends: [&dyn HeBackend; 2] = [&CpuHe::default(), &gpu()];
@@ -737,12 +690,12 @@ mod tests {
             );
             let two = [ca.as_slice(), ca.as_slice()];
             assert_eq!(
-                be.weighted_aggregate(&k.public, &two, &[1], 1).unwrap_err(),
+                be.weighted_aggregate(&k.public, &two, &[1]).unwrap_err(),
                 Error::InvalidParameter("weighted_aggregate requires one weight per batch")
             );
             let ragged = [ca.as_slice(), &[]];
             assert_eq!(
-                be.weighted_aggregate(&k.public, &ragged, &[1, 2], 1)
+                be.weighted_aggregate(&k.public, &ragged, &[1, 2])
                     .unwrap_err(),
                 Error::InvalidParameter("weighted_aggregate requires equal-length batches")
             );

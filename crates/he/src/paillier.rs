@@ -968,96 +968,15 @@ impl PaillierPublicKey {
         count.saturating_sub(1) as u64 * per_operand
     }
 
-    /// Estimated limb-level operation count of one `count`-way
-    /// [`weighted_sum`](Self::weighted_sum) with weights of at most
-    /// `max_weight_bits` bits, as the *simulated device* is charged for
-    /// it: a Straus pass — the shared squaring chain, the per-column
-    /// table multiplies, the per-base table builds — and the domain
-    /// conversions. The host runs a bucket pass, which does less
-    /// (DESIGN §8).
-    pub fn weighted_sum_op_estimate(&self, count: usize, max_weight_bits: u32) -> u64 {
-        if count == 0 || max_weight_bits == 0 {
-            return mont_mul_mac_count(self.ctx_n2.width()) / 2;
-        }
+    /// Limb-level operation count of one slot of a weighted fold: the
+    /// bucket pass [`weighted_sum`](Self::weighted_sum) runs at `counts`
+    /// ([`straus::multi_exp_counts`] over the weights), its squarings at
+    /// the dedicated `mont_sqr` rate and its multiplies, the fix-up
+    /// included, at the `mont_mul` rate. The per-launch `R`-power behind
+    /// the fix-up is not charged (DESIGN §8).
+    pub fn weighted_sum_op_estimate(&self, counts: &straus::MultiExpCounts) -> u64 {
         let s = self.ctx_n2.width();
-        let w = straus::straus_window_for(max_weight_bits);
-        let columns = max_weight_bits.div_ceil(w) as u64;
-        let sqr_macs = columns.saturating_sub(1) * w as u64 * mont_sqr_mac_count(s);
-        // Per base: one multiply per column (worst case), the table
-        // build, and the to-Montgomery conversion; plus the final REDC.
-        let muls = count as u64 * (columns + (1 << w) - 2 + 1) + 1;
-        (sqr_macs + muls * mont_mul_mac_count(s)) / 2
-    }
-
-    /// Estimated *total* limb-level operation count of one `count`-way
-    /// weighted fold split into `shards` chains, as the simulated device
-    /// is charged for each slot of a
-    /// [`HeBackend::weighted_aggregate`](crate::HeBackend::weighted_aggregate):
-    /// per span of [`straus::shard_spans`], the arity-tuned Straus
-    /// squaring chain, column and table-build multiplies, and domain
-    /// conversions; plus one merge multiply per extra span and the final
-    /// REDC. The host folds the slot in one bucket pass whatever `shards`
-    /// is. Degenerates *exactly* to
-    /// [`weighted_sum_op_estimate`](Self::weighted_sum_op_estimate)
-    /// whenever the batch is charged as a single chain (`shards ≤ 1` or
-    /// too few items to split) — the flat-path no-regression gate in
-    /// `bench_aggregate` pins that equality.
-    pub fn weighted_sum_sharded_op_estimate(
-        &self,
-        count: usize,
-        max_weight_bits: u32,
-        shards: usize,
-    ) -> u64 {
-        let spans = straus::shard_spans(count, shards);
-        if spans.len() <= 1 || max_weight_bits == 0 {
-            return self.weighted_sum_op_estimate(count, max_weight_bits);
-        }
-        let s = self.ctx_n2.width();
-        let mul = mont_mul_mac_count(s);
-        let sqr = mont_sqr_mac_count(s);
-        let mut macs = 0u64;
-        for span in &spans {
-            macs += Self::shard_chain_macs(span.len(), max_weight_bits, mul, sqr);
-        }
-        // spans−1 Montgomery-domain merge multiplies plus the final REDC.
-        macs += spans.len() as u64 * mul;
-        macs / 2
-    }
-
-    /// Estimated *critical-path* limb-level operation count of the same
-    /// charged sharded schedule: the widest span's chain (the device runs
-    /// the spans concurrently) plus the serial merge reduction and final
-    /// REDC. The modeled-scaling gate in `bench_aggregate` divides the
-    /// flat estimate by this; it is a device-model quantity, independent
-    /// of the host, which folds each slot in one pass.
-    pub fn weighted_sum_critical_path_estimate(
-        &self,
-        count: usize,
-        max_weight_bits: u32,
-        shards: usize,
-    ) -> u64 {
-        let spans = straus::shard_spans(count, shards);
-        if spans.len() <= 1 || max_weight_bits == 0 {
-            return self.weighted_sum_op_estimate(count, max_weight_bits);
-        }
-        let s = self.ctx_n2.width();
-        let mul = mont_mul_mac_count(s);
-        let sqr = mont_sqr_mac_count(s);
-        // Ceiling split: the first span is always the widest.
-        let widest = spans.iter().map(|sp| sp.len()).max().unwrap_or(0);
-        let macs =
-            Self::shard_chain_macs(widest, max_weight_bits, mul, sqr) + spans.len() as u64 * mul;
-        macs / 2
-    }
-
-    /// MACs of one charged span's Straus chain: squaring chain at the
-    /// arity-tuned window, per-base column/table/to-Montgomery multiplies.
-    fn shard_chain_macs(arity: usize, max_weight_bits: u32, mul: u64, sqr: u64) -> u64 {
-        let w = straus::straus_window_for_arity(max_weight_bits, arity);
-        let columns = max_weight_bits.div_ceil(w) as u64;
-        let sqr_macs = columns.saturating_sub(1) * w as u64 * sqr;
-        let muls = arity as u64 * (columns + (1 << w) - 2 + 1);
-        sqr_macs + muls * mul
+        (counts.squarings * mont_sqr_mac_count(s) + counts.multiplies * mont_mul_mac_count(s)) / 2
     }
 }
 
@@ -1745,81 +1664,12 @@ mod tests {
     fn pooled_estimate_is_much_cheaper_than_full() {
         let k = keys(256);
         assert!(k.public.encrypt_pooled_op_estimate() * 10 < k.public.encrypt_op_estimate());
-        assert!(k.public.weighted_sum_op_estimate(64, 32) > 0);
-        assert!(k.public.scalar_mul_op_estimate(32) < k.public.encrypt_op_estimate());
-    }
-
-    #[test]
-    fn sharded_weighted_sum_is_bit_identical_to_flat() {
-        let k = keys(128);
-        let mut r = rng();
-        let cts: Vec<Ciphertext> = (0u64..13)
-            .map(|m| k.public.encrypt(&nat(m * 31 + 2), &mut r).unwrap())
-            .collect();
-        let weights: Vec<u64> = (0u64..13).map(|w| w * 977 + 1).collect();
-        let ws: Vec<Natural> = weights.iter().map(|&w| nat(w)).collect();
-        let flat = k.public.weighted_sum(&cts, &ws).unwrap();
-        // A shard count is a charged-schedule input only: the backend
-        // folds each slot in one pass whatever it is.
-        use crate::{CpuHe, HeBackend};
-        let batches: Vec<&[Ciphertext]> = cts.iter().map(std::slice::from_ref).collect();
-        for shards in [0usize, 1, 2, 3, 7, 13, 64] {
-            let (sharded, _) = CpuHe::default()
-                .weighted_aggregate(&k.public, &batches, &weights, shards)
-                .unwrap();
-            // Canonical residues: value equality, not just plaintext.
-            assert_eq!(sharded, std::slice::from_ref(&flat), "shards {shards}");
-        }
-        assert!(matches!(
-            k.public.weighted_sum(&cts, &ws[..3]),
-            Err(Error::InvalidParameter(_))
-        ));
-        let empty = k.public.weighted_sum(&[], &[]).unwrap();
-        assert_eq!(empty.value, k.public.zero_ciphertext().value);
-    }
-
-    #[test]
-    fn sharded_estimates_degenerate_and_scale() {
-        let k = keys(256);
-        let (count, bits) = (10_000usize, 32u32);
-        let flat = k.public.weighted_sum_op_estimate(count, bits);
-        // Flat no-regression: a single-shard pass is the flat pass,
-        // estimate included — exact equality, not a tolerance.
-        assert_eq!(
-            k.public.weighted_sum_sharded_op_estimate(count, bits, 1),
-            flat
-        );
-        assert_eq!(
-            k.public.weighted_sum_critical_path_estimate(count, bits, 1),
-            flat
-        );
-        // One item can never split, whatever the shard request.
-        assert_eq!(
-            k.public.weighted_sum_sharded_op_estimate(1, bits, 8),
-            k.public.weighted_sum_op_estimate(1, bits)
-        );
-        let mut prev_cp = flat;
-        for shards in [2usize, 4, 8, 16] {
-            let total = k
-                .public
-                .weighted_sum_sharded_op_estimate(count, bits, shards);
-            let cp = k
-                .public
-                .weighted_sum_critical_path_estimate(count, bits, shards);
-            // Splitting the squaring chain costs some total work but the
-            // per-worker critical path keeps shrinking.
-            assert!(cp <= prev_cp, "critical path grew at {shards} shards");
-            assert!(cp < total, "critical path not below total at {shards}");
-            // Arity-tuned windows keep the overhead modest: total work
-            // stays within 2x of flat even at 16 shards.
-            assert!(total < flat * 2, "total blew up at {shards} shards");
-            prev_cp = cp;
-        }
-        // The gate the bench enforces: ≥1.5x modeled speedup at 4 shards.
-        let cp4 = k.public.weighted_sum_critical_path_estimate(count, bits, 4);
+        let weights = vec![Natural::from(u64::from(u32::MAX)); 64];
         assert!(
-            flat as f64 / cp4 as f64 >= 1.5,
-            "modeled scaling under 1.5x"
+            k.public
+                .weighted_sum_op_estimate(&straus::multi_exp_counts(&weights))
+                > 0
         );
+        assert!(k.public.scalar_mul_op_estimate(32) < k.public.encrypt_op_estimate());
     }
 }

@@ -19,6 +19,11 @@
 //! row stayed as first captured; the folds take pool-less operands, so
 //! `SUM_GOLDEN` did not move either.
 //!
+//! The `weighted` rows, the device rows (running totals that include the
+//! weighted launches) and the `weighted_sum_op_estimate` rows were
+//! captured again when a weighted fold came to be charged as the bucket
+//! pass it runs, and its shard count, which only that charge read, went.
+//!
 //! `SUM_GOLDEN` holds the k-way `sum_batches` (k = 2, 3, 128), added when
 //! `add_batch` became its two-batch call: the k = 2 rows are held to the
 //! `add` rows of `GOLDEN`, and every output to the chain of pairwise
@@ -76,11 +81,9 @@ fn weighted(
     pk: &PaillierPublicKey,
     batches: &[Vec<Ciphertext>],
     weights: &[u64],
-    shards: usize,
 ) -> (Vec<Ciphertext>, HeTiming) {
     let batches: Vec<&[Ciphertext]> = batches.iter().map(Vec::as_slice).collect();
-    be.weighted_aggregate(pk, &batches, weights, shards)
-        .unwrap()
+    be.weighted_aggregate(pk, &batches, weights).unwrap()
 }
 
 /// Operands for the folds come from the unpooled CPU path, so every
@@ -126,12 +129,10 @@ fn exercise(name: &str, be: &dyn HeBackend, keys: &PaillierKeyPair) -> Vec<Row> 
         .map(|p| enc(30 + p, &[p + 1, 100 * p + 7, p * p]))
         .collect();
     let weights = [1u64, 977, 65_536, 12];
-    for shards in [1usize, 2, 3] {
-        let (out, t) = weighted(be, pk, &batches, &weights, shards);
-        rows.push(row(format!("{name} weighted/{shards}"), &out, &t));
-    }
+    let (out, t) = weighted(be, pk, &batches, &weights);
+    rows.push(row(format!("{name} weighted"), &out, &t));
     let empty = vec![Vec::new(), Vec::new()];
-    let (out, t) = weighted(be, pk, &empty, &[5, 6], 1);
+    let (out, t) = weighted(be, pk, &empty, &[5, 6]);
     rows.push(row(format!("{name} weighted/zero-slot"), &out, &t));
     rows
 }
@@ -353,8 +354,8 @@ type Pk = PaillierPublicKey;
 type Sk = PaillierPrivateKey;
 
 /// Every estimator at the golden key, next to the kernel it prices. The
-/// argument-taking estimators are read at 128 ten-bit weights split four
-/// ways, a 64-bit scalar and four 30-bit slots.
+/// argument-taking estimators are read at the bucket pass over 128
+/// ten-bit weights, a 64-bit scalar and four 30-bit slots.
 #[test]
 fn every_estimator_prices_its_kernel_at_golden_values() {
     let keys = PaillierKeyPair::generate(&mut ChaCha8Rng::seed_from_u64(0x5C4ED), 128).unwrap();
@@ -366,7 +367,9 @@ fn every_estimator_prices_its_kernel_at_golden_values() {
     let decrypt = sk.decrypt_op_estimate();
     let rsa_decrypt = rsa.private.decrypt_op_estimate();
     type Weighted =
-        fn(&CpuHe, &Pk, &[&[Ciphertext]], &[u64], usize) -> Result<(Vec<Ciphertext>, HeTiming)>;
+        fn(&CpuHe, &Pk, &[&[Ciphertext]], &[u64]) -> Result<(Vec<Ciphertext>, HeTiming)>;
+    let weights: Vec<Natural> = (0..128u64).map(|i| Natural::from(512 + 3 * i)).collect();
+    let weighted = pk.weighted_sum_op_estimate(&mpint::straus::multi_exp_counts(&weights));
     let rows: Vec<(&str, &str, u64)> = vec![
         pairing!(
             "encrypt_op_estimate" = encrypt,
@@ -419,18 +422,12 @@ fn every_estimator_prices_its_kernel_at_golden_values() {
             fn(&Pk, &[&Ciphertext], u32) -> Result<Ciphertext>
         ),
         pairing!(
-            "weighted_sum_op_estimate" = pk.weighted_sum_op_estimate(128, 10),
+            "weighted_sum_op_estimate" = weighted,
             Pk::weighted_sum,
             fn(&Pk, &[Ciphertext], &[Natural]) -> Result<Ciphertext>
         ),
         pairing!(
-            "weighted_sum_sharded_op_estimate" = pk.weighted_sum_sharded_op_estimate(128, 10, 4),
-            <CpuHe as HeBackend>::weighted_aggregate,
-            Weighted
-        ),
-        pairing!(
-            "weighted_sum_critical_path_estimate" =
-                pk.weighted_sum_critical_path_estimate(128, 10, 4),
+            "weighted_sum_op_estimate" = weighted,
             <CpuHe as HeBackend>::weighted_aggregate,
             Weighted
         ),
@@ -483,16 +480,11 @@ const ESTIMATE_GOLDEN: &[(&str, &str, u64)] = &[
     ("scalar_mul_op_estimate", "Pk::scalar_mul", 1184),
     ("scalar_mul_op_estimate", "Pk::checked_scalar_mul", 1184),
     ("pack_op_estimate", "Pk::checked_pack", 1977),
-    ("weighted_sum_op_estimate", "Pk::weighted_sum", 16504),
+    ("weighted_sum_op_estimate", "Pk::weighted_sum", 4993),
     (
-        "weighted_sum_sharded_op_estimate",
+        "weighted_sum_op_estimate",
         "<CpuHe as HeBackend>::weighted_aggregate",
-        16864,
-    ),
-    (
-        "weighted_sum_critical_path_estimate",
-        "<CpuHe as HeBackend>::weighted_aggregate",
-        4264,
+        4993,
     ),
     ("decrypt_op_estimate", "Sk::decrypt", 992),
     ("decrypt_op_estimate", "Sk::decrypt_crt", 992),
@@ -652,24 +644,10 @@ const GOLDEN: &[GoldenRow] = &[
     ("cpu add", 0x1f9e4cb2c0ac35a2, 0x3ea01b2b29a4692c, 240, 5),
     ("cpu fold", 0xdab59bad4d51a466, 0x3ea01b2b29a4692c, 240, 3),
     (
-        "cpu weighted/1",
+        "cpu weighted",
         0xbbf6035278ae127c,
-        0x3ed8f6e94d586fd1,
-        2976,
-        3,
-    ),
-    (
-        "cpu weighted/2",
-        0xbbf6035278ae127c,
-        0x3ede9a0535852e39,
-        3648,
-        3,
-    ),
-    (
-        "cpu weighted/3",
-        0xbbf6035278ae127c,
-        0x3ee21e908ed8f651,
-        4320,
+        0x3ec285a4d649df59,
+        1104,
         3,
     ),
     (
@@ -708,24 +686,10 @@ const GOLDEN: &[GoldenRow] = &[
         3,
     ),
     (
-        "cpu+pool weighted/1",
+        "cpu+pool weighted",
         0xbbf6035278ae127c,
-        0x3ed8f6e94d586fd1,
-        2976,
-        3,
-    ),
-    (
-        "cpu+pool weighted/2",
-        0xbbf6035278ae127c,
-        0x3ede9a0535852e39,
-        3648,
-        3,
-    ),
-    (
-        "cpu+pool weighted/3",
-        0xbbf6035278ae127c,
-        0x3ee21e908ed8f651,
-        4320,
+        0x3ec285a4d649df59,
+        1104,
         3,
     ),
     (
@@ -752,24 +716,10 @@ const GOLDEN: &[GoldenRow] = &[
     ("gpu add", 0x1f9e4cb2c0ac35a2, 0x3e3446d5a9b4dd11, 240, 5),
     ("gpu fold", 0xdab59bad4d51a466, 0x3e42ec8c6ba84b1a, 241, 3),
     (
-        "gpu weighted/1",
+        "gpu weighted",
         0xbbf6035278ae127c,
-        0x3e66a57009710cb3,
-        2976,
-        3,
-    ),
-    (
-        "gpu weighted/2",
-        0xbbf6035278ae127c,
-        0x3e6aca42784651e7,
-        3648,
-        3,
-    ),
-    (
-        "gpu weighted/3",
-        0xbbf6035278ae127c,
-        0x3e6eef14e71b9719,
-        4320,
+        0x3e563494cdf4bc65,
+        1104,
         3,
     ),
     (
@@ -808,24 +758,10 @@ const GOLDEN: &[GoldenRow] = &[
         3,
     ),
     (
-        "gpu-fixed256 weighted/1",
+        "gpu-fixed256 weighted",
         0xbbf6035278ae127c,
-        0x3e7858bb17e916b4,
-        2976,
-        3,
-    ),
-    (
-        "gpu-fixed256 weighted/2",
-        0xbbf6035278ae127c,
-        0x3e7d5bfbb6c1c963,
-        3648,
-        3,
-    ),
-    (
-        "gpu-fixed256 weighted/3",
-        0xbbf6035278ae127c,
-        0x3e812f9e2acd3e08,
-        4320,
+        0x3e64c3e9963f6e76,
+        1104,
         3,
     ),
     (
@@ -864,24 +800,10 @@ const GOLDEN: &[GoldenRow] = &[
         3,
     ),
     (
-        "gpu+pool weighted/1",
+        "gpu+pool weighted",
         0xbbf6035278ae127c,
-        0x3e66a57009710cb3,
-        2976,
-        3,
-    ),
-    (
-        "gpu+pool weighted/2",
-        0xbbf6035278ae127c,
-        0x3e6aca42784651e7,
-        3648,
-        3,
-    ),
-    (
-        "gpu+pool weighted/3",
-        0xbbf6035278ae127c,
-        0x3e6eef14e71b9719,
-        4320,
+        0x3e563494cdf4bc65,
+        1104,
         3,
     ),
     (
@@ -897,40 +819,40 @@ const DEVICES: &[DeviceRow] = &[
     (
         "gpu",
         [
-            0x8,
-            0x1b,
-            0x14a,
-            0x270,
-            0x6c11,
-            0x3e56255b5942109c,
-            0x3f34c84cc3b65c01,
-            0x3e64f01e82ef5586,
+            0x6,
+            0x15,
+            0x10a,
+            0x1b0,
+            0x45a1,
+            0x3e51d9d85f385af6,
+            0x3f26210965038fd8,
+            0x3e5cfdb417c18a1c,
         ],
     ),
     (
         "gpu-fixed256",
         [
-            0x8,
-            0x1b,
-            0x14a,
-            0x270,
-            0x6c11,
-            0x3e56255b5942109c,
-            0x3f407e1bd666f117,
-            0x3e64f01e82ef5586,
+            0x6,
+            0x15,
+            0x10a,
+            0x1b0,
+            0x45a1,
+            0x3e51d9d85f385af6,
+            0x3f314faaa9d3eb15,
+            0x3e5cfdb417c18a1c,
         ],
     ),
     (
         "gpu+pool",
         [
-            0x8,
-            0x1b,
-            0x14a,
-            0x270,
-            0x5261,
-            0x3e56255b5942109c,
-            0x3f30e2c2995918e2,
-            0x3e64f01e82ef5586,
+            0x6,
+            0x15,
+            0x10a,
+            0x1b0,
+            0x2bf1,
+            0x3e51d9d85f385af6,
+            0x3f1cabea20921334,
+            0x3e5cfdb417c18a1c,
         ],
     ),
 ];

@@ -5,12 +5,12 @@
 
 use std::sync::{Arc, OnceLock};
 
-use he::paillier::{ObfuscatorPool, PaillierKeyPair};
+use he::paillier::{Ciphertext, ObfuscatorPool, PaillierKeyPair};
 use he::rsa::RsaKeyPair;
 use he::{CpuHe, HeBackend};
-use mpint::Natural;
+use mpint::{straus, MontgomeryCtx, Natural};
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 fn paillier() -> &'static PaillierKeyPair {
@@ -207,6 +207,60 @@ fn check_owner_route(k: &PaillierKeyPair, seed: u64, items: usize, prefilled: us
         assert_ne!(owner.0[i], inline[i], "pooled and pool-less blinding");
         let sum = k.public.checked_add(&owner.0[i], &inline[i]).unwrap();
         assert_eq!(k.private.decrypt(&sum).unwrap(), &ms[i] + &ms[i]);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A weighted launch is charged the bucket pass it runs: each slot
+    /// costs `weighted_sum_op_estimate` of the counts the pass takes its
+    /// loop bounds from, and the pass at those counts makes exactly that
+    /// many kernel calls and lands on the launch's ciphertext. Shape 0
+    /// draws all-zero weights, 1 a single party, 2 full 32-bit weights
+    /// and 3 ten-bit sample counts.
+    #[test]
+    fn weighted_charge_is_the_bucket_pass_that_runs(
+        shape in 0usize..4,
+        parties in 2usize..12,
+        slots in 1usize..4,
+        seed in any::<u64>(),
+    ) {
+        let k = paillier();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let parties = if shape == 1 { 1 } else { parties };
+        let weights: Vec<u64> = (0..parties)
+            .map(|_| match shape {
+                0 => 0,
+                2 => u64::from(rng.next_u32()),
+                _ => rng.next_u64() % 1024,
+            })
+            .collect();
+        let batches: Vec<Vec<Ciphertext>> = (0..parties as u64)
+            .map(|p| {
+                let ms: Vec<Natural> = (0..slots as u64).map(|j| Natural::from(p * 7 + j)).collect();
+                CpuHe::default().encrypt_batch(&k.public, &ms, seed ^ p).unwrap().0
+            })
+            .collect();
+        let batches: Vec<&[Ciphertext]> = batches.iter().map(Vec::as_slice).collect();
+        let (out, t) = CpuHe::default()
+            .weighted_aggregate(&k.public, &batches, &weights)
+            .unwrap();
+
+        let wnat: Vec<Natural> = weights.iter().map(|&w| Natural::from(w)).collect();
+        let counts = straus::multi_exp_counts(&wnat);
+        prop_assert_eq!(t.ops, slots as u64 * k.public.weighted_sum_op_estimate(&counts));
+        let ctx = MontgomeryCtx::new(&k.public.n_squared).unwrap();
+        let fixup = ctx.r_power(&counts.deficit);
+        for (j, sum) in out.iter().enumerate() {
+            let bases: Vec<mpint::Limb> = batches
+                .iter()
+                .flat_map(|b| b[j].value.to_padded_limbs(ctx.width()))
+                .collect();
+            let acc = straus::multi_exp_mont(&ctx, &bases, &wnat, &counts, fixup.as_limbs());
+            prop_assert_eq!(acc.calls(), counts.squarings + counts.multiplies);
+            prop_assert_eq!(&acc.into_natural(), &sum.value);
+        }
     }
 }
 

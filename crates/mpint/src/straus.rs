@@ -29,10 +29,9 @@
 //!
 //! The module is named for the method it replaced, Straus' interleaved
 //! windows, and keeps the name because the benchmark calls
-//! [`multi_exp_ctx`] by this path. That method survives as the schedule
-//! the simulated device is *charged* for a weighted fold:
-//! [`straus_window_for`], [`straus_window_for_arity`] and [`shard_spans`]
-//! feed the estimators in `he::paillier`, not a kernel.
+//! [`multi_exp_ctx`] by this path. A weighted fold is charged from the
+//! same [`MultiExpCounts`] the pass runs on (`he::paillier`'s
+//! `weighted_sum_op_estimate`).
 
 use crate::limb::Limb;
 use crate::montgomery::{MontAcc, MontgomeryCtx};
@@ -43,69 +42,13 @@ use crate::natural::Natural;
 /// bases get near it.
 const MAX_WINDOW: u32 = 12;
 
-/// Window width (bits per digit) of the charged Straus schedule for a
-/// fold whose largest exponent has `max_bits` bits.
-///
-/// Per window column every base multiplies with probability
-/// `1 − 2^{-w}`, so widening `w` saves `≈ count·bits·(1/w − 1/(w+1))`
-/// multiplies while the table build costs `count·(2^w − 2)` extra; the
-/// break-even point depends only on `bits`, not `count`, and matches the
-/// single-base table of [`crate::modpow::window_size_for`] shifted one
-/// down (the shared squaring chain removes the incentive for very wide
-/// windows). Clamped to `[1, 8]`.
-pub fn straus_window_for(max_bits: u32) -> u32 {
-    match max_bits {
-        0..=8 => 1,
-        9..=32 => 2,
-        33..=128 => 3,
-        129..=768 => 4,
-        769..=2304 => 5,
-        _ => 6,
-    }
-}
-
-/// Window width of one *shard* of the charged Straus schedule: `arity`
-/// bases sharing one squaring chain, exponents of at most `max_bits` bits.
-///
-/// [`straus_window_for`] is tuned for wide 64-way aggregates, where the
-/// shared squaring chain is fully amortized and only the per-base
-/// break-even matters. A shard amortizes its chain over just `arity`
-/// bases, so the squaring/table trade-off shifts with the shard size.
-/// This picks the `w ∈ [1, 8]` minimizing the modeled Montgomery
-/// multiplication cost
-///
-/// ```text
-/// 3/4 · (⌈bits/w⌉ − 1) · w      (squarings, dedicated-kernel rate)
-///   + arity · (⌈bits/w⌉ + 2^w − 2)   (column + table-build multiplies)
-/// ```
-///
-/// with ties going to the narrower window.
-pub fn straus_window_for_arity(max_bits: u32, arity: usize) -> u32 {
-    if max_bits == 0 || arity == 0 {
-        return 1;
-    }
-    let mut best_w = 1u32;
-    let mut best_cost = u64::MAX;
-    for w in 1..=8u32 {
-        let columns = max_bits.div_ceil(w) as u64;
-        // Quarter-multiply units keep the 3/4 squaring weight integral.
-        let sqr = 3 * columns.saturating_sub(1) * w as u64;
-        let mul = 4 * arity as u64 * (columns + (1u64 << w) - 2);
-        let cost = sqr + mul;
-        if cost < best_cost {
-            best_cost = cost;
-            best_w = w;
-        }
-    }
-    best_w
-}
-
 /// Splits `len` items into at most `shards` contiguous balanced spans:
 /// the first `len % shards` spans carry one extra item, so sizes differ
-/// by at most 1 and the widest span is exactly `⌈len/shards⌉` (the
-/// critical path of a parallel fold). Deterministic in its arguments;
-/// never emits an empty span, so the result holds
-/// `min(shards.max(1), len)` ranges — and none at all for `len = 0`.
+/// by at most 1 and the widest span is exactly `⌈len/shards⌉`.
+/// `he::paillier` cuts a packed fold's slot values into words with it.
+/// Deterministic in its arguments; never emits an empty span, so the
+/// result holds `min(shards.max(1), len)` ranges — and none at all for
+/// `len = 0`.
 pub fn shard_spans(len: usize, shards: usize) -> Vec<std::ops::Range<usize>> {
     if len == 0 {
         return Vec::new();
@@ -418,8 +361,7 @@ mod tests {
                 if len > 0 {
                     assert_eq!(spans.len(), shards.clamp(1, len));
                     // Balanced split: sizes differ by at most 1 and the
-                    // widest span is exactly ⌈len/shards⌉ (the parallel
-                    // fold's critical path).
+                    // widest span is exactly ⌈len/shards⌉.
                     let min = spans.iter().map(|s| s.len()).min().unwrap();
                     let max = spans.iter().map(|s| s.len()).max().unwrap();
                     assert!(max - min <= 1, "len {len} shards {shards}");
@@ -455,7 +397,7 @@ mod tests {
     fn shard_spans_are_disjoint_covering_and_balanced() {
         // A non-divisible case: 10 items over 4 shards must come out as
         // 3/3/2/2 — never the lopsided 3/3/3/1 a naive ceiling tiling
-        // produces (the last worker would idle while the rest run long).
+        // produces (the last packed word would run short).
         assert_eq!(shard_spans(10, 4), vec![0..3, 3..6, 6..8, 8..10]);
         // Disjointness + coverage as an explicit element-level check.
         let mut seen = [false; 10];
@@ -466,66 +408,5 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&b| b));
-    }
-
-    #[test]
-    fn arity_window_degenerates_and_widens() {
-        assert_eq!(straus_window_for_arity(0, 5), 1);
-        assert_eq!(straus_window_for_arity(32, 0), 1);
-        // A single base pays the whole squaring chain alone, so its best
-        // window is at least as wide as a large shard's.
-        for bits in [8u32, 32, 128, 1024, 2048] {
-            let solo = straus_window_for_arity(bits, 1);
-            let wide = straus_window_for_arity(bits, 4096);
-            assert!((1..=8).contains(&solo), "solo window {solo} at {bits} bits");
-            assert!((1..=8).contains(&wide), "wide window {wide} at {bits} bits");
-            assert!(solo >= wide, "bits {bits}: solo {solo} < wide {wide}");
-        }
-    }
-
-    #[test]
-    fn arity_window_minimizes_modeled_cost() {
-        // The returned window must beat (or tie, resolved to narrower)
-        // every other width under the documented quarter-multiply model.
-        let cost = |bits: u32, arity: u64, w: u32| {
-            let columns = bits.div_ceil(w) as u64;
-            3 * columns.saturating_sub(1) * w as u64 + 4 * arity * (columns + (1u64 << w) - 2)
-        };
-        for bits in [8u32, 32, 256, 1024] {
-            for arity in [1u64, 2, 16, 100, 2500] {
-                let best = straus_window_for_arity(bits, arity as usize);
-                for w in 1..=8u32 {
-                    let (cb, cw) = (cost(bits, arity, best), cost(bits, arity, w));
-                    assert!(
-                        cb < cw || (cb == cw && best <= w),
-                        "bits {bits} arity {arity}: window {best} loses to {w}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_chains_agree_with_flat_pass() {
-        // Independent passes over the spans of any split, merged by
-        // modular multiplication, equal the flat pass bit for bit: every
-        // pass returns the canonical residue of its partial product.
-        let p = (1u128 << 127) - 1;
-        let ctx = MontgomeryCtx::new(&n(p)).unwrap();
-        let bases: Vec<Natural> = (2..15u128).map(n).collect();
-        let exps: Vec<Natural> = (0..13u128).map(|i| n(i * 104_729 + 3)).collect();
-        let pass = |range: std::ops::Range<usize>| {
-            multi_exp_ctx(&ctx, &bases[range.clone()], &exps[range])
-        };
-        let flat = pass(0..bases.len());
-        assert_eq!(flat, naive(&ctx, &bases, &exps));
-        for shards in [1usize, 2, 3, 7, 13, 40] {
-            let merged = shard_spans(bases.len(), shards)
-                .into_iter()
-                .map(pass)
-                .reduce(|a, b| ctx.mod_mul(&a, &b))
-                .unwrap();
-            assert_eq!(merged, flat, "shards {shards}");
-        }
     }
 }

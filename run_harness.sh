@@ -87,11 +87,9 @@ run ablation_quantization --quick
 # HAFLO 59k/s) must re-fit within 10% of what the workspace ships.
 run calibrate_cost
 
-# Sharded-aggregation gate: modeled cost vs shard count at fixed memory
-# and flat-vs-tree topology comparison. The binary exits non-zero unless
-# sharded and tree results are bit-identical to the flat fold, modeled
-# scaling at 4 shards clears 1.5x, and the 1-shard estimate equals the
-# flat estimate exactly.
+# Aggregation-topology gate: flat-vs-tree weighted folds at growing party
+# counts. The binary exits non-zero unless every tree result is
+# bit-identical to the flat fold.
 run bench_aggregate $BA_ARGS
 
 # Round-engine gate: pipelined rounds vs the sequential engine over the

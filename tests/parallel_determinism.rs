@@ -272,11 +272,11 @@ fn weighted_aggregate_matches_scalar_mul_add_loop_across_thread_counts() {
             let cpu = CpuHe::default();
             let gpu = GpuHe::new(Arc::new(Device::new(DeviceConfig::rtx3090())));
             let a = cpu
-                .weighted_aggregate(&keys.public, &slices, &weights, 1)
+                .weighted_aggregate(&keys.public, &slices, &weights)
                 .expect("cpu")
                 .0;
             let b = gpu
-                .weighted_aggregate(&keys.public, &slices, &weights, 1)
+                .weighted_aggregate(&keys.public, &slices, &weights)
                 .expect("gpu")
                 .0;
             (
@@ -316,11 +316,11 @@ fn sharded_and_tree_aggregation_bit_identical_at_any_thread_count() {
 
     let slices: Vec<&[_]> = batches.iter().map(Vec::as_slice).collect();
 
-    // Flat single-chain fold on one thread is the reference everything
-    // else must reproduce bit for bit.
+    // The flat fold on one thread is the reference everything else must
+    // reproduce bit for bit.
     let flat: Vec<Natural> = in_pool(1, || {
         CpuHe::default()
-            .weighted_aggregate(&keys.public, &slices, &weights, 1)
+            .weighted_aggregate(&keys.public, &slices, &weights)
             .expect("flat")
             .0
             .iter()
@@ -328,28 +328,26 @@ fn sharded_and_tree_aggregation_bit_identical_at_any_thread_count() {
             .collect()
     });
 
-    // HE layer: every shard count at every thread count, CPU and GPU.
+    // HE layer: every thread count, CPU and GPU.
     for threads in THREAD_COUNTS {
-        for shards in [1usize, 2, 3, 7, 13] {
-            let (cpu_vals, gpu_vals) = in_pool(threads, || {
-                let cpu = CpuHe::default();
-                let gpu = GpuHe::new(Arc::new(Device::new(DeviceConfig::rtx3090())));
-                let a = cpu
-                    .weighted_aggregate(&keys.public, &slices, &weights, shards)
-                    .expect("cpu sharded")
-                    .0;
-                let b = gpu
-                    .weighted_aggregate(&keys.public, &slices, &weights, shards)
-                    .expect("gpu sharded")
-                    .0;
-                (
-                    a.iter().map(|c| c.value.clone()).collect::<Vec<_>>(),
-                    b.iter().map(|c| c.value.clone()).collect::<Vec<_>>(),
-                )
-            });
-            assert_eq!(cpu_vals, flat, "cpu threads={threads} shards={shards}");
-            assert_eq!(gpu_vals, flat, "gpu threads={threads} shards={shards}");
-        }
+        let (cpu_vals, gpu_vals) = in_pool(threads, || {
+            let cpu = CpuHe::default();
+            let gpu = GpuHe::new(Arc::new(Device::new(DeviceConfig::rtx3090())));
+            let a = cpu
+                .weighted_aggregate(&keys.public, &slices, &weights)
+                .expect("cpu")
+                .0;
+            let b = gpu
+                .weighted_aggregate(&keys.public, &slices, &weights)
+                .expect("gpu")
+                .0;
+            (
+                a.iter().map(|c| c.value.clone()).collect::<Vec<_>>(),
+                b.iter().map(|c| c.value.clone()).collect::<Vec<_>>(),
+            )
+        });
+        assert_eq!(cpu_vals, flat, "cpu threads={threads}");
+        assert_eq!(gpu_vals, flat, "gpu threads={threads}");
     }
 
     // FL layer: edge-aggregator trees over the same batches.
@@ -365,8 +363,7 @@ fn sharded_and_tree_aggregation_bit_identical_at_any_thread_count() {
             let vals: Vec<Natural> = in_pool(threads, || {
                 let acc = fl::Accelerator::new(fl::BackendKind::Fate, keys.clone(), 4)
                     .expect("accel")
-                    .with_topology(fl::AggregationTopology::tree(arity))
-                    .with_aggregation_shards(3);
+                    .with_topology(fl::AggregationTopology::tree(arity));
                 acc.aggregate_weighted(&vectors, &weights)
                     .expect("tree")
                     .cts
@@ -375,6 +372,45 @@ fn sharded_and_tree_aggregation_bit_identical_at_any_thread_count() {
                     .collect()
             });
             assert_eq!(vals, flat, "tree threads={threads} arity={arity}");
+        }
+    }
+}
+
+/// `with_aggregation_shards` is inert: a weighted fold is one bucket pass
+/// per slot and is charged as that pass, so no shard count moves a
+/// ciphertext or a charge, flat or through a tree, CPU or device.
+#[test]
+fn aggregation_shards_move_neither_ciphertexts_nor_charges() {
+    let keys = {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x54A2D);
+        PaillierKeyPair::generate(&mut rng, 128).expect("keygen")
+    };
+    let encryptor = fl::Accelerator::new(fl::BackendKind::Fate, keys.clone(), 4).expect("accel");
+    let grads: Vec<f64> = (0..9).map(|i| (f64::from(i) * 0.29).sin() * 0.7).collect();
+    let vectors: Vec<fl::backend::EncryptedVector> = (0..37u64)
+        .map(|k| encryptor.encrypt(&grads, 0x540 + k).expect("encrypt"))
+        .collect();
+    let weights: Vec<u64> = (0..37u64).map(|k| k * 613 + 5).collect();
+    for kind in [fl::BackendKind::Fate, fl::BackendKind::Haflo] {
+        for topology in [
+            fl::AggregationTopology::Flat,
+            fl::AggregationTopology::tree(16),
+        ] {
+            let mut reference = None;
+            for shards in [1usize, 2, 8] {
+                let acc = fl::Accelerator::new(kind, keys.clone(), 4)
+                    .expect("accel")
+                    .with_topology(topology)
+                    .with_aggregation_shards(shards);
+                let out = acc
+                    .aggregate_weighted(&vectors, &weights)
+                    .expect("weighted");
+                let charged = acc.take_timing();
+                let what = format!("{kind:?} {topology:?} shards={shards}");
+                let (cts, timing) = reference.get_or_insert_with(|| (out.clone(), charged));
+                assert_eq!(*cts, out, "{what}");
+                assert_eq!(*timing, charged, "{what}");
+            }
         }
     }
 }

@@ -345,14 +345,12 @@ fn one_hostile_upload_among_128_fails_every_weighted_topology_closed() {
         [&CpuHe::default(), &GpuHe::new(std::sync::Arc::new(device))];
     for he in backends {
         let mut batches: Vec<&[Ciphertext]> = vec![&good.cts; 128];
-        assert!(he
-            .weighted_aggregate(&k.public, &batches, &weights, 2)
-            .is_ok());
+        assert!(he.weighted_aggregate(&k.public, &batches, &weights).is_ok());
         for (bad, error) in &faults {
             for party in parties {
                 let honest_batch = std::mem::replace(&mut batches[party], &bad.cts);
                 assert_eq!(
-                    he.weighted_aggregate(&k.public, &batches, &weights, 2)
+                    he.weighted_aggregate(&k.public, &batches, &weights)
                         .unwrap_err(),
                     error(party),
                     "{}, party {party}",
