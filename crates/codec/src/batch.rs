@@ -115,7 +115,10 @@ impl BatchCodec {
 
     /// Unpacks `count` slots, each holding the sum of `terms` quantized
     /// values (the post-aggregation decode path). Fails if `terms` exceeds
-    /// the guard-bit capacity.
+    /// the guard-bit capacity, if `words` is not exactly the
+    /// [`words_for`](Self::words_for) `count` words that hold the values,
+    /// or if a word has a bit set past its last used slot — what a
+    /// tampered or mis-keyed decryption looks like.
     // Slot indices are bounded by `slots_per_word` (≪ 2^32): no truncation.
     // flcheck: widen-ok(slot)
     pub fn unpack_sums(&self, words: &[Natural], count: usize, terms: u32) -> Result<Vec<f64>> {
@@ -127,16 +130,29 @@ impl BatchCodec {
                 available,
             });
         }
+        let expected = self.words_for(count);
+        if words.len() > expected {
+            return Err(Error::ExtraWords {
+                expected,
+                got: words.len(),
+            });
+        }
         let slot_bits = self.quantizer.config().slot_bits();
         let mut out = Vec::with_capacity(count);
         for (i, word) in words.iter().enumerate() {
-            let base = i * self.slots_per_word;
-            for slot in 0..self.slots_per_word {
-                if base + slot >= count {
-                    break;
-                }
+            let used = count.saturating_sub(i * self.slots_per_word);
+            let mut end = 0;
+            for slot in 0..used.min(self.slots_per_word) {
                 let z = word.extract_bits(slot as u32 * slot_bits, slot_bits);
                 out.push(self.quantizer.dequantize_sum(z, terms));
+                end = (slot as u32 + 1) * slot_bits;
+            }
+            if word.bit_len() > end {
+                return Err(Error::SlotOverflow {
+                    word: i,
+                    bits: word.bit_len(),
+                    limit: end,
+                });
             }
         }
         Ok(out)
@@ -266,6 +282,42 @@ mod tests {
             c.unpack(&packed, cap + 1),
             Err(Error::NotEnoughData { .. })
         ));
+    }
+
+    #[test]
+    fn unpack_refuses_words_its_values_do_not_occupy() {
+        let c = codec(512, 4);
+        let mut packed = c.pack(&[0.5; 10]).unwrap();
+        assert_eq!(packed.len(), 1);
+        packed.push(Natural::zero());
+        let err = c.unpack(&packed, 10).unwrap_err();
+        assert_eq!(err.to_string(), "2 words given but the values occupy 1");
+    }
+
+    #[test]
+    fn unpack_refuses_bits_past_the_last_used_slot() {
+        let c = codec(512, 4);
+        let slot_bits = c.quantizer().config().slot_bits();
+        let spw = c.slots_per_word();
+        let values = vec![0.5; spw + 3]; // one full word, then three slots
+        let packed = c.pack(&values).unwrap();
+        assert!(c.unpack(&packed, values.len()).is_ok());
+        // The first bit of the partial word's first unused slot, then the
+        // full word's reserved top slot.
+        let partial_end = 3 * slot_bits;
+        let full_end = spw as u32 * slot_bits;
+        for (word, end) in [(1usize, partial_end), (0, full_end)] {
+            let mut bad = packed.clone();
+            bad[word].add_assign_ref(&Natural::from(1u64).shl_bits(end));
+            let err = c.unpack(&bad, values.len()).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "word {word} is {} bits long but its used slots end at bit {end}",
+                    end + 1
+                )
+            );
+        }
     }
 
     #[test]

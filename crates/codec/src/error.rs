@@ -41,6 +41,25 @@ pub enum Error {
         /// Values available.
         available: usize,
     },
+    /// Unpack was given more words than its values occupy; the extra
+    /// words would go unread.
+    ExtraWords {
+        /// Words the values occupy.
+        expected: usize,
+        /// Words given.
+        got: usize,
+    },
+    /// A word has bits set at or above the end of its last used slot. An
+    /// honest sum within its guard capacity never reaches them, so the
+    /// word was tampered with or decrypted under another key.
+    SlotOverflow {
+        /// Index of the word.
+        word: usize,
+        /// The word's bit length.
+        bits: u32,
+        /// Bit at which its last used slot ends.
+        limit: u32,
+    },
 }
 
 impl fmt::Display for Error {
@@ -72,6 +91,13 @@ impl fmt::Display for Error {
                     "requested {requested} values but only {available} are packed"
                 )
             }
+            Error::ExtraWords { expected, got } => {
+                write!(f, "{got} words given but the values occupy {expected}")
+            }
+            Error::SlotOverflow { word, bits, limit } => write!(
+                f,
+                "word {word} is {bits} bits long but its used slots end at bit {limit}"
+            ),
         }
     }
 }
@@ -108,6 +134,23 @@ mod tests {
         }
         .to_string()
         .contains("5"));
+        assert_eq!(
+            Error::ExtraWords {
+                expected: 2,
+                got: 3
+            }
+            .to_string(),
+            "3 words given but the values occupy 2"
+        );
+        assert_eq!(
+            Error::SlotOverflow {
+                word: 1,
+                bits: 97,
+                limit: 96
+            }
+            .to_string(),
+            "word 1 is 97 bits long but its used slots end at bit 96"
+        );
         assert!(Error::BadConfig("r must be positive".into())
             .to_string()
             .contains("positive"));

@@ -26,6 +26,7 @@ use he::paillier::{Ciphertext, ObfuscatorPool, PaillierKeyPair};
 use he::HeBackend;
 use mpint::Natural;
 use parking_lot::Mutex;
+use rayon::prelude::*;
 
 use crate::net::NetworkConfig;
 use crate::topology::AggregationTopology;
@@ -527,19 +528,36 @@ impl Accelerator {
         ))
     }
 
-    /// A SecureBoost host's reply for one tree node: every non-empty
-    /// group of `groups` folded, and the sums packed `slot_bits` apart
-    /// into as few ciphertexts as the key allows
+    /// Every SecureBoost host's reply for one tree node: for each party,
+    /// every non-empty group of its bucket groups folded, and the sums
+    /// packed `slot_bits` apart into as few ciphertexts as the key allows
     /// ([`HeBackend::fold_packed`]; a slot as wide as the plaintext word
-    /// keeps one sum per ciphertext). One launch; the cost is returned for
-    /// the caller's epoch breakdown.
+    /// keeps one sum per ciphertext). One launch per party, the parties
+    /// side by side on the pool, as hosts on their own servers would run
+    /// them; each party's reply and cost come back in party order for the
+    /// caller's epoch breakdown, and the earliest failing party's error
+    /// wins at any pool width.
+    ///
+    /// On a packed backend a party's reply is one run, so its launch has
+    /// one item and runs inline on the party's task. Without packing a
+    /// party has several runs, and its launch nests a drive of its own.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "drive home: one fold-and-pack launch per passive party, side by side"
+    )]
     pub fn fold_packed_timed(
         &self,
-        groups: &[Vec<&Ciphertext>],
+        parties: &[Vec<Vec<&Ciphertext>>],
         slot_bits: u32,
-    ) -> Result<(Vec<Ciphertext>, AccelTiming)> {
-        let (cts, t) = self.he.fold_packed(&self.keys.public, groups, slot_bits)?;
-        Ok((cts, Self::accel_timing(&t)))
+    ) -> Result<Vec<(Vec<Ciphertext>, AccelTiming)>> {
+        parties
+            .par_iter()
+            .with_max_len(1)
+            .map(|groups| -> Result<_> {
+                let (cts, t) = self.he.fold_packed(&self.keys.public, groups, slot_bits)?;
+                Ok((cts, Self::accel_timing(&t)))
+            })
+            .collect()
     }
 
     /// Decrypts ciphertexts to their plaintext words — what
@@ -565,19 +583,13 @@ impl Accelerator {
         let (plaintexts, mut timing) = self.decrypt_words_timed(&vector.cts)?;
         timing.codec_seconds = codec_seconds(vector.count);
         let values = if self.batch_compression {
-            self.codec.unpack_sums(&plaintexts, vector.count, terms)?
+            self.codec.unpack_sums(&plaintexts, vector.count, terms)
         } else {
             self.codec
                 .quantizer()
-                .check_terms(terms)
-                .map_err(flbooster_core::Error::from)?;
-            plaintexts
-                .iter()
-                .take(vector.count)
-                .map(|m| self.codec.quantizer().dequantize_sum(m.low_u64(), terms))
-                .collect()
+                .dequantize_words(&plaintexts, vector.count, terms)
         };
-        Ok((values, timing))
+        Ok((values?, timing))
     }
 
     /// Decrypts an aggregated vector whose slots hold sums of `terms`

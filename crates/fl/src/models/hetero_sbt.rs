@@ -18,7 +18,11 @@
 //!    shift-and-adds its bucket sums, `2·slot` bits apart, into as few
 //!    plaintext words as the key holds
 //!    ([`he::HeBackend::fold_packed`]) — one ciphertext per 24 buckets at
-//!    1024 bits; without it each sum keeps a ciphertext to itself;
+//!    1024 bits; without it each sum keeps a ciphertext to itself. The
+//!    host folds the parties side by side
+//!    ([`Accelerator::fold_packed_timed`](crate::Accelerator::fold_packed_timed)),
+//!    while the epoch still charges and sends their replies in party
+//!    order, summed as serial aggregation time;
 //! 3. the active party decrypts every passive reply of the node in one
 //!    batch, slices the words back into per-bucket sums, evaluates the
 //!    XGBoost split gain, and announces the winner;
@@ -516,13 +520,19 @@ impl HeteroSbt {
             .collect();
 
         // Each passive party folds its non-empty buckets, packs the sums
-        // and uplinks the words; bucket counts travel in the clear.
+        // and uplinks the words; bucket counts travel in the clear. The
+        // parties fold side by side on the host, and are then charged and
+        // sent in party order, as one after another.
         let slot_bits = self.bucket_slot_bits(pk, packed);
+        let groups = buckets
+            .iter()
+            .skip(1)
+            .map(|per_feature| self.bucket_groups(per_feature, round.gh_cts, packed))
+            .collect::<Result<Vec<_>>>()?;
+        let folded = env.accel.fold_packed_timed(&groups, slot_bits)?;
         let mut replies: Vec<Ciphertext> = Vec::new();
         let mut reply_lens = Vec::with_capacity(buckets.len());
-        for per_feature in buckets.iter().skip(1) {
-            let groups = self.bucket_groups(per_feature, round.gh_cts, packed)?;
-            let (reply, t) = env.accel.fold_packed_timed(&groups, slot_bits)?;
+        for ((reply, t), per_feature) in folded.into_iter().zip(buckets.iter().skip(1)) {
             breakdown.charge(Charge::Aggregate, t.he_seconds);
 
             let bytes: u64 = reply.iter().map(|c| c.wire_size_bytes() as u64).sum();
@@ -794,7 +804,10 @@ mod tests {
 
                 let groups = model.bucket_groups(&buckets, &gh_cts, packed).unwrap();
                 let slot_bits = model.bucket_slot_bits(pk, packed);
-                let (reply, _) = env.accel.fold_packed_timed(&groups, slot_bits).unwrap();
+                let folded = env
+                    .accel
+                    .fold_packed_timed(std::slice::from_ref(&groups), slot_bits);
+                let [(reply, _)] = <[_; 1]>::try_from(folded.unwrap()).unwrap();
                 let (words, _) = env.accel.decrypt_words_timed(&reply).unwrap();
                 let got = model.decode_buckets(pk, &words, &buckets, packed).unwrap();
 
@@ -854,7 +867,8 @@ mod tests {
             let buckets: Vec<Vec<Vec<usize>>> =
                 vec![signs.iter().map(|&up| vec![usize::from(up); max_terms as usize]).collect()];
             let groups = model.bucket_groups(&buckets, &gh_cts, true).unwrap();
-            let (reply, _) = accel.fold_packed_timed(&groups, slot_bits).unwrap();
+            let folded = accel.fold_packed_timed(&[groups], slot_bits).unwrap();
+            let [(reply, _)] = <[_; 1]>::try_from(folded).unwrap();
             proptest::prop_assert_eq!(reply.len(), 1);
             let (plain, _) = accel.decrypt_words_timed(&reply).unwrap();
             let sums = model.decode_buckets(pk, &plain, &buckets, true).unwrap();

@@ -24,9 +24,9 @@
 //! to clippy: `unwrap`, `expect`, the `panic!` family and indexing in the
 //! library crates are denied by the root manifest's
 //! `[workspace.lints.clippy]` table, and hash collections, clocks,
-//! thread-width reads, pool drives outside their four homes, the
-//! unchecked ciphertext ops and reads of a `Secret` are banned by
-//! `crates/clippy.toml`.
+//! thread-width reads, pool drives outside the drive homes DESIGN §11
+//! lists, the unchecked ciphertext ops and reads of a `Secret` are banned
+//! by `crates/clippy.toml`.
 //!
 //! The design is three layers:
 //!

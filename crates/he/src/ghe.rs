@@ -340,9 +340,14 @@ pub enum Schedule<'a> {
 /// pool wider than 1 — is a scoped-thread spawn and join, ≈ 60–100 µs on
 /// the 2-vCPU reference host whatever it carries (flbench's
 /// `pool.dispatch_us_per_task` ≈ 0.1 µs is that cost spread over its 1024
-/// tasks). A `hetero_nn_1024` epoch makes 22 drives, about ten of them
-/// with less work inside than the spawn; the cheaper-drive designs tried
-/// and rejected are listed in EXPERIMENTS_FLBENCH.md "PR 23".
+/// tasks). A `hetero_nn_1024` epoch makes 16 drives: the client fan-out
+/// with four blinding-pool prefills and four encrypt launches inside it,
+/// three streaming-fold launches, one decrypt launch, and the
+/// broadcast's prefill, encrypt and decrypt. Eight of them — the five
+/// encrypt launches and the three folds, ≈ 55–70 µs of work each on one
+/// thread — carry less work than the spawn. The cheaper-drive designs
+/// tried and rejected are listed in EXPERIMENTS_FLBENCH.md, under "a
+/// broadcast is one encryption".
 const HE_MAX_CHUNK: usize = 1;
 
 impl Schedule<'_> {

@@ -159,9 +159,9 @@ fi
 # `[lints] workspace = true`. Determinism and banned calls: the same table
 # and `crates/bench`'s `[lints.clippy]` deny what `crates/clippy.toml`
 # disallows (hash collections, clocks, width reads, pool drives outside
-# their four homes, the unchecked ciphertext ops), in the libraries and
-# the experiment binaries alike. An `#[expect(clippy::…)]` that no longer
-# fires fails it too.
+# the drive homes DESIGN §11 lists, the unchecked ciphertext ops), in the
+# libraries and the experiment binaries alike. An `#[expect(clippy::…)]`
+# that no longer fires fails it too.
 echo "=== clippy: panic freedom, determinism and banned calls ==="
 if ! cargo clippy --offline --workspace --lib --bins 2>&1 | tail -20; then
   echo "HARNESS_FAILED: cargo clippy panic-freedom or determinism lints"

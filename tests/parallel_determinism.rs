@@ -510,6 +510,86 @@ fn packed_histogram_replies_are_bit_and_charge_identical_at_any_thread_count() {
             .expect("unpack"),
         sums
     );
+
+    // Several hosts' replies side by side: party by party, the fan-out
+    // returns the reply and charge of that party's own one-party launch,
+    // at any pool width. Parties of several runs nest a drive; the
+    // empty one launches nothing.
+    let parties: Vec<Vec<Vec<&he::paillier::Ciphertext>>> = (0..4)
+        .map(|p| groups.iter().skip(5 * p).cloned().collect())
+        .chain([Vec::new()])
+        .collect();
+    for kind in [
+        fl::BackendKind::FlBooster,
+        fl::BackendKind::Fate,
+        fl::BackendKind::Haflo,
+    ] {
+        let mut replies = None;
+        for threads in [1usize, 2, 8] {
+            let (side_by_side, one_by_one) = in_pool(threads, || {
+                let acc = fl::Accelerator::new(kind, keys.clone(), 4).expect("accel");
+                let all = acc.fold_packed_timed(&parties, slot_bits).expect("fan-out");
+                let single: Vec<_> = parties
+                    .iter()
+                    .flat_map(|party| {
+                        acc.fold_packed_timed(std::slice::from_ref(party), slot_bits)
+                            .expect("one party")
+                    })
+                    .collect();
+                (all, single)
+            });
+            let what = format!("{kind:?} threads={threads}");
+            assert_eq!(side_by_side.len(), parties.len(), "{what}");
+            assert_eq!(side_by_side, one_by_one, "{what}");
+            assert_eq!(
+                replies.get_or_insert_with(|| side_by_side.clone()),
+                &side_by_side,
+                "{what}"
+            );
+        }
+    }
+}
+
+#[test]
+fn hetero_sbt_epoch_is_bit_and_charge_identical_at_any_thread_count() {
+    // Four passive parties fold side by side on the pool; the epoch must
+    // still charge and send them in party order, so the tree, the loss,
+    // every breakdown bit and the link's counters are one value per
+    // backend whatever the width.
+    use fl::models::HeteroSbt;
+    use fl::train::{FlEnv, FlModel, TrainConfig};
+
+    let keys = {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5B8);
+        PaillierKeyPair::generate(&mut rng, 128).expect("keygen")
+    };
+    let mut spec = fl::data::generators::DatasetSpec::synthetic();
+    spec.features = 20;
+    spec.nnz_per_row = 20;
+    spec.instances = 160;
+    let data = spec.generate(1.0);
+    for kind in [fl::BackendKind::FlBooster, fl::BackendKind::Haflo] {
+        let mut epoch = None;
+        for threads in [1usize, 2, 8] {
+            let got = in_pool(threads, || {
+                let cfg = TrainConfig::default();
+                let accel = fl::Accelerator::new(kind, keys.clone(), 5).expect("accel");
+                let env = FlEnv::new(accel, 1);
+                let mut model = HeteroSbt::new(&data, 5, &cfg).expect("model");
+                let result = model.run_epoch(&env, &cfg, 0).expect("epoch");
+                // `Debug` prints every f64 round-trip exact.
+                (
+                    format!("{:?}", model.trees()),
+                    result.loss.to_bits(),
+                    format!("{:?}", result.breakdown),
+                    format!("{:?}", env.network.stats()),
+                )
+            });
+            assert!(got.0.contains("Split"), "{kind:?}: no split grown");
+            let what = format!("{kind:?} threads={threads}");
+            assert_eq!(epoch.get_or_insert_with(|| got.clone()), &got, "{what}");
+        }
+    }
 }
 
 #[test]
