@@ -43,6 +43,16 @@ impl BatchCodec {
         })
     }
 
+    /// The same codec with one slot per word: the layout of a backend
+    /// without batch compression, which encrypts every quantized value as
+    /// its own plaintext and decodes it through the same checks.
+    pub fn one_slot_per_word(self) -> Self {
+        BatchCodec {
+            slots_per_word: 1,
+            ..self
+        }
+    }
+
     /// The single-value quantizer in use.
     pub fn quantizer(&self) -> &Quantizer {
         &self.quantizer

@@ -12,8 +12,6 @@
 //! quantized and encrypted, so nothing about the gradient's magnitude
 //! leaks (the paper's security argument against FLASHE-style encodings).
 
-use mpint::Natural;
-
 use crate::{Error, Result};
 
 /// Configuration of the encoding-quantization scheme.
@@ -144,40 +142,6 @@ impl Quantizer {
         (z as f64 / self.scale) * 2.0 * a - terms as f64 * a
     }
 
-    /// Decodes `count` sums of `terms` quantized values each, stored one
-    /// to a word — the layout without batch compression. Fails if `terms`
-    /// exceeds the guard-bit capacity, if `words` is not exactly `count`
-    /// words, or if a word is wider than its one slot.
-    pub fn dequantize_words(
-        &self,
-        words: &[Natural],
-        count: usize,
-        terms: u32,
-    ) -> Result<Vec<f64>> {
-        self.check_terms(terms)?;
-        if words.len() < count {
-            return Err(Error::NotEnoughData {
-                requested: count,
-                available: words.len(),
-            });
-        }
-        if words.len() > count {
-            return Err(Error::ExtraWords {
-                expected: count,
-                got: words.len(),
-            });
-        }
-        let limit = self.cfg.slot_bits();
-        words
-            .iter()
-            .enumerate()
-            .map(|(word, z)| match z.bit_len() {
-                bits if bits > limit => Err(Error::SlotOverflow { word, bits, limit }),
-                _ => Ok(self.dequantize_sum(z.low_u64(), terms)),
-            })
-            .collect()
-    }
-
     /// Worst-case absolute quantization error for one value:
     /// half a quantization step, `α / (2^r − 1)`.
     pub fn max_error(&self) -> f64 {
@@ -200,6 +164,7 @@ impl Quantizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpint::Natural;
 
     fn quantizer(r: u32, p: u32) -> Quantizer {
         Quantizer::new(QuantizerConfig {
@@ -360,28 +325,31 @@ mod tests {
 
     #[test]
     fn one_sum_per_word_is_held_to_its_count_and_its_slot() {
-        let q = quantizer(16, 4); // 18-bit slot, up to four terms
-        let words: Vec<Natural> = [0.5, -0.25]
-            .iter()
-            .map(|&v| Natural::from(q.quantize(v).unwrap()))
-            .collect();
-        let back = q.dequantize_words(&words, 2, 1).unwrap();
+        // 18-bit slots, up to four terms, one slot per word: the layout
+        // without batch compression.
+        let codec = crate::BatchCodec::new(*quantizer(16, 4).config(), 256)
+            .unwrap()
+            .one_slot_per_word();
+        let q = codec.quantizer();
+        let words = codec.pack(&[0.5, -0.25]).unwrap();
+        assert_eq!(words.len(), 2);
+        let back = codec.unpack_sums(&words, 2, 1).unwrap();
         assert!((back[0] - 0.5).abs() <= q.max_error());
         assert!((back[1] + 0.25).abs() <= q.max_error());
         // Four terms fill the slot; a bit above it is a word no honest
         // sum makes, even where its low 64 bits decode.
-        assert!(q
-            .dequantize_words(&[Natural::from((1u64 << 18) - 1)], 1, 4)
+        assert!(codec
+            .unpack_sums(&[Natural::from((1u64 << 18) - 1)], 1, 4)
             .is_ok());
         let wide = Natural::from(3u64).shl_bits(64).add_ref(&words[0]);
         for (bad, bits) in [(Natural::from(1u64 << 18), 19), (wide, 66)] {
-            let err = q.dequantize_words(&[bad], 1, 4).unwrap_err();
+            let err = codec.unpack_sums(&[bad], 1, 4).unwrap_err();
             let msg = format!("word 0 is {bits} bits long but its used slots end at bit 18");
             assert_eq!(err.to_string(), msg);
         }
-        let err = q.dequantize_words(&words, 1, 1).unwrap_err();
+        let err = codec.unpack_sums(&words, 1, 1).unwrap_err();
         assert_eq!(err.to_string(), "2 words given but the values occupy 1");
-        let err = q.dequantize_words(&words, 3, 1).unwrap_err();
+        let err = codec.unpack_sums(&words, 3, 1).unwrap_err();
         assert_eq!(err.to_string(), "requested 3 values but only 2 are packed");
     }
 }

@@ -197,7 +197,15 @@ impl Accelerator {
         qcfg: QuantizerConfig,
     ) -> Result<Self> {
         let key_bits = keys.public.key_bits;
+        // Without batch compression every value is its own plaintext: the
+        // same codec, one slot per word.
+        let batch_compression = matches!(kind, BackendKind::FlBooster | BackendKind::WithoutGhe);
         let codec = BatchCodec::new(qcfg, key_bits).map_err(flbooster_core::Error::from)?;
+        let codec = if batch_compression {
+            codec
+        } else {
+            codec.one_slot_per_word()
+        };
 
         // Blinding-factor pre-generation is an FLBooster-family
         // optimization (and rides along in both ablations); the FATE and
@@ -241,7 +249,6 @@ impl Accelerator {
             }
         };
 
-        let batch_compression = matches!(kind, BackendKind::FlBooster | BackendKind::WithoutGhe);
         let net_profile = match kind {
             BackendKind::Fate | BackendKind::Haflo => NetworkConfig::fate_profile(),
             _ => NetworkConfig::flbooster_profile(),
@@ -342,7 +349,7 @@ impl Accelerator {
     ///
     /// The round engine needs the *per-client* cost to lay client
     /// encrypts out on its simulated timeline, and it runs client
-    /// encrypts concurrently on the work-stealing pool — a take-timing
+    /// encrypts concurrently on the host pool — a take-timing
     /// dance around the shared [`Mutex`] accumulator would interleave
     /// clients. Callers must charge the returned timing themselves (the
     /// engine charges it to the epoch breakdown).
@@ -351,16 +358,9 @@ impl Accelerator {
         values: &[f64],
         seed: u64,
     ) -> Result<(EncryptedVector, AccelTiming)> {
-        let plaintexts: Vec<Natural> = if self.batch_compression {
-            // Quantize-and-pack runs on the data owner's host before
-            // encryption; its timing is visible only to the plaintext owner.
-            self.codec.pack(values)?
-        } else {
-            values
-                .iter()
-                .map(|&v| self.codec.quantizer().quantize(v).map(Natural::from))
-                .collect::<codec::Result<_>>()?
-        };
+        // Quantize-and-pack runs on the data owner's host before
+        // encryption; its timing is visible only to the plaintext owner.
+        let plaintexts = self.codec.pack(values)?;
         let (cts, mut timing) = self.encrypt_words_timed(&plaintexts, seed)?;
         timing.codec_seconds = codec_seconds(values.len());
         Ok((
@@ -552,7 +552,6 @@ impl Accelerator {
     ) -> Result<Vec<(Vec<Ciphertext>, AccelTiming)>> {
         parties
             .par_iter()
-            .with_max_len(1)
             .map(|groups| -> Result<_> {
                 let (cts, t) = self.he.fold_packed(&self.keys.public, groups, slot_bits)?;
                 Ok((cts, Self::accel_timing(&t)))
@@ -582,14 +581,8 @@ impl Accelerator {
     ) -> Result<(Vec<f64>, AccelTiming)> {
         let (plaintexts, mut timing) = self.decrypt_words_timed(&vector.cts)?;
         timing.codec_seconds = codec_seconds(vector.count);
-        let values = if self.batch_compression {
-            self.codec.unpack_sums(&plaintexts, vector.count, terms)
-        } else {
-            self.codec
-                .quantizer()
-                .dequantize_words(&plaintexts, vector.count, terms)
-        };
-        Ok((values?, timing))
+        let values = self.codec.unpack_sums(&plaintexts, vector.count, terms)?;
+        Ok((values, timing))
     }
 
     /// Decrypts an aggregated vector whose slots hold sums of `terms`

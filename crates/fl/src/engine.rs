@@ -20,7 +20,7 @@
 //! decrypt`), and every transition is an [`Event`] on a simulated-time
 //! min-heap. The *real* cryptographic work (encrypt, homomorphic adds,
 //! decrypt) executes eagerly — client encrypts concurrently on the
-//! work-stealing pool, folds as ciphertexts arrive — while the event
+//! host pool, folds as ciphertexts arrive — while the event
 //! queue only decides *when* each step lands on the timeline. Uplink,
 //! edge-tree hops, and downlink transfers are laid out on a
 //! [`LinkSchedule`] honouring the network's configured
@@ -181,32 +181,11 @@ impl EngineConfig {
     }
 }
 
-/// Where a client is in the round's state machine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ClientPhase {
-    /// Running its local mini-batch computation.
-    #[default]
-    Computing,
-    /// Quantizing/packing/encrypting its gradient.
-    Encrypting,
-    /// Its ciphertext is on (or queued for) the uplink.
-    Uploading,
-    /// Its ciphertext reached an aggregator node.
-    Delivered,
-    /// It received the broadcast and decrypted the new model.
-    Finished,
-    /// It missed the straggler deadline and sat this round out.
-    Dropped,
-}
-
 /// One client's simulated-time trace through the round. Times are
 /// absolute simulated seconds from round start; stages the client never
 /// reached stay 0.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ClientTimeline {
-    /// Final state-machine phase ([`Finished`](ClientPhase::Finished)
-    /// or [`Dropped`](ClientPhase::Dropped)).
-    pub phase: ClientPhase,
     /// Local compute done.
     pub compute_done: f64,
     /// Encryption done (the straggler deadline is checked here).
@@ -527,15 +506,12 @@ pub fn run_round(
         let now = event.time;
         match event.kind {
             EventKind::ComputeDone { client } => {
-                timelines[client].phase = ClientPhase::Encrypting;
                 queue.push(now + enc_dur[client], EventKind::EncryptDone { client });
             }
             EventKind::EncryptDone { client } => {
                 if is_dropped[client] {
-                    timelines[client].phase = ClientPhase::Dropped;
                     continue;
                 }
-                timelines[client].phase = ClientPhase::Uploading;
                 let (start, finish) = link.admit(now, uplink_dur[client]);
                 timelines[client].uplink_start = start;
                 timelines[client].uplink_done = finish;
@@ -549,10 +525,7 @@ pub fn run_round(
             }
             EventKind::Arrive { node, source } => {
                 let payload = match source {
-                    Source::Client(k) => {
-                        timelines[k].phase = ClientPhase::Delivered;
-                        client_cts[k].take()
-                    }
+                    Source::Client(k) => client_cts[k].take(),
                     Source::Node(child) => nodes[child].acc.take(),
                 };
                 let Some(payload) = payload else {
@@ -650,7 +623,6 @@ pub fn run_round(
     let decrypt_dur = dec_t.he_seconds + dec_t.codec_seconds;
     for &k in &survivors {
         timelines[k].decrypt_done = timelines[k].downlink_done + decrypt_dur;
-        timelines[k].phase = ClientPhase::Finished;
     }
 
     let round_seconds = if engine.pipelined {
@@ -1001,7 +973,6 @@ mod tests {
         .unwrap();
         assert_eq!(out.survivors, vec![0, 1, 2]);
         assert_eq!(out.dropped, vec![3]);
-        assert_eq!(out.timelines[3].phase, ClientPhase::Dropped);
         assert_eq!(out.timelines[3].uplink_start, 0.0);
         // The server learned about the straggler only at the deadline.
         assert!(out.round_seconds > deadline);

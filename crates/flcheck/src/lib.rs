@@ -9,7 +9,7 @@
 //! code, release asserts, leaf locks, integer width —
 //! with a hand-rolled lexer and zero external dependencies (the build
 //! environment has no registry access). What rustc *can* check it leaves
-//! to rustc: data-race freedom of closures crossing the work-stealing pool
+//! to rustc: data-race freedom of closures crossing the host thread pool
 //! is the `Fn + Sync` bound on the rayon shim's entry points plus
 //! `forbid(unsafe_code)`, pinned by `compile_fail` doctests on the shim;
 //! seconds never meeting counts is `f64` versus `u64`, pinned by
@@ -49,8 +49,8 @@
 //! discuss directives and violations in documentation and fixtures, and
 //! the tool is a dev-time binary, not part of the library surface. The
 //! dependency shims are skipped too, with one exception: the rayon shim
-//! hosts the work-stealing thread pool that every kernel launch runs on,
-//! so its locks (per-worker deques, the shared panic slot) are checked like
+//! hosts the thread pool that every kernel launch runs on, so its locks
+//! (the take-once item slots, the shared panic slot) are checked like
 //! any first-party crate's.
 
 #![deny(unsafe_code)]
@@ -127,7 +127,7 @@ pub const PASSES: &[(&str, Pass)] = &[
 
 /// Analyzes a whole workspace given as (workspace-relative path, source)
 /// pairs: the per-file rule families as a parallel map over the rayon
-/// work-stealing pool, then the call graph and every pass of [`PASSES`]
+/// shim's pool, one file per task, then the call graph and every pass of [`PASSES`]
 /// on top. Every pass consumes the per-file results in input order, so
 /// findings (and the rendered report) are independent of thread count.
 pub fn check_workspace(inputs: &[(String, String)]) -> Report {

@@ -17,7 +17,7 @@ const SPLIT_BRANCH_PENALTY: f64 = 2.0;
 /// A simulated GPU.
 ///
 /// Kernel bodies run *for real*, data-parallel across the host
-/// work-stealing pool (so results are exact), while the launch is
+/// thread pool (so results are exact), while the launch is
 /// *accounted* under the GPU execution model:
 /// the resource manager plans a grid, occupancy and utilization are
 /// derived from the plan, and simulated H2D/compute/D2H times follow the
@@ -57,7 +57,7 @@ impl Device {
     /// Launches `spec` over `items`, transferring `bytes_in` to the device
     /// beforehand and `bytes_out` back afterwards.
     ///
-    /// Each item runs `body(index, &item)` on the host work-stealing
+    /// Each item runs `body(index, &item)` as its own task on the host
     /// pool; outputs are returned in item order alongside the full
     /// [`LaunchReport`] regardless of how many workers executed them.
     /// `body` must not panic across items it wants kept: a panic in any
@@ -156,11 +156,6 @@ impl Device {
     /// Snapshot of accumulated statistics.
     pub fn stats(&self) -> DeviceStats {
         self.stats.lock().clone()
-    }
-
-    /// Clears accumulated launch statistics.
-    pub fn reset_stats(&self) {
-        *self.stats.lock() = DeviceStats::default();
     }
 }
 
@@ -270,8 +265,6 @@ mod tests {
         assert_eq!(s.bytes_in, 30);
         assert_eq!(s.bytes_out, 60);
         assert_eq!(s.thread_ops, 45);
-        d.reset_stats();
-        assert_eq!(d.stats().launches, 0);
     }
 
     #[test]

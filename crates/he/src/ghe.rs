@@ -329,27 +329,6 @@ pub enum Schedule<'a> {
     Gpu(&'a Device),
 }
 
-/// Chunk-granularity cap for HE batch loops: schedule every item as its
-/// own stealable task. One item is a full multi-kilobit modular
-/// exponentiation (≈10⁵–10⁶ limb ops at 1024 bits), which dwarfs the
-/// ~100 ns per-task scheduling cost, and per-item scheduling lets the
-/// pool rebalance skewed batches (e.g. `fold_groups` over uneven
-/// histogram buckets) that coarse chunking would serialize.
-///
-/// That is the price of a *task*. A *drive* — one call of this loop on a
-/// pool wider than 1 — is a scoped-thread spawn and join, ≈ 60–100 µs on
-/// the 2-vCPU reference host whatever it carries (flbench's
-/// `pool.dispatch_us_per_task` ≈ 0.1 µs is that cost spread over its 1024
-/// tasks). A `hetero_nn_1024` epoch makes 16 drives: the client fan-out
-/// with four blinding-pool prefills and four encrypt launches inside it,
-/// three streaming-fold launches, one decrypt launch, and the
-/// broadcast's prefill, encrypt and decrypt. Eight of them — the five
-/// encrypt launches and the three folds, ≈ 55–70 µs of work each on one
-/// thread — carry less work than the spawn. The cheaper-drive designs
-/// tried and rejected are listed in EXPERIMENTS_FLBENCH.md, under "a
-/// broadcast is one encryption".
-const HE_MAX_CHUNK: usize = 1;
-
 impl Schedule<'_> {
     /// Runs `body(index, item)` over `items` and charges the limb-level
     /// operations each item reports.
@@ -367,7 +346,6 @@ impl Schedule<'_> {
                 )]
                 let results: Vec<(Result<R>, u64)> = items
                     .par_iter()
-                    .with_max_len(HE_MAX_CHUNK)
                     .enumerate()
                     .map(|(i, item)| body(i, item))
                     .collect();

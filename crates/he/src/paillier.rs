@@ -450,7 +450,7 @@ enum BlindingBase {
 /// whether or not its items were prefilled. Each factor is handed out at
 /// most once (`take` removes it), and a batch seed must not be reused
 /// under one key: the same `(seed, index)` is the same factor. Refills fan
-/// the powers out on the work-stealing pool and take the lock once,
+/// the powers out on the host pool and take the lock once,
 /// briefly, to deposit finished values. A refill runs inside the call that
 /// asks for it, on the caller's clock: the pool decides *when* a factor is
 /// paid for, not whether.
@@ -570,7 +570,6 @@ impl ObfuscatorPool {
         )]
         let pairs: Vec<((u64, u64), Obfuscator)> = (0..count)
             .into_par_iter()
-            .with_max_len(1)
             .map(|i| ((seed, i as u64), self.blinding_power(seed, i)))
             .collect();
         lock(&self.indexed).extend(pairs);

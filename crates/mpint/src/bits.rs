@@ -1,67 +1,10 @@
-//! Bitwise operations and miscellaneous integer utilities.
+//! Bitwise operations and string parsing.
 
 use std::ops::{BitAnd, BitOr, BitXor};
 use std::str::FromStr;
 
 use crate::limb::Limb;
 use crate::natural::Natural;
-
-impl Natural {
-    /// Number of one-bits (population count).
-    pub fn count_ones(&self) -> u64 {
-        self.limbs().iter().map(|l| l.count_ones() as u64).sum()
-    }
-
-    /// Floor of the integer square root (Newton's method).
-    pub fn isqrt(&self) -> Natural {
-        if self.limb_len() <= 1 {
-            let v = self.low_u64();
-            // f64 sqrt is only a seed: correct it (it rounds up for
-            // values near u64::MAX).
-            let mut r = (v as f64).sqrt() as u64;
-            while r.checked_mul(r).map_or(true, |sq| sq > v) {
-                r -= 1;
-            }
-            while (r + 1).checked_mul(r + 1).is_some_and(|sq| sq <= v) {
-                r += 1;
-            }
-            return Natural::from(r);
-        }
-        // Initial guess: 2^ceil(bits/2), always >= isqrt(self).
-        let mut x = Natural::one().shl_bits(self.bit_len().div_ceil(2));
-        loop {
-            // x' = (x + self/x) / 2
-            let (q, _) = self.div_rem(&x);
-            let (next, _) = (&x + &q).div_rem_small(2);
-            if next >= x {
-                break;
-            }
-            x = next;
-        }
-        debug_assert!(&x.square() <= self);
-        debug_assert!(&(&x + &Natural::one()).square() > self);
-        x
-    }
-
-    /// True iff the value is a perfect square.
-    pub fn is_perfect_square(&self) -> bool {
-        self.isqrt().square() == *self
-    }
-
-    /// Big-endian byte serialization (network order), no leading zeros.
-    pub fn to_be_bytes(&self) -> Vec<u8> {
-        let mut v = self.to_le_bytes();
-        v.reverse();
-        v
-    }
-
-    /// Parses big-endian bytes.
-    pub fn from_be_bytes(bytes: &[u8]) -> Natural {
-        let mut v = bytes.to_vec();
-        v.reverse();
-        Natural::from_le_bytes(&v)
-    }
-}
 
 fn zip_limbs(a: &Natural, b: &Natural, f: impl Fn(Limb, Limb) -> Limb) -> Natural {
     let len = a.limb_len().max(b.limb_len());
@@ -125,44 +68,6 @@ mod tests {
         // Mismatched lengths treat missing limbs as zero.
         assert_eq!(&n(a) & &n(0xFF), n(a & 0xFF));
         assert_eq!(&n(a) ^ &Natural::zero(), n(a));
-    }
-
-    #[test]
-    fn count_ones_matches() {
-        assert_eq!(Natural::zero().count_ones(), 0);
-        assert_eq!(n(u128::MAX).count_ones(), 128);
-        assert_eq!(n(0b1011).count_ones(), 3);
-    }
-
-    #[test]
-    fn isqrt_small_and_large() {
-        for v in [0u128, 1, 2, 3, 4, 15, 16, 17, 1_000_000, u64::MAX as u128] {
-            let r = n(v).isqrt().to_u128().unwrap();
-            assert!(r * r <= v && (r + 1) * (r + 1) > v, "isqrt({v}) = {r}");
-        }
-        // Multi-limb: isqrt(x²) == x and isqrt(x²+1) == x.
-        let x = Natural::from_decimal_str("123456789012345678901234567890123456789").unwrap();
-        let sq = x.square();
-        assert_eq!(sq.isqrt(), x);
-        assert_eq!((&sq + &Natural::one()).isqrt(), x);
-    }
-
-    #[test]
-    fn perfect_square_detection() {
-        assert!(n(0).is_perfect_square());
-        assert!(n(144).is_perfect_square());
-        assert!(!n(145).is_perfect_square());
-        let x = Natural::from(0xFFFF_FFFF_FFFFu64);
-        assert!(x.square().is_perfect_square());
-        assert!(!(&x.square() + &Natural::one()).is_perfect_square());
-    }
-
-    #[test]
-    fn be_bytes_roundtrip_and_order() {
-        let v = n(0x0102_0304);
-        assert_eq!(v.to_be_bytes(), vec![1, 2, 3, 4]);
-        assert_eq!(Natural::from_be_bytes(&[1, 2, 3, 4]), v);
-        assert!(Natural::zero().to_be_bytes().is_empty());
     }
 
     #[test]

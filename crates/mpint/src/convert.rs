@@ -26,16 +26,6 @@ impl Natural {
         }
     }
 
-    /// Converts to `u128` if the value fits.
-    pub fn to_u128(&self) -> Option<u128> {
-        match self.limb_len() {
-            0 => Some(0),
-            1 => Some(self.limbs()[0] as u128),
-            2 => Some(self.limbs()[0] as u128 | (self.limbs()[1] as u128) << 64),
-            _ => None,
-        }
-    }
-
     /// Low 64 bits regardless of magnitude.
     pub fn low_u64(&self) -> u64 {
         self.limbs().first().copied().unwrap_or(0)
@@ -166,8 +156,6 @@ mod tests {
         assert_eq!(Natural::zero().to_u64(), Some(0));
         assert_eq!(n(42).to_u64(), Some(42));
         assert_eq!(n(u128::MAX).to_u64(), None);
-        assert_eq!(n(u128::MAX).to_u128(), Some(u128::MAX));
-        assert_eq!(n(u128::MAX).shl_bits(1).to_u128(), None);
     }
 
     #[test]

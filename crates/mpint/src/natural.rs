@@ -243,15 +243,6 @@ impl Natural {
         Some(Natural::from_limbs(out))
     }
 
-    /// Absolute difference `|self - other|`.
-    pub fn abs_diff(&self, other: &Natural) -> Natural {
-        match self.checked_sub(other) {
-            Some(diff) => diff,
-            // self < other, so the reversed subtraction cannot underflow.
-            None => other.checked_sub(self).unwrap_or_default(),
-        }
-    }
-
     /// `(self - rhs) mod n` for reduced operands (`self < n`, `rhs < n`),
     /// the lifting step of CRT recombination and of Bezout-coefficient
     /// tracking. Total and panic-free: when `self < rhs` the difference is
@@ -263,24 +254,6 @@ impl Natural {
             Some(diff) => diff,
             None => (self + n).checked_sub(rhs).unwrap_or_default(),
         }
-    }
-
-    /// Wrapping subtraction modulo `2^(64*width)`: `(self - other) mod R`.
-    ///
-    /// This is the overflow-recovery subtraction used inside Montgomery
-    /// reduction (Algorithm 2, lines 19–22), where intermediate values are
-    /// interpreted in a fixed-width residue ring.
-    pub fn wrapping_sub_fixed(&self, other: &Natural, width: usize) -> Natural {
-        let mut out = Vec::with_capacity(width);
-        let mut borrow = 0;
-        for i in 0..width {
-            let a = self.limbs.get(i).copied().unwrap_or(0);
-            let b = other.limbs.get(i).copied().unwrap_or(0);
-            let (d, br) = sbb(a, b, borrow);
-            out.push(d);
-            borrow = br;
-        }
-        Natural::from_limbs(out)
     }
 
     /// `self * 2^shift + addend`, a fused primitive for base conversion.
@@ -534,12 +507,6 @@ mod tests {
     }
 
     #[test]
-    fn abs_diff_symmetric() {
-        assert_eq!(n(10).abs_diff(&n(3)), n(7));
-        assert_eq!(n(3).abs_diff(&n(10)), n(7));
-    }
-
-    #[test]
     fn ordering_compares_magnitude() {
         assert!(n(1u128 << 64) > n(u64::MAX as u128));
         assert!(n(5) < n(6));
@@ -615,13 +582,6 @@ mod tests {
     #[should_panic(expected = "does not fit")]
     fn padded_limbs_overflow_panics() {
         n(1u128 << 64).to_padded_limbs(1);
-    }
-
-    #[test]
-    fn wrapping_sub_fixed_wraps() {
-        // (0 - 1) mod 2^128 == 2^128 - 1
-        let r = Natural::zero().wrapping_sub_fixed(&Natural::one(), 2);
-        assert_eq!(r, n(u128::MAX));
     }
 
     #[test]

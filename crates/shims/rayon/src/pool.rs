@@ -1,15 +1,12 @@
-//! The work-stealing host thread pool.
+//! The host thread pool: one shared cursor over independent tasks.
 //!
-//! Execution model: every parallel-iterator drive becomes a batch of
-//! indexed tasks (chunks of the iteration space). [`run_ordered`] seeds
-//! the tasks contiguously across per-worker deques, spawns scoped
+//! Execution model: every parallel-iterator drive is a batch of `tasks`
+//! indexed items that never spawn more work. [`run_ordered`] spawns scoped
 //! `std::thread` workers (the caller participates as worker 0), and each
-//! worker pops work from the *front* of its own deque and, when that runs
-//! dry, steals from the *back* of a victim's — the classic crossbeam
-//! deque discipline, here built on the `parking_lot` shim's mutexes.
-//! Because every task is seeded before the workers start and tasks never
-//! spawn tasks, a worker that finds all deques empty can exit immediately:
-//! no condition variables, no idle spinning.
+//! worker claims the next index with one `fetch_add` on a shared cursor
+//! until the cursor passes `tasks`. An expensive item holds up only the
+//! worker that claimed it; the others keep claiming, so skewed item costs
+//! balance on their own.
 //!
 //! Ordering and determinism: each task returns `(task_index, output)`;
 //! the caller reassembles outputs by task index, so results are always in
@@ -17,22 +14,16 @@
 //! never depend on the thread count; only wall-clock does.
 //!
 //! Panics: a panicking task body is caught in the worker, the first
-//! payload is parked in a shared slot, the stop flag cancels undispatched
+//! payload is parked in a shared slot, the stop flag cancels unclaimed
 //! work, and the payload is re-raised on the calling thread once every
-//! worker has drained. Nothing is poisoned — the next drive starts from
-//! fresh deques.
+//! worker has drained. Nothing is poisoned — the next drive starts from a
+//! fresh cursor.
 
-use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use parking_lot::Mutex;
-
-/// How many tasks to aim for per worker when chunking an iteration space:
-/// enough surplus that stealing can rebalance uneven item costs, few
-/// enough that deque traffic stays negligible.
-pub(crate) const CHUNKS_PER_WORKER: usize = 4;
 
 /// A handle carrying an explicit worker count, mirroring
 /// `rayon::ThreadPool`. Built by [`ThreadPoolBuilder`]; [`install`] runs a
@@ -149,16 +140,6 @@ pub fn current_num_threads() -> usize {
     }
 }
 
-/// State shared between the workers of one drive.
-struct Shared {
-    /// One work deque per worker, pre-seeded with contiguous task ranges.
-    deques: Vec<Mutex<VecDeque<usize>>>,
-    /// Set when a task panicked: undispatched tasks are abandoned.
-    stop: AtomicBool,
-    /// First panic payload, re-raised on the caller after the drive.
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-}
-
 /// Executes `tasks` indexed work units across the pool and returns their
 /// outputs **in task order**. `f` must be safe to call concurrently from
 /// several threads (hence `Sync`); each index in `0..tasks` is evaluated
@@ -179,22 +160,35 @@ where
         return (0..tasks).map(f).collect();
     }
 
-    let shared = Shared {
-        deques: seed_deques(tasks, workers),
-        stop: AtomicBool::new(false),
-        panic: Mutex::new(None),
+    let next = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let first_panic = Mutex::new(None);
+    // One worker: claim indices until the cursor passes `tasks`, run each
+    // under `catch_unwind`, keep the first panic payload and stop.
+    let worker = || {
+        let mut out = Vec::new();
+        while !stop.load(Ordering::Relaxed) {
+            let idx = next.fetch_add(1, Ordering::Relaxed);
+            if idx >= tasks {
+                break;
+            }
+            match panic::catch_unwind(AssertUnwindSafe(|| f(idx))) {
+                Ok(value) => out.push((idx, value)),
+                Err(payload) => {
+                    // The first payload stays; a later one is dropped.
+                    first_panic.lock().get_or_insert(payload);
+                    stop.store(true, Ordering::Relaxed);
+                }
+            }
+        }
+        out
     };
 
     let mut results: Vec<(usize, T)> = Vec::with_capacity(tasks);
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers - 1);
-        for w in 1..workers {
-            let shared = &shared;
-            let f = &f;
-            handles.push(scope.spawn(move || worker_loop(shared, w, f)));
-        }
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
         // The caller is worker 0.
-        results.extend(worker_loop(&shared, 0, &f));
+        results.extend(worker());
         for h in handles {
             // Worker closures never unwind (task panics are caught and
             // parked), so a join error is unreachable; tolerate it anyway.
@@ -204,7 +198,7 @@ where
         }
     });
 
-    if let Some(payload) = shared.panic.lock().take() {
+    if let Some(payload) = first_panic.into_inner() {
         panic::resume_unwind(payload);
     }
 
@@ -213,65 +207,10 @@ where
     results.into_iter().map(|(_, v)| v).collect()
 }
 
-/// Distributes task indices contiguously across `workers` deques, so each
-/// worker starts on its own cache-friendly span and stealing only kicks in
-/// on imbalance.
-fn seed_deques(tasks: usize, workers: usize) -> Vec<Mutex<VecDeque<usize>>> {
-    let per = tasks.div_ceil(workers);
-    (0..workers)
-        .map(|w| {
-            let start = (w * per).min(tasks);
-            let end = ((w + 1) * per).min(tasks);
-            Mutex::new((start..end).collect())
-        })
-        .collect()
-}
-
-/// One worker: drain own deque from the front, steal from victims' backs,
-/// run each task under `catch_unwind`, accumulate `(index, output)` pairs.
-fn worker_loop<T, F>(shared: &Shared, me: usize, f: &F) -> Vec<(usize, T)>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let mut out = Vec::new();
-    while !shared.stop.load(Ordering::Relaxed) {
-        let Some(idx) = next_task(shared, me) else {
-            break;
-        };
-        match panic::catch_unwind(AssertUnwindSafe(|| f(idx))) {
-            Ok(value) => out.push((idx, value)),
-            Err(payload) => {
-                // The first payload stays; a later one is dropped.
-                shared.panic.lock().get_or_insert(payload);
-                shared.stop.store(true, Ordering::Relaxed);
-            }
-        }
-    }
-    out
-}
-
-/// Pops from the worker's own deque, then tries to steal from each victim
-/// in turn. `None` means the drive has no undispatched work left.
-fn next_task(shared: &Shared, me: usize) -> Option<usize> {
-    if let Some(idx) = shared.deques[me].lock().pop_front() {
-        return Some(idx);
-    }
-    let n = shared.deques.len();
-    for offset in 1..n {
-        let victim = (me + offset) % n;
-        if let Some(idx) = shared.deques[victim].lock().pop_back() {
-            return Some(idx);
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
-    use std::sync::atomic::AtomicUsize;
     use std::time::{Duration, Instant};
 
     #[test]
@@ -304,9 +243,9 @@ mod tests {
     }
 
     #[test]
-    fn stealing_rebalances_uneven_tasks() {
-        // Worker 0's contiguous span holds all the slow tasks; with
-        // stealing the drive finishes far faster than the serial sum.
+    fn slow_tasks_keep_their_order() {
+        // The first two tasks are slow; the other workers keep claiming
+        // past them, and the outputs still come back in task order.
         let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
         let out = pool.install(|| {
             run_ordered(8, |i| {

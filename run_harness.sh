@@ -115,7 +115,7 @@ if ! cargo test -q --release --workspace 2>&1 | tail -40; then
 fi
 
 # No-`unsafe` gate, made visible: flcheck no longer polices closures
-# crossing the work-stealing pool — the shim's `Fn + Sync` bounds do, and
+# crossing the host thread pool — the shim's `Fn + Sync` bounds do, and
 # they hold only while nothing forges `Send`/`Sync` with `unsafe`. The
 # test ran inside the tier-1 runs above; run it by name so its verdict
 # shows in the summary of both tiers.

@@ -347,7 +347,6 @@ fn clippy_toml_bans_hash_order_clocks_widths_drives_and_unchecked_ops() {
                     "rayon::ThreadPool::current_num_threads",
                     "rayon::iter::IntoParallelRefIterator::par_iter",
                     "rayon::iter::IntoParallelIterator::into_par_iter",
-                    "rayon::iter::IntoParallelRefMutIterator::par_iter_mut",
                     "he::paillier::PaillierPublicKey::add",
                     "he::paillier::PaillierPublicKey::scalar_mul",
                     "mpint::ct::Secret::expose",

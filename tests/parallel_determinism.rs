@@ -1,4 +1,4 @@
-//! Cross-layer determinism under the work-stealing pool: every public
+//! Cross-layer determinism under the shared-cursor pool: every public
 //! parallel surface — shim iterators, GPU-sim launches, HE batches —
 //! must produce bit-identical results at any thread count, and a panic
 //! in one work item must surface without wedging later work.

@@ -534,7 +534,7 @@ fn one_hostile_ciphertext_anywhere_in_a_packed_reply_fails_it_closed() {
 
 #[test]
 fn no_unsafe_code_anywhere_the_pool_can_reach() {
-    // flcheck no longer polices closures crossing the work-stealing pool:
+    // flcheck no longer polices closures crossing the host thread pool:
     // the `Fn + Sync` bounds on the rayon shim's entry points do, and
     // they are only as strong as the absence of `unsafe` (which could
     // forge `Send`/`Sync` or alias captures). So: no `unsafe` token in
