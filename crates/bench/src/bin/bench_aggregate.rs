@@ -2,11 +2,12 @@
 //! server versus a k-ary edge-aggregator tree at growing party counts,
 //! as full [`fl::Accelerator`] rounds with the FLBooster backend. Edge
 //! aggregators fold their fan-in on simulated GPU devices, each slot
-//! charged as the bucket pass it runs; partials ride up the tree with
-//! per-hop wire charges from [`fl::Network`]. Every printed number is a
-//! count or a simulated second, so `results/bench_aggregate.txt` repeats
-//! to the byte; wall clock for the same folds is flbench's
-//! `accel.aggregate_weighted_ms` and `accel.aggregate_tree_ms`.
+//! charged as the Bos–Coster chain it runs and each launch its fix-up's
+//! `R`-power; partials ride up the tree with per-hop wire charges from
+//! [`fl::Network`]. Every printed number is a count or a simulated
+//! second, so `results/bench_aggregate.txt` repeats to the byte; wall
+//! clock for the same folds is flbench's `accel.aggregate_weighted_ms`
+//! and `accel.aggregate_tree_ms`.
 //!
 //! Gate (exit 1 on failure; `run_harness.sh` traps it): every tree
 //! result must equal the flat fold's ciphertexts exactly.

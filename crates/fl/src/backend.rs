@@ -278,8 +278,8 @@ impl Accelerator {
         self
     }
 
-    /// Returns `self` unchanged. A weighted fold is one bucket pass per
-    /// slot, charged as that pass ([`HeBackend::weighted_aggregate`]),
+    /// Returns `self` unchanged. A weighted fold is one Bos–Coster chain
+    /// per slot, charged as that chain ([`HeBackend::weighted_aggregate`]),
     /// so a shard count moves neither a ciphertext nor a charge; the
     /// builder stays because the benchmark's frozen API calls it.
     pub fn with_aggregation_shards(self, _shards: usize) -> Self {
@@ -637,7 +637,7 @@ fn codec_seconds(values: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpint::straus::multi_exp_counts;
+    use mpint::straus::multi_exp_plan;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -864,7 +864,8 @@ mod tests {
         assert_eq!(out, plain);
         assert_eq!((launches, items, ops), (8 + 1, 9 * words, fold_ops));
 
-        // Weighted: 8 weighted leaves, then one fold of their 8 partials.
+        // Weighted: 8 weighted leaves, each charged its chain per word and
+        // its `R`-power once, then one fold of their 8 partials.
         let (_, launches, _, ops) = run(&tree, &|a| {
             a.aggregate_weighted(&vectors, &weights).unwrap()
         });
@@ -873,7 +874,9 @@ mod tests {
             .chunks(16)
             .map(|w| {
                 let w: Vec<Natural> = w.iter().map(|&x| Natural::from(x)).collect();
-                words * keys.public.weighted_sum_op_estimate(&multi_exp_counts(&w))
+                let plan = multi_exp_plan(&w);
+                words * keys.public.weighted_sum_op_estimate(&plan)
+                    + keys.public.weighted_fixup_op_estimate(&plan)
             })
             .sum();
         assert_eq!(ops, leaf_ops + 7 * words * keys.public.add_op_estimate());

@@ -23,6 +23,9 @@
 //! weighted launches) and the `weighted_sum_op_estimate` rows were
 //! captured again when a weighted fold came to be charged as the bucket
 //! pass it runs, and its shard count, which only that charge read, went.
+//! They were captured once more when the bucket pass gave way to a
+//! Bos–Coster chain and a launch came to be charged its fix-up's
+//! `R`-power too; their FNV column did not move.
 //!
 //! `SUM_GOLDEN` holds the k-way `sum_batches` (k = 2, 3, 128), added when
 //! `add_batch` became its two-batch call: the k = 2 rows are held to the
@@ -354,7 +357,7 @@ type Pk = PaillierPublicKey;
 type Sk = PaillierPrivateKey;
 
 /// Every estimator at the golden key, next to the kernel it prices. The
-/// argument-taking estimators are read at the bucket pass over 128
+/// argument-taking estimators are read at the Bos–Coster chain over 128
 /// ten-bit weights, a 64-bit scalar and four 30-bit slots.
 #[test]
 fn every_estimator_prices_its_kernel_at_golden_values() {
@@ -369,7 +372,8 @@ fn every_estimator_prices_its_kernel_at_golden_values() {
     type Weighted =
         fn(&CpuHe, &Pk, &[&[Ciphertext]], &[u64]) -> Result<(Vec<Ciphertext>, HeTiming)>;
     let weights: Vec<Natural> = (0..128u64).map(|i| Natural::from(512 + 3 * i)).collect();
-    let weighted = pk.weighted_sum_op_estimate(&mpint::straus::multi_exp_counts(&weights));
+    let plan = mpint::straus::multi_exp_plan(&weights);
+    let weighted = pk.weighted_sum_op_estimate(&plan);
     let rows: Vec<(&str, &str, u64)> = vec![
         pairing!(
             "encrypt_op_estimate" = encrypt,
@@ -432,6 +436,11 @@ fn every_estimator_prices_its_kernel_at_golden_values() {
             Weighted
         ),
         pairing!(
+            "weighted_fixup_op_estimate" = pk.weighted_fixup_op_estimate(&plan),
+            <CpuHe as HeBackend>::weighted_aggregate,
+            Weighted
+        ),
+        pairing!(
             "decrypt_op_estimate" = decrypt,
             Sk::decrypt,
             fn(&Sk, &Ciphertext) -> Result<Natural>
@@ -480,11 +489,16 @@ const ESTIMATE_GOLDEN: &[(&str, &str, u64)] = &[
     ("scalar_mul_op_estimate", "Pk::scalar_mul", 1184),
     ("scalar_mul_op_estimate", "Pk::checked_scalar_mul", 1184),
     ("pack_op_estimate", "Pk::checked_pack", 1977),
-    ("weighted_sum_op_estimate", "Pk::weighted_sum", 4993),
+    ("weighted_sum_op_estimate", "Pk::weighted_sum", 4264),
     (
         "weighted_sum_op_estimate",
         "<CpuHe as HeBackend>::weighted_aggregate",
-        4993,
+        4264,
+    ),
+    (
+        "weighted_fixup_op_estimate",
+        "<CpuHe as HeBackend>::weighted_aggregate",
+        400,
     ),
     ("decrypt_op_estimate", "Sk::decrypt", 992),
     ("decrypt_op_estimate", "Sk::decrypt_crt", 992),
@@ -646,8 +660,8 @@ const GOLDEN: &[GoldenRow] = &[
     (
         "cpu weighted",
         0xbbf6035278ae127c,
-        0x3ec285a4d649df59,
-        1104,
+        0x3ec9443882ed1e96,
+        1506,
         3,
     ),
     (
@@ -688,8 +702,8 @@ const GOLDEN: &[GoldenRow] = &[
     (
         "cpu+pool weighted",
         0xbbf6035278ae127c,
-        0x3ec285a4d649df59,
-        1104,
+        0x3ec9443882ed1e96,
+        1506,
         3,
     ),
     (
@@ -718,8 +732,8 @@ const GOLDEN: &[GoldenRow] = &[
     (
         "gpu weighted",
         0xbbf6035278ae127c,
-        0x3e563494cdf4bc65,
-        1104,
+        0x3e5b3ae39910ff59,
+        1506,
         3,
     ),
     (
@@ -760,8 +774,8 @@ const GOLDEN: &[GoldenRow] = &[
     (
         "gpu-fixed256 weighted",
         0xbbf6035278ae127c,
-        0x3e64c3e9963f6e76,
-        1104,
+        0x3e6bc3e1ff09769b,
+        1506,
         3,
     ),
     (
@@ -802,8 +816,8 @@ const GOLDEN: &[GoldenRow] = &[
     (
         "gpu+pool weighted",
         0xbbf6035278ae127c,
-        0x3e563494cdf4bc65,
-        1104,
+        0x3e5b3ae39910ff59,
+        1506,
         3,
     ),
     (
@@ -823,9 +837,9 @@ const DEVICES: &[DeviceRow] = &[
             0x15,
             0x10a,
             0x1b0,
-            0x45a1,
+            0x4733,
             0x3e51d9d85f385af6,
-            0x3f26210965038fd8,
+            0x3f26ef0c038b1691,
             0x3e5cfdb417c18a1c,
         ],
     ),
@@ -836,9 +850,9 @@ const DEVICES: &[DeviceRow] = &[
             0x15,
             0x10a,
             0x1b0,
-            0x45a1,
+            0x4733,
             0x3e51d9d85f385af6,
-            0x3f314faaa9d3eb15,
+            0x3f320eff2faed29e,
             0x3e5cfdb417c18a1c,
         ],
     ),
@@ -849,9 +863,9 @@ const DEVICES: &[DeviceRow] = &[
             0x15,
             0x10a,
             0x1b0,
-            0x2bf1,
+            0x2d83,
             0x3e51d9d85f385af6,
-            0x3f1cabea20921334,
+            0x3f1e47ef5da120a7,
             0x3e5cfdb417c18a1c,
         ],
     ),

@@ -213,14 +213,16 @@ fn check_owner_route(k: &PaillierKeyPair, seed: u64, items: usize, prefilled: us
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// A weighted launch is charged the bucket pass it runs: each slot
-    /// costs `weighted_sum_op_estimate` of the counts the pass takes its
-    /// loop bounds from, and the pass at those counts makes exactly that
-    /// many kernel calls and lands on the launch's ciphertext. Shape 0
-    /// draws all-zero weights, 1 a single party, 2 full 32-bit weights
-    /// and 3 ten-bit sample counts.
+    /// A weighted launch is charged the chain it replays and the
+    /// `R`-power its fix-up takes in: each slot costs
+    /// `weighted_sum_op_estimate` of the plan, the launch once more
+    /// `weighted_fixup_op_estimate` of it, and the replay at that plan
+    /// makes exactly its planned kernel calls, the fix-up's `R`-power
+    /// exactly the priced ones, and lands on the launch's ciphertext.
+    /// Shape 0 draws all-zero weights, 1 a single party, 2 full 32-bit
+    /// weights and 3 ten-bit sample counts.
     #[test]
-    fn weighted_charge_is_the_bucket_pass_that_runs(
+    fn weighted_charge_is_the_chain_that_runs_and_its_fixup(
         shape in 0usize..4,
         parties in 2usize..12,
         slots in 1usize..4,
@@ -248,17 +250,21 @@ proptest! {
             .unwrap();
 
         let wnat: Vec<Natural> = weights.iter().map(|&w| Natural::from(w)).collect();
-        let counts = straus::multi_exp_counts(&wnat);
-        prop_assert_eq!(t.ops, slots as u64 * k.public.weighted_sum_op_estimate(&counts));
+        let plan = straus::multi_exp_plan(&wnat);
+        let per_slot = k.public.weighted_sum_op_estimate(&plan);
+        let fixup_ops = k.public.weighted_fixup_op_estimate(&plan);
+        prop_assert_eq!(t.ops, slots as u64 * per_slot + fixup_ops);
         let ctx = MontgomeryCtx::new(&k.public.n_squared).unwrap();
-        let fixup = ctx.r_power(&counts.deficit);
+        let fixup = ctx.r_power(&plan.deficit);
+        let (squarings, multiplies) = MontgomeryCtx::r_power_calls(&plan.deficit);
+        prop_assert_eq!(fixup.calls(), squarings + multiplies);
         for (j, sum) in out.iter().enumerate() {
-            let bases: Vec<mpint::Limb> = batches
+            let mut bases: Vec<mpint::Limb> = batches
                 .iter()
                 .flat_map(|b| b[j].value.to_padded_limbs(ctx.width()))
                 .collect();
-            let acc = straus::multi_exp_mont(&ctx, &bases, &wnat, &counts, fixup.as_limbs());
-            prop_assert_eq!(acc.calls(), counts.squarings + counts.multiplies);
+            let acc = straus::multi_exp_mont(&ctx, &mut bases, &plan, fixup.as_limbs());
+            prop_assert_eq!(acc.calls(), plan.squarings + plan.multiplies);
             prop_assert_eq!(&acc.into_natural(), &sum.value);
         }
     }

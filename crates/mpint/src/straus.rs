@@ -1,46 +1,44 @@
 //! Multi-exponentiation `∏ bᵢ^{eᵢ} mod n` over public exponents: one
-//! bucket pass (Pippenger's method).
+//! Bos–Coster chain.
 //!
 //! Weighted federated aggregation multiplies many ciphertext powers
 //! together: `∏ cᵢ^{kᵢ} mod n²`, each participant's gradient scaled by its
-//! sample count. The exponents are cut into `c`-bit digit columns. For
-//! each column, most significant first, every base is multiplied into the
-//! bucket of its digit — the first arrival in a bucket is a copy — and the
-//! buckets are folded by running sums: from the top bucket down, `running`
-//! is the product of the buckets at or above `d`, and the column's product
-//! takes it in once per digit value, which is `∏_d bucket_d^d`. The
-//! product is first raised to `2^c` by `c` squarings. A column costs one
-//! multiply per nonzero digit plus at most `2·(2^c − 1)` for the fold, so
-//! a base costs about one multiply per column and the fold is shared by
-//! the whole column: the wider the column, the cheaper each base
-//! (Pippenger 1980; Bernstein et al., *Faster batch forgery
-//! identification*, 2012, §4).
+//! sample count. Bos and Coster (CRYPTO '89; de Rooij, EUROCRYPT '94)
+//! rewrite the two largest terms, `e₁ ≥ e₂` on bases `x₁, x₂`, as
+//! `x₁^{e₁ mod e₂} · (x₁^{⌊e₁/e₂⌋}·x₂)^{e₂}` and repeat until one base
+//! holds the only nonzero exponent, which is then raised by square and
+//! multiply. Among many exponents of similar size the quotient is nearly
+//! always 1, so a step is one multiply and every step shrinks the largest
+//! exponent, like Euclid's algorithm run on all of them at once: the
+//! squarings a digit-by-digit pass spends on every bit are spent once, on
+//! the survivor's short remainder.
 //!
-//! [`multi_exp_counts`] counts the squarings and multiplies the pass makes
-//! for given exponents at every width `c` and picks the cheapest;
-//! [`multi_exp_mont`] takes its loop bounds from those counts, and the
-//! accumulator it returns has made exactly that many kernel calls. The
-//! bases stay canonical — none is converted into the Montgomery domain —
-//! and one multiply by an `R`-power ([`MultiExpCounts::deficit`]) ends the
-//! pass on the canonical product.
-//! Exponents here are *public* aggregation weights, so the digit-dependent
-//! schedule leaks nothing; secret exponents must keep using
-//! [`crate::modpow::mod_pow_ct`].
+//! [`multi_exp_plan`] runs that rewriting on the exponents alone — a
+//! max-heap of `(exponent, base)` — and records its steps and the
+//! squarings and multiplies they make; [`multi_exp_mont`] replays the
+//! steps in place on the bases, every kernel call on one [`MontAcc`], so
+//! the accumulator it returns has made exactly the plan's calls. A fold
+//! whose slots share their weights plans once and replays per slot. The
+//! bases stay canonical — none is converted into the Montgomery domain:
+//! each Montgomery product strips one `R`, so a value holding `d` base
+//! factors carries `R^{1−d}` whatever the order of the chain, the chain
+//! ends on `P·R^{1−Σe}`, and one multiply by `R^{Σe}`
+//! ([`MultiExpPlan::deficit`]) lands on the canonical product.
+//! Exponents here are *public* aggregation weights, so the
+//! exponent-dependent schedule leaks nothing; secret exponents must keep
+//! using [`crate::modpow::mod_pow_ct`].
 //!
-//! The module is named for the method it replaced, Straus' interleaved
+//! The module is named for the first method it held, Straus' interleaved
 //! windows, and keeps the name because the benchmark calls
 //! [`multi_exp_ctx`] by this path. A weighted fold is charged from the
-//! same [`MultiExpCounts`] the pass runs on (`he::paillier`'s
+//! same [`MultiExpPlan`] it replays (`he::paillier`'s
 //! `weighted_sum_op_estimate`).
+
+use std::collections::BinaryHeap;
 
 use crate::limb::Limb;
 use crate::montgomery::{MontAcc, MontgomeryCtx};
 use crate::natural::Natural;
-
-/// Widest bucket window the width search tries: `2^12 − 1` buckets are
-/// 2 MiB of table at 4096-bit moduli, and only folds of thousands of
-/// bases get near it.
-const MAX_WINDOW: u32 = 12;
 
 /// Splits `len` items into at most `shards` contiguous balanced spans:
 /// the first `len % shards` spans carry one extra item, so sizes differ
@@ -66,170 +64,160 @@ pub fn shard_spans(len: usize, shards: usize) -> Vec<std::ops::Range<usize>> {
     spans
 }
 
-/// The bucket pass [`multi_exp_mont`] runs over given exponents: its width,
-/// the kernel calls it makes and the `R`-power its fix-up takes in. The
-/// pass takes its loop bounds from here, so the counts are the schedule
-/// that runs. Every field is a function of the exponents alone; the bases
+/// One step of a [`MultiExpPlan`]: the base at `from`, raised to
+/// `quotient`, multiplies into the base at `into`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Step {
+    from: usize,
+    into: usize,
+    quotient: Natural,
+}
+
+/// The Bos–Coster chain [`multi_exp_mont`] replays over given exponents:
+/// its steps, the kernel calls they make and the `R`-power its fix-up
+/// takes in. Every field is a function of the exponents alone; the bases
 /// never change it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MultiExpCounts {
-    /// Window width `c`: exponent bits per digit, one bucket per nonzero
-    /// digit value.
-    pub window: u32,
-    /// Digit columns, `⌈max_bits / c⌉`.
-    pub columns: u32,
-    /// Squarings: `c` per column below the top one.
+pub struct MultiExpPlan {
+    /// In order, each rewriting of the two largest exponents.
+    steps: Vec<Step>,
+    /// The base left holding the only nonzero exponent, and that
+    /// exponent; none when every exponent is zero.
+    survivor: Option<(usize, Natural)>,
+    /// Exponents planned over, one per base.
+    terms: usize,
+    /// Squarings: per power `x^q`, the bits of `q` below its top one.
     pub squarings: u64,
-    /// Multiplies: per column with a nonzero digit, one per nonzero digit
-    /// less one (the bucket adds and the running sums, each bucket's first
-    /// arrival and the top running sum being copies) plus one per digit
-    /// value up to the column's largest (the product taking each running
-    /// sum in), less the first of those, a copy that seeds the product;
-    /// then the fix-up.
+    /// Multiplies: per step one, bringing `x₁^q` into `x₂`; per power
+    /// `x^q` one per set bit of `q` below its top one; then the fix-up.
     pub multiplies: u64,
-    /// `k = Σ eᵢ` at every width: the pass's last multiply, the fix-up, is
-    /// by `R^k mod n`. Counting deficit plus one from the Montgomery form of
-    /// 1, each column adds its digit sum and each squaring doubles it, so
-    /// the product before the fix-up is `P·R^{1−k}` (DESIGN.md §12).
+    /// `k = Σ eᵢ`: the replay's last multiply, the fix-up, is by
+    /// `R^k mod n`, since the chain before it holds `P·R^{1−k}`
+    /// (DESIGN.md §12).
     pub deficit: Natural,
 }
 
-/// `(window, squarings, multiplies)` of the pass at width `window` over
-/// exponents of at most `max_bits` bits.
-fn calls_at(exps: &[Natural], max_bits: u32, window: u32) -> (u32, u64, u64) {
-    let columns = max_bits.div_ceil(window);
-    // The fix-up, less the seeding copy when a column takes one.
-    let mut multiplies = u64::from(columns == 0);
-    for col in 0..columns {
-        let (mut nonzero, mut top) = (0u64, 0u64);
-        for e in exps {
-            let digit = e.extract_bits(col * window, window);
-            nonzero += u64::from(digit != 0);
-            top = top.max(digit);
-        }
-        if nonzero > 0 {
-            multiplies += nonzero - 1 + top;
-        }
+impl MultiExpPlan {
+    /// Exponents the plan is over: the bases a replay takes.
+    pub fn terms(&self) -> usize {
+        self.terms
     }
-    let squarings = u64::from(columns.saturating_sub(1) * window);
-    (window, squarings, multiplies)
+
+    /// Counts the kernel calls of `x^e` by left-to-right square and
+    /// multiply, `e ≥ 1`.
+    fn count_power(&mut self, e: &Natural) {
+        let ones: u64 = e.limbs().iter().map(|l| u64::from(l.count_ones())).sum();
+        self.squarings += u64::from(e.bit_len().saturating_sub(1));
+        self.multiplies += ones.saturating_sub(1);
+    }
 }
 
-/// The bucket pass over `exps` at the width, in `[1, 12]`, that makes the
-/// fewest kernel calls (squarings plus multiplies, as
-/// [`MontAcc::calls`] counts them); of equals, the narrowest. No
-/// exponents, or only zero ones, give no columns and one call, the
-/// fix-up.
-pub fn multi_exp_counts(exps: &[Natural]) -> MultiExpCounts {
-    let max_bits = exps.iter().map(Natural::bit_len).max().unwrap_or(0);
-    let mut best = calls_at(exps, max_bits, 1);
-    for window in 2..=MAX_WINDOW.min(max_bits) {
-        let candidate = calls_at(exps, max_bits, window);
-        if candidate.1 + candidate.2 < best.1 + best.2 {
-            best = candidate;
-        }
-    }
-    let (window, squarings, multiplies) = best;
-    MultiExpCounts {
-        window,
-        columns: max_bits.div_ceil(window),
-        squarings,
-        multiplies,
+/// The Bos–Coster chain over `exps`: while two exponents are nonzero, the
+/// largest, `e₁` on base `x₁`, and the next, `e₂` on `x₂`, become
+/// `e₁ mod e₂` on `x₁` and `e₂` on `x₁^{⌊e₁/e₂⌋}·x₂`; the last nonzero
+/// exponent is a power of its base. Of equal exponents the higher index
+/// counts as the larger, so the plan is a function of the exponents. No
+/// exponents, or only zero ones, plan no step and one call, the fix-up.
+pub fn multi_exp_plan(exps: &[Natural]) -> MultiExpPlan {
+    let mut plan = MultiExpPlan {
+        steps: Vec::new(),
+        survivor: None,
+        terms: exps.len(),
+        squarings: 0,
+        multiplies: 1,
         deficit: exps.iter().fold(Natural::zero(), |sum, e| &sum + e),
+    };
+    let mut heap: BinaryHeap<(Natural, usize)> = exps
+        .iter()
+        .enumerate()
+        .filter(|(_, e)| !e.is_zero())
+        .map(|(i, e)| (e.clone(), i))
+        .collect();
+    while let Some((top, from)) = heap.pop() {
+        let Some((next, into)) = heap.pop() else {
+            plan.count_power(&top);
+            plan.survivor = Some((from, top));
+            break;
+        };
+        let (quotient, rest) = top.div_rem(&next);
+        plan.count_power(&quotient);
+        plan.multiplies += 1;
+        plan.steps.push(Step {
+            from,
+            into,
+            quotient,
+        });
+        heap.push((next, into));
+        if !rest.is_zero() {
+            heap.push((rest, from));
+        }
+    }
+    plan
+}
+
+/// `acc ← x^e` for `e ≥ 1`, by left-to-right square and multiply.
+fn power(acc: &mut MontAcc<'_>, x: &[Limb], e: &Natural) {
+    acc.load(x);
+    for bit in (0..e.bit_len().saturating_sub(1)).rev() {
+        acc.sqr();
+        if e.bit(bit) {
+            acc.mul(x);
+        }
     }
 }
 
-/// Bucket multi-exponentiation over canonical bases: returns the
-/// accumulator holding `∏ bases[i]^{exps[i]} mod n`, canonical, whose
-/// [`calls`](MontAcc::calls) are `counts.squarings + counts.multiplies`.
+/// Bos–Coster multi-exponentiation over canonical bases: replays `plan`
+/// and returns the accumulator holding `∏ bases[i]^{eᵢ} mod n`,
+/// canonical, whose [`calls`](MontAcc::calls) are
+/// `plan.squarings + plan.multiplies`.
 ///
 /// `bases` holds each base, reduced mod `n`, as `ctx.width()` limbs, back
-/// to back; no base enters the Montgomery domain. Every kernel call
-/// strips an `R`: before its last multiply the pass holds `P·R^{1−k}`,
-/// `k = counts.deficit`, and that multiply, by `fixup = R^k mod n`
-/// ([`MontgomeryCtx::r_power`]), lands on the product `P`. `exps` are
-/// public exponents and `counts` is [`multi_exp_counts`] over them; a
-/// fold whose slots share their weights computes both once. All buckets
-/// live in one flat table of `(2^c − 1)·s` limbs.
+/// to back; the chain runs in place on it, so it ends holding partial
+/// products. No base enters the Montgomery domain. Every kernel call
+/// strips an `R`: before its last multiply the chain holds `P·R^{1−k}`,
+/// `k = plan.deficit`, and that multiply, by `fixup = R^k mod n`
+/// ([`MontgomeryCtx::r_power`]), lands on the product `P`. `plan` is
+/// [`multi_exp_plan`] over the public exponents; a fold whose slots
+/// share their weights computes it and the fix-up once.
 ///
 /// # Panics
 ///
-/// Panics if `bases` does not hold one base per exponent or `counts` does
-/// not cover every exponent.
+/// Panics if `bases` does not hold one base per planned exponent or
+/// `fixup` is not one `ctx.width()`-limb residue.
 pub fn multi_exp_mont<'a>(
     ctx: &'a MontgomeryCtx,
-    bases: &[Limb],
-    exps: &[Natural],
-    counts: &MultiExpCounts,
+    bases: &mut [Limb],
+    plan: &MultiExpPlan,
     fixup: &[Limb],
 ) -> MontAcc<'a> {
-    let (window, columns) = (counts.window, counts.columns);
     let s = ctx.width();
     // Documented precondition (see `# Panics`): callers validate shapes
     // before entering the kernel (`weighted_sum` returns a typed error).
     // flcheck: allow(pf-assert)
     assert_eq!(
         bases.len(),
-        exps.len() * s,
+        plan.terms * s,
         "each base needs exactly one exponent"
     );
-    // Same documented precondition: counts from other exponents could
-    // leave a digit column unvisited, or ask for an unbounded table.
+    // Same documented precondition: a short fix-up would end the chain
+    // off the canonical product.
     // flcheck: allow(pf-assert)
-    assert!(
-        window <= MAX_WINDOW
-            && exps
-                .iter()
-                .all(|e| e.bit_len() <= columns.saturating_mul(window)),
-        "counts must come from multi_exp_counts over these exponents"
-    );
-    // The Montgomery form of 1 until the first running sum is loaded, so
-    // a pass with no columns still lands on 1.
+    assert_eq!(fixup.len(), s, "the fix-up must be one residue");
+    // The Montgomery form of 1 until the first power is loaded, so a
+    // plan with no exponent still lands on 1.
     let mut acc = MontAcc::new(ctx, ctx.one_mont().to_padded_limbs(s));
-    let mut seeded = false;
-    // Bucket d holds the column's bases with digit d + 1.
-    let buckets_len = (1usize << window) - 1;
-    let mut buckets = vec![0; buckets_len * s];
-    let mut filled = vec![false; buckets_len];
-    let mut running = vec![0; s];
-    for col in (0..columns).rev() {
-        if col + 1 < columns {
-            for _ in 0..window {
-                acc.sqr();
-            }
+    for step in &plan.steps {
+        if let Some(from) = bases.chunks_exact(s).nth(step.from) {
+            power(&mut acc, from, &step.quotient);
         }
-        filled.fill(false);
-        for (base, e) in bases.chunks_exact(s).zip(exps) {
-            let Some(d) = (e.extract_bits(col * window, window) as usize).checked_sub(1) else {
-                continue;
-            };
-            if let (Some(bucket), Some(full)) =
-                (buckets.chunks_exact_mut(s).nth(d), filled.get_mut(d))
-            {
-                if *full {
-                    acc.mul_other(bucket, base);
-                } else {
-                    bucket.copy_from_slice(base);
-                    *full = true;
-                }
-            }
+        if let Some(into) = bases.chunks_exact_mut(s).nth(step.into) {
+            acc.mul(into);
+            into.copy_from_slice(acc.as_limbs());
         }
-        // Running sums from the top bucket down; the product takes one in
-        // per digit value from the column's largest down to 1.
-        let mut started = false;
-        for (bucket, &full) in buckets.chunks_exact(s).zip(&filled).rev() {
-            if full && started {
-                acc.mul_other(&mut running, bucket);
-            } else if full {
-                running.copy_from_slice(bucket);
-                started = true;
-            }
-            if started && seeded {
-                acc.mul(&running);
-            } else if started {
-                acc.load(&running);
-                seeded = true;
-            }
+    }
+    if let Some((last, e)) = &plan.survivor {
+        if let Some(x) = bases.chunks_exact(s).nth(*last) {
+            power(&mut acc, x, e);
         }
     }
     acc.mul(fixup);
@@ -237,16 +225,16 @@ pub fn multi_exp_mont<'a>(
 }
 
 /// Convenience form over plain residues: reduces each base, runs
-/// [`multi_exp_mont`] at [`multi_exp_counts`] and its fix-up.
+/// [`multi_exp_mont`] at [`multi_exp_plan`] and its fix-up.
 pub fn multi_exp_ctx(ctx: &MontgomeryCtx, bases: &[Natural], exps: &[Natural]) -> Natural {
     let s = ctx.width();
-    let padded: Vec<Limb> = bases
+    let mut padded: Vec<Limb> = bases
         .iter()
         .flat_map(|b| ctx.reduce(b).to_padded_limbs(s))
         .collect();
-    let counts = multi_exp_counts(exps);
-    let fixup = ctx.r_power(&counts.deficit);
-    multi_exp_mont(ctx, &padded, exps, &counts, fixup.as_limbs()).into_natural()
+    let plan = multi_exp_plan(exps);
+    let fixup = ctx.r_power(&plan.deficit);
+    multi_exp_mont(ctx, &mut padded, &plan, fixup.as_limbs()).into_natural()
 }
 
 #[cfg(test)]
@@ -293,9 +281,10 @@ mod tests {
         let bases = [n(7), n(9)];
         let exps = [n(0), n(0)];
         assert_eq!(multi_exp_ctx(&ctx, &bases, &exps), n(1));
-        // No columns: the Montgomery form of 1 and the fix-up by `R^0`.
-        let none = multi_exp_counts(&exps);
-        assert_eq!((none.columns, none.squarings, none.multiplies), (0, 0, 1));
+        // No step: the Montgomery form of 1 and the fix-up by `R^0`.
+        let none = multi_exp_plan(&exps);
+        assert_eq!((none.squarings, none.multiplies), (0, 1));
+        assert!(none.steps.is_empty() && none.survivor.is_none());
         assert!(none.deficit.is_zero());
     }
 
@@ -320,29 +309,28 @@ mod tests {
     }
 
     #[test]
-    fn a_wide_column_costs_about_one_multiply_per_base() {
+    fn a_server_slot_costs_about_two_multiplies_per_base() {
         // 128 bases with 10-bit sample-count weights, the server's shape:
-        // every base is in every column, so the pass is ≈ 2 multiplies a
-        // base plus a few shared folds.
+        // nearly every step has quotient 1, so the chain is ≈ 2 multiplies
+        // a base and a handful of squarings on the survivor.
         let exps: Vec<Natural> = (0..128u128).map(|i| n(100 + i * 7)).collect();
-        let c = multi_exp_counts(&exps);
-        assert!(c.window > 2, "{c:?}");
-        assert!(c.squarings + c.multiplies < 3 * 128, "{c:?}");
+        let plan = multi_exp_plan(&exps);
+        assert!(plan.squarings < 16, "{plan:?}");
+        assert!(plan.squarings + plan.multiplies < 5 * 128 / 2, "{plan:?}");
     }
 
     #[test]
     #[should_panic(expected = "exactly one exponent")]
     fn mismatched_lengths_panic() {
         let ctx = MontgomeryCtx::new(&n(101)).unwrap();
-        multi_exp_mont(&ctx, &[3], &[], &multi_exp_counts(&[]), &[1]);
+        multi_exp_mont(&ctx, &mut [3], &multi_exp_plan(&[]), &[1]);
     }
 
     #[test]
-    #[should_panic(expected = "counts must come from multi_exp_counts")]
-    fn counts_that_miss_a_column_panic() {
+    #[should_panic(expected = "the fix-up must be one residue")]
+    fn a_fixup_of_another_width_panics() {
         let ctx = MontgomeryCtx::new(&n(101)).unwrap();
-        let short = multi_exp_counts(&[n(3)]);
-        multi_exp_mont(&ctx, &[3], &[n(1 << 20)], &short, &[1]);
+        multi_exp_mont(&ctx, &mut [3], &multi_exp_plan(&[n(3)]), &[1, 0]);
     }
 
     #[test]
