@@ -165,10 +165,6 @@ pub struct Accelerator {
     participants: u32,
     topology: AggregationTopology,
     timing: Mutex<AccelTiming>,
-    /// Blinding-factor pool for the FLBooster-family backends; the FATE
-    /// and HAFLO baselines encrypt without pre-generation, as the
-    /// systems they model do.
-    pool: Option<Arc<ObfuscatorPool>>,
 }
 
 impl Accelerator {
@@ -214,22 +210,11 @@ impl Accelerator {
         // the per-key base and its two half-width tables are built here,
         // at construction, and a factor is then two short comb powers and
         // a CRT step.
-        let pool = match kind {
-            BackendKind::Fate | BackendKind::Haflo => None,
-            BackendKind::FlBooster | BackendKind::WithoutGhe | BackendKind::WithoutBc => {
-                Some(Arc::new(ObfuscatorPool::for_owner(&keys.private)))
-            }
-        };
+        let pool = || Arc::new(ObfuscatorPool::for_owner(&keys.private));
 
         let (he, device): (Box<dyn HeBackend>, Option<Arc<Device>>) = match kind {
             BackendKind::Fate => (Box::new(CpuHe::default()), None),
-            BackendKind::WithoutGhe => {
-                let mut cpu = CpuHe::default();
-                if let Some(p) = &pool {
-                    cpu = cpu.with_pool(Arc::clone(p));
-                }
-                (Box::new(cpu), None)
-            }
+            BackendKind::WithoutGhe => (Box::new(CpuHe::default().with_pool(pool())), None),
             BackendKind::Haflo => {
                 // Naive launch: fixed 256-thread blocks, no branch
                 // combining — what a direct CUDA port does.
@@ -241,10 +226,7 @@ impl Accelerator {
             }
             BackendKind::FlBooster | BackendKind::WithoutBc => {
                 let device = Arc::new(Device::new(DeviceConfig::rtx3090()));
-                let mut gpu = GpuHe::new(Arc::clone(&device));
-                if let Some(p) = &pool {
-                    gpu = gpu.with_pool(Arc::clone(p));
-                }
+                let gpu = GpuHe::new(Arc::clone(&device)).with_pool(pool());
                 (Box::new(gpu), Some(device))
             }
         };
@@ -265,7 +247,6 @@ impl Accelerator {
             participants,
             topology: AggregationTopology::Flat,
             timing: Mutex::new(AccelTiming::default()),
-            pool,
         })
     }
 
@@ -376,31 +357,20 @@ impl Accelerator {
     /// [`encrypt_timed`](Self::encrypt_timed) does after its codec step —
     /// returning the cost (no codec seconds) instead of charging it.
     ///
-    /// On the FLBooster-family backends the call first refills the
-    /// blinding pool for exactly this batch — inside the call, on the
-    /// caller's wall clock — and then encrypts against the warm pool, so
-    /// the simulated charge is the pooled one while the host still pays
-    /// for every factor: a fixed-base power from the pool's per-key table,
-    /// by the key owner's half-width route (the accelerator holds the key
-    /// pair; a party holding the public key alone would build its pool
-    /// with [`ObfuscatorPool::new`] and pay one full-width comb power).
+    /// On the FLBooster-family backends each word's blinding factor comes
+    /// from the backend's pool inside the encrypt item that uses it, on
+    /// the caller's wall clock, and the simulated charge is the pooled
+    /// one (the paper's pooling argument: pre-generation is off the
+    /// modelled hot path) while the host still pays for every factor: a
+    /// fixed-base power from the pool's per-key table, by the key owner's
+    /// half-width route (the accelerator holds the key pair; a party
+    /// holding the public key alone would build its pool with
+    /// [`ObfuscatorPool::new`] and pay one full-width comb power).
     pub fn encrypt_words_timed(
         &self,
         words: &[Natural],
         seed: u64,
     ) -> Result<(Vec<Ciphertext>, AccelTiming)> {
-        if let Some(pool) = &self.pool {
-            // Pre-generate the batch's blinding factors. They are the ones
-            // a pool miss would compute inline, so the ciphertexts do not
-            // depend on the refill. It runs here, on this call's wall
-            // clock — nothing computes it in the background — while the
-            // *simulated* epoch is not charged for it (the paper's pooling
-            // argument: pre-generation is off the modeled hot path). What
-            // keeps it cheap on the host is what a factor is: a short
-            // power of the pool's tabulated per-key base, not a fresh
-            // `r^n`. Only the public batch *size* crosses into the refill.
-            pool.prefill_batch(&self.keys.public, seed, words.len())?;
-        }
         let (cts, t) = self.he.encrypt_batch(&self.keys.public, words, seed)?;
         Ok((cts, Self::accel_timing(&t)))
     }
@@ -467,10 +437,10 @@ impl Accelerator {
     }
 
     /// Weighted homomorphic aggregation: slot `j` of the result holds
-    /// `E(Σᵢ weights[i] · mᵢⱼ)`. One bucket multi-exponentiation per slot
-    /// replaces the per-party `scalar_mul` + `add` loop (see
+    /// `E(Σᵢ weights[i] · mᵢⱼ)`. One Bos–Coster chain per slot replaces
+    /// the per-party `scalar_mul` + `add` loop (see
     /// [`he::paillier::PaillierPublicKey::weighted_sum`]) and is charged
-    /// as that pass.
+    /// as that chain ([`HeBackend::weighted_aggregate`]).
     /// The weighted stage happens exactly once, at the leaves of the
     /// [`topology`](Self::topology) — one group when flat — and upper
     /// levels only add partials. Key identity is checked per ciphertext,
@@ -690,10 +660,10 @@ mod tests {
     }
 
     /// Words go through the pool exactly where the vector path's do: the
-    /// FLBooster family prefills and is charged the pooled encrypt, FATE
-    /// and HAFLO pay the full one. The pool changes the charge, not the
-    /// ciphertexts — they equal a cold pooled backend's, whose every item
-    /// is a miss.
+    /// FLBooster family is charged the pooled encrypt, FATE and HAFLO pay
+    /// the full one. The pool changes the charge, not the ciphertexts —
+    /// they equal a fresh pooled backend's — and it computes one factor
+    /// per word, inside the call, at any host thread count.
     #[test]
     fn word_encryption_is_charged_pooled_on_exactly_the_pooled_backends() {
         let keys = keys();
@@ -705,13 +675,25 @@ mod tests {
             let (cts, t) = acc.encrypt_words_timed(&words, 11).unwrap();
             assert_eq!((t.he_items, t.codec_seconds), (k, 0.0), "{kind:?}");
             let pooled = !matches!(kind, BackendKind::Fate | BackendKind::Haflo);
-            if pooled {
+            assert_eq!(acc.he.pool().is_some(), pooled, "{kind:?}");
+            if let Some(pool) = acc.he.pool() {
                 assert_eq!(t.he_ops, k * pk.encrypt_pooled_op_estimate(), "{kind:?}");
-                let cold =
+                let fresh =
                     CpuHe::default().with_pool(Arc::new(ObfuscatorPool::for_owner(&keys.private)));
-                let (miss_cts, miss_t) = cold.encrypt_batch(pk, &words, 11).unwrap();
-                assert_eq!(cts, miss_cts, "{kind:?}");
-                assert_eq!(miss_t.ops, k * pk.encrypt_op_estimate());
+                let (fresh_cts, fresh_t) = fresh.encrypt_batch(pk, &words, 11).unwrap();
+                assert_eq!(cts, fresh_cts, "{kind:?}");
+                assert_eq!(fresh_t.ops, t.he_ops, "{kind:?}");
+                for threads in [1, 2, 8] {
+                    let before = pool.hits();
+                    let host = rayon::ThreadPoolBuilder::new()
+                        .num_threads(threads)
+                        .build()
+                        .unwrap();
+                    let (again, _) = host.install(|| acc.encrypt_words_timed(&words, 11).unwrap());
+                    assert_eq!(again, cts, "{kind:?}, threads={threads}");
+                    assert_eq!(pool.hits() - before, k, "{kind:?}, threads={threads}");
+                }
+                assert_eq!(pool.misses(), 0, "{kind:?}");
             } else {
                 assert_eq!(t.he_ops, k * pk.encrypt_op_estimate(), "{kind:?}");
             }

@@ -87,8 +87,8 @@ pub const PANIC_FREEDOM_CRATES: &[&str] = &["mpint", "he", "codec", "core", "fl"
 const SKIP_DIRS: &[&str] = &["target", ".git", "shims", "flcheck", "fixtures"];
 
 /// Directories re-included despite a skipped ancestor: the rayon shim is
-/// real concurrent runtime code (workers, deques, a shared panic slot),
-/// not a thin API veneer, so its locks are analyzed.
+/// real concurrent runtime code (scoped workers, a shared panic slot,
+/// take-once item cells), not a thin API veneer, so its locks are analyzed.
 const RESCAN_DIRS: &[&str] = &["rayon"];
 
 /// True when `pf-assert` applies to this workspace-relative

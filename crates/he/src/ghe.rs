@@ -71,8 +71,11 @@ pub trait HeBackend: Send + Sync {
         plaintexts: &[Natural],
         seed: u64,
     ) -> Result<(Vec<Ciphertext>, HeTiming)> {
-        let full_ops = pk.encrypt_op_estimate();
-        let pooled_ops = pk.encrypt_pooled_op_estimate();
+        let pool = self.pool();
+        let per_item_ops = match pool {
+            Some(_) => pk.encrypt_pooled_op_estimate(),
+            None => pk.encrypt_op_estimate(),
+        };
         let kernel = Kernel {
             name: "paillier_encrypt",
             key_bits: pk.key_bits,
@@ -84,10 +87,8 @@ pub trait HeBackend: Send + Sync {
             bytes_out: ct_bytes(pk) * plaintexts.len() as u64,
             divergence_stride: 2,
         };
-        let pool = self.pool();
         self.schedule().run(&kernel, plaintexts, |i, m| {
-            let (out, hit) = encrypt_item(pk, pool, m, seed, i);
-            (out, if hit { pooled_ops } else { full_ops })
+            (encrypt_item(pk, pool, m, seed, i), per_item_ops)
         })
     }
 
@@ -386,30 +387,25 @@ impl Schedule<'_> {
     }
 }
 
-/// Encrypts one batch item. With a pool, the blinding factor is the
-/// pool's for `(seed, index)` — taken precomputed when the pool holds it,
-/// computed inline by the same fixed-base power on a miss
-/// ([`ObfuscatorPool`]), so the ciphertext is bit-identical either way.
-/// With no pool (the FATE / HAFLO baselines) it is `r^n` for the uniform
-/// `r` of [`PaillierPublicKey::batch_blinding`], by the public route.
-/// Returns whether the pool served the item: the simulated device is
-/// charged the pooled encrypt on a hit and the paper's full inline `r^n`
-/// otherwise, whatever the host paid.
+/// Encrypts one batch item, computing its blinding factor here and
+/// moving it into the encryption. With a pool, the factor is the pool's
+/// fixed-base power for `(seed, index)` ([`ObfuscatorPool`]). With no
+/// pool (the FATE / HAFLO baselines) it is `r^n` for the uniform `r` of
+/// [`PaillierPublicKey::batch_blinding`], by the public route.
+/// [`HeBackend::encrypt_batch`] charges the first the pooled encrypt and
+/// the second the paper's full inline `r^n`, whatever the host paid.
 fn encrypt_item(
     pk: &PaillierPublicKey,
     pool: Option<&ObfuscatorPool>,
     m: &Natural,
     seed: u64,
     index: usize,
-) -> (Result<Ciphertext>, bool) {
-    if let Some(obf) = pool.and_then(|p| p.take(seed, index)) {
-        return (pk.encrypt_with_obfuscator(m, obf), true);
-    }
+) -> Result<Ciphertext> {
     let obf = match pool {
         Some(p) => p.blinding_power(seed, index),
         None => pk.precompute_obfuscator(&pk.batch_blinding(seed, index)),
     };
-    (pk.encrypt_with_obfuscator(m, obf), false)
+    pk.encrypt_with_obfuscator(m, obf)
 }
 
 /// CPU execution of HE batches — the paper's FATE baseline
@@ -436,8 +432,8 @@ impl Default for CpuHe {
 }
 
 impl CpuHe {
-    /// Attaches a blinding-factor pool: batch encryption consumes its
-    /// precomputed factors where available.
+    /// Attaches a blinding-factor pool: batch encryption draws each
+    /// item's factor from it and is charged the pooled encrypt.
     pub fn with_pool(mut self, pool: Arc<ObfuscatorPool>) -> Self {
         self.pool = Some(pool);
         self
@@ -474,8 +470,8 @@ impl GpuHe {
         GpuHe { device, pool: None }
     }
 
-    /// Attaches a blinding-factor pool: batch encryption consumes its
-    /// precomputed factors where available.
+    /// Attaches a blinding-factor pool: batch encryption draws each
+    /// item's factor from it and is charged the pooled encrypt.
     pub fn with_pool(mut self, pool: Arc<ObfuscatorPool>) -> Self {
         self.pool = Some(pool);
         self

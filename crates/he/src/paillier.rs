@@ -10,8 +10,9 @@
 //!   never an exponent.
 //! - **Encryption** (paper Eq. 3): `E(m) = g^m · r^n mod n²`. The
 //!   blinding power `r^n mod n²` is the expensive half and does not
-//!   depend on the plaintext, so it is packaged as an [`Obfuscator`] and
-//!   can be computed ahead of the batch ([`ObfuscatorPool`]). For an
+//!   depend on the plaintext, so it is packaged as an [`Obfuscator`],
+//!   and one from an [`ObfuscatorPool`] is charged as computed ahead of
+//!   the batch. For an
 //!   explicit `r` there are two routes to the same value: anyone holding
 //!   the public key pays one `bits(n)`-bit power over `n²`-wide operands
 //!   ([`PaillierPublicKey::precompute_obfuscator`]); the key owner pays,
@@ -41,10 +42,8 @@
 //!   plus plaintext-scalar multiplication `E(m)^k = E(k·m)` used for
 //!   weighted gradient aggregation.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use mpint::cios::{mont_mul_mac_count, mont_sqr_mac_count};
 use mpint::comb::FixedBaseCt;
@@ -56,7 +55,6 @@ use mpint::straus;
 use mpint::{mod_inv, Limb, MontgomeryCtx, Natural, LIMB_BITS};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 
 use crate::{Error, Result};
 
@@ -370,13 +368,6 @@ impl fmt::Debug for Obfuscator {
     }
 }
 
-/// Acquires a std mutex, recovering the data from a poisoned lock: pool
-/// state is a plain map/queue of finished values, valid even if another
-/// thread panicked mid-insert.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// Domain tags of the two kinds of ChaCha stream a pool derives, the
 /// first word of the stream's 32-byte key: the per-key base `h_s`, and an
 /// item's blinding exponent.
@@ -424,8 +415,9 @@ enum BlindingBase {
     },
 }
 
-/// Pre-generated blinding factors for batched encryption (HAFLO-style
-/// obfuscator pooling), drawn from a per-key fixed-base table.
+/// Blinding factors for batched encryption, charged as pre-generated
+/// (HAFLO-style obfuscator pooling) and drawn from a per-key fixed-base
+/// table.
 ///
 /// **What a pooled factor is.** Not `r^n` for a fresh uniform `r`: when
 /// the pool is built it derives, from the key fingerprint alone, an
@@ -444,25 +436,27 @@ enum BlindingBase {
 /// make. [`PaillierPublicKey::encrypt`], `encrypt_with_r` and every
 /// pool-less batch keep the uniform `r`.
 ///
-/// One store, keyed by `(seed, index)` and filled by
-/// [`prefill_batch`](Self::prefill_batch) with the same factors a pool
-/// miss computes inline, so a batch encrypts to the same ciphertexts
-/// whether or not its items were prefilled. Each factor is handed out at
-/// most once (`take` removes it), and a batch seed must not be reused
-/// under one key: the same `(seed, index)` is the same factor. Refills fan
-/// the powers out on the host pool and take the lock once,
-/// briefly, to deposit finished values. A refill runs inside the call that
-/// asks for it, on the caller's clock: the pool decides *when* a factor is
-/// paid for, not whether.
+/// The pool stores no factor. A batch encryption computes item `(seed,
+/// index)`'s factor inside the item that consumes it, on the host worker
+/// that runs the item, and moves it into
+/// [`encrypt_with_obfuscator`](PaillierPublicKey::encrypt_with_obfuscator):
+/// each factor blinds one ciphertext. A batch seed must not be reused
+/// under one key: the same `(seed, index)` is the same factor. The
+/// simulated device is charged the pooled encrypt
+/// ([`encrypt_pooled_op_estimate`](PaillierPublicKey::encrypt_pooled_op_estimate))
+/// as though the factor were pre-generated — the paper's pooling argument
+/// puts pre-generation off the modelled hot path — while the host pays
+/// for every factor in the call.
 ///
 /// What a factor costs depends on who holds the pool. A pool built with
 /// [`for_owner`](Self::for_owner) carries the private key: two combs over
 /// `p²`- and `q²`-wide operands and a CRT step. One built with
 /// [`new`](Self::new) knows the public key only: one comb over `n²`-wide
 /// operands, about twice the work. The values — and so the ciphertexts,
-/// the hit/miss counts and every simulated charge — are the same either
-/// way. Both constructors compute `h_s` (one full blinding power, by the
-/// holder's [`precompute_obfuscator`](PaillierPublicKey::precompute_obfuscator))
+/// the count of factors computed and every simulated charge — are the
+/// same either way. Both constructors compute `h_s` (one full blinding
+/// power, by the holder's
+/// [`precompute_obfuscator`](PaillierPublicKey::precompute_obfuscator))
 /// and build the tables (about one more) before they return; nothing is
 /// built on first use. A table is at most
 /// [`mpint::comb::MAX_TABLE_BYTES`], and an owner's two are key material.
@@ -471,12 +465,8 @@ pub struct ObfuscatorPool {
     /// Bits of a blinding exponent, `⌈bits(n)/2⌉`.
     exp_bits: u32,
     base: BlindingBase,
-    // BTreeMap, not HashMap: the pool sits on the ciphertext result path,
-    // so any future iteration (eviction, draining, debug dumps) must come
-    // out in key order rather than hash order.
-    indexed: Mutex<BTreeMap<(u64, u64), Obfuscator>>,
+    /// Factors computed by [`blinding_power`](Self::blinding_power).
     hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl std::fmt::Debug for ObfuscatorPool {
@@ -484,9 +474,7 @@ impl std::fmt::Debug for ObfuscatorPool {
         f.debug_struct("ObfuscatorPool")
             .field("fingerprint", &format_args!("{:#018x}", self.key_id))
             .field("owner", &matches!(self.base, BlindingBase::Owner { .. }))
-            .field("indexed", &lock(&self.indexed).len())
             .field("hits", &self.hits.load(Ordering::Relaxed))
-            .field("misses", &self.misses.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -529,9 +517,7 @@ impl ObfuscatorPool {
             key_id: pk.key_id,
             exp_bits,
             base,
-            indexed: Mutex::new(BTreeMap::new()),
             hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
         }
     }
 
@@ -546,62 +532,33 @@ impl ObfuscatorPool {
                 sk.crt_squares(&at_p2.pow(&a), &at_q2.pow(&a))
             }
         };
+        self.hits.fetch_add(1, Ordering::Relaxed);
         Obfuscator {
             r_n,
             key_id: self.key_id,
         }
     }
 
-    /// Precomputes the factors for items `0..count` of the batch
-    /// identified by `seed`, in parallel. They are the same ones a pool
-    /// miss computes inline, so consuming them changes nothing about the
-    /// ciphertexts — only when a factor is paid for.
-    // The simulated device is not charged for a refill; the cost model
-    // prices the consumption of a pooled pair
-    // (`encrypt_pooled_op_estimate`). On the host the refill runs inside
-    // this call.
-    pub fn prefill_batch(&self, pk: &PaillierPublicKey, seed: u64, count: usize) -> Result<()> {
+    /// Checks that `pk` is this pool's key and does nothing else: a batch
+    /// computes its factors inside its own items. Kept for the benchmark
+    /// package, whose frozen API names it.
+    pub fn prefill_batch(&self, pk: &PaillierPublicKey, _seed: u64, _count: usize) -> Result<()> {
         if pk.key_id != self.key_id {
             return Err(Error::KeyMismatch);
         }
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "drive home: a blinding-pool refill"
-        )]
-        let pairs: Vec<((u64, u64), Obfuscator)> = (0..count)
-            .into_par_iter()
-            .map(|i| ((seed, i as u64), self.blinding_power(seed, i)))
-            .collect();
-        lock(&self.indexed).extend(pairs);
         Ok(())
     }
 
-    /// Takes the precomputed pair for batch `seed`, item `index`, if the
-    /// pool holds one. Each pair can be taken only once.
-    pub fn take(&self, seed: u64, index: usize) -> Option<Obfuscator> {
-        let taken = lock(&self.indexed).remove(&(seed, index as u64));
-        let counter = if taken.is_some() {
-            &self.hits
-        } else {
-            &self.misses
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        taken
-    }
-
-    /// Pairs currently parked in the indexed store.
-    pub fn indexed_len(&self) -> usize {
-        lock(&self.indexed).len()
-    }
-
-    /// `take` calls served from the pool.
+    /// Factors this pool has computed, one per pooled batch item.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// `take` calls that fell through to inline computation.
+    /// Always 0: no item misses a pool that computes every factor it is
+    /// asked for. Kept for the benchmark package, whose frozen API names
+    /// it.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        0
     }
 }
 
@@ -926,17 +883,19 @@ impl PaillierPublicKey {
     /// inline `r^n mod n²`, as the *simulated device* is charged for it:
     /// the `bits(n)`-bit sliding-window exponentiation (squarings at the
     /// dedicated `mont_sqr` rate) plus the pooled-path remainder. It
-    /// prices the public route whichever route the host took — a key
-    /// owner's pool miss costs the host less than this and is charged
-    /// the same.
+    /// prices every pool-less batch item (the FATE and HAFLO baselines),
+    /// which computes `r^n` by the public route; a backend with an
+    /// [`ObfuscatorPool`] is charged
+    /// [`encrypt_pooled_op_estimate`](Self::encrypt_pooled_op_estimate)
+    /// instead.
     pub fn encrypt_op_estimate(&self) -> u64 {
         let s = self.ctx_n2.width();
         window_pow_ops(s, self.n.bit_len()) + self.encrypt_pooled_op_estimate()
     }
 
-    /// Estimated limb-level operation count of one encryption whose
-    /// `r^n` pair came precomputed from an [`ObfuscatorPool`]: only
-    /// `g^m` and the blinding multiplication remain on the hot path.
+    /// Estimated limb-level operation count of one encryption behind an
+    /// [`ObfuscatorPool`], whose `r^n` the model takes as pre-generated:
+    /// only `g^m` and the blinding multiplication remain on the hot path.
     pub fn encrypt_pooled_op_estimate(&self) -> u64 {
         // Blinding mod_mul: two to-Montgomery conversions, the multiply,
         // and the final reduction — four mont-muls' worth of MACs.
@@ -1329,7 +1288,6 @@ mod tests {
     fn debug_output_shows_no_key_material() {
         let k = keys(128);
         let pool = ObfuscatorPool::for_owner(&k.private);
-        pool.prefill_batch(&k.public, 3, 2).unwrap();
         let r = nat(987_654_321);
         let obf = k.private.precompute_obfuscator(&r);
         let r_n = obf.r_n.clone();
@@ -1404,21 +1362,13 @@ mod tests {
         for k in [&keys(128), &keys(64)] {
             let owner = ObfuscatorPool::for_owner(&k.private);
             let public = ObfuscatorPool::new(&k.public);
-            for pool in [&owner, &public] {
-                pool.prefill_batch(&k.public, 31, 2).unwrap();
+            for i in [0, 1, 9] {
+                let (a, b) = (owner.blinding_power(31, i), public.blinding_power(31, i));
+                assert_eq!(a.r_n, b.r_n, "item {i}");
+                assert_eq!(a.key_id, b.key_id);
             }
-            for i in 0..2 {
-                let a = owner.take(31, i).unwrap();
-                let b = public.take(31, i).unwrap();
-                assert_eq!(a.r_n, b.r_n, "hit {i}");
-                // A hit is the factor a miss on the same item computes.
-                assert_eq!(a.r_n, owner.blinding_power(31, i).r_n, "hit vs miss {i}");
-            }
-            assert_eq!(
-                owner.blinding_power(31, 9).r_n,
-                public.blinding_power(31, 9).r_n
-            );
-            // A foreign key is still refused before any power is computed.
+            assert_eq!((owner.hits(), public.hits()), (3, 3));
+            // A foreign key is still refused.
             assert_eq!(
                 owner.prefill_batch(&other.public, 0, 1),
                 Err(Error::KeyMismatch)
@@ -1532,26 +1482,11 @@ mod tests {
     }
 
     #[test]
-    fn pool_prefill_serves_each_pair_once() {
-        let k = keys(128);
-        let pool = ObfuscatorPool::new(&k.public);
-        pool.prefill_batch(&k.public, 9, 4).unwrap();
-        assert_eq!(pool.indexed_len(), 4);
-        assert!(pool.take(9, 2).is_some());
-        assert!(pool.take(9, 2).is_none(), "pairs are single-use");
-        assert!(pool.take(8, 0).is_none(), "other batches miss");
-        assert_eq!(pool.hits(), 1);
-        assert_eq!(pool.misses(), 2);
-        assert_eq!(pool.indexed_len(), 3);
-    }
-
-    #[test]
     fn pooled_and_baseline_ciphertexts_differ_in_blinding_only() {
         let k = keys(128);
         let pool = ObfuscatorPool::for_owner(&k.private);
-        pool.prefill_batch(&k.public, 31, 3).unwrap();
         for i in 0..3 {
-            let obf = pool.take(31, i).unwrap();
+            let obf = pool.blinding_power(31, i);
             // A bare factor is an encryption of zero: an n-th residue.
             let bare = Ciphertext {
                 value: obf.r_n.clone(),
@@ -1580,7 +1515,12 @@ mod tests {
             pool.prefill_batch(&k2.public, 0, 1),
             Err(Error::KeyMismatch)
         );
-        assert_eq!(pool.indexed_len(), 0);
+        assert_eq!(pool.prefill_batch(&k1.public, 0, 1), Ok(()));
+        assert_eq!(
+            (pool.hits(), pool.misses()),
+            (0, 0),
+            "checks compute nothing"
+        );
     }
 
     #[test]

@@ -152,15 +152,14 @@ fn residue(k: &PaillierKeyPair, obf: he::paillier::Obfuscator) -> Natural {
 }
 
 /// What must hold of a key's blinding routes over `items` draws of the
-/// batch `seed`, the first `prefilled` served from a pool and the rest
-/// missing it. For an explicit `r` — how a pool computes its base at
+/// batch `seed`. For an explicit `r` — how a pool computes its base at
 /// set-up — the owner's and the public power agree limb for limb. An
-/// owner's pool and a public-key pool give equal ciphertexts, counts and
-/// charges. Every pooled factor, hit or miss, is an `n`-th residue: bare,
-/// it decrypts to zero, and under a plaintext it decrypts to the
-/// plaintext. Pooled and pool-less ciphertexts differ in their blinding
-/// only: other bits, same values, and they add.
-fn check_owner_route(k: &PaillierKeyPair, seed: u64, items: usize, prefilled: usize) {
+/// owner's pool and a public-key pool give equal ciphertexts and
+/// charges, and each computes one factor per item. Every pooled factor
+/// is an `n`-th residue: bare, it decrypts to zero, and under a plaintext
+/// it decrypts to the plaintext. Pooled and pool-less ciphertexts differ
+/// in their blinding only: other bits, same values, and they add.
+fn check_owner_route(k: &PaillierKeyPair, seed: u64, items: usize) {
     for i in 0..items {
         let r = k.public.batch_blinding(seed, i);
         let public = residue(k, k.public.precompute_obfuscator(&r));
@@ -172,28 +171,18 @@ fn check_owner_route(k: &PaillierKeyPair, seed: u64, items: usize, prefilled: us
         .collect();
     let run = |pool: ObfuscatorPool, ms: &[Natural]| {
         let pool = Arc::new(pool);
-        pool.prefill_batch(&k.public, seed, prefilled).unwrap();
         let he = CpuHe::default().with_pool(Arc::clone(&pool));
         let (cts, timing) = he.encrypt_batch(&k.public, ms, seed).unwrap();
         (cts, timing, pool.hits(), pool.misses())
     };
     let owner = run(ObfuscatorPool::for_owner(&k.private), &ms);
     let public = run(ObfuscatorPool::new(&k.public), &ms);
+    assert_eq!(owner, public, "batch {seed:#x}, {items} items");
+    assert_eq!((owner.2, owner.3), (items as u64, 0));
     assert_eq!(
-        owner, public,
-        "batch {seed:#x}, {prefilled} of {items} pooled"
+        owner.1.ops,
+        items as u64 * k.public.encrypt_pooled_op_estimate()
     );
-    assert_eq!(
-        (owner.2, owner.3),
-        (prefilled as u64, (items - prefilled) as u64)
-    );
-    // Hits and misses are the same factors: a cold pool changes nothing.
-    let cold = Arc::new(ObfuscatorPool::for_owner(&k.private));
-    let (missed, _) = CpuHe::default()
-        .with_pool(cold)
-        .encrypt_batch(&k.public, &ms, seed)
-        .unwrap();
-    assert_eq!(owner.0, missed, "hits and misses");
 
     let zeros = vec![Natural::zero(); items];
     let (bare, ..) = run(ObfuscatorPool::for_owner(&k.private), &zeros);
@@ -288,7 +277,7 @@ proptest! {
         // swap = true puts the larger prime first.
         prop_assert_eq!(p > q, swap);
         let k = PaillierKeyPair::from_primes(p, q, bits).unwrap();
-        check_owner_route(&k, seed, 4, 2);
+        check_owner_route(&k, seed, 4);
     }
 }
 

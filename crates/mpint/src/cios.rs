@@ -11,63 +11,24 @@
 //! - [`mont_mul_into`]: CIOS with the two inner loops of each round fused
 //!   into one pass, writing into the caller's buffer;
 //! - [`mont_sqr_into`]: the symmetric squaring (~25% fewer MACs), whose
-//!   reduction half is [`mont_reduce_into`] (plain REDC);
-//! - [`mont_mul_partitioned`]: the same multiplication *partitioned into
-//!   `T` lanes of `x` words each*, reporting per-lane work so the GPU
-//!   simulator can account occupancy and inter-thread communication
-//!   exactly as the paper describes.
+//!   reduction half is [`mont_reduce_into`] (plain REDC).
 //!
-//! All of them end in the same masked, branch-free final subtraction, and
-//! all agree with the whole-integer Algorithm 1 kept as a test reference
-//! in [`crate::montgomery`]; the agreement is property-tested.
+//! Both end in the same masked, branch-free final subtraction, and both
+//! agree with the whole-integer Algorithm 1 kept as a test reference in
+//! [`crate::montgomery`]; the agreement is property-tested.
 
 #![expect(
     clippy::indexing_slicing,
     reason = "the fused kernels' inner loops are zipped slices; what is indexed is one \
-              sub-slice or carry word per row, and the partitioned kernel's per-lane \
-              accounting, all bounded by the fixed operand width `s` asserted on entry"
+              sub-slice or carry word per row, bounded by the fixed operand width `s` \
+              asserted on entry"
 )]
 // flcheck: allow-file(pf-assert) — width preconditions are documented API
 // contract (covered by `unpadded_operands_rejected`), mirroring slice-length
 // panics in std.
 
-use crate::ct::{ct_ge_then_sub, ct_is_zero, ct_lt, ct_mask, ct_sub_masked};
+use crate::ct::{ct_is_zero, ct_lt, ct_mask, ct_sub_masked};
 use crate::limb::{adc, mac, mul_wide, Limb, LIMB_BITS};
-
-/// Per-lane work accounting for the partitioned kernel.
-///
-/// One entry per simulated GPU thread; used by `gpu-sim` to model SM
-/// occupancy and the carry-propagation communication between threads.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LaneStats {
-    /// Multiply-accumulate limb operations executed by each lane.
-    pub mac_ops: Vec<u64>,
-    /// Inter-lane carry/borrow propagations (the paper's "inter-thread
-    /// communication" for carry and borrow).
-    pub carry_transfers: u64,
-}
-
-impl LaneStats {
-    /// Total MAC operations across lanes.
-    pub fn total_mac_ops(&self) -> u64 {
-        self.mac_ops.iter().sum()
-    }
-
-    /// Load imbalance: max lane work / mean lane work (1.0 = perfectly
-    /// balanced). Returns 1.0 for empty stats.
-    pub fn imbalance(&self) -> f64 {
-        if self.mac_ops.is_empty() {
-            return 1.0;
-        }
-        let max = self.mac_ops.iter().max().copied().unwrap_or(0) as f64;
-        let mean = self.total_mac_ops() as f64 / self.mac_ops.len() as f64;
-        if mean == 0.0 {
-            1.0
-        } else {
-            max / mean
-        }
-    }
-}
 
 /// Fused CIOS Montgomery multiplication into a caller-provided buffer:
 /// `out ← a·b·R^{-1} mod n` where `R = 2^{64·s}`, `s = n.len()`, for
@@ -242,79 +203,6 @@ pub fn mont_reduce_into(out: &mut [Limb], t: &mut [Limb], n: &[Limb], n0_inv: Li
     ct_sub_masked(out, n, ct_mask(ge));
 }
 
-/// Partitioned CIOS: identical arithmetic to [`mont_mul`] but with every
-/// operand split into `threads` lanes of `x = ceil(s/threads)` words, as in
-/// the paper's GPU kernel. Returns the product limbs plus per-lane stats.
-///
-/// The lane structure is *semantic* (it drives the simulator's accounting);
-/// execution here is sequential, because the real parallel scheduling is
-/// the GPU simulator's job.
-pub fn mont_mul_partitioned(
-    a: &[Limb],
-    b: &[Limb],
-    n: &[Limb],
-    n0_inv: Limb,
-    threads: usize,
-) -> (Vec<Limb>, LaneStats) {
-    let s = n.len();
-    assert!(threads > 0, "at least one lane required");
-    assert_eq!(a.len(), s);
-    assert_eq!(b.len(), s);
-    let x = s.div_ceil(threads);
-    let mut stats = LaneStats {
-        mac_ops: vec![0; threads],
-        carry_transfers: 0,
-    };
-    let lane_of = |word: usize| (word / x).min(threads - 1);
-
-    let mut t = vec![0 as Limb; s + 2];
-    // Outer structure of Algorithm 2: every lane i walks its x words of b
-    // (lines 1–2); the flat iteration order below visits the same (i, j)
-    // pairs. Each b-word is fetched from its owning lane — one inter-thread
-    // transfer when the consumer differs from the owner.
-    for (bw, &bi) in b.iter().enumerate() {
-        let owner = lane_of(bw);
-        let mut carry = 0;
-        for (j, &aj) in a.iter().enumerate() {
-            let (lo, hi) = mac(aj, bi, t[j], carry);
-            t[j] = lo;
-            carry = hi;
-            stats.mac_ops[lane_of(j)] += 1;
-            if lane_of(j) != owner {
-                stats.carry_transfers += 1; // b_i broadcast across lanes
-            }
-        }
-        let (s0, c) = adc(t[s], carry, 0);
-        t[s] = s0;
-        t[s + 1] = t[s + 1].wrapping_add(c);
-        stats.carry_transfers += 1; // carry into the top lane
-
-        let m = t[0].wrapping_mul(n0_inv);
-        let (_, mut carry) = mac(m, n[0], t[0], 0);
-        stats.mac_ops[0] += 1;
-        for j in 1..s {
-            let (lo, hi) = mac(m, n[j], t[j], carry);
-            t[j - 1] = lo;
-            carry = hi;
-            stats.mac_ops[lane_of(j)] += 1;
-            if lane_of(j) != lane_of(j - 1) {
-                stats.carry_transfers += 1; // word shift crosses a lane edge
-            }
-        }
-        let (s1, c) = adc(t[s], carry, 0);
-        t[s - 1] = s1;
-        t[s] = t[s + 1].wrapping_add(c);
-        t[s + 1] = 0;
-    }
-
-    // Overflow check / subtraction (lines 18–22) runs on all lanes; the
-    // borrow chain is one more full propagation.
-    stats.carry_transfers += threads as u64;
-    ct_ge_then_sub(&mut t, n);
-    t.truncate(s);
-    (t, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,56 +258,6 @@ mod tests {
         let bm = ctx.to_mont(&n(b));
         let prod = ctx.from_mont(&mont_mul_natural(&ctx, &am, &bm));
         assert_eq!(prod, &(&n(a) * &n(b)) % &n(p));
-    }
-
-    #[test]
-    fn partitioned_matches_flat_and_reports_lanes() {
-        let p = (1u128 << 127) - 1;
-        let ctx = MontgomeryCtx::new(&n(p)).unwrap();
-        let s = ctx.width();
-        let a = ctx.to_mont(&n((1 << 99) + 1)).to_padded_limbs(s);
-        let b = ctx.to_mont(&n((1 << 88) + 9)).to_padded_limbs(s);
-        let nn = ctx.modulus().to_padded_limbs(s);
-        let flat = mont_mul(&a, &b, &nn, ctx.n0_inv());
-        for threads in [1usize, 2] {
-            let (part, stats) = mont_mul_partitioned(&a, &b, &nn, ctx.n0_inv(), threads);
-            assert_eq!(part, flat, "{threads} lanes");
-            assert_eq!(stats.mac_ops.len(), threads);
-            assert!(stats.total_mac_ops() > 0);
-        }
-    }
-
-    #[test]
-    fn partitioned_carry_transfers_grow_with_lanes() {
-        // Build an 8-limb odd modulus.
-        let mut limbs = vec![u64::MAX; 8];
-        limbs[0] = u64::MAX - 2; // still odd
-        let modulus = Natural::from_limbs(limbs);
-        let ctx = MontgomeryCtx::new(&modulus).unwrap();
-        let s = ctx.width();
-        let a = n(123_456_789).to_padded_limbs(s);
-        let b = n(987_654_321).to_padded_limbs(s);
-        let nn = modulus.to_padded_limbs(s);
-        let (_, s1) = mont_mul_partitioned(&a, &b, &nn, ctx.n0_inv(), 1);
-        let (_, s4) = mont_mul_partitioned(&a, &b, &nn, ctx.n0_inv(), 4);
-        assert!(s4.carry_transfers > s1.carry_transfers);
-        // Same arithmetic => same total work.
-        assert_eq!(s1.total_mac_ops(), s4.total_mac_ops());
-    }
-
-    #[test]
-    fn lane_stats_imbalance() {
-        let balanced = LaneStats {
-            mac_ops: vec![10, 10, 10],
-            carry_transfers: 0,
-        };
-        assert!((balanced.imbalance() - 1.0).abs() < 1e-12);
-        let skewed = LaneStats {
-            mac_ops: vec![30, 0, 0],
-            carry_transfers: 0,
-        };
-        assert!((skewed.imbalance() - 3.0).abs() < 1e-12);
-        assert!((LaneStats::default().imbalance() - 1.0).abs() < 1e-12);
     }
 
     #[test]

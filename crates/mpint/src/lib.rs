@@ -14,15 +14,14 @@
 //! - [`montgomery`]: the basic Montgomery multiplication of the paper's
 //!   Algorithm 1 plus a reusable Montgomery domain context.
 //! - [`cios`]: the CIOS (Coarsely Integrated Operand Scanning) Montgomery
-//!   multiplication of the paper's Algorithm 2, in both a flat word-serial
-//!   form and a *limb-partitioned* form that mirrors the per-thread `x`-word
-//!   layout used by the GPU kernels.
+//!   multiplication of the paper's Algorithm 2, as a fused word-serial
+//!   product and a dedicated squaring.
 //! - [`modpow`]: binary and sliding-window modular exponentiation (the
 //!   paper reduces complexity from `e` to `log_{2^b} e` multiplications).
 //! - [`comb`]: constant-time fixed-base exponentiation from a per-base
 //!   table (Lim–Lee comb), for the Paillier blinding pools.
-//! - [`straus`]: bucket multi-exponentiation over public exponents, for
-//!   weighted aggregation.
+//! - [`straus`]: Bos–Coster multi-exponentiation over public exponents,
+//!   for weighted aggregation.
 //! - [`prime`]: Miller–Rabin primality testing and random prime generation
 //!   used by Paillier/RSA key generation.
 //! - [`random`]: uniform random `Natural` generation.

@@ -483,7 +483,7 @@ fn results_inventory_is_what_the_harness_writes() {
 #[test]
 fn he_runs_in_one_place_in_fl() {
     // A model reaches the HE engine only through `fl::backend::Accelerator`,
-    // whose entry points prefill the blinding pool where the backend has
+    // whose entry points draw on the blinding pool where the backend has
     // one and return the call's timing (`#[must_use]`). So outside
     // `backend.rs` no non-test code of `crates/fl/src` names an HE backend
     // or the pool, nor calls a batched HE op or a per-ciphertext primitive

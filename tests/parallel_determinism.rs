@@ -113,13 +113,12 @@ fn pooled_encryption_is_bit_identical_to_inline_at_every_thread_count() {
     let ms: Vec<Natural> = (0..64).map(|_| Natural::from(rng.next_u64())).collect();
     let seed = 0xCAFE_D00D;
 
-    // Reference: a cold pool — every factor computed inline, on the
-    // miss path — single thread.
+    // Reference: a pooled backend on one thread.
     let reference: Vec<Natural> = in_pool(1, || {
         CpuHe::default()
             .with_pool(Arc::new(ObfuscatorPool::new(&keys.public)))
             .encrypt_batch(&keys.public, &ms, seed)
-            .expect("inline")
+            .expect("pooled")
             .0
             .iter()
             .map(|c| c.value.clone())
@@ -127,23 +126,15 @@ fn pooled_encryption_is_bit_identical_to_inline_at_every_thread_count() {
     });
 
     for threads in THREAD_COUNTS {
-        // Pool prefilled concurrently inside the same thread pool that
-        // then drains it — the refill fans the powers out across workers.
+        // Each item computes its factor on the worker that encrypts it.
         let (cpu_vals, gpu_vals, hits) = in_pool(threads, || {
             let pool = Arc::new(ObfuscatorPool::new(&keys.public));
-            pool.prefill_batch(&keys.public, seed, ms.len())
-                .expect("prefill");
-            assert_eq!(pool.indexed_len(), ms.len(), "prefill sized to batch");
             let cpu = CpuHe::default().with_pool(Arc::clone(&pool));
             let a = cpu.encrypt_batch(&keys.public, &ms, seed).expect("cpu").0;
             let cpu_hits = pool.hits();
 
-            let gpu_pool = Arc::new(ObfuscatorPool::new(&keys.public));
-            gpu_pool
-                .prefill_batch(&keys.public, seed, ms.len())
-                .expect("prefill");
             let gpu = GpuHe::new(Arc::new(Device::new(DeviceConfig::rtx3090())))
-                .with_pool(Arc::clone(&gpu_pool));
+                .with_pool(Arc::new(ObfuscatorPool::new(&keys.public)));
             let b = gpu.encrypt_batch(&keys.public, &ms, seed).expect("gpu").0;
             (
                 a.iter().map(|c| c.value.clone()).collect::<Vec<_>>(),
@@ -151,27 +142,10 @@ fn pooled_encryption_is_bit_identical_to_inline_at_every_thread_count() {
                 cpu_hits,
             )
         });
-        assert_eq!(hits, ms.len() as u64, "every item served from the pool");
+        assert_eq!(hits, ms.len() as u64, "one factor per item");
         assert_eq!(cpu_vals, reference, "pooled cpu threads={threads}");
         assert_eq!(gpu_vals, reference, "pooled gpu threads={threads}");
     }
-
-    // Partially-filled pool: the first half comes from the pool, the
-    // second falls back inline — outputs still identical.
-    let pool = Arc::new(ObfuscatorPool::new(&keys.public));
-    pool.prefill_batch(&keys.public, seed, ms.len() / 2)
-        .expect("prefill");
-    let cpu = CpuHe::default().with_pool(Arc::clone(&pool));
-    let half: Vec<Natural> = cpu
-        .encrypt_batch(&keys.public, &ms, seed)
-        .expect("half-pooled")
-        .0
-        .iter()
-        .map(|c| c.value.clone())
-        .collect();
-    assert_eq!(half, reference, "partial pool still bit-identical");
-    assert_eq!(pool.hits(), (ms.len() / 2) as u64);
-    assert_eq!(pool.misses(), (ms.len() - ms.len() / 2) as u64);
 }
 
 #[test]
@@ -644,11 +618,12 @@ fn panic_in_one_item_surfaces_and_pool_stays_usable() {
 #[test]
 fn dataset_generation_and_pooled_blinding_are_hash_order_free() {
     // Regression for the two result-path maps that used to be HashMaps:
-    // the planted-concept table in dataset generation (feeds labels) and
-    // the obfuscator pool's indexed store (feeds ciphertext blinding).
-    // Both are ordered maps now, so generation and pooled encryption must
-    // be bit-identical across pool widths and across map instances (a
-    // HashMap would at least *permit* hash-order leaks; BTreeMap cannot).
+    // the planted-concept table in dataset generation (feeds labels), an
+    // ordered map now, so generation must be bit-identical across pool
+    // widths (a HashMap would at least *permit* hash-order leaks; BTreeMap
+    // cannot); and the obfuscator pool's store (fed ciphertext blinding),
+    // gone now: a pooled factor is a function of `(key, seed, index)`, so
+    // two pool instances blind alike.
     let spec = fl::data::generators::DatasetSpec::rcv1();
     let reference = spec.generate(0.00002);
     for threads in THREAD_COUNTS {
@@ -661,47 +636,19 @@ fn dataset_generation_and_pooled_blinding_are_hash_order_free() {
         );
     }
 
-    // Pool drained in reverse index order: with the ordered store the
-    // handed-out pairs depend only on (seed, index), never on insertion
-    // or hash order.
     let keys = {
         let mut rng = ChaCha8Rng::seed_from_u64(0x0DD);
         PaillierKeyPair::generate(&mut rng, 128).expect("keygen")
     };
-    let seed = 0x5EED;
     let ms: Vec<Natural> = (0..16u64).map(|i| Natural::from(i * 131 + 7)).collect();
-    let forward: Vec<Natural> = {
-        let pool = ObfuscatorPool::new(&keys.public);
-        pool.prefill_batch(&keys.public, seed, 16).expect("prefill");
-        (0..16)
-            .map(|i| {
-                let obf = pool.take(seed, i).expect("pair");
-                keys.public
-                    .encrypt_with_obfuscator(&ms[i], obf)
-                    .expect("encrypt")
-                    .value
-            })
-            .collect()
+    let pooled = || {
+        CpuHe::default()
+            .with_pool(Arc::new(ObfuscatorPool::new(&keys.public)))
+            .encrypt_batch(&keys.public, &ms, 0x5EED)
+            .expect("pooled")
+            .0
     };
-    let backward: Vec<Natural> = {
-        let pool = ObfuscatorPool::new(&keys.public);
-        pool.prefill_batch(&keys.public, seed, 16).expect("prefill");
-        let mut cts: Vec<(usize, Natural)> = (0..16)
-            .rev()
-            .map(|i| {
-                let obf = pool.take(seed, i).expect("pair");
-                let ct = keys
-                    .public
-                    .encrypt_with_obfuscator(&ms[i], obf)
-                    .expect("encrypt")
-                    .value;
-                (i, ct)
-            })
-            .collect();
-        cts.sort_by_key(|(i, _)| *i);
-        cts.into_iter().map(|(_, ct)| ct).collect()
-    };
-    assert_eq!(forward, backward, "take order must not affect ciphertexts");
+    assert_eq!(pooled(), pooled(), "two pool instances");
 }
 
 #[test]
