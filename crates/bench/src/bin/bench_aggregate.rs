@@ -13,19 +13,20 @@
 //! result must equal the flat fold's ciphertexts exactly.
 //!
 //! ```text
-//! cargo run -p flbooster-bench --release --bin bench_aggregate -- \
-//!     [--keys 1024] [--quick]
+//! cargo run -p flbooster-bench --release --bin bench_aggregate -- [--quick]
 //! ```
 
 use fl::backend::EncryptedVector;
 use fl::{AggregationTopology, BackendKind, Network};
 use flbooster_bench::table::Table;
-use flbooster_bench::{backend, shared_keys, Args};
+use flbooster_bench::{backend, quick_tier, shared_keys};
 use he::paillier::{Ciphertext, PaillierKeyPair};
 use mpint::Natural;
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
+/// Key size of every fold.
+const KEY_BITS: u32 = 1024;
 /// Edge-aggregator fan-in for the tree comparison.
 const TREE_ARITY: usize = 16;
 
@@ -111,22 +112,21 @@ fn tree_compare(key_bits: u32, parties: usize) -> TreeRow {
 }
 
 fn main() {
-    let args = Args::parse();
-    let key_bits = args.key_sizes_or(&[1024])[0];
-    let tree_parties: Vec<usize> = if args.has("quick") {
+    let (quick, _) = quick_tier(0, "bench_aggregate [--quick]");
+    let tree_parties: Vec<usize> = if quick {
         vec![1_000, 4_000]
     } else {
         vec![1_000, 10_000, 100_000]
     };
 
     println!(
-        "Aggregation topology — {key_bits}-bit keys, tree arity {TREE_ARITY}, \
+        "Aggregation topology — {KEY_BITS}-bit keys, tree arity {TREE_ARITY}, \
          parties {tree_parties:?}\n"
     );
 
     let tree_rows: Vec<TreeRow> = tree_parties
         .iter()
-        .map(|&p| tree_compare(key_bits, p))
+        .map(|&p| tree_compare(KEY_BITS, p))
         .collect();
     let mut ttable = Table::new([
         "Parties",

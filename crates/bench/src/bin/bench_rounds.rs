@@ -28,8 +28,7 @@
 //!    at every swept client count (all are ≥ 64).
 //!
 //! ```text
-//! cargo run -p flbooster-bench --release --bin bench_rounds -- \
-//!     [--keys 256] [--quick]
+//! cargo run -p flbooster-bench --release --bin bench_rounds -- [--quick]
 //! ```
 
 use fl::engine::{run_round, EngineConfig};
@@ -37,8 +36,10 @@ use fl::metrics::EpochBreakdown;
 use fl::train::{FlEnv, TrainConfig};
 use fl::{BackendKind, Network};
 use flbooster_bench::table::Table;
-use flbooster_bench::{backend, Args};
+use flbooster_bench::{backend, quick_tier};
 
+/// Key size of every round.
+const KEY_BITS: u32 = 256;
 /// Gradient components per client (packed to a couple of ciphertexts).
 const VALUES_PER_CLIENT: usize = 8;
 /// Local-compute flops per client per round.
@@ -125,9 +126,7 @@ fn measure(key_bits: u32, clients: usize) -> Row {
 }
 
 fn main() {
-    let args = Args::parse();
-    let quick = args.has("quick");
-    let key_bits = args.key_sizes_or(&[256])[0];
+    let (quick, _) = quick_tier(0, "bench_rounds [--quick]");
     let client_sweep: Vec<usize> = if quick {
         vec![64, 128]
     } else {
@@ -135,11 +134,11 @@ fn main() {
     };
 
     println!(
-        "Round-engine pipelining — {key_bits}-bit keys, {VALUES_PER_CLIENT} values/client, \
+        "Round-engine pipelining — {KEY_BITS}-bit keys, {VALUES_PER_CLIENT} values/client, \
          duplex {DUPLEX_STREAMS}, clients {client_sweep:?}\n"
     );
 
-    let rows: Vec<Row> = client_sweep.iter().map(|&c| measure(key_bits, c)).collect();
+    let rows: Vec<Row> = client_sweep.iter().map(|&c| measure(KEY_BITS, c)).collect();
 
     let mut table = Table::new([
         "Clients",

@@ -51,12 +51,13 @@
 //! `he`, `comm` and `round` are the sums of the phases above.
 //!
 //! The FLBooster SBT row moved once more when its `g‖h` encryption went
-//! through `Accelerator::encrypt_words_timed`, which prefills the pool for
-//! the batch: the 120 words are charged the pooled encrypt (64 limb-ops at
-//! this key) instead of the inline `r^n` (2256), 263,040 fewer device ops
-//! in one launch — `encrypt`, `he` and `round` each −2.996875e-6 s. The
-//! ciphertexts are the same bits (a pool hit and a miss compute one
-//! factor), so the loss, every count, `comm` and the other phases did
+//! through `Accelerator::encrypt_words_timed`, which charges every word
+//! the pooled encrypt (64 limb-ops at this key) instead of the inline
+//! `r^n` (2256): 263,040 fewer device ops over the 120 words of one
+//! launch — `encrypt`, `he` and `round` each −2.996875e-6 s. Each word's
+//! blinding factor is computed in the encrypt item that uses it and is
+//! the factor that word was blinded with before, so the ciphertexts are
+//! the same bits: the loss, every count, `comm` and the other phases did
 //! not move; the FATE row has no pool and is untouched.
 //!
 //! The Hetero LR row (3 parties, 3 batches of 40 residuals = 14 words

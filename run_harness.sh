@@ -8,8 +8,8 @@
 # (`bash benchmark/run.sh`) and whatever else is host noise goes under
 # `target/`.
 #
-# `bash run_harness.sh --quick` keeps every other gate (build, each
-# experiment binary, both tier-1 test runs, the no-`unsafe` gate, the
+# `bash run_harness.sh --quick` keeps every other gate (build, the
+# experiment binaries, both tier-1 test runs, the no-`unsafe` gate, the
 # benchmark-package build, the clippy panic-freedom and determinism
 # lints, flcheck and its directive and size ratchets, fmt) but trims
 # sweep cardinality —
@@ -22,9 +22,11 @@ cd "$(dirname "$0")"
 
 QUICK=0
 R=results
+TIER=
 if [ "$1" = "--quick" ]; then
   QUICK=1
   R=target/harness-quick
+  TIER=--quick
   echo "=== quick tier: every gate but the results/ diff, trimmed sweeps, output under $R ==="
 fi
 mkdir -p $R
@@ -40,47 +42,28 @@ if ! RUSTFLAGS="-D warnings" cargo build --workspace --release 2>&1 | tail -20; 
   exit 1
 fi
 
-# `run_as <file> <bin> args…` tees the binary's output to `$R/<file>.txt`
-# and fails the harness if the binary does (every gate a binary carries
-# is its exit status); `run <bin> args…` names the file after the binary.
-run_as() {
-  out=$1; name=$2; shift 2
+# `run <bin> args…` tees the binary's output to `$R/<bin>.txt` and fails
+# the harness if the binary does (every gate a binary carries is its exit
+# status).
+run() {
+  name=$1; shift
   echo "=== $name: $* ==="
-  if ! ( ./target/release/$name "$@" 2>&1 ) | tee $R/$out.txt; then
+  if ! ( ./target/release/$name "$@" 2>&1 ) | tee $R/$name.txt; then
     echo "HARNESS_FAILED: $name"
     exit 1
   fi
   echo
 }
-run() { run_as "$1" "$@"; }
-if [ "$QUICK" -eq 1 ]; then
-  T5_DATASETS=rcv1
-  T7_ARGS="--epochs 1 --models homo-lr --datasets rcv1"
-  F8_ARGS="--epochs 2 --models homo-lr"
-  BA_ARGS="--quick"
-  BR_ARGS="--quick"
-else
-  T5_DATASETS=rcv1,synthetic
-  T7_ARGS="--epochs 2 --models homo-lr,hetero-sbt --datasets rcv1,synthetic"
-  F8_ARGS="--epochs 3 --models homo-lr,hetero-nn"
-  BA_ARGS=""
-  BR_ARGS=""
-fi
 
-run fig1_fate_breakdown --quick
-run table6_components --quick
-run fig6_sm_utilization
-run fig7_compression --quick
-run table4_throughput --quick --keys 1024
-run table3_epoch_time --quick --keys 1024
-if [ "$QUICK" -eq 0 ]; then
-  # Second sweep point (2048-bit keys) — cardinality, not a distinct gate.
-  run_as table3_sweep table3_epoch_time --quick --keys 2048 --models homo-lr --datasets rcv1
+# Every table and figure of the paper: `paper` trains each cell they read
+# once and writes each view to `$R/<view>.txt` (the names are `VIEWS` in
+# crates/bench/src/bin/paper.rs); `--quick` trims its sweeps.
+echo "=== paper: every table and figure $TIER ==="
+if ! ./target/release/paper $TIER $R; then
+  echo "HARNESS_FAILED: paper"
+  exit 1
 fi
-run table5_ablation --quick --keys 1024 --datasets $T5_DATASETS
-run table7_bias --quick $T7_ARGS
-run fig8_convergence --quick $F8_ARGS
-run ablation_quantization --quick
+echo
 
 # Cost-model calibration gate: the two DESIGN §8 constants anchored on
 # the paper's Table IV (beta_cpu vs FATE 360/s, GPU sec_per_thread_op vs
@@ -90,14 +73,14 @@ run calibrate_cost
 # Aggregation-topology gate: flat-vs-tree weighted folds at growing party
 # counts. The binary exits non-zero unless every tree result is
 # bit-identical to the flat fold.
-run bench_aggregate $BA_ARGS
+run bench_aggregate $TIER
 
 # Round-engine gate: pipelined rounds vs the sequential engine over the
 # same parties. The binary exits non-zero unless the pipelined round's
 # decrypted sums are bit-identical to the sequential round's and the
 # modeled round-time reduction clears 1.5x at every swept client count
 # (all >= 64).
-run bench_rounds $BR_ARGS
+run bench_rounds $TIER
 
 # Thread-count invariance gate: the tier-1 test suite — every crate of the
 # workspace, not just the root package — must pass both pinned to one

@@ -442,16 +442,36 @@ fn results_inventory_is_what_the_harness_writes() {
     // names the script's executable lines mention must be the directory.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let script = std::fs::read_to_string(root.join("run_harness.sh")).expect("run_harness.sh");
+    // The paper binary writes one `<view>.txt` per entry of its `VIEWS`
+    // table: the table's string literals are the file names.
+    let paper =
+        std::fs::read_to_string(root.join("crates/bench/src/bin/paper.rs")).expect("paper.rs");
+    let views = paper
+        .split_once("const VIEWS")
+        .and_then(|(_, rest)| rest.split_once("];"))
+        .expect("paper.rs declares `const VIEWS: [..] = [..];`")
+        .0;
     let mut wired = BTreeSet::new();
     for line in script.lines().map(str::trim_start) {
         if line.starts_with('#') {
             continue;
         }
-        // `run <bin> …` tees to `<bin>.txt`, `run_as <file> <bin> …` to
-        // `<file>.txt`; either way the first argument names the file.
+        // `run <bin> …` tees to `<bin>.txt`.
         let mut words = line.split_whitespace();
-        if let (Some("run" | "run_as"), Some(file)) = (words.next(), words.next()) {
-            wired.insert(format!("{file}.txt"));
+        if let (Some("run"), Some(bin)) = (words.next(), words.next()) {
+            wired.insert(format!("{bin}.txt"));
+        }
+        if line
+            .split_whitespace()
+            .any(|w| w == "./target/release/paper")
+        {
+            wired.extend(
+                views
+                    .split('"')
+                    .skip(1)
+                    .step_by(2)
+                    .map(|v| format!("{v}.txt")),
+            );
         }
         for prefix in ["$R/", "results/"] {
             for (at, _) in line.match_indices(prefix) {
