@@ -515,7 +515,7 @@ fn fig6() -> String {
         };
         let items = (per_round * 1000).clamp(100_000, 5_000_000);
         for key_bits in PAPER_KEYS {
-            let utilization = [true, false].map(|fixed| {
+            let [haflo, flbooster] = [true, false].map(|fixed| {
                 let device = if fixed {
                     Device::with_manager(DeviceConfig::rtx3090(), ResourceManager::fixed(256))
                 } else {
@@ -532,7 +532,6 @@ fn fig6() -> String {
                 });
                 pct(report.sm_utilization)
             });
-            let [haflo, flbooster] = utilization;
             table.row([
                 model.name().to_string(),
                 key_bits.to_string(),
@@ -605,7 +604,7 @@ fn table4() -> String {
             }
             .clamp(16, 256);
             let values: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.61).sin() * 0.9).collect();
-            let cells = BackendKind::headline().map(|kind| {
+            let [fate, haflo, flbooster] = BackendKind::headline().map(|kind| {
                 let acc = backend(kind, 1024, PARTICIPANTS);
                 let enc = acc.encrypt(&values, 7).expect("encrypt");
                 let agg = acc.aggregate(&[enc.clone(), enc]).expect("aggregate");
@@ -613,7 +612,6 @@ fn table4() -> String {
                 let measured = 2.0 * n as f64 / acc.timing().he_seconds;
                 format!("{measured:.0} / {:.0}", saturated_throughput(kind, 1024))
             });
-            let [fate, haflo, flbooster] = cells;
             table.row([
                 dataset.name().to_string(),
                 model.name().to_string(),
