@@ -44,7 +44,7 @@ fn weights(count: usize) -> Vec<u64> {
 
 /// `parties` ciphertexts tiled from [`BASE_CTS`] distinct encryptions.
 fn party_cts(keys: &PaillierKeyPair, parties: usize) -> Vec<Ciphertext> {
-    let mut rng = ChaCha8Rng::seed_from_u64(0xA66_05 ^ parties as u64);
+    let mut rng = ChaCha8Rng::seed_from_u64(0xA6605 ^ parties as u64);
     let base: Vec<Ciphertext> = (0..BASE_CTS.min(parties))
         .map(|i| {
             let m = Natural::from(rng.next_u64());

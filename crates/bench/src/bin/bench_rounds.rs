@@ -71,11 +71,9 @@ fn parties(clients: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-// The sweep tops out at 1024 clients — nowhere near 2^32 — so the
-// backend party-count cast cannot truncate.
-// flcheck: widen-ok(clients)
 fn engine_env(key_bits: u32, clients: usize, duplex: u32) -> FlEnv {
-    let accel = backend(BackendKind::FlBooster, key_bits, clients as u32);
+    let parties = u32::try_from(clients).expect("the client sweep tops out at 1024");
+    let accel = backend(BackendKind::FlBooster, key_bits, parties);
     let profile = accel.network_profile().with_duplex_streams(duplex);
     FlEnv {
         network: Network::new(profile, 0x0E7),

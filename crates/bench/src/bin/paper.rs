@@ -524,7 +524,7 @@ fn fig6() -> String {
                 let spec = GpuHe::kernel_spec("he_epoch", key_bits, true);
                 // Utilization depends on the launch geometry only, so the
                 // bodies are unit probes.
-                let probe: Vec<u32> = (0..items.min(1 << 20) as u32).collect();
+                let probe: Vec<u32> = (0..1u32 << 20).take(items).collect();
                 let (_, report) = device.launch(&spec, &probe, 0, 0, |i, _| ItemOutcome {
                     output: (),
                     thread_ops: 1,

@@ -18,7 +18,6 @@
 #![forbid(unsafe_code)]
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 use std::sync::OnceLock;
 
 use fl::data::generators::DatasetSpec;
@@ -26,6 +25,7 @@ use fl::data::Dataset;
 use fl::train::{FlModel, TrainConfig};
 use fl::{Accelerator, BackendKind};
 use he::paillier::PaillierKeyPair;
+use parking_lot::Mutex;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -141,6 +141,10 @@ impl Preset {
 /// Feature counts keep the paper's RCV1 : Avazu : Synthetic ratios
 /// (47 236 : 1 000 000 : 10 000) at the preset's scale; instance counts
 /// are capped so real multi-kilobit crypto finishes in seconds per cell.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "two floors of positive f64s: the scaled feature and non-zero counts"
+)]
 pub fn bench_dataset(kind: DatasetKind, preset: Preset) -> Dataset {
     let (instances, feat_scale) = preset.knobs();
     let mut spec = match kind {
@@ -166,22 +170,12 @@ pub fn bench_dataset(kind: DatasetKind, preset: Preset) -> Dataset {
 pub fn shared_keys(key_bits: u32) -> PaillierKeyPair {
     static CACHE: OnceLock<Mutex<BTreeMap<u32, PaillierKeyPair>>> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(BTreeMap::new()));
-    // By its std path, so flcheck's call graph does not resolve this `get`
-    // by name to one of the rayon shim's (which lock).
-    let cached =
-        std::collections::BTreeMap::get(&cache.lock().expect("key cache poisoned"), &key_bits)
-            .cloned();
-    if let Some(keys) = cached {
+    if let Some(keys) = cache.with(|c| c.get(&key_bits).cloned()) {
         return keys;
     }
-    let mut rng = ChaCha8Rng::seed_from_u64(0xF1B0_0057 ^ key_bits as u64);
+    let mut rng = ChaCha8Rng::seed_from_u64(0xF1B0_0057 ^ u64::from(key_bits));
     let keys = PaillierKeyPair::generate(&mut rng, key_bits).expect("key generation");
-    cache
-        .lock()
-        .expect("key cache poisoned")
-        .entry(key_bits)
-        .or_insert(keys)
-        .clone()
+    cache.with(|c| c.entry(key_bits).or_insert(keys).clone())
 }
 
 /// Builds a backend over the shared keys for `key_bits`.

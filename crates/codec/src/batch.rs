@@ -17,7 +17,8 @@ use crate::{Error, Result};
 pub struct BatchCodec {
     quantizer: Quantizer,
     key_bits: u32,
-    slots_per_word: usize,
+    /// Below `key_bits`, so slot offsets `slot · slot_bits` fit a `u32`.
+    slots_per_word: u32,
 }
 
 impl BatchCodec {
@@ -28,8 +29,7 @@ impl BatchCodec {
         // One slot of headroom is kept: the packed value must stay below
         // the Paillier modulus n (which has exactly key_bits bits), so we
         // leave the top slot free rather than risk z >= n.
-        let slots = (key_bits / slot_bits) as usize;
-        let slots_per_word = slots.saturating_sub(1);
+        let slots_per_word = (key_bits / slot_bits).saturating_sub(1);
         if slots_per_word == 0 {
             return Err(Error::KeyTooSmall {
                 key_bits,
@@ -61,7 +61,7 @@ impl BatchCodec {
     /// Plaintexts packed per big integer (the paper's
     /// `n = ⌊k/(r+⌈log₂p⌉)⌋`, minus the reserved top slot).
     pub fn slots_per_word(&self) -> usize {
-        self.slots_per_word
+        self.slots_per_word as usize
     }
 
     /// Key size this codec packs for.
@@ -71,7 +71,7 @@ impl BatchCodec {
 
     /// Number of packed words needed for `count` values.
     pub fn words_for(&self, count: usize) -> usize {
-        count.div_ceil(self.slots_per_word)
+        count.div_ceil(self.slots_per_word())
     }
 
     /// Compression ratio for `count` values (paper Eq. 11): plaintext
@@ -95,22 +95,19 @@ impl BatchCodec {
     /// Quantizes and packs a gradient vector into big-integer plaintexts
     /// (Eq. 9 layout: slot `i` of a word occupies bits
     /// `[i·(r+b), (i+1)·(r+b))`).
-    // Slot indices are bounded by `slots_per_word`, itself bounded by the
-    // plaintext bit budget (≪ 2^32), so the index cast cannot truncate.
-    // flcheck: widen-ok(i)
     pub fn pack(&self, values: &[f64]) -> Result<Vec<Natural>> {
         let slot_bits = self.quantizer.config().slot_bits();
         let mut words = Vec::with_capacity(self.words_for(values.len()));
-        for chunk in values.chunks(self.slots_per_word) {
+        for chunk in values.chunks(self.slots_per_word()) {
             let mut word = Natural::zero();
             // Packing runs on the data owner's host before encryption; its
             // timing is visible only to the plaintext owner, never to the
             // aggregator.
-            for (i, &v) in chunk.iter().enumerate() {
+            for (slot, &v) in (0u32..).zip(chunk) {
                 let q = self.quantizer.quantize(v)?;
                 // Deliberate sparsity fast path: skip zero slots.
                 if q != 0 {
-                    word.add_assign_ref(&Natural::from(q).shl_bits(i as u32 * slot_bits));
+                    word.add_assign_ref(&Natural::from(q).shl_bits(slot * slot_bits));
                 }
             }
             words.push(word);
@@ -129,11 +126,9 @@ impl BatchCodec {
     /// [`words_for`](Self::words_for) `count` words that hold the values,
     /// or if a word has a bit set past its last used slot — what a
     /// tampered or mis-keyed decryption looks like.
-    // Slot indices are bounded by `slots_per_word` (≪ 2^32): no truncation.
-    // flcheck: widen-ok(slot)
     pub fn unpack_sums(&self, words: &[Natural], count: usize, terms: u32) -> Result<Vec<f64>> {
         self.quantizer.check_terms(terms)?;
-        let available = words.len() * self.slots_per_word;
+        let available = words.len() * self.slots_per_word();
         if count > available {
             return Err(Error::NotEnoughData {
                 requested: count,
@@ -150,12 +145,12 @@ impl BatchCodec {
         let slot_bits = self.quantizer.config().slot_bits();
         let mut out = Vec::with_capacity(count);
         for (i, word) in words.iter().enumerate() {
-            let used = count.saturating_sub(i * self.slots_per_word);
+            let used = count.saturating_sub(i * self.slots_per_word());
             let mut end = 0;
-            for slot in 0..used.min(self.slots_per_word) {
-                let z = word.extract_bits(slot as u32 * slot_bits, slot_bits);
+            for slot in (0..self.slots_per_word).take(used) {
+                let z = word.extract_bits(slot * slot_bits, slot_bits);
                 out.push(self.quantizer.dequantize_sum(z, terms));
-                end = (slot as u32 + 1) * slot_bits;
+                end = (slot + 1) * slot_bits;
             }
             if word.bit_len() > end {
                 return Err(Error::SlotOverflow {
@@ -180,10 +175,8 @@ impl BatchCodec {
 
     /// Upper bound on the packed word value: must stay below `2^key_bits`
     /// so it is a valid Paillier plaintext.
-    // `slots_per_word` is derived from the key/slot bit budget (≪ 2^32).
-    // flcheck: widen-ok(slots_per_word)
     pub fn max_word_bits(&self) -> u32 {
-        (self.slots_per_word as u32) * self.quantizer.config().slot_bits()
+        self.slots_per_word * self.quantizer.config().slot_bits()
     }
 }
 

@@ -565,12 +565,12 @@ impl Accelerator {
 
     /// Accumulated backend timing since the last [`Accelerator::take_timing`].
     pub fn timing(&self) -> AccelTiming {
-        *self.timing.lock()
+        self.timing.with(|t| *t)
     }
 
     /// Returns and clears the accumulated timing.
     pub fn take_timing(&self) -> AccelTiming {
-        std::mem::take(&mut self.timing.lock())
+        self.timing.with(std::mem::take)
     }
 
     /// GPU statistics, when this backend runs on the simulated device.
@@ -595,7 +595,7 @@ impl Accelerator {
     /// exactly their work; every `*_timed` entry point leaves charging to
     /// its caller.
     fn charge_accel(&self, t: &AccelTiming) {
-        *self.timing.lock() += t;
+        self.timing.with(|acc| *acc += t);
     }
 }
 

@@ -78,6 +78,11 @@ impl DatasetSpec {
 
     /// Generates the dataset scaled to `scale · instances` rows
     /// (`0 < scale <= 1`), with at least 8 rows.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "two floors of non-negative f64s: the row count `instances · scale` and a \
+                  feature index `u² · features` below `features`"
+    )]
     pub fn generate(&self, scale: f64) -> Dataset {
         // Documented parameter range.
         // flcheck: allow(pf-assert)
@@ -90,7 +95,7 @@ impl DatasetSpec {
         let relevant = (self.features / 10).clamp(8, 4096);
         let concept: Vec<(u32, f64)> = (0..relevant)
             .map(|i| {
-                let idx = (i * self.features / relevant) as u32;
+                let idx = crate::count_u32(i * self.features / relevant);
                 (idx, rng.gen_range(-2.0..2.0))
             })
             .collect();

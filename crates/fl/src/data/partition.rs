@@ -83,11 +83,11 @@ pub fn vertical_split(dataset: &Dataset, parts: u32) -> Vec<VerticalShard> {
     let per = dataset.num_features / parts_usize;
     let mut shards = Vec::with_capacity(parts_usize);
     for k in 0..parts_usize {
-        let lo = (k * per) as u32;
+        let lo = crate::count_u32(k * per);
         let hi = if k + 1 == parts_usize {
-            dataset.num_features as u32
+            crate::count_u32(dataset.num_features)
         } else {
-            ((k + 1) * per) as u32
+            crate::count_u32((k + 1) * per)
         };
         let rows = dataset
             .rows

@@ -109,7 +109,7 @@ impl Tree {
 
 fn feature_value(shard: &VerticalShard, row: usize, feature: usize) -> f64 {
     let r = &shard.rows[row];
-    match r.indices.binary_search(&(feature as u32)) {
+    match r.indices.binary_search(&crate::count_u32(feature)) {
         Ok(pos) => r.values[pos],
         Err(_) => 0.0,
     }
@@ -326,7 +326,8 @@ impl HeteroSbt {
         }
         // Low-discrepancy stride sample keyed by the node seed.
         let stride = (total / self.max_features_per_node).max(1);
-        let offset = (node_seed as usize) % stride.max(1);
+        // The remainder is below `stride`, so it fits a `usize`.
+        let offset = usize::try_from(node_seed % stride as u64).unwrap_or(0);
         (0..self.max_features_per_node)
             .map(|j| (offset + j * stride) % total)
             .collect()
@@ -415,7 +416,7 @@ impl FlModel for HeteroSbt {
         breakdown.charge(Charge::EncryptCodec, n as f64 * 4.0e-8); // encode/pack
 
         let gh_bytes: u64 = gh_cts.iter().map(|c| c.wire_size_bytes() as u64).sum();
-        let passive = self.shards.len().saturating_sub(1) as u32;
+        let passive = crate::count_u32(self.shards.len().saturating_sub(1));
         if passive > 0 {
             let t = env
                 .network
@@ -570,7 +571,7 @@ impl HeteroSbt {
                             .map(|bucket| {
                                 let gs: f64 = bucket.iter().map(|&i| g[i]).sum();
                                 let hs: f64 = bucket.iter().map(|&i| h[i]).sum();
-                                (gs, hs, bucket.len() as u32)
+                                (gs, hs, crate::count_u32(bucket.len()))
                             })
                             .collect()
                     })

@@ -237,13 +237,14 @@ impl Network {
             }
             retries += 1;
         }
-        *self.stats.lock() += NetStats {
+        let sent = NetStats {
             messages: u64::from(delivered),
             ciphertexts: if delivered { ciphertexts } else { 0 },
             bytes: sent_bytes,
             seconds: total,
             retries,
         };
+        self.stats.with(|s| *s += sent);
         if !delivered {
             return Err(Error::NetworkFailure {
                 attempts: self.cfg.max_attempts,
@@ -264,19 +265,19 @@ impl Network {
 
     /// Snapshot of the traffic counters.
     pub fn stats(&self) -> NetStats {
-        *self.stats.lock()
+        self.stats.with(|s| *s)
     }
 
     /// Clears the traffic counters.
     pub fn reset(&self) {
-        *self.stats.lock() = NetStats::default();
+        self.stats.with(|s| *s = NetStats::default());
     }
 
     fn drop(&self) -> bool {
         if self.cfg.drop_probability <= 0.0 {
             return false;
         }
-        let x = xorshift_step(&mut self.rng_state.lock());
+        let x = self.rng_state.with(xorshift_step);
         let u = (x.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64;
         u < self.cfg.drop_probability
     }

@@ -103,8 +103,9 @@ impl Optimizer for Adam {
             self.t = 0;
         }
         self.t += 1;
-        let b1t = 1.0 - self.beta1.powi(self.t as i32);
-        let b2t = 1.0 - self.beta2.powi(self.t as i32);
+        let t = i32::try_from(self.t).unwrap_or(i32::MAX);
+        let b1t = 1.0 - self.beta1.powi(t);
+        let b2t = 1.0 - self.beta2.powi(t);
         for i in 0..weights.len() {
             let g = grads[i] + self.l2 * weights[i];
             self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g;

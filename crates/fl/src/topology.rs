@@ -14,9 +14,10 @@
 //! aggregate is bit-identical to the flat fold.
 
 /// How participant vectors reach the aggregation server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum AggregationTopology {
     /// Every party uploads straight to the server: one flat fold.
+    #[default]
     Flat,
     /// Parties are grouped under edge aggregators, at most `arity` inputs
     /// per node, recursively until a single root (the server) remains.
@@ -24,12 +25,6 @@ pub enum AggregationTopology {
         /// Fan-in of every aggregator node; at least 2.
         arity: usize,
     },
-}
-
-impl Default for AggregationTopology {
-    fn default() -> Self {
-        AggregationTopology::Flat
-    }
 }
 
 impl AggregationTopology {

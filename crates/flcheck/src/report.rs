@@ -1,24 +1,20 @@
 //! Findings and report serialization (human text + hand-rolled JSON —
 //! the crate carries no serde).
 //!
-//! The JSON report is **schema 8**: every finding carries a `chain`
-//! array (empty for intraprocedural rules, the full call/lock chain for
-//! the interprocedural rules), findings are sorted by (file, line, rule,
-//! message) so output is byte-identical regardless of scan order or
-//! thread count, and the summary enumerates **every** rule of
+//! The JSON report is **schema 9**: a finding is its rule, file, line
+//! and message; findings are sorted by (file, line, rule, message) so
+//! output is byte-identical regardless of scan order or thread count;
+//! and the summary enumerates **every** rule of
 //! [`crate::registry::RULES`] with an explicit count (zero included) —
 //! so a gate greping for one rule's count cannot silently miss a rule
-//! the analyzer stopped running. Schema 8 retired the closure-capture
-//! race family (the compiler enforces it: DESIGN "Static analysis");
-//! later retirements — the unit-flow rules, then the five lock-graph rules
-//! that `lock-leaf` replaced — changed which summary keys appear and left
-//! the shape alone.
+//! the analyzer stopped running. Schema 9 dropped each finding's call
+//! `chain`, which only the retired interprocedural rules filled.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// JSON report schema version emitted by [`Report::render_json`].
-pub const SCHEMA_VERSION: u32 = 8;
+pub const SCHEMA_VERSION: u32 = 9;
 
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,34 +27,16 @@ pub struct Finding {
     pub line: u32,
     /// Human-readable explanation.
     pub message: String,
-    /// Call chain for interprocedural findings (`lock-leaf`,
-    /// `lossy-narrow`), outermost first; empty for single-site findings.
-    pub chain: Vec<String>,
 }
 
 impl Finding {
-    /// Convenience constructor (no chain).
+    /// Convenience constructor.
     pub fn new(rule: &str, file: &str, line: u32, message: impl Into<String>) -> Finding {
         Finding {
             rule: rule.to_string(),
             file: file.to_string(),
             line,
             message: message.into(),
-            chain: Vec::new(),
-        }
-    }
-
-    /// Constructor for interprocedural findings carrying a call chain.
-    pub fn with_chain(
-        rule: &str,
-        file: &str,
-        line: u32,
-        message: impl Into<String>,
-        chain: Vec<String>,
-    ) -> Finding {
-        Finding {
-            chain,
-            ..Finding::new(rule, file, line, message)
         }
     }
 }
@@ -90,15 +68,11 @@ impl Report {
         map
     }
 
-    /// Human-readable rendering, one line per finding (plus its call
-    /// chain, when present) and a summary.
+    /// Human-readable rendering, one line per finding and a summary.
     pub fn render_human(&self) -> String {
         let mut out = String::new();
         for f in &self.findings {
             let _ = writeln!(out, "{}:{}: [{}] {}", f.file, f.line, f.rule, f.message);
-            for (depth, hop) in f.chain.iter().enumerate() {
-                let _ = writeln!(out, "  {}-> {}", "  ".repeat(depth), hop);
-            }
         }
         if self.findings.is_empty() {
             let _ = writeln!(
@@ -132,19 +106,12 @@ impl Report {
             }
             let _ = write!(
                 out,
-                "\n    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"message\": {}, \"chain\": [",
+                "\n    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"message\": {}}}",
                 json_str(&f.rule),
                 json_str(&f.file),
                 f.line,
                 json_str(&f.message)
             );
-            for (j, hop) in f.chain.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&json_str(hop));
-            }
-            out.push_str("]}");
         }
         if !self.findings.is_empty() {
             out.push_str("\n  ");
@@ -196,11 +163,11 @@ mod tests {
         };
         r.sort();
         let j = r.render_json();
-        assert!(j.contains("\"schema\": 8"));
+        assert!(j.contains("\"schema\": 9"));
         assert!(j.contains("\"rule\": \"pf-assert\""));
         assert!(j.contains("a \\\"b\\\".rs"));
         assert!(j.contains("line1\\nline2"));
-        assert!(j.contains("\"chain\": []"));
+        assert!(!j.contains("chain"));
         assert!(j.contains("\"total\": 1"));
         assert!(j.contains("\"pf-assert\": 1"));
     }
@@ -208,7 +175,7 @@ mod tests {
     #[test]
     fn summary_enumerates_every_rule_with_zero_counts() {
         let r = Report {
-            findings: vec![Finding::new("lock-leaf", "a.rs", 1, "bound guard")],
+            findings: vec![Finding::new("ct-return", "a.rs", 1, "early return")],
             files_scanned: 1,
         };
         let j = r.render_json();
@@ -218,35 +185,9 @@ mod tests {
                 "summary missing {rule}: {j}"
             );
         }
-        assert!(j.contains("\"lock-leaf\": 1"));
+        assert!(j.contains("\"ct-return\": 1"));
         assert!(j.contains("\"ct-branch\": 0"));
         assert!(j.contains("\"pf-assert\": 0"));
-        assert!(j.contains("\"lossy-narrow\": 0"));
-    }
-
-    #[test]
-    fn chains_render_in_json_and_human_output() {
-        let mut r = Report {
-            findings: vec![Finding::with_chain(
-                "lock-leaf",
-                "crates/core/src/a.rs",
-                4,
-                "guard held across a call that blocks in `deep`",
-                vec![
-                    "api (crates/core/src/a.rs:4)".to_string(),
-                    "deep (crates/core/src/a.rs:9)".to_string(),
-                ],
-            )],
-            files_scanned: 1,
-        };
-        r.sort();
-        let j = r.render_json();
-        assert!(j.contains(
-            "\"chain\": [\"api (crates/core/src/a.rs:4)\", \"deep (crates/core/src/a.rs:9)\"]"
-        ));
-        let h = r.render_human();
-        assert!(h.contains("-> api (crates/core/src/a.rs:4)"));
-        assert!(h.contains("-> deep (crates/core/src/a.rs:9)"));
     }
 
     #[test]

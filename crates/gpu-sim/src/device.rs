@@ -149,13 +149,13 @@ impl Device {
             divergent_fraction,
             sm_utilization,
         };
-        self.stats.lock().record(&report);
+        self.stats.with(|s| s.record(&report));
         (outputs, report)
     }
 
     /// Snapshot of accumulated statistics.
     pub fn stats(&self) -> DeviceStats {
-        self.stats.lock().clone()
+        self.stats.with(|s| s.clone())
     }
 }
 

@@ -104,7 +104,7 @@ impl ResourceManager {
         // Documented precondition mirroring the CUDA launch constraint.
         // flcheck: allow(pf-assert)
         assert!(
-            block_size > 0 && block_size % 32 == 0,
+            block_size > 0 && block_size.is_multiple_of(32),
             "block must be whole warps"
         );
         ResourceManager {
@@ -143,7 +143,7 @@ impl ResourceManager {
                     // A block must host whole items (size >= lanes) or an
                     // item must span whole blocks (lanes % size == 0);
                     // otherwise items would straddle block boundaries.
-                    if size < lanes && lanes % size != 0 {
+                    if size < lanes && !lanes.is_multiple_of(size) {
                         continue;
                     }
                     // Skip block sizes whose register demand cannot host
@@ -206,15 +206,14 @@ impl ResourceManager {
         effective_regs: u32,
     ) -> LaunchPlan {
         let tpb = threads_per_block.min(cfg.max_threads_per_sm);
-        let num_blocks = total_threads.div_ceil(tpb as u64) as u32;
+        let num_blocks = u32::try_from(total_threads.div_ceil(u64::from(tpb))).unwrap_or(u32::MAX);
 
         let by_threads = cfg.max_threads_per_sm / tpb;
         let by_regs = cfg.registers_per_sm / (effective_regs * tpb).max(1);
-        let by_smem = if spec.shared_mem_per_block == 0 {
-            u32::MAX
-        } else {
-            cfg.shared_mem_per_sm / spec.shared_mem_per_block
-        };
+        let by_smem = cfg
+            .shared_mem_per_sm
+            .checked_div(spec.shared_mem_per_block)
+            .unwrap_or(u32::MAX);
         let by_blocks = cfg.max_blocks_per_sm;
 
         let (blocks_per_sm, limited_by) = [
@@ -237,7 +236,9 @@ impl ResourceManager {
             (cfg.registers_per_sm as f64 / (effective_regs as f64 * resident as f64)).min(1.0);
         let occupancy = resident as f64 / cfg.max_threads_per_sm as f64 * reg_fit * reg_fit;
         let device_resident = (blocks_per_sm.max(1) as u64) * cfg.num_sms as u64;
-        let waves = (num_blocks as u64).div_ceil(device_resident) as u32;
+        // `device_resident >= 1`, so `waves <= num_blocks`, a `u32`.
+        let waves =
+            u32::try_from(u64::from(num_blocks).div_ceil(device_resident)).unwrap_or(u32::MAX);
 
         LaunchPlan {
             threads_per_block: tpb,

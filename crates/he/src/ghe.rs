@@ -490,7 +490,7 @@ impl GpuHe {
     /// with it occupancy, Fig. 6 — scales with the key size.
     pub fn kernel_spec(name: &'static str, key_bits: u32, ciphertext: bool) -> KernelSpec {
         let bits = if ciphertext { 2 * key_bits } else { key_bits };
-        let s = (bits as usize).div_ceil(64) as u32; // operand limbs
+        let s = bits.div_ceil(64); // operand limbs
         let lanes = 32u32;
         let x = s.div_ceil(lanes); // words per lane
         KernelSpec {

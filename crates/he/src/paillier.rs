@@ -392,10 +392,9 @@ fn pool_stream(domain: u64, key_id: u64, seed: u64, index: u64) -> ChaCha8Rng {
 /// would follow its leading zeros).
 fn blinding_exponent(key_id: u64, seed: u64, index: u64, exp_bits: u32) -> Vec<Limb> {
     let mut rng = pool_stream(EXPONENT_DOMAIN, key_id, seed, index);
-    let mut a: Vec<Limb> = (0..exp_bits.div_ceil(LIMB_BITS))
-        .map(|_| rng.gen())
-        .collect();
-    let spare = a.len() as u32 * LIMB_BITS - exp_bits;
+    let limbs = exp_bits.div_ceil(LIMB_BITS);
+    let mut a: Vec<Limb> = (0..limbs).map(|_| rng.gen()).collect();
+    let spare = limbs * LIMB_BITS - exp_bits;
     if let Some(top) = a.last_mut() {
         *top &= Limb::MAX >> spare;
     }

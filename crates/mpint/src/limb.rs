@@ -6,6 +6,16 @@
 //! algorithms in this crate are expressed in terms of the carry/borrow
 //! primitives defined here, which mirror the `(C, S) <- ...` steps of the
 //! paper's Algorithms 1 and 2.
+//!
+//! Splitting a double limb into its two halves is where this module
+//! truncates on purpose: `t as Limb` keeps the low `w` bits, and every
+//! cast here narrows a `DoubleLimb` whose high half is taken separately
+//! (or, in `div2by1`, is zero by the precondition).
+
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "double-limb splits: `as Limb` keeps the low half, the high half is shifted down first"
+)]
 
 /// One word of a multi-precision integer (the paper's base-`2^w` digit).
 pub type Limb = u64;
@@ -19,6 +29,12 @@ pub const LIMB_BITS: u32 = Limb::BITS;
 /// Number of bytes per limb.
 pub const LIMB_BYTES: usize = (LIMB_BITS as usize) / 8;
 
+/// Splits a double limb into `(low, high)`.
+#[inline(always)]
+pub fn split(t: DoubleLimb) -> (Limb, Limb) {
+    (t as Limb, (t >> LIMB_BITS) as Limb)
+}
+
 /// Adds `a + b + carry`, returning `(sum, carry_out)`.
 ///
 /// This is the `(C, S) <- a + b + C` primitive of Algorithm 2; `carry_out`
@@ -26,8 +42,7 @@ pub const LIMB_BYTES: usize = (LIMB_BITS as usize) / 8;
 // flcheck: ct-fn
 #[inline(always)]
 pub fn adc(a: Limb, b: Limb, carry: Limb) -> (Limb, Limb) {
-    let t = a as DoubleLimb + b as DoubleLimb + carry as DoubleLimb;
-    (t as Limb, (t >> LIMB_BITS) as Limb)
+    split(a as DoubleLimb + b as DoubleLimb + carry as DoubleLimb)
 }
 
 /// Subtracts `a - b - borrow`, returning `(diff, borrow_out)`.
@@ -61,8 +76,7 @@ pub fn mac(a: Limb, b: Limb, c: Limb, carry: Limb) -> (Limb, Limb) {
 // flcheck: ct-fn
 #[inline(always)]
 pub fn mul_wide(a: Limb, b: Limb) -> (Limb, Limb) {
-    let t = a as DoubleLimb * b as DoubleLimb;
-    (t as Limb, (t >> LIMB_BITS) as Limb)
+    split(a as DoubleLimb * b as DoubleLimb)
 }
 
 /// Divides the double-limb `(high, low)` by `divisor`, returning

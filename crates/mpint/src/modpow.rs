@@ -20,7 +20,7 @@
 
 use crate::cios;
 use crate::ct::ct_lookup_limbs;
-use crate::limb::{Limb, LIMB_BITS};
+use crate::limb::{split, Limb, LIMB_BITS};
 use crate::montgomery::{MontAcc, MontgomeryCtx};
 use crate::natural::Natural;
 use crate::{Error, Result};
@@ -67,11 +67,8 @@ pub fn mod_pow_ctx(ctx: &MontgomeryCtx, base: &Natural, exp: &Natural) -> Natura
 /// The odd-power table is one flat buffer of `2^(w-1)` fixed-width
 /// entries and the running product a [`MontAcc`]: the number of
 /// allocations is fixed, whatever the exponent length.
-// `i` and `j` walk down from `exp.bit_len() − 1`, itself a `u32`, and are
-// cast only while non-negative.
-// flcheck: widen-ok(i, j)
 pub fn mod_pow_mont(ctx: &MontgomeryCtx, base_m: &Natural, exp: &Natural, window: u32) -> Natural {
-    debug_assert!(window >= 1 && window <= 12);
+    debug_assert!((1..=12).contains(&window));
     if exp.is_zero() {
         return ctx.one_mont();
     }
@@ -97,25 +94,26 @@ pub fn mod_pow_mont(ctx: &MontgomeryCtx, base_m: &Natural, exp: &Natural, window
     // The top exponent bit is set, so the first loop pass opens a window
     // and seeds the accumulator straight from the table.
     let mut acc: Option<MontAcc<'_>> = None;
-    let mut i = exp.bit_len() as i64 - 1;
-    while i >= 0 {
-        if !exp.bit(i as u32) {
+    // Bits [0, end) are still to be scanned, from the top down.
+    let mut end = exp.bit_len();
+    while end > 0 {
+        let i = end - 1;
+        if !exp.bit(i) {
             if let Some(acc) = acc.as_mut() {
                 acc.sqr();
             }
-            i -= 1;
+            end = i;
             continue;
         }
         // Greedy window: longest run of <= `window` bits ending in a 1.
-        let lo = (i - window as i64 + 1).max(0);
-        let mut j = lo;
-        while !exp.bit(j as u32) {
+        let mut j = end.saturating_sub(window);
+        while !exp.bit(j) {
             j += 1;
         }
-        let width = (i - j + 1) as u32;
+        let width = end - j;
         // Window value: bits [j, i] inclusive — always odd, so value/2
         // indexes the odd-power table (value < 2^w ⇒ value/2 < table_len).
-        let value = exp.extract_bits(j as u32, width);
+        let value = exp.extract_bits(j, width);
         debug_assert!(value & 1 == 1);
         let k = (value >> 1) as usize;
         #[expect(
@@ -132,7 +130,7 @@ pub fn mod_pow_mont(ctx: &MontgomeryCtx, base_m: &Natural, exp: &Natural, window
             }
             None => acc = Some(MontAcc::new(ctx, entry.to_vec())),
         }
-        i = j - 1;
+        end = j;
     }
     acc.map_or_else(|| ctx.one_mont(), MontAcc::into_natural)
 }
@@ -256,7 +254,7 @@ pub fn mod_pow_ct(ctx: &MontgomeryCtx, base: &Natural, exp: &Natural, exp_bits: 
         let lo = e.get(at).copied().unwrap_or(0);
         let hi = e.get(at + 1).copied().unwrap_or(0);
         let pair = (lo as u128) | (hi as u128) << LIMB_BITS;
-        (pair >> shift) as Limb & ((1 << window) - 1)
+        split(pair >> shift).0 & ((1 << window) - 1)
     };
 
     let mut acc = vec![0; s];

@@ -43,15 +43,12 @@ pub struct MontgomeryCtx {
 
 impl MontgomeryCtx {
     /// Builds a context for odd `n > 1`.
-    // `width` is the modulus limb count — a few dozen limbs for any real
-    // key size, nowhere near 2^32 — so the bit-count cast cannot truncate.
-    // flcheck: widen-ok(width)
     pub fn new(n: &Natural) -> Result<Self> {
         if n.is_even() || n.is_one() || n.is_zero() {
             return Err(Error::EvenModulus);
         }
         let width = n.limb_len();
-        let r = Natural::one().shl_bits((width as u32) * LIMB_BITS);
+        let r = Natural::one().shl_bits(n.bit_len().div_ceil(LIMB_BITS) * LIMB_BITS);
         #[expect(
             clippy::indexing_slicing,
             reason = "non-empty: the zero modulus was rejected above"
@@ -80,10 +77,11 @@ impl MontgomeryCtx {
         self.width
     }
 
-    /// `log2(R)` in bits.
+    /// `log2(R)` in bits: the modulus's bit length rounded up to whole
+    /// limbs (`n` has no zero top limb, so that is `64·s`).
     #[inline]
     pub fn r_bits(&self) -> u32 {
-        (self.width as u32) * LIMB_BITS
+        self.n.bit_len().div_ceil(LIMB_BITS) * LIMB_BITS
     }
 
     /// `n'_0 = -n^{-1} mod 2^64`, consumed by the CIOS kernel.

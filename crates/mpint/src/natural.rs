@@ -16,7 +16,7 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Rem, Sub, SubAssign};
 
-use crate::limb::{adc, sbb, Limb, LIMB_BITS};
+use crate::limb::{adc, sbb, split, Limb, LIMB_BITS};
 
 /// An arbitrary-precision unsigned integer.
 ///
@@ -93,7 +93,7 @@ impl Natural {
     /// True iff the value is even (0 is even).
     #[inline]
     pub fn is_even(&self) -> bool {
-        self.limbs.first().map_or(true, |l| l & 1 == 0)
+        self.limbs.first().is_none_or(|l| l & 1 == 0)
     }
 
     /// True iff the value is odd.
@@ -114,7 +114,9 @@ impl Natural {
         match self.limbs.last() {
             None => 0,
             Some(top) => {
-                (self.limbs.len() as u32 - 1) * LIMB_BITS + (LIMB_BITS - top.leading_zeros())
+                let below = (self.limbs.len() - 1) * LIMB_BITS as usize;
+                let bits = below + (LIMB_BITS - top.leading_zeros()) as usize;
+                u32::try_from(bits).unwrap_or(u32::MAX)
             }
         }
     }
@@ -194,9 +196,9 @@ impl Natural {
         };
         let mut out = Vec::with_capacity(long.len() + 1);
         let mut carry = 0;
-        for i in 0..long.len() {
+        for (i, &a) in long.iter().enumerate() {
             let b = short.get(i).copied().unwrap_or(0);
-            let (s, c) = adc(long[i], b, carry);
+            let (s, c) = adc(a, b, carry);
             out.push(s);
             carry = c;
         }
@@ -453,7 +455,8 @@ impl_from_unsigned!(u8, u16, u32, u64, usize);
 
 impl From<u128> for Natural {
     fn from(v: u128) -> Self {
-        Natural::from_limbs(vec![v as Limb, (v >> 64) as Limb])
+        let (lo, hi) = split(v);
+        Natural::from_limbs(vec![lo, hi])
     }
 }
 

@@ -22,10 +22,10 @@ pub fn random_bits<R: Rng + ?Sized>(rng: &mut R, bits: u32) -> Natural {
     if bits == 0 {
         return Natural::zero();
     }
-    let limbs = bits.div_ceil(LIMB_BITS) as usize;
+    let limbs = bits.div_ceil(LIMB_BITS);
     let mut v: Vec<Limb> = (0..limbs).map(|_| rng.gen()).collect();
-    let top_bits = bits - (limbs as u32 - 1) * LIMB_BITS;
-    let last = limbs - 1;
+    let top_bits = bits - (limbs - 1) * LIMB_BITS;
+    let last = (limbs - 1) as usize;
     if top_bits < LIMB_BITS {
         v[last] &= (1u64 << top_bits) - 1;
     }
@@ -45,11 +45,11 @@ pub fn random_below<R: Rng + ?Sized>(rng: &mut R, bound: &Natural) -> Natural {
     let bits = bound.bit_len();
     loop {
         // Sample `bits` unconstrained bits; expected < 2 iterations.
-        let limbs = bits.div_ceil(LIMB_BITS) as usize;
+        let limbs = bits.div_ceil(LIMB_BITS);
         let mut v: Vec<Limb> = (0..limbs).map(|_| rng.gen()).collect();
-        let top_bits = bits - (limbs as u32 - 1) * LIMB_BITS;
+        let top_bits = bits - (limbs - 1) * LIMB_BITS;
         if top_bits < LIMB_BITS {
-            let last = limbs - 1;
+            let last = (limbs - 1) as usize;
             v[last] &= (1u64 << top_bits) - 1;
         }
         let candidate = Natural::from_limbs(v);

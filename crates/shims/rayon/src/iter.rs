@@ -61,8 +61,7 @@ impl<T: Send> IndexedSource for OwnedSource<T> {
     }
     fn get(&self, index: usize) -> T {
         self.slots[index]
-            .lock()
-            .take()
+            .with(Option::take)
             .expect("parallel drive evaluated an index twice")
     }
 }

@@ -60,9 +60,9 @@
 //! ```
 //! use rayon::prelude::*;
 //! let items = vec![1u64, 2, 3];
-//! let total = std::sync::Mutex::new(0u64);
-//! let _: Vec<()> = items.par_iter().map(|x| *total.lock().unwrap() += x).collect();
-//! assert_eq!(total.into_inner().unwrap(), 6);
+//! let total = parking_lot::Mutex::new(0u64);
+//! let _: Vec<()> = items.par_iter().map(|x| total.with(|t| *t += x)).collect();
+//! assert_eq!(total.into_inner(), 6);
 //! ```
 
 #![deny(unsafe_code)]

@@ -176,7 +176,9 @@ where
                 Ok(value) => out.push((idx, value)),
                 Err(payload) => {
                     // The first payload stays; a later one is dropped.
-                    first_panic.lock().get_or_insert(payload);
+                    first_panic.with(|slot| {
+                        slot.get_or_insert(payload);
+                    });
                     stop.store(true, Ordering::Relaxed);
                 }
             }

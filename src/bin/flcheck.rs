@@ -69,8 +69,7 @@ fn main() -> ExitCode {
                 eprintln!(
                     "usage: flcheck [--root DIR] [--json FILE] [--rule NAME] [--quiet]\n\
                      \x20      flcheck --rules | --explain RULE\n\
-                     Static analysis: constant-time discipline, panic freedom, \
-                     leaf locks, determinism flow, width conformance.\n\
+                     Static analysis: constant-time discipline and release asserts.\n\
                      --rule NAME    keep only findings for this rule id (repeatable)\n\
                      --rules        print every rule id, one per line\n\
                      --explain RULE print a rule's description and example"
@@ -89,9 +88,7 @@ fn main() -> ExitCode {
         }
     };
     if !rules.is_empty() {
-        report
-            .findings
-            .retain(|f| rules.iter().any(|r| *r == f.rule));
+        report.findings.retain(|f| rules.contains(&f.rule));
     }
 
     if let Some(path) = json_path {

@@ -186,14 +186,14 @@ fn total_acceleration_is_product_of_modules() {
 fn committed_flcheck_report_matches_a_fresh_scan() {
     // `results/flcheck_report.json` is committed so reviewers can read
     // the analyzer's verdict without building; it must never drift from
-    // what the tree actually produces. A fresh scan at schema 8 has to
+    // what the tree actually produces. A fresh scan at schema 9 has to
     // reproduce the committed bytes exactly — zero findings included.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let committed = std::fs::read_to_string(root.join("results/flcheck_report.json"))
         .expect("results/flcheck_report.json is committed");
     assert!(
-        committed.contains("\"schema\": 8"),
-        "committed report is not at schema 8"
+        committed.contains("\"schema\": 9"),
+        "committed report is not at schema 9"
     );
     let fresh = flcheck::run(root).expect("workspace scan").render_json();
     assert_eq!(
@@ -258,8 +258,8 @@ fn toml_table<'a>(manifest: &'a str, header: &str) -> Vec<(&'a str, &'a str)> {
 
 #[test]
 fn panic_freedom_crates_opt_into_the_clippy_table() {
-    // Panic freedom and the bans of `crates/clippy.toml` are clippy's: the
-    // root table denies the nine lints and a stale `#[expect]`, and
+    // Panic freedom, width and the bans of `crates/clippy.toml` are
+    // clippy's: the root table denies the ten lints and a stale `#[expect]`, and
     // exactly the panic-freedom crates inherit it — a crate that drops
     // `[lints] workspace = true` silently leaves the gate.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -275,6 +275,7 @@ fn panic_freedom_crates_opt_into_the_clippy_table() {
     assert_eq!(
         denied,
         [
+            "cast_possible_truncation",
             "disallowed_methods",
             "disallowed_types",
             "expect_used",
@@ -309,7 +310,8 @@ fn panic_freedom_crates_opt_into_the_clippy_table() {
 
 #[test]
 fn clippy_toml_bans_hash_order_clocks_widths_drives_and_unchecked_ops() {
-    // Determinism, the banned calls and reads of key material are clippy's `disallowed-types` and
+    // Determinism, the banned calls, std's guard-holding locks and reads
+    // of key material are clippy's `disallowed-types` and
     // `disallowed-methods`, read for every crate under `crates/`. Tier-1
     // does not run clippy, so a dropped entry, or `crates/bench` dropping
     // its opt-in, would silently reopen what it closed.
@@ -336,6 +338,8 @@ fn clippy_toml_bans_hash_order_clocks_widths_drives_and_unchecked_ops() {
                     "std::collections::HashSet",
                     "std::time::Instant",
                     "std::time::SystemTime",
+                    "std::sync::Mutex",
+                    "std::sync::RwLock",
                 ]
             ),
             (
@@ -358,6 +362,7 @@ fn clippy_toml_bans_hash_order_clocks_widths_drives_and_unchecked_ops() {
     assert_eq!(
         toml_table(&bench, "[lints.clippy]"),
         [
+            ("cast_possible_truncation", "\"deny\""),
             ("disallowed_methods", "\"deny\""),
             ("disallowed_types", "\"deny\"")
         ]
@@ -402,7 +407,7 @@ fn every_directive_is_a_known_kind() {
     // are the grammar in the analyzer's `source.rs`; a comment is a directive when
     // it starts, after doc-comment markers, with the tool's name and a
     // colon, as the parser anchors it.
-    const KINDS: &[&str] = &["allow", "allow-file", "ct-fn", "narrow", "widen-ok"];
+    const KINDS: &[&str] = &["allow", "allow-file", "ct-fn"];
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut unknown = Vec::new();
     for path in collect_files(root).expect("workspace walk") {
