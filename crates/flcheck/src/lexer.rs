@@ -452,9 +452,9 @@ mod tests {
 
     #[test]
     fn nested_block_comments_swallow_lock_syntax() {
-        // Lock-acquisition syntax inside a nested block comment must not
-        // leak tokens: a phantom `lock` ident here would seed the lock
-        // graph with an acquisition that does not exist.
+        // Code inside a nested block comment must not leak tokens: a
+        // phantom ident here would reach the rules as code that does not
+        // exist.
         let src = "/* outer /* let g = self.deques.lock(); */ Mutex::new(0) */ fn f() {}";
         let l = lex(src);
         assert_eq!(idents(src), vec!["fn", "f"]);
@@ -468,8 +468,8 @@ mod tests {
 
     #[test]
     fn raw_strings_swallow_lock_syntax() {
-        // Raw strings (any hash depth) documenting lock idioms must not
-        // produce `lock` / `Mutex` idents or acquisition call shapes.
+        // Raw strings (any hash depth) quoting code must not produce its
+        // idents or call shapes.
         let src = "let a = r\"self.deques.lock()\"; \
                    let b = r#\"Mutex::new(lock(&x))\"#; \
                    let c = br##\"table.lock() /* \"# */\"##;";
