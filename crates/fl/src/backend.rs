@@ -26,7 +26,6 @@ use he::paillier::{Ciphertext, ObfuscatorPool, PaillierKeyPair};
 use he::HeBackend;
 use mpint::Natural;
 use parking_lot::Mutex;
-use rayon::prelude::*;
 
 use crate::net::NetworkConfig;
 use crate::topology::AggregationTopology;
@@ -379,61 +378,79 @@ impl Accelerator {
     /// routed through [`topology`](Self::topology): each edge
     /// aggregator folds its fan-in, then the partial aggregates fold
     /// level by level — flat is the tree with one group, a single fold at
-    /// the server. Each aggregator node is one launch. Homomorphic
-    /// addition is a product of canonical residues mod `n²` —
-    /// associative — so every topology yields the same bits and charges
-    /// the same `parties − 1` additions.
+    /// the server. Each aggregator node is one launch and one charge, and
+    /// each tree level one call, its nodes side by side on the host pool
+    /// ([`HeBackend::sum_batches_each`]). Homomorphic addition is a
+    /// product of canonical residues mod `n²` — associative — so every
+    /// topology yields the same bits and charges the same `parties − 1`
+    /// additions.
     pub fn aggregate(&self, vectors: &[EncryptedVector]) -> Result<EncryptedVector> {
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "`leaf_groups` tiles `0..vectors.len()` exactly"
-        )]
-        let leaves = self
-            .topology
-            .leaf_groups(vectors.len())
-            .into_iter()
-            .map(|g| self.fold_chain(&vectors[g]))
-            .collect::<Result<Vec<_>>>()?;
+        let leaves = self.fold_level(vectors)?;
         self.fold_levels(leaves)
     }
 
     /// Folds one level of partial aggregates into the next until the
     /// root remains (nothing to do when the leaves were one group).
     fn fold_levels(&self, mut level: Vec<EncryptedVector>) -> Result<EncryptedVector> {
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "`leaf_groups` tiles `0..level.len()` exactly"
-        )]
         while level.len() > 1 {
-            level = self
-                .topology
-                .leaf_groups(level.len())
-                .into_iter()
-                .map(|g| self.fold_chain(&level[g]))
-                .collect::<Result<Vec<_>>>()?;
+            level = self.fold_level(&level)?;
         }
         Ok(level.pop().unwrap_or_default())
     }
 
-    /// One aggregator node's fold over its fan-in: one launch and one
-    /// charge, whatever the fan-in (a single vector passes through
-    /// uncharged), parallel over slots.
-    fn fold_chain(&self, vectors: &[EncryptedVector]) -> Result<EncryptedVector> {
-        let (first, rest) = match vectors {
-            [] => return Ok(EncryptedVector::default()),
-            [only] => return Ok(only.clone()),
-            [first, rest @ ..] => (first, rest),
-        };
-        if let Some(v) = rest.iter().find(|v| v.count != first.count) {
-            return Err(length_mismatch(first.count, v.count));
+    /// One tree level: every aggregator node folds its fan-in, one launch
+    /// and one charge per node (a single vector passes through
+    /// uncharged), all in one [`HeBackend::sum_batches_each`] call. The
+    /// earliest failing node's error wins, and a failed level charges
+    /// nothing.
+    fn fold_level(&self, vectors: &[EncryptedVector]) -> Result<Vec<EncryptedVector>> {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`leaf_groups` tiles `0..vectors.len()` exactly"
+        )]
+        let nodes: Vec<&[EncryptedVector]> = self
+            .topology
+            .leaf_groups(vectors.len())
+            .into_iter()
+            .map(|g| &vectors[g])
+            .collect();
+        // The nodes before the first whose sizes do not line up fold;
+        // that node's mismatch is the level's error unless an earlier
+        // node's fold fails first.
+        let mut folds: Vec<Vec<&[Ciphertext]>> = Vec::new();
+        let mut mismatch = None;
+        for node in &nodes {
+            if let [first, rest @ ..] = node {
+                if let Some(v) = rest.iter().find(|v| v.count != first.count) {
+                    mismatch = Some(length_mismatch(first.count, v.count));
+                    break;
+                }
+                if !rest.is_empty() {
+                    folds.push(node.iter().map(|v| v.cts.as_slice()).collect());
+                }
+            }
         }
-        let batches: Vec<&[Ciphertext]> = vectors.iter().map(|v| v.cts.as_slice()).collect();
-        let (cts, t) = self.he.sum_batches(&self.keys.public, &batches)?;
-        self.charge_accel(&Self::accel_timing(&t));
-        Ok(EncryptedVector {
-            cts,
-            count: first.count,
-        })
+        let folds: Vec<&[&[Ciphertext]]> = folds.iter().map(Vec::as_slice).collect();
+        let sums = self.he.sum_batches_each(&self.keys.public, &folds)?;
+        if let Some(e) = mismatch {
+            return Err(e);
+        }
+        let mut sums = sums.into_iter();
+        Ok(nodes
+            .iter()
+            .map(|node| match node {
+                [] => EncryptedVector::default(),
+                [only] => only.clone(),
+                [first, ..] => {
+                    let (cts, t) = sums.next().unwrap_or_default();
+                    self.charge_accel(&Self::accel_timing(&t));
+                    EncryptedVector {
+                        cts,
+                        count: first.count,
+                    }
+                }
+            })
+            .collect())
     }
 
     /// Weighted homomorphic aggregation: slot `j` of the result holds
@@ -443,8 +460,12 @@ impl Accelerator {
     /// as that chain ([`HeBackend::weighted_aggregate`]).
     /// The weighted stage happens exactly once, at the leaves of the
     /// [`topology`](Self::topology) — one group when flat — and upper
-    /// levels only add partials. Key identity is checked per ciphertext,
-    /// so cross-key mixes fail loudly in release builds too.
+    /// levels only add partials. Each tree level is one call, its nodes
+    /// side by side on the host pool, one launch and one charge per node
+    /// ([`HeBackend::weighted_aggregate_each`], then
+    /// [`HeBackend::sum_batches_each`] per upper level). Key identity is
+    /// checked per ciphertext, so cross-key mixes fail loudly in release
+    /// builds too.
     pub fn aggregate_weighted(
         &self,
         vectors: &[EncryptedVector],
@@ -458,19 +479,26 @@ impl Accelerator {
             return Err(length_mismatch(count, v.count));
         }
         let batches: Vec<&[Ciphertext]> = vectors.iter().map(|v| v.cts.as_slice()).collect();
-        let mut leaves = Vec::new();
-        for g in self.topology.leaf_groups(batches.len()) {
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "`leaf_groups` tiles `0..batches.len()`, which the check above \
-                          pins to `weights.len()`"
-            )]
-            let (cts, t) =
-                self.he
-                    .weighted_aggregate(&self.keys.public, &batches[g.clone()], &weights[g])?;
-            self.charge_accel(&Self::accel_timing(&t));
-            leaves.push(EncryptedVector { cts, count });
-        }
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`leaf_groups` tiles `0..batches.len()`, which the check above \
+                      pins to `weights.len()`"
+        )]
+        let nodes: Vec<(&[&[Ciphertext]], &[u64])> = self
+            .topology
+            .leaf_groups(batches.len())
+            .into_iter()
+            .map(|g| (&batches[g.clone()], &weights[g]))
+            .collect();
+        let leaves = self
+            .he
+            .weighted_aggregate_each(&self.keys.public, &nodes)?
+            .into_iter()
+            .map(|(cts, t)| {
+                self.charge_accel(&Self::accel_timing(&t));
+                EncryptedVector { cts, count }
+            })
+            .collect();
         self.fold_levels(leaves)
     }
 
@@ -502,31 +530,26 @@ impl Accelerator {
     /// every non-empty group of its bucket groups folded, and the sums
     /// packed `slot_bits` apart into as few ciphertexts as the key allows
     /// ([`HeBackend::fold_packed`]; a slot as wide as the plaintext word
-    /// keeps one sum per ciphertext). One launch per party, the parties
-    /// side by side on the pool, as hosts on their own servers would run
-    /// them; each party's reply and cost come back in party order for the
-    /// caller's epoch breakdown, and the earliest failing party's error
+    /// keeps one sum per ciphertext). One launch per party, the parties'
+    /// launches side by side on the host pool in one
+    /// [`HeBackend::fold_packed_each`] call, as hosts on their own servers
+    /// would run them; each party's reply and cost come back in party
+    /// order for the caller's epoch breakdown, the device records the
+    /// launches in party order, and the earliest failing party's error
     /// wins at any pool width.
-    ///
-    /// On a packed backend a party's reply is one run, so its launch has
-    /// one item and runs inline on the party's task. Without packing a
-    /// party has several runs, and its launch nests a drive of its own.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "drive home: one fold-and-pack launch per passive party, side by side"
-    )]
     pub fn fold_packed_timed(
         &self,
         parties: &[Vec<Vec<&Ciphertext>>],
         slot_bits: u32,
     ) -> Result<Vec<(Vec<Ciphertext>, AccelTiming)>> {
-        parties
-            .par_iter()
-            .map(|groups| -> Result<_> {
-                let (cts, t) = self.he.fold_packed(&self.keys.public, groups, slot_bits)?;
-                Ok((cts, Self::accel_timing(&t)))
-            })
-            .collect()
+        let parties: Vec<&[Vec<&Ciphertext>]> = parties.iter().map(Vec::as_slice).collect();
+        let folded = self
+            .he
+            .fold_packed_each(&self.keys.public, &parties, slot_bits)?;
+        Ok(folded
+            .into_iter()
+            .map(|(cts, t)| (cts, Self::accel_timing(&t)))
+            .collect())
     }
 
     /// Decrypts ciphertexts to their plaintext words — what
@@ -870,6 +893,51 @@ mod tests {
             .filter(|s| s.kernel == "paillier_weighted_sum")
             .count();
         assert_eq!(weighted_launches, 8);
+    }
+
+    /// One hostile upload in leaf group 5 of 8 fails the weighted tree
+    /// with the error that leaf's own fold raises, at any pool width,
+    /// and the failed call charges nothing.
+    #[test]
+    fn a_hostile_upload_in_leaf_five_fails_the_weighted_tree_with_its_leaf_error() {
+        let keys = keys();
+        let foreign = {
+            let mut rng = ChaCha8Rng::seed_from_u64(0xF0E);
+            PaillierKeyPair::generate(&mut rng, 128).unwrap()
+        };
+        let weights: Vec<u64> = (0..128).map(|i| 1 + 3 * i).collect();
+        for kind in [BackendKind::Fate, BackendKind::Haflo] {
+            let acc = Accelerator::new(kind, keys.clone(), 4)
+                .unwrap()
+                .with_topology(AggregationTopology::tree(16));
+            let mut vectors: Vec<EncryptedVector> = (0..128u64)
+                .map(|k| acc.encrypt(&grads(3), 900 + k).unwrap())
+                .collect();
+            let stranger = Accelerator::new(kind, foreign.clone(), 4).unwrap();
+            vectors[5 * 16 + 9] = stranger.encrypt(&grads(3), 1).unwrap();
+            let leaf: Vec<&[Ciphertext]> =
+                vectors[80..96].iter().map(|v| v.cts.as_slice()).collect();
+            let alone = acc
+                .he
+                .weighted_aggregate(&keys.public, &leaf, &weights[80..96])
+                .unwrap_err();
+            assert_eq!(alone, he::Error::AggregandKeyMismatch { index: 9 });
+            for threads in [1, 2, 8] {
+                let host = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                let _ = acc.take_timing();
+                let err = host.install(|| acc.aggregate_weighted(&vectors, &weights).unwrap_err());
+                let want = crate::Error::Platform(flbooster_core::Error::He(alone.clone()));
+                assert_eq!(err, want, "{kind:?}, threads={threads}");
+                assert_eq!(
+                    acc.timing(),
+                    AccelTiming::default(),
+                    "{kind:?}, threads={threads}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@ use parking_lot::Mutex;
 use rayon::prelude::*;
 
 use crate::config::DeviceConfig;
-use crate::kernel::{ItemOutcome, KernelSpec, LaunchReport};
+use crate::kernel::{ItemOutcome, KernelSpec, Launch, LaunchReport};
 use crate::resource::ResourceManager;
 use crate::stats::DeviceStats;
 
@@ -55,7 +55,8 @@ impl Device {
     }
 
     /// Launches `spec` over `items`, transferring `bytes_in` to the device
-    /// beforehand and `bytes_out` back afterwards.
+    /// beforehand and `bytes_out` back afterwards: the one-launch case of
+    /// [`launch_each`](Self::launch_each).
     ///
     /// Each item runs `body(index, &item)` as its own task on the host
     /// pool; outputs are returned in item order alongside the full
@@ -63,6 +64,10 @@ impl Device {
     /// `body` must not panic across items it wants kept: a panic in any
     /// item cancels the launch and propagates to the caller (the device
     /// and its pool stay usable).
+    #[expect(
+        clippy::expect_used,
+        reason = "`launch_each` returns one entry per launch it is given"
+    )]
     pub fn launch<I, O, F>(
         &self,
         spec: &KernelSpec,
@@ -76,7 +81,37 @@ impl Device {
         O: Send,
         F: Fn(usize, &I) -> ItemOutcome<O> + Sync,
     {
-        let plan = self.manager.plan(&self.config, spec, items.len());
+        let launch = Launch {
+            spec: spec.clone(),
+            items,
+            bytes_in,
+            bytes_out,
+        };
+        self.launch_each(std::slice::from_ref(&launch), |_, i, item| body(i, item))
+            .pop()
+            .expect("one launch in, one report out")
+    }
+
+    /// Runs `launches` as one drive of the host pool: every
+    /// `(launch, item)` pair is its own task, running
+    /// `body(launch, index, &item)`. Each launch is then accounted exactly
+    /// as it would be alone — its own plan, transfers, simulated times and
+    /// [`LaunchReport`] — and recorded in the device's stats in launch
+    /// order, whatever order its items finished in. Outputs come back in
+    /// item order, launches in launch order; an empty launch is recorded
+    /// like any other. A panic in any item cancels the whole call and
+    /// propagates to the caller: nothing is recorded, and the device and
+    /// its pool stay usable.
+    pub fn launch_each<I, O, F>(
+        &self,
+        launches: &[Launch<'_, I>],
+        body: F,
+    ) -> Vec<(Vec<O>, LaunchReport)>
+    where
+        I: Sync,
+        O: Send,
+        F: Fn(usize, usize, &I) -> ItemOutcome<O> + Sync,
+    {
         #[expect(
             clippy::disallowed_methods,
             reason = "LaunchReport.pool_threads is thread-dependent by design (the determinism \
@@ -85,17 +120,58 @@ impl Device {
         )]
         let pool_threads = rayon::current_num_threads();
 
+        let tasks: Vec<(usize, usize, &I)> = launches
+            .iter()
+            .enumerate()
+            .flat_map(|(l, launch)| {
+                launch
+                    .items
+                    .iter()
+                    .enumerate()
+                    .map(move |(i, item)| (l, i, item))
+            })
+            .collect();
         #[expect(
             clippy::disallowed_methods,
-            reason = "drive home: a simulated device launch"
+            reason = "drive home: every simulated device launch of one call, side by side"
         )]
-        let outcomes: Vec<ItemOutcome<O>> = items
+        let outcomes: Vec<ItemOutcome<O>> = tasks
             .par_iter()
-            .enumerate()
-            .map(|(i, item)| body(i, item))
+            .map(|&(l, i, item)| body(l, i, item))
             .collect();
 
-        let mut outputs = Vec::with_capacity(outcomes.len());
+        let mut outcomes = outcomes.into_iter();
+        let done: Vec<(Vec<O>, LaunchReport)> = launches
+            .iter()
+            .map(|launch| {
+                let own = outcomes.by_ref().take(launch.items.len());
+                self.account(launch, pool_threads, own)
+            })
+            .collect();
+        self.stats
+            .with(|s| done.iter().for_each(|(_, report)| s.record(report)));
+        done
+    }
+
+    /// One launch's outputs and report from its items' outcomes, in item
+    /// order: the grid plan, and the three-stage simulated timing of the
+    /// paper's Sec. V-B.
+    fn account<I, O>(
+        &self,
+        launch: &Launch<'_, I>,
+        pool_threads: usize,
+        outcomes: impl Iterator<Item = ItemOutcome<O>>,
+    ) -> (Vec<O>, LaunchReport) {
+        let Launch {
+            spec,
+            items,
+            bytes_in,
+            bytes_out,
+        } = launch;
+        let (bytes_in, bytes_out) = (*bytes_in, *bytes_out);
+        let plan = self.manager.plan(&self.config, spec, items.len());
+
+        let mut outputs = Vec::with_capacity(items.len());
         let mut total_ops: u64 = 0;
         let mut divergent_items: u64 = 0;
         let mut penalized_ops: f64 = 0.0;
@@ -149,7 +225,6 @@ impl Device {
             divergent_fraction,
             sm_utilization,
         };
-        self.stats.with(|s| s.record(&report));
         (outputs, report)
     }
 
@@ -312,6 +387,120 @@ mod tests {
         // The device (and the pool behind it) is still fully usable.
         let (out, _) = d.launch(&spec(), &items, 0, 0, |_, &x| ItemOutcome::new(x + 1, 1));
         assert_eq!(out, items.iter().map(|x| x + 1).collect::<Vec<_>>());
+    }
+
+    fn in_pool<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool");
+        pool.install(f)
+    }
+
+    /// Three launches of different kernels and sizes, the middle one empty.
+    fn mixed<'a>(items: &'a [Vec<u64>; 3]) -> Vec<Launch<'a, u64>> {
+        let divergent = KernelSpec {
+            lanes_per_item: 32,
+            divergence: 1.0,
+            ..KernelSpec::simple("b")
+        };
+        [
+            KernelSpec::simple("a"),
+            KernelSpec::simple("empty"),
+            divergent,
+        ]
+        .into_iter()
+        .zip(items)
+        .enumerate()
+        .map(|(l, (spec, items))| Launch {
+            spec,
+            items,
+            bytes_in: 100 * l as u64 + 7,
+            bytes_out: 3 * l as u64,
+        })
+        .collect()
+    }
+
+    fn body(l: usize, i: usize, &x: &u64) -> ItemOutcome<u64> {
+        ItemOutcome {
+            output: x.wrapping_mul(31) ^ (l as u64) << 40,
+            thread_ops: x % 17 + l as u64,
+            divergent: i % 3 == 0,
+        }
+    }
+
+    #[test]
+    fn launch_each_equals_separate_launches_bit_for_bit_in_launch_order() {
+        let items = [(0..300).collect(), Vec::new(), (5..40).collect()];
+        let launches = mixed(&items);
+        let render =
+            |runs: &[(Vec<u64>, LaunchReport)], d: &Device| format!("{runs:?} {:?}", d.stats());
+        for threads in [1usize, 2, 8] {
+            let (together, apart) = in_pool(threads, || {
+                let d = device();
+                let each = d.launch_each(&launches, body);
+                let together = render(&each, &d);
+                let d = device();
+                let one_by_one: Vec<_> = launches
+                    .iter()
+                    .enumerate()
+                    .map(|(l, launch)| {
+                        d.launch(
+                            &launch.spec,
+                            launch.items,
+                            launch.bytes_in,
+                            launch.bytes_out,
+                            |i, x| body(l, i, x),
+                        )
+                    })
+                    .collect();
+                (together, render(&one_by_one, &d))
+            });
+            assert_eq!(together, apart, "threads={threads}");
+        }
+        // Stats hold one sample per launch, the empty one included, in
+        // launch order.
+        let d = device();
+        let each = in_pool(8, || d.launch_each(&launches, body));
+        let kernels: Vec<_> = d
+            .stats()
+            .utilization_samples
+            .iter()
+            .map(|s| s.kernel)
+            .collect();
+        assert_eq!(kernels, ["a", "empty", "b"]);
+        assert_eq!(d.stats().launches, 3);
+        assert!(each[1].0.is_empty());
+        assert_eq!(each[1].1.divergent_fraction, 0.0);
+        assert_eq!(d.launch_each::<u64, u64, _>(&[], body).len(), 0);
+        assert_eq!(d.stats().launches, 3, "no launches, nothing recorded");
+    }
+
+    #[test]
+    fn a_panic_in_one_launch_cancels_the_call_and_leaves_the_device_usable() {
+        let items = [(0..64).collect(), Vec::new(), (0..64).collect()];
+        let launches = mixed(&items);
+        for threads in [1usize, 2, 8] {
+            let d = device();
+            let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                in_pool(threads, || {
+                    d.launch_each(&launches, |l, i, x| {
+                        if l == 2 && i == 13 {
+                            panic!("unlucky item");
+                        }
+                        body(l, i, x)
+                    })
+                })
+            }));
+            assert!(
+                attempt.is_err(),
+                "threads={threads}: the panic must surface"
+            );
+            assert_eq!(d.stats().launches, 0, "threads={threads}: nothing recorded");
+            let each = in_pool(threads, || d.launch_each(&launches, body));
+            assert_eq!(each.len(), 3);
+            assert_eq!(d.stats().launches, 3, "threads={threads}");
+        }
     }
 
     #[test]

@@ -38,6 +38,21 @@ impl KernelSpec {
     }
 }
 
+/// One kernel launch of a [`Device::launch_each`](crate::Device::launch_each)
+/// call: the kernel, the items it runs over, and the bytes copied to the
+/// device before it and back after it.
+#[derive(Debug, Clone)]
+pub struct Launch<'a, I> {
+    /// The kernel.
+    pub spec: KernelSpec,
+    /// One work item per entry.
+    pub items: &'a [I],
+    /// Bytes copied host→device before the launch.
+    pub bytes_in: u64,
+    /// Bytes copied device→host after it.
+    pub bytes_out: u64,
+}
+
 /// Per-item execution outcome returned by kernel bodies.
 #[derive(Debug, Clone)]
 pub struct ItemOutcome<O> {

@@ -37,5 +37,5 @@ pub mod stats;
 
 pub use config::DeviceConfig;
 pub use device::Device;
-pub use kernel::{ItemOutcome, KernelSpec, LaunchReport};
+pub use kernel::{ItemOutcome, KernelSpec, Launch, LaunchReport};
 pub use stats::{DeviceStats, UtilizationSample};

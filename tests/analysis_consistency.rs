@@ -5,7 +5,7 @@
 //! `results/` holds exactly what `run_harness.sh` regenerates, and the
 //! float-seconds / integer-counts split the charging layers rely on.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use fl::{Accelerator, BackendKind};
 use flbooster_core::analysis;
@@ -519,9 +519,12 @@ fn he_runs_in_one_place_in_fl() {
         "decrypt_batch",
         "add_batch",
         "sum_batches",
+        "sum_batches_each",
         "fold_groups",
         "fold_packed",
+        "fold_packed_each",
         "weighted_aggregate",
+        "weighted_aggregate_each",
         "encrypt_with_obfuscator",
         "precompute_obfuscator",
         "decrypt_crt",
@@ -663,8 +666,93 @@ fn seconds_are_floats_and_counts_are_integers() {
     }
     let want = [
         "crates/fl/src/net.rs::send",
-        "crates/gpu-sim/src/device.rs::launch",
+        "crates/gpu-sim/src/device.rs::account",
         "crates/he/src/ghe.rs::run",
     ];
     assert_eq!(converters, BTreeSet::from(want.map(String::from)));
+}
+
+#[test]
+fn drive_homes_are_the_design_list() {
+    // DESIGN §11 numbers the fns where a pool drive may start. Each holds
+    // exactly one `#[expect(clippy::disallowed_methods, reason = "drive
+    // home: …")]`, and neither such an expectation nor a `par_iter` /
+    // `into_par_iter` call sits anywhere else in the non-test code of the
+    // crates the ban reaches. A listed home `krate::…::name` is matched on
+    // its crate and fn name; lexed, the enclosing fn is the innermost
+    // whose body holds the token, else the next fn (an attribute on it).
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md");
+    let listed: BTreeSet<(String, String)> = design
+        .lines()
+        .skip_while(|l| !l.starts_with("- **Where drives start**"))
+        .skip(1)
+        .take_while(|l| !l.trim().is_empty())
+        .filter_map(|l| {
+            let (number, rest) = l.trim().split_once(". `")?;
+            number.parse::<u32>().ok()?;
+            let path = rest.split('`').next()?;
+            let krate = path.split("::").next()?.replace('_', "-");
+            Some((krate, path.rsplit("::").next()?.to_string()))
+        })
+        .collect();
+    assert!(!listed.is_empty(), "DESIGN §11 lists no drive homes");
+
+    let mut homes: BTreeMap<(String, String), usize> = BTreeMap::new();
+    let mut strays = Vec::new();
+    for krate in PANIC_FREEDOM_CRATES.iter().chain(&["bench"]) {
+        for path in collect_files(&root.join("crates").join(krate).join("src")).expect("walk") {
+            let rel = path
+                .strip_prefix(root)
+                .expect("under root")
+                .display()
+                .to_string();
+            let src = std::fs::read_to_string(&path).expect("read");
+            let lines: Vec<&str> = src.lines().collect();
+            let file = SourceFile::parse(&rel, &src);
+            let toks = &file.tokens;
+            let enclosing = |i: usize| {
+                let f = file
+                    .fns
+                    .iter()
+                    .filter(|f| (f.body_start..f.body_end).contains(&i))
+                    .min_by_key(|f| f.body_end - f.body_start)
+                    .or_else(|| {
+                        let after = file.fns.iter().filter(|f| f.body_start > i);
+                        after.min_by_key(|f| f.body_start)
+                    });
+                (
+                    krate.to_string(),
+                    f.map_or(String::new(), |f| f.name.clone()),
+                )
+            };
+            for i in (2..toks.len()).filter(|&i| !file.in_test_region(i)) {
+                let t = &toks[i];
+                let line = lines.get(t.line as usize - 1).copied().unwrap_or_default();
+                let home = t.kind == TokKind::Lit
+                    && toks[i - 2].is_ident("reason")
+                    && toks[i - 1].is_op("=")
+                    && line.contains("\"drive home:");
+                let drive = t.kind == TokKind::Ident
+                    && ["par_iter", "into_par_iter"].contains(&t.text.as_str())
+                    && toks[i - 1].is_op(".")
+                    && toks.get(i + 1).is_some_and(|n| n.text == "(");
+                if home {
+                    *homes.entry(enclosing(i)).or_default() += 1;
+                }
+                if drive && !listed.contains(&enclosing(i)) {
+                    strays.push(format!("{rel}:{}", t.line));
+                }
+            }
+        }
+    }
+    let want: BTreeMap<(String, String), usize> = listed.into_iter().map(|h| (h, 1)).collect();
+    assert_eq!(
+        homes, want,
+        "left: drive-home expectations per fn; right: DESIGN §11's list, one each"
+    );
+    assert!(
+        strays.is_empty(),
+        "pool drives outside the homes: {strays:?}"
+    );
 }

@@ -557,6 +557,7 @@ fn hetero_sbt_epoch_is_bit_and_charge_identical_at_any_thread_count() {
                     result.loss.to_bits(),
                     format!("{:?}", result.breakdown),
                     format!("{:?}", env.network.stats()),
+                    format!("{:?}", env.accel.device_stats()),
                 )
             });
             assert!(got.0.contains("Split"), "{kind:?}: no split grown");
@@ -564,6 +565,59 @@ fn hetero_sbt_epoch_is_bit_and_charge_identical_at_any_thread_count() {
             assert_eq!(epoch.get_or_insert_with(|| got.clone()), &got, "{what}");
         }
     }
+}
+
+#[test]
+fn multi_party_fold_packed_records_device_stats_in_party_order() {
+    // Every passive party's fold-and-pack launch shares one pool drive;
+    // the device must still record the launches in party order, whatever
+    // order they finish in, so the stats are one value at two threads.
+    // Party 0 has the most runs, so it finishes last if it runs alone.
+    use fl::{Accelerator, BackendKind};
+    use he::paillier::Ciphertext;
+
+    let keys = {
+        let mut rng = ChaCha8Rng::seed_from_u64(0xF01D);
+        PaillierKeyPair::generate(&mut rng, 128).expect("keygen")
+    };
+    let accel = || Accelerator::new(BackendKind::FlBooster, keys.clone(), 5).expect("accel");
+    let words: Vec<Natural> = (0..40u64).map(|i| Natural::from(i * 3 + 1)).collect();
+    let (cts, _) = accel().encrypt_words_timed(&words, 9).expect("encrypt");
+    let slot_bits = 20;
+    let parties: Vec<Vec<Vec<&Ciphertext>>> = [40usize, 12, 3, 25, 7]
+        .iter()
+        .map(|&groups| {
+            (0..groups)
+                .map(|g| cts.iter().skip(g).step_by(groups).take(3).collect())
+                .collect()
+        })
+        .collect();
+    let want: Vec<_> = parties
+        .iter()
+        .flat_map(|party| {
+            let alone = accel();
+            let reply = alone.fold_packed_timed(std::slice::from_ref(party), slot_bits);
+            assert!(reply.expect("fold").len() == 1);
+            alone.device_stats().expect("gpu").utilization_samples
+        })
+        .collect();
+    assert_eq!(want.len(), parties.len());
+    assert!(
+        want.windows(2).all(|w| w[0] != w[1]),
+        "parties must be told apart by their samples"
+    );
+    let mut seen = std::collections::BTreeSet::new();
+    for _ in 0..24 {
+        let acc = accel();
+        in_pool(2, || acc.fold_packed_timed(&parties, slot_bits)).expect("fold");
+        let stats = acc.device_stats().expect("gpu");
+        assert_eq!(
+            stats.utilization_samples, want,
+            "samples out of party order"
+        );
+        seen.insert(format!("{stats:?}"));
+    }
+    assert_eq!(seen.len(), 1, "device stats differ run to run: {seen:#?}");
 }
 
 #[test]
