@@ -145,6 +145,14 @@ impl std::ops::AddAssign<&AccelTiming> for AccelTiming {
 /// "Others" share lands near the paper's 0.1% and FLBooster's near 22%.
 const CODEC_SECONDS_PER_VALUE: f64 = 5.0e-6;
 
+/// One SecureBoost tree node's exchange, uncharged: each party's reply
+/// and its cost in party order, then every reply's words and the
+/// decryption's cost ([`Accelerator::fold_packed_decrypt_timed`]).
+pub type NodeExchange = (
+    Vec<(Vec<Ciphertext>, AccelTiming)>,
+    (Vec<Natural>, AccelTiming),
+);
+
 /// Two encrypted vectors (or a vector list and its weights) that had to
 /// line up and did not.
 fn length_mismatch(left: usize, right: usize) -> crate::Error {
@@ -526,30 +534,36 @@ impl Accelerator {
         ))
     }
 
-    /// Every SecureBoost host's reply for one tree node: for each party,
-    /// every non-empty group of its bucket groups folded, and the sums
-    /// packed `slot_bits` apart into as few ciphertexts as the key allows
+    /// One SecureBoost tree node's exchange: every host's reply and the
+    /// guest's decryption of them. For each party, every non-empty group
+    /// of its bucket groups folded, and the sums packed `slot_bits` apart
+    /// into as few ciphertexts as the key allows
     /// ([`HeBackend::fold_packed`]; a slot as wide as the plaintext word
-    /// keeps one sum per ciphertext). One launch per party, the parties'
-    /// launches side by side on the host pool in one
-    /// [`HeBackend::fold_packed_each`] call, as hosts on their own servers
-    /// would run them; each party's reply and cost come back in party
-    /// order for the caller's epoch breakdown, the device records the
-    /// launches in party order, and the earliest failing party's error
-    /// wins at any pool width.
-    pub fn fold_packed_timed(
+    /// keeps one sum per ciphertext); then every reply's words decrypted
+    /// in party order, as [`decrypt_words_timed`](Self::decrypt_words_timed)
+    /// would. One [`HeBackend::fold_packed_decrypt`] call: one launch per
+    /// party, as hosts on their own servers would run them, and one
+    /// decrypt launch whose items start as their words are packed, all in
+    /// one drive of the host pool. Each party's reply and cost come back
+    /// in party order for the caller's epoch breakdown, then the words and
+    /// the decryption's cost; the device records the launches in that
+    /// order, and the earliest failing party's error wins at any pool
+    /// width.
+    pub fn fold_packed_decrypt_timed(
         &self,
         parties: &[Vec<Vec<&Ciphertext>>],
         slot_bits: u32,
-    ) -> Result<Vec<(Vec<Ciphertext>, AccelTiming)>> {
+    ) -> Result<NodeExchange> {
         let parties: Vec<&[Vec<&Ciphertext>]> = parties.iter().map(Vec::as_slice).collect();
-        let folded = self
+        let node = self
             .he
-            .fold_packed_each(&self.keys.public, &parties, slot_bits)?;
-        Ok(folded
+            .fold_packed_decrypt(&self.keys.private, &parties, slot_bits)?;
+        let replies = node
+            .replies
             .into_iter()
             .map(|(cts, t)| (cts, Self::accel_timing(&t)))
-            .collect())
+            .collect();
+        Ok((replies, (node.words, Self::accel_timing(&node.decrypt))))
     }
 
     /// Decrypts ciphertexts to their plaintext words — what

@@ -19,13 +19,15 @@
 //!    plaintext words as the key holds
 //!    ([`he::HeBackend::fold_packed`]) — one ciphertext per 24 buckets at
 //!    1024 bits; without it each sum keeps a ciphertext to itself. The
-//!    host folds the parties side by side
-//!    ([`Accelerator::fold_packed_timed`](crate::Accelerator::fold_packed_timed)),
-//!    while the epoch still charges and sends their replies in party
-//!    order, summed as serial aggregation time;
+//!    epoch charges and sends the replies in party order, summed as
+//!    serial aggregation time;
 //! 3. the active party decrypts every passive reply of the node in one
 //!    batch, slices the words back into per-bucket sums, evaluates the
-//!    XGBoost split gain, and announces the winner;
+//!    XGBoost split gain, and announces the winner. Steps 2 and 3 are one
+//!    host call per node
+//!    ([`Accelerator::fold_packed_decrypt_timed`](crate::Accelerator::fold_packed_decrypt_timed)):
+//!    the parties fold side by side, and each word is decrypted as soon
+//!    as it is packed;
 //! 4. recursion continues to `max_depth`; leaves get `-G/(H+λ)` weights.
 //!
 //! The active party's own features never leave home, so its histograms
@@ -522,16 +524,18 @@ impl HeteroSbt {
 
         // Each passive party folds its non-empty buckets, packs the sums
         // and uplinks the words; bucket counts travel in the clear. The
-        // parties fold side by side on the host, and are then charged and
-        // sent in party order, as one after another.
+        // active party decrypts the node's replies in one batch. On the
+        // host it is one call: the parties fold side by side and each word
+        // is decrypted as soon as it is packed. The epoch still charges and
+        // sends the parties in party order, as one after another, then
+        // charges the decryption.
         let slot_bits = self.bucket_slot_bits(pk, packed);
         let groups = buckets
             .iter()
             .skip(1)
             .map(|per_feature| self.bucket_groups(per_feature, round.gh_cts, packed))
             .collect::<Result<Vec<_>>>()?;
-        let folded = env.accel.fold_packed_timed(&groups, slot_bits)?;
-        let mut replies: Vec<Ciphertext> = Vec::new();
+        let (folded, (words, decrypt)) = env.accel.fold_packed_decrypt_timed(&groups, slot_bits)?;
         let mut reply_lens = Vec::with_capacity(buckets.len());
         for ((reply, t), per_feature) in folded.into_iter().zip(buckets.iter().skip(1)) {
             breakdown.charge(Charge::Aggregate, t.he_seconds);
@@ -545,17 +549,10 @@ impl HeteroSbt {
             breakdown.he_values += 2 * filled.count() as u64;
 
             reply_lens.push(reply.len());
-            replies.extend(reply);
         }
-
-        // The active party decrypts the node's replies in one batch.
-        let words = if replies.is_empty() {
-            Vec::new()
-        } else {
-            let (words, t) = env.accel.decrypt_words_timed(&replies)?;
-            breakdown.charge(Charge::DecryptHe, t.he_seconds);
-            words
-        };
+        if !words.is_empty() {
+            breakdown.charge(Charge::DecryptHe, decrypt.he_seconds);
+        }
         let mut words = words.as_slice();
 
         let mut best: Option<BestSplit> = None;
@@ -805,11 +802,11 @@ mod tests {
 
                 let groups = model.bucket_groups(&buckets, &gh_cts, packed).unwrap();
                 let slot_bits = model.bucket_slot_bits(pk, packed);
-                let folded = env
+                let (folded, (words, _)) = env
                     .accel
-                    .fold_packed_timed(std::slice::from_ref(&groups), slot_bits);
-                let [(reply, _)] = <[_; 1]>::try_from(folded.unwrap()).unwrap();
-                let (words, _) = env.accel.decrypt_words_timed(&reply).unwrap();
+                    .fold_packed_decrypt_timed(std::slice::from_ref(&groups), slot_bits)
+                    .unwrap();
+                let [(reply, _)] = <[_; 1]>::try_from(folded).unwrap();
                 let got = model.decode_buckets(pk, &words, &buckets, packed).unwrap();
 
                 let owned: Vec<Vec<Ciphertext>> = groups
@@ -868,10 +865,9 @@ mod tests {
             let buckets: Vec<Vec<Vec<usize>>> =
                 vec![signs.iter().map(|&up| vec![usize::from(up); max_terms as usize]).collect()];
             let groups = model.bucket_groups(&buckets, &gh_cts, true).unwrap();
-            let folded = accel.fold_packed_timed(&[groups], slot_bits).unwrap();
+            let (folded, (plain, _)) = accel.fold_packed_decrypt_timed(&[groups], slot_bits).unwrap();
             let [(reply, _)] = <[_; 1]>::try_from(folded).unwrap();
             proptest::prop_assert_eq!(reply.len(), 1);
-            let (plain, _) = accel.decrypt_words_timed(&reply).unwrap();
             let sums = model.decode_buckets(pk, &plain, &buckets, true).unwrap();
             let full = f64::from(max_terms);
             let want: Vec<(f64, f64, u32)> = signs

@@ -37,8 +37,8 @@
 //! [`registry::RULES`] is the one table of rules (id, family,
 //! documentation); `--rules`, `--explain`, the JSON summary and the README
 //! table all derive from it. [`check_file`] runs every rule over one file
-//! (see [`rules`]); [`check_workspace`] maps it over the files on the
-//! rayon shim's pool. See [`source`] for the directive grammar (the
+//! (see [`rules`]); [`check_workspace`] maps it over the files, one
+//! after another. See [`source`] for the directive grammar (the
 //! `ct-fn` marker, `allow` / `allow-file` suppressions).
 //!
 //! The analyzer's own sources are excluded from the default walk: they
@@ -48,10 +48,6 @@
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
-#![allow(
-    clippy::disallowed_methods,
-    reason = "a dev tool: its report is sorted whatever the pool width"
-)]
 
 pub mod lexer;
 pub mod registry;
@@ -59,7 +55,6 @@ pub mod report;
 pub mod rules;
 pub mod source;
 
-use rayon::prelude::*;
 use report::{Finding, Report};
 use source::SourceFile;
 use std::path::{Path, PathBuf};
@@ -95,17 +90,15 @@ pub fn check_file(rel_path: &str, src: &str) -> Vec<Finding> {
 }
 
 /// Analyzes a whole workspace given as (workspace-relative path, source)
-/// pairs: [`check_file`] as a parallel map over the rayon shim's pool,
-/// one file per task. The drive returns results in input order and the
-/// report is sorted, so findings (and the rendered report) are
-/// independent of thread count.
+/// pairs: [`check_file`] over each file in turn, then the findings
+/// sorted. The workspace's ≈ 80 files scan in milliseconds, so the
+/// analyzer starts no pool drive.
 pub fn check_workspace(inputs: &[(String, String)]) -> Report {
-    let per_file: Vec<Vec<Finding>> = inputs
-        .par_iter()
-        .map(|(rel, src)| check_file(rel, src))
-        .collect();
     let mut report = Report {
-        findings: per_file.into_iter().flatten().collect(),
+        findings: inputs
+            .iter()
+            .flat_map(|(rel, src)| check_file(rel, src))
+            .collect(),
         files_scanned: inputs.len(),
     };
     report.sort();

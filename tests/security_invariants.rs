@@ -487,7 +487,7 @@ fn one_hostile_ciphertext_anywhere_in_a_packed_reply_fails_it_closed() {
             }
             for acc in &accels {
                 assert_eq!(
-                    acc.fold_packed_timed(std::slice::from_ref(&groups), slot_bits)
+                    acc.fold_packed_decrypt_timed(std::slice::from_ref(&groups), slot_bits)
                         .unwrap_err(),
                     he_error(error.clone()),
                     "{}, bucket {bucket}",
@@ -514,7 +514,10 @@ fn one_hostile_ciphertext_anywhere_in_a_packed_reply_fails_it_closed() {
             .build()
             .unwrap();
         for acc in &accels {
-            let err = pool.install(|| acc.fold_packed_timed(&parties, slot_bits).unwrap_err());
+            let err = pool.install(|| {
+                acc.fold_packed_decrypt_timed(&parties, slot_bits)
+                    .unwrap_err()
+            });
             assert_eq!(
                 err,
                 he_error(he::Error::CiphertextOutOfRange),
