@@ -73,10 +73,20 @@ pub struct Lexed {
     pub comments: Vec<Comment>,
 }
 
+/// Multi-character operators, each one token; `..=` comes before `..`
+/// so the longer one wins.
+const OPS: &[&str] = &[
+    "..=", "==", "!=", "<=", ">=", "&&", "||", "->", "=>", "::", "..", "+=", "-=", "*=", "/=",
+    "%=", "^=", "|=", "&=", "<<", ">>",
+];
+
 /// Tokenizes `src`. Unterminated constructs consume to end-of-file rather
 /// than erroring: an analyzer must degrade gracefully on torn input.
 pub fn lex(src: &str) -> Lexed {
     let bytes = src.as_bytes();
+    let at = |j: usize| bytes.get(j).copied();
+    // Every cut falls on a char boundary; a torn one reads as "".
+    let text = |a: usize, b: usize| src.get(a..b).unwrap_or_default().to_string();
     let mut out = Lexed::default();
     let mut i = 0usize;
     let mut line: u32 = 1;
@@ -91,144 +101,114 @@ pub fn lex(src: &str) -> Lexed {
         };
     }
 
-    while i < bytes.len() {
-        let c = bytes[i] as char;
+    while let Some(b) = at(i) {
         let start_line = line;
-        match c {
-            '\n' => {
+        match b {
+            b'\n' => {
                 line += 1;
                 i += 1;
             }
-            c if c.is_whitespace() => i += 1,
-            '/' if bytes.get(i + 1) == Some(&b'/') => {
+            _ if (b as char).is_whitespace() => i += 1,
+            b'/' if at(i + 1) == Some(b'/') => {
                 let begin = i + 2;
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
-                }
+                i = bytes
+                    .iter()
+                    .skip(begin)
+                    .position(|&b| b == b'\n')
+                    .map_or(bytes.len(), |p| begin + p);
                 out.comments.push(Comment {
-                    text: src[begin..i].to_string(),
+                    text: text(begin, i),
                     line: start_line,
                 });
             }
-            '/' if bytes.get(i + 1) == Some(&b'*') => {
+            b'/' if at(i + 1) == Some(b'*') => {
                 let begin = i + 2;
                 let mut depth = 1;
                 i += 2;
-                while i < bytes.len() && depth > 0 {
-                    if bytes[i] == b'\n' {
-                        line += 1;
-                        i += 1;
-                    } else if bytes[i] == b'/' && bytes.get(i + 1) == Some(&b'*') {
-                        depth += 1;
-                        i += 2;
-                    } else if bytes[i] == b'*' && bytes.get(i + 1) == Some(&b'/') {
-                        depth -= 1;
-                        i += 2;
-                    } else {
-                        i += 1;
+                while depth > 0 {
+                    match (at(i), at(i + 1)) {
+                        (None, _) => break,
+                        (Some(b'/'), Some(b'*')) => {
+                            depth += 1;
+                            i += 2;
+                        }
+                        (Some(b'*'), Some(b'/')) => {
+                            depth -= 1;
+                            i += 2;
+                        }
+                        (Some(b), _) => {
+                            if b == b'\n' {
+                                line += 1;
+                            }
+                            i += 1;
+                        }
                     }
                 }
-                let end = i.saturating_sub(2).max(begin);
                 out.comments.push(Comment {
-                    text: src[begin..end].to_string(),
+                    text: text(begin, i.saturating_sub(2).max(begin)),
                     line: start_line,
                 });
             }
-            '"' => {
+            b'"' => {
                 i = skip_string(bytes, i, &mut line);
                 push_tok!(TokKind::Lit, "\"..\"".to_string(), start_line);
             }
-            'r' | 'b' if is_raw_or_byte_string(bytes, i) => {
+            b'r' | b'b' if is_raw_or_byte_string(bytes, i) => {
                 i = skip_raw_or_byte_string(bytes, i, &mut line);
                 push_tok!(TokKind::Lit, "\"..\"".to_string(), start_line);
             }
-            '\'' => {
+            b'\'' => {
                 // Lifetime (`'a`) vs char literal (`'a'`, `'\n'`).
                 if let Some(end) = char_literal_end(bytes, i) {
                     i = end;
                     push_tok!(TokKind::Lit, "'..'".to_string(), start_line);
                 } else {
-                    let mut j = i + 1;
-                    while j < bytes.len() && is_ident_char(bytes[j]) {
-                        j += 1;
-                    }
-                    push_tok!(TokKind::Lifetime, src[i..j].to_string(), start_line);
+                    let j = ident_end(bytes, i + 1);
+                    push_tok!(TokKind::Lifetime, text(i, j), start_line);
                     i = j;
                 }
             }
-            'r' if bytes.get(i + 1) == Some(&b'#')
-                && bytes
-                    .get(i + 2)
-                    .is_some_and(|&b| is_ident_char(b) && !b.is_ascii_digit()) =>
+            b'r' if at(i + 1) == Some(b'#')
+                && at(i + 2).is_some_and(|b| is_ident_char(b) && !b.is_ascii_digit()) =>
             {
                 // Raw identifier `r#fn`: one Ident token whose text keeps the
                 // `r#` prefix, so `r#fn` never masquerades as the `fn` keyword.
                 let begin = i;
-                i += 2;
-                while i < bytes.len() && is_ident_char(bytes[i]) {
-                    i += 1;
-                }
-                push_tok!(TokKind::Ident, src[begin..i].to_string(), start_line);
+                i = ident_end(bytes, i + 2);
+                push_tok!(TokKind::Ident, text(begin, i), start_line);
             }
-            c if c.is_ascii_alphabetic() || c == '_' => {
+            _ if b.is_ascii_alphabetic() || b == b'_' => {
                 let begin = i;
-                while i < bytes.len() && is_ident_char(bytes[i]) {
-                    i += 1;
-                }
-                push_tok!(TokKind::Ident, src[begin..i].to_string(), start_line);
+                i = ident_end(bytes, i);
+                push_tok!(TokKind::Ident, text(begin, i), start_line);
             }
-            c if c.is_ascii_digit() => {
+            _ if b.is_ascii_digit() => {
                 let begin = i;
-                while i < bytes.len()
-                    && (is_ident_char(bytes[i]) || bytes[i] == b'.')
-                    && !(bytes[i] == b'.' && bytes.get(i + 1) == Some(&b'.'))
+                // `1..8` must not swallow the range dots.
+                while at(i).is_some_and(|b| is_ident_char(b) || b == b'.')
+                    && !(at(i) == Some(b'.') && at(i + 1) == Some(b'.'))
                 {
-                    // `1..8` must not swallow the range dots.
                     i += 1;
                 }
-                push_tok!(TokKind::Num, src[begin..i].to_string(), start_line);
+                push_tok!(TokKind::Num, text(begin, i), start_line);
             }
-            '(' | '[' | '{' => {
-                push_tok!(TokKind::Open, c.to_string(), start_line);
+            b'(' | b'[' | b'{' => {
+                push_tok!(TokKind::Open, (b as char).to_string(), start_line);
                 i += 1;
             }
-            ')' | ']' | '}' => {
-                push_tok!(TokKind::Close, c.to_string(), start_line);
+            b')' | b']' | b'}' => {
+                push_tok!(TokKind::Close, (b as char).to_string(), start_line);
                 i += 1;
             }
             _ => {
-                let two = src.get(i..i + 2).unwrap_or("");
-                let three = src.get(i..i + 3).unwrap_or("");
-                let op = if three == "..=" {
-                    three
-                } else if matches!(
-                    two,
-                    "==" | "!="
-                        | "<="
-                        | ">="
-                        | "&&"
-                        | "||"
-                        | "->"
-                        | "=>"
-                        | "::"
-                        | ".."
-                        | "+="
-                        | "-="
-                        | "*="
-                        | "/="
-                        | "%="
-                        | "^="
-                        | "|="
-                        | "&="
-                        | "<<"
-                        | ">>"
-                ) {
-                    two
-                } else {
-                    &src[i..i + c.len_utf8()]
-                };
-                push_tok!(TokKind::Op, op.to_string(), start_line);
-                i += op.len();
+                // An operator, or any other char, however many bytes it takes.
+                let rest = src.get(i..).unwrap_or_default();
+                let len = OPS
+                    .iter()
+                    .find(|op| rest.starts_with(**op))
+                    .map_or(utf8_len(b), |op| op.len());
+                push_tok!(TokKind::Op, text(i, i + len), start_line);
+                i += len;
             }
         }
     }
@@ -239,25 +219,35 @@ fn is_ident_char(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
 
+/// The index one past the identifier characters from `from` on.
+fn ident_end(bytes: &[u8], from: usize) -> usize {
+    bytes
+        .iter()
+        .skip(from)
+        .position(|&b| !is_ident_char(b))
+        .map_or(bytes.len(), |p| from + p)
+}
+
 /// Is `r"`, `r#"`, `br"`, `b"`, `b'`... a raw/byte string starting here?
 fn is_raw_or_byte_string(bytes: &[u8], i: usize) -> bool {
+    let at = |j: usize| bytes.get(j).copied();
     let mut j = i;
-    if bytes[j] == b'b' {
+    if at(j) == Some(b'b') {
         j += 1;
     }
-    if j < bytes.len() && bytes[j] == b'r' {
+    if at(j) == Some(b'r') {
         j += 1;
-        while j < bytes.len() && bytes[j] == b'#' {
+        while at(j) == Some(b'#') {
             j += 1;
         }
     }
-    j > i && j < bytes.len() && (bytes[j] == b'"' || (bytes[j] == b'\'' && bytes[i] == b'b'))
+    j > i && (at(j) == Some(b'"') || (at(j) == Some(b'\'') && at(i) == Some(b'b')))
 }
 
 fn skip_string(bytes: &[u8], mut i: usize, line: &mut u32) -> usize {
     i += 1; // opening quote
-    while i < bytes.len() {
-        match bytes[i] {
+    while let Some(&b) = bytes.get(i) {
+        match b {
             b'\\' => {
                 // An escaped newline (line continuation) still ends a line.
                 if bytes.get(i + 1) == Some(&b'\n') {
@@ -277,44 +267,38 @@ fn skip_string(bytes: &[u8], mut i: usize, line: &mut u32) -> usize {
 }
 
 fn skip_raw_or_byte_string(bytes: &[u8], mut i: usize, line: &mut u32) -> usize {
-    if bytes[i] == b'b' {
+    let at = |j: usize| bytes.get(j).copied();
+    if at(i) == Some(b'b') {
         i += 1;
     }
-    if i < bytes.len() && bytes[i] == b'\'' {
+    if at(i) == Some(b'\'') {
         // Byte char literal `b'x'`; an escape consumes the *next* byte too,
         // so `b'\''` does not stop at the escaped quote.
         i += 1;
-        if i < bytes.len() && bytes[i] == b'\\' {
+        if at(i) == Some(b'\\') {
             i += 2;
         }
-        while i < bytes.len() && bytes[i] != b'\'' {
+        while at(i).is_some_and(|b| b != b'\'') {
             i += 1;
         }
         return (i + 1).min(bytes.len());
     }
     let mut hashes = 0usize;
-    if i < bytes.len() && bytes[i] == b'r' {
+    if at(i) == Some(b'r') {
         i += 1;
-        while i < bytes.len() && bytes[i] == b'#' {
+        while at(i) == Some(b'#') {
             hashes += 1;
             i += 1;
         }
     }
-    if i < bytes.len() && bytes[i] == b'"' {
+    if at(i) == Some(b'"') {
         i += 1;
-        'outer: while i < bytes.len() {
-            if bytes[i] == b'\n' {
+        // The string ends at the first `"` followed by all its hashes.
+        while let Some(b) = at(i) {
+            if b == b'\n' {
                 *line += 1;
             }
-            if bytes[i] == b'"' {
-                let mut k = 0;
-                while k < hashes {
-                    if bytes.get(i + 1 + k) != Some(&b'#') {
-                        i += 1;
-                        continue 'outer;
-                    }
-                    k += 1;
-                }
+            if b == b'"' && (1..=hashes).all(|k| at(i + k) == Some(b'#')) {
                 return i + 1 + hashes;
             }
             i += 1;
@@ -326,28 +310,17 @@ fn skip_raw_or_byte_string(bytes: &[u8], mut i: usize, line: &mut u32) -> usize 
 /// Returns the index one past a char literal starting at `i` (which holds
 /// `'`), or `None` when this is a lifetime instead.
 fn char_literal_end(bytes: &[u8], i: usize) -> Option<usize> {
-    let mut j = i + 1;
-    if j >= bytes.len() {
-        return None;
-    }
-    if bytes[j] == b'\\' {
+    let first = *bytes.get(i + 1)?;
+    if first == b'\\' {
         // escaped char: scan to closing quote
-        j += 2;
-        while j < bytes.len() && bytes[j] != b'\'' {
-            j += 1;
-        }
-        return if j < bytes.len() { Some(j + 1) } else { None };
+        let close = bytes.iter().skip(i + 3).position(|&b| b == b'\'')?;
+        return Some(i + 3 + close + 1);
     }
     // `'x'` — one scalar then a quote. Multi-byte UTF-8 chars allowed.
-    let char_len = utf8_len(bytes[j]);
-    let close = j + char_len;
-    if bytes.get(close) == Some(&b'\'') {
-        // `'a'` is a char literal; but `'a' ` in `x<'a>` can't occur since
-        // lifetimes in angle brackets are not followed by `'`.
-        Some(close + 1)
-    } else {
-        None
-    }
+    // `'a'` is a char literal; but `'a' ` in `x<'a>` can't occur since
+    // lifetimes in angle brackets are not followed by `'`.
+    let close = i + 1 + utf8_len(first);
+    (bytes.get(close) == Some(&b'\'')).then_some(close + 1)
 }
 
 fn utf8_len(b: u8) -> usize {
@@ -625,5 +598,14 @@ mod tests {
         let l = lex("let s = \"a\\\nb\";\nlet t = 1;");
         let t = l.tokens.iter().find(|t| t.is_ident("t")).expect("t");
         assert_eq!(t.line, 3);
+    }
+
+    #[test]
+    fn a_multibyte_char_in_code_is_one_token() {
+        // A three-byte char outside a comment or string was once cut at
+        // two bytes, off its char boundary: a panic mid-scan.
+        let got = stream("let a = b → c;");
+        assert!(got.contains(&(TokKind::Op, "→".to_string())), "{got:?}");
+        assert!(got.iter().any(|(k, t)| *k == TokKind::Ident && t == "c"));
     }
 }

@@ -1,68 +1,40 @@
-//! flcheck — workspace static analysis for the FLBooster reproduction.
+//! flcheck — the two source checks neither rustc nor clippy can make,
+//! as a library for the workspace's tests.
 //!
-//! Federated-learning acceleration lives or dies on its cryptographic
-//! core: the Montgomery/CIOS kernels in `mpint` and the Paillier/RSA
-//! paths in `he` process secret plaintexts and private exponents, the GPU
-//! simulator and pipeline are concurrent, and every library crate is
-//! consumed by long-running training jobs that must not abort mid-epoch.
-//! flcheck checks the two disciplines rustc and clippy cannot —
-//! constant-time code and release asserts — file by file, with a
-//! hand-rolled lexer and zero external dependencies (the build
-//! environment has no registry access). What rustc *can* check it leaves
-//! to rustc: no lock guard outlives its closure, because the
-//! `parking_lot` shim's `Mutex` hands out none (`Mutex::with`, a
-//! `compile_fail` doctest on the shim; a second lock on one thread
-//! panics); data-race freedom of closures
-//! crossing the host thread pool
-//! is the `Fn + Sync` bound on the rayon shim's entry points plus
-//! `forbid(unsafe_code)`, pinned by `compile_fail` doctests on the shim;
-//! seconds never meeting counts is `f64` versus `u64`, pinned by
-//! `compile_fail` doctests on `fl::metrics::EpochBreakdown::charge` and
-//! `fl::net::Network::send`; a batched HE op whose cost nobody charges is
-//! a dropped `#[must_use]` `he::ghe::HeTiming` / `fl::backend::AccelTiming`,
-//! pinned by a `compile_fail` doctest on `AccelTiming`; an op-cost
-//! estimator still pricing the kernel it names is a typed fn pointer in
-//! `crates/he/tests/golden_schedule.rs`; key material that is never
-//! compared, printed or indexed is `mpint::ct::Secret`, pinned by
-//! `compile_fail` doctests on it. What clippy can check it leaves
-//! to clippy: `unwrap`, `expect`, the `panic!` family and indexing in the
-//! library crates are denied by the root manifest's
-//! `[workspace.lints.clippy]` table, and hash collections, clocks,
-//! thread-width reads, pool drives outside the drive homes DESIGN §11
-//! lists, the unchecked ciphertext ops, reads of a `Secret` and std's
-//! guard-holding locks are banned by `crates/clippy.toml`; and a
-//! narrowing `as` cast is `clippy::cast_possible_truncation`, denied in
-//! the library crates and `crates/bench`.
+//! The Montgomery/CIOS kernels in `mpint` and the Paillier/RSA paths in
+//! `he` process secret plaintexts and private exponents, and every
+//! library crate runs inside long training jobs that must not abort
+//! mid-epoch. So a function marked `// flcheck: ct-fn` may not branch on,
+//! return early on, short-circuit on or compare its data (ct-discipline),
+//! and the library crates may not release-`assert!` (`pf-assert`); see
+//! [`rules`]. Everything else — panic freedom, determinism, banned calls,
+//! integer width, locks, key material — is rustc's or clippy's (DESIGN
+//! §10). The lexer is hand-rolled: the crate has no dependencies.
 //!
-//! [`registry::RULES`] is the one table of rules (id, family,
-//! documentation); `--rules`, `--explain`, the JSON summary and the README
-//! table all derive from it. [`check_file`] runs every rule over one file
-//! (see [`rules`]); [`check_workspace`] maps it over the files, one
-//! after another. See [`source`] for the directive grammar (the
-//! `ct-fn` marker, `allow` / `allow-file` suppressions).
-//!
-//! The analyzer's own sources are excluded from the default walk: they
-//! discuss directives and violations in documentation and fixtures, and
-//! the tool is a dev-time binary, not part of the library surface. The
-//! dependency shims are skipped too.
+//! [`check_file`] runs both rule families over one file (lexer →
+//! [`source`], which parses the directives, fn spans and test regions →
+//! [`rules`]); [`run`] maps it over the workspace, one file after
+//! another, and sorts the findings. The tier-1 test
+//! `tests/analysis_consistency.rs::the_tree_has_no_flcheck_findings`
+//! asserts that the tree has none. The walk skips `target`, this crate,
+//! its fixtures and the dependency shims.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod lexer;
-pub mod registry;
-pub mod report;
 pub mod rules;
 pub mod source;
 
-use report::{Finding, Report};
+use rules::Finding;
 use source::SourceFile;
 use std::path::{Path, PathBuf};
 
 /// Library crates subject to panic freedom: `pf-assert` here, and the
 /// root manifest's clippy table, which each of them opts into with
-/// `[lints] workspace = true`. `bench` (a binary crate), the dependency
-/// shims, and flcheck itself are out of scope.
+/// `[lints] workspace = true` (as does flcheck itself, outside this
+/// rule's scope). `bench` (a binary crate) and the dependency shims are
+/// out of scope.
 pub const PANIC_FREEDOM_CRATES: &[&str] = &["mpint", "he", "codec", "core", "fl", "gpu-sim"];
 
 /// Path components that terminate the walk.
@@ -91,22 +63,18 @@ pub fn check_file(rel_path: &str, src: &str) -> Vec<Finding> {
 
 /// Analyzes a whole workspace given as (workspace-relative path, source)
 /// pairs: [`check_file`] over each file in turn, then the findings
-/// sorted. The workspace's ≈ 80 files scan in milliseconds, so the
-/// analyzer starts no pool drive.
-pub fn check_workspace(inputs: &[(String, String)]) -> Report {
-    let mut report = Report {
-        findings: inputs
-            .iter()
-            .flat_map(|(rel, src)| check_file(rel, src))
-            .collect(),
-        files_scanned: inputs.len(),
-    };
-    report.sort();
-    report
+/// sorted by (file, line, rule, message), whatever the input order.
+pub fn check_workspace(inputs: &[(String, String)]) -> Vec<Finding> {
+    let mut findings: Vec<Finding> = inputs
+        .iter()
+        .flat_map(|(rel, src)| check_file(rel, src))
+        .collect();
+    findings.sort();
+    findings
 }
 
 /// Recursively collects the `.rs` files to analyze under `root`,
-/// workspace-relative, sorted for deterministic reports.
+/// sorted.
 pub fn collect_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
     let mut stack = vec![root.to_path_buf()];
@@ -117,10 +85,7 @@ pub fn collect_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
             let name = entry.file_name();
             let name = name.to_string_lossy();
             if path.is_dir() {
-                if name.starts_with('.') {
-                    continue;
-                }
-                if !SKIP_DIRS.contains(&name.as_ref()) {
+                if !name.starts_with('.') && !SKIP_DIRS.contains(&name.as_ref()) {
                     stack.push(path);
                 }
             } else if name.ends_with(".rs") {
@@ -132,8 +97,8 @@ pub fn collect_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(files)
 }
 
-/// Runs the full analysis over a workspace rooted at `root`.
-pub fn run(root: &Path) -> std::io::Result<Report> {
+/// Scans the workspace rooted at `root`: its sorted findings.
+pub fn run(root: &Path) -> std::io::Result<Vec<Finding>> {
     let mut inputs = Vec::new();
     for path in collect_files(root)? {
         let rel = path
@@ -168,6 +133,32 @@ mod tests {
         assert_eq!(in_scope.len(), 2);
         let out_of_scope = check_file("crates/bench/src/x.rs", src);
         assert!(out_of_scope.is_empty());
+    }
+
+    #[test]
+    fn sort_is_by_file_line_rule_message() {
+        let mut findings = vec![
+            Finding::new("z", "b.rs", 1, ""),
+            Finding::new("a", "a.rs", 9, ""),
+            Finding::new("b", "a.rs", 2, "first"),
+            Finding::new("a", "a.rs", 2, "second"),
+            Finding::new("a", "a.rs", 2, "first"),
+        ];
+        findings.sort();
+        let order: Vec<_> = findings
+            .iter()
+            .map(|f| (f.file.as_str(), f.line, f.rule.as_str(), f.message.as_str()))
+            .collect();
+        assert_eq!(
+            order,
+            vec![
+                ("a.rs", 2, "a", "first"),
+                ("a.rs", 2, "a", "second"),
+                ("a.rs", 2, "b", "first"),
+                ("a.rs", 9, "a", ""),
+                ("b.rs", 1, "z", "")
+            ]
+        );
     }
 
     #[test]

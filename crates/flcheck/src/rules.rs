@@ -16,20 +16,54 @@
 //!   manifest's `[workspace.lints.clippy]` table denies them.
 
 use crate::lexer::{TokKind, Token};
-use crate::report::Finding;
 use crate::source::{match_brace, SourceFile};
+
+/// Every rule id either family can emit, sorted. An allow naming
+/// anything else suppresses nothing.
+pub const RULES: &[&str] = &[
+    "ct-branch",
+    "ct-compare",
+    "ct-return",
+    "ct-shortcircuit",
+    "pf-assert",
+];
+
+/// One rule violation. The fields are in sort order: findings order by
+/// (file, line, rule, message).
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Finding {
+    /// Workspace-relative file path.
+    pub file: String,
+    /// 1-based line.
+    pub line: u32,
+    /// Rule id, one of [`RULES`].
+    pub rule: String,
+    /// Human-readable explanation.
+    pub message: String,
+}
+
+impl Finding {
+    /// Convenience constructor.
+    pub fn new(rule: &str, file: &str, line: u32, message: impl Into<String>) -> Finding {
+        Finding {
+            file: file.to_string(),
+            line,
+            rule: rule.to_string(),
+            message: message.into(),
+        }
+    }
+}
 
 /// Runs the ct-discipline family over every `ct-fn` in the file.
 pub fn check_ct(file: &SourceFile, out: &mut Vec<Finding>) {
     for f in file.fns.iter().filter(|f| f.is_ct) {
         let toks = &file.tokens;
         let mut i = f.body_start;
-        while i < f.body_end {
+        while let Some(t) = toks.get(i).filter(|_| i < f.body_end) {
             if let Some(skip) = debug_assert_span(toks, i) {
                 i = skip;
                 continue;
             }
-            let t = &toks[i];
             let mut emit = |rule: &str, msg: String| {
                 if !file.is_allowed(rule, t.line) {
                     out.push(Finding::new(rule, &file.rel_path, t.line, msg));
@@ -101,7 +135,7 @@ const ASSERT_MACROS: &[&str] = &["assert", "assert_eq", "assert_ne"];
 pub fn check_panics(file: &SourceFile, out: &mut Vec<Finding>) {
     let toks = &file.tokens;
     let mut i = 0usize;
-    while i < toks.len() {
+    while let Some(t) = toks.get(i) {
         if file.in_test_region(i) {
             i += 1;
             continue;
@@ -110,7 +144,6 @@ pub fn check_panics(file: &SourceFile, out: &mut Vec<Finding>) {
             i = skip;
             continue;
         }
-        let t = &toks[i];
         if t.kind == TokKind::Ident
             && ASSERT_MACROS.contains(&t.text.as_str())
             && is_macro_bang(toks, i)
@@ -133,7 +166,10 @@ pub fn check_panics(file: &SourceFile, out: &mut Vec<Finding>) {
 
 /// `.name(` — an identifier preceded by `.` and followed by `(`.
 fn is_method_call(toks: &[Token], i: usize) -> bool {
-    i > 0 && toks[i - 1].is_op(".") && toks.get(i + 1).map(|t| t.text.as_str()) == Some("(")
+    i.checked_sub(1)
+        .and_then(|p| toks.get(p))
+        .is_some_and(|t| t.is_op("."))
+        && toks.get(i + 1).is_some_and(|t| t.text == "(")
 }
 
 /// `name!(` / `name![` / `name!{` — a macro invocation.
@@ -145,7 +181,7 @@ fn is_macro_bang(toks: &[Token], i: usize) -> bool {
 /// When `i` starts a `debug_assert*!(...)` invocation, returns the index
 /// one past its closing delimiter.
 pub(crate) fn debug_assert_span(toks: &[Token], i: usize) -> Option<usize> {
-    let t = &toks[i];
+    let t = toks.get(i)?;
     if t.kind == TokKind::Ident
         && t.text.starts_with("debug_assert")
         && toks.get(i + 1).is_some_and(|t| t.is_op("!"))

@@ -114,54 +114,33 @@ impl SourceFile {
     fn extract_fns(&mut self, ct_marks: &[u32]) {
         let toks = &self.tokens;
         let mut i = 0usize;
-        while i < toks.len() {
-            if !toks[i].is_ident("fn") {
+        while let Some(t) = toks.get(i) {
+            if !t.is_ident("fn") {
                 i += 1;
                 continue;
             }
-            let fn_line = toks[i].line;
             // Name is the next identifier (skips nothing in practice).
-            let Some(name_idx) = toks[i + 1..]
+            let Some((name_idx, name)) = toks
                 .iter()
-                .position(|t| t.kind == TokKind::Ident)
-                .map(|p| p + i + 1)
+                .enumerate()
+                .skip(i + 1)
+                .find(|(_, t)| t.kind == TokKind::Ident)
             else {
                 break;
             };
-            let name = toks[name_idx].text.clone();
-            // Find the body's `{`: the first brace at zero paren/bracket
-            // depth after the signature. A `;` first means a trait method
-            // declaration or extern item — no body.
-            let mut depth = 0i32;
-            let mut j = name_idx + 1;
-            let mut body = None;
-            while j < toks.len() {
-                let t = &toks[j];
-                match t.kind {
-                    TokKind::Open if t.text != "{" => depth += 1,
-                    TokKind::Close if t.text != "}" => depth -= 1,
-                    TokKind::Open if depth == 0 => {
-                        body = Some(j);
-                        break;
-                    }
-                    TokKind::Op if t.text == ";" && depth == 0 => break,
-                    _ => {}
+            match item_body(toks, name_idx + 1) {
+                Ok(open) => {
+                    self.fns.push(FnSpan {
+                        name: name.text.clone(),
+                        line: t.line,
+                        body_start: open + 1,
+                        body_end: match_brace(toks, open),
+                        is_ct: false,
+                    });
+                    i = open + 1; // nested fns get their own entries
                 }
-                j += 1;
+                Err(stop) => i = stop.max(i + 1),
             }
-            let Some(body_start) = body else {
-                i = j.max(i + 1);
-                continue;
-            };
-            let body_end = match_brace(toks, body_start);
-            self.fns.push(FnSpan {
-                name,
-                line: fn_line,
-                body_start: body_start + 1,
-                body_end,
-                is_ct: false,
-            });
-            i = body_start + 1; // nested fns get their own entries
         }
         // A `ct-fn` marker applies to the first fn that starts after it.
         for &line in ct_marks {
@@ -181,19 +160,20 @@ impl SourceFile {
     fn extract_test_regions(&mut self) {
         let toks = &self.tokens;
         let mut i = 0usize;
-        while i + 2 < toks.len() {
-            if !(toks[i].is_op("#") && toks[i + 1].text == "[") {
+        while i < toks.len() {
+            let Some(attr_end) = attribute_end(toks, i) else {
                 i += 1;
                 continue;
-            }
-            let attr_end = match_brace(toks, i + 1); // index past `]`
-            let inner: Vec<&str> = toks[i + 2..attr_end.saturating_sub(1)]
+            };
+            let inner: Vec<&str> = toks
+                .get(i + 2..attr_end.saturating_sub(1))
+                .unwrap_or_default()
                 .iter()
                 .map(|t| t.text.as_str())
                 .collect();
             let is_test_attr = inner == ["test"]
                 || (inner.len() >= 4
-                    && inner[0] == "cfg"
+                    && inner.first() == Some(&"cfg")
                     && inner.contains(&"test")
                     && !inner.contains(&"not"));
             if !is_test_attr {
@@ -202,33 +182,18 @@ impl SourceFile {
             }
             // Skip any further attributes between this one and the item.
             let mut k = attr_end;
-            while k + 1 < toks.len() && toks[k].is_op("#") && toks[k + 1].text == "[" {
-                k = match_brace(toks, k + 1);
+            while let Some(end) = attribute_end(toks, k) {
+                k = end;
             }
-            // Find the item's opening `{` (mod body or fn body); a `;`
-            // first (e.g. `#[cfg(test)] use ...;`) means no region.
-            let mut depth = 0i32;
-            let mut open = None;
-            while k < toks.len() {
-                let t = &toks[k];
-                match t.kind {
-                    TokKind::Open if t.text != "{" => depth += 1,
-                    TokKind::Close if t.text != "}" => depth -= 1,
-                    TokKind::Open if depth == 0 => {
-                        open = Some(k);
-                        break;
-                    }
-                    TokKind::Op if t.text == ";" && depth == 0 => break,
-                    _ => {}
+            // The item's body is a mod or fn body; a `;` first (e.g.
+            // `#[cfg(test)] use ...;`) means no region.
+            match item_body(toks, k) {
+                Ok(open) => {
+                    let close = match_brace(toks, open);
+                    self.test_regions.push((i, close));
+                    i = close;
                 }
-                k += 1;
-            }
-            if let Some(open) = open {
-                let close = match_brace(toks, open);
-                self.test_regions.push((i, close));
-                i = close;
-            } else {
-                i = k.max(attr_end);
+                Err(stop) => i = stop.max(attr_end),
             }
         }
     }
@@ -242,17 +207,41 @@ fn strip_call<'a>(body: &'a str, name: &str) -> Option<&'a str> {
     rest.split(')').next()
 }
 
+/// When token `i` opens an attribute `#[..]`, the index one past its `]`.
+fn attribute_end(toks: &[Token], i: usize) -> Option<usize> {
+    let opens = toks.get(i)?.is_op("#") && toks.get(i + 1)?.text == "[";
+    opens.then(|| match_brace(toks, i + 1))
+}
+
+/// The index of the first `{` at zero paren/bracket depth from `from`
+/// on: an item's body. `Err` carries where the search stopped instead,
+/// at a `;` at zero depth (a trait method declaration or an extern item
+/// has no body) or at the end of the stream.
+fn item_body(toks: &[Token], from: usize) -> Result<usize, usize> {
+    let mut depth = 0i32;
+    for (j, t) in toks.iter().enumerate().skip(from) {
+        match t.kind {
+            TokKind::Open if t.text != "{" => depth += 1,
+            TokKind::Close if t.text != "}" => depth -= 1,
+            TokKind::Open if depth == 0 => return Ok(j),
+            TokKind::Op if t.text == ";" && depth == 0 => return Err(j),
+            _ => {}
+        }
+    }
+    Err(toks.len())
+}
+
 /// Given the index of an `Open` token, returns the index one past its
 /// matching `Close` (or `tokens.len()` when unbalanced).
 pub fn match_brace(tokens: &[Token], open_idx: usize) -> usize {
     let mut depth = 0i32;
-    for (off, t) in tokens[open_idx..].iter().enumerate() {
+    for (j, t) in tokens.iter().enumerate().skip(open_idx) {
         match t.kind {
             TokKind::Open => depth += 1,
             TokKind::Close => {
                 depth -= 1;
                 if depth == 0 {
-                    return open_idx + off + 1;
+                    return j + 1;
                 }
             }
             _ => {}

@@ -633,26 +633,6 @@ fn multi_party_fold_packed_records_device_stats_in_party_order() {
 }
 
 #[test]
-fn flcheck_report_is_byte_identical_across_thread_counts() {
-    // The analyzer scans file by file and starts no pool drive; the
-    // report it renders must not depend on the pool it is called under.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let single = in_pool(1, || flcheck::run(root).expect("scan at 1 thread"));
-    let wide = in_pool(16, || flcheck::run(root).expect("scan at 16 threads"));
-    let default = flcheck::run(root).expect("scan on the global pool");
-    assert_eq!(
-        single.render_json(),
-        wide.render_json(),
-        "report bytes differ between 1 and 16 workers"
-    );
-    assert_eq!(
-        single.render_json(),
-        default.render_json(),
-        "report bytes differ between pinned and global pools"
-    );
-}
-
-#[test]
 fn panic_in_one_item_surfaces_and_pool_stays_usable() {
     let hit = std::panic::catch_unwind(|| {
         let v: Vec<u32> = (0..64u32).collect();
