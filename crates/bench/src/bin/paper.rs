@@ -15,32 +15,40 @@
 //! Each view is written to `OUT_DIR/<name>.txt` (the names are
 //! [`VIEWS`]) and echoed to stdout. `--quick` selects the trimmed tier
 //! ([`QUICK`]), which `run_harness.sh --quick` writes outside `results/`.
+//! Three views are modeled gates, each check a pure function of its rows:
+//! once every view is written, the binary exits 1 naming each that failed.
 //!
 //! ```text
 //! cargo run -p flbooster-bench --release --bin paper -- [--quick] OUT_DIR
 //! ```
 
 use codec::QuantizerConfig;
+use fl::backend::EncryptedVector;
+use fl::engine::{run_round, EngineConfig};
 use fl::metrics::{convergence_bias, EpochBreakdown, EpochResult, TrainReport};
 use fl::train::{train, FlEnv, TrainConfig};
-use fl::{Accelerator, BackendKind};
+use fl::{Accelerator, AggregationTopology, BackendKind, Network};
 use flbooster_bench::table::{pct, secs, speedup, Table};
 use flbooster_bench::{
-    backend, bench_dataset, harness_train_config, quick_tier, shared_keys, DatasetKind, ModelKind,
-    Preset, PARTICIPANTS,
+    backend, bench_dataset, harness_train_config, shared_keys, DatasetKind, ModelKind, Preset,
+    PARTICIPANTS,
 };
 use flbooster_core::analysis;
 use gpu_sim::resource::ResourceManager;
 use gpu_sim::{Device, DeviceConfig, ItemOutcome};
 use he::ghe::DEFAULT_CPU_SECONDS_PER_OP;
+use he::paillier::Ciphertext;
 use he::GpuHe;
+use mpint::Natural;
+use rand::{RngCore, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use DatasetKind::{Rcv1, Synthetic};
 use ModelKind::{HeteroNn, HeteroSbt, HomoLr};
 
 /// Every file this binary writes, in the order the harness used to run
 /// them, and the view that renders it. A view returns `None` when its
 /// tier does not write it.
-const VIEWS: [(&str, View); 11] = [
+const VIEWS: [(&str, View); 14] = [
     ("fig1_fate_breakdown", View::Matrix(fig1)),
     ("table6_components", View::Matrix(table6)),
     ("fig6_sm_utilization", View::Alone(fig6)),
@@ -52,6 +60,9 @@ const VIEWS: [(&str, View); 11] = [
     ("table7_bias", View::Matrix(table7)),
     ("fig8_convergence", View::Matrix(fig8)),
     ("ablation_quantization", View::Matrix(ablation_quantization)),
+    ("calibrate_cost", View::Gate(calibrate_cost)),
+    ("bench_aggregate", View::Gate(bench_aggregate)),
+    ("bench_rounds", View::Gate(bench_rounds)),
 ];
 
 /// The sweeps that differ between the two tiers.
@@ -67,6 +78,10 @@ struct Tier {
     convergence_models: &'static [ModelKind],
     /// Whether Table III's 2048-bit point (`table3_sweep`) is written.
     key_sweep: bool,
+    /// `bench_aggregate`'s party counts.
+    tree_parties: &'static [usize],
+    /// `bench_rounds`' client counts (all ≥ 64).
+    round_clients: &'static [usize],
 }
 
 /// The full tier: what `results/` holds.
@@ -78,6 +93,8 @@ const FULL: Tier = Tier {
     convergence_epochs: 3,
     convergence_models: &[HomoLr, HeteroNn],
     key_sweep: true,
+    tree_parties: &[1_000, 10_000, 100_000],
+    round_clients: &[64, 256, 1024],
 };
 
 /// The trimmed tier of `--quick`.
@@ -89,6 +106,8 @@ const QUICK: Tier = Tier {
     convergence_epochs: 2,
     convergence_models: &[HomoLr],
     key_sweep: false,
+    tree_parties: &[1_000, 4_000],
+    round_clients: &[64, 128],
 };
 
 /// The key sizes the paper sweeps (Fig. 6, Fig. 7).
@@ -100,6 +119,8 @@ enum View {
     Matrix(fn(&Tier, &mut Matrix) -> Option<String>),
     /// Computed without training.
     Alone(fn() -> String),
+    /// A modeled gate: its text, and whether every check held.
+    Gate(fn(&Tier) -> (String, bool)),
 }
 
 /// One trained model.
@@ -603,19 +624,17 @@ fn table4() -> String {
                 ModelKind::HeteroNn => 2 * 64 * fl::models::HIDDEN,
             }
             .clamp(16, 256);
-            let values: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.61).sin() * 0.9).collect();
             let [fate, haflo, flbooster] = BackendKind::headline().map(|kind| {
-                let acc = backend(kind, 1024, PARTICIPANTS);
-                let enc = acc.encrypt(&values, 7).expect("encrypt");
-                let agg = acc.aggregate(&[enc.clone(), enc]).expect("aggregate");
-                let _ = acc.decrypt_sum(&agg, 2).expect("decrypt");
-                let measured = 2.0 * n as f64 / acc.timing().he_seconds;
-                format!("{measured:.0} / {:.0}", saturated_throughput(kind, 1024))
+                format!(
+                    "{:.0} / {:.0}",
+                    measured_throughput(kind, n),
+                    saturated_throughput(kind, TABLE4_KEY_BITS)
+                )
             });
             table.row([
                 dataset.name().to_string(),
                 model.name().to_string(),
-                "1024".to_string(),
+                TABLE4_KEY_BITS.to_string(),
                 fate,
                 haflo,
                 flbooster,
@@ -628,13 +647,33 @@ fn table4() -> String {
     out
 }
 
-/// Eq.-10-style saturated throughput: one encrypt, one homomorphic add
-/// and one decrypt per instance, `1e6` instances in flight.
-fn saturated_throughput(kind: BackendKind, key_bits: u32) -> f64 {
+/// Key size of Table IV and of the two anchors `calibrate_cost` re-fits.
+const TABLE4_KEY_BITS: u32 = 1024;
+
+/// Table IV's measured cell: `n` values encrypted, folded two ways and
+/// decrypted once, in instances per simulated second.
+fn measured_throughput(kind: BackendKind, n: usize) -> f64 {
+    let acc = backend(kind, TABLE4_KEY_BITS, PARTICIPANTS);
+    let values: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.61).sin() * 0.9).collect();
+    let enc = acc.encrypt(&values, 7).expect("encrypt");
+    let agg = acc.aggregate(&[enc.clone(), enc]).expect("aggregate");
+    let _ = acc.decrypt_sum(&agg, 2).expect("decrypt");
+    2.0 * n as f64 / acc.timing().he_seconds
+}
+
+/// Modeled operations per Table IV instance: one encrypt, one homomorphic
+/// add and one decrypt.
+fn ops_per_item(key_bits: u32) -> u64 {
     let keys = shared_keys(key_bits);
-    let ops_per_item = keys.public.encrypt_op_estimate()
+    keys.public.encrypt_op_estimate()
         + keys.public.add_op_estimate()
-        + keys.private.decrypt_op_estimate();
+        + keys.private.decrypt_op_estimate()
+}
+
+/// Eq.-10-style saturated throughput: [`ops_per_item`] per instance,
+/// `1e6` instances in flight.
+fn saturated_throughput(kind: BackendKind, key_bits: u32) -> f64 {
+    let ops_per_item = ops_per_item(key_bits);
     let values_per_ct = match kind {
         BackendKind::FlBooster | BackendKind::WithoutGhe => {
             (key_bits / 32).saturating_sub(1).max(1) as f64
@@ -667,10 +706,324 @@ fn saturated_throughput(kind: BackendKind, key_bits: u32) -> f64 {
     }
 }
 
+/// Maximum tolerated relative drift of a re-fitted cost constant.
+const MAX_DRIFT: f64 = 0.10;
+/// Paper Table IV @1024: FATE throughput anchor (instances/second).
+const FATE_TARGET: f64 = 360.0;
+/// Paper Table IV @1024: HAFLO throughput anchor (instances/second).
+const HAFLO_TARGET: f64 = 59_000.0;
+/// Values in the Table IV cell HAFLO's anchor reads (the 256-value clamp).
+const HAFLO_VALUES: usize = 256;
+
+/// **Cost-model calibration gate**: the two DESIGN §8 constants Table IV
+/// anchors, re-fitted from Table IV's own numbers. β_cpu is solved from
+/// the Eq.-10 serial path, `1 / (ops_per_item · β_cpu)`, landing FATE on
+/// 360 inst/s; the GPU `sec_per_thread_op` is first-order-solved from the
+/// measured HAFLO cell landing on 59 k/s (kernel time dominates transfer
+/// at this shape, so the fit is `current · measured / target`). Fails
+/// when either shipped constant drifts more than [`MAX_DRIFT`] from its
+/// fit. That each `*_op_estimate` prices the kernel it names is
+/// `crates/he/tests/golden_schedule.rs`'s to pin.
+fn calibrate_cost(_: &Tier) -> (String, bool) {
+    let beta = 1.0 / (FATE_TARGET * ops_per_item(TABLE4_KEY_BITS) as f64);
+    let spto = DeviceConfig::rtx3090().sec_per_thread_op;
+    let haflo = measured_throughput(BackendKind::Haflo, HAFLO_VALUES);
+    let fate_anchor = format!("FATE target {FATE_TARGET}/s");
+    let haflo_anchor = format!("HAFLO measured {haflo:.0}/s vs target {HAFLO_TARGET}/s");
+    let fits = [
+        refit("beta_cpu", DEFAULT_CPU_SECONDS_PER_OP, beta, &fate_anchor),
+        refit(
+            "sec_per_thread_op",
+            spto,
+            spto * haflo / HAFLO_TARGET,
+            &haflo_anchor,
+        ),
+    ];
+    let ok = fits.iter().all(|(_, ok)| *ok);
+    let drift = MAX_DRIFT * 100.0;
+    let verdict = if ok {
+        format!("All calibration checks within {drift:.0}% drift.")
+    } else {
+        format!("DRIFT GATE FAILED: cost model out of calibration (> {drift:.0}% drift)")
+    };
+    let lines = fits.map(|(line, _)| line).concat();
+    let heading = format!("== constant re-fits ({TABLE4_KEY_BITS}-bit anchors) ==");
+    (format!("{heading}\n{lines}{verdict}\n"), ok)
+}
+
+/// One re-fit line, and whether `shipped` is within [`MAX_DRIFT`] of
+/// `fitted`.
+fn refit(name: &str, shipped: f64, fitted: f64, anchor: &str) -> (String, bool) {
+    let drift = (shipped - fitted).abs() / fitted;
+    let (ok, pct) = (drift <= MAX_DRIFT, drift * 100.0);
+    let flag = if ok { "" } else { "  <-- FAILED" };
+    let fit = format!("shipped {shipped:.3e} vs fitted {fitted:.3e}");
+    (
+        format!("  {name}: {fit} (drift {pct:.1}%, {anchor}){flag}\n"),
+        ok,
+    )
+}
+
+/// A table gate's text: heading, table, and its check's verdict.
+fn gate_text(heading: String, table: &Table, (verdict, ok): (String, bool)) -> (String, bool) {
+    (format!("{heading}\n\n{}\n{verdict}", table.render()), ok)
+}
+
+/// Key size of every `bench_aggregate` fold.
+const TREE_KEY_BITS: u32 = 1024;
+/// Edge-aggregator fan-in for the tree comparison.
+const TREE_ARITY: usize = 16;
+/// Distinct ciphertexts generated before tiling (bounds keygen-side
+/// encryption work; aggregation cost does not depend on repetition).
+const BASE_CTS: usize = 64;
+
+/// One party count of `bench_aggregate`.
+struct TreeRow {
+    parties: usize,
+    uplink_messages: u64,
+    uplink_bytes: u64,
+    uplink_sim_seconds: f64,
+    flat_sim_he_seconds: f64,
+    tree_sim_he_seconds: f64,
+    identical: bool,
+}
+
+/// **Aggregation-topology gate**: a weighted fold through a flat server
+/// against a [`TREE_ARITY`]-ary edge-aggregator tree, as full FLBooster
+/// [`Accelerator`] rounds. Edge aggregators fold their fan-in on
+/// simulated GPU devices (each slot charged the Bos–Coster chain it runs,
+/// each launch its fix-up's `R`-power); partials ride up the tree with
+/// per-hop wire charges from [`Network`]. Wall clock for the same folds
+/// is flbench's `accel.aggregate_weighted_ms` / `accel.aggregate_tree_ms`.
+fn bench_aggregate(tier: &Tier) -> (String, bool) {
+    let rows: Vec<TreeRow> = tier.tree_parties.iter().map(|&p| tree_row(p)).collect();
+    let mut table = Table::new([
+        "Parties",
+        "Uplink msgs",
+        "Uplink bytes",
+        "Uplink sim s",
+        "Flat HE sim s",
+        "Tree HE sim s",
+        "Identical",
+    ]);
+    for r in &rows {
+        table.row([
+            r.parties.to_string(),
+            r.uplink_messages.to_string(),
+            r.uplink_bytes.to_string(),
+            format!("{:.4}", r.uplink_sim_seconds),
+            format!("{:.4}", r.flat_sim_he_seconds),
+            format!("{:.4}", r.tree_sim_he_seconds),
+            r.identical.to_string(),
+        ]);
+    }
+    let heading = format!(
+        "Aggregation topology — {TREE_KEY_BITS}-bit keys, tree arity {TREE_ARITY}, parties {:?}",
+        tier.tree_parties
+    );
+    gate_text(heading, &table, tree_gate(&rows))
+}
+
+/// `bench_aggregate`'s check: every tree result is the flat fold's.
+fn tree_gate(rows: &[TreeRow]) -> (String, bool) {
+    let mut out = String::new();
+    for r in rows.iter().filter(|r| !r.identical) {
+        let parties = r.parties;
+        out += &format!("GATE FAILED: tree aggregate at {parties} parties diverged from flat\n");
+    }
+    let ok = out.is_empty();
+    if ok {
+        out += "gate ok: tree results bit-identical to flat\n";
+    }
+    (out, ok)
+}
+
+/// Flat and tree weighted folds of `parties` one-ciphertext uploads, tiled
+/// from [`BASE_CTS`] distinct encryptions, under deterministic odd 32-bit
+/// weights (quantized per-party sample counts).
+fn tree_row(parties: usize) -> TreeRow {
+    let keys = shared_keys(TREE_KEY_BITS);
+    let mut rng = ChaCha8Rng::seed_from_u64(0xA6605 ^ parties as u64);
+    let base: Vec<Ciphertext> = (0..BASE_CTS.min(parties))
+        .map(|i| {
+            let m = Natural::from(rng.next_u64());
+            let r = keys.public.batch_blinding(0xA66, i);
+            keys.public.encrypt_with_r(&m, &r).expect("encrypt")
+        })
+        .collect();
+    let vectors: Vec<EncryptedVector> = (0..parties)
+        .map(|i| EncryptedVector {
+            cts: vec![base[i % base.len()].clone()],
+            count: 1,
+        })
+        .collect();
+    let ws: Vec<u64> = (0..parties as u64)
+        .map(|k| (k.wrapping_mul(2_654_435_761) & 0xFFFF_FFFF) | 1)
+        .collect();
+    let topology = AggregationTopology::tree(TREE_ARITY);
+    let [flat_acc, tree_acc] = [AggregationTopology::Flat, topology]
+        .map(|t| backend(BackendKind::FlBooster, TREE_KEY_BITS, 4).with_topology(t));
+    let flat = flat_acc.aggregate_weighted(&vectors, &ws).expect("flat");
+    let tree = tree_acc.aggregate_weighted(&vectors, &ws).expect("tree");
+
+    // Per-hop wire charges for the intermediate partial aggregates.
+    let net = Network::new(tree_acc.network_profile(), 0x7EE);
+    let hops = topology.uplink_messages(parties);
+    let mut uplink_sim_seconds = 0.0;
+    for _ in 0..hops {
+        uplink_sim_seconds += net
+            .send(tree.ciphertext_count(), tree.bytes())
+            .expect("uplink send");
+    }
+    TreeRow {
+        parties,
+        uplink_messages: hops,
+        uplink_bytes: hops * tree.bytes(),
+        uplink_sim_seconds,
+        flat_sim_he_seconds: flat_acc.take_timing().he_seconds,
+        tree_sim_he_seconds: tree_acc.take_timing().he_seconds,
+        identical: tree == flat,
+    }
+}
+
+/// Key size of every `bench_rounds` round.
+const ROUND_KEY_BITS: u32 = 256;
+/// Gradient components per client (packed to a couple of ciphertexts).
+const VALUES_PER_CLIENT: usize = 8;
+/// Local-compute flops per client per round.
+const FLOPS_PER_CLIENT: u64 = 50_000;
+/// NIC streams the pipelined configuration may overlap.
+const DUPLEX_STREAMS: u32 = 4;
+/// Modeled round-time reduction floor at 64+ clients.
+const SPEEDUP_FLOOR: f64 = 1.5;
+/// Compute heterogeneity profile tiled over the clients.
+const MULTIPLIERS: [f64; 4] = [0.7, 1.0, 1.15, 1.3];
+
+/// One client count of `bench_rounds`. The sequential round overlaps
+/// nothing, so its elapsed seconds are also the work ("Work sim s").
+struct RoundRow {
+    clients: usize,
+    sequential_seconds: f64,
+    pipelined_seconds: f64,
+    identical: bool,
+}
+
+/// **Round-engine gate**: one secure-aggregation round with real crypto
+/// through [`run_round`], twice over the same parties and seeds:
+/// `EngineConfig::sequential()` on a single-stream NIC, and
+/// `EngineConfig::default()` on a [`DUPLEX_STREAMS`]-stream duplex NIC,
+/// both with mild compute heterogeneity. Wall clock for the same rounds
+/// is flbench's `round.engine_seq_ms` / `round.engine_pipelined_ms`.
+fn bench_rounds(tier: &Tier) -> (String, bool) {
+    let rows: Vec<RoundRow> = tier.round_clients.iter().map(|&c| round_row(c)).collect();
+    let mut table = Table::new([
+        "Clients",
+        "Work sim s",
+        "Sequential sim s",
+        "Pipelined sim s",
+        "Speedup",
+        "Identical",
+    ]);
+    for r in &rows {
+        table.row([
+            r.clients.to_string(),
+            format!("{:.4}", r.sequential_seconds),
+            format!("{:.4}", r.sequential_seconds),
+            format!("{:.4}", r.pipelined_seconds),
+            format!("{:.2}x", r.sequential_seconds / r.pipelined_seconds),
+            r.identical.to_string(),
+        ]);
+    }
+    let heading = format!(
+        "Round-engine pipelining — {ROUND_KEY_BITS}-bit keys, {VALUES_PER_CLIENT} values/client, \
+         duplex {DUPLEX_STREAMS}, clients {:?}",
+        tier.round_clients
+    );
+    gate_text(heading, &table, rounds_gate(&rows))
+}
+
+/// `bench_rounds`' two checks, at every client count: the pipelined
+/// round's decrypted sums are the sequential round's, and its modeled
+/// speedup (sequential over pipelined seconds) clears [`SPEEDUP_FLOOR`].
+fn rounds_gate(rows: &[RoundRow]) -> (String, bool) {
+    let mut out = String::new();
+    for r in rows.iter().filter(|r| !r.identical) {
+        let clients = r.clients;
+        out +=
+            &format!("GATE FAILED: pipelined sums diverged from sequential at {clients} clients\n");
+    }
+    let mut ok = out.is_empty();
+    if ok {
+        out += "gate ok: pipelined sums bit-identical to sequential at every client count\n";
+    }
+    for r in rows {
+        let (x, clients) = (r.sequential_seconds / r.pipelined_seconds, r.clients);
+        let fast = x >= SPEEDUP_FLOOR;
+        let (verdict, cmp) = if fast {
+            ("gate ok", ">=")
+        } else {
+            ("GATE FAILED", "< required")
+        };
+        out += &format!(
+            "{verdict}: modeled speedup {x:.2}x at {clients} clients {cmp} {SPEEDUP_FLOOR}x\n"
+        );
+        ok &= fast;
+    }
+    if ok {
+        out += "All round-engine gates passed.\n";
+    }
+    (out, ok)
+}
+
+/// The sequential and pipelined rounds over `clients` parties.
+fn round_row(clients: usize) -> RoundRow {
+    let grads: Vec<Vec<f64>> = (0..clients)
+        .map(|k| {
+            (0..VALUES_PER_CLIENT)
+                .map(|i| ((k * VALUES_PER_CLIENT + i) as f64 * 0.173).sin() * 0.6)
+                .collect()
+        })
+        .collect();
+    let flops = vec![FLOPS_PER_CLIENT; clients];
+    let parties = u32::try_from(clients).expect("the client sweep tops out at 1024");
+    let round = |engine: EngineConfig, duplex: u32| {
+        let accel = backend(BackendKind::FlBooster, ROUND_KEY_BITS, parties);
+        let profile = accel.network_profile().with_duplex_streams(duplex);
+        let env = FlEnv {
+            network: Network::new(profile, 0x0E7),
+            accel,
+        };
+        let engine = engine.with_compute_multipliers(MULTIPLIERS.to_vec());
+        let (seed, mut b) = (0xB00 + clients as u64, EpochBreakdown::default());
+        run_round(
+            &env,
+            &engine,
+            &TrainConfig::default(),
+            &grads,
+            &flops,
+            seed,
+            &mut b,
+        )
+        .expect("round")
+    };
+    let seq = round(EngineConfig::sequential(), 1);
+    let pipe = round(EngineConfig::default(), DUPLEX_STREAMS);
+    RoundRow {
+        clients,
+        sequential_seconds: seq.round_seconds,
+        pipelined_seconds: pipe.round_seconds,
+        identical: pipe.sums == seq.sums,
+    }
+}
+
 fn main() {
-    let (quick, args) = quick_tier(1, "paper [--quick] OUT_DIR");
-    let dir = &args[0];
-    let tier = if quick { &QUICK } else { &FULL };
+    let (flags, dirs): (Vec<String>, Vec<String>) =
+        std::env::args().skip(1).partition(|a| a.starts_with("--"));
+    let (true, [dir]) = (flags.iter().all(|f| f == "--quick"), dirs.as_slice()) else {
+        eprintln!("usage: paper [--quick] OUT_DIR");
+        std::process::exit(2);
+    };
+    let tier = if flags.is_empty() { &FULL } else { &QUICK };
     let mut matrix = Matrix::default();
     for (_, view) in &VIEWS {
         if let View::Matrix(render) = view {
@@ -679,15 +1032,106 @@ fn main() {
     }
     matrix.train();
     std::fs::create_dir_all(dir).expect("output directory");
+    let mut failed = Vec::new();
     for (name, view) in &VIEWS {
         let text = match view {
             View::Matrix(render) => render(tier, &mut matrix),
             View::Alone(compute) => Some(compute()),
+            View::Gate(check) => {
+                let (text, ok) = check(tier);
+                failed.extend((!ok).then_some(*name));
+                Some(text)
+            }
         };
         if let Some(text) = text {
             let path = std::path::Path::new(dir).join(format!("{name}.txt"));
             std::fs::write(&path, &text).expect("write view");
             println!("=== {} ===\n{text}", path.display());
+        }
+    }
+    if !failed.is_empty() {
+        eprintln!("paper: gates failed: {}", failed.join(", "));
+        std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn tree_row_at(parties: usize, identical: bool) -> TreeRow {
+        TreeRow {
+            parties,
+            uplink_messages: 0,
+            uplink_bytes: 0,
+            uplink_sim_seconds: 0.0,
+            flat_sim_he_seconds: 0.0,
+            tree_sim_he_seconds: 0.0,
+            identical,
+        }
+    }
+
+    fn round_row_at(clients: usize, speedup: f64, identical: bool) -> RoundRow {
+        RoundRow {
+            clients,
+            sequential_seconds: speedup,
+            pipelined_seconds: 1.0,
+            identical,
+        }
+    }
+
+    #[test]
+    fn a_tree_result_that_is_not_the_flat_one_fails_the_tree_gate() {
+        let rows = [tree_row_at(1_000, true), tree_row_at(10_000, true)];
+        assert_eq!(
+            tree_gate(&rows),
+            (
+                "gate ok: tree results bit-identical to flat\n".to_string(),
+                true
+            )
+        );
+        let rows = [tree_row_at(1_000, true), tree_row_at(10_000, false)];
+        assert_eq!(
+            tree_gate(&rows),
+            (
+                "GATE FAILED: tree aggregate at 10000 parties diverged from flat\n".to_string(),
+                false
+            )
+        );
+    }
+
+    #[test]
+    fn a_slow_or_divergent_round_fails_the_rounds_gate() {
+        let (text, ok) = rounds_gate(&[round_row_at(64, 1.5, true)]);
+        assert!(ok, "{text}");
+        assert!(text.ends_with("All round-engine gates passed.\n"));
+
+        let (text, ok) = rounds_gate(&[round_row_at(64, 4.0, true), round_row_at(256, 1.49, true)]);
+        assert!(!ok);
+        assert!(text.contains("gate ok: modeled speedup 4.00x at 64 clients >= 1.5x\n"));
+        assert!(
+            text.contains("GATE FAILED: modeled speedup 1.49x at 256 clients < required 1.5x\n")
+        );
+        assert!(!text.contains("All round-engine gates passed."));
+
+        let (text, ok) = rounds_gate(&[round_row_at(64, 4.0, true), round_row_at(256, 4.0, false)]);
+        assert!(!ok);
+        assert!(text
+            .starts_with("GATE FAILED: pipelined sums diverged from sequential at 256 clients\n"));
+        assert!(!text.contains("bit-identical"));
+    }
+
+    #[test]
+    fn a_refit_past_the_drift_bound_fails() {
+        assert!(refit("c", 1.099, 1.0, "anchor").1);
+        assert!(refit("c", 0.901, 1.0, "anchor").1);
+        for shipped in [1.101, 0.899] {
+            let (line, ok) = refit("c", shipped, 1.0, "anchor");
+            assert!(!ok);
+            assert!(
+                line.ends_with("(drift 10.1%, anchor)  <-- FAILED\n"),
+                "{line}"
+            );
         }
     }
 }

@@ -1,10 +1,8 @@
-//! Shared scaffolding for the harness binaries.
-//!
-//! `src/bin/paper.rs` regenerates every table and figure of the paper's
-//! evaluation (Sec. VI); the other binaries are modeled gates. They
-//! share: scaled dataset presets, deterministic per-key-size key
-//! material, a model factory, simple table rendering, and the one flag,
-//! `--quick`.
+//! Shared scaffolding for the experiment binary, `src/bin/paper.rs`,
+//! which regenerates every table and figure of the paper's evaluation
+//! (Sec. VI) and the modeled gates beside them: scaled dataset presets,
+//! deterministic per-key-size key material, a model factory and simple
+//! table rendering.
 //!
 //! Scaling: the paper's full datasets (677 k–1.7 M instances, up to 1 M
 //! features) with 1024–4096-bit CPU Paillier would take days per cell, as
@@ -194,28 +192,6 @@ pub fn harness_train_config() -> TrainConfig {
 
 /// Participants in every experiment (the paper's four servers).
 pub const PARTICIPANTS: u32 = 4;
-
-/// Reads the one flag of this crate's binaries, `--quick` (the trimmed
-/// tier), and the binary's `positional` other arguments. Exits with
-/// `usage` on any other flag or count.
-pub fn quick_tier(positional: usize, usage: &str) -> (bool, Vec<String>) {
-    let (mut quick, mut unknown) = (false, false);
-    let mut rest = Vec::new();
-    for arg in std::env::args().skip(1) {
-        if arg == "--quick" {
-            quick = true;
-        } else if arg.starts_with("--") {
-            unknown = true;
-        } else {
-            rest.push(arg);
-        }
-    }
-    if unknown || rest.len() != positional {
-        eprintln!("usage: {usage}");
-        std::process::exit(2);
-    }
-    (quick, rest)
-}
 
 #[cfg(test)]
 mod tests {

@@ -308,7 +308,7 @@ mod tests {
         // The first bit of the partial word's first unused slot, then the
         // full word's reserved top slot.
         let partial_end = 3 * slot_bits;
-        let full_end = spw as u32 * slot_bits;
+        let full_end = u32::try_from(spw).unwrap() * slot_bits;
         for (word, end) in [(1usize, partial_end), (0, full_end)] {
             let mut bad = packed.clone();
             bad[word].add_assign_ref(&Natural::from(1u64).shl_bits(end));

@@ -262,7 +262,7 @@ mod tests {
         let q = quantizer(20, 4);
         let values = [0.25, -0.5, 0.75, -0.125];
         let z: u64 = values.iter().map(|&m| q.quantize(m).unwrap()).sum();
-        let sum = q.dequantize_sum(z, values.len() as u32);
+        let sum = q.dequantize_sum(z, u32::try_from(values.len()).unwrap());
         let expected: f64 = values.iter().sum();
         assert!((sum - expected).abs() <= values.len() as f64 * q.max_error());
     }

@@ -120,7 +120,7 @@ mod tests {
     fn compression_ratio_bounded_by_slot_count() {
         for n in [1u64, 10, 31, 32, 33, 100_000] {
             let r = compression_ratio(n, 1024, 30, 4);
-            assert!(r >= 1.0 && r <= 32.0, "n={n}: {r}");
+            assert!((1.0..=32.0).contains(&r), "n={n}: {r}");
         }
         assert_eq!(compression_ratio(0, 1024, 30, 4), 1.0);
     }

@@ -822,7 +822,7 @@ mod tests {
                     .flatten()
                     .zip(per_bucket.chunks(streams))
                     .map(|(bucket, words)| {
-                        let terms = bucket.len() as u32;
+                        let terms = u32::try_from(bucket.len()).unwrap();
                         let (gs, hs) = model.decode_gh_sum(words, terms, packed).unwrap();
                         (gs, hs, terms)
                     })

@@ -255,7 +255,7 @@ mod tests {
                 let env = env();
                 let mut b = EpochBreakdown::default();
                 let back = env
-                    .encrypted_broadcast(&values, receivers as usize, 9, &mut b)
+                    .encrypted_broadcast(&values, usize::try_from(receivers).unwrap(), 9, &mut b)
                     .unwrap();
                 let bound = env.accel.codec().quantizer().max_error();
                 for ((v, r), x) in values.iter().zip(&back).zip(&exchanged) {

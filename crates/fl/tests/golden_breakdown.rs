@@ -196,11 +196,10 @@ fn words(b: &EpochBreakdown, loss: f64) -> Golden {
 /// a row is a reading of the deltas rather than a hex hunt.
 fn moved_fields(golden: &Golden, got: &Golden) -> Vec<String> {
     let mut moved = Vec::new();
-    for (i, (&old, &new)) in golden.iter().zip(got).enumerate() {
+    for (i, ((&old, &new), name)) in golden.iter().zip(got).zip(FIELDS).enumerate() {
         if old == new {
             continue;
         }
-        let name = FIELDS[i];
         moved.push(if COUNTS.contains(&i) {
             format!("{name}: {old} → {new} (Δ {:+})", new as i128 - old as i128)
         } else {
@@ -214,6 +213,10 @@ fn moved_fields(golden: &Golden, got: &Golden) -> Vec<String> {
     moved
 }
 
+#[expect(
+    clippy::unwrap_used,
+    reason = "a failed setup is the calling test's failure"
+)]
 fn assert_epoch_zero(
     kind: BackendKind,
     model: &mut dyn FlModel,

@@ -12,6 +12,10 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::sync::OnceLock;
 
+#[expect(
+    clippy::unwrap_used,
+    reason = "a failed keygen is the calling test's failure"
+)]
 fn keys() -> &'static PaillierKeyPair {
     static KEYS: OnceLock<PaillierKeyPair> = OnceLock::new();
     KEYS.get_or_init(|| {

@@ -137,7 +137,7 @@ mod tests {
 
     #[test]
     fn sort_is_by_file_line_rule_message() {
-        let mut findings = vec![
+        let mut findings = [
             Finding::new("z", "b.rs", 1, ""),
             Finding::new("a", "a.rs", 9, ""),
             Finding::new("b", "a.rs", 2, "first"),

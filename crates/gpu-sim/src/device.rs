@@ -425,7 +425,7 @@ mod tests {
         ItemOutcome {
             output: x.wrapping_mul(31) ^ (l as u64) << 40,
             thread_ops: x % 17 + l as u64,
-            divergent: i % 3 == 0,
+            divergent: i.is_multiple_of(3),
         }
     }
 

@@ -370,9 +370,7 @@ fn flcheck_directives() -> Vec<(String, String)> {
     for path in collect_files(root).expect("workspace walk") {
         let src = std::fs::read_to_string(&path).expect("read");
         for c in lexer::lex(&src).comments {
-            let text = c
-                .text
-                .trim_start_matches(|ch| matches!(ch, '!' | '/' | ' ' | '\t'));
+            let text = c.text.trim_start_matches(['!', '/', ' ', '\t']);
             let Some(body) = text
                 .strip_prefix("flcheck")
                 .and_then(|t| t.strip_prefix(':'))
@@ -463,11 +461,6 @@ fn results_inventory_is_what_the_harness_writes() {
     for line in script.lines().map(str::trim_start) {
         if line.starts_with('#') {
             continue;
-        }
-        // `run <bin> …` tees to `<bin>.txt`.
-        let mut words = line.split_whitespace();
-        if let (Some("run"), Some(bin)) = (words.next(), words.next()) {
-            wired.insert(format!("{bin}.txt"));
         }
         if line
             .split_whitespace()

@@ -353,7 +353,8 @@ fn one_hostile_upload_among_128_fails_every_weighted_topology_closed() {
         bad
     };
     // Each fault with the error it raises at `index` within its leaf.
-    let faults: [(EncryptedVector, fn(usize) -> he::Error); 3] = [
+    type Fault = (EncryptedVector, fn(usize) -> he::Error);
+    let faults: [Fault; 3] = [
         (with_value(&Natural::zero()), |_| {
             he::Error::CiphertextOutOfRange
         }),
