@@ -121,20 +121,11 @@ pub struct AccelTiming {
     pub he_seconds: f64,
     /// Simulated encode/quantize/pack seconds.
     pub codec_seconds: f64,
-    /// Items the HE launches ran over: one per ciphertext encrypted or
-    /// decrypted, one per *slot* folded — a `k`-way
-    /// [`aggregate`](Accelerator::aggregate) node is one item per slot,
-    /// not `k − 1`.
-    pub he_items: u64,
-    /// Limb-level operations.
-    pub he_ops: u64,
 }
 
 impl std::ops::AddAssign<&AccelTiming> for AccelTiming {
     fn add_assign(&mut self, t: &AccelTiming) {
         self.he_seconds += t.he_seconds;
-        self.he_items += t.he_items;
-        self.he_ops += t.he_ops;
         self.codec_seconds += t.codec_seconds;
     }
 }
@@ -621,8 +612,6 @@ impl Accelerator {
         AccelTiming {
             he_seconds: t.sim_seconds,
             codec_seconds: 0.0,
-            he_items: t.items,
-            he_ops: t.ops,
         }
     }
 
@@ -710,16 +699,23 @@ mod tests {
         for kind in ALL {
             let acc = Accelerator::new(kind, keys.clone(), 4).unwrap();
             let (cts, t) = acc.encrypt_words_timed(&words, 11).unwrap();
-            assert_eq!((t.he_items, t.codec_seconds), (k, 0.0), "{kind:?}");
+            // The launch underneath: one item per word, charged as is.
+            let (launched, ht) = acc.he.encrypt_batch(pk, &words, 11).unwrap();
+            assert_eq!(launched, cts, "{kind:?}");
+            assert_eq!(
+                (ht.items, ht.sim_seconds, t.codec_seconds),
+                (k, t.he_seconds, 0.0),
+                "{kind:?}"
+            );
             let pooled = !matches!(kind, BackendKind::Fate | BackendKind::Haflo);
             assert_eq!(acc.he.pool().is_some(), pooled, "{kind:?}");
             if let Some(pool) = acc.he.pool() {
-                assert_eq!(t.he_ops, k * pk.encrypt_pooled_op_estimate(), "{kind:?}");
+                assert_eq!(ht.ops, k * pk.encrypt_pooled_op_estimate(), "{kind:?}");
                 let fresh =
                     CpuHe::default().with_pool(Arc::new(ObfuscatorPool::for_owner(&keys.private)));
                 let (fresh_cts, fresh_t) = fresh.encrypt_batch(pk, &words, 11).unwrap();
                 assert_eq!(cts, fresh_cts, "{kind:?}");
-                assert_eq!(fresh_t.ops, t.he_ops, "{kind:?}");
+                assert_eq!(fresh_t.ops, ht.ops, "{kind:?}");
                 for threads in [1, 2, 8] {
                     let before = pool.hits();
                     let host = rayon::ThreadPoolBuilder::new()
@@ -732,7 +728,7 @@ mod tests {
                 }
                 assert_eq!(pool.misses(), 0, "{kind:?}");
             } else {
-                assert_eq!(t.he_ops, k * pk.encrypt_op_estimate(), "{kind:?}");
+                assert_eq!(ht.ops, k * pk.encrypt_op_estimate(), "{kind:?}");
             }
             assert_eq!(acc.decrypt_words_timed(&cts).unwrap().0, words, "{kind:?}");
             assert_eq!(acc.timing(), AccelTiming::default(), "{kind:?}");
@@ -864,14 +860,21 @@ mod tests {
         let weights: Vec<u64> = (1..=parties as u64).collect();
         let words = vectors[0].cts.len() as u64;
         let fold_ops = (parties as u64 - 1) * words * keys.public.add_op_estimate();
-        // (launches, he_items, he_ops) one call adds.
+        // (launches, items, limb-level ops) one call adds on the device;
+        // the call charges the accelerator's accumulator too.
         let run = |acc: &Accelerator, call: &dyn Fn(&Accelerator) -> EncryptedVector| {
-            let before = acc.device_stats().unwrap().launches;
+            let before = acc.device_stats().unwrap();
             let _ = acc.take_timing();
             let out = call(acc);
-            let t = acc.take_timing();
-            let launches = acc.device_stats().unwrap().launches - before;
-            (out, launches, t.he_items, t.he_ops)
+            assert!(acc.take_timing().he_seconds > 0.0);
+            let after = acc.device_stats().unwrap();
+            let launches = after.launches - before.launches;
+            (
+                out,
+                launches,
+                after.items - before.items,
+                after.thread_ops - before.thread_ops,
+            )
         };
         let tree = Accelerator::new(BackendKind::Haflo, keys.clone(), 4)
             .unwrap()

@@ -1,14 +1,13 @@
-//! The secure-aggregation round: one event-driven loop for every model
-//! that runs one.
+//! The round engine: every exchange a model makes, and the only module
+//! that charges.
 //!
 //! One round (the paper's Fig. 2) has every client compute locally,
 //! encrypt its vector, and upload it; the server folds the ciphertexts
 //! homomorphically and broadcasts the aggregate; every client decrypts.
 //! [`run_round`] is the only implementation of that round — Homo LR,
 //! Hetero LR and Hetero NN enter it, configured by
-//! [`TrainConfig::engine`](crate::train::TrainConfig::engine); Hetero SBT
-//! has no such round (its encrypt, histogram fold-and-pack and decrypt
-//! are `Accelerator` calls the model charges itself). Real
+//! [`TrainConfig::engine`](crate::train::TrainConfig::engine). The other
+//! exchanges and local compute are engine steps on [`FlEnv`]. Real
 //! deployments overlap the stages — client 0's ciphertext is folding at
 //! the server while client 7 is still encrypting — and the engine
 //! reproduces that overlap on a deterministic simulated timeline.
@@ -44,9 +43,11 @@
 //!
 //! # Charging
 //!
-//! Every second goes through
-//! [`EpochBreakdown::charge_work`](crate::metrics::EpochBreakdown::charge_work).
-//! Clients run in parallel on their own machines and are symmetric, so
+//! `EpochBreakdown::charge_work`, which lands every simulated second in
+//! one component and one phase, and the one send step, which counts each
+//! message's ciphertexts and bytes, are private to this module. In a
+//! round, clients run in parallel on their own machines and are
+//! symmetric, so
 //! client-side compute, encrypt, and decrypt are charged once (the
 //! survivor mean); server-side folds and all NIC traffic are serial and
 //! charged in full. Work is invariant under reordering: `pipelined`
@@ -84,6 +85,9 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use rayon::prelude::*;
+
+use he::paillier::Ciphertext;
+use mpint::Natural;
 
 use crate::backend::EncryptedVector;
 use crate::metrics::{Charge, EpochBreakdown};
@@ -135,7 +139,13 @@ impl EngineConfig {
         }
     }
 
-    /// Sets the straggler deadline (simulated seconds).
+    /// Sets the straggler deadline (simulated seconds). Seconds are `f64`
+    /// and counts `u64`, so a count is not accepted as time:
+    ///
+    /// ```compile_fail,E0308
+    /// let bytes: u64 = 4096;
+    /// fl::engine::EngineConfig::default().with_straggler_timeout(bytes);
+    /// ```
     pub fn with_straggler_timeout(mut self, seconds: f64) -> Self {
         self.straggler_timeout = Some(seconds);
         self
@@ -201,7 +211,7 @@ pub struct ClientTimeline {
 }
 
 /// What one engine round produced.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RoundOutcome {
     /// Element-wise sums over the *survivors'* vectors (divide by
     /// `survivors.len()` for the mean).
@@ -215,18 +225,6 @@ pub struct RoundOutcome {
     pub round_seconds: f64,
     /// Per-client traces, indexed by client.
     pub timelines: Vec<ClientTimeline>,
-}
-
-impl RoundOutcome {
-    fn empty() -> Self {
-        RoundOutcome {
-            sums: Vec::new(),
-            survivors: Vec::new(),
-            dropped: Vec::new(),
-            round_seconds: 0.0,
-            timelines: Vec::new(),
-        }
-    }
 }
 
 /// Who delivered a ciphertext to an aggregator node.
@@ -341,7 +339,7 @@ pub fn run_round(
     engine.validate()?;
     let p = parties.len();
     if p == 0 {
-        return Ok(RoundOutcome::empty());
+        return Ok(RoundOutcome::default());
     }
     if client_flops.len() != p {
         return Err(Error::BadConfig(format!(
@@ -446,10 +444,8 @@ pub fn run_round(
         let Some(ev) = client_cts[k].as_ref() else {
             return Err(internal_error("survivor ciphertext missing"));
         };
-        let d = env.network.send(ev.ciphertext_count(), ev.bytes())?;
+        let d = env.send(&ev.cts, breakdown)?;
         charge(breakdown, Charge::Uplink, d);
-        breakdown.comm_bytes += ev.bytes();
-        breakdown.ciphertexts += ev.ciphertext_count();
         uplink_dur[k] = d;
     }
 
@@ -556,16 +552,13 @@ pub fn run_round(
             }
             EventKind::NodeDone { node } => match nodes[node].parent {
                 Some(parent) => {
-                    let (cts, bytes) = match nodes[node].acc.as_ref() {
-                        Some(part) => (part.ciphertext_count(), part.bytes()),
-                        None => return Err(internal_error("edge node finished empty")),
-                    };
                     // Hop one level up: charged at the partial's true
                     // wire size, overlapped on the same link schedule.
-                    let d = env.network.send(cts, bytes)?;
+                    let d = match nodes[node].acc.as_ref() {
+                        Some(part) => env.send(&part.cts, breakdown)?,
+                        None => return Err(internal_error("edge node finished empty")),
+                    };
                     charge(breakdown, Charge::Uplink, d);
-                    breakdown.comm_bytes += bytes;
-                    breakdown.ciphertexts += cts;
                     let (_start, finish) = link.admit(now, d);
                     queue.push(
                         finish,
@@ -601,7 +594,7 @@ pub fn run_round(
     let mut broadcast_total = 0.0;
     let mut last_downlink = root_done;
     for &k in &survivors {
-        let d = env.network.send(agg.ciphertext_count(), agg.bytes())?;
+        let d = env.send(&agg.cts, breakdown)?;
         broadcast_total += d;
         let (_start, finish) = link.admit(root_done, d);
         timelines[k].downlink_done = finish;
@@ -610,8 +603,6 @@ pub fn run_round(
         }
     }
     charge(breakdown, Charge::Downlink, broadcast_total);
-    breakdown.comm_bytes += survivors.len() as u64 * agg.bytes();
-    breakdown.ciphertexts += survivors.len() as u64 * agg.ciphertext_count();
 
     // --- Real work, phase 3: decrypt (clients are symmetric; one
     // client's cost is charged). ---
@@ -643,6 +634,181 @@ pub fn run_round(
         round_seconds,
         timelines,
     })
+}
+
+/// SecureBoost's `g‖h` packing cost per instance (codec seconds).
+const GH_PACK_SECONDS_PER_INSTANCE: f64 = 4.0e-8;
+
+impl EpochBreakdown {
+    /// Charges `seconds` of `kind` work that nothing overlaps: they
+    /// count as work and also elapse on the round clock.
+    fn charge(&mut self, kind: Charge, seconds: f64) {
+        self.charge_work(kind, seconds, true);
+    }
+
+    /// Charges `seconds` of `kind` work to its component and its phase —
+    /// the only place either attribution is written, so the two cannot
+    /// drift. When `serial`, the seconds also elapse on the round clock;
+    /// the pipelined round passes `false` and adds its critical path to
+    /// [`round_seconds`](EpochBreakdown::round_seconds) once per round.
+    /// Private to this module, so a charge by hand does not compile:
+    ///
+    /// ```compile_fail,E0624
+    /// use fl::metrics::{Charge, EpochBreakdown};
+    /// let mut b = EpochBreakdown::default();
+    /// b.charge_work(Charge::Compute, 1.0e-3, true); // only `fl::engine` charges
+    /// ```
+    fn charge_work(&mut self, kind: Charge, seconds: f64, serial: bool) {
+        let (component, phase) = match kind {
+            Charge::Compute => (&mut self.other_seconds, &mut self.phases.compute_seconds),
+            Charge::EncryptHe => (&mut self.he_seconds, &mut self.phases.encrypt_seconds),
+            Charge::EncryptCodec => (&mut self.other_seconds, &mut self.phases.encrypt_seconds),
+            Charge::Uplink => (&mut self.comm_seconds, &mut self.phases.uplink_seconds),
+            Charge::Aggregate => (&mut self.he_seconds, &mut self.phases.aggregate_seconds),
+            Charge::Downlink => (&mut self.comm_seconds, &mut self.phases.downlink_seconds),
+            Charge::DecryptHe => (&mut self.he_seconds, &mut self.phases.decrypt_seconds),
+            Charge::DecryptCodec => (&mut self.other_seconds, &mut self.phases.decrypt_seconds),
+        };
+        *component += seconds;
+        *phase += seconds;
+        if serial {
+            self.round_seconds += seconds;
+        }
+    }
+}
+
+/// The exchanges that are not a round, charged as DESIGN §9 says.
+impl FlEnv {
+    /// The one send step: sends `payload` as one message and counts its
+    /// ciphertexts and wire bytes; the caller charges the seconds.
+    fn send(&self, payload: &[Ciphertext], breakdown: &mut EpochBreakdown) -> Result<f64> {
+        let ciphertexts = payload.len() as u64;
+        let bytes: u64 = payload.iter().map(|c| c.wire_size_bytes() as u64).sum();
+        let seconds = self.network.send(ciphertexts, bytes)?;
+        breakdown.comm_bytes += bytes;
+        breakdown.ciphertexts += ciphertexts;
+        Ok(seconds)
+    }
+
+    /// Encrypted broadcast: one party encrypts `values` once and sends the
+    /// ciphertexts to each of `receivers` parties, who share the key and
+    /// decrypt in parallel. Returns the values after their
+    /// quantize→encrypt→decrypt round trip, which every receiver trains on.
+    /// Charged: the encryption once, each send as downlink, one receiver's
+    /// decryption; `he_values` counts `values` once. With no receiver
+    /// nothing is protected, sent or charged.
+    pub fn encrypted_broadcast(
+        &self,
+        values: &[f64],
+        receivers: usize,
+        seed: u64,
+        breakdown: &mut EpochBreakdown,
+    ) -> Result<Vec<f64>> {
+        self.encrypted_send(values, receivers, Charge::Downlink, seed, breakdown)
+    }
+
+    /// Pairwise encrypted exchange: [`encrypted_broadcast`](Self::encrypted_broadcast)
+    /// to one receiver, the send charged as uplink.
+    pub fn encrypted_exchange(
+        &self,
+        values: &[f64],
+        seed: u64,
+        breakdown: &mut EpochBreakdown,
+    ) -> Result<Vec<f64>> {
+        self.encrypted_send(values, 1, Charge::Uplink, seed, breakdown)
+    }
+
+    fn encrypted_send(
+        &self,
+        values: &[f64],
+        receivers: usize,
+        link: Charge,
+        seed: u64,
+        breakdown: &mut EpochBreakdown,
+    ) -> Result<Vec<f64>> {
+        if receivers == 0 {
+            return Ok(values.to_vec());
+        }
+        let (ev, enc_t) = self.accel.encrypt_timed(values, seed)?;
+        breakdown.charge(Charge::EncryptHe, enc_t.he_seconds);
+        breakdown.charge(Charge::EncryptCodec, enc_t.codec_seconds);
+        // One charge per send, not one total: f64 sums depend on add order,
+        // and a broadcast to `k` receivers must charge the links exactly
+        // what `k` exchanges of this payload do.
+        for _ in 0..receivers {
+            let t = self.send(&ev.cts, breakdown)?;
+            breakdown.charge(link, t);
+        }
+        let (out, dec_t) = self.accel.decrypt_sum_timed(&ev, 1)?;
+        breakdown.charge(Charge::DecryptHe, dec_t.he_seconds);
+        breakdown.charge(Charge::DecryptCodec, dec_t.codec_seconds);
+        breakdown.he_values += values.len() as u64;
+        Ok(out)
+    }
+
+    /// Charges `flops` of local model computation to "Others".
+    pub fn charge_local_compute(
+        &self,
+        flops: u64,
+        cfg: &TrainConfig,
+        breakdown: &mut EpochBreakdown,
+    ) {
+        breakdown.charge(Charge::Compute, flops as f64 * cfg.sec_per_flop);
+    }
+
+    /// SecureBoost's gradient broadcast: encrypts the `g‖h` `words` (one
+    /// per instance under batch compression, else `g` then `h`) and sends
+    /// them to each of `receivers` passive parties, the sends summed into
+    /// one downlink charge. Returns the ciphertexts the parties fold.
+    pub fn encrypted_gh_broadcast(
+        &self,
+        words: &[Natural],
+        receivers: u32,
+        seed: u64,
+        breakdown: &mut EpochBreakdown,
+    ) -> Result<Vec<Ciphertext>> {
+        let (gh_cts, t) = self.accel.encrypt_words_timed(words, seed)?;
+        let values = (1 + u64::from(self.accel.batch_compression())) * words.len() as u64;
+        breakdown.charge(Charge::EncryptHe, t.he_seconds);
+        breakdown.he_values += values;
+        let pack_seconds = (values / 2) as f64 * GH_PACK_SECONDS_PER_INSTANCE;
+        breakdown.charge(Charge::EncryptCodec, pack_seconds);
+        if receivers > 0 {
+            let mut total = 0.0;
+            for _ in 0..receivers {
+                total += self.send(&gh_cts, breakdown)?;
+            }
+            breakdown.charge(Charge::Downlink, total);
+        }
+        Ok(gh_cts)
+    }
+
+    /// One SecureBoost node's histogram exchange over each passive party's
+    /// bucket `groups`, charged party by party (its fold as aggregation,
+    /// its reply as uplink), then the decryption. Returns each party's
+    /// reply length and the decrypted words.
+    pub fn histogram_exchange(
+        &self,
+        groups: &[Vec<Vec<&Ciphertext>>],
+        slot_bits: u32,
+        breakdown: &mut EpochBreakdown,
+    ) -> Result<(Vec<usize>, Vec<Natural>)> {
+        let (folded, (words, decrypt)) = self.accel.fold_packed_decrypt_timed(groups, slot_bits)?;
+        let values_per_sum = 1 + u64::from(self.accel.batch_compression());
+        let mut reply_lens = Vec::with_capacity(folded.len());
+        for ((reply, t), party) in folded.into_iter().zip(groups) {
+            breakdown.charge(Charge::Aggregate, t.he_seconds);
+            let ts = self.send(&reply, breakdown)?;
+            breakdown.charge(Charge::Uplink, ts);
+            let sums = party.iter().filter(|g| !g.is_empty()).count() as u64;
+            breakdown.he_values += values_per_sum * sums;
+            reply_lens.push(reply.len());
+        }
+        if !words.is_empty() {
+            breakdown.charge(Charge::DecryptHe, decrypt.he_seconds);
+        }
+        Ok((reply_lens, words))
+    }
 }
 
 #[cfg(test)]
@@ -677,6 +843,85 @@ mod tests {
     }
 
     #[test]
+    fn every_charge_kind_lands_in_one_component_and_one_phase() {
+        // (kind, component it must land in, phase slot it must land in)
+        let he = |b: &EpochBreakdown| b.he_seconds;
+        let comm = |b: &EpochBreakdown| b.comm_seconds;
+        let other = |b: &EpochBreakdown| b.other_seconds;
+        type Get = fn(&EpochBreakdown) -> f64;
+        let cases: [(Charge, Get, Get); 8] = [
+            (Charge::Compute, other, |b| b.phases.compute_seconds),
+            (Charge::EncryptHe, he, |b| b.phases.encrypt_seconds),
+            (Charge::EncryptCodec, other, |b| b.phases.encrypt_seconds),
+            (Charge::Uplink, comm, |b| b.phases.uplink_seconds),
+            (Charge::Aggregate, he, |b| b.phases.aggregate_seconds),
+            (Charge::Downlink, comm, |b| b.phases.downlink_seconds),
+            (Charge::DecryptHe, he, |b| b.phases.decrypt_seconds),
+            (Charge::DecryptCodec, other, |b| b.phases.decrypt_seconds),
+        ];
+        for (kind, component, phase) in cases {
+            let mut b = EpochBreakdown::default();
+            b.charge(kind, 1.5);
+            assert_eq!(component(&b), 1.5, "{kind:?} component");
+            assert_eq!(phase(&b), 1.5, "{kind:?} phase");
+            assert_eq!(b.total_seconds(), 1.5, "{kind:?}: one component only");
+            assert_eq!(b.phases.total(), 1.5, "{kind:?}: one phase only");
+            assert_eq!(b.round_seconds, 1.5, "{kind:?}: serial seconds elapse");
+
+            // Overlapped work is the same attribution off the round clock.
+            let mut w = EpochBreakdown::default();
+            w.charge_work(kind, 1.5, false);
+            assert_eq!(w.round_seconds, 0.0, "{kind:?}");
+            w.round_seconds = 1.5;
+            assert_eq!(w, b, "{kind:?}");
+        }
+    }
+
+    /// Every model's epoch counts each message it sends exactly once: on
+    /// a lossless link the breakdown's wire counters equal the network's,
+    /// through the round, the broadcast, the pairwise exchange and
+    /// SecureBoost's broadcast and replies alike.
+    #[test]
+    fn every_model_counts_each_message_once() {
+        use crate::data::generators::DatasetSpec;
+        use crate::models::{HeteroLr, HeteroNn, HeteroSbt, HomoLr};
+        use crate::train::FlModel;
+
+        let mut spec = DatasetSpec::synthetic();
+        spec.features = 16;
+        spec.nnz_per_row = 16;
+        spec.instances = 120;
+        let data = spec.generate(1.0);
+        let cfg = TrainConfig {
+            batch_size: 40,
+            ..TrainConfig::default()
+        };
+        for kind in [BackendKind::Fate, BackendKind::FlBooster] {
+            let models: [(Box<dyn FlModel>, u32); 4] = [
+                (Box::new(HomoLr::new(&data, 4, &cfg)), 4),
+                (Box::new(HeteroLr::new(&data, 3, &cfg).unwrap()), 3),
+                (Box::new(HeteroNn::new(&data, 3, &cfg).unwrap()), 3),
+                (Box::new(HeteroSbt::new(&data, 3, &cfg).unwrap()), 3),
+            ];
+            for (mut model, parties) in models {
+                let env = FlEnv::new(Accelerator::new(kind, keys(), parties).unwrap(), 1);
+                let b = model.run_epoch(&env, &cfg, 0).unwrap().breakdown;
+                let net = env.network.stats();
+                let what = format!("{} on {kind:?}", model.name());
+                assert!(net.messages > 0 && net.retries == 0, "{what}");
+                assert_eq!(b.comm_bytes, net.bytes, "{what}");
+                assert_eq!(b.ciphertexts, net.ciphertexts, "{what}");
+                assert!(
+                    (b.comm_seconds - net.seconds).abs() <= 1e-12 * net.seconds,
+                    "{what}: charged {} s, sent {} s",
+                    b.comm_seconds,
+                    net.seconds
+                );
+            }
+        }
+    }
+
+    #[test]
     fn empty_round_is_a_no_op() {
         let env = env_with(BackendKind::Fate, 1);
         let mut b = EpochBreakdown::default();
@@ -690,7 +935,7 @@ mod tests {
             &mut b,
         )
         .unwrap();
-        assert_eq!(out, RoundOutcome::empty());
+        assert_eq!(out, RoundOutcome::default());
         assert_eq!(b, EpochBreakdown::default());
     }
 

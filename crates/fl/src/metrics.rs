@@ -4,7 +4,8 @@
 //! component shares — Others / HE operations / Communication (Fig. 1,
 //! Table VI), (iii) HE throughput (Table IV), and (iv) convergence bias
 //! (Eq. 15, Table VII). These types carry those measurements out of the
-//! trainers.
+//! trainers; only [`crate::engine`] charges seconds and counts traffic
+//! into an [`EpochBreakdown`].
 
 #![expect(
     clippy::indexing_slicing,
@@ -18,14 +19,14 @@
 /// aggregation, downlink transfer, and client-side decrypt (incl.
 /// unpack).
 ///
-/// [`EpochBreakdown::charge`] lands every simulated second in one
-/// component ([`EpochBreakdown::he_seconds`] / `comm_seconds` /
-/// `other_seconds`) and one phase, so [`PhaseBreakdown::total`] always
-/// matches [`EpochBreakdown::total_seconds`] (up to f64 re-association).
-/// The phases exist so pipeline overlap is directly measurable: phase
-/// totals are *work*, while [`EpochBreakdown::round_seconds`] is
-/// *elapsed* simulated time, and the gap between them is exactly what
-/// the event-driven engine hides.
+/// [`crate::engine`] lands every simulated second in one component
+/// ([`EpochBreakdown::he_seconds`] / `comm_seconds` / `other_seconds`)
+/// and one phase, so [`PhaseBreakdown::total`] always matches
+/// [`EpochBreakdown::total_seconds`] (up to f64 re-association). The
+/// phases exist so pipeline overlap is directly measurable: phase totals
+/// are *work*, while [`EpochBreakdown::round_seconds`] is *elapsed*
+/// simulated time, and the gap between them is exactly what the
+/// event-driven engine hides.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseBreakdown {
     /// Local model computation (gradients, encode-side flops).
@@ -68,9 +69,8 @@ impl PhaseBreakdown {
 ///
 /// The encrypt and decrypt phases each mix HE seconds with codec
 /// ("Others") seconds, so the Others / HE / Communication split is not a
-/// projection of the six phases: a kind names both, and
-/// [`EpochBreakdown::charge`] maps it to exactly one component and one
-/// phase.
+/// projection of the six phases: a kind names both, and the engine's
+/// charge maps it to exactly one component and one phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Charge {
     /// Local model computation.
@@ -119,47 +119,6 @@ pub struct EpochBreakdown {
 }
 
 impl EpochBreakdown {
-    /// Charges `seconds` of `kind` work that nothing overlaps: they
-    /// count as work and also elapse on the round clock.
-    ///
-    /// Every seconds field here is `f64` and every count (`comm_bytes`,
-    /// `ciphertexts`, `he_values`) is `u64`, so the compiler rejects a
-    /// count charged as time — bytes reach seconds only through
-    /// [`Network::send`](crate::net::Network::send):
-    ///
-    /// ```compile_fail,E0308
-    /// use fl::metrics::{Charge, EpochBreakdown};
-    /// let mut b = EpochBreakdown::default();
-    /// b.comm_bytes += 4096;
-    /// b.charge(Charge::Uplink, b.comm_bytes); // a `u64` byte count is not seconds
-    /// ```
-    pub fn charge(&mut self, kind: Charge, seconds: f64) {
-        self.charge_work(kind, seconds, true);
-    }
-
-    /// Charges `seconds` of `kind` work to its component and its phase —
-    /// the only place either attribution is written, so the two cannot
-    /// drift. When `serial`, the seconds also elapse on the round clock;
-    /// the pipelined round engine passes `false` and adds its critical
-    /// path to [`round_seconds`](Self::round_seconds) once per round.
-    pub fn charge_work(&mut self, kind: Charge, seconds: f64, serial: bool) {
-        let (component, phase) = match kind {
-            Charge::Compute => (&mut self.other_seconds, &mut self.phases.compute_seconds),
-            Charge::EncryptHe => (&mut self.he_seconds, &mut self.phases.encrypt_seconds),
-            Charge::EncryptCodec => (&mut self.other_seconds, &mut self.phases.encrypt_seconds),
-            Charge::Uplink => (&mut self.comm_seconds, &mut self.phases.uplink_seconds),
-            Charge::Aggregate => (&mut self.he_seconds, &mut self.phases.aggregate_seconds),
-            Charge::Downlink => (&mut self.comm_seconds, &mut self.phases.downlink_seconds),
-            Charge::DecryptHe => (&mut self.he_seconds, &mut self.phases.decrypt_seconds),
-            Charge::DecryptCodec => (&mut self.other_seconds, &mut self.phases.decrypt_seconds),
-        };
-        *component += seconds;
-        *phase += seconds;
-        if serial {
-            self.round_seconds += seconds;
-        }
-    }
-
     /// Total epoch seconds.
     pub fn total_seconds(&self) -> f64 {
         self.he_seconds + self.comm_seconds + self.other_seconds
@@ -346,41 +305,6 @@ mod tests {
         assert_eq!(a.he_values, 100);
         assert_eq!(a.phases.total(), 9.0);
         assert_eq!(a.round_seconds, 9.0);
-    }
-
-    #[test]
-    fn every_charge_kind_lands_in_one_component_and_one_phase() {
-        // (kind, component it must land in, phase slot it must land in)
-        let he = |b: &EpochBreakdown| b.he_seconds;
-        let comm = |b: &EpochBreakdown| b.comm_seconds;
-        let other = |b: &EpochBreakdown| b.other_seconds;
-        type Get = fn(&EpochBreakdown) -> f64;
-        let cases: [(Charge, Get, Get); 8] = [
-            (Charge::Compute, other, |b| b.phases.compute_seconds),
-            (Charge::EncryptHe, he, |b| b.phases.encrypt_seconds),
-            (Charge::EncryptCodec, other, |b| b.phases.encrypt_seconds),
-            (Charge::Uplink, comm, |b| b.phases.uplink_seconds),
-            (Charge::Aggregate, he, |b| b.phases.aggregate_seconds),
-            (Charge::Downlink, comm, |b| b.phases.downlink_seconds),
-            (Charge::DecryptHe, he, |b| b.phases.decrypt_seconds),
-            (Charge::DecryptCodec, other, |b| b.phases.decrypt_seconds),
-        ];
-        for (kind, component, phase) in cases {
-            let mut b = EpochBreakdown::default();
-            b.charge(kind, 1.5);
-            assert_eq!(component(&b), 1.5, "{kind:?} component");
-            assert_eq!(phase(&b), 1.5, "{kind:?} phase");
-            assert_eq!(b.total_seconds(), 1.5, "{kind:?}: one component only");
-            assert_eq!(b.phases.total(), 1.5, "{kind:?}: one phase only");
-            assert_eq!(b.round_seconds, 1.5, "{kind:?}: serial seconds elapse");
-
-            // Overlapped work is the same attribution off the round clock.
-            let mut w = EpochBreakdown::default();
-            w.charge_work(kind, 1.5, false);
-            assert_eq!(w.round_seconds, 0.0, "{kind:?}");
-            w.round_seconds = 1.5;
-            assert_eq!(w, b, "{kind:?}");
-        }
     }
 
     #[test]

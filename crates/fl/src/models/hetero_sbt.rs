@@ -8,7 +8,8 @@
 //!    parties **encrypted** — packed `[g|h]` per instance under batch
 //!    compression (the SecureBoost+ GH-packing layout, with enough guard
 //!    bits that a whole node's worth of instances can be summed in-slot),
-//!    or as two ciphertexts per instance otherwise;
+//!    or as two ciphertexts per instance otherwise
+//!    ([`FlEnv::encrypted_gh_broadcast`]);
 //! 2. each passive party buckets its node instances by feature-quantile
 //!    bins and reduces the encrypted `g`/`h` of every **non-empty** bucket
 //!    into one sum by *homomorphic additions*. An empty bucket sends
@@ -19,8 +20,9 @@
 //!    plaintext words as the key holds
 //!    ([`he::HeBackend::fold_packed`]) — one ciphertext per 24 buckets at
 //!    1024 bits; without it each sum keeps a ciphertext to itself. The
-//!    epoch charges and sends the replies in party order, summed as
-//!    serial aggregation time;
+//!    engine charges and sends the replies in party order, summed as
+//!    serial aggregation time
+//!    ([`FlEnv::histogram_exchange`]);
 //! 3. the active party decrypts every passive reply of the node in one
 //!    batch, slices the words back into per-bucket sums, evaluates the
 //!    XGBoost split gain, and announces the winner. Steps 2 and 3 are one
@@ -44,7 +46,7 @@ use he::paillier::{Ciphertext, PaillierPublicKey};
 use mpint::Natural;
 
 use crate::data::{vertical_split, Dataset, VerticalShard};
-use crate::metrics::{Charge, EpochBreakdown, EpochResult};
+use crate::metrics::{EpochBreakdown, EpochResult};
 use crate::train::{logloss, sigmoid, FlEnv, FlModel, TrainConfig};
 use crate::{Error, Result};
 
@@ -412,21 +414,8 @@ impl FlModel for HeteroSbt {
             plaintexts.extend(self.encode_gh(g[i], h[i], packed)?);
         }
         let seed = cfg.seed ^ ((epoch as u64) << 20);
-        let (gh_cts, t) = env.accel.encrypt_words_timed(&plaintexts, seed)?;
-        breakdown.charge(Charge::EncryptHe, t.he_seconds);
-        breakdown.he_values += 2 * n as u64;
-        breakdown.charge(Charge::EncryptCodec, n as f64 * 4.0e-8); // encode/pack
-
-        let gh_bytes: u64 = gh_cts.iter().map(|c| c.wire_size_bytes() as u64).sum();
         let passive = crate::count_u32(self.shards.len().saturating_sub(1));
-        if passive > 0 {
-            let t = env
-                .network
-                .broadcast(passive, gh_cts.len() as u64, gh_bytes)?;
-            breakdown.charge(Charge::Downlink, t);
-            breakdown.comm_bytes += passive as u64 * gh_bytes;
-            breakdown.ciphertexts += passive as u64 * gh_cts.len() as u64;
-        }
+        let gh_cts = env.encrypted_gh_broadcast(&plaintexts, passive, seed, &mut breakdown)?;
 
         // (2)–(4) grow one tree.
         let round = Round {
@@ -435,7 +424,6 @@ impl FlModel for HeteroSbt {
             g: &g,
             h: &h,
             gh_cts: &gh_cts,
-            packed,
         };
         let all: Vec<usize> = (0..n).collect();
         let mut leaf_updates: Vec<(Vec<usize>, f64)> = Vec::new();
@@ -466,9 +454,8 @@ struct Round<'a> {
     g: &'a [f64],
     h: &'a [f64],
     /// The encrypted gradients as broadcast: one `g‖h` word per instance
-    /// when `packed`, else `g` then `h`.
+    /// under batch compression, else `g` then `h`.
     gh_cts: &'a [Ciphertext],
-    packed: bool,
 }
 
 impl HeteroSbt {
@@ -483,14 +470,8 @@ impl HeteroSbt {
         breakdown: &mut EpochBreakdown,
         leaves: &mut Vec<(Vec<usize>, f64)>,
     ) -> Result<TreeNode> {
-        let Round {
-            env,
-            cfg,
-            g,
-            h,
-            packed,
-            ..
-        } = *round;
+        let Round { env, cfg, g, h, .. } = *round;
+        let packed = env.accel.batch_compression();
         let g_total: f64 = members.iter().map(|&i| g[i]).sum();
         let h_total: f64 = members.iter().map(|&i| h[i]).sum();
 
@@ -526,33 +507,16 @@ impl HeteroSbt {
         // and uplinks the words; bucket counts travel in the clear. The
         // active party decrypts the node's replies in one batch. On the
         // host it is one call: the parties fold side by side and each word
-        // is decrypted as soon as it is packed. The epoch still charges and
-        // sends the parties in party order, as one after another, then
-        // charges the decryption.
+        // is decrypted as soon as it is packed. The engine charges the
+        // parties in party order, as one after another, then the
+        // decryption.
         let slot_bits = self.bucket_slot_bits(pk, packed);
         let groups = buckets
             .iter()
             .skip(1)
             .map(|per_feature| self.bucket_groups(per_feature, round.gh_cts, packed))
             .collect::<Result<Vec<_>>>()?;
-        let (folded, (words, decrypt)) = env.accel.fold_packed_decrypt_timed(&groups, slot_bits)?;
-        let mut reply_lens = Vec::with_capacity(buckets.len());
-        for ((reply, t), per_feature) in folded.into_iter().zip(buckets.iter().skip(1)) {
-            breakdown.charge(Charge::Aggregate, t.he_seconds);
-
-            let bytes: u64 = reply.iter().map(|c| c.wire_size_bytes() as u64).sum();
-            let ts = env.network.send(reply.len() as u64, bytes)?;
-            breakdown.charge(Charge::Uplink, ts);
-            breakdown.comm_bytes += bytes;
-            breakdown.ciphertexts += reply.len() as u64;
-            let filled = per_feature.iter().flatten().filter(|b| !b.is_empty());
-            breakdown.he_values += 2 * filled.count() as u64;
-
-            reply_lens.push(reply.len());
-        }
-        if !words.is_empty() {
-            breakdown.charge(Charge::DecryptHe, decrypt.he_seconds);
-        }
+        let (reply_lens, words) = env.histogram_exchange(&groups, slot_bits, breakdown)?;
         let mut words = words.as_slice();
 
         let mut best: Option<BestSplit> = None;

@@ -1,18 +1,15 @@
 //! The federated training loop and its cost-accounted environment.
 //!
-//! [`FlEnv`] pairs an [`Accelerator`] with a [`Network`]. Secure-
-//! aggregation rounds run through [`crate::engine::run_round`], configured
-//! by [`TrainConfig::engine`]; the encrypted broadcast the vertical models
-//! also need (and the pairwise exchange, its one-receiver upload) lives
-//! here.
-//! Every simulated second enters the epoch's [`EpochBreakdown`] through
-//! [`EpochBreakdown::charge`]. [`train`] runs epochs until the paper's
-//! stopping rule ("if the loss difference between two successive epochs is
-//! less than 1e-6, the model reaches convergence") or an epoch cap.
+//! [`FlEnv`] pairs an [`Accelerator`] with a [`Network`]; a model spends
+//! simulated time only through the [engine](crate::engine)'s steps on it,
+//! the secure-aggregation round configured by [`TrainConfig::engine`]
+//! among them. [`train`] runs epochs until the paper's stopping rule ("if
+//! the loss difference between two successive epochs is less than 1e-6,
+//! the model reaches convergence") or an epoch cap.
 
 use crate::backend::Accelerator;
 use crate::engine::EngineConfig;
-use crate::metrics::{Charge, EpochBreakdown, EpochResult, TrainReport};
+use crate::metrics::{EpochResult, TrainReport};
 use crate::net::Network;
 use crate::Result;
 
@@ -70,86 +67,6 @@ impl FlEnv {
         let network = Network::new(accel.network_profile(), seed);
         FlEnv { accel, network }
     }
-
-    /// Encrypted broadcast: one party encrypts `values` once and sends the
-    /// same ciphertexts to each of `receivers` parties, who share the key
-    /// and each decrypt on their own server. Returns the values after their
-    /// quantize→encrypt→decrypt round trip — the exact degradation every
-    /// receiver trains on; it depends on the plaintext and the quantizer,
-    /// not on the blinding, so all receivers hold the same values.
-    ///
-    /// Charged as DESIGN §9 charges symmetric parties: the encryption once;
-    /// one send per receiver in series over the sender's NIC (same payload,
-    /// its own link, its own retry draws), as downlink like every other
-    /// fan-out (SecureBoost's `g‖h`, [`crate::engine::run_round`]'s
-    /// aggregate); and one receiver's decryption, since the receivers
-    /// decrypt in parallel as the engine's clients do. `he_values` counts
-    /// `values` once. With no receiver nothing is protected, sent or
-    /// charged and `values` come back unchanged.
-    pub fn encrypted_broadcast(
-        &self,
-        values: &[f64],
-        receivers: usize,
-        seed: u64,
-        breakdown: &mut EpochBreakdown,
-    ) -> Result<Vec<f64>> {
-        self.encrypted_send(values, receivers, Charge::Downlink, seed, breakdown)
-    }
-
-    /// Pairwise encrypted exchange: one party encrypts `values` and
-    /// uploads them; the receiver (or arbiter) decrypts. Charged as
-    /// [`encrypted_broadcast`](Self::encrypted_broadcast) to one receiver,
-    /// with the send as uplink.
-    pub fn encrypted_exchange(
-        &self,
-        values: &[f64],
-        seed: u64,
-        breakdown: &mut EpochBreakdown,
-    ) -> Result<Vec<f64>> {
-        self.encrypted_send(values, 1, Charge::Uplink, seed, breakdown)
-    }
-
-    /// The body of both: one encryption, `receivers` sends charged as
-    /// `link`, one decryption.
-    fn encrypted_send(
-        &self,
-        values: &[f64],
-        receivers: usize,
-        link: Charge,
-        seed: u64,
-        breakdown: &mut EpochBreakdown,
-    ) -> Result<Vec<f64>> {
-        if receivers == 0 {
-            return Ok(values.to_vec());
-        }
-        let (ev, enc_t) = self.accel.encrypt_timed(values, seed)?;
-        breakdown.charge(Charge::EncryptHe, enc_t.he_seconds);
-        breakdown.charge(Charge::EncryptCodec, enc_t.codec_seconds);
-        // One charge per send, not one `Network::broadcast` total: f64 sums
-        // depend on add order, and a broadcast to `k` receivers must charge
-        // the links exactly what `k` exchanges of this payload do.
-        for _ in 0..receivers {
-            let t = self.network.send(ev.ciphertext_count(), ev.bytes())?;
-            breakdown.charge(link, t);
-            breakdown.comm_bytes += ev.bytes();
-            breakdown.ciphertexts += ev.ciphertext_count();
-        }
-        let (out, dec_t) = self.accel.decrypt_sum_timed(&ev, 1)?;
-        breakdown.charge(Charge::DecryptHe, dec_t.he_seconds);
-        breakdown.charge(Charge::DecryptCodec, dec_t.codec_seconds);
-        breakdown.he_values += values.len() as u64;
-        Ok(out)
-    }
-
-    /// Charges `flops` of local model computation to "Others".
-    pub fn charge_local_compute(
-        &self,
-        flops: u64,
-        cfg: &TrainConfig,
-        breakdown: &mut EpochBreakdown,
-    ) {
-        breakdown.charge(Charge::Compute, flops as f64 * cfg.sec_per_flop);
-    }
 }
 
 /// A federated model trainable epoch-by-epoch.
@@ -199,6 +116,7 @@ pub use shared::{logloss, sigmoid};
 mod tests {
     use super::*;
     use crate::backend::BackendKind;
+    use crate::metrics::EpochBreakdown;
     use he::paillier::PaillierKeyPair;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;

@@ -744,27 +744,17 @@ fn encrypt_item(
 }
 
 /// CPU execution of HE batches — the paper's FATE baseline
-/// ([`Schedule::Cpu`]). The default `β_cpu` is calibrated so 1024-bit
-/// Paillier encryption throughput lands near the paper's Table IV FATE
-/// row (~360 instances/s).
-#[derive(Debug, Clone)]
+/// ([`Schedule::Cpu`]), charged at [`DEFAULT_CPU_SECONDS_PER_OP`]:
+/// a `β_cpu` calibrated so 1024-bit Paillier encryption throughput lands
+/// near the paper's Table IV FATE row (~360 instances/s).
+#[derive(Debug, Clone, Default)]
 pub struct CpuHe {
-    /// Seconds per limb-level operation (`β_cpu`).
-    pub seconds_per_op: f64,
     pool: Option<Arc<ObfuscatorPool>>,
 }
 
-/// Calibrated default `β_cpu` (see struct docs).
+/// Calibrated `β_cpu`, seconds per limb-level operation (see
+/// [`CpuHe`]).
 pub const DEFAULT_CPU_SECONDS_PER_OP: f64 = 2.0e-9;
-
-impl Default for CpuHe {
-    fn default() -> Self {
-        CpuHe {
-            seconds_per_op: DEFAULT_CPU_SECONDS_PER_OP,
-            pool: None,
-        }
-    }
-}
 
 impl CpuHe {
     /// Attaches a blinding-factor pool: batch encryption draws each
@@ -782,7 +772,7 @@ impl HeBackend for CpuHe {
 
     fn schedule(&self) -> Schedule<'_> {
         Schedule::Cpu {
-            seconds_per_op: self.seconds_per_op,
+            seconds_per_op: DEFAULT_CPU_SECONDS_PER_OP,
         }
     }
 
@@ -998,9 +988,12 @@ mod tests {
             .install(f)
     }
 
+    /// A backend and, when it runs on the simulated device, that device.
+    type Backend = (Box<dyn HeBackend>, Option<Arc<Device>>);
+
     /// A fresh CPU backend and a fresh GPU backend, with the GPU's device
     /// stats rendered (empty for the CPU).
-    fn fresh() -> [(Box<dyn HeBackend>, Option<Arc<Device>>); 2] {
+    fn fresh() -> [Backend; 2] {
         let device = Arc::new(Device::new(DeviceConfig::rtx3090()));
         [
             (Box::new(CpuHe::default()), None),

@@ -1115,6 +1115,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "tests the unchecked op itself")]
     fn homomorphic_addition() {
         let k = keys(128);
         let mut r = rng();
@@ -1125,6 +1126,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "tests the unchecked op itself")]
     fn homomorphic_addition_wraps_mod_n() {
         let k = keys(128);
         let mut r = rng();
@@ -1136,6 +1138,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "tests the unchecked op itself")]
     fn scalar_multiplication() {
         let k = keys(128);
         let mut r = rng();
@@ -1145,6 +1148,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "tests the unchecked op itself")]
     fn zero_ciphertext_is_additive_identity() {
         let k = keys(128);
         let mut r = rng();
@@ -1284,6 +1288,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "reads the secret exponents to show that no debug output prints them"
+    )]
     fn debug_output_shows_no_key_material() {
         let k = keys(128);
         let pool = ObfuscatorPool::for_owner(&k.private);
@@ -1584,7 +1592,7 @@ mod tests {
         let c1 = k1.public.encrypt(&nat(1), &mut r).unwrap();
         let c2 = k2.public.encrypt(&nat(2), &mut r).unwrap();
         assert!(matches!(
-            k1.public.weighted_sum(&[c1.clone()], &[]),
+            k1.public.weighted_sum(std::slice::from_ref(&c1), &[]),
             Err(Error::InvalidParameter(_))
         ));
         // The key-fingerprint failure names the offending position (and

@@ -309,6 +309,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "reads the secret exponents to show that no debug output prints them"
+    )]
     fn debug_output_shows_no_key_material() {
         let k = keys(128);
         let sk = &k.private;

@@ -86,6 +86,10 @@ fn row(label: String, out: &[Ciphertext], t: &HeTiming) -> Row {
     (label, h, t.sim_seconds.to_bits(), t.ops, t.items)
 }
 
+#[expect(
+    clippy::unwrap_used,
+    reason = "a failed call is the calling test's failure"
+)]
 fn weighted(
     be: &dyn HeBackend,
     pk: &PaillierPublicKey,
@@ -98,12 +102,22 @@ fn weighted(
 
 /// Operands for the folds come from the unpooled CPU path, so every
 /// configuration folds the same inputs.
+#[expect(
+    clippy::unwrap_used,
+    reason = "a failed call is the calling test's failure"
+)]
 fn fold_operands(pk: &PaillierPublicKey, seed: u64, vals: &[u64]) -> Vec<Ciphertext> {
     let ms: Vec<Natural> = vals.iter().map(|&v| Natural::from(v)).collect();
     CpuHe::default().encrypt_batch(pk, &ms, seed).unwrap().0
 }
 
 /// Runs every operation once on `be` and returns one row per call.
+#[expect(
+    clippy::unwrap_used,
+    clippy::indexing_slicing,
+    reason = "a failed call is the calling test's failure; the operand vectors hold \
+              five ciphertexts each"
+)]
 fn exercise(name: &str, be: &dyn HeBackend, keys: &PaillierKeyPair) -> Vec<Row> {
     let pk = &keys.public;
     let ms: Vec<Natural> = [3u64, 1 << 40, 0, 977, u64::MAX]
@@ -216,6 +230,12 @@ fn every_operation_on_every_backend_matches_golden_bits() {
 
 /// `sum_batches` over 2, 3 and 128 batches on `be`. The two-batch call
 /// folds the operands of the `add` row above.
+#[expect(
+    clippy::unwrap_used,
+    clippy::indexing_slicing,
+    reason = "a failed call is the calling test's failure; `k` is at most the 128 \
+              batches built here"
+)]
 fn exercise_sums(name: &str, be: &dyn HeBackend, pk: &PaillierPublicKey) -> Vec<Row> {
     let mut batches = vec![
         fold_operands(pk, 21, &[1, 2, 3, 4, 5]),
@@ -325,6 +345,10 @@ fn fold_packed_on_every_backend_matches_golden_bits() {
                     run.iter()
                         .enumerate()
                         .fold(pk.zero_ciphertext(), |acc, (j, c)| {
+                            #[expect(
+                                clippy::cast_possible_truncation,
+                                reason = "a slot index below four"
+                            )]
                             let shift = Natural::one().shl_bits(j as u32 * slot_bits);
                             pk.checked_add(&acc, &pk.checked_scalar_mul(c, &shift).unwrap())
                                 .unwrap()
@@ -363,6 +387,10 @@ type Sk = PaillierPrivateKey;
 /// argument-taking estimators are read at the Bos–Coster chain over 128
 /// ten-bit weights, a 64-bit scalar and four 30-bit slots.
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "prices the unchecked ops beside their checked forms"
+)]
 fn every_estimator_prices_its_kernel_at_golden_values() {
     let keys = PaillierKeyPair::generate(&mut ChaCha8Rng::seed_from_u64(0x5C4ED), 128).unwrap();
     let rsa = RsaKeyPair::generate(&mut ChaCha8Rng::seed_from_u64(0x5C4ED), 128).unwrap();

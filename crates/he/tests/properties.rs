@@ -13,6 +13,10 @@ use proptest::prelude::*;
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
+#[expect(
+    clippy::unwrap_used,
+    reason = "a failed keygen is the calling test's failure"
+)]
 fn paillier() -> &'static PaillierKeyPair {
     static KEYS: OnceLock<PaillierKeyPair> = OnceLock::new();
     KEYS.get_or_init(|| {
@@ -20,6 +24,10 @@ fn paillier() -> &'static PaillierKeyPair {
     })
 }
 
+#[expect(
+    clippy::unwrap_used,
+    reason = "a failed keygen is the calling test's failure"
+)]
 fn rsa() -> &'static RsaKeyPair {
     static KEYS: OnceLock<RsaKeyPair> = OnceLock::new();
     KEYS.get_or_init(|| {
@@ -47,6 +55,10 @@ proptest! {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "tests the unchecked op itself"
+    )]
     fn homomorphic_addition_mod_n(s1 in any::<u64>(), s2 in any::<u64>()) {
         let k = paillier();
         let (m1, m2) = (plaintext(s1), plaintext(s2));
@@ -59,6 +71,10 @@ proptest! {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "tests the unchecked op itself"
+    )]
     fn scalar_multiplication_mod_n(seed in any::<u64>(), scalar in 0u64..10_000) {
         let k = paillier();
         let m = plaintext(seed);
@@ -70,6 +86,10 @@ proptest! {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "tests the unchecked op itself"
+    )]
     fn fold_of_many_ciphertexts(seeds in proptest::collection::vec(any::<u64>(), 1..6)) {
         let k = paillier();
         let ms: Vec<Natural> = seeds.iter().map(|&s| plaintext(s)).collect();
@@ -108,8 +128,8 @@ proptest! {
 
         let mut word = Natural::zero();
         let mut spelled = k.public.zero_ciphertext();
-        for (j, (m, c)) in ms.iter().zip(&cts).enumerate() {
-            let shift = Natural::one().shl_bits(j as u32 * slot_bits);
+        for (j, (m, c)) in (0u32..).zip(ms.iter().zip(&cts)) {
+            let shift = Natural::one().shl_bits(j * slot_bits);
             word = &word + &(m * &shift);
             let term = k.public.checked_scalar_mul(c, &shift).unwrap();
             spelled = k.public.checked_add(&spelled, &term).unwrap();
@@ -144,6 +164,10 @@ proptest! {
 
 /// `r^n mod n²` as an obfuscator carries it: `E(0) = g^0 · r^n`, so the
 /// ciphertext value of a zero plaintext is the residue itself.
+#[expect(
+    clippy::unwrap_used,
+    reason = "a zero plaintext is in range; a failure is the calling test's"
+)]
 fn residue(k: &PaillierKeyPair, obf: he::paillier::Obfuscator) -> Natural {
     k.public
         .encrypt_with_obfuscator(&Natural::zero(), obf)
@@ -159,6 +183,10 @@ fn residue(k: &PaillierKeyPair, obf: he::paillier::Obfuscator) -> Natural {
 /// is an `n`-th residue: bare, it decrypts to zero, and under a plaintext
 /// it decrypts to the plaintext. Pooled and pool-less ciphertexts differ
 /// in their blinding only: other bits, same values, and they add.
+#[expect(
+    clippy::unwrap_used,
+    reason = "a failed encryption or decryption is the calling test's failure"
+)]
 fn check_owner_route(k: &PaillierKeyPair, seed: u64, items: usize) {
     for i in 0..items {
         let r = k.public.batch_blinding(seed, i);
@@ -189,13 +217,22 @@ fn check_owner_route(k: &PaillierKeyPair, seed: u64, items: usize) {
     let (inline, _) = CpuHe::default()
         .encrypt_batch(&k.public, &ms, seed)
         .unwrap();
-    for i in 0..items {
-        assert_eq!(k.private.decrypt(&bare[i]).unwrap(), zeros[i], "factor {i}");
-        assert_eq!(k.private.decrypt_crt(&owner.0[i]).unwrap(), ms[i]);
-        assert_eq!(k.private.decrypt(&inline[i]).unwrap(), ms[i]);
-        assert_ne!(owner.0[i], inline[i], "pooled and pool-less blinding");
-        let sum = k.public.checked_add(&owner.0[i], &inline[i]).unwrap();
-        assert_eq!(k.private.decrypt(&sum).unwrap(), &ms[i] + &ms[i]);
+    assert_eq!(
+        (bare.len(), owner.0.len(), inline.len()),
+        (items, items, items)
+    );
+    let items = bare.iter().zip(&owner.0).zip(&inline).zip(&ms);
+    for (i, (((bare, pooled), inline), m)) in items.enumerate() {
+        assert_eq!(
+            k.private.decrypt(bare).unwrap(),
+            Natural::zero(),
+            "factor {i}"
+        );
+        assert_eq!(k.private.decrypt_crt(pooled).unwrap(), *m);
+        assert_eq!(k.private.decrypt(inline).unwrap(), *m);
+        assert_ne!(pooled, inline, "pooled and pool-less blinding");
+        let sum = k.public.checked_add(pooled, inline).unwrap();
+        assert_eq!(k.private.decrypt(&sum).unwrap(), m + m);
     }
 }
 

@@ -239,7 +239,7 @@ mod tests {
 
     /// An odd modulus of exactly `limbs` limbs.
     fn modulus(rng: &mut ChaCha8Rng, limbs: usize) -> Natural {
-        let mut n = random_bits(rng, limbs as u32 * LIMB_BITS);
+        let mut n = random_bits(rng, u32::try_from(limbs).unwrap() * LIMB_BITS);
         n.set_bit(0, true);
         n
     }
@@ -256,7 +256,7 @@ mod tests {
         for (limbs, bits) in [(1usize, 1u32), (1, 61), (16, 512), (33, 1031), (2, 0)] {
             let n = modulus(&mut rng, limbs);
             let ctx = MontgomeryCtx::new(&n).unwrap();
-            let base = random_bits(&mut rng, limbs as u32 * LIMB_BITS + 3);
+            let base = random_bits(&mut rng, u32::try_from(limbs).unwrap() * LIMB_BITS + 3);
             let comb = FixedBaseCt::new(&ctx, &base, bits);
             let c = comb.counts;
             assert!(
@@ -308,7 +308,7 @@ mod tests {
             let width = exp_limbs(bits);
             let mut ones = vec![Limb::MAX; width];
             if let Some(top) = ones.last_mut() {
-                *top >>= width as u32 * LIMB_BITS - bits;
+                *top >>= u32::try_from(width).unwrap() * LIMB_BITS - bits;
             }
             let random = random_bits(&mut rng, bits).to_padded_limbs(width);
             for exp in [vec![0; width], ones, random] {

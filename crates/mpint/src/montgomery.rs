@@ -520,8 +520,8 @@ mod tests {
                 let calls = c.shifted_product_acc(top, lower, w).calls();
                 assert_eq!(calls, (k as u64 - 1) * (u64::from(w) + 2), "k {k} w {w}");
                 let mut expected = Natural::one();
-                for (j, f) in factors[..k].iter().enumerate() {
-                    let e = Natural::one().shl_bits(j as u32 * w);
+                for (j, f) in (0u32..).zip(&factors[..k]) {
+                    let e = Natural::one().shl_bits(j * w);
                     let term = crate::modpow::mod_pow(&(f % &p), &e, &p).unwrap();
                     expected = &(&expected * &term) % &p;
                 }

@@ -114,7 +114,7 @@ mod tests {
         let bound = Natural::from(3u64);
         let mut seen = [false; 3];
         for _ in 0..300 {
-            let v = random_below(&mut r, &bound).to_u64().unwrap() as usize;
+            let v = usize::try_from(random_below(&mut r, &bound).to_u64().unwrap()).unwrap();
             seen[v] = true;
         }
         assert_eq!(seen, [true, true, true]);
@@ -126,7 +126,7 @@ mod tests {
         let n = Natural::from(3 * 5 * 7 * 11u64);
         for _ in 0..50 {
             let u = random_coprime(&mut r, &n);
-            assert!(!u.is_zero() && &u < &n);
+            assert!(!u.is_zero() && u < n);
             assert!(crate::gcd::gcd(&u, &n).is_one());
         }
     }

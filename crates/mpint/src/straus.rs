@@ -294,7 +294,7 @@ mod tests {
         let ctx = MontgomeryCtx::new(&n(p)).unwrap();
         let (b, e) = (n(123_456_789), n(0xDEAD_BEEF_u128));
         assert_eq!(
-            multi_exp_ctx(&ctx, &[b.clone()], &[e.clone()]),
+            multi_exp_ctx(&ctx, std::slice::from_ref(&b), std::slice::from_ref(&e)),
             mod_pow_ctx(&ctx, &b, &e)
         );
     }

@@ -19,7 +19,9 @@ fn big_natural() -> impl Strategy<Value = Natural> {
 /// Arbitrary odd multi-limb modulus of 1..=4 limbs, > 1.
 fn odd_modulus() -> impl Strategy<Value = Natural> {
     proptest::collection::vec(any::<u64>(), 1..=4).prop_map(|mut limbs| {
-        limbs[0] |= 1; // odd
+        if let Some(low) = limbs.first_mut() {
+            *low |= 1; // odd
+        }
         let mut n = Natural::from_limbs(limbs);
         if n.is_one() {
             n = Natural::from(3u64);
@@ -33,9 +35,12 @@ fn odd_modulus() -> impl Strategy<Value = Natural> {
 /// up to 2048-bit operands — with maximal-weight top words.
 fn wide_odd_modulus() -> impl Strategy<Value = Natural> {
     proptest::collection::vec(any::<u64>(), 1..=32).prop_map(|mut limbs| {
-        limbs[0] |= 1; // odd
-        let last = limbs.len() - 1;
-        limbs[last] |= 1 << 63; // top-limb-set
+        if let Some(low) = limbs.first_mut() {
+            *low |= 1; // odd
+        }
+        if let Some(top) = limbs.last_mut() {
+            *top |= 1 << 63; // top-limb-set
+        }
         Natural::from_limbs(limbs)
     })
 }
@@ -284,10 +289,16 @@ fn limb_stream(seed: u64) -> impl FnMut() -> u64 {
 fn edge_moduli(s: usize) -> Vec<Natural> {
     let mut next = limb_stream(s as u64);
     let mut generic: Vec<u64> = (0..s).map(|_| next()).collect();
-    generic[0] |= 1;
-    generic[s - 1] |= 1 << 63;
+    if let Some(low) = generic.first_mut() {
+        *low |= 1;
+    }
+    if let Some(top) = generic.last_mut() {
+        *top |= 1 << 63;
+    }
     let mut ones_top = generic.clone();
-    ones_top[s - 1] = u64::MAX;
+    if let Some(top) = ones_top.last_mut() {
+        *top = u64::MAX;
+    }
     vec![
         Natural::from_limbs(generic),
         Natural::from_limbs(ones_top),
@@ -297,6 +308,10 @@ fn edge_moduli(s: usize) -> Vec<Natural> {
 
 /// Residues below `n`: `0`, `1`, `n−1`, the widest all-ones value below
 /// `n`, the single top bit, and one generic value.
+#[expect(
+    clippy::unwrap_used,
+    reason = "an odd modulus is at least 3, so `n − 1` and `2^⌊log n⌋ − 1` are natural"
+)]
 fn edge_operands(n: &Natural) -> Vec<Natural> {
     let one = Natural::one();
     let top_bit = one.shl_bits(n.bit_len() - 1);
@@ -429,6 +444,10 @@ fn ladder_mod_pow_ct(
     for i in (0..exp_bits).rev() {
         cios::mont_sqr_into(&mut squared, &mut scratch, &acc, n, n0_inv);
         cios::mont_mul_into(&mut acc, &squared, &base_m, n, n0_inv);
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`e` is padded to `exp_bits` bits and `i < exp_bits`"
+        )]
         let bit = (e[(i / mpint::LIMB_BITS) as usize] >> (i % mpint::LIMB_BITS)) & 1;
         let mask = mpint::ct::ct_mask(bit);
         for (a, &sq) in acc.iter_mut().zip(&squared) {
@@ -595,6 +614,12 @@ fn exponent_mixes(count: usize, bits: u32, seed: u64) -> Vec<Vec<Natural>> {
 /// started — but the very first, which seeds the product — and last the
 /// fix-up. The pass the Bos–Coster chain replaced; test-only, it is the
 /// cost the chain is held to.
+#[expect(
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation,
+    reason = "a digit is `c ≤ 12` bits wide, so it fits a `usize` and indexes the \
+              `2^c` buckets"
+)]
 fn bucket_pass_calls(exps: &[Natural], c: u32) -> u64 {
     let max_bits = exps.iter().map(Natural::bit_len).max().unwrap_or(0);
     let columns = max_bits.div_ceil(c);
@@ -624,7 +649,10 @@ fn bucket_pass_calls(exps: &[Natural], c: u32) -> u64 {
 
 /// The cheapest bucket pass over `exps`, widths 1 to 12.
 fn best_bucket_pass_calls(exps: &[Natural]) -> u64 {
-    (1..=12).map(|c| bucket_pass_calls(exps, c)).min().unwrap()
+    (1..=12)
+        .map(|c| bucket_pass_calls(exps, c))
+        .min()
+        .unwrap_or(u64::MAX)
 }
 
 /// Replays [`straus::multi_exp_plan`] over `exps` on `bases` (reduced,
@@ -857,7 +885,8 @@ fn chain_product_matches_whole_integer_and_chained_mod_mul_at_limb_boundaries() 
                 &Natural::from_limbs((0..s).map(|_| next()).collect()) % &n,
             ];
             for k in [0usize, 1, 2, 3, 16, 17, 127, 128, 129] {
-                let mixed: Vec<&Natural> = (0..k).map(|_| &pool[next() as usize % 4]).collect();
+                let mut pick = || usize::try_from(next() % 4).unwrap();
+                let mixed: Vec<&Natural> = (0..k).map(|_| &pool[pick()]).collect();
                 for factors in [mixed, vec![&pool[1]; k], vec![&pool[3]; k]] {
                     let mut expected = &one % &n;
                     for f in &factors {
@@ -900,8 +929,9 @@ proptest! {
         }
         let mut picks = picks.into_iter();
         while parts.len() > 1 {
-            let a = parts.swap_remove(picks.next().unwrap() as usize % parts.len());
-            let b = parts.swap_remove(picks.next().unwrap() as usize % parts.len());
+            let mut pick = |len: usize| usize::try_from(picks.next().unwrap() % len as u64).unwrap();
+            let a = parts.swap_remove(pick(parts.len()));
+            let b = parts.swap_remove(pick(parts.len()));
             parts.push(ctx.mont_mul(&a, &b));
         }
         let r = &Natural::one().shl_bits(ctx.r_bits()) % &n;

@@ -248,8 +248,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
     #[test]
     fn outputs_are_in_task_order() {
@@ -265,19 +264,16 @@ mod tests {
         // concurrently.
         let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
         let arrived = AtomicUsize::new(0);
-        let deadline = Instant::now() + Duration::from_secs(10);
         let ids = pool.install(|| {
             run_ordered(4, |_| {
                 arrived.fetch_add(1, Ordering::SeqCst);
-                while arrived.load(Ordering::SeqCst) < 4 && Instant::now() < deadline {
-                    std::thread::yield_now();
-                }
+                wait_until(|| arrived.load(Ordering::SeqCst) >= 4);
                 std::thread::current().id()
             })
         });
         assert_eq!(arrived.load(Ordering::SeqCst), 4, "rendezvous timed out");
-        let distinct: HashSet<_> = ids.into_iter().collect();
-        assert_eq!(distinct.len(), 4, "tasks must run on distinct threads");
+        let distinct = (0..ids.len()).filter(|&i| !ids[..i].contains(&ids[i]));
+        assert_eq!(distinct.count(), 4, "tasks must run on distinct threads");
     }
 
     #[test]
@@ -363,11 +359,20 @@ mod tests {
         v
     }
 
-    /// Yields until `flag` is up, for ten seconds at most.
+    /// Waits until `flag` is up.
     fn spin_until(flag: &AtomicBool) {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !flag.load(Ordering::SeqCst) && Instant::now() < deadline {
-            std::thread::yield_now();
+        wait_until(|| flag.load(Ordering::SeqCst));
+    }
+
+    /// Sleeps in 1 ms steps until `done()` holds, for at least ten
+    /// seconds (10,000 steps) — a rendezvous that times out rather than
+    /// hangs when the pool is broken, with no clock read.
+    fn wait_until(done: impl Fn() -> bool) {
+        for _ in 0..10_000 {
+            if done() {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(1));
         }
     }
 
@@ -476,13 +481,10 @@ mod tests {
         // reads width 1 and runs its nested drive on its own thread.
         let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
         let arrived = AtomicUsize::new(0);
-        let deadline = Instant::now() + Duration::from_secs(10);
         let seen = pool.install(|| {
             run_ordered(2, |_| {
                 arrived.fetch_add(1, Ordering::SeqCst);
-                while arrived.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
-                    std::thread::yield_now();
-                }
+                wait_until(|| arrived.load(Ordering::SeqCst) >= 2);
                 let me = std::thread::current().id();
                 let nested = run_ordered(4, |i| (i, std::thread::current().id()));
                 (current_num_threads(), me, nested)

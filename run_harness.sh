@@ -117,19 +117,13 @@ fi
 # homes DESIGN §11 lists, the unchecked ciphertext ops, std's
 # guard-holding locks), in the libraries and the experiment binary
 # alike. An `#[expect(clippy::…)]` that no longer fires fails it too, and
-# `-D warnings` makes clippy's default lints errors in every crate. The
-# second step reaches test code, where `crates/clippy.toml` lets a
-# `#[test]` fn or `#[cfg(test)]` module unwrap, index and panic; he, mpint
-# and the rayon shim are not yet clean there.
-echo "=== clippy: panic freedom, width, determinism, banned calls and default lints ==="
-if ! cargo clippy --offline --workspace --lib --bins -- -D warnings 2>&1 | tail -20; then
+# `-D warnings` makes clippy's default lints errors in every crate. One
+# step reaches every target of every crate, test code included, where
+# `crates/clippy.toml` lets a `#[test]` fn or `#[cfg(test)]` module
+# unwrap, index and panic.
+echo "=== clippy: every target of every crate ==="
+if ! cargo clippy --offline --workspace --all-targets -- -D warnings 2>&1 | tail -20; then
   echo "HARNESS_FAILED: cargo clippy lints"
-  exit 1
-fi
-echo "=== clippy: every target but he, mpint and rayon ==="
-if ! cargo clippy --offline --workspace --all-targets --exclude he --exclude mpint \
-    --exclude rayon -- -D warnings 2>&1 | tail -20; then
-  echo "HARNESS_FAILED: cargo clippy lints on test targets"
   exit 1
 fi
 

@@ -562,8 +562,10 @@ fn seconds_are_floats_and_counts_are_integers() {
     // The type split that stands in for the retired unit-flow pass: in the
     // charging layers a `*seconds` field or parameter is a float and a
     // byte/op/message count is an integer, so rustc rejects one where the
-    // other is wanted (the `compile_fail` doctests on `EpochBreakdown::
-    // charge` and `Network::send`). The one gap is `count as f64`; that
+    // other is wanted (the `compile_fail,E0308` doctests on `EngineConfig::
+    // with_straggler_timeout` and `Network::send`; the charge itself is
+    // private to `fl::engine`, which `EpochBreakdown::charge_work`'s
+    // `compile_fail,E0624` doctest shows). The one gap is `count as f64`; that
     // cast lives in exactly the three fns that multiply or divide it by a
     // `*_per_*` rate. Lexed, non-test code only.
     const INTS: &[&str] = &[
