@@ -793,8 +793,9 @@ struct TreeRow {
 /// [`Accelerator`] rounds. Edge aggregators fold their fan-in on
 /// simulated GPU devices (each slot charged the Bos–Coster chain it runs,
 /// each launch its fix-up's `R`-power); partials ride up the tree with
-/// per-hop wire charges from [`Network`]. Wall clock for the same folds
-/// is flbench's `accel.aggregate_weighted_ms` / `accel.aggregate_tree_ms`.
+/// per-hop wire charges from [`fl::NetworkConfig::message_seconds`]. Wall
+/// clock for the same folds is flbench's `accel.aggregate_weighted_ms` /
+/// `accel.aggregate_tree_ms`.
 fn bench_aggregate(tier: &Tier) -> (String, bool) {
     let rows: Vec<TreeRow> = tier.tree_parties.iter().map(|&p| tree_row(p)).collect();
     let mut table = Table::new([
@@ -866,14 +867,15 @@ fn tree_row(parties: usize) -> TreeRow {
     let flat = flat_acc.aggregate_weighted(&vectors, &ws).expect("flat");
     let tree = tree_acc.aggregate_weighted(&vectors, &ws).expect("tree");
 
-    // Per-hop wire charges for the intermediate partial aggregates.
-    let net = Network::new(tree_acc.network_profile(), 0x7EE);
+    // Per-hop wire charges for the intermediate partial aggregates, each
+    // priced at the root aggregate's size.
+    let hop_seconds = tree_acc
+        .network_profile()
+        .message_seconds(tree.ciphertext_count(), tree.bytes());
     let hops = topology.uplink_messages(parties);
     let mut uplink_sim_seconds = 0.0;
     for _ in 0..hops {
-        uplink_sim_seconds += net
-            .send(tree.ciphertext_count(), tree.bytes())
-            .expect("uplink send");
+        uplink_sim_seconds += hop_seconds;
     }
     TreeRow {
         parties,

@@ -16,12 +16,19 @@
 //! the *same* cryptography on the *same* keys; only scheduling, packing,
 //! and cost accounting differ, so loss trajectories are attributable to
 //! quantization alone.
+//!
+//! Every `*_timed` entry point returns the HE layer's [`HeTiming`]
+//! unchanged and charges nothing: [`crate::engine`] charges it and prices
+//! the codec step around it. Only the four charging entry points
+//! (`encrypt`, `aggregate`, `aggregate_weighted`, `decrypt_sum`) add
+//! their HE seconds to the [`AccelTiming`] that
+//! [`take_timing`](Accelerator::take_timing) reads.
 
 use std::sync::Arc;
 
 use codec::{BatchCodec, QuantizerConfig};
 use gpu_sim::{resource::ResourceManager, Device, DeviceConfig, DeviceStats};
-use he::ghe::{CpuHe, GpuHe, HeTiming};
+use he::ghe::{CpuHe, GpuHe, HeTiming, NodeExchange};
 use he::paillier::{Ciphertext, ObfuscatorPool, PaillierKeyPair};
 use he::HeBackend;
 use mpint::Natural;
@@ -100,49 +107,15 @@ impl EncryptedVector {
     }
 }
 
-/// Accumulated backend-side timing (simulated seconds).
-///
-/// Every `*_timed` entry point returns one and charges nothing, so a cost
-/// the caller drops is a cost nobody charged — dropping one is a warning,
-/// and an error under `deny(unused_must_use)`:
-///
-/// ```compile_fail
-/// #![deny(unused_must_use)]
-/// # use fl::{Accelerator, BackendKind};
-/// # fn demo(accel: &Accelerator, v: Vec<f64>) -> fl::Result<()> {
-/// accel.encrypt_timed(&v, 1)?;
-/// # Ok(())
-/// # }
-/// ```
-#[must_use = "a `*_timed` call charges nothing: charge this timing or its cost is lost"]
+/// Simulated HE seconds the charging entry points (`encrypt`,
+/// `aggregate`, `aggregate_weighted`, `decrypt_sum`) accumulated since
+/// the last [`Accelerator::take_timing`]. The `*_timed` entry points
+/// return the HE layer's [`HeTiming`] and charge nothing here.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct AccelTiming {
     /// Simulated HE seconds.
     pub he_seconds: f64,
-    /// Simulated encode/quantize/pack seconds.
-    pub codec_seconds: f64,
 }
-
-impl std::ops::AddAssign<&AccelTiming> for AccelTiming {
-    fn add_assign(&mut self, t: &AccelTiming) {
-        self.he_seconds += t.he_seconds;
-        self.codec_seconds += t.codec_seconds;
-    }
-}
-
-/// Simulated cost of the per-value data conversion + encode/quantize/pack
-/// step (paper Fig. 4 "data conversion"/"data processing"): dominated by
-/// the float↔multi-precision boundary crossing, calibrated so FATE's
-/// "Others" share lands near the paper's 0.1% and FLBooster's near 22%.
-const CODEC_SECONDS_PER_VALUE: f64 = 5.0e-6;
-
-/// One SecureBoost tree node's exchange, uncharged: each party's reply
-/// and its cost in party order, then every reply's words and the
-/// decryption's cost ([`Accelerator::fold_packed_decrypt_timed`]).
-pub type NodeExchange = (
-    Vec<(Vec<Ciphertext>, AccelTiming)>,
-    (Vec<Natural>, AccelTiming),
-);
 
 /// Two encrypted vectors (or a vector list and its weights) that had to
 /// line up and did not.
@@ -270,11 +243,6 @@ impl Accelerator {
         self.topology
     }
 
-    /// The backend's kind.
-    pub fn kind(&self) -> BackendKind {
-        self.kind
-    }
-
     /// Display name.
     pub fn name(&self) -> &'static str {
         self.kind.name()
@@ -321,27 +289,33 @@ impl Accelerator {
     }
 
     /// Quantizes, packs (if enabled), and encrypts a gradient vector,
-    /// returning this call's cost alongside the ciphertexts instead of
-    /// charging the shared accumulator: the codec step, then
-    /// [`encrypt_words_timed`](Self::encrypt_words_timed), whose timing
-    /// gains the codec seconds.
+    /// returning the HE launch's cost alongside the ciphertexts instead
+    /// of charging the shared accumulator: the codec step, then
+    /// [`encrypt_words_timed`](Self::encrypt_words_timed). The codec
+    /// step's seconds are priced by [`crate::engine`], which knows the
+    /// value count.
     ///
     /// The round engine needs the *per-client* cost to lay client
     /// encrypts out on its simulated timeline, and it runs client
     /// encrypts concurrently on the host pool — a take-timing
     /// dance around the shared [`Mutex`] accumulator would interleave
     /// clients. Callers must charge the returned timing themselves (the
-    /// engine charges it to the epoch breakdown).
-    pub fn encrypt_timed(
-        &self,
-        values: &[f64],
-        seed: u64,
-    ) -> Result<(EncryptedVector, AccelTiming)> {
+    /// engine charges it to the epoch breakdown), so dropping it is a
+    /// warning, and an error under `deny(unused_must_use)`:
+    ///
+    /// ```compile_fail
+    /// #![deny(unused_must_use)]
+    /// # use fl::{Accelerator, BackendKind};
+    /// # fn demo(accel: &Accelerator, v: Vec<f64>) -> fl::Result<()> {
+    /// accel.encrypt_timed(&v, 1)?;
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn encrypt_timed(&self, values: &[f64], seed: u64) -> Result<(EncryptedVector, HeTiming)> {
         // Quantize-and-pack runs on the data owner's host before
         // encryption; its timing is visible only to the plaintext owner.
         let plaintexts = self.codec.pack(values)?;
-        let (cts, mut timing) = self.encrypt_words_timed(&plaintexts, seed)?;
-        timing.codec_seconds = codec_seconds(values.len());
+        let (cts, timing) = self.encrypt_words_timed(&plaintexts, seed)?;
         Ok((
             EncryptedVector {
                 cts,
@@ -353,7 +327,7 @@ impl Accelerator {
 
     /// Encrypts plaintext words a protocol has already encoded — what
     /// [`encrypt_timed`](Self::encrypt_timed) does after its codec step —
-    /// returning the cost (no codec seconds) instead of charging it.
+    /// returning the cost instead of charging it.
     ///
     /// On the FLBooster-family backends each word's blinding factor comes
     /// from the backend's pool inside the encrypt item that uses it, on
@@ -368,9 +342,8 @@ impl Accelerator {
         &self,
         words: &[Natural],
         seed: u64,
-    ) -> Result<(Vec<Ciphertext>, AccelTiming)> {
-        let (cts, t) = self.he.encrypt_batch(&self.keys.public, words, seed)?;
-        Ok((cts, Self::accel_timing(&t)))
+    ) -> Result<(Vec<Ciphertext>, HeTiming)> {
+        Ok(self.he.encrypt_batch(&self.keys.public, words, seed)?)
     }
 
     /// Homomorphically folds several participants' vectors into one,
@@ -442,7 +415,7 @@ impl Accelerator {
                 [only] => only.clone(),
                 [first, ..] => {
                     let (cts, t) = sums.next().unwrap_or_default();
-                    self.charge_accel(&Self::accel_timing(&t));
+                    self.charge_accel(&t);
                     EncryptedVector {
                         cts,
                         count: first.count,
@@ -494,7 +467,7 @@ impl Accelerator {
             .weighted_aggregate_each(&self.keys.public, &nodes)?
             .into_iter()
             .map(|(cts, t)| {
-                self.charge_accel(&Self::accel_timing(&t));
+                self.charge_accel(&t);
                 EncryptedVector { cts, count }
             })
             .collect();
@@ -511,7 +484,7 @@ impl Accelerator {
         &self,
         acc: &EncryptedVector,
         v: &EncryptedVector,
-    ) -> Result<(EncryptedVector, AccelTiming)> {
+    ) -> Result<(EncryptedVector, HeTiming)> {
         if v.count != acc.count {
             return Err(length_mismatch(acc.count, v.count));
         }
@@ -521,7 +494,7 @@ impl Accelerator {
                 cts,
                 count: acc.count,
             },
-            Self::accel_timing(&t),
+            t,
         ))
     }
 
@@ -546,24 +519,16 @@ impl Accelerator {
         slot_bits: u32,
     ) -> Result<NodeExchange> {
         let parties: Vec<&[Vec<&Ciphertext>]> = parties.iter().map(Vec::as_slice).collect();
-        let node = self
+        Ok(self
             .he
-            .fold_packed_decrypt(&self.keys.private, &parties, slot_bits)?;
-        let replies = node
-            .replies
-            .into_iter()
-            .map(|(cts, t)| (cts, Self::accel_timing(&t)))
-            .collect();
-        Ok((replies, (node.words, Self::accel_timing(&node.decrypt))))
+            .fold_packed_decrypt(&self.keys.private, &parties, slot_bits)?)
     }
 
     /// Decrypts ciphertexts to their plaintext words — what
     /// [`decrypt_sum_timed`](Self::decrypt_sum_timed) does before its
-    /// codec step — returning the cost (no codec seconds) instead of
-    /// charging it.
-    pub fn decrypt_words_timed(&self, cts: &[Ciphertext]) -> Result<(Vec<Natural>, AccelTiming)> {
-        let (words, t) = self.he.decrypt_batch(&self.keys.private, cts)?;
-        Ok((words, Self::accel_timing(&t)))
+    /// codec step — returning the cost instead of charging it.
+    pub fn decrypt_words_timed(&self, cts: &[Ciphertext]) -> Result<(Vec<Natural>, HeTiming)> {
+        Ok(self.he.decrypt_batch(&self.keys.private, cts)?)
     }
 
     /// Decrypts an aggregated vector whose slots hold sums of `terms`
@@ -571,14 +536,13 @@ impl Accelerator {
     /// charging the shared accumulator (see
     /// [`Accelerator::encrypt_timed`] for why the round engine needs
     /// uncharged variants): [`decrypt_words_timed`](Self::decrypt_words_timed),
-    /// then the codec step, whose seconds the timing gains.
+    /// then the codec step, which [`crate::engine`] prices.
     pub fn decrypt_sum_timed(
         &self,
         vector: &EncryptedVector,
         terms: u32,
-    ) -> Result<(Vec<f64>, AccelTiming)> {
-        let (plaintexts, mut timing) = self.decrypt_words_timed(&vector.cts)?;
-        timing.codec_seconds = codec_seconds(vector.count);
+    ) -> Result<(Vec<f64>, HeTiming)> {
+        let (plaintexts, timing) = self.decrypt_words_timed(&vector.cts)?;
         let values = self.codec.unpack_sums(&plaintexts, vector.count, terms)?;
         Ok((values, timing))
     }
@@ -606,28 +570,14 @@ impl Accelerator {
         self.device.as_ref().map(|d| d.stats())
     }
 
-    /// Converts an HE-layer timing into the accelerator's cost record
-    /// without charging it anywhere.
-    fn accel_timing(t: &HeTiming) -> AccelTiming {
-        AccelTiming {
-            he_seconds: t.sim_seconds,
-            codec_seconds: 0.0,
-        }
-    }
-
-    /// Charges a cost record to the shared accumulator. Only the four
-    /// charging entry points call it — `encrypt`, `aggregate`,
+    /// Charges an HE launch's seconds to the shared accumulator. Only the
+    /// four charging entry points call it — `encrypt`, `aggregate`,
     /// `aggregate_weighted`, `decrypt_sum` — so the accumulator holds
     /// exactly their work; every `*_timed` entry point leaves charging to
     /// its caller.
-    fn charge_accel(&self, t: &AccelTiming) {
-        self.timing.with(|acc| *acc += t);
+    fn charge_accel(&self, t: &HeTiming) {
+        self.timing.with(|acc| acc.he_seconds += t.sim_seconds);
     }
-}
-
-/// Simulated codec seconds for `values` gradient components.
-fn codec_seconds(values: usize) -> f64 {
-    values as f64 * CODEC_SECONDS_PER_VALUE
 }
 
 #[cfg(test)]
@@ -664,14 +614,12 @@ mod tests {
             let enc = acc.encrypt(&g, 7).unwrap();
             let dec = acc.decrypt_sum(&enc, 1).unwrap();
             // The vector-level decrypt is the word-level one plus its codec
-            // step and codec seconds; neither timed call charges anything.
+            // step, at the same HE cost; neither timed call charges anything.
             let charged = acc.timing();
             let (words, t) = acc.decrypt_words_timed(&enc.cts).unwrap();
             let (values, vector_t) = acc.decrypt_sum_timed(&enc, 1).unwrap();
             assert_eq!((words.len(), &values), (enc.cts.len(), &dec), "{kind:?}");
-            assert_eq!(t.codec_seconds, 0.0);
-            let codec_seconds = vector_t.codec_seconds;
-            assert_eq!(AccelTiming { codec_seconds, ..t }, vector_t, "{kind:?}");
+            assert_eq!(t, vector_t, "{kind:?}");
             assert_eq!(acc.timing(), charged, "{kind:?}");
             results.push(dec);
         }
@@ -702,11 +650,7 @@ mod tests {
             // The launch underneath: one item per word, charged as is.
             let (launched, ht) = acc.he.encrypt_batch(pk, &words, 11).unwrap();
             assert_eq!(launched, cts, "{kind:?}");
-            assert_eq!(
-                (ht.items, ht.sim_seconds, t.codec_seconds),
-                (k, t.he_seconds, 0.0),
-                "{kind:?}"
-            );
+            assert_eq!((ht.items, ht), (k, t), "{kind:?}");
             let pooled = !matches!(kind, BackendKind::Fate | BackendKind::Haflo);
             assert_eq!(acc.he.pool().is_some(), pooled, "{kind:?}");
             if let Some(pool) = acc.he.pool() {

@@ -10,7 +10,7 @@
 //! - [`models`]: the four benchmark models — Homo LR, Hetero LR, Hetero
 //!   SBT (SecureBoost), and Hetero NN (split network) — implemented as
 //!   federated training protocols over encrypted exchanges.
-//! - [`optim`]: SGD and Adam with L2 regularization (paper Sec. VI-B
+//! - [`optim`]: Adam with L2 regularization (paper Sec. VI-B
 //!   parameter settings).
 //! - [`net`]: a byte- and message-accurate network simulator
 //!   (Gigabit-Ethernet profile, per-ciphertext serialization overheads,

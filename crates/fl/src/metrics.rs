@@ -138,15 +138,6 @@ impl EpochBreakdown {
         )
     }
 
-    /// HE throughput in values/second (Table IV's instances-per-second).
-    pub fn he_throughput(&self) -> f64 {
-        if self.he_seconds == 0.0 {
-            0.0
-        } else {
-            self.he_values as f64 / self.he_seconds
-        }
-    }
-
     /// Work-over-elapsed ratio: how much simulated time phase overlap
     /// removed. 1.0 for purely sequential execution; >1 when the
     /// pipelined round engine hid work behind transfers. Returns 1.0
@@ -287,13 +278,6 @@ mod tests {
     #[test]
     fn zero_breakdown_has_zero_shares() {
         assert_eq!(EpochBreakdown::default().shares(), (0.0, 0.0, 0.0));
-        assert_eq!(EpochBreakdown::default().he_throughput(), 0.0);
-    }
-
-    #[test]
-    fn throughput() {
-        let b = breakdown(2.0, 0.0, 0.0);
-        assert_eq!(b.he_throughput(), 25.0);
     }
 
     #[test]

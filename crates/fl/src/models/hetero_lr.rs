@@ -25,7 +25,7 @@
 use crate::data::{vertical_split, Dataset, VerticalShard};
 use crate::metrics::{EpochBreakdown, EpochResult};
 use crate::models::sum_scores;
-use crate::optim::{Adam, Optimizer};
+use crate::optim::Adam;
 use crate::train::{logloss, sigmoid, FlEnv, FlModel, TrainConfig};
 use crate::{Error, Result};
 

@@ -31,7 +31,7 @@ use rand_chacha::ChaCha8Rng;
 use crate::data::{vertical_split, Dataset, VerticalShard};
 use crate::metrics::{EpochBreakdown, EpochResult};
 use crate::models::{scale_down, scale_up, sum_scores};
-use crate::optim::{Adam, Optimizer};
+use crate::optim::Adam;
 use crate::train::{logloss, sigmoid, FlEnv, FlModel, TrainConfig};
 use crate::{Error, Result};
 

@@ -5,10 +5,11 @@
 //!
 //! 1. the active party computes first/second-order gradients `g, h` of
 //!    the logistic loss for every instance and ships them to the passive
-//!    parties **encrypted** — packed `[g|h]` per instance under batch
-//!    compression (the SecureBoost+ GH-packing layout, with enough guard
-//!    bits that a whole node's worth of instances can be summed in-slot),
-//!    or as two ciphertexts per instance otherwise
+//!    parties **encrypted**. The epoch's [`BatchCodec`] — the platform's
+//!    codec over SecureBoost's own GH quantizer, whose guard bits let a
+//!    whole node's worth of instances sum in-slot — packs each instance
+//!    as `codec.pack(&[g, h])`: one `g‖h` word under batch compression
+//!    (the SecureBoost+ GH-packing layout), one word per value otherwise
 //!    ([`FlEnv::encrypted_gh_broadcast`]);
 //! 2. each passive party buckets its node instances by feature-quantile
 //!    bins and reduces the encrypted `g`/`h` of every **non-empty** bucket
@@ -24,7 +25,9 @@
 //!    serial aggregation time
 //!    ([`FlEnv::histogram_exchange`]);
 //! 3. the active party decrypts every passive reply of the node in one
-//!    batch, slices the words back into per-bucket sums, evaluates the
+//!    batch, slices the words back into per-bucket sums, decodes each
+//!    with the same codec (`codec.unpack_sums(sum, 2, count)`, so a bit
+//!    above a slot is the codec's `SlotOverflow`), evaluates the
 //!    XGBoost split gain, and announces the winner. Steps 2 and 3 are one
 //!    host call per node
 //!    ([`Accelerator::fold_packed_decrypt_timed`](crate::Accelerator::fold_packed_decrypt_timed)):
@@ -38,10 +41,11 @@
 #![expect(
     clippy::indexing_slicing,
     reason = "instance ids index per-instance vectors sized to the dataset; bin ids \
-              are clamped to `bins - 1` at quantization"
+              are clamped to `bins - 1` at quantization; a bucket decodes to the two \
+              values it asks `unpack_sums` for"
 )]
 
-use codec::{Quantizer, QuantizerConfig};
+use codec::{BatchCodec, QuantizerConfig};
 use he::paillier::{Ciphertext, PaillierPublicKey};
 use mpint::Natural;
 
@@ -128,8 +132,8 @@ pub struct HeteroSbt {
     trees: Vec<Tree>,
     /// Quantile bins per shard/feature.
     bin_edges: Vec<Vec<Vec<f64>>>,
-    gh_quantizer: Quantizer,
-    gh_slot_bits: u32,
+    /// The GH quantizer every epoch's codec is built from.
+    gh: QuantizerConfig,
     bins: usize,
     max_depth: usize,
     min_node: usize,
@@ -152,14 +156,12 @@ impl HeteroSbt {
 
         // GH quantizer: 16 value bits, guard bits sized so summing every
         // instance of the dataset in one slot cannot overflow.
-        let gh_cfg = QuantizerConfig {
+        let gh = QuantizerConfig {
             alpha: 1.0,
             r_bits: 16,
             participants: crate::count_u32(n).max(2),
             clip: true,
         };
-        let gh_quantizer = Quantizer::new(gh_cfg).map_err(flbooster_core::Error::from)?;
-        let gh_slot_bits = gh_cfg.slot_bits();
 
         let bin_edges = shards
             .iter()
@@ -177,8 +179,7 @@ impl HeteroSbt {
             margins: vec![0.0; n],
             trees: Vec::new(),
             bin_edges,
-            gh_quantizer,
-            gh_slot_bits,
+            gh,
             bins,
             max_depth: 3,
             min_node: 8,
@@ -206,81 +207,47 @@ impl HeteroSbt {
         logloss(&preds, &self.labels)
     }
 
-    /// Quantizes and (optionally) GH-packs the gradient pair of one
-    /// instance.
-    fn encode_gh(&self, g: f64, h: f64, packed: bool) -> Result<Vec<Natural>> {
-        let qg = self
-            .gh_quantizer
-            .quantize(g)
-            .map_err(flbooster_core::Error::from)?;
-        let qh = self
-            .gh_quantizer
-            .quantize(h)
-            .map_err(flbooster_core::Error::from)?;
-        if packed {
-            let word = Natural::from(qg).add_ref(&Natural::from(qh).shl_bits(self.gh_slot_bits));
-            Ok(vec![word])
+    /// The epoch's `g‖h` codec for a `key_bits`-bit key: the GH quantizer
+    /// packed `g` then `h` into one word under batch compression
+    /// (`packed`), else one slot per word, as every backend lays values
+    /// out.
+    fn gh_codec(&self, key_bits: u32, packed: bool) -> Result<BatchCodec> {
+        let codec = BatchCodec::new(self.gh, key_bits)?;
+        Ok(if packed {
+            codec
         } else {
-            Ok(vec![Natural::from(qg), Natural::from(qh)])
-        }
-    }
-
-    /// Decodes a decrypted bucket sum into `(G, H)` given the bucket's
-    /// member count. A count past the quantizer's guard capacity has
-    /// carried out of its slot, so it is an error, never a sum.
-    fn decode_gh_sum(&self, words: &[Natural], count: u32, packed: bool) -> Result<(f64, f64)> {
-        self.check_bucket(count)?;
-        let (zg, zh) = if packed {
-            let w = &words[0];
-            (
-                w.extract_bits(0, self.gh_slot_bits),
-                w.extract_bits(self.gh_slot_bits, self.gh_slot_bits),
-            )
-        } else {
-            (words[0].low_u64(), words[1].low_u64())
-        };
-        Ok((
-            self.gh_quantizer.dequantize_sum(zg, count),
-            self.gh_quantizer.dequantize_sum(zh, count),
-        ))
-    }
-
-    /// A bucket of `count` members must fit the guard bits of its slot.
-    fn check_bucket(&self, count: u32) -> Result<()> {
-        self.gh_quantizer
-            .check_terms(count)
-            .map_err(|e| flbooster_core::Error::from(e).into())
+            codec.one_slot_per_word()
+        })
     }
 
     /// Width of the slot one bucket sum occupies in a reply word: `g‖h`
-    /// under GH packing; without it the whole plaintext word, so a sum
-    /// keeps its ciphertext to itself.
-    fn bucket_slot_bits(&self, pk: &PaillierPublicKey, packed: bool) -> u32 {
-        if packed {
-            2 * self.gh_slot_bits
+    /// when one word holds an instance; otherwise the whole plaintext
+    /// word, so a sum keeps its ciphertext to itself.
+    fn bucket_slot_bits(pk: &PaillierPublicKey, codec: &BatchCodec) -> u32 {
+        if codec.words_for(2) == 1 {
+            2 * codec.quantizer().config().slot_bits()
         } else {
             pk.n.bit_len().saturating_sub(1)
         }
     }
 
     /// Host side of the histogram: the ciphertexts of each bucket's
-    /// members, borrowed from the broadcast — one group per bucket, or a
-    /// `g` group and an `h` group without GH packing. Every bucket is
-    /// held to its guard capacity before anything is folded.
+    /// members, borrowed from the broadcast — one group per word of an
+    /// instance (`g‖h`, or `g` then `h`). Every bucket is held to its
+    /// guard capacity before anything is folded.
     fn bucket_groups<'a>(
-        &self,
+        codec: &BatchCodec,
         buckets: &[Vec<Vec<usize>>],
         gh_cts: &'a [Ciphertext],
-        packed: bool,
     ) -> Result<Vec<Vec<&'a Ciphertext>>> {
+        let streams = codec.words_for(2);
         let mut groups = Vec::new();
         for bucket in buckets.iter().flatten() {
-            self.check_bucket(crate::count_u32(bucket.len()))?;
-            if packed {
-                groups.push(bucket.iter().map(|&i| &gh_cts[i]).collect());
-            } else {
-                groups.push(bucket.iter().map(|&i| &gh_cts[2 * i]).collect());
-                groups.push(bucket.iter().map(|&i| &gh_cts[2 * i + 1]).collect());
+            codec
+                .quantizer()
+                .check_terms(crate::count_u32(bucket.len()))?;
+            for s in 0..streams {
+                groups.push(bucket.iter().map(|&i| &gh_cts[streams * i + s]).collect());
             }
         }
         Ok(groups)
@@ -290,17 +257,14 @@ impl HeteroSbt {
     /// sliced back into `(G, H, count)` per bucket. Which buckets replied
     /// follows from the member counts, which travel in the clear.
     fn decode_buckets(
-        &self,
         pk: &PaillierPublicKey,
+        codec: &BatchCodec,
         words: &[Natural],
         buckets: &[Vec<Vec<usize>>],
-        packed: bool,
     ) -> Result<Vec<Vec<(f64, f64, u32)>>> {
-        let streams = if packed { 1 } else { 2 };
+        let streams = codec.words_for(2);
         let filled = buckets.iter().flatten().filter(|b| !b.is_empty()).count();
-        let slots = pk
-            .unpack_runs(words, filled * streams, self.bucket_slot_bits(pk, packed))
-            .map_err(flbooster_core::Error::from)?;
+        let slots = pk.unpack_runs(words, filled * streams, Self::bucket_slot_bits(pk, codec))?;
         let mut sums = slots.chunks(streams);
         buckets
             .iter()
@@ -314,8 +278,8 @@ impl HeteroSbt {
                         // `unpack_runs` returned a sum per filled bucket.
                         let sum = sums.next().unwrap_or_default();
                         let terms = crate::count_u32(bucket.len());
-                        let (gs, hs) = self.decode_gh_sum(sum, terms, packed)?;
-                        Ok((gs, hs, terms))
+                        let gh = codec.unpack_sums(sum, 2, terms)?;
+                        Ok((gh[0], gh[1], terms))
                     })
                     .collect()
             })
@@ -397,7 +361,7 @@ impl FlModel for HeteroSbt {
     fn run_epoch(&mut self, env: &FlEnv, cfg: &TrainConfig, epoch: usize) -> Result<EpochResult> {
         let mut breakdown = EpochBreakdown::default();
         let n = self.labels.len();
-        let packed = env.accel.batch_compression();
+        let codec = self.gh_codec(env.accel.key_bits(), env.accel.batch_compression())?;
 
         // (1) gradients and their encrypted broadcast.
         let mut g = Vec::with_capacity(n);
@@ -409,9 +373,9 @@ impl FlModel for HeteroSbt {
         }
         env.charge_local_compute(8 * n as u64, cfg, &mut breakdown);
 
-        let mut plaintexts = Vec::with_capacity(if packed { n } else { 2 * n });
+        let mut plaintexts = Vec::with_capacity(codec.words_for(2) * n);
         for i in 0..n {
-            plaintexts.extend(self.encode_gh(g[i], h[i], packed)?);
+            plaintexts.extend(codec.pack(&[g[i], h[i]])?);
         }
         let seed = cfg.seed ^ ((epoch as u64) << 20);
         let passive = crate::count_u32(self.shards.len().saturating_sub(1));
@@ -421,6 +385,7 @@ impl FlModel for HeteroSbt {
         let round = Round {
             env,
             cfg,
+            codec: &codec,
             g: &g,
             h: &h,
             gh_cts: &gh_cts,
@@ -451,10 +416,12 @@ impl FlModel for HeteroSbt {
 struct Round<'a> {
     env: &'a FlEnv,
     cfg: &'a TrainConfig,
+    /// The epoch's `g‖h` codec.
+    codec: &'a BatchCodec,
     g: &'a [f64],
     h: &'a [f64],
-    /// The encrypted gradients as broadcast: one `g‖h` word per instance
-    /// under batch compression, else `g` then `h`.
+    /// The encrypted gradients as broadcast: the codec's words of each
+    /// instance in turn.
     gh_cts: &'a [Ciphertext],
 }
 
@@ -471,7 +438,6 @@ impl HeteroSbt {
         leaves: &mut Vec<(Vec<usize>, f64)>,
     ) -> Result<TreeNode> {
         let Round { env, cfg, g, h, .. } = *round;
-        let packed = env.accel.batch_compression();
         let g_total: f64 = members.iter().map(|&i| g[i]).sum();
         let h_total: f64 = members.iter().map(|&i| h[i]).sum();
 
@@ -510,11 +476,12 @@ impl HeteroSbt {
         // is decrypted as soon as it is packed. The engine charges the
         // parties in party order, as one after another, then the
         // decryption.
-        let slot_bits = self.bucket_slot_bits(pk, packed);
+        let codec = round.codec;
+        let slot_bits = Self::bucket_slot_bits(pk, codec);
         let groups = buckets
             .iter()
             .skip(1)
-            .map(|per_feature| self.bucket_groups(per_feature, round.gh_cts, packed))
+            .map(|per_feature| Self::bucket_groups(codec, per_feature, round.gh_cts))
             .collect::<Result<Vec<_>>>()?;
         let (reply_lens, words) = env.histogram_exchange(&groups, slot_bits, breakdown)?;
         let mut words = words.as_slice();
@@ -540,7 +507,7 @@ impl HeteroSbt {
             } else {
                 let (reply, rest) = words.split_at(reply_lens[shard_idx - 1]);
                 words = rest;
-                self.decode_buckets(pk, reply, per_feature, packed)?
+                Self::decode_buckets(pk, codec, reply, per_feature)?
             };
 
             // Split evaluation at the active party (plaintext gains).
@@ -739,11 +706,12 @@ mod tests {
             let env = env(kind);
             let packed = env.accel.batch_compression();
             let pk = &env.accel.keys().public;
+            let codec = model.gh_codec(env.accel.key_bits(), packed).unwrap();
             let mut plaintexts = Vec::new();
             for i in 0..n {
                 let g = ((i * 37 % 200) as f64 - 100.0) / 100.0;
                 let h = (i * 11 % 100) as f64 / 100.0;
-                plaintexts.extend(model.encode_gh(g, h, packed).unwrap());
+                plaintexts.extend(codec.pack(&[g, h]).unwrap());
             }
             let (gh_cts, _) = env.accel.encrypt_words_timed(&plaintexts, 9).unwrap();
 
@@ -764,14 +732,14 @@ mod tests {
                     }
                 }
 
-                let groups = model.bucket_groups(&buckets, &gh_cts, packed).unwrap();
-                let slot_bits = model.bucket_slot_bits(pk, packed);
-                let (folded, (words, _)) = env
+                let groups = HeteroSbt::bucket_groups(&codec, &buckets, &gh_cts).unwrap();
+                let slot_bits = HeteroSbt::bucket_slot_bits(pk, &codec);
+                let node = env
                     .accel
                     .fold_packed_decrypt_timed(std::slice::from_ref(&groups), slot_bits)
                     .unwrap();
-                let [(reply, _)] = <[_; 1]>::try_from(folded).unwrap();
-                let got = model.decode_buckets(pk, &words, &buckets, packed).unwrap();
+                let [(reply, _)] = <[_; 1]>::try_from(node.replies).unwrap();
+                let got = HeteroSbt::decode_buckets(pk, &codec, &node.words, &buckets).unwrap();
 
                 let owned: Vec<Vec<Ciphertext>> = groups
                     .iter()
@@ -787,8 +755,8 @@ mod tests {
                     .zip(per_bucket.chunks(streams))
                     .map(|(bucket, words)| {
                         let terms = u32::try_from(bucket.len()).unwrap();
-                        let (gs, hs) = model.decode_gh_sum(words, terms, packed).unwrap();
-                        (gs, hs, terms)
+                        let gh = codec.unpack_sums(words, 2, terms).unwrap();
+                        (gh[0], gh[1], terms)
                     })
                     .collect();
                 let bits = |t: &(f64, f64, u32)| (t.0.to_bits(), t.1.to_bits(), t.2);
@@ -812,27 +780,28 @@ mod tests {
             signs in proptest::collection::vec(proptest::prelude::any::<bool>(), 5),
         ) {
             let model = HeteroSbt::new(&small_dataset(), 3, &TrainConfig::default()).unwrap();
-            let max_terms = model.gh_quantizer.config().max_terms();
+            let max_terms = model.gh.max_terms();
             let keys = PaillierKeyPair::generate(&mut ChaCha8Rng::seed_from_u64(0xCA9), 256).unwrap();
             let accel = Accelerator::new(BackendKind::FlBooster, keys, 3).unwrap();
             let pk = &accel.keys().public;
-            let slot_bits = model.bucket_slot_bits(pk, true);
+            let codec = model.gh_codec(accel.key_bits(), true).unwrap();
+            let slot_bits = HeteroSbt::bucket_slot_bits(pk, &codec);
             proptest::prop_assert_eq!(pk.pack_capacity(slot_bits).unwrap(), 5);
 
             // E(−α‖α) and E(+α‖α); a full bucket is one of them
             // `max_terms` times over.
             let words: Vec<Natural> = [-1.0, 1.0]
                 .iter()
-                .flat_map(|&g| model.encode_gh(g, 1.0, true).unwrap())
+                .flat_map(|&g| codec.pack(&[g, 1.0]).unwrap())
                 .collect();
             let (gh_cts, _) = accel.encrypt_words_timed(&words, 3).unwrap();
             let buckets: Vec<Vec<Vec<usize>>> =
                 vec![signs.iter().map(|&up| vec![usize::from(up); max_terms as usize]).collect()];
-            let groups = model.bucket_groups(&buckets, &gh_cts, true).unwrap();
-            let (folded, (plain, _)) = accel.fold_packed_decrypt_timed(&[groups], slot_bits).unwrap();
-            let [(reply, _)] = <[_; 1]>::try_from(folded).unwrap();
+            let groups = HeteroSbt::bucket_groups(&codec, &buckets, &gh_cts).unwrap();
+            let node = accel.fold_packed_decrypt_timed(&[groups], slot_bits).unwrap();
+            let [(reply, _)] = <[_; 1]>::try_from(node.replies).unwrap();
             proptest::prop_assert_eq!(reply.len(), 1);
-            let sums = model.decode_buckets(pk, &plain, &buckets, true).unwrap();
+            let sums = HeteroSbt::decode_buckets(pk, &codec, &node.words, &buckets).unwrap();
             let full = f64::from(max_terms);
             let want: Vec<(f64, f64, u32)> = signs
                 .iter()
@@ -845,23 +814,51 @@ mod tests {
     #[test]
     fn a_bucket_past_its_guard_capacity_is_an_error_on_both_sides() {
         let model = HeteroSbt::new(&small_dataset(), 3, &TrainConfig::default()).unwrap();
-        let max_terms = model.gh_quantizer.config().max_terms();
+        let max_terms = model.gh.max_terms();
         let pinned = format!(
             "platform: codec: aggregating {} terms exceeds the {max_terms}-term guard capacity",
             max_terms + 1
         );
         for packed in [true, false] {
+            let codec = model.gh_codec(1024, packed).unwrap();
             // Host: refused before anything is folded.
             let over = vec![vec![vec![0usize; max_terms as usize + 1]]];
-            let err = model.bucket_groups(&over, &[], packed).unwrap_err();
+            let err = HeteroSbt::bucket_groups(&codec, &over, &[]).unwrap_err();
             assert_eq!(err.to_string(), pinned);
             // Guest: a count it cannot have packed is not decoded.
-            let words = model.encode_gh(0.5, 0.5, packed).unwrap();
-            assert!(model.decode_gh_sum(&words, max_terms, packed).is_ok());
-            let err = model
-                .decode_gh_sum(&words, max_terms + 1, packed)
-                .unwrap_err();
-            assert_eq!(err.to_string(), pinned);
+            let words = codec.pack(&[0.5, 0.5]).unwrap();
+            assert!(codec.unpack_sums(&words, 2, max_terms).is_ok());
+            let err = codec.unpack_sums(&words, 2, max_terms + 1).unwrap_err();
+            assert_eq!(Error::from(err).to_string(), pinned);
+        }
+    }
+
+    /// Without batch compression each bucket sum has a word to itself,
+    /// decoded by the codec like any other: a bit above the GH slot of
+    /// the `g` word is the codec's `SlotOverflow`, never a histogram
+    /// with the bit cut off.
+    #[test]
+    fn a_bit_above_the_gh_slot_of_an_unpacked_bucket_is_a_slot_overflow() {
+        let model = HeteroSbt::new(&small_dataset(), 3, &TrainConfig::default()).unwrap();
+        for kind in [BackendKind::Fate, BackendKind::Haflo] {
+            let env = env(kind);
+            let pk = &env.accel.keys().public;
+            let gh = model
+                .gh_codec(env.accel.key_bits(), env.accel.batch_compression())
+                .unwrap();
+            let slot_bits = gh.quantizer().config().slot_bits();
+            let buckets = vec![vec![vec![7usize]]];
+            let mut words = gh.pack(&[0.25, 0.5]).unwrap();
+            assert_eq!(words.len(), 2, "{kind:?}: `g` and `h` words");
+            assert!(HeteroSbt::decode_buckets(pk, &gh, &words, &buckets).is_ok());
+            words[0].add_assign_ref(&Natural::one().shl_bits(slot_bits));
+            let err = HeteroSbt::decode_buckets(pk, &gh, &words, &buckets).unwrap_err();
+            let overflow = codec::Error::SlotOverflow {
+                word: 0,
+                bits: slot_bits + 1,
+                limit: slot_bits,
+            };
+            assert_eq!(err, Error::from(overflow), "{kind:?}");
         }
     }
 
@@ -871,8 +868,10 @@ mod tests {
         let cfg = TrainConfig::default();
         let model = HeteroSbt::new(&data, 3, &cfg).unwrap();
         for packed in [true, false] {
-            let words = model.encode_gh(-0.37, 0.21, packed).unwrap();
-            let (g, h) = model.decode_gh_sum(&words, 1, packed).unwrap();
+            let codec = model.gh_codec(1024, packed).unwrap();
+            let words = codec.pack(&[-0.37, 0.21]).unwrap();
+            let gh = codec.unpack_sums(&words, 2, 1).unwrap();
+            let (g, h) = (gh[0], gh[1]);
             assert!((g + 0.37).abs() < 1e-4, "g {g}");
             assert!((h - 0.21).abs() < 1e-4, "h {h}");
         }
@@ -884,12 +883,14 @@ mod tests {
         let cfg = TrainConfig::default();
         let model = HeteroSbt::new(&data, 3, &cfg).unwrap();
         // Sum three packed GH words as the homomorphic fold would.
+        let codec = model.gh_codec(1024, true).unwrap();
         let pairs = [(-0.5, 0.25), (0.1, 0.2), (0.3, 0.05)];
         let mut acc = Natural::zero();
         for (g, h) in pairs {
-            acc = acc.add_ref(&model.encode_gh(g, h, true).unwrap()[0]);
+            acc = acc.add_ref(&codec.pack(&[g, h]).unwrap()[0]);
         }
-        let (gs, hs) = model.decode_gh_sum(&[acc], 3, true).unwrap();
+        let gh = codec.unpack_sums(&[acc], 2, 3).unwrap();
+        let (gs, hs) = (gh[0], gh[1]);
         assert!((gs - (-0.1)).abs() < 1e-3, "G {gs}");
         assert!((hs - 0.5).abs() < 1e-3, "H {hs}");
     }

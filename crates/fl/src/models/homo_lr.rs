@@ -16,7 +16,7 @@
 use crate::data::{horizontal_split, Dataset};
 use crate::engine::run_round;
 use crate::metrics::{EpochBreakdown, EpochResult};
-use crate::optim::{Adam, Optimizer};
+use crate::optim::Adam;
 use crate::train::{logloss, sigmoid, FlEnv, FlModel, TrainConfig};
 use crate::Result;
 

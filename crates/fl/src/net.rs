@@ -85,6 +85,17 @@ impl NetworkConfig {
         self.duplex_streams = streams.max(1);
         self
     }
+
+    /// Simulated seconds of one attempt at a message carrying
+    /// `ciphertexts` ciphertext objects and `bytes` payload bytes: the
+    /// one place a byte count becomes seconds (latency + per-ciphertext
+    /// overhead + bytes / bandwidth). [`Network::send`] pays it once per
+    /// attempt.
+    pub fn message_seconds(&self, ciphertexts: u64, bytes: u64) -> f64 {
+        self.latency_seconds
+            + ciphertexts as f64 * self.per_ciphertext_seconds
+            + bytes as f64 / self.bandwidth_bytes_per_sec
+    }
 }
 
 /// Simulated-time occupancy of one link with a fixed number of
@@ -209,10 +220,9 @@ impl Network {
     /// still records the bytes, seconds and retries it spent; only
     /// `messages` and `ciphertexts` count deliveries.
     ///
-    /// This is the one place a byte count becomes seconds (latency +
-    /// per-ciphertext overhead + bytes / bandwidth). Counts are `u64` and
-    /// seconds are `f64` everywhere in the charging layers, so the
-    /// compiler keeps the two apart — seconds are not a payload size:
+    /// Each attempt costs [`NetworkConfig::message_seconds`]. Counts are
+    /// `u64` and seconds are `f64` everywhere in the charging layers, so
+    /// the compiler keeps the two apart — seconds are not a payload size:
     ///
     /// ```compile_fail,E0308
     /// use fl::{Network, NetworkConfig};
@@ -221,9 +231,7 @@ impl Network {
     /// net.send(1, seconds).unwrap(); // an `f64` is not a byte count
     /// ```
     pub fn send(&self, ciphertexts: u64, bytes: u64) -> Result<f64> {
-        let per_try = self.cfg.latency_seconds
-            + ciphertexts as f64 * self.cfg.per_ciphertext_seconds
-            + bytes as f64 / self.cfg.bandwidth_bytes_per_sec;
+        let per_try = self.cfg.message_seconds(ciphertexts, bytes);
         let mut total = 0.0;
         let mut sent_bytes = 0u64;
         let mut retries = 0u64;

@@ -1,4 +1,4 @@
-//! Optimizers: SGD and Adam with L2 regularization.
+//! The optimizer: Adam with L2 regularization.
 //!
 //! Paper Sec. VI-B parameter settings: "the penalty method is set to L2
 //! normalization with a coefficient equal to 0.01 for all models; the
@@ -12,49 +12,6 @@
 )]
 // flcheck: allow-file(pf-assert) — the dimension check is the documented
 // `step` contract; silently zipping short would corrupt training.
-
-/// A first-order optimizer stepping dense parameter vectors.
-pub trait Optimizer: Send {
-    /// Applies one update: `w <- w - step(grad + l2·w)`.
-    fn step(&mut self, weights: &mut [f64], grads: &[f64]);
-
-    /// Resets internal state (moments, step counter).
-    fn reset(&mut self);
-}
-
-/// Plain SGD (paper Eq. 1: `W_{t+1} = W_t − α_t ∇G_t`).
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Learning rate α.
-    pub learning_rate: f64,
-    /// L2 coefficient λ.
-    pub l2: f64,
-}
-
-impl Sgd {
-    /// SGD with the paper's default L2 = 0.01.
-    pub fn new(learning_rate: f64) -> Self {
-        Sgd {
-            learning_rate,
-            l2: 0.01,
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, weights: &mut [f64], grads: &[f64]) {
-        assert_eq!(
-            weights.len(),
-            grads.len(),
-            "weight/gradient dimension mismatch"
-        );
-        for (w, &g) in weights.iter_mut().zip(grads) {
-            *w -= self.learning_rate * (g + self.l2 * *w);
-        }
-    }
-
-    fn reset(&mut self) {}
-}
 
 /// Adam (Kingma & Ba), the paper's default optimizer.
 #[derive(Debug, Clone)]
@@ -88,10 +45,11 @@ impl Adam {
             t: 0,
         }
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, weights: &mut [f64], grads: &[f64]) {
+    /// Applies one update to `weights` from `grads` (the L2 term
+    /// `l2·w` added to each gradient). A dimension change restarts the
+    /// moments.
+    pub fn step(&mut self, weights: &mut [f64], grads: &[f64]) {
         assert_eq!(
             weights.len(),
             grads.len(),
@@ -115,12 +73,6 @@ impl Optimizer for Adam {
             weights[i] -= self.learning_rate * m_hat / (v_hat.sqrt() + self.epsilon);
         }
     }
-
-    fn reset(&mut self) {
-        self.m.clear();
-        self.v.clear();
-        self.t = 0;
-    }
 }
 
 #[cfg(test)]
@@ -130,20 +82,6 @@ mod tests {
     /// f(w) = (w - 3)^2, gradient 2(w - 3).
     fn quad_grad(w: f64) -> f64 {
         2.0 * (w - 3.0)
-    }
-
-    #[test]
-    fn sgd_descends_quadratic() {
-        let mut opt = Sgd {
-            learning_rate: 0.1,
-            l2: 0.0,
-        };
-        let mut w = vec![0.0];
-        for _ in 0..200 {
-            let g = vec![quad_grad(w[0])];
-            opt.step(&mut w, &g);
-        }
-        assert!((w[0] - 3.0).abs() < 1e-6, "w = {}", w[0]);
     }
 
     #[test]
@@ -162,26 +100,14 @@ mod tests {
     fn l2_pulls_towards_zero() {
         // With strong L2 the fixed point moves below the unregularized
         // optimum of 3.0.
-        let mut opt = Sgd {
-            learning_rate: 0.05,
-            l2: 1.0,
-        };
+        let mut opt = Adam::new(0.05);
+        opt.l2 = 1.0;
         let mut w = vec![0.0];
         for _ in 0..500 {
             let g = vec![quad_grad(w[0])];
             opt.step(&mut w, &g);
         }
         assert!(w[0] < 2.5 && w[0] > 0.0, "w = {}", w[0]);
-    }
-
-    #[test]
-    fn adam_reset_clears_moments() {
-        let mut opt = Adam::new(0.1);
-        let mut w = vec![1.0, 2.0];
-        opt.step(&mut w, &[0.5, -0.5]);
-        opt.reset();
-        assert_eq!(opt.t, 0);
-        assert!(opt.m.is_empty());
     }
 
     #[test]
@@ -198,6 +124,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn mismatched_shapes_panic() {
-        Sgd::new(0.1).step(&mut [0.0], &[1.0, 2.0]);
+        Adam::new(0.1).step(&mut [0.0], &[1.0, 2.0]);
     }
 }

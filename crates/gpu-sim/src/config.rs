@@ -72,12 +72,6 @@ impl DeviceConfig {
             sec_per_thread_op: 1.0e-6,
         }
     }
-
-    /// Total thread slots across the device (`T_max` in the paper's
-    /// Eq. 10).
-    pub fn max_concurrent_threads(&self) -> u64 {
-        self.num_sms as u64 * self.max_threads_per_sm as u64
-    }
 }
 
 #[cfg(test)]
@@ -89,13 +83,13 @@ mod tests {
         let c = DeviceConfig::rtx3090();
         assert_eq!(c.num_sms, 82);
         assert_eq!(c.warp_size, 32);
-        assert_eq!(c.max_concurrent_threads(), 82 * 1536);
+        assert_eq!(c.max_threads_per_sm, 1536);
     }
 
     #[test]
     fn tiny_is_smaller_than_3090() {
         let t = DeviceConfig::test_tiny();
         let b = DeviceConfig::rtx3090();
-        assert!(t.max_concurrent_threads() < b.max_concurrent_threads());
+        assert!(t.num_sms < b.num_sms && t.max_threads_per_sm < b.max_threads_per_sm);
     }
 }

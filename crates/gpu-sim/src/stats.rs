@@ -74,16 +74,6 @@ impl DeviceStats {
     pub fn sim_total_seconds(&self) -> f64 {
         self.sim_h2d_seconds + self.sim_kernel_seconds + self.sim_d2h_seconds
     }
-
-    /// Items per simulated second — the Table-IV throughput metric.
-    pub fn sim_throughput(&self) -> f64 {
-        let t = self.sim_total_seconds();
-        if t == 0.0 {
-            0.0
-        } else {
-            self.items as f64 / t
-        }
-    }
 }
 
 #[cfg(test)]
@@ -130,13 +120,12 @@ mod tests {
         assert_eq!(s.thread_ops, 128);
         assert!((s.mean_sm_utilization() - 0.75).abs() < 1e-12);
         assert!((s.sim_total_seconds() - 8.0).abs() < 1e-12);
-        assert!((s.sim_throughput() - 30.0 / 8.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_stats_are_zero() {
         let s = DeviceStats::default();
         assert_eq!(s.mean_sm_utilization(), 0.0);
-        assert_eq!(s.sim_throughput(), 0.0);
+        assert_eq!(s.sim_total_seconds(), 0.0);
     }
 }

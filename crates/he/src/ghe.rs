@@ -346,7 +346,7 @@ pub trait HeBackend: Send + Sync {
     /// `out[j] = ∏ᵢ batches[i][j] ^ weights[i] mod n²` — one Bos–Coster
     /// chain per slot ([`PaillierPublicKey::weighted_sum`]), each on its
     /// own slot task, the chain and its `R`-power fix-up computed once
-    /// for the whole launch ([`PaillierPublicKey::weighted_pass`]). Each
+    /// for the whole launch (`PaillierPublicKey::weighted_pass`). Each
     /// slot is charged
     /// [`weighted_sum_op_estimate`](PaillierPublicKey::weighted_sum_op_estimate)
     /// of that plan, the chain it replays, and slot 0 also the launch's
@@ -647,7 +647,7 @@ pub enum Schedule<'a> {
         seconds_per_op: f64,
     },
     /// The GHE layer: one kernel launch per batch on the simulated device,
-    /// each charged by [`timing_from`].
+    /// each charged from its launch report (`timing_from`).
     Gpu(&'a Device),
 }
 

@@ -3,7 +3,7 @@
 //! The paper assigns "a random number generator for each thread in a warp"
 //! (Sec. IV-A3); here every call site passes its own `Rng`, so the GPU
 //! simulator can hand one deterministic per-lane generator to each thread
-//! while tests use seeded [`rand_chacha`] streams.
+//! while tests use seeded `rand_chacha` streams.
 
 #![expect(
     clippy::indexing_slicing,

@@ -4,7 +4,7 @@
 //! randomized property-testing harness behind the subset of the proptest
 //! API the workspace's `tests/properties.rs` suites use:
 //!
-//! - [`Strategy`] with `prop_map`, numeric range strategies, tuples,
+//! - [`strategy::Strategy`] with `prop_map`, numeric range strategies, tuples,
 //!   [`strategy::Just`], boxed strategies, and `prop_oneof!` unions;
 //! - `any::<T>()` for primitive `T`;
 //! - [`collection::vec`] and [`collection::btree_set`];

@@ -1,7 +1,7 @@
 //! The host thread pool: one shared cursor over independent tasks.
 //!
 //! Execution model: every parallel-iterator drive is a batch of `tasks`
-//! indexed items that never spawn more work. [`run_ordered`] spawns scoped
+//! indexed items that never spawn more work. `run_ordered` spawns scoped
 //! `std::thread` workers (the caller participates as worker 0), and each
 //! worker claims the next index with one `fetch_add` on a shared cursor
 //! until the cursor passes `tasks`. An expensive item holds up only the

@@ -11,7 +11,8 @@
 # `bash run_harness.sh --quick` keeps every other gate (build, `paper`
 # and the modeled gates among its views, both tier-1 test runs —
 # flcheck's zero findings and its two ratchets among them — the
-# no-`unsafe` gate, the benchmark-package build, the clippy lints, fmt)
+# no-`unsafe` gate, the benchmark-package build, the clippy lints, the
+# rustdoc links, fmt)
 # but trims sweep cardinality — fewer key sizes, datasets, models,
 # epochs, parties, clients — for a fast full-pipeline smoke run. Trimmed
 # sweeps print different tables, so the quick tier writes under
@@ -124,6 +125,14 @@ fi
 echo "=== clippy: every target of every crate ==="
 if ! cargo clippy --offline --workspace --all-targets -- -D warnings 2>&1 | tail -20; then
   echo "HARNESS_FAILED: cargo clippy lints"
+  exit 1
+fi
+
+# Doc links: rustdoc with warnings as errors, so a doc comment that links
+# a private, renamed or deleted item fails here.
+echo "=== rustdoc: RUSTDOCFLAGS=-D warnings ==="
+if ! RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps 2>&1 | tail -20; then
+  echo "HARNESS_FAILED: cargo doc with -D warnings"
   exit 1
 fi
 

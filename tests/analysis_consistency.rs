@@ -663,7 +663,7 @@ fn seconds_are_floats_and_counts_are_integers() {
         }
     }
     let want = [
-        "crates/fl/src/net.rs::send",
+        "crates/fl/src/net.rs::message_seconds",
         "crates/gpu-sim/src/device.rs::account",
         "crates/he/src/ghe.rs::run",
     ];

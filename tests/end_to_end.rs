@@ -44,7 +44,7 @@ fn encrypted_fedavg_equals_plaintext_fedavg_within_quantization() {
     // Plaintext reference: same protocol via the mathematical definition —
     // average the 4 clients' exact batch gradients and step the same Adam.
     use fl::data::horizontal_split;
-    use fl::optim::{Adam, Optimizer};
+    use fl::optim::Adam;
     use fl::train::sigmoid;
     let parts = horizontal_split(&data, 4);
     let mut w = vec![0.0; data.num_features];

@@ -505,13 +505,13 @@ fn packed_histogram_replies_are_bit_and_charge_identical_at_any_thread_count() {
                 let all = acc
                     .fold_packed_decrypt_timed(&parties, slot_bits)
                     .expect("fan-out")
-                    .0;
+                    .replies;
                 let single: Vec<_> = parties
                     .iter()
                     .flat_map(|party| {
                         acc.fold_packed_decrypt_timed(std::slice::from_ref(party), slot_bits)
                             .expect("one party")
-                            .0
+                            .replies
                     })
                     .collect();
                 (all, single)
@@ -603,7 +603,7 @@ fn multi_party_fold_packed_records_device_stats_in_party_order() {
         .map(|party| {
             let alone = accel();
             let reply = alone.fold_packed_decrypt_timed(std::slice::from_ref(party), slot_bits);
-            assert!(reply.expect("fold").0.len() == 1);
+            assert!(reply.expect("fold").replies.len() == 1);
             alone
                 .device_stats()
                 .expect("gpu")
@@ -619,8 +619,9 @@ fn multi_party_fold_packed_records_device_stats_in_party_order() {
     let mut seen = std::collections::BTreeSet::new();
     for _ in 0..24 {
         let acc = accel();
-        let (replies, _) =
-            in_pool(2, || acc.fold_packed_decrypt_timed(&parties, slot_bits)).expect("fold");
+        let replies = in_pool(2, || acc.fold_packed_decrypt_timed(&parties, slot_bits))
+            .expect("fold")
+            .replies;
         assert_eq!(replies.len(), parties.len());
         let stats = acc.device_stats().expect("gpu");
         let (packs, decrypt) = stats.utilization_samples.split_at(parties.len());
