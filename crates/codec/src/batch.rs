@@ -162,22 +162,6 @@ impl BatchCodec {
         }
         Ok(out)
     }
-
-    /// Slot-wise plain addition of packed words — the plaintext image of
-    /// Paillier's homomorphic addition, used by tests and the CPU
-    /// reference path. Both slices must have equal length.
-    pub fn add_packed(&self, a: &[Natural], b: &[Natural]) -> Vec<Natural> {
-        // Documented precondition: misaligned packs would add wrong slots.
-        // flcheck: allow(pf-assert)
-        assert_eq!(a.len(), b.len(), "packed operands must align");
-        a.iter().zip(b).map(|(x, y)| x + y).collect()
-    }
-
-    /// Upper bound on the packed word value: must stay below `2^key_bits`
-    /// so it is a valid Paillier plaintext.
-    pub fn max_word_bits(&self) -> u32 {
-        self.slots_per_word * self.quantizer.config().slot_bits()
-    }
 }
 
 #[cfg(test)]
@@ -223,9 +207,10 @@ mod tests {
     fn packed_words_fit_plaintext_space() {
         let c = codec(256, 4);
         let values = vec![1.0; c.slots_per_word() * 3]; // all-max slots
+        let word_bits = c.slots_per_word() * c.quantizer().config().slot_bits() as usize;
+        assert!(word_bits < 256);
         for w in c.pack(&values).unwrap() {
-            assert!(w.bit_len() <= c.max_word_bits());
-            assert!(c.max_word_bits() < 256);
+            assert!(w.bit_len() as usize <= word_bits);
         }
     }
 
@@ -236,7 +221,7 @@ mod tests {
         let b: Vec<f64> = (0..40).map(|i| (i as f64).cos() * 0.9).collect();
         let pa = c.pack(&a).unwrap();
         let pb = c.pack(&b).unwrap();
-        let sum = c.add_packed(&pa, &pb);
+        let sum: Vec<Natural> = pa.iter().zip(&pb).map(|(x, y)| x + y).collect();
         let decoded = c.unpack_sums(&sum, 40, 2).unwrap();
         let bound = 2.0 * c.quantizer().max_error();
         for i in 0..40 {
@@ -256,7 +241,11 @@ mod tests {
             .collect();
         let mut acc = c.pack(&parties[0]).unwrap();
         for p in &parties[1..] {
-            acc = c.add_packed(&acc, &c.pack(p).unwrap());
+            acc = acc
+                .iter()
+                .zip(&c.pack(p).unwrap())
+                .map(|(x, y)| x + y)
+                .collect();
         }
         let decoded = c.unpack_sums(&acc, 20, 4).unwrap();
         let bound = 4.0 * c.quantizer().max_error();
@@ -371,13 +360,5 @@ mod tests {
         assert_eq!(packed.len(), 2);
         let back = c.unpack(&packed, 20).unwrap();
         assert_eq!(back.len(), 20);
-    }
-
-    #[test]
-    #[should_panic(expected = "align")]
-    fn misaligned_add_panics() {
-        let c = codec(512, 4);
-        let a = c.pack(&[0.1; 5]).unwrap();
-        c.add_packed(&a, &[]);
     }
 }

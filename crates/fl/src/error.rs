@@ -10,8 +10,6 @@ pub type Result<T> = std::result::Result<T, Error>;
 pub enum Error {
     /// A platform-layer failure (HE, codec, arithmetic).
     Platform(flbooster_core::Error),
-    /// The dataset cannot support the requested configuration.
-    BadDataset(String),
     /// The federation configuration is invalid (participants, splits...).
     BadConfig(String),
     /// The network simulator gave up after exhausting retries.
@@ -19,7 +17,7 @@ pub enum Error {
         /// Attempts made.
         attempts: u32,
     },
-    /// Too few clients beat the round engine's straggler deadline (a
+    /// No client beat the round engine's straggler deadline (a
     /// budget in **simulated seconds**, the same unit as every
     /// `EpochBreakdown` accumulator — compared against each client's
     /// simulated uplink-arrival time, never wall-clock): the round was
@@ -36,7 +34,6 @@ impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Error::Platform(e) => write!(f, "platform: {e}"),
-            Error::BadDataset(msg) => write!(f, "bad dataset: {msg}"),
             Error::BadConfig(msg) => write!(f, "bad configuration: {msg}"),
             Error::NetworkFailure { attempts } => {
                 write!(f, "network send failed after {attempts} attempts")

@@ -129,7 +129,7 @@ impl FlModel for HeteroLr {
                 score_parts.push(u_k);
                 flops += f;
             }
-            env.charge_local_compute(flops / p as u64, cfg, &mut breakdown);
+            env.charge_local_compute(flops / p as u64, &mut breakdown);
             let u = sum_scores(env, cfg, &score_parts, seed, &mut breakdown)?;
 
             // (3) residuals, encrypted once and broadcast to the passive parties.
@@ -153,7 +153,7 @@ impl FlModel for HeteroLr {
                     s.rows[i].axpy_into(dk[j] / count, &mut grad);
                     flops += 2 * s.rows[i].nnz() as u64;
                 }
-                env.charge_local_compute(flops / p as u64, cfg, &mut breakdown);
+                env.charge_local_compute(flops / p as u64, &mut breakdown);
                 let grad_rt =
                     env.encrypted_exchange(&grad, seed ^ ((k as u64) << 40), &mut breakdown)?;
                 self.opts[k].step(&mut self.weights[k], &grad_rt);

@@ -173,7 +173,7 @@ impl FlModel for HeteroNn {
                 parts.push(zk);
                 flops += f;
             }
-            env.charge_local_compute(flops / p as u64, cfg, &mut breakdown);
+            env.charge_local_compute(flops / p as u64, &mut breakdown);
             let z = sum_scores(env, cfg, &parts, seed, &mut breakdown)?;
 
             // (2) top model forward + output error (active party).
@@ -188,7 +188,7 @@ impl FlModel for HeteroNn {
                 }
                 delta[j] = sigmoid(acc) - self.labels[range.start + j];
             }
-            env.charge_local_compute((4 * b * HIDDEN) as u64, cfg, &mut breakdown);
+            env.charge_local_compute((4 * b * HIDDEN) as u64, &mut breakdown);
 
             // Hidden-layer error δ_Z = δ · w_top ⊙ (1 − tanh²).
             let mut delta_z = vec![0.0; b * HIDDEN];
@@ -224,7 +224,7 @@ impl FlModel for HeteroNn {
                     }
                     flops += 2 * (row.nnz() * HIDDEN) as u64;
                 }
-                env.charge_local_compute(flops / p as u64, cfg, &mut breakdown);
+                env.charge_local_compute(flops / p as u64, &mut breakdown);
                 self.bottom_opts[k].step(&mut self.bottoms[k], &grad);
             }
 
@@ -236,7 +236,7 @@ impl FlModel for HeteroNn {
                 top_grad[HIDDEN] += delta[j] / b as f64;
             }
             self.top_opt.step(&mut self.top, &top_grad);
-            env.charge_local_compute((2 * b * HIDDEN) as u64, cfg, &mut breakdown);
+            env.charge_local_compute((2 * b * HIDDEN) as u64, &mut breakdown);
         }
 
         self.loss = self.global_loss();

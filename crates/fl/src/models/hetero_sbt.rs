@@ -371,7 +371,7 @@ impl FlModel for HeteroSbt {
             g.push(p - self.labels[i]);
             h.push((p * (1.0 - p)).max(1e-16));
         }
-        env.charge_local_compute(8 * n as u64, cfg, &mut breakdown);
+        env.charge_local_compute(8 * n as u64, &mut breakdown);
 
         let mut plaintexts = Vec::with_capacity(codec.words_for(2) * n);
         for i in 0..n {
@@ -384,7 +384,6 @@ impl FlModel for HeteroSbt {
         // (2)–(4) grow one tree.
         let round = Round {
             env,
-            cfg,
             codec: &codec,
             g: &g,
             h: &h,
@@ -402,7 +401,7 @@ impl FlModel for HeteroSbt {
                 self.margins[i] += self.eta * weight;
             }
         }
-        env.charge_local_compute(2 * n as u64, cfg, &mut breakdown);
+        env.charge_local_compute(2 * n as u64, &mut breakdown);
 
         self.loss = self.global_loss();
         Ok(EpochResult {
@@ -415,7 +414,6 @@ impl FlModel for HeteroSbt {
 /// What growing one tree borrows from its boosting round.
 struct Round<'a> {
     env: &'a FlEnv,
-    cfg: &'a TrainConfig,
     /// The epoch's `g‖h` codec.
     codec: &'a BatchCodec,
     g: &'a [f64],
@@ -437,7 +435,7 @@ impl HeteroSbt {
         breakdown: &mut EpochBreakdown,
         leaves: &mut Vec<(Vec<usize>, f64)>,
     ) -> Result<TreeNode> {
-        let Round { env, cfg, g, h, .. } = *round;
+        let Round { env, g, h, .. } = *round;
         let g_total: f64 = members.iter().map(|&i| g[i]).sum();
         let h_total: f64 = members.iter().map(|&i| h[i]).sum();
 
@@ -549,7 +547,7 @@ impl HeteroSbt {
                 }
             }
             // Charge the histogram pass as local compute.
-            env.charge_local_compute((members.len() * features.len()) as u64 * 3, cfg, breakdown);
+            env.charge_local_compute((members.len() * features.len()) as u64 * 3, breakdown);
         }
 
         match best {

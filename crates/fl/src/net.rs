@@ -19,6 +19,9 @@ use parking_lot::Mutex;
 
 use crate::{Error, Result};
 
+/// Attempts a send makes before it fails with [`Error::NetworkFailure`].
+pub const MAX_ATTEMPTS: u32 = 5;
+
 /// Static description of a link and its serialization stack.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkConfig {
@@ -32,8 +35,6 @@ pub struct NetworkConfig {
     pub per_ciphertext_seconds: f64,
     /// Probability that a message is dropped and must be retried.
     pub drop_probability: f64,
-    /// Maximum send attempts before reporting failure.
-    pub max_attempts: u32,
     /// Transfers the link can carry simultaneously (duplex / multi-queue
     /// NIC factor). This never changes what a message *costs* — per-message
     /// seconds and byte accounting are identical at any value — only how
@@ -56,7 +57,6 @@ impl NetworkConfig {
             latency_seconds: 2.0e-4,
             per_ciphertext_seconds: 4.5e-4,
             drop_probability: 0.0,
-            max_attempts: 5,
             duplex_streams: 1,
         }
     }
@@ -193,9 +193,45 @@ impl std::ops::AddAssign for NetStats {
 #[derive(Debug)]
 pub struct Network {
     cfg: NetworkConfig,
-    stats: Mutex<NetStats>,
+    state: Mutex<LinkState>,
+}
+
+/// What a send mutates, under the link's one lock.
+#[derive(Debug)]
+struct LinkState {
+    stats: NetStats,
     /// Deterministic xorshift state for drop decisions.
-    rng_state: Mutex<u64>,
+    rng: u64,
+}
+
+impl LinkState {
+    /// Makes up to [`MAX_ATTEMPTS`] attempts at one message on `cfg`'s
+    /// link and records them; returns whether it was delivered and the
+    /// seconds spent.
+    fn send(&mut self, cfg: &NetworkConfig, ciphertexts: u64, bytes: u64) -> (bool, f64) {
+        let per_try = cfg.message_seconds(ciphertexts, bytes);
+        let mut total = 0.0;
+        let mut sent_bytes = 0u64;
+        let mut retries = 0u64;
+        let mut delivered = false;
+        for _ in 0..MAX_ATTEMPTS {
+            total += per_try;
+            sent_bytes += bytes;
+            if !dropped(&mut self.rng, cfg.drop_probability) {
+                delivered = true;
+                break;
+            }
+            retries += 1;
+        }
+        self.stats += NetStats {
+            messages: u64::from(delivered),
+            ciphertexts: if delivered { ciphertexts } else { 0 },
+            bytes: sent_bytes,
+            seconds: total,
+            retries,
+        };
+        (delivered, total)
+    }
 }
 
 impl Network {
@@ -204,8 +240,10 @@ impl Network {
     pub fn new(cfg: NetworkConfig, seed: u64) -> Self {
         Network {
             cfg,
-            stats: Mutex::new(NetStats::default()),
-            rng_state: Mutex::new(seed | 1),
+            state: Mutex::new(LinkState {
+                stats: NetStats::default(),
+                rng: seed | 1,
+            }),
         }
     }
 
@@ -216,7 +254,7 @@ impl Network {
 
     /// Sends one message carrying `ciphertexts` ciphertext objects and
     /// `bytes` payload bytes; returns the simulated seconds it took
-    /// (including any retries). A send that exhausts `max_attempts`
+    /// (including any retries). A send that exhausts [`MAX_ATTEMPTS`]
     /// still records the bytes, seconds and retries it spent; only
     /// `messages` and `ciphertexts` count deliveries.
     ///
@@ -231,31 +269,10 @@ impl Network {
     /// net.send(1, seconds).unwrap(); // an `f64` is not a byte count
     /// ```
     pub fn send(&self, ciphertexts: u64, bytes: u64) -> Result<f64> {
-        let per_try = self.cfg.message_seconds(ciphertexts, bytes);
-        let mut total = 0.0;
-        let mut sent_bytes = 0u64;
-        let mut retries = 0u64;
-        let mut delivered = false;
-        for _ in 0..self.cfg.max_attempts {
-            total += per_try;
-            sent_bytes += bytes;
-            if !self.drop() {
-                delivered = true;
-                break;
-            }
-            retries += 1;
-        }
-        let sent = NetStats {
-            messages: u64::from(delivered),
-            ciphertexts: if delivered { ciphertexts } else { 0 },
-            bytes: sent_bytes,
-            seconds: total,
-            retries,
-        };
-        self.stats.with(|s| *s += sent);
+        let (delivered, total) = self.state.with(|s| s.send(&self.cfg, ciphertexts, bytes));
         if !delivered {
             return Err(Error::NetworkFailure {
-                attempts: self.cfg.max_attempts,
+                attempts: MAX_ATTEMPTS,
             });
         }
         Ok(total)
@@ -273,32 +290,28 @@ impl Network {
 
     /// Snapshot of the traffic counters.
     pub fn stats(&self) -> NetStats {
-        self.stats.with(|s| *s)
+        self.state.with(|s| s.stats)
     }
 
     /// Clears the traffic counters.
     pub fn reset(&self) {
-        self.stats.with(|s| *s = NetStats::default());
-    }
-
-    fn drop(&self) -> bool {
-        if self.cfg.drop_probability <= 0.0 {
-            return false;
-        }
-        let x = self.rng_state.with(xorshift_step);
-        let u = (x.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64;
-        u < self.cfg.drop_probability
+        self.state.with(|s| s.stats = NetStats::default());
     }
 }
 
-/// Advances an xorshift64* state in place and returns the new state.
-fn xorshift_step(s: &mut u64) -> u64 {
+/// Whether one attempt is lost on a link that drops with probability
+/// `p`: advances the xorshift64* state `s` only when `p > 0`.
+fn dropped(s: &mut u64, p: f64) -> bool {
+    if p <= 0.0 {
+        return false;
+    }
     let mut x = *s;
     x ^= x >> 12;
     x ^= x << 25;
     x ^= x >> 27;
     *s = x;
-    x
+    let u = (x.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64;
+    u < p
 }
 
 #[cfg(test)]

@@ -28,10 +28,6 @@ pub struct TrainConfig {
     pub tolerance: f64,
     /// Seed for batching/blinding randomness.
     pub seed: u64,
-    /// Simulated seconds per local floating-point operation — the cost
-    /// model for the "Others" component (calibrated to FATE's effective
-    /// local-compute rate).
-    pub sec_per_flop: f64,
     /// How every model's secure-aggregation rounds run on the
     /// [round engine](crate::engine). The default is
     /// [`EngineConfig::sequential`]: no phase overlap, no stragglers.
@@ -47,7 +43,6 @@ impl Default for TrainConfig {
             max_epochs: 20,
             tolerance: 1e-6,
             seed: 0xF1,
-            sec_per_flop: 4.0e-9,
             engine: EngineConfig::sequential(),
         }
     }

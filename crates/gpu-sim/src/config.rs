@@ -3,9 +3,10 @@
 /// Static description of a simulated GPU.
 ///
 /// Field meanings follow the CUDA occupancy model: a kernel block can be
-/// resident on an SM only if its thread, register, and shared-memory
-/// demands all fit; the per-SM limits below bound how many blocks (and
-/// therefore warps) can be co-resident.
+/// resident on an SM only if its thread and register demands both fit;
+/// the per-SM limits below bound how many blocks (and therefore warps)
+/// can be co-resident. No kernel here uses shared memory, so it is not
+/// modeled.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceConfig {
     /// Marketing name, reported in launch logs.
@@ -20,8 +21,6 @@ pub struct DeviceConfig {
     pub registers_per_sm: u32,
     /// Maximum registers addressable by one thread.
     pub max_registers_per_thread: u32,
-    /// Shared memory per SM in bytes.
-    pub shared_mem_per_sm: u32,
     /// Threads per warp (32 on every NVIDIA part).
     pub warp_size: u32,
     /// Host↔device copy bandwidth in bytes/second (PCIe), the paper's
@@ -49,7 +48,6 @@ impl DeviceConfig {
             max_blocks_per_sm: 16,
             registers_per_sm: 65_536,
             max_registers_per_thread: 255,
-            shared_mem_per_sm: 100 * 1024,
             warp_size: 32,
             transfer_bytes_per_sec: 16.0e9, // PCIe 4.0 x16 effective
             sec_per_thread_op: 1.4e-6,
@@ -66,7 +64,6 @@ impl DeviceConfig {
             max_blocks_per_sm: 4,
             registers_per_sm: 4096,
             max_registers_per_thread: 64,
-            shared_mem_per_sm: 16 * 1024,
             warp_size: 32,
             transfer_bytes_per_sec: 1.0e9,
             sec_per_thread_op: 1.0e-6,

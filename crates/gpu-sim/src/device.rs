@@ -301,9 +301,9 @@ mod tests {
     #[test]
     fn divergence_penalty_depends_on_manager() {
         let items: Vec<u32> = (0..256).collect();
+        let mut s = spec();
+        s.divergence = 1.0;
         let run = |d: &Device| {
-            let mut s = spec();
-            s.divergence = 1.0;
             let (_, r) = d.launch(&s, &items, 0, 0, |i, _| ItemOutcome {
                 output: (),
                 thread_ops: 100,
@@ -312,9 +312,13 @@ mod tests {
             r
         };
         let combining = Device::new(DeviceConfig::test_tiny());
+        // Same grid as the adaptive plan, split warps.
+        let plan = combining
+            .manager()
+            .plan(combining.config(), &s, items.len());
         let splitting = Device::with_manager(
             DeviceConfig::test_tiny(),
-            ResourceManager::new().without_branch_combining(),
+            ResourceManager::fixed(plan.threads_per_block),
         );
         let rc = run(&combining);
         let rs = run(&splitting);

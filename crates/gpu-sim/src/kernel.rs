@@ -17,8 +17,6 @@ pub struct KernelSpec {
     pub lanes_per_item: u32,
     /// 32-bit registers demanded by each thread.
     pub registers_per_thread: u32,
-    /// Shared memory per block, bytes.
-    pub shared_mem_per_block: u32,
     /// Expected fraction of warps that hit the "unexpected branch issue"
     /// of Sec. IV-A2 (0.0–1.0). Divergent warps serialize their branch
     /// arms unless the resource manager combines them.
@@ -32,7 +30,6 @@ impl KernelSpec {
             name,
             lanes_per_item: 1,
             registers_per_thread: 32,
-            shared_mem_per_block: 0,
             divergence: 0.0,
         }
     }

@@ -7,8 +7,8 @@
 //! available in this environment, so this crate substitutes a faithful
 //! *execution-model simulator*:
 //!
-//! - [`DeviceConfig`] describes a device (SM count, threads/registers/
-//!   shared memory per SM, warp size, PCIe bandwidth), with an
+//! - [`DeviceConfig`] describes a device (SM count, threads/registers
+//!   per SM, warp size, PCIe bandwidth), with an
 //!   [`DeviceConfig::rtx3090`] preset matching the paper's testbed.
 //! - [`Device`] executes *kernels* — data-parallel closures over a grid —
 //!   on a CPU thread pool, while accounting occupancy, SM utilization,

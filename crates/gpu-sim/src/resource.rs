@@ -25,8 +25,6 @@ pub enum OccupancyLimit {
     Threads,
     /// Register file size.
     Registers,
-    /// Shared-memory capacity.
-    SharedMem,
     /// Hardware resident-block limit.
     Blocks,
 }
@@ -74,9 +72,6 @@ enum BlockPolicy {
 #[derive(Debug, Clone)]
 pub struct ResourceManager {
     policy: BlockPolicy,
-    /// Whether divergent branches are combined/warp-executed instead of
-    /// letting the warp split (which multiplies register demand).
-    branch_combining: bool,
 }
 
 impl Default for ResourceManager {
@@ -94,7 +89,6 @@ impl ResourceManager {
     pub fn new() -> Self {
         ResourceManager {
             policy: BlockPolicy::Adaptive(vec![32, 64, 128, 256, 512, 1024]),
-            branch_combining: true,
         }
     }
 
@@ -109,19 +103,14 @@ impl ResourceManager {
         );
         ResourceManager {
             policy: BlockPolicy::Fixed(block_size),
-            branch_combining: false,
         }
     }
 
-    /// Disables branch combining on an otherwise adaptive manager.
-    pub fn without_branch_combining(mut self) -> Self {
-        self.branch_combining = false;
-        self
-    }
-
-    /// Whether branch combining is active.
+    /// Whether divergent branches are combined/warp-executed instead of
+    /// letting the warp split (which multiplies register demand): the
+    /// adaptive manager combines, a fixed one splits.
     pub fn branch_combining(&self) -> bool {
-        self.branch_combining
+        matches!(self.policy, BlockPolicy::Adaptive(_))
     }
 
     /// Plans a launch of `items` work items of `spec` on `cfg`.
@@ -131,7 +120,7 @@ impl ResourceManager {
 
         match &self.policy {
             BlockPolicy::Fixed(size) => {
-                self.plan_with_block(cfg, spec, total_threads, *size, effective_regs)
+                self.plan_with_block(cfg, total_threads, *size, effective_regs)
             }
             BlockPolicy::Adaptive(sizes) => {
                 // Pick the candidate maximizing occupancy; tie-break on
@@ -152,7 +141,7 @@ impl ResourceManager {
                     if (effective_regs as u64) * (size as u64) > cfg.registers_per_sm as u64 {
                         continue;
                     }
-                    let cand = self.plan_with_block(cfg, spec, total_threads, size, effective_regs);
+                    let cand = self.plan_with_block(cfg, total_threads, size, effective_regs);
                     let better = match &best {
                         None => true,
                         Some(b) => {
@@ -178,7 +167,7 @@ impl ResourceManager {
                         .div_ceil(cfg.warp_size)
                         .saturating_mul(cfg.warp_size)
                         .min(cfg.max_threads_per_sm);
-                    self.plan_with_block(cfg, spec, total_threads, block, effective_regs)
+                    self.plan_with_block(cfg, total_threads, block, effective_regs)
                 })
             }
         }
@@ -189,7 +178,7 @@ impl ResourceManager {
     /// branch arms.
     fn effective_registers(&self, cfg: &DeviceConfig, spec: &KernelSpec) -> u32 {
         let base = spec.registers_per_thread.max(1);
-        let regs = if spec.divergence > 0.0 && !self.branch_combining {
+        let regs = if spec.divergence > 0.0 && !self.branch_combining() {
             base.saturating_mul(WARP_SPLIT_REGISTER_FACTOR)
         } else {
             base
@@ -200,7 +189,6 @@ impl ResourceManager {
     fn plan_with_block(
         &self,
         cfg: &DeviceConfig,
-        spec: &KernelSpec,
         total_threads: u64,
         threads_per_block: u32,
         effective_regs: u32,
@@ -210,16 +198,11 @@ impl ResourceManager {
 
         let by_threads = cfg.max_threads_per_sm / tpb;
         let by_regs = cfg.registers_per_sm / (effective_regs * tpb).max(1);
-        let by_smem = cfg
-            .shared_mem_per_sm
-            .checked_div(spec.shared_mem_per_block)
-            .unwrap_or(u32::MAX);
         let by_blocks = cfg.max_blocks_per_sm;
 
         let (blocks_per_sm, limited_by) = [
             (by_threads, OccupancyLimit::Threads),
             (by_regs, OccupancyLimit::Registers),
-            (by_smem, OccupancyLimit::SharedMem),
             (by_blocks, OccupancyLimit::Blocks),
         ]
         .into_iter()
@@ -263,7 +246,6 @@ mod tests {
             name: "test",
             lanes_per_item: lanes,
             registers_per_thread: regs,
-            shared_mem_per_block: 0,
             divergence: 0.0,
         }
     }
@@ -329,9 +311,8 @@ mod tests {
         let mut s = spec(1, 64);
         s.divergence = 0.3;
         let with = ResourceManager::new().plan(&cfg, &s, 1000);
-        let without = ResourceManager::new()
-            .without_branch_combining()
-            .plan(&cfg, &s, 1000);
+        // Same grid, split warps.
+        let without = ResourceManager::fixed(with.threads_per_block).plan(&cfg, &s, 1000);
         assert_eq!(with.effective_registers_per_thread, 64);
         assert_eq!(without.effective_registers_per_thread, 128);
         assert!(without.occupancy <= with.occupancy);

@@ -6,14 +6,11 @@ use gpu_sim::{DeviceConfig, KernelSpec};
 use proptest::prelude::*;
 
 fn arb_spec() -> impl Strategy<Value = KernelSpec> {
-    (1u32..=64, 1u32..=255, 0u32..=48 * 1024, 0.0f64..=1.0).prop_map(|(lanes, regs, smem, div)| {
-        KernelSpec {
-            name: "prop",
-            lanes_per_item: lanes,
-            registers_per_thread: regs,
-            shared_mem_per_block: smem,
-            divergence: div,
-        }
+    (1u32..=64, 1u32..=255, 0.0f64..=1.0).prop_map(|(lanes, regs, div)| KernelSpec {
+        name: "prop",
+        lanes_per_item: lanes,
+        registers_per_thread: regs,
+        divergence: div,
     })
 }
 
@@ -40,10 +37,7 @@ proptest! {
             // The limit tag is one of the real resources.
             prop_assert!(matches!(
                 plan.limited_by,
-                OccupancyLimit::Threads
-                    | OccupancyLimit::Registers
-                    | OccupancyLimit::SharedMem
-                    | OccupancyLimit::Blocks
+                OccupancyLimit::Threads | OccupancyLimit::Registers | OccupancyLimit::Blocks
             ));
         }
     }
@@ -53,9 +47,7 @@ proptest! {
         let cfg = DeviceConfig::rtx3090();
         let adaptive = ResourceManager::new().plan(&cfg, &spec, items);
         for fixed_block in [32u32, 128, 512, 1024] {
-            let fixed = ResourceManager::fixed(fixed_block)
-                .without_branch_combining()
-                .plan(&cfg, &spec, items);
+            let fixed = ResourceManager::fixed(fixed_block).plan(&cfg, &spec, items);
             prop_assert!(
                 adaptive.occupancy >= fixed.occupancy - 1e-9,
                 "adaptive {} < fixed({fixed_block}) {} for {:?}",

@@ -824,7 +824,6 @@ impl GpuHe {
             // 4 working operands × x 64-bit words × 2 registers, plus
             // bookkeeping.
             registers_per_thread: 24 + 8 * x,
-            shared_mem_per_block: 0,
             // The final conditional subtraction of Algorithm 2 is a
             // data-dependent branch taken by roughly half the warps.
             divergence: 0.5,

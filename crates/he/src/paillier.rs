@@ -74,6 +74,11 @@ pub struct Ciphertext {
 }
 
 impl Ciphertext {
+    /// The ciphertext value `c ∈ Z*_{n²}`.
+    pub fn value(&self) -> &Natural {
+        &self.value
+    }
+
     /// Bytes this ciphertext occupies on the wire (what the network
     /// simulator charges).
     pub fn wire_size_bytes(&self) -> usize {

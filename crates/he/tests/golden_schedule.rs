@@ -82,7 +82,7 @@ fn fnv<'a>(values: impl Iterator<Item = &'a Natural>) -> u64 {
 }
 
 fn row(label: String, out: &[Ciphertext], t: &HeTiming) -> Row {
-    let h = fnv(out.iter().map(|c| &c.value));
+    let h = fnv(out.iter().map(|c| c.value()));
     (label, h, t.sim_seconds.to_bits(), t.ops, t.items)
 }
 

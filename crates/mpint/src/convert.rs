@@ -26,11 +26,6 @@ impl Natural {
         }
     }
 
-    /// Low 64 bits regardless of magnitude.
-    pub fn low_u64(&self) -> u64 {
-        self.limbs().first().copied().unwrap_or(0)
-    }
-
     /// Serializes to little-endian bytes with no trailing zeros
     /// (the wire format counted by the communication simulator).
     pub fn to_le_bytes(&self) -> Vec<u8> {

@@ -277,8 +277,8 @@ pub fn mod_pow_ct(ctx: &MontgomeryCtx, base: &Natural, exp: &Natural, exp_bits: 
     ctx.from_mont(&Natural::from_limbs(acc))
 }
 
-/// Plain binary (left-to-right square-and-multiply) exponentiation.
-/// Retained as the ablation baseline for the sliding-window bench.
+/// Plain binary (left-to-right square-and-multiply) exponentiation: the
+/// test reference the sliding-window paths are checked against.
 pub fn mod_pow_binary(base: &Natural, exp: &Natural, n: &Natural) -> Result<Natural> {
     let ctx = MontgomeryCtx::new(n)?;
     if exp.is_zero() {

@@ -90,8 +90,8 @@ fn he_batches_are_bit_identical_across_thread_counts() {
             let b = gpu.encrypt_batch(&keys.public, &ms, seed).expect("gpu").0;
             (a, b)
         });
-        let values: Vec<Natural> = cts_cpu.iter().map(|c| c.value.clone()).collect();
-        let gpu_values: Vec<Natural> = cts_gpu.iter().map(|c| c.value.clone()).collect();
+        let values: Vec<Natural> = cts_cpu.iter().map(|c| c.value().clone()).collect();
+        let gpu_values: Vec<Natural> = cts_gpu.iter().map(|c| c.value().clone()).collect();
         assert_eq!(
             values, gpu_values,
             "cpu and gpu backends agree at threads={threads}"
@@ -121,7 +121,7 @@ fn pooled_encryption_is_bit_identical_to_inline_at_every_thread_count() {
             .expect("pooled")
             .0
             .iter()
-            .map(|c| c.value.clone())
+            .map(|c| c.value().clone())
             .collect()
     });
 
@@ -137,8 +137,8 @@ fn pooled_encryption_is_bit_identical_to_inline_at_every_thread_count() {
                 .with_pool(Arc::new(ObfuscatorPool::new(&keys.public)));
             let b = gpu.encrypt_batch(&keys.public, &ms, seed).expect("gpu").0;
             (
-                a.iter().map(|c| c.value.clone()).collect::<Vec<_>>(),
-                b.iter().map(|c| c.value.clone()).collect::<Vec<_>>(),
+                a.iter().map(|c| c.value().clone()).collect::<Vec<_>>(),
+                b.iter().map(|c| c.value().clone()).collect::<Vec<_>>(),
                 cpu_hits,
             )
         });
@@ -236,7 +236,7 @@ fn weighted_aggregate_matches_scalar_mul_add_loop_across_thread_counts() {
                     .expect("scalar_mul");
                 acc = keys.public.checked_add(&acc, &scaled).expect("add");
             }
-            acc.value
+            acc.value().clone()
         })
         .collect();
 
@@ -254,8 +254,8 @@ fn weighted_aggregate_matches_scalar_mul_add_loop_across_thread_counts() {
                 .expect("gpu")
                 .0;
             (
-                a.iter().map(|c| c.value.clone()).collect::<Vec<_>>(),
-                b.iter().map(|c| c.value.clone()).collect::<Vec<_>>(),
+                a.iter().map(|c| c.value().clone()).collect::<Vec<_>>(),
+                b.iter().map(|c| c.value().clone()).collect::<Vec<_>>(),
             )
         });
         assert_eq!(cpu_vals, naive, "straus == naive at threads={threads}");
@@ -298,7 +298,7 @@ fn sharded_and_tree_aggregation_bit_identical_at_any_thread_count() {
             .expect("flat")
             .0
             .iter()
-            .map(|c| c.value.clone())
+            .map(|c| c.value().clone())
             .collect()
     });
 
@@ -316,8 +316,8 @@ fn sharded_and_tree_aggregation_bit_identical_at_any_thread_count() {
                 .expect("gpu")
                 .0;
             (
-                a.iter().map(|c| c.value.clone()).collect::<Vec<_>>(),
-                b.iter().map(|c| c.value.clone()).collect::<Vec<_>>(),
+                a.iter().map(|c| c.value().clone()).collect::<Vec<_>>(),
+                b.iter().map(|c| c.value().clone()).collect::<Vec<_>>(),
             )
         });
         assert_eq!(cpu_vals, flat, "cpu threads={threads}");
@@ -342,7 +342,7 @@ fn sharded_and_tree_aggregation_bit_identical_at_any_thread_count() {
                     .expect("tree")
                     .cts
                     .iter()
-                    .map(|c| c.value.clone())
+                    .map(|c| c.value().clone())
                     .collect()
             });
             assert_eq!(vals, flat, "tree threads={threads} arity={arity}");

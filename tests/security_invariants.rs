@@ -31,7 +31,7 @@ fn ciphertexts_are_semantically_hiding() {
     let size = |v: &fl::backend::EncryptedVector| -> Vec<usize> {
         v.cts
             .iter()
-            .map(|c| c.value.bit_len() as usize / 8)
+            .map(|c| c.value().bit_len() as usize / 8)
             .collect()
     };
     // Bit lengths differ only by blinding noise, not systematically.
@@ -40,7 +40,7 @@ fn ciphertexts_are_semantically_hiding() {
     // Fresh encryptions of the same vector differ.
     let c1 = acc.encrypt(&tiny, 100).unwrap();
     let c2 = acc.encrypt(&tiny, 101).unwrap();
-    assert_ne!(c1.cts[0].value, c2.cts[0].value);
+    assert_ne!(c1.cts[0].value(), c2.cts[0].value());
 }
 
 #[test]
