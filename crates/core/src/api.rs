@@ -143,7 +143,7 @@ impl FlBoosterApi {
     /// `Paillier::key_gen(size)`.
     // One-time key setup before training sits outside the per-item cost
     // model (see PaillierKeyPair::generate).
-    pub fn paillier_key_gen<R: Rng + ?Sized>(
+    pub fn paillier_key_gen<R: Rng + Clone>(
         &self,
         rng: &mut R,
         size: u32,
@@ -195,7 +195,7 @@ impl FlBoosterApi {
     // --- RSA wrappers ---
 
     /// `RSA::key_gen(size)`.
-    pub fn rsa_key_gen<R: Rng + ?Sized>(&self, rng: &mut R, size: u32) -> Result<RsaKeyPair> {
+    pub fn rsa_key_gen<R: Rng + Clone>(&self, rng: &mut R, size: u32) -> Result<RsaKeyPair> {
         Ok(RsaKeyPair::generate(rng, size)?)
     }
 

@@ -41,7 +41,7 @@ impl fmt::Display for Error {
             Error::StragglerTimeout { client } => {
                 write!(
                     f,
-                    "client {client} missed the straggler deadline and the round lost quorum"
+                    "every client missed the straggler deadline, client {client} first"
                 )
             }
         }
@@ -96,7 +96,7 @@ mod tests {
         // carry the offending client index verbatim.
         assert_eq!(
             Error::StragglerTimeout { client: 41 }.to_string(),
-            "client 41 missed the straggler deadline and the round lost quorum"
+            "every client missed the straggler deadline, client 41 first"
         );
     }
 }

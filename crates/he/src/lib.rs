@@ -29,6 +29,7 @@
 pub mod error;
 pub mod ghe;
 pub mod paillier;
+mod prime;
 pub mod rsa;
 
 pub use error::{Error, Result};

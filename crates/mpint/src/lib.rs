@@ -22,8 +22,8 @@
 //!   table (Lim–Lee comb), for the Paillier blinding pools.
 //! - [`straus`]: Bos–Coster multi-exponentiation over public exponents,
 //!   for weighted aggregation.
-//! - [`prime`]: Miller–Rabin primality testing and random prime generation
-//!   used by Paillier/RSA key generation.
+//! - [`prime`]: trial division, a deeper sieve and one Miller–Rabin round
+//!   with a given base: the pure pieces of `he`'s prime search.
 //! - [`random`]: uniform random `Natural` generation.
 //!
 //! # Example

@@ -886,3 +886,54 @@ fn round_engine_straggler_outcomes_identical_at_every_thread_count() {
         }
     }
 }
+
+/// FNV-1a over the limbs of `values`, each followed by its limb count.
+fn fingerprint(values: &[&Natural]) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for v in values {
+        for word in v.limbs().iter().chain([&(v.limbs().len() as u64)]) {
+            for byte in word.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01B3);
+            }
+        }
+    }
+    h
+}
+
+#[test]
+fn key_generation_returns_the_recorded_keys_at_every_pool_width() {
+    use he::rsa::RsaKeyPair;
+    // (seed, key bits, fingerprint of the factors, the RNG's next word
+    // after key generation), as the serial prime search produced them.
+    // RSA keeps its factors private; its public `n` fixes them.
+    const PAILLIER: [(u64, u32, u64, u64); 4] = [
+        (0x4B01, 256, 0xA4C0_A66D_5D77_B2E2, 0x150C_A65C_268C_955C),
+        (0x4B02, 512, 0xDF99_734A_A78C_50E6, 0xD86A_A0C3_6DE7_B1C2),
+        (0x4B03, 1024, 0x0654_DE36_0334_9161, 0x412B_32F8_90DC_2D11),
+        (0x4B04, 1024, 0x4D99_838E_76C1_4A35, 0x5D34_0BF3_3FA1_36B6),
+    ];
+    const RSA: [(u64, u32, u64, u64); 3] = [
+        (0x4B11, 256, 0x2E9E_8273_ECAE_D1CA, 0x7FA9_B046_6354_12B9),
+        (0x4B12, 512, 0xEE19_30D4_0DA0_F8CF, 0x1C8A_6ED0_B65E_C544),
+        (0x4B13, 1024, 0x8DB9_A8F1_212F_CEFD, 0x5AA8_5AD6_41ED_70AE),
+    ];
+    for threads in [1, 2, 8] {
+        for (seed, bits, factors, next) in PAILLIER {
+            let got = in_pool(threads, || {
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let keys = PaillierKeyPair::generate(&mut rng, bits).expect("keygen");
+                let (p, q) = (&keys.private.p, &keys.private.q);
+                (fingerprint(&[p, q]), rng.next_u64())
+            });
+            assert_eq!(got, (factors, next), "Paillier {seed:#x} at {threads}");
+        }
+        for (seed, bits, factors, next) in RSA {
+            let got = in_pool(threads, || {
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let keys = RsaKeyPair::generate(&mut rng, bits).expect("keygen");
+                (fingerprint(&[&keys.public.n]), rng.next_u64())
+            });
+            assert_eq!(got, (factors, next), "RSA {seed:#x} at {threads}");
+        }
+    }
+}
